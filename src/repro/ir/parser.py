@@ -1,6 +1,12 @@
 """Textual IR parser: the inverse of :mod:`repro.ir.printer`.
 
-A hand-written lexer + recursive-descent parser for the generic op syntax.
+One compiled scanner regex turns the source into a flat list of token
+strings in a single ``findall`` (whitespace and comments are skipped inside
+the pattern; a shaped type such as ``memref<4x4xi32>`` is one token), and a
+recursive-descent parser walks that list comparing token text directly.
+No positions are kept: a :class:`ParseError` re-scans the source to locate
+the offending token, so well-formed input never pays for diagnostics.
+
 ``parse_module(print_op(m))`` reconstructs an isomorphic module; the
 round-trip property is enforced by the test suite (including a
 hypothesis-driven random-program test).
@@ -9,7 +15,8 @@ hypothesis-driven random-program test).
 from __future__ import annotations
 
 import re
-from typing import Dict, List, Optional, Tuple
+from itertools import islice
+from typing import Callable, Dict, List, Tuple
 
 from .attributes import (
     ArrayAttr,
@@ -23,106 +30,45 @@ from .attributes import (
     UnitAttr,
 )
 from .block import Block
-from .diagnostics import ParseError
+from .diagnostics import IRError, ParseError
 from .module import ModuleOp
 from .operation import Operation
 from .region import Region
-from .types import (
-    DYNAMIC,
-    FloatType,
-    FunctionType,
-    IndexType,
-    IntegerType,
-    MemRefType,
-    NoneType,
-    TensorType,
-    Type,
-    lookup_dialect_type,
-)
+from .types import FloatType, FunctionType, Type, type_from_spelling
 from .values import Value
 
 # ---------------------------------------------------------------------------
-# Lexer
+# Scanner
 # ---------------------------------------------------------------------------
 
-_TOKEN_SPEC = [
-    ("WS", r"[ \t\r\n]+"),
-    ("COMMENT", r"//[^\n]*"),
-    ("ARROW", r"->"),
-    # inf/nan need the word boundary so identifiers such as "infx" still
-    # lex as IDENT rather than NUMBER("inf") + IDENT("x").
-    ("NUMBER", r"-?(?:\d+\.\d*(?:[eE][+-]?\d+)?|\d+[eE][+-]?\d+|\d+|inf\b|nan\b)"),
-    ("STRING", r'"(?:[^"\\]|\\.)*"'),
-    ("PERCENT", r"%[A-Za-z0-9_.$-]+"),
-    ("CARET", r"\^[A-Za-z0-9_.$-]+"),
-    ("BANG", r"![A-Za-z_][A-Za-z0-9_.$]*"),
-    ("IDENT", r"[A-Za-z_][A-Za-z0-9_.$]*"),
-    ("PUNCT", r"[(){}\[\]<>,=:]"),
-]
+_SKIP = r"(?:[ \t\r\n]+|//[^\n]*)*"
+_TOKEN = "|".join(
+    (
+        r"[(){}\[\]<>,=:]",
+        r"[%^][A-Za-z0-9_.$-]+",
+        r"->",
+        # inf/nan need the word boundary so identifiers such as "infx"
+        # still scan as identifiers rather than "inf" + "x".
+        r"-?(?:\d+\.\d*(?:[eE][+-]?\d+)?|\d+[eE][+-]?\d+|\d+|inf\b|nan\b)",
+        # A shaped type literal, nested ones included, is one token.
+        r"(?:memref|tensor)<[A-Za-z0-9_.$?!<>]*>",
+        r"(?!(?:memref|tensor)<)!?[A-Za-z_][A-Za-z0-9_.$]*",
+        r'"(?:[^"\\]|\\.)*"',
+    )
+)
+# Group 1 is the token.  The two uncaptured alternatives -- a shaped literal
+# that never closes, any other character -- make ``findall`` yield "" there,
+# which the parser reports as a lexical error.  Every match swallows the
+# whitespace and comments after it, so matches tile the source.
+_SCAN = re.compile(rf"(?:({_TOKEN})|(?:memref|tensor)<|[^ \t\r\n]){_SKIP}")
+_LEADING = re.compile(_SKIP)
 
-_MASTER_RE = re.compile("|".join(f"(?P<{n}>{p})" for n, p in _TOKEN_SPEC))
-
-_SHAPED_HEADS = {"memref", "tensor"}
-
-
-class Token:
-    __slots__ = ("kind", "text", "line", "column")
-
-    def __init__(self, kind: str, text: str, line: int, column: int):
-        self.kind = kind
-        self.text = text
-        self.line = line
-        self.column = column
-
-    def __repr__(self):
-        return f"Token({self.kind}, {self.text!r})"
+_IDENT_START = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
+_NUMBER_START = frozenset("0123456789-")
 
 
-def tokenize(source: str) -> List[Token]:
-    tokens: List[Token] = []
-    line = 1
-    line_start = 0
-    pos = 0
-    while pos < len(source):
-        match = _MASTER_RE.match(source, pos)
-        if match is None:
-            col = pos - line_start + 1
-            raise ParseError(f"unexpected character {source[pos]!r}", line, col)
-        kind = match.lastgroup
-        text = match.group()
-        col = pos - line_start + 1
-        if kind not in ("WS", "COMMENT"):
-            # Merge shaped-type heads with their balanced <...> payload into a
-            # single TYPE_LITERAL token so `memref<4x4xi32>` lexes atomically.
-            if kind == "IDENT" and text in _SHAPED_HEADS and match.end() < len(
-                source
-            ) and source[match.end()] == "<":
-                end = _scan_balanced_angles(source, match.end(), line, col)
-                text = source[pos:end]
-                tokens.append(Token("TYPE_LITERAL", text, line, col))
-                pos = end
-                continue
-            tokens.append(Token(kind, text, line, col))
-        newlines = text.count("\n")
-        if newlines:
-            line += newlines
-            line_start = pos + text.rfind("\n") + 1
-        pos = match.end()
-    tokens.append(Token("EOF", "", line, pos - line_start + 1))
-    return tokens
-
-
-def _scan_balanced_angles(source: str, start: int, line: int, col: int) -> int:
-    depth = 0
-    for i in range(start, len(source)):
-        ch = source[i]
-        if ch == "<":
-            depth += 1
-        elif ch == ">":
-            depth -= 1
-            if depth == 0:
-                return i + 1
-    raise ParseError("unbalanced '<' in type literal", line, col)
+def _is_ident(tok: str) -> bool:
+    return tok[:1] in _IDENT_START and tok[-1] != ">"
 
 
 # ---------------------------------------------------------------------------
@@ -131,113 +77,136 @@ def _scan_balanced_angles(source: str, start: int, line: int, col: int) -> int:
 
 
 class Parser:
-    """Recursive-descent parser over the token stream."""
+    """Recursive-descent parser over the scanned token strings."""
 
     def __init__(self, source: str):
-        self.tokens = tokenize(source)
+        self.source = source
+        self.start = _LEADING.match(source).end()
+        #: Token texts, closed by "" for end of input.
+        self.toks: List[str] = _SCAN.findall(source, self.start)
         self.pos = 0
+        if "" in self.toks:
+            raise self._lexical_error(self.toks.index(""))
+        self.toks.append("")
         # Stack of value scopes: innermost last.  Block arguments shadow
         # outer names; scopes pop when their region finishes.
         self.scopes: List[Dict[str, Value]] = [{}]
 
+    # -- diagnostics -------------------------------------------------------
+
+    def _offset(self, index: int) -> int:
+        matches = _SCAN.finditer(self.source, self.start)
+        match = next(islice(matches, index, None), None)
+        return len(self.source) if match is None else match.start()
+
+    def error(self, message: str, index: int = -1) -> ParseError:
+        """A ``ParseError`` at token ``index`` (default: the current one)."""
+        offset = self._offset(self.pos if index < 0 else index)
+        line_start = self.source.rfind("\n", 0, offset) + 1
+        line = self.source.count("\n", 0, offset) + 1
+        return ParseError(message, line, offset - line_start + 1)
+
+    def expected(self, want: str, index: int = -1) -> ParseError:
+        found = self.toks[self.pos if index < 0 else index]
+        return self.error(f"expected {want or 'EOF'!r}, found {found!r}", index)
+
+    def _lexical_error(self, index: int) -> ParseError:
+        offset = self._offset(index)
+        if self.source.startswith(("memref<", "tensor<"), offset):
+            return self.error("unbalanced '<' in type literal", index)
+        return self.error(f"unexpected character {self.source[offset]!r}", index)
+
     # -- token helpers -----------------------------------------------------
 
-    @property
-    def current(self) -> Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> Token:
-        token = self.tokens[self.pos]
+    def expect(self, text: str) -> None:
+        if self.toks[self.pos] != text:
+            raise self.expected(text)
         self.pos += 1
-        return token
 
-    def check(self, kind: str, text: Optional[str] = None) -> bool:
-        token = self.current
-        if token.kind != kind:
-            return False
-        return text is None or token.text == text
+    def _list(self, close: str, item: Callable[[], object]) -> list:
+        """``item (',' item)* close`` or a bare ``close``: the items."""
+        items = []
+        if self.toks[self.pos] != close:
+            items.append(item())
+            while self.toks[self.pos] == ",":
+                self.pos += 1
+                items.append(item())
+        self.expect(close)
+        return items
 
-    def accept(self, kind: str, text: Optional[str] = None) -> Optional[Token]:
-        if self.check(kind, text):
-            return self.advance()
-        return None
-
-    def expect(self, kind: str, text: Optional[str] = None) -> Token:
-        if not self.check(kind, text):
-            token = self.current
-            want = text or kind
-            raise ParseError(
-                f"expected {want!r}, found {token.text!r}", token.line, token.column
-            )
-        return self.advance()
-
-    # -- value scoping ---------------------------------------------------------
+    # -- value scoping -----------------------------------------------------
 
     def define_value(self, name: str, value: Value) -> None:
         value.name_hint = name
         self.scopes[-1][name] = value
 
-    def lookup_value(self, name: str, token: Token) -> Value:
+    def _value_use(self) -> Value:
+        tok = self.toks[self.pos]
+        if tok[:1] != "%":
+            raise self.expected("PERCENT")
+        name = tok[1:]
         for scope in reversed(self.scopes):
             if name in scope:
+                self.pos += 1
                 return scope[name]
-        raise ParseError(f"use of undefined value %{name}", token.line, token.column)
+        raise self.error(f"use of undefined value %{name}")
 
-    # -- entry point --------------------------------------------------------------
+    # -- entry point -------------------------------------------------------
 
     def parse_module(self) -> ModuleOp:
         op = self.parse_operation()
-        self.expect("EOF")
+        self.expect("")
         if not isinstance(op, ModuleOp):
             raise ParseError(f"expected builtin.module at top level, got {op.name}")
         return op
 
-    # -- operations ------------------------------------------------------------------
+    # -- operations --------------------------------------------------------
 
     def parse_operation(self) -> Operation:
+        toks = self.toks
+        pos = self.pos
         result_names: List[str] = []
-        if self.check("PERCENT"):
-            result_names.append(self.advance().text[1:])
-            while self.accept("PUNCT", ","):
-                result_names.append(self.expect("PERCENT").text[1:])
-            self.expect("PUNCT", "=")
-        name_token = self.expect("IDENT")
-        op_name = name_token.text
-        self.expect("PUNCT", "(")
-        operands: List[Value] = []
-        if not self.check("PUNCT", ")"):
-            operands.append(self._parse_value_use())
-            while self.accept("PUNCT", ","):
-                operands.append(self._parse_value_use())
-        self.expect("PUNCT", ")")
+        if toks[pos][:1] == "%":
+            result_names.append(toks[pos][1:])
+            pos += 1
+            while toks[pos] == ",":
+                if toks[pos + 1][:1] != "%":
+                    raise self.expected("PERCENT", pos + 1)
+                result_names.append(toks[pos + 1][1:])
+                pos += 2
+            if toks[pos] != "=":
+                raise self.expected("=", pos)
+            pos += 1
+        name_pos = pos
+        op_name = toks[pos]
+        if not _is_ident(op_name) or op_name in ("inf", "nan"):
+            raise self.expected("IDENT", pos)
+        if toks[pos + 1] != "(":
+            raise self.expected("(", pos + 1)
+        self.pos = pos + 2
+        operands = self._list(")", self._value_use)
 
         regions: List[Region] = []
-        if self.check("PUNCT", "(") and self._peek_is_region_list():
-            self.expect("PUNCT", "(")
-            regions.append(self.parse_region())
-            while self.accept("PUNCT", ","):
-                regions.append(self.parse_region())
-            self.expect("PUNCT", ")")
-
+        # An opening '(' introduces a region list iff the next token is '{'.
+        if toks[self.pos] == "(" and toks[self.pos + 1] == "{":
+            self.pos += 1
+            regions = self._list(")", self.parse_region)
         attributes: Dict[str, Attribute] = {}
-        if self.check("PUNCT", "{"):
+        if toks[self.pos] == "{":
             attributes = self.parse_attr_dict()
-
-        self.expect("PUNCT", ":")
+        self.expect(":")
         in_types, out_types = self.parse_functional_type()
         if len(in_types) != len(operands):
-            raise ParseError(
+            raise self.error(
                 f"op {op_name}: {len(operands)} operands but "
                 f"{len(in_types)} operand types",
-                name_token.line,
-                name_token.column,
+                name_pos,
             )
         if result_names and len(result_names) != len(out_types):
-            raise ParseError(
+            raise self.error(
                 f"op {op_name}: {len(result_names)} results named but "
                 f"{len(out_types)} result types",
-                name_token.line,
-                name_token.column,
+                name_pos,
             )
 
         op = Operation.create(op_name, operands, out_types, {}, regions)
@@ -246,203 +215,127 @@ class Parser:
             self.define_value(rname, result)
         return op
 
-    def _parse_value_use(self) -> Value:
-        token = self.expect("PERCENT")
-        return self.lookup_value(token.text[1:], token)
-
-    def _peek_is_region_list(self) -> bool:
-        # An opening '(' introduces a region list iff the next token is '{'.
-        return self.tokens[self.pos + 1].kind == "PUNCT" and (
-            self.tokens[self.pos + 1].text == "{"
-        )
-
-    # -- regions & blocks ----------------------------------------------------------------
+    # -- regions & blocks --------------------------------------------------
 
     def parse_region(self) -> Region:
-        self.expect("PUNCT", "{")
+        self.expect("{")
         region = Region()
         self.scopes.append({})
-        try:
-            first = True
-            while not self.check("PUNCT", "}"):
-                block = self.parse_block(implicit_label=first)
-                region.append(block)
-                first = False
-            self.expect("PUNCT", "}")
-        finally:
-            self.scopes.pop()
+        while self.toks[self.pos] != "}":
+            region.append(self.parse_block())
+        self.pos += 1
+        self.scopes.pop()
         return region
 
-    def parse_block(self, implicit_label: bool) -> Block:
+    def parse_block(self) -> Block:
         block = Block()
-        if self.check("CARET"):
-            label_token = self.advance()
-            block.label = label_token.text[1:]
-            self.expect("PUNCT", "(")
-            if not self.check("PUNCT", ")"):
-                self._parse_block_arg(block)
-                while self.accept("PUNCT", ","):
-                    self._parse_block_arg(block)
-            self.expect("PUNCT", ")")
-            self.expect("PUNCT", ":")
-        elif not implicit_label:
-            token = self.current
-            raise ParseError(
-                "expected block label", token.line, token.column
-            )
-        while not self.check("PUNCT", "}") and not self.check("CARET"):
+        toks = self.toks
+        if toks[self.pos][:1] == "^":
+            block.label = toks[self.pos][1:]
+            self.pos += 1
+            self.expect("(")
+            self._list(")", lambda: self._parse_block_arg(block))
+            self.expect(":")
+        while toks[self.pos] != "}" and toks[self.pos][:1] != "^":
             block.append(self.parse_operation())
         return block
 
     def _parse_block_arg(self, block: Block) -> None:
-        token = self.expect("PERCENT")
-        self.expect("PUNCT", ":")
-        arg_type = self.parse_type()
-        arg = block.add_argument(arg_type)
-        self.define_value(token.text[1:], arg)
+        tok = self.toks[self.pos]
+        if tok[:1] != "%":
+            raise self.expected("PERCENT")
+        self.pos += 1
+        self.expect(":")
+        self.define_value(tok[1:], block.add_argument(self.parse_type()))
 
-    # -- attributes -----------------------------------------------------------------------
+    # -- attributes --------------------------------------------------------
 
     def parse_attr_dict(self) -> Dict[str, Attribute]:
-        self.expect("PUNCT", "{")
-        attrs: Dict[str, Attribute] = {}
-        if not self.check("PUNCT", "}"):
-            key, value = self._parse_attr_entry()
-            attrs[key] = value
-            while self.accept("PUNCT", ","):
-                key, value = self._parse_attr_entry()
-                attrs[key] = value
-        self.expect("PUNCT", "}")
-        return attrs
+        self.expect("{")
+        return dict(self._list("}", self._parse_attr_entry))
 
     def _parse_attr_entry(self) -> Tuple[str, Attribute]:
-        token = self.current
-        if token.kind == "NUMBER" and token.text in ("inf", "nan"):
-            # Bare inf/nan lex as NUMBER (they are float literals in value
-            # position), but both are also legal attribute *names*.
-            self.advance()
-            key = token.text
-        else:
-            key = self.expect("IDENT").text
-        self.expect("PUNCT", "=")
+        # "inf"/"nan" scan as numbers but are legal attribute *names* too.
+        key = self.toks[self.pos]
+        if not _is_ident(key):
+            raise self.expected("IDENT")
+        self.pos += 1
+        self.expect("=")
         return key, self.parse_attr()
 
     def parse_attr(self) -> Attribute:
-        token = self.current
-        if token.kind == "NUMBER":
-            self.advance()
-            is_float = any(c in token.text for c in ".eE") and not token.text.lstrip(
-                "-"
-            ).startswith(("inf", "nan"))
-            is_float = is_float or token.text.lstrip("-") in ("inf", "nan")
-            if self.accept("PUNCT", ":"):
-                attr_type = self.parse_type()
-                if isinstance(attr_type, FloatType):
-                    return FloatAttr(float(token.text), attr_type)
-                return IntegerAttr(int(token.text), attr_type)
-            if is_float:
-                return FloatAttr(float(token.text))
-            return IntegerAttr(int(token.text))
-        if token.kind == "STRING":
-            self.advance()
-            body = token.text[1:-1]
-            body = body.replace('\\"', '"').replace("\\\\", "\\")
+        tok = self.toks[self.pos]
+        first = tok[:1]
+        if first in _NUMBER_START and tok != "->" or tok in ("inf", "nan"):
+            return self._parse_number_attr(tok)
+        if first == '"':
+            self.pos += 1
+            body = tok[1:-1]
+            if "\\" in body:
+                body = body.replace('\\"', '"').replace("\\\\", "\\")
             return StringAttr(body)
-        if token.kind == "IDENT" and token.text in ("true", "false"):
-            self.advance()
-            return BoolAttr(token.text == "true")
-        if token.kind == "IDENT" and token.text == "unit":
-            self.advance()
+        if tok in ("true", "false"):
+            self.pos += 1
+            return BoolAttr(tok == "true")
+        if tok == "unit":
+            self.pos += 1
             return UnitAttr()
-        if self.check("PUNCT", "["):
-            self.advance()
-            elements: List[Attribute] = []
-            if not self.check("PUNCT", "]"):
-                elements.append(self.parse_attr())
-                while self.accept("PUNCT", ","):
-                    elements.append(self.parse_attr())
-            self.expect("PUNCT", "]")
-            return ArrayAttr(tuple(elements))
-        if self.check("PUNCT", "{"):
-            inner = self.parse_attr_dict()
-            return DictAttr(tuple(inner.items()))
+        if tok == "[":
+            self.pos += 1
+            return ArrayAttr(tuple(self._list("]", self.parse_attr)))
+        if tok == "{":
+            return DictAttr(tuple(self.parse_attr_dict().items()))
         # Fall back to a type attribute.
         return TypeAttr(self.parse_type())
 
-    # -- types ------------------------------------------------------------------------------
+    def _parse_number_attr(self, tok: str) -> Attribute:
+        number_pos = self.pos
+        self.pos += 1
+        if self.toks[self.pos] != ":":
+            if tok.lstrip("-").isdigit():
+                return IntegerAttr(int(tok))
+            return FloatAttr(float(tok))
+        self.pos += 1
+        attr_type = self.parse_type()
+        try:
+            if isinstance(attr_type, FloatType):
+                return FloatAttr(float(tok), attr_type)
+            return IntegerAttr(int(tok), attr_type)
+        except (ValueError, IRError) as error:
+            raise self.error(str(error), number_pos) from None
+
+    # -- types -------------------------------------------------------------
 
     def parse_functional_type(self) -> Tuple[List[Type], List[Type]]:
-        self.expect("PUNCT", "(")
-        in_types: List[Type] = []
-        if not self.check("PUNCT", ")"):
-            in_types.append(self.parse_type())
-            while self.accept("PUNCT", ","):
-                in_types.append(self.parse_type())
-        self.expect("PUNCT", ")")
-        self.expect("ARROW")
-        out_types: List[Type] = []
-        if self.accept("PUNCT", "("):
-            if not self.check("PUNCT", ")"):
-                out_types.append(self.parse_type())
-                while self.accept("PUNCT", ","):
-                    out_types.append(self.parse_type())
-            self.expect("PUNCT", ")")
-        else:
-            out_types.append(self.parse_type())
-        return in_types, out_types
+        self.expect("(")
+        in_types = self._list(")", self.parse_type)
+        if self.toks[self.pos] != "->":
+            raise self.expected("ARROW")
+        self.pos += 1
+        if self.toks[self.pos] != "(":
+            return in_types, [self.parse_type()]
+        self.pos += 1
+        return in_types, self._list(")", self.parse_type)
 
     def parse_type(self) -> Type:
-        token = self.current
-        if token.kind == "TYPE_LITERAL":
-            self.advance()
-            return parse_type_literal(token.text, token.line, token.column)
-        if token.kind == "BANG":
-            self.advance()
-            return lookup_dialect_type(token.text[1:])()
-        if token.kind == "IDENT":
-            text = token.text
-            if text == "index":
-                self.advance()
-                return IndexType()
-            if text == "none":
-                self.advance()
-                return NoneType()
-            match = re.fullmatch(r"i(\d+)", text)
-            if match:
-                self.advance()
-                return IntegerType(int(match.group(1)))
-            match = re.fullmatch(r"f(16|32|64)", text)
-            if match:
-                self.advance()
-                return FloatType(int(match.group(1)))
-        if self.check("PUNCT", "("):
+        tok = self.toks[self.pos]
+        if tok == "(":
             in_types, out_types = self.parse_functional_type()
             return FunctionType(tuple(in_types), tuple(out_types))
-        raise ParseError(
-            f"expected a type, found {token.text!r}", token.line, token.column
-        )
+        try:
+            found = type_from_spelling(tok)
+        except IRError as error:
+            raise self.error(str(error)) from None
+        self.pos += 1
+        return found
 
 
 def parse_type_literal(text: str, line: int = 0, column: int = 0) -> Type:
     """Parse a shaped type literal such as ``memref<4x?xi32>``."""
-    match = re.fullmatch(r"(memref|tensor)<(.*)>", text, re.S)
-    if match is None:
-        raise ParseError(f"malformed shaped type {text!r}", line, column)
-    head, body = match.groups()
-    shape: List[int] = []
-    while True:
-        dim_match = re.match(r"(\d+|\?)x", body)
-        if dim_match is None:
-            break
-        dim = dim_match.group(1)
-        shape.append(DYNAMIC if dim == "?" else int(dim))
-        body = body[dim_match.end():]
-    sub_parser = Parser(body)
-    element = sub_parser.parse_type()
-    sub_parser.expect("EOF")
-    if head == "memref":
-        return MemRefType(tuple(shape), element)
-    return TensorType(tuple(shape), element)
+    try:
+        return type_from_spelling(text)
+    except IRError as error:
+        raise ParseError(str(error), line, column) from None
 
 
 def parse_module(source: str) -> ModuleOp:
@@ -454,5 +347,5 @@ def parse_op(source: str) -> Operation:
     """Parse a single (possibly nested) operation."""
     parser = Parser(source)
     op = parser.parse_operation()
-    parser.expect("EOF")
+    parser.expect("")
     return op

@@ -14,6 +14,7 @@ the textual parser can round-trip them.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import ClassVar, Dict, Tuple, Type as PyType
 
@@ -169,6 +170,9 @@ class DialectType(Type):
         super().__init_subclass__(**kwargs)
         if cls.dialect and cls.mnemonic:
             _DIALECT_TYPES[f"{cls.dialect}.{cls.mnemonic}"] = cls
+            # A re-registered mnemonic must not keep resolving to
+            # instances of the class it replaced.
+            _SPELLINGS.clear()
 
     def __str__(self) -> str:
         return f"!{self.dialect}.{self.mnemonic}"
@@ -185,6 +189,51 @@ def lookup_dialect_type(qualified: str) -> PyType[DialectType]:
 def registered_dialect_types() -> Dict[str, PyType[DialectType]]:
     """A copy of the dialect-type registry (used by the parser and tests)."""
     return dict(_DIALECT_TYPES)
+
+
+# ---------------------------------------------------------------------------
+# Spelling -> type: the inverse of ``str(type)``
+# ---------------------------------------------------------------------------
+
+_SCALAR_RE = re.compile(r"([if])(\d+)")
+_SHAPED_RE = re.compile(r"(memref|tensor)<((?:(?:\d+|\?)x)*)(.*)>", re.S)
+_SPELLINGS: Dict[str, Type] = {}
+
+
+def type_from_spelling(text: str) -> Type:
+    """The type that prints as ``text``, e.g. ``memref<4x?xi32>``.
+
+    Covers every type but function types, which the parser assembles from
+    tokens.  Types are frozen value objects, so each distinct spelling is
+    built once and shared.  Only successes are remembered: a malformed or
+    not-yet-registered spelling raises :class:`IRError` on every call.
+    """
+    found = _SPELLINGS.get(text)
+    if found is None:
+        found = _SPELLINGS[text] = _build_type(text)
+    return found
+
+
+def _build_type(text: str) -> Type:
+    if text == "index":
+        return IndexType()
+    if text == "none":
+        return NoneType()
+    if text[:1] == "!":
+        return lookup_dialect_type(text[1:])()
+    scalar = _SCALAR_RE.fullmatch(text)
+    if scalar is not None:
+        cls = IntegerType if scalar.group(1) == "i" else FloatType
+        return cls(int(scalar.group(2)))
+    shaped = _SHAPED_RE.fullmatch(text)
+    if shaped is None:
+        raise IRError(f"expected a type, found {text!r}")
+    head, dims, element = shaped.groups()
+    if element.count("<") > element.count(">"):
+        raise IRError("unbalanced '<' in type literal")
+    shape = tuple(DYNAMIC if d == "?" else int(d) for d in dims.split("x")[:-1])
+    cls = MemRefType if head == "memref" else TensorType
+    return cls(shape, type_from_spelling(element))
 
 
 # Convenience singletons for the common cases.

@@ -15,12 +15,11 @@ Checks, in order:
 
 from __future__ import annotations
 
-from typing import Dict, Set
+from typing import Dict, List, Set
 
 from .block import Block
 from .diagnostics import VerificationError
 from .operation import Operation, OpTrait
-from .region import Region
 from .values import BlockArgument, OpResult, Value
 
 
@@ -29,48 +28,47 @@ def verify(op: Operation) -> None:
 
     Raises :class:`VerificationError` on the first problem found.
     """
-    _Verifier().verify_op_tree(op, visible=set())
+    _verify_op_tree(op, set())
 
 
-class _Verifier:
-    def verify_op_tree(self, op: Operation, visible: Set[Value]) -> None:
-        for operand in op.operands:
-            if operand.value not in visible:
-                raise VerificationError(
-                    f"operand #{operand.index} does not dominate its use "
-                    f"(value {operand.value!r})",
-                    op,
-                )
-        op.verify_op()
-        self._check_traits(op)
-
-        isolated = OpTrait.ISOLATED_FROM_ABOVE in op.traits
-        inner_visible: Set[Value] = set() if isolated else set(visible)
-        for region in op.regions:
-            self._verify_region(region, set(inner_visible))
-
-    def _check_traits(self, op: Operation) -> None:
-        if OpTrait.TERMINATOR in op.traits and op.parent is not None:
-            if op.parent.ops[-1] is not op:
-                raise VerificationError(
-                    "terminator op is not the last operation in its block", op
-                )
-        if OpTrait.SINGLE_BLOCK in op.traits:
-            for region in op.regions:
-                if len(region.blocks) > 1:
-                    raise VerificationError(
-                        "op requires single-block regions", op
-                    )
-
-    def _verify_region(self, region: Region, visible: Set[Value]) -> None:
+def _verify_op_tree(op: Operation, visible: Set[Value]) -> None:
+    """``visible`` is the one set of values in scope at ``op``; each block
+    below adds its definitions to it and takes them out again on exit."""
+    for operand in op.operands:
+        if operand.value not in visible:
+            raise VerificationError(
+                f"operand #{operand.index} does not dominate its use "
+                f"(value {operand.value!r})",
+                op,
+            )
+    op.verify_op()
+    _check_traits(op)
+    if not op.regions:
+        return
+    if OpTrait.ISOLATED_FROM_ABOVE in op.traits:
+        visible = set()
+    for region in op.regions:
         for block in region.blocks:
-            block_visible = set(visible)
-            for arg in block.arguments:
-                block_visible.add(arg)
+            defined: List[Value] = list(block.arguments)
+            visible.update(defined)
             for operation in block.ops:
-                self.verify_op_tree(operation, block_visible)
-                for result in operation.results:
-                    block_visible.add(result)
+                _verify_op_tree(operation, visible)
+                if operation.results:
+                    defined += operation.results
+                    visible.update(operation.results)
+            visible.difference_update(defined)
+
+
+def _check_traits(op: Operation) -> None:
+    if OpTrait.TERMINATOR in op.traits and op.parent is not None:
+        if op.parent.ops[-1] is not op:
+            raise VerificationError(
+                "terminator op is not the last operation in its block", op
+            )
+    if OpTrait.SINGLE_BLOCK in op.traits:
+        for region in op.regions:
+            if len(region.blocks) > 1:
+                raise VerificationError("op requires single-block regions", op)
 
 
 def verify_value_integrity(op: Operation) -> None:

@@ -62,6 +62,7 @@ from typing import Optional
 
 import numpy as np
 
+from .engine import Future
 from .plan import (
     _MISSING,
     BlockPlan,
@@ -589,8 +590,6 @@ def compile_block_body(plan: BlockPlan) -> Optional[object]:
     """
     if not plan.inlineable:
         return None
-    from .engine import Future
-
     emitter = _Emitter()
     emitter.bindings["_plan"] = plan
     emitter.bindings["_resume"] = _resume

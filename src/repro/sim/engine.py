@@ -63,6 +63,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Union
 import numpy as np
 
 from ..dialects.affine import ForOp, ParallelOp
+from ..ir.attributes import attr_to_python
 from ..ir.diagnostics import IRError
 from ..ir.module import ModuleOp
 from ..ir.operation import Operation
@@ -82,9 +83,7 @@ from .components import (
     memory_spec,
     register_memory_kind,
 )
-from .kernel import AllOf, SimEvent, make_simulator
-from .plan import _EMPTY as _NO_RETURNS
-from .plan import _inline_run
+from .kernel import AllOf, SimEvent, all_of, any_of, make_simulator
 from .profiling import ConnectionReport, MemoryReport, ProfilingSummary
 from .tracing import TraceRecorder
 from ..obs import metrics as _obs_metrics
@@ -337,8 +336,6 @@ class Engine:
         # loops execute the same ops millions of times.
         self._static: Dict[int, tuple] = {}
         if self.options.compile_plans:
-            from .plan import PlanCache
-
             # An externally provided cache makes compilation survive this
             # engine: plans compiled here replay in later engines that
             # attach the same cache (see repro.sim.batch).  Attachment is
@@ -851,8 +848,6 @@ class Engine:
     def _h_arith(self, ex, op, env):
         cached = self._static.get(id(op))
         if cached is None:
-            from ..ir.attributes import attr_to_python
-
             attrs = {k: attr_to_python(v) for k, v in op.attributes.items()}
             is_free = (
                 isinstance(op.result().type, IndexType)
@@ -885,8 +880,6 @@ class Engine:
         return gen()
 
     def _control_and_impl(self, ex, op, env):
-        from .kernel import all_of
-
         deps = [self._resolve(env, v) for v in op.operand_values]
         env[op.result()] = all_of(self.sim, deps, "control_and")
 
@@ -899,8 +892,6 @@ class Engine:
         return gen()
 
     def _control_or_impl(self, ex, op, env):
-        from .kernel import any_of
-
         deps = [self._resolve(env, v) for v in op.operand_values]
         env[op.result()] = any_of(self.sim, deps, "control_or")
 
@@ -1517,3 +1508,7 @@ def simulate(
 
 IRError  # noqa: B018  (re-export for callers catching both error kinds)
 TensorType  # noqa: B018
+
+# engine <-> plan import each other; see the note at the bottom of plan.py.
+from .plan import _EMPTY as _NO_RETURNS  # noqa: E402
+from .plan import PlanCache, _inline_run  # noqa: E402

@@ -76,9 +76,10 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ..ir.attributes import attr_to_python
 from ..ir.types import IndexType, IntegerType, MemRefType
 from ..obs.spans import span as _span
-from . import interp
+from . import interp, oplib
 from .components import Buffer, MemoryModel
 
 (
@@ -320,8 +321,6 @@ class PlanCache:
         never mixed within one store (a ``compiled`` body emitted for one
         plan must not survive into a run that asked for pure plan replay,
         and vice versa)."""
-        from .engine import ExecutionMode
-
         options = engine.options
         return (
             type(engine),
@@ -355,8 +354,6 @@ class PlanCache:
         self.vectorize = options.vectorize_loops and not (
             options.trace and options.detailed_trace
         )
-        from .engine import ExecutionMode
-
         self.codegen = options.mode is ExecutionMode.CODEGEN
         return self
 
@@ -430,8 +427,6 @@ class PlanCache:
     # ------------------------------------------------------------------
 
     def _compile_op(self, op):
-        from .engine import _NEEDS_FLUSH, _STRUCTURE_OPS, EngineError
-
         engine = self.engine
         name = op.name
         compiler = _COMPILERS.get(name)
@@ -515,9 +510,6 @@ def _c_constant(cache, engine, op):
     "arith.shrsi", "arith.cmpi", "arith.select", "arith.index_cast",
 )
 def _c_arith(cache, engine, op):
-    from ..ir.attributes import attr_to_python
-    from .engine import Future
-
     name = op.name
     attrs = {k: attr_to_python(v) for k, v in op.attributes.items()}
     result = op.result()
@@ -619,8 +611,6 @@ def _c_arith(cache, engine, op):
 
 @_compiles("equeue.op")
 def _c_external(cache, engine, op):
-    from . import oplib
-
     op_function = oplib.lookup(op.get_attr("signature"))
     operand_ssa = tuple(o.value for o in op.operands)
     result_ssa = tuple(op.results)
@@ -697,8 +687,6 @@ def _plain_access_cost(memory, is_write) -> int:
 
 @_compiles("equeue.read")
 def _c_read(cache, engine, op):
-    from .engine import Future
-
     general = _bound(cache, type(engine)._h_read, op)
     posted, buffer_ssa, conn_ssa, indices_ssa = engine._read_write_static(op, 1)
     rank = _buffer_rank(buffer_ssa)
@@ -783,8 +771,6 @@ def _c_read(cache, engine, op):
 
 @_compiles("equeue.write")
 def _c_write(cache, engine, op):
-    from .engine import Future
-
     general = _bound(cache, type(engine)._h_write, op)
     posted, buffer_ssa, conn_ssa, indices_ssa = engine._read_write_static(op, 2)
     rank = _buffer_rank(buffer_ssa)
@@ -843,8 +829,6 @@ def _c_write(cache, engine, op):
 
 @_compiles("affine.load", "memref.load")
 def _c_load(cache, engine, op):
-    from .engine import Future
-
     general = _bound(cache, type(engine)._h_memref_load, op)
     buffer_ssa = op.operand(0)
     indices_ssa = tuple(op.operand_values[1:])
@@ -888,8 +872,6 @@ def _c_load(cache, engine, op):
 
 @_compiles("affine.store", "memref.store")
 def _c_store(cache, engine, op):
-    from .engine import Future
-
     general = _bound(cache, type(engine)._h_memref_store, op)
     value_ssa = op.operand(0)
     buffer_ssa = op.operand(1)
@@ -996,8 +978,6 @@ def _c_local(cache, engine, op):
 
 @_compiles("scf.if")
 def _c_if(cache, engine, op):
-    from .engine import Future
-
     cond_ssa = op.operand(0)
     then_block = op.regions[0].entry_block
     then_plan = cache.compile(then_block) if then_block.ops else None
@@ -1479,3 +1459,16 @@ class _VectorLoop:
             ex.pending += trip * self.charged * ex.proc.spec.arith_cycles
         self.cache.vector_iterations += trip
         return None
+
+
+# plan <-> engine import each other.  Both sides import at the bottom,
+# after their own definitions, so the cycle resolves once at import time in
+# whichever order the two load, and the step compilers above read plain
+# module globals instead of re-importing per compiled op.
+from .engine import (  # noqa: E402
+    _NEEDS_FLUSH,
+    _STRUCTURE_OPS,
+    EngineError,
+    ExecutionMode,
+    Future,
+)

@@ -153,3 +153,72 @@ class TestValueIntegrity:
         a = arith.constant(builder, 1, ir.i32)
         arith.addi(builder, a, a)
         verify_value_integrity(module)
+
+
+class TestScopedVisibility:
+    """One visible-set serves the whole walk: a block's definitions join it
+    on entry and leave it on exit, and an isolated op starts a fresh one."""
+
+    PRELUDE = (
+        "builtin.module() ({\n"
+        '  %kernel = equeue.create_proc() {kind = "ARMr5"} : () -> !equeue.proc\n'
+        "  %start = equeue.control_start() : () -> !equeue.event\n"
+        "  %outer = test.p() : () -> i32\n"
+        "  test.wrap() ({\n"
+        "    %sibling = test.p() : () -> i32\n"
+        "  }) : () -> ()\n"
+        "  test.wrap() ({\n"
+        "    %mid = test.p() : () -> i32\n"
+    )
+    POSTLUDE = (
+        "    test.use(%mid) : (i32) -> ()\n"
+        "  }) : () -> ()\n"
+        "  test.use(%outer) : (i32) -> ()\n"
+        "}) : () -> ()\n"
+    )
+
+    def test_use_dominated_only_through_enclosing_regions_passes(self):
+        """%outer reaches the use through two non-isolated regions, after
+        a sibling region was entered and left."""
+        verify(ir.parse_module(
+            self.PRELUDE
+            + "    test.wrap() ({\n"
+            "      test.use(%outer, %mid) : (i32, i32) -> ()\n"
+            "    }) : () -> ()\n"
+            + self.POSTLUDE
+        ))
+
+    def test_same_use_across_a_launch_boundary_fails(self):
+        module = ir.parse_module(
+            self.PRELUDE
+            + "    %done = equeue.launch(%start, %kernel) ({\n"
+            "      test.use(%outer, %mid) : (i32, i32) -> ()\n"
+            "      equeue.return_values() : () -> ()\n"
+            "    }) : (!equeue.event, !equeue.proc) -> !equeue.event\n"
+            + self.POSTLUDE
+        )
+        with pytest.raises(VerificationError) as excinfo:
+            verify(module)
+        assert str(excinfo.value) == (
+            "operand #0 does not dominate its use "
+            "(value <OpResult %outer: i32>)\n  in operation: test.use"
+        )
+
+    def test_definitions_leave_scope_with_their_block(self, module_and_builder):
+        module, builder = module_and_builder
+        first, second = Block(), Block()
+        inner = ir.Builder(ir.InsertionPoint.at_end(first)).create(
+            "test.p", [], [ir.i32]
+        )
+        builder.create("test.wrap", [], [], {}, [Region([first, second])])
+        verify(module)
+        # Not visible in the sibling block ...
+        leak = Operation.create("test.use", [inner.result()])
+        second.append(leak)
+        with pytest.raises(VerificationError, match="dominate"):
+            verify(module)
+        # ... nor after the region that defined it.
+        leak.detach()
+        module.body.append(leak)
+        with pytest.raises(VerificationError, match="dominate"):
+            verify(module)

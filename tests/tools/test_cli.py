@@ -149,6 +149,27 @@ class TestEqueueSim:
         assert code == 0
         assert "simulated runtime" in capsys.readouterr().out
 
+    @staticmethod
+    def _verify_spans(argv, tmp_path):
+        path = tmp_path / "host.json"
+        assert equeue_sim.main([*argv, "--host-trace", str(path)]) == 0
+        names = [event["name"] for event in json.loads(path.read_text())]
+        return names.count("sim.verify"), names.count("engine.verify")
+
+    def test_unmodified_module_verifies_once(
+        self, program_file, conv_file, tmp_path, capsys
+    ):
+        """Without --pipeline the engine skips its verify (the CLI just
+        did it); after a pipeline the engine re-verifies the result."""
+        assert self._verify_spans([str(program_file)], tmp_path) == (1, 0)
+        lowered = [
+            str(conv_file),
+            "--pipeline",
+            "convert-linalg-to-affine-loops,equeue-read-write,"
+            "allocate-buffer{memory=sram},launch{proc=kernel}",
+        ]
+        assert self._verify_spans(lowered, tmp_path) == (1, 1)
+
     def test_error_path(self, tmp_path, capsys):
         bad = tmp_path / "bad.mlir"
         bad.write_text("((((")
