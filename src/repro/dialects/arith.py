@@ -8,6 +8,7 @@ vectors are computed on.
 
 from __future__ import annotations
 
+from ..ir.attributes import FloatAttr, integer_attr
 from ..ir.builder import Builder
 from ..ir.diagnostics import VerificationError
 from ..ir.operation import Operation, register_op
@@ -157,11 +158,9 @@ def constant(builder: Builder, value, type: Type) -> Value:
 
 
 def _const_attr(value, type: Type):
-    from ..ir.attributes import FloatAttr, IntegerAttr
-
     if isinstance(type, FloatType):
         return FloatAttr(float(value), type)
-    return IntegerAttr(int(value), type)
+    return integer_attr(int(value), type)
 
 
 def _binary(name: str):

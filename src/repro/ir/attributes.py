@@ -8,7 +8,7 @@ kind defined here.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Tuple
+from typing import Dict, Tuple
 
 from .diagnostics import IRError
 from .types import FloatType, IndexType, IntegerType, Type
@@ -135,6 +135,53 @@ class DictAttr(Attribute):
         return dict(self.value)
 
 
+# ---------------------------------------------------------------------------
+# Interned leaves
+# ---------------------------------------------------------------------------
+#
+# A generated module repeats a handful of distinct booleans, small
+# integers and names tens of thousands of times.  Attributes are frozen
+# value objects, so every producer (builders, the parser, ``arith``
+# constants) shares one instance per value through the functions below.
+# Each kind has its own table: ``True``, ``1`` and ``1.0`` hash alike and
+# must never answer for one another.  Sharing is an optimisation only —
+# equality stays by value — so a table that reaches the limit simply
+# starts over.
+
+_MEMO_LIMIT = 1 << 16
+_INTEGER_ATTRS: Dict[Tuple[int, Type], IntegerAttr] = {}
+_STRING_ATTRS: Dict[str, StringAttr] = {}
+_BOOL_ATTRS = (BoolAttr(False), BoolAttr(True))
+_I64 = IntegerType(64)
+UNIT = UnitAttr()
+
+
+def bool_attr(value: bool) -> BoolAttr:
+    """The shared :class:`BoolAttr` for ``value``."""
+    return _BOOL_ATTRS[bool(value)]
+
+
+def integer_attr(value: int, type: Type = _I64) -> IntegerAttr:
+    """The shared :class:`IntegerAttr` for ``(value, type)``."""
+    key = (value, type)
+    found = _INTEGER_ATTRS.get(key)
+    if found is None:
+        if len(_INTEGER_ATTRS) >= _MEMO_LIMIT:
+            _INTEGER_ATTRS.clear()
+        found = _INTEGER_ATTRS[key] = IntegerAttr(value, type)
+    return found
+
+
+def string_attr(value: str) -> StringAttr:
+    """The shared :class:`StringAttr` for ``value``."""
+    found = _STRING_ATTRS.get(value)
+    if found is None:
+        if len(_STRING_ATTRS) >= _MEMO_LIMIT:
+            _STRING_ATTRS.clear()
+        found = _STRING_ATTRS[value] = StringAttr(value)
+    return found
+
+
 def attr_from_python(value) -> Attribute:
     """Convert a plain Python value into the matching attribute.
 
@@ -145,13 +192,13 @@ def attr_from_python(value) -> Attribute:
     if isinstance(value, Attribute):
         return value
     if isinstance(value, bool):
-        return BoolAttr(value)
+        return bool_attr(value)
     if isinstance(value, int):
-        return IntegerAttr(value)
+        return integer_attr(value)
     if isinstance(value, float):
         return FloatAttr(value)
     if isinstance(value, str):
-        return StringAttr(value)
+        return string_attr(value)
     if isinstance(value, Type):
         return TypeAttr(value)
     if isinstance(value, (list, tuple)):

@@ -76,14 +76,19 @@ class Operation:
         regions: Sequence[Region] = (),
     ):
         self.name = name
-        self.operands: List[OpOperand] = [
-            OpOperand(self, i, v) for i, v in enumerate(operands)
-        ]
-        self.results: List[OpResult] = [
-            OpResult(t, self, i) for i, t in enumerate(result_types)
-        ]
+        #: A list once the op has operands; the shared ``()`` before.
+        #: Only :meth:`insert_operand`, :meth:`erase_operand` and
+        #: :meth:`drop_all_references` change its length.
+        self.operands: Sequence[OpOperand] = (
+            [OpOperand(self, i, v) for i, v in enumerate(operands)]
+            if operands
+            else ()
+        )
+        self.results: Tuple[OpResult, ...] = tuple(
+            [OpResult(t, self, i) for i, t in enumerate(result_types)]
+        )
         self.attributes: Dict[str, Attribute] = dict(attributes or {})
-        self.regions: List[Region] = list(regions)
+        self.regions: Tuple[Region, ...] = tuple(regions)
         for region in self.regions:
             region.parent = self
         #: The block containing this op, or None while detached.
@@ -146,7 +151,10 @@ class Operation:
 
     def insert_operand(self, index: int, value: Value) -> None:
         operand = OpOperand(self, index, value)
-        self.operands.insert(index, operand)
+        if self.operands:
+            self.operands.insert(index, operand)
+        else:
+            self.operands = [operand]
         for i, existing in enumerate(self.operands):
             existing.index = i
 
@@ -215,7 +223,7 @@ class Operation:
         """Drop operand uses of this op and, recursively, of nested ops."""
         for operand in self.operands:
             operand.drop()
-        self.operands = []
+        self.operands = ()
         for region in self.regions:
             for block in region.blocks:
                 for op in list(block.ops):
@@ -275,6 +283,3 @@ class Operation:
 
     def __repr__(self) -> str:
         return f"<Operation {self.name} ({len(self.operands)} operands)>"
-
-
-Tuple  # noqa: F401  (re-exported typing convenience)

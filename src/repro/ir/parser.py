@@ -19,15 +19,15 @@ from itertools import islice
 from typing import Callable, Dict, List, Tuple
 
 from .attributes import (
+    UNIT,
     ArrayAttr,
     Attribute,
-    BoolAttr,
     DictAttr,
     FloatAttr,
-    IntegerAttr,
-    StringAttr,
     TypeAttr,
-    UnitAttr,
+    bool_attr,
+    integer_attr,
+    string_attr,
 )
 from .block import Block
 from .diagnostics import IRError, ParseError
@@ -273,13 +273,13 @@ class Parser:
             body = tok[1:-1]
             if "\\" in body:
                 body = body.replace('\\"', '"').replace("\\\\", "\\")
-            return StringAttr(body)
+            return string_attr(body)
         if tok in ("true", "false"):
             self.pos += 1
-            return BoolAttr(tok == "true")
+            return bool_attr(tok == "true")
         if tok == "unit":
             self.pos += 1
-            return UnitAttr()
+            return UNIT
         if tok == "[":
             self.pos += 1
             return ArrayAttr(tuple(self._list("]", self.parse_attr)))
@@ -293,14 +293,14 @@ class Parser:
         self.pos += 1
         if self.toks[self.pos] != ":":
             if tok.lstrip("-").isdigit():
-                return IntegerAttr(int(tok))
+                return integer_attr(int(tok))
             return FloatAttr(float(tok))
         self.pos += 1
         attr_type = self.parse_type()
         try:
             if isinstance(attr_type, FloatType):
                 return FloatAttr(float(tok), attr_type)
-            return IntegerAttr(int(tok), attr_type)
+            return integer_attr(int(tok), attr_type)
         except (ValueError, IRError) as error:
             raise self.error(str(error), number_pos) from None
 

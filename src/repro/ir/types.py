@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import ClassVar, Dict, Tuple, Type as PyType
+from typing import ClassVar, Dict, Optional, Tuple, Type as PyType
 
 from .diagnostics import IRError
 
@@ -32,15 +32,28 @@ class Type:
         raise NotImplementedError
 
 
+_INTEGER_TYPES: Dict[int, "IntegerType"] = {}
+
+
 @dataclass(frozen=True)
 class IntegerType(Type):
-    """An integer type of arbitrary bit width, e.g. ``i32``."""
+    """An integer type of arbitrary bit width, e.g. ``i32``.
+
+    Interned: ``IntegerType(32) is IntegerType(32)``, so the thousands
+    of ``i1``/``i32`` mentions in a module share one object.
+    """
 
     width: int
+
+    def __new__(cls, width: int = 0):
+        # ``width=0`` is unpickling's argument-less ``__new__``: never
+        # interned, so it gets a fresh object to restore state into.
+        return _INTEGER_TYPES.get(width) or object.__new__(cls)
 
     def __post_init__(self):
         if self.width <= 0:
             raise IRError(f"integer width must be positive, got {self.width}")
+        _INTEGER_TYPES.setdefault(self.width, self)
 
     def __str__(self) -> str:
         return f"i{self.width}"
@@ -48,7 +61,15 @@ class IntegerType(Type):
 
 @dataclass(frozen=True)
 class IndexType(Type):
-    """The platform-sized integer used for loop induction variables."""
+    """The platform-sized integer used for loop induction variables
+    (a single shared instance)."""
+
+    _shared: ClassVar[Optional["IndexType"]] = None
+
+    def __new__(cls):
+        if cls._shared is None:
+            cls._shared = object.__new__(cls)
+        return cls._shared
 
     def __str__(self) -> str:
         return "index"

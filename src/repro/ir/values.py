@@ -9,7 +9,7 @@ O(uses) operation.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
 from .types import Type
 
@@ -25,14 +25,20 @@ class Value:
 
     def __init__(self, type: Type, name_hint: Optional[str] = None):
         self.type = type
-        self.uses: List["OpOperand"] = []
+        #: The operands reading this value.  Read-only to callers; the
+        #: shared ``()`` until :meth:`add_use` allocates the list, so a
+        #: value nobody reads owns no container.
+        self.uses: Sequence["OpOperand"] = ()
         #: Optional human-readable name used by the printer (`%name`).
         self.name_hint = name_hint
 
     # -- use-def chain -----------------------------------------------------
 
     def add_use(self, operand: "OpOperand") -> None:
-        self.uses.append(operand)
+        if self.uses:
+            self.uses.append(operand)
+        else:
+            self.uses = [operand]
 
     def remove_use(self, operand: "OpOperand") -> None:
         self.uses.remove(operand)

@@ -23,9 +23,11 @@ comment lines followed by samples; histograms expand to cumulative
 
 from __future__ import annotations
 
+import gc
 import math
 import re
 import threading
+import time
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 __all__ = [
@@ -38,6 +40,7 @@ __all__ = [
     "disable_metrics",
     "metrics_enabled",
     "get_registry",
+    "gc_stats",
     "prometheus_name",
     "render_prometheus",
 ]
@@ -394,15 +397,77 @@ def get_registry() -> MetricsRegistry:
     return _REGISTRY
 
 
+class _GCWatch:
+    """A ``gc.callbacks`` hook: collections and pause seconds by generation.
+
+    The cyclic collector is a layer like any other — on a cached sweep
+    it used to be half the wall clock — but it runs inside whichever
+    span happens to allocate, so no span names it.  Installed only
+    while metrics are enabled; the totals cover those periods.
+    """
+
+    def __init__(self) -> None:
+        self.collections = [0, 0, 0]
+        self.pause_seconds = [0.0, 0.0, 0.0]
+        self._started = 0.0
+
+    def __call__(self, phase: str, info: Mapping) -> None:
+        # Collections never nest and run under the GIL, so one start
+        # stamp is enough.
+        if phase == "start":
+            self._started = time.perf_counter()
+        else:
+            generation = info["generation"]
+            self.collections[generation] += 1
+            self.pause_seconds[generation] += (
+                time.perf_counter() - self._started
+            )
+
+
+_GC_WATCH = _GCWatch()
+
+
+def gc_stats() -> Dict:
+    """The collector's ledger, JSON-ready (the ``gc`` section of
+    ``/stats``; flattened it is the ``gc.*`` metric family).
+
+    ``frozen_objects`` is the size of the permanent generation, where
+    :mod:`repro.sim.permanent` parks cached programs.
+    """
+    return {
+        "collections": {
+            f"gen{g}": count for g, count in enumerate(_GC_WATCH.collections)
+        },
+        "pause_seconds": {
+            f"gen{g}": s for g, s in enumerate(_GC_WATCH.pause_seconds)
+        },
+        "frozen_objects": gc.get_freeze_count(),
+    }
+
+
+def _collect_gc() -> Dict[str, float]:
+    stats = gc_stats()
+    flat = {"gc.frozen_objects": stats.pop("frozen_objects")}
+    for family, by_generation in stats.items():
+        for generation, value in by_generation.items():
+            flat[f"gc.{family}.{generation}"] = value
+    return flat
+
+
 def enable_metrics() -> MetricsRegistry:
     global METRICS
     METRICS = _REGISTRY
+    if _GC_WATCH not in gc.callbacks:
+        gc.callbacks.append(_GC_WATCH)
+    _REGISTRY.register_collector("gc", _collect_gc)
     return _REGISTRY
 
 
 def disable_metrics() -> None:
     global METRICS
     METRICS = None
+    if _GC_WATCH in gc.callbacks:
+        gc.callbacks.remove(_GC_WATCH)
 
 
 def metrics_enabled() -> bool:

@@ -22,8 +22,14 @@ import time
 from dataclasses import asdict, dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from ..sim import EngineOptions, simulate
-from ..sim.batch import ResilienceStats, SweepInterrupted, SweepRunner
+from ..sim import EngineOptions
+from ..sim.batch import (
+    CachedProgram,
+    ResilienceStats,
+    SweepInterrupted,
+    SweepRunner,
+    drop_programs,
+)
 from ..sim.journal import JOURNAL_KIND, SweepJournal
 from ..sim.plan import PlanCache
 from .registry import Scenario, get_scenario
@@ -92,7 +98,7 @@ class ScenarioPoint:
 #: :meth:`Scenario.signature`.  One per process: in a pool worker it
 #: persists across chunks, which is what signature-affine sharding pays
 #: into (the registry generalization of ``batch.CompileCache``).
-_PROGRAM_CACHE: Dict[Tuple, Tuple[object, PlanCache]] = {}
+_PROGRAM_CACHE: Dict[Tuple, CachedProgram] = {}
 
 
 @dataclass
@@ -115,12 +121,12 @@ def scenario_cache_stats() -> ScenarioCacheStats:
     return _CACHE_STATS
 
 
-def cached_scenario_program(scenario: Scenario, cfg):
-    """This process's (module, plan_cache) for a config's structure."""
+def cached_scenario_program(scenario: Scenario, cfg) -> CachedProgram:
+    """This process's cached program for a config's structure."""
     key = scenario.signature(cfg)
     entry = _PROGRAM_CACHE.get(key)
     if entry is None:
-        entry = (scenario.build(cfg), PlanCache())
+        entry = CachedProgram(scenario.build(cfg), PlanCache())
         _PROGRAM_CACHE[key] = entry
         _CACHE_STATS.programs_built += 1
     else:
@@ -130,7 +136,7 @@ def cached_scenario_program(scenario: Scenario, cfg):
 
 def clear_scenario_caches() -> None:
     """Drop this process's scenario program cache (cold-path benches)."""
-    _PROGRAM_CACHE.clear()
+    drop_programs(_PROGRAM_CACHE)
     _CACHE_STATS.programs_built = 0
     _CACHE_STATS.program_hits = 0
 
@@ -155,14 +161,8 @@ def simulate_scenario(
     )
     if cfg is None:
         cfg = scenario.configure()
-    module, plan_cache = cached_scenario_program(scenario, cfg)
-    if options is None:
-        options = EngineOptions(verify_module=False)
-    result = simulate(
-        module,
-        options,
-        inputs=scenario.make_inputs(cfg, seed),
-        plan_cache=plan_cache if options.compile_plans else None,
+    result = cached_scenario_program(scenario, cfg).simulate(
+        scenario.make_inputs(cfg, seed), options
     )
     checked = scenario.check(cfg, result, seed) if check else None
     return result, checked

@@ -39,6 +39,7 @@ import threading
 import time
 import traceback
 from dataclasses import asdict, dataclass, field
+from itertools import islice
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from ..analysis.export import record_line
@@ -664,6 +665,7 @@ _METRIC_SECTIONS = {
     "store": "store",
     "wal": "wal",
     "program_cache": "program_cache",
+    "gc": "gc",
     "resilience": "scheduler.resilience",
     "worker": "scheduler.worker",
     "submitted_by_mode": "scheduler.submitted_by_mode",
@@ -975,12 +977,13 @@ class JobScheduler:
         from the store instead of handing the client a 404 for an id it
         was given.
         """
-        if len(self._jobs) <= self.max_jobs:
-            return
         excess = len(self._jobs) - self.max_jobs
-        for job_id in [
-            job_id for job_id, job in self._jobs.items() if job.done
-        ][:excess]:
+        if excess <= 0:
+            return
+        # Stop at the ``excess``-th done job: listing every done job to
+        # delete one made each admission past the cap O(max_jobs).
+        done = (job_id for job_id, job in self._jobs.items() if job.done)
+        for job_id in list(islice(done, excess)):
             del self._jobs[job_id]
             self.stats.jobs_pruned += 1
 
@@ -1731,6 +1734,7 @@ class JobScheduler:
         payload["worker"] = self.worker_health()
         cache = scenario_cache_stats()
         payload["program_cache"] = asdict(cache)
+        payload["gc"] = obs_metrics.gc_stats()
         if self.store is not None:
             payload["store"] = self.store.stats_dict()
         if self.wal is not None:

@@ -39,6 +39,7 @@ import os
 import pickle
 import threading
 import time
+import weakref
 from concurrent.futures import (
     FIRST_COMPLETED,
     CancelledError,
@@ -61,6 +62,7 @@ from typing import (
 
 import numpy as np
 
+from . import permanent
 from .engine import EngineOptions, SimulationResult, simulate
 from .plan import PlanCache
 
@@ -430,7 +432,10 @@ class SweepRunner:
             return self._map_serial(worker, items, on_result, cancel)
         results: List = [_PENDING] * len(items)
         try:
-            return self._map_pooled(worker, items, results, on_result, cancel)
+            with permanent.frozen_for_fork():
+                return self._map_pooled(
+                    worker, items, results, on_result, cancel
+                )
         except _PoolUnavailable as error:
             self._fall_back(str(error) or "pool unavailable")
         except _POOL_FAILURES as error:
@@ -506,15 +511,6 @@ class SweepRunner:
         # unrelated subprocesses.
         previous_pythonpath = os.environ.get("PYTHONPATH")
         _export_import_path()
-        # Pre-fork hygiene: collect parent garbage so workers don't
-        # inherit it, then freeze the survivors into the permanent
-        # generation — child GC passes skip frozen objects, which is what
-        # prevents copy-on-write duplication of the parent heap in every
-        # worker (the dominant pool overhead for warm parents).
-        import gc
-
-        gc.collect()
-        gc.freeze()
         pool = None
         budget = self._rebuild_budget(len(items))
         try:
@@ -564,7 +560,6 @@ class SweepRunner:
         finally:
             if pool is not None:
                 pool.shutdown(wait=False, cancel_futures=True)
-            gc.unfreeze()
             if previous_pythonpath is None:
                 os.environ.pop("PYTHONPATH", None)
             else:
@@ -756,6 +751,10 @@ class CachedProgram:
 
     module: object
     plan_cache: PlanCache
+    #: Set once the first simulation has compiled the plans and the
+    #: program is owed to the permanent generation: parked there by the
+    #: next cached simulation (:mod:`repro.sim.permanent`).
+    parked: bool = False
 
     def program(self, cfg):
         """A :class:`~repro.generators.systolic.SystolicProgram` wrapper
@@ -778,12 +777,31 @@ class CachedProgram:
         """
         if options is None:
             options = EngineOptions(verify_module=False)
-        return simulate(
+        # The previous cached simulation's result is out of its caller's
+        # hands by now: the safe point for the hand-off it deferred.
+        permanent.settle()
+        result = simulate(
             self.module,
             options,
             inputs=inputs,
             plan_cache=self.plan_cache if options.compile_plans else None,
         )
+        if not self.parked:
+            # Built, verified, plans compiled: nothing here changes any
+            # more, so the collector need never walk it again.
+            self.parked = True
+            permanent.defer()
+        return result
+
+
+def drop_programs(entries: Dict[Tuple, CachedProgram]) -> None:
+    """Empty a program cache's table, thawing the heap if any of its
+    programs was parked — IR is cyclic, so a dropped module is only
+    reclaimed once the collector can see it again."""
+    parked = any(entry.parked for entry in entries.values())
+    entries.clear()
+    if parked:
+        permanent.release()
 
 
 @dataclass
@@ -808,6 +826,11 @@ class CompileCache:
     fill_hooks: List[Callable[[Tuple, "CachedProgram"], None]] = field(
         default_factory=list
     )
+
+    def __post_init__(self):
+        # A cache dropped without clear() must not strand the programs
+        # it parked.
+        weakref.finalize(self, drop_programs, self.entries).atexit = False
 
     def add_fill_hook(
         self, hook: Callable[[Tuple, "CachedProgram"], None]
@@ -835,7 +858,7 @@ class CompileCache:
         return entry
 
     def clear(self) -> None:
-        self.entries.clear()
+        drop_programs(self.entries)
         self.stats = CompileCacheStats()
 
 

@@ -1,0 +1,338 @@
+"""The IR object diet: interned leaves, no empty container per op, and
+an allocation budget that keeps both from growing back.
+
+Everything here is about *identity and counts*; that the diet changes no
+behaviour is held by the rest of ``tests/ir`` plus the printer digests
+at the bottom (recorded at the commit before the diet)."""
+
+from __future__ import annotations
+
+import gc
+import hashlib
+import pickle
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from repro.dialects import arith
+from repro.dialects.linalg import ConvDims
+from repro.generators.systolic import SystolicConfig
+from repro.ir import (
+    Block,
+    BoolAttr,
+    Builder,
+    FloatAttr,
+    IndexType,
+    InsertionPoint,
+    IntegerAttr,
+    IntegerType,
+    IRError,
+    Operation,
+    Region,
+    StringAttr,
+    attr_from_python,
+    f32,
+    i32,
+    index,
+    parse_module,
+    print_op,
+)
+from repro.ir import attributes as attrs
+from repro.ir import types as ir_types
+from repro.passes import PassManager
+from repro.scenarios import get_scenario, scenario_names
+from repro.sim.batch import CompileCache, deterministic_conv_inputs
+
+REPO_ROOT = Path(__file__).resolve().parents[2]
+
+
+class TestInternedAttributes:
+    def test_equal_values_share_one_attribute(self):
+        assert attr_from_python(True) is attr_from_python(True)
+        assert attr_from_python(False) is attr_from_python(False)
+        assert attr_from_python(7) is attr_from_python(7)
+        assert attr_from_python("SRAM") is attr_from_python("SRAM")
+        assert attrs.integer_attr(7, i32) is attrs.integer_attr(7, i32)
+
+    @pytest.mark.parametrize("order", [(True, 1, 1.0), (1.0, 1, True), (1, True, 1.0)])
+    def test_true_one_and_one_point_zero_never_share_a_slot(self, order):
+        """``True == 1 == 1.0`` and all three hash alike."""
+        for table in (attrs._INTEGER_ATTRS, attrs._STRING_ATTRS):
+            table.clear()
+        kinds = {bool: BoolAttr, int: IntegerAttr, float: FloatAttr}
+        for _ in range(2):  # second round reads what the first stored
+            for value in order:
+                made = attr_from_python(value)
+                assert type(made) is kinds[type(value)]
+                assert type(made.value) is type(value)
+        assert str(attr_from_python(True)) == "true"
+        assert str(attr_from_python(1)) == "1 : i64"
+
+    def test_integer_attrs_of_different_types_stay_distinct(self):
+        as_i32 = attrs.integer_attr(5, i32)
+        as_index = attrs.integer_attr(5, index)
+        assert as_i32 is not as_index and as_i32 != as_index
+        assert (str(as_i32), str(as_index)) == ("5 : i32", "5 : index")
+        assert as_i32 == IntegerAttr(5, i32)  # equality stays by value
+
+    def test_arith_constants_share_their_attribute(self):
+        builder = Builder(InsertionPoint.at_end(Block()))
+        first = arith.constant(builder, 3, i32).owner
+        second = arith.constant(builder, 3, i32).owner
+        assert first.attributes["value"] is second.attributes["value"]
+        assert arith.constant(builder, 3, index).owner.attributes[
+            "value"
+        ] is not first.attributes["value"]
+        assert isinstance(
+            arith.constant(builder, 3, f32).owner.attributes["value"], FloatAttr
+        )
+
+    def test_ill_typed_integer_attr_still_raises_and_is_not_kept(self):
+        for _ in range(2):
+            with pytest.raises(IRError, match="requires an integer type"):
+                attrs.integer_attr(5, f32)
+
+    def test_a_full_table_starts_over(self, monkeypatch):
+        monkeypatch.setattr(attrs, "_MEMO_LIMIT", 4)
+        attrs._STRING_ATTRS.clear()
+        made = [attr_from_python(f"name{i}") for i in range(10)]
+        assert len(attrs._STRING_ATTRS) <= 4
+        assert [attr.value for attr in made] == [f"name{i}" for i in range(10)]
+        assert attr_from_python("name9") == StringAttr("name9")
+
+    def test_parser_shares_the_same_instances(self):
+        module = parse_module(
+            "builtin.module() ({\n"
+            '  test.a() {flag = true, n = 4 : i32, s = "x"} : () -> ()\n'
+            '  test.b() {flag = true, n = 4 : i32, s = "x", u = unit} : () -> ()\n'
+            "}) : () -> ()\n"
+        )
+        a, b = module.body.ops
+        for key in ("flag", "n", "s"):
+            assert a.attributes[key] is b.attributes[key]
+        assert a.attributes["flag"] is attr_from_python(True)
+        assert b.attributes["u"] is attrs.UNIT
+
+
+class TestInternedTypes:
+    def test_constructors_return_the_shared_instance(self):
+        assert IntegerType(32) is IntegerType(32) is i32
+        assert IntegerType(width=7) is IntegerType(7)
+        assert IntegerType(7) is not IntegerType(9)
+        assert IndexType() is IndexType() is index
+
+    def test_invalid_width_raises_every_time(self):
+        for _ in range(2):
+            with pytest.raises(IRError, match="must be positive"):
+                IntegerType(0)
+            with pytest.raises(IRError, match="must be positive"):
+                IntegerType(-3)
+
+    def test_pickle_round_trip(self):
+        for type_ in (IntegerType(5), IndexType()):
+            assert pickle.loads(pickle.dumps(type_)) == type_
+
+    def test_dialect_registration_still_clears_the_spelling_memo(self):
+        assert ir_types.type_from_spelling("i32") is i32
+        assert "i32" in ir_types._SPELLINGS
+
+        class _DietProbe(ir_types.DialectType):
+            dialect = "diet"
+            mnemonic = "probe"
+
+        try:
+            assert ir_types._SPELLINGS == {}
+            assert ir_types.type_from_spelling("i32") is i32
+            assert isinstance(
+                ir_types.type_from_spelling("!diet.probe"), _DietProbe
+            )
+        finally:
+            del ir_types._DIALECT_TYPES["diet.probe"]
+            ir_types._SPELLINGS.clear()
+
+
+class TestNoEmptyContainers:
+    def test_a_bare_op_owns_no_container(self):
+        op = Operation.create("test.bare")
+        assert op.operands == () and op.results == () and op.regions == ()
+        produced = Operation.create("test.p", [], [i32])
+        assert produced.result().uses == ()
+        assert isinstance(produced.results, tuple)
+
+    def test_operand_mutators_on_an_op_that_started_empty(self):
+        a = Operation.create("test.p", [], [i32]).result()
+        b = Operation.create("test.p", [], [i32]).result()
+        op = Operation.create("test.c")
+        op.append_operand(b)
+        op.insert_operand(0, a)
+        assert op.operand_values == [a, b]
+        assert [o.index for o in op.operands] == [0, 1]
+        assert list(a.uses) == [op.operands[0]]
+        op.erase_operand(0)
+        assert op.operand_values == [b] and op.operands[0].index == 0
+        assert not a.has_uses and a.num_uses == 0
+        op.erase_operand(0)
+        assert len(op.operands) == 0 and not b.has_uses
+        op.append_operand(a)  # and back again from empty
+        assert op.operand_values == [a] and a.num_uses == 1
+
+    def test_rauw_and_erase_on_ops_that_started_empty(self):
+        block = Block()
+        old = block.append(Operation.create("test.p", [], [i32]))
+        new = block.append(Operation.create("test.p", [], [i32]))
+        old.result().replace_all_uses_with(new.result())  # no uses: no-op
+        user = block.append(Operation.create("test.c"))
+        user.append_operand(old.result())
+        with pytest.raises(IRError, match="still has 1 use"):
+            old.erase()
+        old.replace_all_uses_with([new.result()])
+        assert user.operand(0) is new.result()
+        assert not old.result().has_uses
+        assert new.result().users() == [user]
+        old.erase()
+        user.erase()
+        assert user.operands == () and not new.result().has_uses
+        assert block.ops == [new]
+
+    def test_clone_of_empty_and_nested_ops(self):
+        bare = Operation.create("test.bare", attributes={"k": 1})
+        copy = bare.clone()
+        assert (copy.operands, copy.results, copy.regions) == ((), (), ())
+        assert copy.attributes == bare.attributes
+
+        inner = Block(arg_types=[i32])
+        inner.append(Operation.create("test.use", [inner.arguments[0]], [i32]))
+        outer = Operation.create("test.outer", regions=[Region([inner])])
+        cloned = outer.clone()
+        assert isinstance(cloned.regions, tuple) and len(cloned.regions) == 1
+        assert cloned.regions[0].parent is cloned
+        new_block = cloned.body
+        assert new_block.ops[0].operand(0) is new_block.arguments[0]
+        assert inner.arguments[0].num_uses == 1  # the original is untouched
+
+    def test_drop_all_references_reaches_nested_ops(self):
+        produced = Operation.create("test.p", [], [i32]).result()
+        inner = Block()
+        inner.append(Operation.create("test.use", [produced]))
+        outer = Operation.create("test.outer", [produced], regions=[Region([inner])])
+        assert produced.num_uses == 2
+        outer.drop_all_references()
+        assert produced.num_uses == 0
+        assert outer.operands == () and inner.ops[0].operands == ()
+
+
+# ---------------------------------------------------------------------------
+# The allocation budget
+# ---------------------------------------------------------------------------
+
+#: GC-tracked objects the 8x8 WS program retained after one simulation
+#: at the commit before the diet (17.2 per op; the sweep's 62 programs
+#: averaged 17.3).
+PARENT_RETAINED = 45_152
+#: Measured with the diet: 37 847 (14.4 per op), plus 2 % headroom.
+RETAINED_BUDGET = 38_604
+
+
+def _simulate_once(cache: CompileCache, cfg: SystolicConfig):
+    ifmap, weights = deterministic_conv_inputs(cfg.dims, 0)
+    entry = cache.lookup(cfg)
+    entry.simulate(entry.program(cfg).prepare_inputs(ifmap, weights))
+    return entry
+
+
+def _tracked() -> int:
+    gc.unfreeze()
+    gc.collect()
+    return len(gc.get_objects())
+
+
+def test_allocation_budget_of_a_cached_program():
+    """What one cached program costs the collector: every tracked object
+    (IR, compiled plans, cache entry) still alive after build + one
+    simulation.  The count repeats exactly on one interpreter."""
+    assert RETAINED_BUDGET <= 0.88 * PARENT_RETAINED
+    warm = CompileCache()
+    _simulate_once(  # lazy imports, memo tables and op classes settle
+        warm, SystolicConfig("WS", 2, 2, ConvDims(n=2, c=1, h=4, w=4, fh=2, fw=2))
+    )
+    warm.clear()
+    del warm
+    before = _tracked()
+    cache = CompileCache()
+    entry = _simulate_once(
+        cache, SystolicConfig("WS", 8, 8, ConvDims(n=8, c=2, h=8, w=8, fh=2, fw=2))
+    )
+    retained = _tracked() - before
+    ops = sum(1 for _ in entry.module.walk())
+    cache.clear()
+    assert ops == 2630
+    assert retained <= RETAINED_BUDGET, (
+        f"{retained} tracked objects ({retained / ops:.2f} per op) for "
+        f"{ops} ops; budget {RETAINED_BUDGET}"
+    )
+    # A budget nobody comes near is not a budget.
+    assert retained >= 0.9 * RETAINED_BUDGET
+
+
+# ---------------------------------------------------------------------------
+# Printer output of the benchmark's 15 cold programs, byte for byte
+# ---------------------------------------------------------------------------
+
+#: sha256[:16] of ``print_op`` for each ``cold_single_shot`` program,
+#: recorded at the commit before the diet.
+PRINTED_AT_PARENT = {
+    "fir-default": "d4b70b5516d2a08c",
+    "fir-grid": "dd90a686f506b60a",
+    "gemm-default": "85ca0339595cd341",
+    "gemm-grid": "3732a94dd212ca6c",
+    "mesh-default": "5b6bc6a8157de47c",
+    "mesh-grid": "ab50f2a8ed176042",
+    "pipeline-default": "b8caff00a41590a7",
+    "pipeline-grid": "d5fe645baeadce0b",
+    "systolic-default": "d6eec21b9fc35eba",
+    "systolic-grid": "fe1ac75a92590013",
+    "conv-lower-linalg": "d4cbc157c13ec47f",
+    "conv-lower-affine": "813df25110f73974",
+    "conv-reassign": "94885cfbca1bf8b0",
+    "conv-systolic": "aef78d1c86a8d97b",
+    "toy-accelerator": "caf2280fe4b6648c",
+}
+
+LINALG_PIPELINE = "allocate-buffer{memory=sram},launch{proc=kernel,label=conv}"
+AFFINE_PIPELINE = (
+    "convert-linalg-to-affine-loops,equeue-read-write," + LINALG_PIPELINE
+)
+CONV_DIMS = dict(n=2, c=2, h=8, w=8, fh=3, fw=3)
+
+
+def cold_programs():
+    """The programs of ``benchmarks/perf``'s ``cold_single_shot``, built
+    the way its set-up builds them (same fixed grid draw)."""
+    draw = np.random.default_rng(2022)
+    for name in scenario_names():
+        scenario = get_scenario(name)
+        yield f"{name}-default", print_op(scenario.build(scenario.configure()))
+        points = scenario.grid_points()
+        cfg = points[int(draw.integers(len(points)))]
+        yield f"{name}-grid", print_op(scenario.build(cfg))
+    conv = (REPO_ROOT / "benchmarks/perf/programs/conv.mlir").read_text()
+    for stage, passes in (("linalg", LINALG_PIPELINE), ("affine", AFFINE_PIPELINE)):
+        module = parse_module(conv)
+        PassManager.parse(passes).run(module)
+        yield f"conv-lower-{stage}", print_op(module)
+    pipeline = get_scenario("pipeline")
+    for stage in ("reassign", "systolic"):
+        cfg = pipeline.configure(stage=stage, **CONV_DIMS)
+        yield f"conv-{stage}", print_op(pipeline.build(cfg))
+    toy = (REPO_ROOT / "examples/programs/toy_accelerator.mlir").read_text()
+    yield "toy-accelerator", print_op(parse_module(toy))
+
+
+def test_printer_output_of_the_cold_programs_is_unchanged():
+    printed = dict(cold_programs())
+    assert sorted(printed) == sorted(PRINTED_AT_PARENT)
+    for op_id, text in printed.items():
+        digest = hashlib.sha256(text.encode()).hexdigest()[:16]
+        assert digest == PRINTED_AT_PARENT[op_id], op_id
+        assert print_op(parse_module(text)) == text, op_id

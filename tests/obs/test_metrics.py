@@ -216,3 +216,70 @@ class TestEngineGoldenKeys:
             after["engine.cycles"]
             == before.get("engine.cycles", 0.0) + result.cycles
         )
+
+
+GOLDEN_GC_METRICS = (
+    "gc.collections.gen0",
+    "gc.collections.gen1",
+    "gc.collections.gen2",
+    "gc.pause_seconds.gen0",
+    "gc.pause_seconds.gen1",
+    "gc.pause_seconds.gen2",
+    "gc.frozen_objects",
+)
+
+
+class TestCollectorAsALayer:
+    def test_counts_collections_only_while_enabled(self):
+        import gc
+
+        registry = obs_metrics.enable_metrics()
+        try:
+            before = registry.snapshot()
+            gc.collect()
+            gc.collect(0)
+            during = registry.snapshot()
+        finally:
+            obs_metrics.disable_metrics()
+        for name in GOLDEN_GC_METRICS:
+            assert name in during, f"missing golden metric {name}"
+        assert (
+            during["gc.collections.gen2"]
+            == before["gc.collections.gen2"] + 1
+        )
+        assert during["gc.collections.gen0"] > before["gc.collections.gen0"]
+        assert during["gc.pause_seconds.gen2"] > before["gc.pause_seconds.gen2"]
+        # Off means off: the hook is gone, so nothing is counted.
+        assert not any(
+            isinstance(hook, type(obs_metrics._GC_WATCH)) for hook in gc.callbacks
+        )
+        gc.collect()
+        assert registry.snapshot()["gc.collections.gen2"] == (
+            during["gc.collections.gen2"]
+        )
+
+    def test_frozen_gauge_follows_the_permanent_generation(self):
+        import gc
+
+        from repro.sim import permanent
+
+        registry = obs_metrics.enable_metrics()
+        try:
+            permanent.hand_off()
+            parked = registry.snapshot()["gc.frozen_objects"]
+            assert parked == gc.get_freeze_count() > 0
+            permanent.release()
+            assert registry.snapshot()["gc.frozen_objects"] == 0
+        finally:
+            obs_metrics.disable_metrics()
+            gc.unfreeze()
+
+    def test_rendered_for_prometheus(self):
+        registry = obs_metrics.enable_metrics()
+        try:
+            body = render_prometheus(registry)
+        finally:
+            obs_metrics.disable_metrics()
+        assert "equeue_gc_collections_gen2 " in body
+        assert "equeue_gc_pause_seconds_gen2 " in body
+        assert "equeue_gc_frozen_objects " in body

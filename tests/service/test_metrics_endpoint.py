@@ -40,6 +40,13 @@ GOLDEN_FLAT_KEYS = (
     "store.evictions",
     "program_cache.program_hits",
     "program_cache.programs_built",
+    "gc.collections.gen0",
+    "gc.collections.gen1",
+    "gc.collections.gen2",
+    "gc.pause_seconds.gen0",
+    "gc.pause_seconds.gen1",
+    "gc.pause_seconds.gen2",
+    "gc.frozen_objects",
 )
 
 
@@ -83,6 +90,7 @@ class TestStatsSchema:
         # The mirror re-derives from the same payload: spot-check.
         assert flat["scheduler.submitted"] == stats["submitted"]
         assert flat["store.hits"] == stats["store"]["hits"]
+        assert flat["gc.frozen_objects"] == stats["gc"]["frozen_objects"]
 
     def test_metrics_values_numeric_non_bool(self, service):
         client, _ = service

@@ -169,6 +169,45 @@ class TestScheduling:
         again = scheduler.submit(JobRequest.make("mesh", seed=0))
         assert again.done and again.source == "store"
 
+    def test_prune_drops_exactly_the_oldest_done_jobs(
+        self, tmp_path, monkeypatch
+    ):
+        """3 x max_jobs admissions: the index holds max_jobs, the pruned
+        ids are the oldest *done* ones in issue order, a still-queued
+        job older than all of them is stepped over, every pruned id
+        still resolves through the terminal index — and an admission
+        past the cap looks at a handful of jobs, not at all of them."""
+        cap = 50
+        scheduler = JobScheduler(store=ResultStore(tmp_path), max_jobs=cap)
+        first = scheduler.submit(JobRequest.make("fir"))
+        scheduler.run_pending()
+        queued = scheduler.submit(JobRequest.make("fir", seed=1))
+        looked_at = []
+        is_done = scheduler_module.Job.done.fget
+        monkeypatch.setattr(
+            scheduler_module.Job,
+            "done",
+            property(lambda job: looked_at.append(job) or is_done(job)),
+        )
+        hits = [
+            scheduler.submit(JobRequest.make("fir"))
+            for _ in range(3 * cap - 2)
+        ]
+        monkeypatch.undo()
+        assert len(looked_at) < 10 * len(hits)  # was > cap per admission
+        issued = [first, queued, *hits]
+        assert len({job.id for job in issued}) == 3 * cap
+        assert len(scheduler._jobs) == cap
+        assert scheduler.stats.jobs_pruned == 2 * cap
+        pruned = [job.id for job in issued if job.id not in scheduler._jobs]
+        done = [job.id for job in issued if job.done]
+        assert pruned == done[: 2 * cap]
+        assert scheduler.job(queued.id) is queued and not queued.done
+        for job_id in pruned:
+            resurrected = scheduler.job(job_id)
+            assert resurrected.done and resurrected.source == "store"
+            assert resurrected.result() == first.result()
+
     def test_background_worker_drains(self, tmp_path):
         scheduler = JobScheduler(store=ResultStore(tmp_path))
         scheduler.start()
@@ -382,7 +421,7 @@ def test_warm_store_equals_cold_sweep(name, tmp_path, monkeypatch):
         raise AssertionError("warm path invoked the simulation engine")
 
     monkeypatch.setattr(scheduler_module, "evaluate_request", boom)
-    monkeypatch.setattr("repro.scenarios.sweep.simulate", boom)
+    monkeypatch.setattr("repro.sim.batch.simulate", boom)
     built_before = scenario_cache_stats().programs_built
     job = warm.submit(request)
     assert job.done and job.source == "store"
@@ -480,7 +519,7 @@ class TestExecutionModeStoreSafety:
             raise AssertionError("warm path invoked the simulation engine")
 
         monkeypatch.setattr(scheduler_module, "evaluate_request", boom)
-        monkeypatch.setattr("repro.scenarios.sweep.simulate", boom)
+        monkeypatch.setattr("repro.sim.batch.simulate", boom)
         for request, record in (
             (plan_request, plan_record),
             (codegen_request, codegen_record),

@@ -1,0 +1,274 @@
+"""The permanent-generation hand-off of cached programs
+(:mod:`repro.sim.permanent`): invisible in every result, never keeps
+garbage, gives everything back on ``clear()``, and shares the freeze
+with the sweep pool instead of fighting over it."""
+
+from __future__ import annotations
+
+import gc
+import weakref
+
+import pytest
+
+from repro.analysis import SweepSpec, run_sweep
+from repro.analysis.dse import clear_sweep_caches
+from repro.generators.systolic import build_systolic_program
+from repro.scenarios import clear_scenario_caches, get_scenario
+from repro.service import JobRequest, JobScheduler, ResultStore
+from repro.sim import CompileCache, EngineOptions, permanent, simulate
+from repro.sim.batch import (
+    deterministic_conv_inputs,
+    process_compile_cache,
+    result_record,
+    structural_signature,
+)
+
+
+def _freeze_parks_objects() -> bool:
+    gc.freeze()
+    parked = gc.get_freeze_count()
+    gc.unfreeze()
+    return parked > 0 and gc.get_freeze_count() == 0
+
+
+pytestmark = pytest.mark.skipif(
+    not _freeze_parks_objects(),
+    reason="this interpreter's gc.freeze() does not park objects in a "
+    "permanent generation the way CPython 3.10-3.12 does",
+)
+
+
+@pytest.fixture(autouse=True)
+def _thawed_and_cold():
+    clear_sweep_caches()
+    clear_scenario_caches()
+    gc.unfreeze()
+    yield
+    clear_sweep_caches()
+    clear_scenario_caches()
+    gc.unfreeze()
+
+
+def sweep_style_points():
+    """A cut of the throughput sweep's space: every dataflow, two array
+    shapes, several stream lengths; some points share a structure."""
+    spec = SweepSpec(
+        array_heights=(2, 4),
+        total_pes=8,
+        image_sizes=(3, 4),
+        filter_sizes=(1, 2),
+        channels=(1,),
+        filter_counts=(2,),
+    )
+    return list(spec.points())
+
+
+def observables(result):
+    report = result.summary.memory_named("ofmap_mem")
+    return (
+        result.cycles,
+        result.summary.scheduler_events,
+        report.bytes_written,
+        report.avg_write_bandwidth,
+        {name: buf.array.tolist() for name, buf in result.buffers.items()},
+    )
+
+
+class TestHandOffIsInvisible:
+    def test_frozen_cache_equals_cold_build_for_two_seeds(self):
+        """Seed 0 fills and parks every structure; seed 1 runs on the
+        parked entries.  Both must match a cold build-and-simulate in
+        cycles, scheduler events, ofmap traffic and every named buffer."""
+        cache = CompileCache()
+        points = sweep_style_points()
+        for seed in (0, 1):
+            for cfg in points:
+                ifmap, weights = deterministic_conv_inputs(cfg.dims, seed)
+                entry = cache.lookup(cfg)
+                warm = entry.simulate(
+                    entry.program(cfg).prepare_inputs(ifmap, weights)
+                )
+                assert entry.parked
+                program = build_systolic_program(cfg)
+                cold = simulate(
+                    program.module,
+                    inputs=program.prepare_inputs(ifmap, weights),
+                )
+                assert observables(warm) == observables(cold), (cfg, seed)
+        structures = len({structural_signature(cfg) for cfg in points})
+        assert 1 < structures < len(points)  # seed 0 re-hits parked entries too
+        assert cache.stats.programs_built == structures
+        assert cache.stats.program_hits == 2 * len(points) - structures
+        assert gc.get_freeze_count() > 0
+        cache.clear()
+
+    def test_interpreted_runs_park_too(self):
+        """One path for every cached program: a cache driven without
+        compiled plans hands its module off just the same."""
+        cache = CompileCache()
+        cfg = sweep_style_points()[0]
+        ifmap, weights = deterministic_conv_inputs(cfg.dims, 0)
+        entry = cache.lookup(cfg)
+        entry.simulate(
+            entry.program(cfg).prepare_inputs(ifmap, weights),
+            EngineOptions(verify_module=False, mode="interpret"),
+        )
+        assert entry.parked and gc.get_freeze_count() == 0  # owed, not yet done
+        permanent.settle()
+        assert gc.get_freeze_count() > 0
+        cache.clear()
+        assert gc.get_freeze_count() == 0
+
+
+class _Sentinel:
+    pass
+
+
+def _drop_a_cycle() -> weakref.ref:
+    sentinel = _Sentinel()
+    sentinel.me = sentinel
+    return weakref.ref(sentinel)
+
+
+def _fill(cache: CompileCache, cfg):
+    """Build, simulate once, and hand the result to the caller — who, like
+    every real caller, still holds it when ``simulate`` returns."""
+    ifmap, weights = deterministic_conv_inputs(cfg.dims, 0)
+    entry = cache.lookup(cfg)
+    return entry.simulate(entry.program(cfg).prepare_inputs(ifmap, weights))
+
+
+class TestNothingLeaks:
+    def test_garbage_is_collected_not_parked(self):
+        """A cycle dropped just before a fill must die at the hand-off.
+        Automatic collection is off, so only the hand-off's own collect
+        can kill it — freezing without collecting would keep it."""
+        cache = CompileCache()
+        sentinels = []
+        gc.disable()
+        try:
+            for cfg in sweep_style_points()[:6]:
+                sentinels.append(_drop_a_cycle())
+                assert sentinels[-1]() is not None
+                _fill(cache, cfg)
+            permanent.settle()  # the last fill's hand-off
+        finally:
+            gc.enable()
+        assert [ref() for ref in sentinels] == [None] * 6
+        cache.clear()
+
+    def test_a_result_read_and_dropped_is_not_stranded(self):
+        """The caller still holds each result when ``simulate`` returns,
+        and a result keeps its whole engine — a cyclic graph — alive:
+        parking on the way *out* would freeze that graph and strand it
+        once dropped.  The hand-off waits for the next cached simulation
+        instead, so thawing must find nothing to collect.  (A result
+        kept *across* the next cached simulation is parked with it and
+        waits for ``clear()`` — the documented residue.)"""
+        cache = CompileCache()
+        for cfg in sweep_style_points()[:6]:
+            assert _fill(cache, cfg).cycles > 0
+        permanent.settle()
+        assert gc.get_freeze_count() > 0
+        gc.collect()
+        gc.unfreeze()
+        assert gc.collect() == 0
+        cache.clear()
+
+    def test_clear_gives_everything_back(self):
+        points = sweep_style_points()
+        cache = CompileCache()
+        _fill(cache, points[0])  # lazy imports and memo tables settle
+        cache.clear()
+        gc.collect()
+        baseline = len(gc.get_objects())
+        for cfg in points:
+            _fill(cache, cfg)
+        assert gc.get_freeze_count() > baseline
+        cache.clear()
+        gc.collect()
+        assert gc.get_freeze_count() == 0
+        assert len(gc.get_objects()) == pytest.approx(baseline, rel=0.01)
+
+    def test_clearing_an_unparked_cache_leaves_others_parked(self):
+        parked, idle = CompileCache(), CompileCache()
+        _fill(parked, sweep_style_points()[0])
+        permanent.settle()
+        idle.lookup(sweep_style_points()[1])  # built, never simulated
+        idle.clear()
+        assert gc.get_freeze_count() > 0
+        parked.clear()
+        assert gc.get_freeze_count() == 0
+
+    def test_dropping_a_cache_without_clear_still_thaws(self):
+        cache = CompileCache()
+        _fill(cache, sweep_style_points()[0])
+        permanent.settle()
+        assert gc.get_freeze_count() > 0
+        del cache
+        assert gc.get_freeze_count() == 0
+
+
+class TestForkWindow:
+    def test_restores_an_unparked_heap(self):
+        assert gc.get_freeze_count() == 0
+        with permanent.frozen_for_fork():
+            assert gc.get_freeze_count() > 0
+        assert gc.get_freeze_count() == 0
+
+    def test_pooled_sweep_keeps_a_warm_cache_parked(self):
+        """``jobs>1`` used to end with an unconditional ``gc.unfreeze()``
+        that thawed every cached program of the parent."""
+        spec = SweepSpec(
+            array_heights=(2,),
+            total_pes=8,
+            image_sizes=(3,),
+            filter_sizes=(1, 2),
+            channels=(1,),
+            filter_counts=(1, 2),
+        )
+        run_sweep(spec, use_des=True, jobs=1, compile_cache=True)
+        assert process_compile_cache().entries
+        permanent.settle()
+        before = gc.get_freeze_count()
+        assert before > 0
+        pooled = run_sweep(spec, use_des=True, jobs=2)
+        assert all(point.simulated for point in pooled)
+        # The window re-parks whatever was alive when it opened, so the
+        # count may grow by the sweep's own few live objects — never
+        # fall to zero, never double.
+        assert gc.get_freeze_count() == pytest.approx(before, rel=0.01)
+        clear_sweep_caches()
+        assert gc.get_freeze_count() == 0
+
+
+class TestServiceThread:
+    def test_worker_thread_fill_parks_and_matches_a_cold_run(self, tmp_path):
+        """The scenario cache fills on the scheduler's worker thread;
+        the record it serves equals a direct build-and-simulate."""
+        scheduler = JobScheduler(store=ResultStore(tmp_path))
+        scheduler.start()
+        try:
+            job = scheduler.submit(JobRequest.make("gemm", check=False))
+            assert job.wait(timeout=120)
+            record = job.result()
+            assert gc.get_freeze_count() == 0
+            # The next first-seen structure settles gemm's hand-off.
+            assert scheduler.submit(JobRequest.make("fir")).wait(timeout=120)
+        finally:
+            scheduler.stop()
+        assert gc.get_freeze_count() > 0
+        scenario = get_scenario("gemm")
+        cfg = scenario.configure()
+        cold = simulate(
+            scenario.build(cfg),
+            EngineOptions(verify_module=False),
+            inputs=scenario.make_inputs(cfg, 0),
+        )
+        expected = result_record(cold)
+        assert record["cycles"] == expected["cycles"]
+        for summary in (record["summary"], expected["summary"]):
+            del summary["execution_time_s"]  # host wall clock
+        assert record["summary"] == expected["summary"]
+        clear_scenario_caches()
+        assert gc.get_freeze_count() == 0
