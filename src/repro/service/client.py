@@ -1,8 +1,15 @@
-"""The thin ``equeue-serve`` client (urllib, no dependencies).
+"""The thin ``equeue-serve`` client (``http.client``, no dependencies).
 
 Tests, benchmarks, and the CI smoke all drive the service through this
 class, so the wire format is exercised end to end everywhere — nothing
 talks to the scheduler behind the API's back.
+
+Connections are persistent: a :class:`ServiceClient` keeps the sockets
+it opened in an idle pool and reuses them, so a client pays the TCP
+handshake (and the server a thread spawn) once, not per request (see
+``docs/serving.md``, "Connections").  It talks to ``base_url``
+directly; the ``http_proxy``-style environment variables are not
+consulted.
 
 Retry semantics (see ``docs/serving.md``, "Failure modes & retry
 semantics"): overload answers (429, 503) and transport failures are
@@ -17,10 +24,10 @@ from __future__ import annotations
 import json
 import random
 import time
-from http.client import HTTPException
-from typing import Dict, List, Optional
-from urllib.error import HTTPError, URLError
-from urllib.request import Request, urlopen
+from collections import deque
+from http.client import HTTPConnection, HTTPException, HTTPSConnection
+from typing import Deque, Dict, List, Optional
+from urllib.parse import urlsplit
 
 from ..obs import logs as obs_logs
 
@@ -54,6 +61,12 @@ class ServiceClient:
     from ``backoff_s`` with jitter (capped at ``backoff_max_s``),
     honouring the server's ``retry_after`` hint when one arrives.
     ``retries=1`` disables retrying.
+
+    One instance may be shared across threads: each call takes a
+    connection out of the idle pool (or opens one) and puts it back
+    once the response is read, so the pool holds at most as many
+    sockets as there were concurrent calls.  :meth:`close` (or leaving
+    a ``with`` block) closes the pooled sockets.
     """
 
     def __init__(
@@ -67,6 +80,17 @@ class ServiceClient:
         log_json: bool = False,
     ):
         self.base_url = base_url.rstrip("/")
+        url = urlsplit(self.base_url)
+        if url.scheme not in ("http", "https") or not url.hostname:
+            raise ValueError(
+                f"base_url must be http(s)://host[:port], got {base_url!r}"
+            )
+        self._connection_cls = (
+            HTTPSConnection if url.scheme == "https" else HTTPConnection
+        )
+        self._host, self._port, self._prefix = url.hostname, url.port, url.path
+        #: Idle keep-alive connections, most recently used last.
+        self._idle: Deque[HTTPConnection] = deque()
         self.timeout = timeout
         self.retries = max(1, int(retries))
         self.backoff_s = backoff_s
@@ -136,42 +160,83 @@ class ServiceClient:
         if payload is not None:
             body = json.dumps(payload).encode("utf-8")
             headers["Content-Type"] = "application/json"
-        request = Request(
-            self.base_url + path, data=body, headers=headers, method=method
-        )
+        timeout = timeout or self.timeout
         try:
-            with urlopen(request, timeout=timeout or self.timeout) as response:
-                return json.loads(response.read().decode("utf-8"))
-        except HTTPError as error:
-            message, retry_after = self._decode_error(error)
-            raise ServiceError(
-                message, status=error.code, retry_after=retry_after
-            ) from None
-        except (URLError, OSError, HTTPException) as error:
-            # URLError covers connect failures; a server killed mid
-            # response surfaces as a raw ConnectionResetError /
-            # RemoteDisconnected instead — same transport blip, same
-            # retryable ServiceError.
+            conn, reused = self._idle.pop(), True
+            conn.sock.settimeout(timeout)
+        except IndexError:
+            conn, reused = self._connect(timeout), False
+        while True:
+            try:
+                conn.request(method, self._prefix + path, body, headers)
+                response = conn.getresponse()
+                break
+            except (OSError, HTTPException) as error:
+                conn.close()
+                # Connect failures and a server killed mid response are
+                # the same transport blip: one retryable ServiceError.
+                # A pooled socket is different: the server may have
+                # closed it while it sat idle (idle timeout, restart),
+                # which shows as a failure before any response byte.
+                # One fresh connection settles whether the server is
+                # really gone, without charging the caller's retries.
+                # A timeout is a slow server, not a stale socket.
+                if not reused or isinstance(error, TimeoutError):
+                    raise ServiceError(str(error)) from None
+                conn, reused = self._connect(timeout), False
+        try:
+            raw = response.read()
+        except (OSError, HTTPException) as error:
+            conn.close()
             raise ServiceError(str(error)) from None
+        if response.will_close:
+            conn.close()
+        else:
+            self._idle.append(conn)
+        if response.status >= 400:
+            message, retry_after = self._decode_error(response, raw)
+            raise ServiceError(
+                message, status=response.status, retry_after=retry_after
+            )
+        return json.loads(raw)
+
+    def _connect(self, timeout: float) -> HTTPConnection:
+        return self._connection_cls(self._host, self._port, timeout=timeout)
 
     @staticmethod
-    def _decode_error(error: HTTPError):
+    def _decode_error(response, raw: bytes):
         """Best-effort ``{"error": ...}`` decode of an error body.
 
         Narrow on purpose: a malformed body falls back to the bare
         status line, but a genuine bug (say, AttributeError in this
         method) must surface, not vanish into a generic message.
         """
+        fallback = f"HTTP Error {response.status}: {response.reason}"
         retry_after = None
         try:
-            detail = json.loads(error.read().decode("utf-8"))
-            message = detail.get("error", str(error))
-            raw = detail.get("retry_after")
-            if raw is not None:
-                retry_after = float(raw)
-        except (ValueError, KeyError, json.JSONDecodeError, OSError):
-            message = str(error)
+            detail = json.loads(raw)
+            message = detail.get("error", fallback)
+            value = detail.get("retry_after")
+            if value is not None:
+                retry_after = float(value)
+        except ValueError:
+            message = fallback
         return message, retry_after
+
+    def close(self) -> None:
+        """Close the pooled idle connections.  The client stays usable:
+        the next call connects afresh."""
+        while True:
+            try:
+                self._idle.pop().close()
+            except IndexError:
+                return
+
+    def __enter__(self) -> "ServiceClient":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     # -- the API -------------------------------------------------------
 

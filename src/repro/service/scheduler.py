@@ -38,7 +38,7 @@ import json
 import threading
 import time
 import traceback
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from itertools import islice
 from typing import Dict, List, Mapping, Optional, Tuple
 
@@ -86,6 +86,13 @@ class DrainingError(RuntimeError):
 
 def _freeze(mapping: Optional[Mapping]) -> Tuple[Tuple[str, object], ...]:
     return tuple(sorted((mapping or {}).items()))
+
+
+def _field_dict(cfg) -> Dict[str, object]:
+    """A scenario config's fields as a flat dict.  ``dataclasses.asdict``
+    deep-copies every value; request configs are scalars (``make``
+    rejects anything else), so there is nothing to copy."""
+    return {f.name: getattr(cfg, f.name) for f in fields(cfg)}
 
 
 def _canonical_options(options: Optional[Mapping]) -> Dict:
@@ -153,15 +160,25 @@ class JobRequest:
 
         try:
             scenario_obj, cfg = parse_scenario_spec(scenario)
-            if config:
-                merged = {**asdict(cfg), **dict(config)}
-                cfg = scenario_obj.configure(**merged)
+            resolved = _field_dict(cfg)
+            # An override that spells out the value already there (same
+            # type: True is not 1 on the wire) changes nothing; only a
+            # real one pays for a second config construction.
+            overrides = dict(config or {})
+            if any(
+                key not in resolved
+                or type(value) is not type(resolved[key])
+                or value != resolved[key]
+                for key, value in overrides.items()
+            ):
+                cfg = scenario_obj.configure(**{**resolved, **overrides})
+                resolved = _field_dict(cfg)
         except ScenarioError as error:
             raise RequestError(str(error)) from None
         # Scenario configs never type-check overrides themselves, so a
         # JSON list/object would otherwise flow through to an unhashable
         # (and unsimulatable) request.
-        for field_name, value in asdict(cfg).items():
+        for field_name, value in resolved.items():
             if not isinstance(value, (bool, int, float, str)):
                 raise RequestError(
                     f"config field {field_name!r} must be a scalar, "
@@ -185,7 +202,7 @@ class JobRequest:
             raise RequestError(f"invalid engine options: {error}") from None
         return cls(
             scenario=scenario_obj.name,
-            config=_freeze(asdict(cfg)),
+            config=_freeze(resolved),
             seed=int(seed),
             options=_freeze(canonical),
             check=bool(check),
@@ -306,7 +323,7 @@ class SweepRequest:
         return [
             JobRequest(
                 scenario=self.scenario,
-                config=_freeze(asdict(cfg)),
+                config=_freeze(_field_dict(cfg)),
                 seed=self.seed,
                 options=self.options,
                 check=self.check,

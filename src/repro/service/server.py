@@ -49,6 +49,7 @@ import argparse
 import json
 import os
 import signal
+import socket
 import sys
 import threading
 import time
@@ -104,6 +105,12 @@ MAX_BODY_BYTES = 1 << 20
 #: Beyond this, the connection closes instead.
 MAX_DRAIN_BYTES = 8 << 20
 
+#: How long a keep-alive connection may sit between requests before the
+#: server closes it, so the handler threads of clients that went away
+#: without closing do not accumulate.  Clients reconnect transparently
+#: (``ServiceClient`` retries a stale pooled socket once for free).
+KEEPALIVE_IDLE_S = 30.0
+
 
 class RateLimiter:
     """Per-client token bucket: ``rate`` requests/s, ``burst`` capacity.
@@ -149,6 +156,11 @@ class ServiceHandler(BaseHTTPRequestHandler):
 
     server_version = "equeue-serve/1.0"
     protocol_version = "HTTP/1.1"
+    #: Socket timeout of an accepted connection: bounds the wait for
+    #: the next request line (and for a stalled upload).
+    timeout = KEEPALIVE_IDLE_S
+    #: TCP_NODELAY, set once per accepted connection.
+    disable_nagle_algorithm = True
 
     # -- plumbing ------------------------------------------------------
 
@@ -163,18 +175,38 @@ class ServiceHandler(BaseHTTPRequestHandler):
         _log.debug("http.stdlib", client=self.address_string(), message=format % args)
 
     def _begin(self) -> None:
-        """Stamp the request: start clock + a fresh request id.
+        """Stamp the request: start clock, a fresh request id, and how
+        much request body is waiting on the socket.
 
         The id minted here is THE request id — it rides into the
         scheduler (admission log, job wire dict, worker contextvar) and
         back out on the ``X-Request-Id`` response header, so one grep
         joins the access log, the service logs, and the WAL.
+
+        Raises ``ValueError`` (a 400, connection closed) when the
+        request's length cannot be known.
         """
         self._began = time.perf_counter()
         self._request_id = obs_logs.new_request_id()
+        self._unread = 0
+        raw = self.headers.get("Content-Length")
+        try:
+            length = int(raw or 0)
+        except ValueError:
+            length = -1
+        if length < 0 or self.headers.get("Transfer-Encoding"):
+            # Where this request ends is unknown, so nothing after it
+            # on this connection can be trusted to be a request.
+            self.close_connection = True
+            raise ValueError(
+                f"bad Content-Length {raw!r}"
+                if length < 0
+                else "Transfer-Encoding is not supported; send Content-Length"
+            )
+        self._unread = length
 
     def _finish_response(self, status: int) -> None:
-        """Access-log + meter one completed response (any status)."""
+        """Access-log + meter one response (any status)."""
         duration_ms = round((time.perf_counter() - self._began) * 1e3, 3)
         _access_log.info(
             "http.access",
@@ -187,9 +219,7 @@ class ServiceHandler(BaseHTTPRequestHandler):
         )
         registry = obs_metrics.METRICS
         if registry is not None:
-            registry.counter(
-                "server.requests", "HTTP responses sent"
-            ).inc()
+            self.server.requests.inc()  # type: ignore[attr-defined]
             if status >= 500:
                 registry.counter(
                     "server.responses_5xx", "HTTP 5xx responses"
@@ -202,44 +232,70 @@ class ServiceHandler(BaseHTTPRequestHandler):
                 "server.request_seconds", "Wall-clock seconds per HTTP request"
             ).observe(duration_ms / 1e3)
 
+    def _respond(
+        self,
+        status: int,
+        body: bytes,
+        content_type: str,
+        retry_after: Optional[float] = None,
+    ) -> None:
+        """THE write path: status line, headers and body go to the
+        socket in one ``sendall``.
+
+        One write, because two small writes on a kept-alive connection
+        meet Nagle's algorithm and the peer's delayed ACK (~40 ms per
+        response without ``TCP_NODELAY``).  The response is logged and
+        metered *before* the bytes leave, so a client that has read it
+        can already scrape it from ``/metrics`` and find it in the log;
+        ``duration_ms`` therefore ends at the hand-off to the kernel.
+        """
+        # Request framing: whatever body the route did not read is
+        # drained (or the connection closed) first — left on a
+        # kept-alive socket it would be parsed as the next request line.
+        self._discard_body()
+        if self.scheduler.draining:
+            self.close_connection = True
+        head = [
+            f"HTTP/1.1 {status} {self.responses[status][0]}",
+            f"Server: {self.version_string()}",
+            f"Date: {self.date_time_string()}",
+            f"Content-Type: {content_type}",
+            f"Content-Length: {len(body)}",
+            f"X-Request-Id: {self._request_id}",
+        ]
+        if retry_after is not None:
+            head.append(f"Retry-After: {max(1, round(retry_after))}")
+        if self.close_connection:
+            head.append("Connection: close")
+        head.append("\r\n")
+        self._finish_response(status)
+        self.wfile.write("\r\n".join(head).encode("latin-1") + body)
+
     def _send_json(
         self,
         status: int,
         payload: Dict,
         retry_after: Optional[float] = None,
     ) -> None:
-        body = json.dumps(payload).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.send_header("X-Request-Id", self._request_id)
-        if retry_after is not None:
-            self.send_header("Retry-After", str(max(1, round(retry_after))))
-        self.end_headers()
-        self.wfile.write(body)
-        self._finish_response(status)
+        self._respond(
+            status,
+            json.dumps(payload).encode("utf-8"),
+            "application/json",
+            retry_after,
+        )
 
     def _send_text(self, status: int, body: str, content_type: str) -> None:
-        data = body.encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(data)))
-        self.send_header("X-Request-Id", self._request_id)
-        self.end_headers()
-        self.wfile.write(data)
-        self._finish_response(status)
+        self._respond(status, body.encode("utf-8"), content_type)
 
-    def _discard_body(self, length: int) -> None:
-        """Read-and-discard an unconsumed request body before an error
-        response.  Rejecting with bytes still in flight risks a TCP
+    def _discard_body(self) -> None:
+        """Read-and-discard the unconsumed request body before a
+        response.  Answering with bytes still in flight risks a TCP
         reset that eats the response; a body too large to bother
         draining closes the connection after the response instead."""
-        if length <= 0:
-            return
-        if length > MAX_DRAIN_BYTES:
+        remaining, self._unread = self._unread, 0
+        if remaining > MAX_DRAIN_BYTES:
             self.close_connection = True
             return
-        remaining = length
         while remaining > 0:
             chunk = self.rfile.read(min(remaining, 1 << 16))
             if not chunk:
@@ -248,14 +304,14 @@ class ServiceHandler(BaseHTTPRequestHandler):
             remaining -= len(chunk)
 
     def _read_json(self) -> Dict:
-        length = int(self.headers.get("Content-Length") or 0)
+        length = self._unread
         if length == 0:
             return {}
         if length > MAX_BODY_BYTES:
-            self._discard_body(length)
             raise ValueError(
                 f"request body too large ({length} > {MAX_BODY_BYTES} bytes)"
             )
+        self._unread = 0
         payload = json.loads(self.rfile.read(length).decode("utf-8"))
         if not isinstance(payload, dict):
             raise ValueError("request body must be a JSON object")
@@ -275,11 +331,11 @@ class ServiceHandler(BaseHTTPRequestHandler):
     # -- routing -------------------------------------------------------
 
     def do_GET(self) -> None:  # noqa: N802 - stdlib casing
-        self._begin()
         parsed = urlparse(self.path)
         query = parse_qs(parsed.query)
         parts = [part for part in parsed.path.split("/") if part]
         try:
+            self._begin()
             if parts == ["metrics"]:
                 self._send_text(
                     200,
@@ -309,6 +365,12 @@ class ServiceHandler(BaseHTTPRequestHandler):
             elif parts == ["stats"]:
                 payload = self.scheduler.stats_dict()
                 payload["supervise_restarts"] = _supervise_restarts()
+                front = self.server.stats_dict()  # type: ignore[attr-defined]
+                payload["server"] = front
+                payload["metrics"].update(
+                    (f"server.{key}", float(value))
+                    for key, value in front.items()
+                )
                 self._send_json(200, payload)
             elif parts == ["scenarios"]:
                 self._send_json(200, {"scenarios": _scenario_listing()})
@@ -320,15 +382,16 @@ class ServiceHandler(BaseHTTPRequestHandler):
             self._send_json(400, {"error": str(error)})
 
     def do_POST(self) -> None:  # noqa: N802 - stdlib casing
-        self._begin()
         parsed = urlparse(self.path)
         parts = [part for part in parsed.path.split("/") if part]
         try:
+            self._begin()
             if parts == ["jobs"]:
                 self._post_job(parse_qs(parsed.query))
             elif parts == ["sweeps"]:
                 self._post_job(parse_qs(parsed.query), sweep=True)
             elif parts == ["shutdown"]:
+                self.close_connection = True
                 self._send_json(200, {"status": "shutting-down"})
                 self.server.request_shutdown()  # type: ignore[attr-defined]
             else:
@@ -351,9 +414,6 @@ class ServiceHandler(BaseHTTPRequestHandler):
                         "server.rate_limited",
                         "Submissions refused by the token bucket",
                     ).inc()
-                self._discard_body(
-                    int(self.headers.get("Content-Length") or 0)
-                )
                 self._send_json(
                     429,
                     {
@@ -512,19 +572,79 @@ class ServiceServer(ThreadingHTTPServer):
         self.scheduler = scheduler
         self.verbose = verbose
         self.rate_limiter = rate_limiter
-        limiter = rate_limiter
-        obs_metrics.get_registry().register_collector(
+        registry = obs_metrics.get_registry()
+        #: ``requests / connections`` is how many requests a connection
+        #: carries on average: connection reuse as a scrapeable number.
+        self.requests = registry.counter(
+            "server.requests", "HTTP responses sent"
+        )
+        self.connections = registry.counter(
+            "server.connections", "TCP connections accepted"
+        )
+        self._open: set = set()
+        self._open_lock = threading.Lock()
+        registry.register_collector(
             "server",
             lambda: {
-                "server.token_bucket_rejections": (
-                    limiter.rejections if limiter is not None else 0
-                )
+                f"server.{key}": value
+                for key, value in self.stats_dict().items()
             },
         )
         #: WAL recovery summary from :func:`make_server` (None when the
         #: server runs without a ``--state-dir``).
         self.recovery: Optional[Dict] = None
         self._shutdown_requested = threading.Event()
+
+    def stats_dict(self) -> Dict:
+        """The front end's own numbers: the ``server`` section of
+        ``/stats`` and, prefixed ``server.``, its registry collector."""
+        limiter = self.rate_limiter
+        return {
+            "requests": int(self.requests.value),
+            "connections": int(self.connections.value),
+            "open_connections": len(self._open),
+            "token_bucket_rejections": (
+                limiter.rejections if limiter is not None else 0
+            ),
+        }
+
+    def process_request(self, request, client_address) -> None:
+        if obs_metrics.METRICS is not None:
+            self.connections.inc()
+        with self._open_lock:
+            self._open.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request) -> None:
+        with self._open_lock:
+            self._open.discard(request)
+        super().shutdown_request(request)
+
+    def server_close(self) -> None:
+        """Close the listener *and* every kept-alive connection: a
+        closed server must not keep answering on sockets its clients
+        still hold (their next request fails over to a reconnect)."""
+        super().server_close()
+        with self._open_lock:
+            live = list(self._open)
+        for request in live:
+            try:
+                request.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass  # the peer closed it first
+
+    def handle_error(self, request, client_address) -> None:
+        error = sys.exc_info()[1]
+        if isinstance(error, ConnectionError):
+            # The peer (or server_close) hung up under a handler: the
+            # end of a connection, not a server fault worth a traceback.
+            _log.debug(
+                "server.connection_lost",
+                client=client_address[0],
+                error=str(error),
+            )
+        else:
+            super().handle_error(request, client_address)
 
     def request_shutdown(self) -> None:
         """Ask the serve loop to exit (from a handler thread)."""

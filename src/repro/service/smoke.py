@@ -9,6 +9,8 @@ submits the same scenario request twice through
 * the second was served from the persistent store (``source ==
   "store"``) with zero additional engine or compile work,
 * both records are bit-identical,
+* the client's connection was reused (``/stats`` reports more requests
+  than accepted connections),
 * the server shuts down cleanly on ``POST /shutdown`` (exit code 0).
 """
 
@@ -88,6 +90,10 @@ def main() -> int:
             stats = client.stats()
             if stats["store_hits"] != 1 or stats["simulated"] != 1:
                 raise SystemExit(f"unexpected service counters: {stats}")
+            front = stats["server"]
+            if front["requests"] <= front["connections"]:
+                # Every call above rode one kept-alive connection.
+                raise SystemExit(f"connections were not reused: {front}")
             checked = warm["record"]["checked"]
             print(
                 "service smoke: cold simulated "

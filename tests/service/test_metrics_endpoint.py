@@ -47,6 +47,9 @@ GOLDEN_FLAT_KEYS = (
     "gc.pause_seconds.gen1",
     "gc.pause_seconds.gen2",
     "gc.frozen_objects",
+    "server.requests",
+    "server.connections",
+    "server.open_connections",
 )
 
 
@@ -91,6 +94,7 @@ class TestStatsSchema:
         assert flat["scheduler.submitted"] == stats["submitted"]
         assert flat["store.hits"] == stats["store"]["hits"]
         assert flat["gc.frozen_objects"] == stats["gc"]["frozen_objects"]
+        assert flat["server.connections"] == stats["server"]["connections"]
 
     def test_metrics_values_numeric_non_bool(self, service):
         client, _ = service
@@ -146,9 +150,23 @@ class TestMetricsEndpoint:
     def test_server_request_counters_move(self, service):
         client, base_url = service
         client.healthz()
-        _, samples = scrape(base_url)
-        assert samples["equeue_server_requests"] > 0
-        assert samples["equeue_server_request_seconds_count"] > 0
+        _, before = scrape(base_url)
+        assert before["equeue_server_requests"] > 0
+        assert before["equeue_server_request_seconds_count"] > 0
+        client.healthz()
+        client.healthz()
+        _, after = scrape(base_url)
+        # Connection reuse as a number: the client's two requests rode
+        # its pooled socket; each scrape (urlopen) opened its own.
+        assert (
+            after["equeue_server_requests"] - before["equeue_server_requests"]
+            == 3
+        )
+        assert (
+            after["equeue_server_connections"]
+            - before["equeue_server_connections"]
+            == 1
+        )
 
 
 class TestRequestIds:
@@ -203,6 +221,9 @@ class TestRequestIds:
 
 class TestAccessLog:
     def test_every_response_logged_with_request_id(self, service):
+        # Race-free by construction: the access-log line is written
+        # before the response bytes leave (ServiceHandler._respond), so
+        # it is in the stream by the time the client call returns.
         client, base_url = service
         stream = io.StringIO()
         obs_logs.configure_logging(

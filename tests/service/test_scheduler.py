@@ -5,12 +5,16 @@ compile work on the warm path."""
 
 from __future__ import annotations
 
+import hashlib
+import json
 import threading
+from dataclasses import asdict
 
 import pytest
 
 import repro.service.scheduler as scheduler_module
 from repro.scenarios import (
+    all_scenarios,
     clear_scenario_caches,
     scenario_cache_stats,
     scenario_grid,
@@ -18,7 +22,7 @@ from repro.scenarios import (
 )
 from repro.scenarios.sweep import run_scenario_sweep
 from repro.service import JobRequest, JobScheduler, ResultStore
-from repro.service.scheduler import RequestError
+from repro.service.scheduler import RequestError, SweepRequest
 
 
 class TestJobRequest:
@@ -65,6 +69,101 @@ class TestJobRequest:
         before = JobRequest.make("fir").key()
         monkeypatch.setenv("EQUEUE_CODE_VERSION", "v-next")
         assert JobRequest.make("fir").key() != before
+
+
+#: ``(job key, sha256 of the wire dict, sweep key)`` — 16 hex digits
+#: each — for the cases of :func:`recorded_request_cases`, recorded at
+#: the commit before ``JobRequest.make`` stopped calling
+#: ``dataclasses.asdict`` three times per request, under
+#: ``EQUEUE_CODE_VERSION=request-keys-recorded-at-pr13``.
+RECORDED_REQUEST_KEYS = {
+    "fir/bare": ("4aa2f7d28e3a1427", "ab5cf34eb4b7d7e9", "8e8af493c3892ebb"),
+    "fir/spec": ("ce0cf6f97ecc0a0d", "0b6f9e9966728a80", "b5bccbc390141ec8"),
+    "fir/defaults-spelled-out": ("4aa2f7d28e3a1427", "ab5cf34eb4b7d7e9", "8e8af493c3892ebb"),
+    "fir/override": ("52b5cbc4c08107f3", "6ed91d8691945af9", "6fbc1c9996d170c0"),
+    "fir/spec+config": ("69f0fcda11618efa", "d2aefa8b3477b55d", "94112d1a8e1ab611"),
+    "gemm/bare": ("68db7ad4de7704ab", "253e32796abd93e6", "14b80339a96d817a"),
+    "gemm/spec": ("1f354f265fda0045", "e852b8e1bf8e2c3e", "431e87b338c4b086"),
+    "gemm/defaults-spelled-out": ("68db7ad4de7704ab", "253e32796abd93e6", "14b80339a96d817a"),
+    "gemm/override": ("a19a8aa9c6956c64", "a2644f1fab6c99bc", "2a05d561906ece78"),
+    "gemm/spec+config": ("548ab915a09707e6", "078bd6eb238eee45", "b152a0af1333dd42"),
+    "mesh/bare": ("e772cdfbbb31dfe7", "2824b7e4abb2aa4d", "62c4938dfbc54fac"),
+    "mesh/spec": ("1b2a1c6c2bebd04e", "738672b0c3457eb1", "3064104873923b57"),
+    "mesh/defaults-spelled-out": ("e772cdfbbb31dfe7", "2824b7e4abb2aa4d", "62c4938dfbc54fac"),
+    "mesh/override": ("2fce690e2dbb6d5d", "8e381dd9596a7465", "63e153a07a1480bb"),
+    "mesh/spec+config": ("7ab1d48cd6ad32d2", "d249cca1505d23ff", "04f03ec7617dfabf"),
+    "pipeline/bare": ("0dbf8f9295848f35", "c69f1c7c3de0a271", "f8d5eb01c95f3e7b"),
+    "pipeline/spec": ("e940df5101dc52fc", "0e89bafc216cc627", "105365e71f6cd099"),
+    "pipeline/defaults-spelled-out": ("0dbf8f9295848f35", "c69f1c7c3de0a271", "f8d5eb01c95f3e7b"),
+    "pipeline/override": ("9d9b387690606b6d", "4f997dbf7ca55ba1", "a8f2c692cac671d0"),
+    "pipeline/spec+config": ("bcb408864c7d31ef", "b83082f219978d73", "8c83b08bc750071b"),
+    "systolic/bare": ("79c4846a86e95ae0", "14176aa9ab31a20d", "b567f0609e20e8b9"),
+    "systolic/spec": ("cf10c05eef255541", "64b493fe4062d943", "dd2854450b0eed3f"),
+    "systolic/defaults-spelled-out": ("79c4846a86e95ae0", "14176aa9ab31a20d", "b567f0609e20e8b9"),
+    "systolic/override": ("a4b4ad4a94828180", "fc3eee7dd70e8a02", "7599373850faca31"),
+    "systolic/spec+config": ("7ad87d9c5d075d53", "ee0eedc652329e56", "c630fd2ee99bde96"),
+    "gemm/int-for-bool": ("f37fe692f30dcc59", "348514f3574a9457", "12b18d0a1a75e252"),
+}
+
+
+def recorded_request_cases():
+    """Per registered scenario: the bare name, a spec override, every
+    default spelled out (an override that adds nothing), a config
+    override, and a config override that undoes the spec's."""
+    for scenario in all_scenarios():
+        name = scenario.name
+        defaults = asdict(scenario.configure())
+        axis, values = next(iter(scenario.default_grid().items()))
+        other = next(v for v in values if v != defaults[axis])
+        yield f"{name}/bare", dict(scenario=name)
+        yield f"{name}/spec", dict(scenario=f"{name}:{axis}={other}")
+        yield f"{name}/defaults-spelled-out", dict(
+            scenario=name, config=defaults
+        )
+        yield f"{name}/override", dict(
+            scenario=name, config={axis: other}, seed=3
+        )
+        yield f"{name}/spec+config", dict(
+            scenario=f"{name}:{axis}={other}",
+            config={axis: defaults[axis]},
+            options={"scheduler": "wheel"},
+        )
+    yield "gemm/int-for-bool", dict(
+        scenario="gemm", config={"double_buffer": 1}
+    )
+
+
+class TestRequestIdentityIsRecorded:
+    """Store keys, wire dicts (what the WAL persists) and sweep keys of
+    every registered scenario are what they were before the request
+    model went on its ``asdict`` diet."""
+
+    def test_every_registered_scenario_is_recorded(self):
+        cases = dict(recorded_request_cases())
+        assert set(cases) == set(RECORDED_REQUEST_KEYS)
+        assert {case.split("/")[0] for case in cases} == set(scenario_names())
+
+    @pytest.mark.parametrize("case", sorted(RECORDED_REQUEST_KEYS))
+    def test_keys_and_wire_dict_unchanged(self, case, monkeypatch):
+        monkeypatch.setenv(
+            "EQUEUE_CODE_VERSION", "request-keys-recorded-at-pr13"
+        )
+        kwargs = dict(recorded_request_cases())[case]
+        request = JobRequest.make(**kwargs)
+        wire = json.dumps(request.to_dict(), sort_keys=True)
+        sweep = SweepRequest.make(sample=2, **kwargs)
+        assert (
+            request.key()[:16],
+            hashlib.sha256(wire.encode("utf-8")).hexdigest()[:16],
+            sweep.key()[:16],
+        ) == RECORDED_REQUEST_KEYS[case]
+
+    def test_an_equal_value_of_another_type_is_still_an_override(self):
+        # 1 == True and 16.0 == 16, but not on the wire or in the key.
+        as_int = JobRequest.make("gemm", config={"double_buffer": 1})
+        assert type(dict(as_int.config)["double_buffer"]) is int
+        as_float = JobRequest.make("gemm", config={"k": 16.0})
+        assert type(dict(as_float.config)["k"]) is float
 
 
 class TestScheduling:
