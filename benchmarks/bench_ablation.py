@@ -10,7 +10,7 @@
    the first-order per-MAC cost, relative to the measured Affine stage
    (why 7 cycles/MAC is the conservative choice).
 4. **Interpreted vs compiled engine** — the block-plan compiler
-   (``EngineOptions.compile_plans``) against the reference interpreter on
+   (``EngineOptions(mode="plan")``) against the reference interpreter on
    the engine-speed workload: identical cycles/events, reported speedup.
 """
 
@@ -150,24 +150,24 @@ def test_ablation_interpreted_vs_compiled(benchmark, rng):
     ifmap = rng.integers(-3, 4, (3, 16, 16)).astype(np.int32)
     weights = rng.integers(-3, 4, (1, 3, 2, 2)).astype(np.int32)
 
-    def run(compile_plans: bool):
+    def run(mode: str):
         program = build_systolic_program(SystolicConfig("WS", 4, 4, dims))
         inputs = program.prepare_inputs(ifmap, weights)
         started = time.perf_counter()
         result = simulate(
             program.module,
-            EngineOptions(compile_plans=compile_plans),
+            EngineOptions(mode=mode),
             inputs=inputs,
         )
         elapsed = time.perf_counter() - started
         return result, elapsed
 
     def sweep():
-        return {mode: run(mode) for mode in (False, True)}
+        return {mode: run(mode) for mode in ("interpret", "plan")}
 
     outcome = benchmark.pedantic(sweep, rounds=1, iterations=1)
     (interp, interp_s), (compiled, compiled_s) = (
-        outcome[False], outcome[True]
+        outcome["interpret"], outcome["plan"]
     )
     events = interp.summary.scheduler_events
     speedup = interp_s / max(compiled_s, 1e-9)

@@ -9,6 +9,8 @@ The paper's claim reproduced here: the general EQueue simulation matches
 the dedicated SCALE-Sim model point-for-point.
 """
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,8 @@ from repro.baselines import ScaleSimConfig, run_scalesim
 from repro.dialects.linalg import ConvDims
 from repro.generators.systolic import SystolicConfig, build_systolic_program
 from repro.sim import simulate
-from repro.sim.batch import SweepRunner, measure_systolic_point
+from repro.analysis.dse import evaluate_point
+from repro.sim.batch import SweepRunner
 
 from conftest import FULL_SWEEP, SWEEP_JOBS, conv_inputs, emit
 
@@ -32,7 +35,10 @@ def _series(dims_list, labels):
     configs = [SystolicConfig("WS", 4, 4, dims) for dims in dims_list]
     runner = SweepRunner(jobs=SWEEP_JOBS)
     measured = runner.map(
-        measure_systolic_point, [(cfg, INPUT_SEED) for cfg in configs]
+        functools.partial(
+            evaluate_point, use_des=True, seed=INPUT_SEED, compile_cache=True
+        ),
+        configs,
     )
     rows = []
     for label, dims, point in zip(labels, dims_list, measured):
@@ -40,9 +46,9 @@ def _series(dims_list, labels):
         rows.append(
             (
                 label,
-                point["cycles"],
+                point.cycles,
                 scalesim.cycles,
-                point["avg_ofmap_write_bw"],
+                point.peak_write_bw_x_portion,
                 scalesim.avg_ofmap_write_bw,
             )
         )

@@ -10,9 +10,10 @@ substitution).
 
 Sweeps scale along two axes (see :mod:`repro.sim.batch`): ``jobs=N``
 shards the points across a process pool with deterministic, bit-identical
-merging, and the cross-simulation compile cache (on by default) reuses
-built modules and compiled block plans between structurally identical
-points.
+merging, and the process's compile cache (on by default for ``jobs != 1``)
+reuses built modules and compiled block plans between structurally
+identical points.  Execution, journaling and resume are
+:func:`repro.sim.batch.journaled_sweep`, the driver scenario sweeps use.
 """
 
 from __future__ import annotations
@@ -22,21 +23,23 @@ import time
 from dataclasses import asdict, dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-import numpy as np
-
 from ..dialects.linalg import ConvDims
-from ..generators.systolic import SystolicConfig, build_systolic_program
+from ..generators.systolic import (
+    SystolicConfig,
+    SystolicProgram,
+    build_systolic_program,
+)
 from ..scenarios.sweep import ScenarioGrid, run_scenario_sweep
 from ..sim import simulate
 from ..sim.batch import (
     ResilienceStats,
-    SweepInterrupted,
     SweepRunner,
     deterministic_conv_inputs,
+    journaled_sweep,
     process_compile_cache,
     structural_signature,
+    subsample,
 )
-from ..sim.journal import JOURNAL_KIND, SweepJournal
 
 
 @dataclass(frozen=True)
@@ -117,8 +120,11 @@ def evaluate_point(
     ``compile_cache=True`` routes the DES through this process's
     cross-simulation compile cache, reusing the built module and the
     compiled block plans of any structurally identical configuration
-    evaluated earlier; results are bit-identical to the default cold
-    build (the batch sweep runner turns this on).
+    evaluated earlier — keyed exactly as the ``systolic`` scenario keys
+    its programs (:meth:`repro.scenarios.Scenario.signature`), so a
+    scenario request and a DSE point of one structure share an entry.
+    Results are bit-identical to the default cold build (the batch
+    sweep runner turns this on).
     """
     if not use_des:
         started = time.perf_counter()
@@ -135,8 +141,13 @@ def evaluate_point(
         )
     ifmap, weights = deterministic_conv_inputs(cfg.dims, seed)
     if compile_cache:
-        cached = process_compile_cache().lookup(cfg)
-        inputs = cached.program(cfg).prepare_inputs(ifmap, weights)
+        cached = process_compile_cache().lookup(
+            ("systolic",) + structural_signature(cfg),
+            lambda: build_systolic_program(cfg).module,
+        )
+        inputs = SystolicProgram(cached.module, cfg).prepare_inputs(
+            ifmap, weights
+        )
         started = time.perf_counter()
         result = cached.simulate(inputs)
     else:
@@ -163,7 +174,8 @@ _DES_RESULT_CACHE: Dict[Tuple, DSEPoint] = {}
 
 
 def clear_sweep_caches() -> None:
-    """Drop this process's DES result memo and compile cache.
+    """Drop this process's DES result memo and its (one) compile cache
+    — scenario programs included.
 
     Benchmarks use this to measure cold behaviour; note it cannot reach
     caches already inherited by live worker processes.
@@ -258,42 +270,6 @@ def dse_point_from_record(record: Mapping) -> DSEPoint:
     )
 
 
-def dse_journal_header(
-    spec: SweepSpec,
-    use_des: bool,
-    sample: Optional[int],
-    max_cycles: Optional[int],
-    seed: int,
-    compile_cache: Optional[bool],
-    reuse_results: Optional[bool],
-    total: int,
-) -> Dict:
-    """The journal header for a systolic sweep request.
-
-    ``compile_cache``/``reuse_results`` are recorded *as passed* (before
-    the ``jobs``-dependent defaulting): neither affects the observables
-    (held bit-identical by the parallel-sweep tests), and resuming a
-    ``jobs=N`` journal with ``jobs=1`` must be allowed — that equality
-    is the whole resilience contract.
-    """
-    from ..service.store import code_version
-
-    return {
-        "kind": JOURNAL_KIND,
-        "request": {
-            "spec": asdict(spec),
-            "use_des": bool(use_des),
-            "sample": sample,
-            "max_cycles": max_cycles,
-            "seed": int(seed),
-            "compile_cache": compile_cache,
-            "reuse_results": reuse_results,
-        },
-        "total": int(total),
-        "code": code_version(),
-    }
-
-
 def run_sweep(
     spec: SweepSpec,
     use_des: bool = False,
@@ -331,11 +307,11 @@ def run_sweep(
     the bound (DES cost control).
     ``jobs``: shard the evaluation across this many worker processes
     (``None`` or ``0`` = all usable CPUs).  ``jobs=1`` (the default) is
-    the bit-exact serial reference loop — every point individually built
-    and simulated, exactly the pre-batch behaviour.  Any other value
-    routes through :class:`repro.sim.batch.SweepRunner`; results come
-    back in point order and are bit-identical to the reference loop (the
-    determinism tests hold the two equal).
+    the bit-exact serial reference — every point individually built and
+    simulated in-process, in order.  Any other value shards through the
+    :class:`repro.sim.batch.SweepRunner` pool; results come back in
+    point order and are bit-identical to the reference (the determinism
+    tests hold the two equal).
     ``chunk_size``: points per dispatched chunk (``None`` = balanced).
     ``compile_cache``: reuse modules/plans between structurally identical
     points (``None`` = on for the batch runner, off for the reference
@@ -375,81 +351,40 @@ def run_sweep(
             runner_stats=runner_stats,
             chunk_deadline_s=chunk_deadline_s,
         )
-    points = list(spec.points())
-    if sample is not None and sample < len(points):
-        rng = np.random.default_rng(seed)
-        chosen = rng.choice(len(points), size=sample, replace=False)
-        points = [points[i] for i in sorted(chosen)]
+    points = subsample(list(spec.points()), sample, seed)
     if max_cycles is not None:
         points = [
             cfg for cfg in points if cfg.expected_cycles <= max_cycles
         ]
-    total = len(points)
-    results: List[Optional[DSEPoint]] = [None] * total
-    sweep_journal: Optional[SweepJournal] = None
-    if journal is not None:
-        sweep_journal = (
-            journal
-            if isinstance(journal, SweepJournal)
-            else SweepJournal(journal)
-        )
-        header = dse_journal_header(
-            spec, use_des, sample, max_cycles, seed,
-            compile_cache, reuse_results, total,
-        )
-        for index, record in sweep_journal.open(header, resume=resume).items():
-            if 0 <= index < total and results[index] is None:
-                results[index] = dse_point_from_record(record)
-        if runner_stats is not None:
-            runner_stats.points_resumed += sum(
-                point is not None for point in results
-            )
-    if jobs is not None and jobs <= 0:
-        jobs = None  # the CLI convention: 0 (or any non-positive) = auto
+    # jobs=1 stays the cold build-every-point reference unless asked.
     batched = jobs != 1
     if compile_cache is None:
         compile_cache = batched
     if reuse_results is None:
         reuse_results = batched
-    missing = [i for i in range(total) if results[i] is None]
-
-    def deliver(position: int, point: DSEPoint) -> None:
-        index = missing[position]
-        if sweep_journal is not None:
-            sweep_journal.append_point(index, dse_point_record(point))
-        results[index] = point
-
-    payloads = [
-        (points[i], use_des, seed, compile_cache, reuse_results)
-        for i in missing
-    ]
-    try:
-        if not batched:
-            for position, payload in enumerate(payloads):
-                if cancel is not None and cancel.is_set():
-                    raise SweepInterrupted(
-                        total - len(missing) + position, total
-                    )
-                deliver(position, _sweep_worker(payload))
-        elif payloads:
-            runner = SweepRunner(
-                jobs=jobs,
-                chunk_size=chunk_size,
-                key=_payload_signature,
-                describe=_payload_context,
-                chunk_deadline_s=chunk_deadline_s,
-            )
-            try:
-                runner.map(
-                    _sweep_worker, payloads, on_result=deliver, cancel=cancel
-                )
-            finally:
-                if runner_stats is not None:
-                    runner_stats.merge(runner.resilience)
-    except SweepInterrupted:
-        done = sum(point is not None for point in results)
-        raise SweepInterrupted(done, total) from None
-    finally:
-        if sweep_journal is not None:
-            sweep_journal.close()
-    return results  # type: ignore[return-value]
+    return journaled_sweep(
+        _sweep_worker,
+        [(cfg, use_des, seed, compile_cache, reuse_results) for cfg in points],
+        # Identity only: ``jobs``/``compile_cache``/``reuse_results``
+        # choose how points are computed, never what they are.
+        request={
+            "spec": asdict(spec),
+            "use_des": bool(use_des),
+            "sample": sample,
+            "max_cycles": max_cycles,
+            "seed": int(seed),
+        },
+        encode=dse_point_record,
+        decode=dse_point_from_record,
+        runner=SweepRunner(
+            jobs=jobs,
+            chunk_size=chunk_size,
+            key=_payload_signature,
+            describe=_payload_context,
+            chunk_deadline_s=chunk_deadline_s,
+        ),
+        journal=journal,
+        resume=resume,
+        cancel=cancel,
+        runner_stats=runner_stats,
+    )

@@ -5,12 +5,13 @@ module serializes :class:`~repro.analysis.dse.DSEPoint` lists as CSV
 (one row per point, stable column order) so any plotting tool can
 regenerate the figures from bench output.
 
-It is also the home of the repository's **canonical JSON-lines record
-format**: one JSON object per line, keys sorted, compact separators,
-NumPy scalars/arrays converted to native values.  The service result
-store (:mod:`repro.service.store`) writes its blobs through
-:func:`record_line`, and sweep exports reuse the same writer, so every
-machine-readable result in the system shares one stable serialization.
+JSONL exports go through the repository's **canonical JSON-lines record
+format** (:func:`repro.sim.linecodec.record_line`, re-exported here):
+one JSON object per line, keys sorted, compact separators, NumPy
+scalars/arrays converted to native values.  The service result store
+(:mod:`repro.service.store`) writes its blobs through the same writer,
+so every machine-readable result in the system shares one stable
+serialization.
 
 CSV and JSONL both derive from one :func:`point_record` mapping — the
 column list and the per-column CSV text formatting are declared once, so
@@ -25,6 +26,7 @@ import json
 from pathlib import Path
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Union
 
+from ..sim.linecodec import record_line  # noqa: F401  (re-exported)
 from .dse import DSEPoint
 
 COLUMNS = [
@@ -117,32 +119,6 @@ def from_csv(path: Union[str, Path]) -> List[dict]:
 # ---------------------------------------------------------------------------
 # Canonical JSON-lines records
 # ---------------------------------------------------------------------------
-
-
-def _json_default(value):
-    """Convert NumPy scalars/arrays (oracle stats sometimes carry them)."""
-    item = getattr(value, "item", None)
-    if item is not None and getattr(value, "shape", None) == ():
-        return item()
-    tolist = getattr(value, "tolist", None)
-    if tolist is not None:
-        return tolist()
-    raise TypeError(
-        f"{type(value).__name__} is not JSON-serializable"
-    )
-
-
-def record_line(record: Mapping) -> str:
-    """One record as its canonical JSON line (no trailing newline).
-
-    Keys sorted, compact separators, NumPy values converted — the byte
-    format shared by JSONL exports and the service store's blobs, so a
-    record always serializes to the same bytes regardless of insertion
-    order.
-    """
-    return json.dumps(
-        record, sort_keys=True, separators=(",", ":"), default=_json_default
-    )
 
 
 def to_jsonl(

@@ -41,7 +41,6 @@ from .sweep import (
     scenario_point_from_record,
     scenario_point_record,
     simulate_scenario,
-    sweep_journal_header,
 )
 
 __all__ = [
@@ -53,5 +52,5 @@ __all__ = [
     "clear_scenario_caches", "grid_record", "run_scenario_sweep",
     "scenario_cache_stats", "scenario_grid",
     "scenario_point_export_record", "scenario_point_from_record",
-    "scenario_point_record", "simulate_scenario", "sweep_journal_header",
+    "scenario_point_record", "simulate_scenario",
 ]

@@ -4,12 +4,13 @@ A :class:`ScenarioGrid` is the registry-native analogue of
 :class:`repro.analysis.SweepSpec`: a scenario name plus config axes that
 expand into config instances.  :func:`run_scenario_sweep` evaluates a
 grid point-by-point through the same machinery the systolic DSE uses —
-:class:`~repro.sim.batch.SweepRunner` sharding with signature-affine
-chunking, a per-process program cache keyed on
-:meth:`~.registry.Scenario.signature` (module built and verified once
-per structure, compiled block plans shared via a per-structure
-:class:`~repro.sim.plan.PlanCache`), and deterministic submission-order
-merging — so ``jobs=N`` results are bit-identical to ``jobs=1``.
+the :func:`~repro.sim.batch.journaled_sweep` driver
+(:class:`~repro.sim.batch.SweepRunner` sharding with signature-affine
+chunking, deterministic submission-order merging) and the process's one
+program cache keyed on :meth:`~.registry.Scenario.signature` (module
+built and verified once per structure, compiled block plans shared via
+a per-structure :class:`~repro.sim.plan.PlanCache`) — so ``jobs=N``
+results are bit-identical to ``jobs=1``.
 
 ``repro.analysis.run_sweep`` accepts a :class:`ScenarioGrid` directly
 and delegates here, which is how registry grids ride the existing sweep
@@ -25,13 +26,13 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 from ..sim import EngineOptions
 from ..sim.batch import (
     CachedProgram,
+    CompileCacheStats,
     ResilienceStats,
-    SweepInterrupted,
     SweepRunner,
-    drop_programs,
+    journaled_sweep,
+    process_compile_cache,
+    subsample,
 )
-from ..sim.journal import JOURNAL_KIND, SweepJournal
-from ..sim.plan import PlanCache
 from .registry import Scenario, get_scenario
 
 
@@ -91,54 +92,26 @@ class ScenarioPoint:
 
 
 # ---------------------------------------------------------------------------
-# The per-process scenario program cache
+# Scenario programs in the process compile cache
 # ---------------------------------------------------------------------------
 
-#: Built-and-verified modules plus their shared plan caches, keyed by
-#: :meth:`Scenario.signature`.  One per process: in a pool worker it
-#: persists across chunks, which is what signature-affine sharding pays
-#: into (the registry generalization of ``batch.CompileCache``).
-_PROGRAM_CACHE: Dict[Tuple, CachedProgram] = {}
 
-
-@dataclass
-class ScenarioCacheStats:
-    """Build/hit accounting for this process's scenario program cache.
-
-    The service layer reports these through ``equeue-serve``'s stats
-    endpoint; tests use them to prove a warm store path builds nothing.
-    """
-
-    programs_built: int = 0
-    program_hits: int = 0
-
-
-_CACHE_STATS = ScenarioCacheStats()
-
-
-def scenario_cache_stats() -> ScenarioCacheStats:
-    """This process's scenario program-cache counters."""
-    return _CACHE_STATS
+def scenario_cache_stats() -> CompileCacheStats:
+    """This process's program-cache counters (the service layer reports
+    them through ``equeue-serve``'s stats endpoint)."""
+    return process_compile_cache().stats
 
 
 def cached_scenario_program(scenario: Scenario, cfg) -> CachedProgram:
     """This process's cached program for a config's structure."""
-    key = scenario.signature(cfg)
-    entry = _PROGRAM_CACHE.get(key)
-    if entry is None:
-        entry = CachedProgram(scenario.build(cfg), PlanCache())
-        _PROGRAM_CACHE[key] = entry
-        _CACHE_STATS.programs_built += 1
-    else:
-        _CACHE_STATS.program_hits += 1
-    return entry
+    return process_compile_cache().lookup(
+        scenario.signature(cfg), lambda: scenario.build(cfg)
+    )
 
 
 def clear_scenario_caches() -> None:
-    """Drop this process's scenario program cache (cold-path benches)."""
-    drop_programs(_PROGRAM_CACHE)
-    _CACHE_STATS.programs_built = 0
-    _CACHE_STATS.program_hits = 0
+    """Drop this process's program cache (cold-path benches)."""
+    process_compile_cache().clear()
 
 
 def simulate_scenario(
@@ -254,36 +227,6 @@ def scenario_point_export_record(point: ScenarioPoint) -> Dict:
     return record
 
 
-def sweep_journal_header(
-    grid: ScenarioGrid,
-    seed: int,
-    sample: Optional[int],
-    option_overrides: Optional[Dict],
-    check: bool,
-    total: int,
-) -> Dict:
-    """The journal header identifying one sweep request exactly.
-
-    Includes the service tier's code version: a journal written by
-    different code must not be merged with fresh points (resume would
-    silently mix results two code versions produced).
-    """
-    from ..service.store import code_version
-
-    return {
-        "kind": JOURNAL_KIND,
-        "request": {
-            "grid": grid_record(grid),
-            "seed": int(seed),
-            "sample": sample,
-            "options": dict(option_overrides or {}),
-            "check": bool(check),
-        },
-        "total": int(total),
-        "code": code_version(),
-    }
-
-
 def run_scenario_sweep(
     grid: ScenarioGrid,
     jobs: Optional[int] = 1,
@@ -302,8 +245,8 @@ def run_scenario_sweep(
 
     ``jobs`` follows :func:`repro.analysis.run_sweep`'s convention
     (``1`` = in-process serial loop, ``None``/``0`` = all usable CPUs);
-    any parallel value routes through :class:`SweepRunner` with
-    signature-affine sharding and is bit-identical to the serial loop.
+    any parallel value shards signature-affinely across the
+    :class:`SweepRunner` pool and is bit-identical to the serial loop.
     ``sample`` evaluates only a deterministic subsample of that many
     points (same convention as the systolic sweep).
     ``option_overrides`` restates :class:`EngineOptions` fields (e.g.
@@ -327,74 +270,30 @@ def run_scenario_sweep(
       points, ...); ``chunk_deadline_s`` bounds each parallel dispatch
       round's wall clock.
     """
-    points = grid.points()
-    if sample is not None and sample < len(points):
-        import numpy as np
-
-        rng = np.random.default_rng(seed)
-        chosen = rng.choice(len(points), size=sample, replace=False)
-        points = [points[i] for i in sorted(chosen)]
-    payloads = [
-        (grid.scenario, cfg, seed, option_overrides, check) for cfg in points
-    ]
-    total = len(payloads)
-    results: List[Optional[ScenarioPoint]] = [None] * total
-    sweep_journal: Optional[SweepJournal] = None
-    if journal is not None:
-        sweep_journal = (
-            journal
-            if isinstance(journal, SweepJournal)
-            else SweepJournal(journal)
-        )
-        header = sweep_journal_header(
-            grid, seed, sample, option_overrides, check, total
-        )
-        for index, record in sweep_journal.open(header, resume=resume).items():
-            if 0 <= index < total and results[index] is None:
-                results[index] = scenario_point_from_record(record)
-        if runner_stats is not None:
-            runner_stats.points_resumed += sum(
-                point is not None for point in results
-            )
-    missing = [i for i in range(total) if results[i] is None]
-
-    def deliver(position: int, point: ScenarioPoint) -> None:
-        index = missing[position]
-        if sweep_journal is not None:
-            sweep_journal.append_point(index, scenario_point_record(point))
-        results[index] = point
-
-    if jobs is not None and jobs <= 0:
-        jobs = None
-    try:
-        if jobs == 1:
-            for position, index in enumerate(missing):
-                if cancel is not None and cancel.is_set():
-                    raise SweepInterrupted(total - len(missing) + position,
-                                           total)
-                deliver(position, _scenario_sweep_worker(payloads[index]))
-        elif missing:
-            runner = SweepRunner(
-                jobs=jobs,
-                chunk_size=chunk_size,
-                key=_payload_signature,
-                describe=_payload_context,
-                chunk_deadline_s=chunk_deadline_s,
-            )
-            try:
-                runner.map(
-                    _scenario_sweep_worker,
-                    [payloads[i] for i in missing],
-                    on_result=deliver,
-                    cancel=cancel,
-                )
-            finally:
-                if runner_stats is not None:
-                    runner_stats.merge(runner.resilience)
-    except SweepInterrupted:
-        done = sum(point is not None for point in results)
-        raise SweepInterrupted(done, total) from None
-    finally:
-        if sweep_journal is not None:
-            sweep_journal.close()
-    return results  # type: ignore[return-value]
+    return journaled_sweep(
+        _scenario_sweep_worker,
+        [
+            (grid.scenario, cfg, seed, option_overrides, check)
+            for cfg in subsample(grid.points(), sample, seed)
+        ],
+        request={
+            "grid": grid_record(grid),
+            "seed": int(seed),
+            "sample": sample,
+            "options": dict(option_overrides or {}),
+            "check": bool(check),
+        },
+        encode=scenario_point_record,
+        decode=scenario_point_from_record,
+        runner=SweepRunner(
+            jobs=jobs,
+            chunk_size=chunk_size,
+            key=_payload_signature,
+            describe=_payload_context,
+            chunk_deadline_s=chunk_deadline_s,
+        ),
+        journal=journal,
+        resume=resume,
+        cancel=cancel,
+        runner_stats=runner_stats,
+    )

@@ -14,8 +14,8 @@ lookup order:
 3. **Batched execution.**  Queued jobs are drained in batches: grouped
    by engine-options digest (only compatible jobs share a batch),
    ordered signature-affinely, and run through
-   :class:`~repro.sim.batch.SweepRunner` over the same per-process
-   program cache the sweep path uses
+   :class:`~repro.sim.batch.SweepRunner` over the process's one
+   program cache, the one every sweep path uses
    (:func:`~repro.scenarios.sweep.simulate_scenario`), so structurally
    identical jobs in one batch compile once.  Every fresh record is
    spilled to the store before waiters wake.
@@ -42,14 +42,14 @@ from dataclasses import asdict, dataclass, field, fields
 from itertools import islice
 from typing import Dict, List, Mapping, Optional, Tuple
 
-from ..analysis.export import record_line
 from ..obs import logs as obs_logs
 from ..obs import metrics as obs_metrics
 from ..obs.spans import span as _span
 from ..scenarios import get_scenario, parse_scenario_spec, scenario_cache_stats
 from ..scenarios.sweep import grid_record, scenario_grid, simulate_scenario
-from ..sim.batch import ResilienceStats, SweepRunner, result_record
-from ..sim.engine import EngineOptions
+from ..sim.batch import ResilienceStats, SweepRunner, result_record, subsample
+from ..sim.engine import EngineOptions, ExecutionMode, resolve_execution_mode
+from ..sim.linecodec import record_line
 from . import faults
 from .store import ResultStore, code_version, inputs_digest, request_key
 from .wal import AdmissionWAL, WALError
@@ -63,7 +63,6 @@ _log = obs_logs.get_logger("service.scheduler")
 _ALLOWED_OPTIONS = (
     "scheduler",
     "mode",
-    "compile_plans",  # deprecated alias; canonicalized onto "mode"
     "vectorize_loops",
     "max_cycles",
     "strict_capacity",
@@ -98,28 +97,17 @@ def _field_dict(cfg) -> Dict[str, object]:
 def _canonical_options(options: Optional[Mapping]) -> Dict:
     """Normalize execution-mode spellings to one canonical form.
 
-    The deprecated ``compile_plans`` alias is folded into ``mode`` via
-    :func:`~repro.sim.engine.resolve_execution_mode` (the single
-    normalization point every surface shares), and ``mode`` is recorded
-    only when it differs from the default ``plan`` — so ``{}``,
-    ``{"mode": "plan"}``, and ``{"compile_plans": true}`` all freeze to
-    the same request and therefore the same store key, while plan and
-    codegen requests can never share one.
+    ``mode`` is recorded only when it differs from the default ``plan``
+    — so ``{}`` and ``{"mode": "plan"}`` freeze to the same request and
+    therefore the same store key, while plan and codegen requests can
+    never share one.
     """
-    from ..sim.engine import ExecutionMode, resolve_execution_mode
-
     mapping = dict(options or {})
-    alias = mapping.pop("compile_plans", None)
     try:
-        mode = resolve_execution_mode(
-            mapping.get("mode"),
-            compile_plans=True if alias is None else bool(alias),
-        )
+        mode = resolve_execution_mode(mapping.pop("mode", None))
     except ValueError as error:
         raise RequestError(str(error)) from None
-    if mode is ExecutionMode.PLAN:
-        mapping.pop("mode", None)
-    else:
+    if mode is not ExecutionMode.PLAN:
         mapping["mode"] = mode.value
     return mapping
 
@@ -241,6 +229,13 @@ class JobRequest:
             "check": self.check,
         }
 
+    def payload(self, request_id: Optional[str]) -> Tuple:
+        """The picklable :func:`evaluate_request` form of this request."""
+        return (
+            self.scenario, self.config, self.seed, self.options,
+            self.check, request_id,
+        )
+
 
 @dataclass(frozen=True)
 class SweepRequest:
@@ -305,21 +300,9 @@ class SweepRequest:
     def grid(self):
         return scenario_grid(self.scenario, **dict(self.base))
 
-    def point_configs(self) -> List:
-        """The sampled grid, in grid order (the sweep path's sampling
-        rule exactly, so a service sweep and a CLI ``--sweep --sample``
-        of the same request evaluate the same points)."""
-        points = self.grid().points()
-        if self.sample is not None and self.sample < len(points):
-            import numpy as np
-
-            rng = np.random.default_rng(self.seed)
-            chosen = rng.choice(len(points), size=self.sample, replace=False)
-            points = [points[i] for i in sorted(chosen)]
-        return points
-
     def point_requests(self) -> List[JobRequest]:
-        """One :class:`JobRequest` per sampled grid point."""
+        """One :class:`JobRequest` per sampled grid point, in grid order
+        (the library sweeps' :func:`~repro.sim.batch.subsample` rule)."""
         return [
             JobRequest(
                 scenario=self.scenario,
@@ -328,7 +311,7 @@ class SweepRequest:
                 options=self.options,
                 check=self.check,
             )
-            for cfg in self.point_configs()
+            for cfg in subsample(self.grid().points(), self.sample, self.seed)
         ]
 
     def key_parts(self) -> Dict:
@@ -667,8 +650,7 @@ class SchedulerStats:
     #: resolved from their terminal record + the store.
     resurrected: int = 0
     #: Submissions by resolved execution mode ("interpret" | "plan" |
-    #: "codegen"); requests spelled with the deprecated
-    #: ``compile_plans`` alias count under their resolved mode.
+    #: "codegen").
     submitted_by_mode: Dict[str, int] = field(default_factory=dict)
 
 
@@ -846,6 +828,27 @@ class JobScheduler:
         here at admission when the caller (a non-HTTP embedder) did not
         already mint one at the front door.
         """
+        return self._admit(Job, request, deadline_s, client, request_id)
+
+    def submit_sweep(
+        self,
+        request: SweepRequest,
+        deadline_s: Optional[float] = None,
+        client: Optional[str] = None,
+        request_id: Optional[str] = None,
+    ) -> SweepJob:
+        """Register a sweep; returns its (possibly shared) job.
+
+        The same admission path as :meth:`submit` — an in-flight sweep
+        with the same key coalesces, a fully persisted sweep completes
+        instantly from the store, only genuinely new work is subject to
+        queue bounds and draining, and the admission is WAL-logged
+        before the job is visible.
+        """
+        return self._admit(SweepJob, request, deadline_s, client, request_id)
+
+    def _admit(self, job_cls, request, deadline_s, client, request_id):
+        sweep = job_cls is SweepJob
         key = request_store_key(request)
         mode = dict(request.options).get("mode", "plan")
         request_id = request_id or obs_logs.new_request_id()
@@ -854,6 +857,7 @@ class JobScheduler:
             self.stats.submitted_by_mode[mode] = (
                 self.stats.submitted_by_mode.get(mode, 0) + 1
             )
+            self.stats.sweeps_submitted += int(sweep)
             inflight = self._inflight.get(key)
             if inflight is not None:
                 inflight.waiters += 1
@@ -867,8 +871,13 @@ class JobScheduler:
                 self.stats.coalesced += 1
                 return inflight
             if stored is not None:
-                job = Job(self._next_id(), key, request, request_id=request_id)
+                job = job_cls(
+                    self._next_id(), key, request, request_id=request_id
+                )
                 self._wal_admit(job, client=client, status="done")
+                if sweep:
+                    job.points_total = stored.get("points_total")
+                    job.points_done = job.points_total or 0
                 self._jobs[job.id] = job
                 self._prune_jobs()
                 self.stats.store_hits += 1
@@ -884,7 +893,7 @@ class JobScheduler:
                 raise QueueFullError(
                     f"job queue full ({len(self._queue)}/{self.max_queue})"
                 )
-            job = Job(
+            job = job_cls(
                 self._next_id(),
                 key,
                 request,
@@ -898,86 +907,7 @@ class JobScheduler:
             self._queue.append(job)
             self._lock.notify_all()
         _log.debug(
-            "job.admitted",
-            job=job.id,
-            scenario=request.scenario,
-            request_id=request_id,
-        )
-        faults.fire("server.crash", context=f"admit:{job.id}")
-        return job
-
-    def submit_sweep(
-        self,
-        request: SweepRequest,
-        deadline_s: Optional[float] = None,
-        client: Optional[str] = None,
-        request_id: Optional[str] = None,
-    ) -> SweepJob:
-        """Register a sweep; returns its (possibly shared) job.
-
-        Same lookup order and admission rules as :meth:`submit` —
-        in-flight sweep with the same key coalesces, a fully persisted
-        sweep completes instantly from the store, only genuinely new
-        work is subject to queue bounds and draining, and the admission
-        is WAL-logged before the job is visible.
-        """
-        key = request_store_key(request)
-        mode = dict(request.options).get("mode", "plan")
-        request_id = request_id or obs_logs.new_request_id()
-        with self._lock:
-            self.stats.submitted += 1
-            self.stats.submitted_by_mode[mode] = (
-                self.stats.submitted_by_mode.get(mode, 0) + 1
-            )
-            self.stats.sweeps_submitted += 1
-            inflight = self._inflight.get(key)
-            if inflight is not None:
-                inflight.waiters += 1
-                self.stats.coalesced += 1
-                return inflight
-        stored = self.store.get(key) if self.store is not None else None
-        with self._lock:
-            inflight = self._inflight.get(key)
-            if inflight is not None:
-                inflight.waiters += 1
-                self.stats.coalesced += 1
-                return inflight
-            if stored is not None:
-                job = SweepJob(
-                    self._next_id(), key, request, request_id=request_id
-                )
-                self._wal_admit(job, client=client, status="done")
-                job.points_total = stored.get("points_total")
-                job.points_done = job.points_total or 0
-                self._jobs[job.id] = job
-                self._prune_jobs()
-                self.stats.store_hits += 1
-                job._complete(stored, source="store")
-                self._note_terminal(job)
-                return job
-            if self.draining:
-                self.stats.rejected_draining += 1
-                raise DrainingError("scheduler is draining; not accepting new jobs")
-            if self.max_queue is not None and len(self._queue) >= self.max_queue:
-                self.stats.rejected_queue_full += 1
-                raise QueueFullError(
-                    f"job queue full ({len(self._queue)}/{self.max_queue})"
-                )
-            job = SweepJob(
-                self._next_id(),
-                key,
-                request,
-                deadline_s=self.deadline_s if deadline_s is None else deadline_s,
-                request_id=request_id,
-            )
-            self._wal_admit(job, client=client)
-            self._jobs[job.id] = job
-            self._prune_jobs()
-            self._inflight[key] = job
-            self._queue.append(job)
-            self._lock.notify_all()
-        _log.debug(
-            "sweep.admitted",
+            "sweep.admitted" if sweep else "job.admitted",
             job=job.id,
             scenario=request.scenario,
             request_id=request_id,
@@ -1281,17 +1211,7 @@ class JobScheduler:
         Re-running a half is safe by construction: simulation is
         deterministic and results are content-addressed.
         """
-        payloads = [
-            (
-                job.request.scenario,
-                job.request.config,
-                job.request.seed,
-                job.request.options,
-                job.request.check,
-                job.request_id,
-            )
-            for job in batch
-        ]
+        payloads = [job.request.payload(job.request_id) for job in batch]
         self._watch(batch)
         try:
             runner = SweepRunner(jobs=self.jobs, key=_payload_signature)
@@ -1335,41 +1255,24 @@ class JobScheduler:
             self._unwatch([job])
 
     def _execute_sweep(self, job: SweepJob) -> Dict:
+        """The one resumable driver (:meth:`SweepRunner.resume_map`)
+        with the result store as its checkpoint."""
         request: SweepRequest = job.request
         point_requests = request.point_requests()
         keys = [request_store_key(point) for point in point_requests]
         total = len(point_requests)
-        records: List[Optional[Dict]] = [None] * total
-        resumed = 0
+        completed: Dict[int, Dict] = {}
         if self.store is not None:
             for index, key in enumerate(keys):
                 stored = self.store.get(key)
                 if stored is not None:
-                    records[index] = stored
-                    resumed += 1
+                    completed[index] = stored
         with self._lock:
             job.points_total = total
-            job.points_done = resumed
-            job.points_resumed = resumed
-            self.stats.sweep_points_resumed += resumed
-        missing = [i for i in range(total) if records[i] is None]
-        payloads = [
-            (
-                point_requests[i].scenario,
-                point_requests[i].config,
-                point_requests[i].seed,
-                point_requests[i].options,
-                point_requests[i].check,
-                job.request_id,
-            )
-            for i in missing
-        ]
+            job.points_done = job.points_resumed = len(completed)
+            self.stats.sweep_points_resumed += len(completed)
 
-        def deliver(position: int, record: Dict) -> None:
-            # The per-point checkpoint: normalize and spill *before*
-            # advancing progress, so every point a poller sees counted
-            # is already durable.
-            index = missing[position]
+        def checkpoint(index: int, record: Dict) -> None:
             # The crash plane's mid-sweep seam: a kill between points
             # loses only this delivery — checkpointed points make the
             # recovered sweep's replay resume, not restart.
@@ -1377,15 +1280,15 @@ class JobScheduler:
                 "server.crash", context=f"sweep-point:{job.id}:{index}"
             )
             failed = record.get("error") is not None
-            if not failed:
-                record = json.loads(record_line(record))
-                if self.store is not None:
-                    try:
-                        self.store.put(keys[index], record)
-                    except OSError:
-                        with self._lock:
-                            self.stats.store_put_failures += 1
-            records[index] = record
+            # Spill (the store writes the canonical line) *before*
+            # advancing progress, so every point a poller sees counted
+            # is already durable.
+            if not failed and self.store is not None:
+                try:
+                    self.store.put(keys[index], record)
+                except OSError:
+                    with self._lock:
+                        self.stats.store_put_failures += 1
             with self._lock:
                 job.points_done += 1
                 if failed:
@@ -1393,36 +1296,33 @@ class JobScheduler:
                 else:
                     self.stats.sweep_points_simulated += 1
 
-        if payloads:
-            runner = SweepRunner(
+        recovery = ResilienceStats()
+        try:
+            records = SweepRunner(
                 jobs=self.jobs,
                 key=_payload_signature,
                 describe=_payload_context,
+            ).resume_map(
+                evaluate_request,
+                [point.payload(job.request_id) for point in point_requests],
+                completed,
+                on_result=checkpoint,
+                stats=recovery,
             )
-            try:
-                runner.map(evaluate_request, payloads, on_result=deliver)
-            finally:
-                with self._lock:
-                    self.resilience.merge(runner.resilience)
-        failed = sum(
-            1
+        finally:
+            with self._lock:
+                self.resilience.merge(recovery)
+        errors = [
+            record["error"]
             for record in records
-            if record is None or record.get("error") is not None
-        )
-        if failed:
-            first = next(
-                (
-                    record["error"]
-                    for record in records
-                    if record is not None and record.get("error") is not None
-                ),
-                "point missing",
-            )
+            if record.get("error") is not None
+        ]
+        if errors:
             # A transient failure must not become a persistent record:
             # the aggregate is NOT stored, only the good points were.
             return {
-                "error": f"sweep failed: {failed}/{total} points failed "
-                f"(first: {first}); completed points are checkpointed — "
+                "error": f"sweep failed: {len(errors)}/{total} points failed "
+                f"(first: {errors[0]}); completed points are checkpointed — "
                 "resubmit to resume"
             }
         return {
@@ -1749,8 +1649,7 @@ class JobScheduler:
                 "resilience": self.resilience.to_dict(),
             }
         payload["worker"] = self.worker_health()
-        cache = scenario_cache_stats()
-        payload["program_cache"] = asdict(cache)
+        payload["program_cache"] = asdict(scenario_cache_stats())
         payload["gc"] = obs_metrics.gc_stats()
         if self.store is not None:
             payload["store"] = self.store.stats_dict()

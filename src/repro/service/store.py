@@ -7,10 +7,12 @@ computed once is a key-value read forever after, across processes and
 across server restarts.
 
 **Addressing.**  A record's key is the SHA-256 of the canonical JSON
-(:func:`repro.analysis.export.record_line`) of its identity parts:
+(:func:`repro.sim.linecodec.record_line`) of its identity parts:
 the scenario's structural signature, a digest of the generated input
 arrays, the engine-options overrides, the seed, and
-:func:`code_version` — a digest of the ``repro`` package's own source.
+:func:`~repro.codeversion.code_version` — a digest of the ``repro``
+package's own source (defined below the sweep layers, which stamp their
+journals with it; re-exported here).
 Any code change therefore changes every key, which is the store's whole
 cache-invalidation story: stale entries are never *read* again, they
 simply age out of the LRU (see ``docs/serving.md``).
@@ -51,42 +53,11 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Dict, Iterator, List, Mapping, Optional, Union
 
-from ..analysis.export import record_line
+from ..codeversion import code_version  # noqa: F401  (re-exported)
+from ..sim.linecodec import record_line
 from . import faults
 
 _KEY_PATTERN = re.compile(r"^[0-9a-f]{64}$")
-
-#: Process-wide memo for :func:`code_version` (hashing ~100 source files
-#: once per process, not once per request).
-_CODE_VERSION: Optional[str] = None
-
-
-def code_version() -> str:
-    """A digest of the ``repro`` package's own source code.
-
-    Computed by hashing every ``*.py`` file under the package root (path
-    + contents, in sorted path order), so *any* code change — engine,
-    scenarios, serialization — bumps the version and thereby invalidates
-    every store key built from it.  ``EQUEUE_CODE_VERSION`` overrides the
-    digest (tests use it to simulate a version bump without editing
-    files).
-    """
-    global _CODE_VERSION
-    override = os.environ.get("EQUEUE_CODE_VERSION")
-    if override:
-        return hashlib.sha256(override.encode("utf-8")).hexdigest()[:16]
-    if _CODE_VERSION is None:
-        import repro
-
-        root = Path(repro.__file__).resolve().parent
-        digest = hashlib.sha256()
-        for path in sorted(root.rglob("*.py")):
-            digest.update(str(path.relative_to(root)).encode("utf-8"))
-            digest.update(b"\0")
-            digest.update(path.read_bytes())
-            digest.update(b"\0")
-        _CODE_VERSION = digest.hexdigest()[:16]
-    return _CODE_VERSION
 
 
 def inputs_digest(inputs: Optional[Mapping]) -> str:

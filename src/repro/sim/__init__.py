@@ -12,16 +12,13 @@ from .batch import (
     deterministic_conv_inputs,
     process_compile_cache,
     sample_conv_inputs,
-    simulate_systolic_cached,
     structural_signature,
 )
 from .journal import (
     JOURNAL_KIND,
     JournalError,
     SweepJournal,
-    journal_line,
     load_journal,
-    parse_journal_line,
 )
 from .components import (
     Buffer,
@@ -80,8 +77,7 @@ __all__ = [
     "SimulationResult", "resolve_execution_mode", "simulate",
     "CachedProgram", "CompileCache", "CompileCacheStats", "SweepRunner",
     "default_jobs", "deterministic_conv_inputs", "process_compile_cache",
-    "sample_conv_inputs", "simulate_systolic_cached",
-    "structural_signature",
+    "sample_conv_inputs", "structural_signature",
     "AllOf", "AnyOf", "HeapSimulator", "Process", "ScheduleQueue",
     "SimEvent", "SimulationError", "Simulator", "WHEEL_SIZE", "all_of",
     "any_of", "make_simulator",

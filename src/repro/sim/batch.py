@@ -16,16 +16,22 @@ process pools are unavailable or the work is not picklable — degrades to
 an in-process serial loop with the same semantics.
 
 **Cross-simulation compile caching** — sweep points are frequently
-*structurally identical*: the generated EQueue module depends only on the
-dataflow, array shape, stream length, and fold counts, while the points
-differ in convolution dims and data.  :class:`CompileCache` keys on that
-:func:`structural_signature` and reuses both the built (and verified)
-module and the :class:`~repro.sim.plan.PlanCache` of compiled block
-plans, making compilation compile-once/execute-many *across* simulations.
-Each worker process holds one process-wide cache
-(:func:`process_compile_cache`); the runner sorts work so structurally
-identical points land in the same chunk ("signature-affine" sharding),
-which keeps the per-worker caches as warm as the serial cache would be.
+*structurally identical*: a generated systolic module depends only on the
+dataflow, array shape, stream length, and fold counts
+(:func:`structural_signature`), while the points differ in convolution
+dims and data.  :class:`CompileCache` keys on whatever structure key its
+caller computes and reuses both the built (and verified) module and the
+:class:`~repro.sim.plan.PlanCache` of compiled block plans, making
+compilation compile-once/execute-many *across* simulations.  Each
+process holds ONE such cache (:func:`process_compile_cache`) — the
+systolic DSE, scenario sweeps and the service all fill and hit it — and
+the runner sorts work so structurally identical points land in the same
+chunk ("signature-affine" sharding), which keeps the per-worker caches
+as warm as the serial cache would be.
+
+**One resumable driver** — :meth:`SweepRunner.resume_map` computes only
+what a checkpoint lacks: a journal (:func:`journaled_sweep`, both
+library sweeps) or the service's result store.
 
 Determinism: every simulation is independent and internally
 deterministic, the cache changes nothing observable (proven by the
@@ -47,13 +53,14 @@ from concurrent.futures import (
     wait,
 )
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import (
     Callable,
     Dict,
     Iterable,
     List,
+    Mapping,
     Optional,
     Sequence,
     Tuple,
@@ -63,7 +70,8 @@ from typing import (
 import numpy as np
 
 from . import permanent
-from .engine import EngineOptions, SimulationResult, simulate
+from .engine import EngineOptions, ExecutionMode, SimulationResult, simulate
+from .journal import SweepJournal, journal_header
 from .plan import PlanCache
 
 T = TypeVar("T")
@@ -87,11 +95,12 @@ _PENDING = object()
 class SweepInterrupted(RuntimeError):
     """A cooperative cancel stopped the sweep after a clean drain.
 
-    Raised by :meth:`SweepRunner.map` (and the serial sweep loops built
-    on it) when a ``cancel`` event is observed: in-flight chunks are
-    drained and delivered first, so everything completed before the
-    interruption has already reached ``on_result`` — the state on disk
-    (journal, store) is resumable, never torn.
+    Raised by :meth:`SweepRunner.map` (and, recounted over the whole
+    sweep, by :meth:`SweepRunner.resume_map`) when a ``cancel`` event is
+    observed: in-flight chunks are drained and delivered first, so
+    everything completed before the interruption has already reached
+    ``on_result`` — the state on disk (journal, store) is resumable,
+    never torn.
     """
 
     def __init__(self, completed: int, total: int):
@@ -148,29 +157,14 @@ class ResilienceStats:
     fallback_reason: Optional[str] = None
 
     def merge(self, other: "ResilienceStats") -> None:
-        self.pool_rebuilds += other.pool_rebuilds
-        self.chunks_retried += other.chunks_retried
-        self.chunk_splits += other.chunk_splits
-        self.poison_isolated += other.poison_isolated
-        self.deadline_timeouts += other.deadline_timeouts
-        self.serial_fallbacks += other.serial_fallbacks
-        self.items_recovered_serial += other.items_recovered_serial
-        self.points_resumed += other.points_resumed
+        for name, value in asdict(other).items():
+            if name != "fallback_reason":
+                setattr(self, name, getattr(self, name) + value)
         if other.fallback_reason is not None:
             self.fallback_reason = other.fallback_reason
 
     def to_dict(self) -> Dict:
-        return {
-            "pool_rebuilds": self.pool_rebuilds,
-            "chunks_retried": self.chunks_retried,
-            "chunk_splits": self.chunk_splits,
-            "poison_isolated": self.poison_isolated,
-            "deadline_timeouts": self.deadline_timeouts,
-            "serial_fallbacks": self.serial_fallbacks,
-            "items_recovered_serial": self.items_recovered_serial,
-            "points_resumed": self.points_resumed,
-            "fallback_reason": self.fallback_reason,
-        }
+        return asdict(self)
 
     def eventful(self) -> bool:
         """True when anything nonzero happened (worth reporting)."""
@@ -289,8 +283,9 @@ def _run_chunk(
 class SweepRunner:
     """Shard independent work items across a process pool, deterministically.
 
-    ``jobs``: worker process count (``None`` = all usable CPUs; ``1`` =
-    in-process serial execution, no pool).
+    ``jobs``: worker process count (``None`` or non-positive — the CLI's
+    ``--jobs 0`` — = all usable CPUs; ``1`` = in-process serial
+    execution, no pool).
     ``chunk_size``: items per dispatched task (``None`` = balanced
     automatically, a few chunks per worker).
     ``key``: optional item key for cache-affine sharding — items with
@@ -331,7 +326,7 @@ class SweepRunner:
         max_pool_rebuilds: Optional[int] = None,
         describe: Optional[Callable[[T], str]] = None,
     ):
-        self.jobs = default_jobs() if jobs is None else max(1, int(jobs))
+        self.jobs = default_jobs() if jobs is None or jobs <= 0 else int(jobs)
         self.chunk_size = chunk_size
         self.key = key
         #: Wall-clock budget for one dispatch round of chunks (``None``
@@ -352,15 +347,18 @@ class SweepRunner:
 
     # -- sharding ------------------------------------------------------
 
-    def _order(self, items: Sequence[T]) -> List[int]:
-        """Dispatch order: signature-affine when a key is provided."""
+    def _order(self, items: Sequence[T]) -> Tuple[List[int], List[str]]:
+        """Dispatch order — signature-affine when a key is provided —
+        plus each item's key string (by item index), computed once: a
+        key may be as costly as re-resolving a scenario config."""
         indices = list(range(len(items)))
-        if self.key is not None:
-            keyed = self.key
-            indices.sort(key=lambda i: repr(keyed(items[i])))
-        return indices
+        if self.key is None:
+            return indices, []
+        keys = [repr(self.key(item)) for item in items]
+        indices.sort(key=keys.__getitem__)
+        return indices, keys
 
-    def _chunks(self, items: Sequence[T], order: List[int]) -> List[List[int]]:
+    def _chunks(self, order: List[int], keys: List[str]) -> List[List[int]]:
         count = len(order)
         if self.chunk_size is not None:
             size = max(1, int(self.chunk_size))
@@ -368,19 +366,18 @@ class SweepRunner:
             # A few chunks per worker balances load without splintering
             # the signature groups the affine ordering created.
             size = max(1, -(-count // (self.jobs * 2)))
-        if self.key is None:
+        if not keys:
             return [order[i : i + size] for i in range(0, count, size)]
         # Cut only at key-group boundaries: a group split across chunks
         # may land in different workers, whose process-wide caches would
         # each pay the group's compile (and memoized-simulation) cost.
-        keyed = self.key
         chunks: List[List[int]] = []
         current: List[List[int]] = []
         filled = 0
         group: List[int] = []
         group_key = object()
         for index in order + [None]:  # sentinel flushes the last group
-            key = repr(keyed(items[index])) if index is not None else None
+            key = keys[index] if index is not None else None
             if key != group_key:
                 if group:
                     current.append(group)
@@ -444,6 +441,54 @@ class SweepRunner:
         # produced and run only the items still missing.
         return self._map_serial(worker, items, on_result, cancel, results)
 
+    def resume_map(
+        self,
+        worker: Callable[[T], R],
+        items: Sequence[T],
+        completed: Mapping[int, R],
+        on_result: Optional[Callable[[int, R], None]] = None,
+        cancel: Optional["threading.Event"] = None,
+        stats: Optional[ResilienceStats] = None,
+    ) -> List[R]:
+        """:meth:`map` over only the items a checkpoint does not hold —
+        THE resumable sweep driver.
+
+        ``completed`` maps item indices to results a checkpoint already
+        has; the rest are computed, ``on_result`` observes each under
+        its *original* index (the checkpoint write), and the merged list
+        comes back in item order — bit-identical to an uninterrupted
+        run, since every result is a pure function of its item.  A
+        :class:`SweepInterrupted` is recounted over the whole sweep;
+        ``stats`` accumulates the resumed count and this run's recovery
+        work, interrupted or not.
+        """
+        total = len(items)
+        results: List = [completed.get(i, _PENDING) for i in range(total)]
+        missing = [i for i in range(total) if results[i] is _PENDING]
+        if stats is not None:
+            stats.points_resumed += total - len(missing)
+
+        def deliver(position: int, value: R) -> None:
+            index = missing[position]
+            if on_result is not None:
+                on_result(index, value)
+            results[index] = value
+
+        try:
+            if missing:
+                self.map(
+                    worker,
+                    [items[i] for i in missing],
+                    on_result=deliver,
+                    cancel=cancel,
+                )
+        except SweepInterrupted:
+            raise SweepInterrupted(self._completed(results), total) from None
+        finally:
+            if stats is not None and missing:
+                stats.merge(self.resilience)
+        return results
+
     def _fall_back(self, reason: str) -> None:
         self.fell_back = True
         self.resilience.serial_fallbacks += 1
@@ -504,8 +549,7 @@ class SweepRunner:
         on_result: Optional[Callable[[int, R], None]],
         cancel,
     ) -> List[R]:
-        order = self._order(items)
-        chunks = self._chunks(items, order)
+        chunks = self._chunks(*self._order(items))
         # Children must find repro via PYTHONPATH; restore the parent's
         # environment afterwards so the mutation cannot leak into later
         # unrelated subprocesses.
@@ -709,6 +753,65 @@ class SweepRunner:
         return pending
 
 
+def journaled_sweep(
+    worker: Callable[[T], R],
+    payloads: Sequence[T],
+    request: Mapping,
+    encode: Callable[[R], Dict],
+    decode: Callable[[Mapping], R],
+    runner: SweepRunner,
+    journal=None,
+    resume: bool = False,
+    cancel=None,
+    runner_stats: Optional[ResilienceStats] = None,
+) -> List[R]:
+    """One library sweep, optionally checkpointed to a journal.
+
+    The shared body of :func:`repro.analysis.run_sweep` and
+    :func:`repro.scenarios.run_scenario_sweep` (which documents
+    ``journal``/``resume``/``cancel``/``runner_stats``); callers bring
+    only what differs — their worker and payloads, the ``request`` dict
+    that identifies the sweep (:func:`~repro.sim.journal.journal_header`)
+    and their point codec (``encode`` to a JSON-native record, ``decode``
+    back).  The journal is closed on every way out, so an interrupted
+    sweep leaves a resumable file.
+    """
+    if journal is None:
+        return runner.resume_map(worker, payloads, {}, None, cancel, runner_stats)
+    if not isinstance(journal, SweepJournal):
+        journal = SweepJournal(journal)
+    total = len(payloads)
+
+    def checkpoint(index: int, point: R) -> None:
+        journal.append_point(index, encode(point))
+
+    try:
+        header = journal_header(request, total)
+        completed = {
+            index: decode(record)
+            for index, record in journal.open(header, resume).items()
+            if 0 <= index < total
+        }
+        return runner.resume_map(
+            worker, payloads, completed, checkpoint, cancel, runner_stats
+        )
+    finally:
+        journal.close()
+
+
+def subsample(points: Sequence[T], sample: Optional[int], seed: int) -> List[T]:
+    """The deterministic ``sample``-point subsample of a sweep space, in
+    sweep order — one rule, so a library sweep, a CLI ``--sweep
+    --sample`` and a service sweep of the same request evaluate the
+    same points."""
+    if sample is None or sample >= len(points):
+        return list(points)
+    chosen = np.random.default_rng(seed).choice(
+        len(points), size=sample, replace=False
+    )
+    return [points[i] for i in sorted(chosen)]
+
+
 # ---------------------------------------------------------------------------
 # The cross-simulation compile cache
 # ---------------------------------------------------------------------------
@@ -735,7 +838,9 @@ def structural_signature(cfg) -> Tuple:
 
 @dataclass
 class CompileCacheStats:
-    """Hit/miss accounting for one :class:`CompileCache`."""
+    """Build/hit accounting for one :class:`CompileCache`.  The process
+    cache's instance is what ``/stats`` reports as ``program_cache``;
+    tests use it to prove a warm path builds nothing."""
 
     programs_built: int = 0
     program_hits: int = 0
@@ -745,9 +850,8 @@ class CompileCacheStats:
 class CachedProgram:
     """One structure's reusable compilation artifacts: the
     built-and-verified module plus the plan cache accumulated over every
-    simulation of that structure.  The canonical way to run the cached
-    path — every caller (DSE evaluator, bench workers,
-    :func:`simulate_systolic_cached`) goes through :meth:`simulate`."""
+    simulation of that structure.  Every cached simulation — DSE point,
+    scenario sweep point, service job — goes through :meth:`simulate`."""
 
     module: object
     plan_cache: PlanCache
@@ -755,14 +859,6 @@ class CachedProgram:
     #: program is owed to the permanent generation: parked there by the
     #: next cached simulation (:mod:`repro.sim.permanent`).
     parked: bool = False
-
-    def program(self, cfg):
-        """A :class:`~repro.generators.systolic.SystolicProgram` wrapper
-        carrying the point's own config, so data marshalling uses the
-        right dims."""
-        from ..generators.systolic import SystolicProgram
-
-        return SystolicProgram(module=self.module, config=cfg)
 
     def simulate(
         self,
@@ -780,11 +876,12 @@ class CachedProgram:
         # The previous cached simulation's result is out of its caller's
         # hands by now: the safe point for the hand-off it deferred.
         permanent.settle()
+        compiled = options.mode is not ExecutionMode.INTERPRET
         result = simulate(
             self.module,
             options,
             inputs=inputs,
-            plan_cache=self.plan_cache if options.compile_plans else None,
+            plan_cache=self.plan_cache if compiled else None,
         )
         if not self.parked:
             # Built, verified, plans compiled: nothing here changes any
@@ -808,58 +905,42 @@ def drop_programs(entries: Dict[Tuple, CachedProgram]) -> None:
 class CompileCache:
     """Reusable compilation artifacts keyed by structural signature.
 
-    The nth structurally identical sweep point skips IR construction,
-    verification, *and* block-plan compilation.  Entries pin their
-    modules (and the plans pin their blocks), so the cache is also what
-    keeps ``id``-keyed plan lookups safe over time.
-
-    ``fill_hooks`` observe cache fills: each hook is called as
-    ``hook(signature, entry)`` right after a miss builds a new entry —
-    the observability point for anything accounting compile work over
-    this cache (mirroring ``scenario_cache_stats`` on the registry
-    path, which is how the service layer proves its warm path builds
-    nothing).
+    The nth structurally identical simulation skips IR construction,
+    verification, *and* block-plan compilation.  Callers bring the
+    signature and the builder (equal signatures must build identical
+    modules), so a ``systolic`` scenario request and a DSE point of the
+    same structure share one entry.  Entries pin their modules (and the
+    plans pin their blocks), so the cache is also what keeps
+    ``id``-keyed plan lookups safe over time.
     """
 
     entries: Dict[Tuple, CachedProgram] = field(default_factory=dict)
     stats: CompileCacheStats = field(default_factory=CompileCacheStats)
-    fill_hooks: List[Callable[[Tuple, "CachedProgram"], None]] = field(
-        default_factory=list
-    )
 
     def __post_init__(self):
         # A cache dropped without clear() must not strand the programs
         # it parked.
         weakref.finalize(self, drop_programs, self.entries).atexit = False
 
-    def add_fill_hook(
-        self, hook: Callable[[Tuple, "CachedProgram"], None]
-    ) -> None:
-        """Observe future cache fills (misses that build a program)."""
-        self.fill_hooks.append(hook)
-
-    def lookup(self, cfg) -> CachedProgram:
-        """The cached artifacts for a configuration's structure."""
-        signature = structural_signature(cfg)
+    def lookup(
+        self, signature: Tuple, build: Callable[[], object]
+    ) -> CachedProgram:
+        """The cached artifacts for ``signature``; a miss calls
+        ``build()`` for the (verified) module."""
         entry = self.entries.get(signature)
         if entry is None:
-            from ..generators.systolic import build_systolic_program
-
-            entry = CachedProgram(
-                module=build_systolic_program(cfg).module,
-                plan_cache=PlanCache(),
+            entry = self.entries[signature] = CachedProgram(
+                build(), PlanCache()
             )
-            self.entries[signature] = entry
             self.stats.programs_built += 1
-            for hook in self.fill_hooks:
-                hook(signature, entry)
         else:
             self.stats.program_hits += 1
         return entry
 
     def clear(self) -> None:
         drop_programs(self.entries)
-        self.stats = CompileCacheStats()
+        self.stats.programs_built = 0
+        self.stats.program_hits = 0
 
 
 #: The per-process cache shared by every cached simulation in this
@@ -871,23 +952,6 @@ _PROCESS_CACHE = CompileCache()
 def process_compile_cache() -> CompileCache:
     """This process's compile cache (one per worker, one in the parent)."""
     return _PROCESS_CACHE
-
-
-def simulate_systolic_cached(
-    cfg,
-    inputs: Optional[Dict[str, np.ndarray]] = None,
-    options: Optional[EngineOptions] = None,
-    cache: Optional[CompileCache] = None,
-) -> SimulationResult:
-    """Simulate a systolic configuration through the compile cache.
-
-    Build, verification (done once at build time), and block-plan
-    compilation are shared across every structurally identical
-    configuration simulated in this process.  Results are bit-identical
-    to a cold :func:`repro.sim.simulate` of a freshly built program.
-    """
-    cache = _PROCESS_CACHE if cache is None else cache
-    return cache.lookup(cfg).simulate(inputs, options)
 
 
 def result_record(
@@ -925,35 +989,3 @@ def sample_conv_inputs(dims, rng):
 def deterministic_conv_inputs(dims, seed: int):
     """:func:`sample_conv_inputs` from a per-point seeded generator."""
     return sample_conv_inputs(dims, np.random.default_rng(seed))
-
-
-def measure_systolic_point(payload) -> Dict[str, float]:
-    """Spawn-safe DES measurement worker: one systolic config, one dict.
-
-    ``payload`` is ``(cfg, seed)`` or ``(cfg, seed, option_overrides)``
-    where ``option_overrides`` is a picklable dict of
-    :class:`~repro.sim.engine.EngineOptions` field overrides (e.g.
-    ``{"scheduler": "heap"}`` to run a whole sweep on the reference
-    scheduler for differential checks).  Runs the configuration with
-    deterministic random conv inputs through the cached-compile path and
-    returns the scalar measurements sweep-style benchmarks plot (cycles,
-    ofmap-SRAM write traffic and average write bandwidth).
-    """
-    cfg, seed, *rest = payload
-    options = None
-    if rest and rest[0]:
-        options = EngineOptions(**{"verify_module": False, **rest[0]})
-    ifmap, weights = deterministic_conv_inputs(cfg.dims, seed)
-    cached = _PROCESS_CACHE.lookup(cfg)
-    result = cached.simulate(
-        cached.program(cfg).prepare_inputs(ifmap, weights), options
-    )
-    report = result.summary.memory_named("ofmap_mem")
-    bytes_written = report.bytes_written if report else 0
-    return {
-        "cycles": result.cycles,
-        "ofmap_bytes_written": bytes_written,
-        "avg_ofmap_write_bw": (
-            bytes_written / result.cycles if result.cycles else 0.0
-        ),
-    }

@@ -39,10 +39,9 @@ Execution has three interchangeable strategies, selected by one
 
 Observable results (cycle counts, buffers, statistics, even the
 scheduler-event count) are bit-identical across all three modes; see
-``docs/performance.md`` for the full story.  ``compile_plans`` remains
-as a deprecated boolean alias for ``interpret``/``plan``;
+``docs/performance.md`` for the full story.
 :func:`resolve_execution_mode` is the one canonical normalization
-point mapping the alias and the enum onto each other.
+point from mode spellings onto the enum.
 
 Orthogonally, ``EngineOptions.scheduler`` selects the DES scheduler
 backend: the tiered event wheel (``"wheel"``, default — microtask ring
@@ -56,7 +55,6 @@ from __future__ import annotations
 
 import enum
 import time as _time
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
@@ -114,35 +112,24 @@ class ExecutionMode(str, enum.Enum):
 
 def resolve_execution_mode(
     mode: Union[str, ExecutionMode, None],
-    compile_plans: bool = True,
 ) -> ExecutionMode:
     """THE canonical normalization point for execution-path selection.
 
-    Maps the :class:`ExecutionMode` enum and the deprecated
-    ``compile_plans`` boolean alias onto one resolved mode.  Every
-    surface that accepts both — :class:`EngineOptions`, ``equeue-sim``
-    (``--mode`` vs ``--interpret``), the service request layer — routes
-    through here, so the alias cannot drift from the enum.
-
-    ``mode=None`` defers to the alias (``True`` → ``plan``, ``False`` →
-    ``interpret``).  An explicit mode wins, but contradicting it with
-    ``compile_plans=False`` raises ``ValueError`` rather than guessing.
+    Maps an :class:`ExecutionMode`, its string spelling, or ``None``
+    (the default, ``plan``) onto one resolved mode.  Every surface that
+    accepts a mode — :class:`EngineOptions`, ``equeue-sim --mode``, the
+    service request layer — routes through here, so an unknown spelling
+    is rejected with the same message everywhere.
     """
     if mode is None:
-        return ExecutionMode.PLAN if compile_plans else ExecutionMode.INTERPRET
+        return ExecutionMode.PLAN
     try:
-        resolved = ExecutionMode(mode)
+        return ExecutionMode(mode)
     except ValueError:
         valid = ", ".join(m.value for m in ExecutionMode)
         raise ValueError(
             f"unknown execution mode {mode!r}; valid modes: {valid}"
         ) from None
-    if not compile_plans and resolved is not ExecutionMode.INTERPRET:
-        raise ValueError(
-            f"mode={resolved.value!r} conflicts with compile_plans=False "
-            "(drop the deprecated alias when selecting a mode explicitly)"
-        )
-    return resolved
 
 
 @dataclass
@@ -170,15 +157,10 @@ class EngineOptions:
     #: already verified (e.g. programs served from the cross-simulation
     #: compile cache, which verify once at build time).
     verify_module: bool = True
-    #: Deprecated alias for ``mode``: ``True`` → ``plan``, ``False`` →
-    #: ``interpret``.  Normalized (and kept in sync with the resolved
-    #: mode, so existing ``options.compile_plans`` readers keep working)
-    #: by :func:`resolve_execution_mode` in ``__post_init__``.
-    compile_plans: bool = True
     #: Execution path: ``interpret`` | ``plan`` | ``codegen`` (an
-    #: :class:`ExecutionMode` or its string spelling; ``None`` defers to
-    #: the ``compile_plans`` alias, i.e. defaults to ``plan``).  After
-    #: construction this is always a resolved :class:`ExecutionMode`.
+    #: :class:`ExecutionMode` or its string spelling; ``None`` means the
+    #: default, ``plan``).  After construction this is always a resolved
+    #: :class:`ExecutionMode`.
     mode: Union[str, ExecutionMode, None] = None
     #: Allow compiled plans to batch contention-free ``affine.for`` bodies
     #: into single NumPy evaluations (plan and codegen modes).
@@ -196,18 +178,7 @@ class EngineOptions:
     trace_max_records: int = 0
 
     def __post_init__(self):
-        if self.mode is None and not self.compile_plans:
-            warnings.warn(
-                "EngineOptions(compile_plans=False) is deprecated; use "
-                "EngineOptions(mode='interpret') (ExecutionMode.INTERPRET)",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-        self.mode = resolve_execution_mode(self.mode, self.compile_plans)
-        # Keep the deprecated alias observable and consistent: sweep and
-        # batch plumbing still reads ``options.compile_plans`` to decide
-        # whether a plan cache applies (true for plan AND codegen).
-        self.compile_plans = self.mode is not ExecutionMode.INTERPRET
+        self.mode = resolve_execution_mode(self.mode)
 
 
 class Future:
@@ -335,7 +306,7 @@ class Engine:
         # simulation); keyed by id(op).  This matters because interpreted
         # loops execute the same ops millions of times.
         self._static: Dict[int, tuple] = {}
-        if self.options.compile_plans:
+        if self.options.mode is not ExecutionMode.INTERPRET:
             # An externally provided cache makes compilation survive this
             # engine: plans compiled here replay in later engines that
             # attach the same cache (see repro.sim.batch).  Attachment is

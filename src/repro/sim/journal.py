@@ -2,9 +2,10 @@
 
 A long design-space sweep must survive being killed — SIGTERM, OOM, a
 deadline — without losing completed work.  The journal is the on-disk
-checkpoint the sweep loops (:func:`repro.scenarios.run_scenario_sweep`,
-:func:`repro.analysis.run_sweep`) write through as points complete, and
-what ``equeue-sim --journal PATH --resume`` replays to skip them.
+checkpoint both library sweeps (:func:`repro.scenarios.run_scenario_sweep`,
+:func:`repro.analysis.run_sweep`) write through as points complete — via
+the one :func:`repro.sim.batch.journaled_sweep` driver — and what
+``equeue-sim --journal PATH --resume`` replays to skip them.
 
 Format (one record per line, self-verifying — the shared
 :mod:`repro.sim.linecodec` format, which the service admission WAL
@@ -12,7 +13,7 @@ Format (one record per line, self-verifying — the shared
 
     <canonical JSON> #sha256:<16 hex digits>\n
 
-* The JSON is :func:`repro.analysis.export.record_line` canonical form
+* The JSON is :func:`~repro.sim.linecodec.record_line` canonical form
   (sorted keys, compact separators, numpy converted), so a journaled
   point round-trips bit-identically through the same serialization every
   other result surface uses.
@@ -21,14 +22,15 @@ Format (one record per line, self-verifying — the shared
   tail*: everything after it is dropped on open.  Truncating to the
   valid prefix is always safe because a dropped point is merely
   recomputed, never wrong.
-* The first record is the header (``kind = "sweep-journal/v1"``)
-  capturing the request (grid, seed, options, check), the point count,
-  and the code version.  Resume refuses a journal whose header does not
-  match the current request — a checkpoint from different code or a
-  different sweep must not be merged.
+* The first record is the header (:func:`journal_header`,
+  ``kind = "sweep-journal/v1"``) capturing the request (grid, seed,
+  options, check), the point count, and the code version.  Resume
+  refuses a journal whose header does not match the current request — a
+  checkpoint from different code or a different sweep must not be
+  merged.
 * Each completed point appends ``{"kind": "point", "index": i,
-  "point": {...}}``.  Unknown kinds are tolerated on read (e.g. the
-  ``interrupted`` marks the CLI leaves behind), so the format can grow.
+  "point": {...}}``.  Unknown kinds are tolerated on read, so the format
+  can grow.
 
 Appends are atomic in practice: one ``write()`` of a complete line to an
 append-mode handle, flushed (and fsynced by default) per point.  A crash
@@ -41,13 +43,8 @@ import os
 from pathlib import Path
 from typing import Dict, Mapping, Optional, Tuple
 
-from .linecodec import canonical_line, encode_line, parse_line, scan_lines
-
-
-def record_line(record: Mapping) -> str:
-    """The shared canonical serializer (see :mod:`repro.sim.linecodec`)."""
-    return canonical_line(record)
-
+from ..codeversion import code_version
+from .linecodec import encode_line, record_line, scan_lines
 
 #: The journal format identifier (bump on incompatible change).
 JOURNAL_KIND = "sweep-journal/v1"
@@ -58,14 +55,22 @@ class JournalError(ValueError):
     (different sweep, different code version) on ``--resume``."""
 
 
-def journal_line(record: Mapping) -> str:
-    """One self-verifying journal line (no trailing newline)."""
-    return encode_line(record)
+def journal_header(request: Mapping, total: int) -> Dict:
+    """The header identifying one sweep request exactly.
 
-
-def parse_journal_line(text: str) -> Optional[Dict]:
-    """Decode one journal line; ``None`` when torn or corrupt."""
-    return parse_line(text)
+    ``request`` holds what selects the points and their observables —
+    nothing that only selects *how* they are computed (``jobs``,
+    caching): a ``jobs=N`` journal must resume with ``jobs=1``, that
+    equality is the whole resilience contract.  The code version is
+    stamped here, once for every journaled sweep: resume must never mix
+    points two code versions produced.
+    """
+    return {
+        "kind": JOURNAL_KIND,
+        "request": dict(request),
+        "total": int(total),
+        "code": code_version(),
+    }
 
 
 def load_journal(
@@ -179,7 +184,7 @@ class SweepJournal:
     def _append_record(self, record: Mapping) -> None:
         if self._handle is None:
             raise JournalError(f"{self.path}: journal is not open")
-        self._handle.write((journal_line(record) + "\n").encode("utf-8"))
+        self._handle.write((encode_line(record) + "\n").encode("utf-8"))
         self._handle.flush()
         if self.sync:
             os.fsync(self._handle.fileno())
@@ -189,8 +194,3 @@ class SweepJournal:
         self._append_record(
             {"kind": "point", "index": int(index), "point": dict(point)}
         )
-
-    def mark(self, kind: str, **fields) -> None:
-        """Append an informational record (e.g. ``interrupted``).
-        Readers tolerate unknown kinds; marks never affect resume."""
-        self._append_record({"kind": str(kind), **fields})

@@ -8,10 +8,10 @@ one implementation of the on-disk line format:
 
     <canonical JSON> #sha256:<16 hex digits>\\n
 
-* The JSON is :func:`repro.analysis.export.record_line` canonical form
-  (sorted keys, compact separators, numpy converted), so a journaled
-  record round-trips bit-identically through the same serialization
-  every other result surface uses.
+* The JSON is :func:`record_line` canonical form (sorted keys, compact
+  separators, numpy converted) — the serializer behind JSONL exports
+  and the service store's blobs too, so a journaled record round-trips
+  bit-identically through the bytes every other result surface uses.
 * The trailer is the first 16 hex digits of the line's SHA-256.  A line
   whose trailer does not verify — or that lacks its newline — is a
   *torn tail*: everything from it onward is dropped by
@@ -38,19 +38,32 @@ TRAILER_HEX = 16
 SEPARATOR = " #sha256:"
 
 
-def canonical_line(record: Mapping) -> str:
-    """The shared canonical serializer (lazy import: this module sits
-    below :mod:`repro.analysis` in the import graph — ``analysis.dse``
-    imports the sweep module that writes journals — so a module-level
-    import would be a cycle)."""
-    from ..analysis.export import record_line
+def _json_default(value):
+    """Convert NumPy scalars/arrays (oracle stats sometimes carry them)."""
+    item = getattr(value, "item", None)
+    if item is not None and getattr(value, "shape", None) == ():
+        return item()
+    tolist = getattr(value, "tolist", None)
+    if tolist is not None:
+        return tolist()
+    raise TypeError(f"{type(value).__name__} is not JSON-serializable")
 
-    return record_line(record)
+
+def record_line(record: Mapping) -> str:
+    """One record as its canonical JSON line (no trailing newline).
+
+    Keys sorted, compact separators, NumPy values converted — the byte
+    format shared by JSONL exports, the service store's blobs and both
+    durable logs: the same bytes regardless of insertion order.
+    """
+    return json.dumps(
+        record, sort_keys=True, separators=(",", ":"), default=_json_default
+    )
 
 
 def encode_line(record: Mapping) -> str:
     """One self-verifying journal line (no trailing newline)."""
-    line = canonical_line(record)
+    line = record_line(record)
     digest = hashlib.sha256(line.encode("utf-8")).hexdigest()[:TRAILER_HEX]
     return f"{line}{SEPARATOR}{digest}"
 

@@ -16,7 +16,7 @@ flush/trace decisions all resolved at compile time.  Executing a block
 then just replays the plan.  Observable behaviour (cycle counts, buffer
 contents, traffic statistics, busy time, even the scheduler-event count)
 is bit-identical to the interpreted path; the
-``EngineOptions.compile_plans`` escape hatch keeps the interpreter
+``EngineOptions(mode="interpret")`` escape hatch keeps the interpreter
 available for differential testing.
 
 Plans integrate with the tiered event-wheel scheduler of

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-import warnings
 from typing import List, Optional, Tuple
 
 from .. import dialects  # noqa: F401  (register dialects)
@@ -39,7 +38,6 @@ from ..scenarios import ScenarioError, all_scenarios, parse_scenario_spec
 from ..sim import (
     EngineOptions,
     SweepRunner,
-    resolve_execution_mode,
     simulate,
 )
 
@@ -93,15 +91,11 @@ def build_arg_parser() -> argparse.ArgumentParser:
         help="error if allocations exceed declared memory sizes",
     )
     parser.add_argument(
-        "--mode", choices=("interpret", "plan", "codegen"), default=None,
+        "--mode", choices=("interpret", "plan", "codegen"), default="plan",
         help="execution path: the reference interpreter, block-plan "
         "replay (default), or specialized Python source generated per "
         "block plan (fastest on repeated execution; bit-identical "
         "results across all three)",
-    )
-    parser.add_argument(
-        "--interpret", action="store_true",
-        help="deprecated alias for --mode interpret",
     )
     parser.add_argument(
         "--scheduler", choices=("wheel", "heap"), default="wheel",
@@ -397,7 +391,7 @@ def _run_sweep(args, scenario, cfg) -> int:
         try:
             points = run_scenario_sweep(
                 grid,
-                jobs=args.jobs if args.jobs > 0 else None,
+                jobs=args.jobs,
                 seed=args.seed,
                 sample=args.sample or None,
                 option_overrides=_sweep_option_overrides(args),
@@ -467,30 +461,9 @@ def _validate_args(parser: argparse.ArgumentParser, args) -> None:
 
     All rejections route through ``parser.error`` so bad invocations
     exit with a clean usage error (status 2), never a traceback, and
-    the rules cannot drift between call sites.  On return ``args.mode``
-    holds the resolved :class:`~repro.sim.ExecutionMode` value
-    (``"interpret"`` | ``"plan"`` | ``"codegen"``) with the deprecated
-    ``--interpret`` alias folded in.
+    the rules cannot drift between call sites.  (``--mode`` is range-
+    checked by its argparse ``choices``.)
     """
-    # -- execution-mode resolution (the one canonical normalization) ----
-    if args.interpret and args.mode not in (None, "interpret"):
-        parser.error(
-            f"--interpret conflicts with --mode {args.mode} "
-            "(--interpret is a deprecated alias for --mode interpret)"
-        )
-    if args.interpret:
-        warnings.warn(
-            "--interpret is deprecated; use --mode interpret",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-    try:
-        mode = resolve_execution_mode(
-            args.mode, compile_plans=not args.interpret
-        )
-    except ValueError as error:
-        parser.error(str(error))
-    args.mode = mode.value
     # -- flag-value ranges ---------------------------------------------
     if args.max_cycles < 0:
         parser.error(f"--max-cycles must be >= 0, got {args.max_cycles}")
@@ -604,8 +577,7 @@ def main(argv=None) -> int:
         )
         for name, source in sources
     ]
-    jobs = args.jobs if args.jobs > 0 else None
-    runner = SweepRunner(jobs=1 if len(payloads) == 1 else jobs)
+    runner = SweepRunner(jobs=1 if len(payloads) == 1 else args.jobs)
     failed = False
     batch = len(payloads) > 1
     for name, output, error in runner.map(_simulate_payload, payloads):

@@ -17,7 +17,11 @@ import pytest
 
 from repro.dialects import arith
 from repro.dialects.linalg import ConvDims
-from repro.generators.systolic import SystolicConfig
+from repro.generators.systolic import (
+    SystolicConfig,
+    SystolicProgram,
+    build_systolic_program,
+)
 from repro.ir import (
     Block,
     BoolAttr,
@@ -42,7 +46,11 @@ from repro.ir import attributes as attrs
 from repro.ir import types as ir_types
 from repro.passes import PassManager
 from repro.scenarios import get_scenario, scenario_names
-from repro.sim.batch import CompileCache, deterministic_conv_inputs
+from repro.sim.batch import (
+    CompileCache,
+    deterministic_conv_inputs,
+    structural_signature,
+)
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -236,8 +244,12 @@ RETAINED_BUDGET = 38_604
 
 def _simulate_once(cache: CompileCache, cfg: SystolicConfig):
     ifmap, weights = deterministic_conv_inputs(cfg.dims, 0)
-    entry = cache.lookup(cfg)
-    entry.simulate(entry.program(cfg).prepare_inputs(ifmap, weights))
+    entry = cache.lookup(
+        structural_signature(cfg), lambda: build_systolic_program(cfg).module
+    )
+    entry.simulate(
+        SystolicProgram(entry.module, cfg).prepare_inputs(ifmap, weights)
+    )
     return entry
 
 

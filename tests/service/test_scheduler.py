@@ -551,23 +551,18 @@ def test_code_version_bump_invalidates_store(tmp_path, monkeypatch):
 
 class TestExecutionModeStoreSafety:
     """The resolved mode participates in the store key: plan and codegen
-    records never cross, while alias spellings coalesce onto one key."""
+    records never cross, while default spellings coalesce onto one key."""
 
-    def test_alias_spellings_share_one_key(self):
+    def test_default_spellings_share_one_key(self):
         base = JobRequest.make("fir")
         assert JobRequest.make("fir", options={"mode": "plan"}) == base
-        assert JobRequest.make("fir", options={"compile_plans": True}) == base
         assert base.options == ()  # canonical: default mode is omitted
         interpret = JobRequest.make("fir", options={"mode": "interpret"})
-        aliased = JobRequest.make("fir", options={"compile_plans": False})
-        assert interpret.key() == aliased.key()
         assert dict(interpret.options) == {"mode": "interpret"}
 
-    def test_mode_conflicts_and_bad_values_rejected(self):
-        with pytest.raises(RequestError, match="compile_plans"):
-            JobRequest.make(
-                "fir", options={"mode": "codegen", "compile_plans": False}
-            )
+    def test_removed_alias_and_bad_values_rejected(self):
+        with pytest.raises(RequestError, match="unknown engine option"):
+            JobRequest.make("fir", options={"compile_plans": False})
         with pytest.raises(RequestError, match="valid modes"):
             JobRequest.make("fir", options={"mode": "turbo"})
 
@@ -626,12 +621,10 @@ class TestExecutionModeStoreSafety:
             job = warm.submit(request)
             assert job.done and job.source == "store"
             assert job.record == record
-        # Deprecated alias spellings hit the same records.
-        aliased = warm.submit(
-            JobRequest.make("fir", options={"compile_plans": True})
-        )
-        assert aliased.done and aliased.source == "store"
-        assert aliased.record == plan_record
+        # The explicit default spelling hits the same record.
+        spelled = warm.submit(JobRequest.make("fir", options={"mode": "plan"}))
+        assert spelled.done and spelled.source == "store"
+        assert spelled.record == plan_record
         assert warm.stats.simulated == 0
         assert warm.stats.store_hits == 3
 
@@ -640,7 +633,7 @@ class TestExecutionModeStoreSafety:
         scheduler.submit(JobRequest.make("fir"))
         scheduler.submit(JobRequest.make("fir", options={"mode": "codegen"}))
         scheduler.submit(
-            JobRequest.make("fir", options={"compile_plans": False}, seed=1)
+            JobRequest.make("fir", options={"mode": "interpret"}, seed=1)
         )
         scheduler.run_pending()
         by_mode = scheduler.stats_dict()["submitted_by_mode"]

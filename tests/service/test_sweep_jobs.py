@@ -122,31 +122,6 @@ class TestSchedulerSweeps:
         # Only the failed point simulated on the resume pass.
         assert scheduler.stats.sweep_points_simulated == 12
 
-    def test_restart_resumes_from_store(self, tmp_path):
-        # Simulate a service restart: a fresh scheduler over the same
-        # store directory inherits the checkpoints.
-        store_path = str(tmp_path / "store")
-        plan = FaultPlan.from_dict({
-            "name": "crash-late", "seed": 0,
-            "faults": [{
-                "site": "job.evaluate", "action": "engine-error",
-                "after": 3, "count": -1,
-            }],
-        })
-        request = SweepRequest.make("gemm", sample=6)
-        first = JobScheduler(store=ResultStore(store_path), jobs=1)
-        with injected(plan):
-            job = first.submit_sweep(request)
-            first.run_pending()
-        assert job.state == "error"
-
-        second = JobScheduler(store=ResultStore(store_path), jobs=1)
-        resumed = second.submit_sweep(request)
-        second.run_pending()
-        assert resumed.result()["points_total"] == 6
-        assert second.stats.sweep_points_resumed == 3
-        assert second.stats.sweep_points_simulated == 3
-
     def test_stats_carry_resilience_counters(self, scheduler):
         scheduler.submit_sweep(SweepRequest.make("gemm", sample=2))
         scheduler.run_pending()

@@ -36,17 +36,6 @@ class TestLineCodec:
         assert valid_bytes == len(good[0]) + len(good[1])
         assert dropped == 1
 
-    def test_wal_and_journal_share_the_format(self):
-        # The WAL's lines must parse with the journal's codec — one
-        # on-disk format, one implementation.
-        from repro.sim.journal import parse_journal_line
-
-        line = encode_line({"kind": "admitted", "job": "job-000009"})
-        assert parse_journal_line(line) == {
-            "kind": "admitted",
-            "job": "job-000009",
-        }
-
 
 class TestAdmissionWAL:
     def test_fresh_open_writes_header(self, tmp_path):

@@ -5,13 +5,16 @@ import numpy as np
 import pytest
 
 from repro.dialects.linalg import ConvDims
-from repro.generators.systolic import SystolicConfig, build_systolic_program
+from repro.generators.systolic import (
+    SystolicConfig,
+    SystolicProgram,
+    build_systolic_program,
+)
 from repro.sim import (
     CompileCache,
     EngineOptions,
     SweepRunner,
     simulate,
-    simulate_systolic_cached,
     structural_signature,
 )
 from repro.sim.plan import PlanCache
@@ -19,6 +22,13 @@ from repro.sim.plan import PlanCache
 
 def _ws_config(**dims_kwargs) -> SystolicConfig:
     return SystolicConfig("WS", 4, 4, ConvDims(**dims_kwargs))
+
+
+def _lookup(cache: CompileCache, cfg: SystolicConfig):
+    """The cache is builder-agnostic: callers bring key and builder."""
+    return cache.lookup(
+        structural_signature(cfg), lambda: build_systolic_program(cfg).module
+    )
 
 
 # Two conv shapes that generate the *identical* module: equal stream
@@ -58,31 +68,32 @@ class TestCompileCache:
     def test_module_reused_and_stats(self):
         cache = CompileCache()
         a, b = STRUCTURAL_TWINS
-        cached_a = cache.lookup(a)
-        cached_b = cache.lookup(b)
+        cached_a = _lookup(cache, a)
+        cached_b = _lookup(cache, b)
         assert cached_a.module is cached_b.module
         assert cached_a.plan_cache is cached_b.plan_cache
         assert cache.stats.programs_built == 1
         assert cache.stats.program_hits == 1
         cache.clear()
         assert cache.stats.programs_built == 0
-        assert cache.lookup(a).module is not cached_a.module
+        assert _lookup(cache, a).module is not cached_a.module
 
-    def test_fill_hooks_observe_builds_not_hits(self):
-        """Fill hooks fire exactly once per built structure — the
-        observability point for accounting compile work over the cache
-        (a hit must never look like compile work)."""
+    def test_builder_runs_on_misses_only(self):
+        """A hit never calls the builder (it must never look like — or
+        cost — compile work); a cleared cache builds again."""
         cache = CompileCache()
-        fills = []
-        cache.add_fill_hook(lambda sig, entry: fills.append((sig, entry)))
-        a, b = STRUCTURAL_TWINS
-        entry = cache.lookup(a)
-        assert fills == [(structural_signature(a), entry)]
-        cache.lookup(b)  # structural twin: a hit, no hook call
-        assert len(fills) == 1
+        builds = []
+
+        def build():
+            builds.append(1)
+            return build_systolic_program(STRUCTURAL_TWINS[0]).module
+
+        entry = cache.lookup("key", build)
+        assert cache.lookup("key", build) is entry
+        assert len(builds) == 1
         cache.clear()
-        cache.lookup(a)  # rebuild after clear: observed again
-        assert len(fills) == 2
+        assert cache.lookup("key", build) is not entry
+        assert len(builds) == 2
 
     def test_cached_simulation_matches_cold(self):
         """Cache hits stay cycle-identical to cold compiles."""
@@ -101,11 +112,11 @@ class TestCompileCache:
                 cold_program.module,
                 inputs=cold_program.prepare_inputs(ifmap, weights),
             )
-            warm_program = cache.lookup(cfg).program(cfg)
-            warm = simulate_systolic_cached(
-                cfg,
-                inputs=warm_program.prepare_inputs(ifmap, weights),
-                cache=cache,
+            entry = _lookup(cache, cfg)
+            warm = entry.simulate(
+                SystolicProgram(entry.module, cfg).prepare_inputs(
+                    ifmap, weights
+                )
             )
             assert warm.cycles == cold.cycles == cfg.expected_cycles
             assert warm.summary.scheduler_events == (
@@ -130,9 +141,11 @@ class TestCompileCache:
             weights = rng.integers(
                 -3, 4, (dims.n, dims.c, dims.fh, dims.fw)
             ).astype(np.int32)
-            cached = cache.lookup(cfg)
+            cached = _lookup(cache, cfg)
             return cached.simulate(
-                cached.program(cfg).prepare_inputs(ifmap, weights)
+                SystolicProgram(cached.module, cfg).prepare_inputs(
+                    ifmap, weights
+                )
             )
 
         first = run(a)
@@ -225,10 +238,13 @@ class TestSweepRunner:
             runner.map(lambda x: 1 // x, [1, 0])
 
     def test_group_aware_chunking_never_splits_groups(self):
-        runner = SweepRunner(jobs=3, key=lambda x: x % 5)
+        calls = []
+        runner = SweepRunner(
+            jobs=3, key=lambda x: calls.append(x) or x % 5
+        )
         items = list(range(23))
-        order = runner._order(items)
-        chunks = runner._chunks(items, order)
+        chunks = runner._chunks(*runner._order(items))
+        assert sorted(calls) == items  # the key runs once per item
         assert sorted(i for chunk in chunks for i in chunk) == items
         owner = {}
         for chunk_index, chunk in enumerate(chunks):
@@ -238,5 +254,5 @@ class TestSweepRunner:
 
     def test_explicit_chunk_size(self):
         runner = SweepRunner(jobs=2, chunk_size=2)
-        chunks = runner._chunks(list(range(5)), list(range(5)))
+        chunks = runner._chunks(list(range(5)), [])
         assert chunks == [[0, 1], [2, 3], [4]]

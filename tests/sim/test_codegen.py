@@ -4,8 +4,7 @@
 reference interpreter, block-plan replay, or per-plan Python source
 codegen (:mod:`repro.sim.codegen`).  These tests pin down:
 
-* the one canonical normalization point (:func:`resolve_execution_mode`)
-  and the deprecated ``compile_plans`` alias's behavior,
+* the one canonical normalization point (:func:`resolve_execution_mode`),
 * bit-identity of all three modes on loop/branch/dynamic-index programs,
   including a hypothesis property over randomly generated small modules,
 * the codegen counters, the ``__codegen_source__`` escape hatch, and the
@@ -15,7 +14,6 @@ codegen (:mod:`repro.sim.codegen`).  These tests pin down:
 from __future__ import annotations
 
 import itertools
-import warnings
 
 import numpy as np
 import pytest
@@ -44,8 +42,7 @@ MODES = ("interpret", "plan", "codegen")
 
 class TestExecutionMode:
     def test_resolution_matrix(self):
-        assert resolve_execution_mode(None, True) is ExecutionMode.PLAN
-        assert resolve_execution_mode(None, False) is ExecutionMode.INTERPRET
+        assert resolve_execution_mode(None) is ExecutionMode.PLAN
         for spelling in MODES:
             assert resolve_execution_mode(spelling) is ExecutionMode(spelling)
             assert (
@@ -61,45 +58,12 @@ class TestExecutionMode:
         with pytest.raises(ValueError, match="valid modes"):
             resolve_execution_mode("turbo")
 
-    def test_alias_conflict_rejected(self):
-        for spelling in ("plan", "codegen"):
-            with pytest.raises(ValueError, match="compile_plans"):
-                resolve_execution_mode(spelling, compile_plans=False)
-        # interpret agrees with the alias: no conflict.
-        assert (
-            resolve_execution_mode("interpret", compile_plans=False)
-            is ExecutionMode.INTERPRET
-        )
-
-    def test_options_default_is_plan(self):
-        options = EngineOptions()
-        assert options.mode is ExecutionMode.PLAN
-        assert options.compile_plans is True
-
-    def test_options_codegen_keeps_alias_observable(self):
-        options = EngineOptions(mode="codegen")
-        assert options.mode is ExecutionMode.CODEGEN
-        # Sweep/batch plumbing still reads the alias: a plan cache
-        # applies to plan AND codegen runs.
-        assert options.compile_plans is True
-
-    def test_options_alias_warns_and_resolves(self):
-        with pytest.warns(DeprecationWarning, match="compile_plans"):
-            options = EngineOptions(compile_plans=False)
-        assert options.mode is ExecutionMode.INTERPRET
-
-    def test_options_explicit_mode_never_warns(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert (
-                EngineOptions(mode="interpret").mode
-                is ExecutionMode.INTERPRET
-            )
-            assert EngineOptions(mode="plan").compile_plans is True
-
-    def test_options_conflict_raises(self):
-        with pytest.raises(ValueError, match="conflicts"):
-            EngineOptions(mode="codegen", compile_plans=False)
+    def test_options_resolve_to_the_enum(self):
+        assert EngineOptions().mode is ExecutionMode.PLAN
+        for spelling in MODES:
+            assert EngineOptions(mode=spelling).mode is ExecutionMode(spelling)
+        with pytest.raises(ValueError, match="valid modes"):
+            EngineOptions(mode="turbo")
 
 
 # ---------------------------------------------------------------------------

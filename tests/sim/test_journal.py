@@ -10,10 +10,9 @@ from repro.sim.journal import (
     JOURNAL_KIND,
     JournalError,
     SweepJournal,
-    journal_line,
     load_journal,
-    parse_journal_line,
 )
+from repro.sim.linecodec import encode_line, parse_line
 
 HEADER = {
     "kind": JOURNAL_KIND,
@@ -30,23 +29,23 @@ def _point(index: int) -> dict:
 class TestLineFormat:
     def test_roundtrip(self):
         record = {"kind": "point", "index": 2, "point": _point(2)}
-        line = journal_line(record)
+        line = encode_line(record)
         assert "\n" not in line  # caller appends the newline
-        assert parse_journal_line(line) == record
-        assert parse_journal_line(line + "\n") == record
+        assert parse_line(line) == record
+        assert parse_line(line + "\n") == record
 
     def test_trailer_detects_corruption(self):
-        line = journal_line({"kind": "point", "index": 0, "point": {}})
+        line = encode_line({"kind": "point", "index": 0, "point": {}})
         flipped = line.replace("point", "poInt", 1)
-        assert parse_journal_line(flipped) is None
+        assert parse_line(flipped) is None
 
     def test_torn_line_is_none(self):
-        line = journal_line({"kind": "point", "index": 0, "point": {}})
-        assert parse_journal_line(line[: len(line) // 2]) is None
-        assert parse_journal_line("") is None
+        line = encode_line({"kind": "point", "index": 0, "point": {}})
+        assert parse_line(line[: len(line) // 2]) is None
+        assert parse_line("") is None
 
     def test_line_is_canonical_json_plus_trailer(self):
-        line = journal_line({"b": 2, "a": 1})
+        line = encode_line({"b": 2, "a": 1})
         payload = line.rsplit(" #sha256:", 1)[0]
         assert json.loads(payload) == {"a": 1, "b": 2}
 
@@ -137,7 +136,12 @@ class TestJournalFile:
         path = tmp_path / "sweep.journal"
         with SweepJournal(path) as journal:
             journal.open(HEADER)
-            journal.mark("interrupted", completed=1)
+        with open(path, "a", encoding="utf-8") as handle:  # a future writer
+            handle.write(
+                encode_line({"kind": "interrupted", "completed": 1}) + "\n"
+            )
+        with SweepJournal(path) as journal:
+            assert journal.open(HEADER, resume=True) == {}
             journal.append_point(0, _point(0))
         _, points, _, dropped = load_journal(path)
         assert set(points) == {0}
@@ -146,7 +150,7 @@ class TestJournalFile:
     def test_missing_header_is_error(self, tmp_path):
         path = tmp_path / "sweep.journal"
         path.write_text(
-            journal_line({"kind": "point", "index": 0, "point": {}}) + "\n"
+            encode_line({"kind": "point", "index": 0, "point": {}}) + "\n"
         )
         with pytest.raises(JournalError):
             load_journal(path)

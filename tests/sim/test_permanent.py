@@ -12,7 +12,7 @@ import pytest
 
 from repro.analysis import SweepSpec, run_sweep
 from repro.analysis.dse import clear_sweep_caches
-from repro.generators.systolic import build_systolic_program
+from repro.generators.systolic import SystolicProgram, build_systolic_program
 from repro.scenarios import clear_scenario_caches, get_scenario
 from repro.service import JobRequest, JobScheduler, ResultStore
 from repro.sim import CompileCache, EngineOptions, permanent, simulate
@@ -47,6 +47,16 @@ def _thawed_and_cold():
     clear_sweep_caches()
     clear_scenario_caches()
     gc.unfreeze()
+
+
+def _lookup(cache: CompileCache, cfg):
+    return cache.lookup(
+        structural_signature(cfg), lambda: build_systolic_program(cfg).module
+    )
+
+
+def _prepared(entry, cfg, ifmap, weights):
+    return SystolicProgram(entry.module, cfg).prepare_inputs(ifmap, weights)
 
 
 def sweep_style_points():
@@ -84,10 +94,8 @@ class TestHandOffIsInvisible:
         for seed in (0, 1):
             for cfg in points:
                 ifmap, weights = deterministic_conv_inputs(cfg.dims, seed)
-                entry = cache.lookup(cfg)
-                warm = entry.simulate(
-                    entry.program(cfg).prepare_inputs(ifmap, weights)
-                )
+                entry = _lookup(cache, cfg)
+                warm = entry.simulate(_prepared(entry, cfg, ifmap, weights))
                 assert entry.parked
                 program = build_systolic_program(cfg)
                 cold = simulate(
@@ -108,9 +116,9 @@ class TestHandOffIsInvisible:
         cache = CompileCache()
         cfg = sweep_style_points()[0]
         ifmap, weights = deterministic_conv_inputs(cfg.dims, 0)
-        entry = cache.lookup(cfg)
+        entry = _lookup(cache, cfg)
         entry.simulate(
-            entry.program(cfg).prepare_inputs(ifmap, weights),
+            _prepared(entry, cfg, ifmap, weights),
             EngineOptions(verify_module=False, mode="interpret"),
         )
         assert entry.parked and gc.get_freeze_count() == 0  # owed, not yet done
@@ -134,8 +142,8 @@ def _fill(cache: CompileCache, cfg):
     """Build, simulate once, and hand the result to the caller — who, like
     every real caller, still holds it when ``simulate`` returns."""
     ifmap, weights = deterministic_conv_inputs(cfg.dims, 0)
-    entry = cache.lookup(cfg)
-    return entry.simulate(entry.program(cfg).prepare_inputs(ifmap, weights))
+    entry = _lookup(cache, cfg)
+    return entry.simulate(_prepared(entry, cfg, ifmap, weights))
 
 
 class TestNothingLeaks:
@@ -194,7 +202,7 @@ class TestNothingLeaks:
         parked, idle = CompileCache(), CompileCache()
         _fill(parked, sweep_style_points()[0])
         permanent.settle()
-        idle.lookup(sweep_style_points()[1])  # built, never simulated
+        _lookup(idle, sweep_style_points()[1])  # built, never simulated
         idle.clear()
         assert gc.get_freeze_count() > 0
         parked.clear()

@@ -228,20 +228,31 @@ class TestSchedulerSemantics:
 
 
 class TestSweepWorkerDifferential:
-    def test_measure_systolic_point_scheduler_override(self):
+    def test_sweep_worker_scheduler_override(self):
         """The spawn-safe sweep worker produces identical measurements
         under both schedulers (the option-override payload form)."""
-        from repro.generators.systolic import SystolicConfig
-        from repro.sim.batch import measure_systolic_point
+        from repro.scenarios import scenario_grid
+        from repro.scenarios.sweep import (
+            run_scenario_sweep,
+            scenario_point_export_record,
+        )
 
-        dims = ConvDims(n=2, c=2, h=4, w=4, fh=2, fw=2)
-        cfg = SystolicConfig("OS", 2, 2, dims)
-        wheel = measure_systolic_point((cfg, 11, {"scheduler": "wheel"}))
-        heap = measure_systolic_point((cfg, 11, {"scheduler": "heap"}))
-        default = measure_systolic_point((cfg, 11))
+        grid = scenario_grid(
+            "systolic", axes={"dataflow": ("OS",)},
+            array_height=2, array_width=2, n=2, c=2, h=4, w=4, fh=2, fw=2,
+        )
+
+        def measure(overrides):
+            points = run_scenario_sweep(
+                grid, seed=11, option_overrides=overrides, check=True
+            )
+            return [scenario_point_export_record(point) for point in points]
+
+        wheel = measure({"scheduler": "wheel"})
+        heap = measure({"scheduler": "heap"})
+        default = measure(None)
         # Overrides may restate any EngineOptions field, including the
         # verify_module default the worker itself supplies.
-        verified = measure_systolic_point(
-            (cfg, 11, {"scheduler": "heap", "verify_module": True})
-        )
+        verified = measure({"scheduler": "heap", "verify_module": True})
         assert wheel == heap == default == verified
+        assert wheel[0]["cycles"] > 0

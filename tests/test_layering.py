@@ -1,0 +1,70 @@
+"""The package's import layering, checked on the AST.
+
+The engine tier (``ir``, ``dialects``, ``passes``, ``sim``) sits below
+everything that *uses* it; ``analysis`` and ``scenarios`` sit below the
+service.  Lazy imports inside functions count too — an upward import
+hidden in a function body is still a cycle waiting for a caller.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "repro"
+
+ENGINE_TIER = ("sim", "ir", "dialects", "passes")
+ABOVE_THE_ENGINE = ("generators", "scenarios", "analysis", "service", "tools")
+
+#: lower layer -> the layers it must never import from.
+RULES = {
+    **{layer: ABOVE_THE_ENGINE for layer in ENGINE_TIER},
+    "analysis": ("service",),
+    "scenarios": ("service",),
+}
+
+
+def imported_modules(path: Path):
+    """Every module a file imports (anywhere in it), as absolute dotted
+    names with relative imports resolved against the file's package."""
+    package = ("repro",) + path.relative_to(PACKAGE).parts[:-1]
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield node.lineno, alias.name
+        elif isinstance(node, ast.ImportFrom):
+            base = package[: len(package) - node.level + 1] if node.level else ()
+            stem = ".".join(base + ((node.module,) if node.module else ()))
+            for alias in node.names:
+                # ``from .. import service`` names a subpackage too.
+                yield node.lineno, f"{stem}.{alias.name}"
+
+
+@pytest.mark.parametrize("layer", sorted(RULES))
+def test_layer_imports_nothing_above_it(layer):
+    files = sorted((PACKAGE / layer).rglob("*.py"))
+    assert files, f"no sources under repro/{layer}"
+    forbidden = tuple(f"repro.{upper}." for upper in RULES[layer])
+    violations = [
+        f"{path.relative_to(PACKAGE.parent)}:{line}: imports {module}"
+        for path in files
+        for line, module in imported_modules(path)
+        if (module + ".").startswith(forbidden)
+    ]
+    assert not violations, "\n".join(violations)
+
+
+def test_code_version_lives_below_the_sweep_layers(monkeypatch):
+    """``service.store`` keeps re-exporting the one ``code_version`` and
+    ``EQUEUE_CODE_VERSION`` keeps overriding it."""
+    from repro.codeversion import code_version
+    from repro.service import code_version as from_service
+    from repro.service.store import code_version as from_store
+    from repro.sim import journal
+
+    assert from_service is from_store is journal.code_version is code_version
+    digest = code_version()
+    monkeypatch.setenv("EQUEUE_CODE_VERSION", "bumped")
+    assert code_version() != digest

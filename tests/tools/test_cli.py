@@ -447,7 +447,7 @@ class TestEqueueSimScenarios:
 
 
 class TestExecutionModeFlag:
-    """--mode and the deprecated --interpret alias: one validation path."""
+    """--mode: three bit-identical execution paths behind one flag."""
 
     def _semantic(self, capsys, argv):
         assert equeue_sim.main(argv) == 0
@@ -467,34 +467,6 @@ class TestExecutionModeFlag:
                 capsys, [str(program_file), "--mode", mode]
             ), mode
 
-    def test_interpret_alias_warns_and_matches_mode(
-        self, program_file, capsys
-    ):
-        with pytest.warns(DeprecationWarning, match="--mode interpret"):
-            aliased = self._semantic(capsys, [str(program_file), "--interpret"])
-        explicit = self._semantic(
-            capsys, [str(program_file), "--mode", "interpret"]
-        )
-        assert aliased == explicit
-
-    def test_alias_agreeing_with_mode_accepted(self, program_file, capsys):
-        with pytest.warns(DeprecationWarning):
-            code = equeue_sim.main(
-                [str(program_file), "--interpret", "--mode", "interpret"]
-            )
-        assert code == 0
-
-    def test_mode_conflict_rejected(self, program_file, capsys):
-        for mode in ("plan", "codegen"):
-            with pytest.raises(SystemExit) as excinfo:
-                equeue_sim.main(
-                    [str(program_file), "--interpret", "--mode", mode]
-                )
-            assert excinfo.value.code == 2
-            err = capsys.readouterr().err
-            assert "--interpret conflicts with --mode" in err
-            assert "Traceback" not in err
-
     def test_bad_mode_choice_rejected(self, program_file, capsys):
         with pytest.raises(SystemExit) as excinfo:
             equeue_sim.main([str(program_file), "--mode", "turbo"])
@@ -513,17 +485,6 @@ class TestExecutionModeFlag:
         assert record["summary"]["execution_mode"] == mode
         if mode == "codegen":
             assert record["summary"]["blocks_codegenned"] > 0
-
-    def test_stats_json_alias_resolves_to_interpret(self, tmp_path, capsys):
-        stats_path = tmp_path / "stats.json"
-        with pytest.warns(DeprecationWarning):
-            code = equeue_sim.main(
-                ["--scenario", "fir", "--interpret",
-                 "--stats-json", str(stats_path)]
-            )
-        assert code == 0
-        record = json.loads(stats_path.read_text())
-        assert record["summary"]["execution_mode"] == "interpret"
 
     def test_sweep_accepts_mode(self, capsys):
         code = equeue_sim.main(
