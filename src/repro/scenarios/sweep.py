@@ -251,7 +251,7 @@ def run_scenario_sweep(
     points (same convention as the systolic sweep).
     ``option_overrides`` restates :class:`EngineOptions` fields (e.g.
     ``{"scheduler": "heap"}`` for a differential sweep, or
-    ``{"mode": "codegen"}`` to select an
+    ``{"mode": "plan"}`` to select an
     :class:`~repro.sim.ExecutionMode` — all three modes are
     bit-identical); ``check`` runs each point's reference-stats oracle
     in the worker.

@@ -48,7 +48,7 @@ from ..obs.spans import span as _span
 from ..scenarios import get_scenario, parse_scenario_spec, scenario_cache_stats
 from ..scenarios.sweep import grid_record, scenario_grid, simulate_scenario
 from ..sim.batch import ResilienceStats, SweepRunner, result_record, subsample
-from ..sim.engine import EngineOptions, ExecutionMode, resolve_execution_mode
+from ..sim.engine import EngineOptions, resolve_execution_mode
 from ..sim.linecodec import record_line
 from . import faults
 from .store import ResultStore, code_version, inputs_digest, request_key
@@ -97,17 +97,18 @@ def _field_dict(cfg) -> Dict[str, object]:
 def _canonical_options(options: Optional[Mapping]) -> Dict:
     """Normalize execution-mode spellings to one canonical form.
 
-    ``mode`` is recorded only when it differs from the default ``plan``
-    — so ``{}`` and ``{"mode": "plan"}`` freeze to the same request and
-    therefore the same store key, while plan and codegen requests can
-    never share one.
+    ``mode`` is recorded only when it differs from the default,
+    ``resolve_execution_mode(None)`` — so ``{}`` and a request spelling
+    the default out freeze to the same request and therefore the same
+    store key, while requests for two different modes can never share
+    one.
     """
     mapping = dict(options or {})
     try:
         mode = resolve_execution_mode(mapping.pop("mode", None))
     except ValueError as error:
         raise RequestError(str(error)) from None
-    if mode is not ExecutionMode.PLAN:
+    if mode is not resolve_execution_mode(None):
         mapping["mode"] = mode.value
     return mapping
 
@@ -850,7 +851,9 @@ class JobScheduler:
     def _admit(self, job_cls, request, deadline_s, client, request_id):
         sweep = job_cls is SweepJob
         key = request_store_key(request)
-        mode = dict(request.options).get("mode", "plan")
+        mode = dict(request.options).get(
+            "mode", resolve_execution_mode(None).value
+        )
         request_id = request_id or obs_logs.new_request_id()
         with self._lock:
             self.stats.submitted += 1

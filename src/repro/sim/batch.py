@@ -857,7 +857,8 @@ class CachedProgram:
     plan_cache: PlanCache
     #: Set once the first simulation has compiled the plans and the
     #: program is owed to the permanent generation: parked there by the
-    #: next cached simulation (:mod:`repro.sim.permanent`).
+    #: next cached simulation (:mod:`repro.sim.permanent`), as is code
+    #: a later simulation generates for blocks that got hot.
     parked: bool = False
 
     def simulate(
@@ -883,9 +884,11 @@ class CachedProgram:
             inputs=inputs,
             plan_cache=self.plan_cache if compiled else None,
         )
-        if not self.parked:
+        if not self.parked or result.summary.blocks_codegenned:
             # Built, verified, plans compiled: nothing here changes any
-            # more, so the collector need never walk it again.
+            # more, so the collector need never walk it again.  Blocks
+            # that only got hot in a later simulation gained their
+            # generated bodies after that hand-off; they join the next.
             self.parked = True
             permanent.defer()
         return result

@@ -23,15 +23,26 @@ specialized Python function — one statement group per step, with:
 * scalar ``affine.for`` loops flattened into native ``for`` statements
   (plan mode pays a generator frame per loop execution), with loop
   bodies recursively inlined up to :data:`_MAX_FLATTEN_DEPTH` levels,
-* everything else bound as default arguments (``LOAD_FAST``, no cell or
-  global lookups) and called directly — guaranteed-int steps skip the
-  suspension type dispatch entirely.
+* everything the body refers to — SSA values, pre-bound callables, and
+  every per-site constant (static indices, fixed cycle counts, folded
+  attribute values) — bound as a default argument (``LOAD_FAST``, no
+  cell or global lookups); guaranteed-int steps skip the suspension
+  type dispatch entirely.
 
-The source is ``compile()``d and ``exec``'d once per plan and the
-resulting function is cached on ``BlockPlan.compiled``, living in the
-:class:`~repro.sim.plan.PlanCache` next to the plan it specializes — so
-the cross-simulation compile cache (:mod:`repro.sim.batch`) shares code
-objects across sweep points exactly like it shares plans.
+A compiled simulator only wins if compiling is cheap (CVC) and spent
+where the activity is (GSIM), so three things keep ``compile()`` rare:
+
+* **call-driven** — nothing is generated when a plan is compiled.  The
+  plan cache calls in here when executions actually *enter* a plan as a
+  body often enough (:func:`~repro.sim.plan._cold_run`), so branch and
+  loop sub-plans that their parent's body flattens are never emitted;
+* **shape-shared** — because the emitted text names no object, it
+  depends on a block's structure alone.  :data:`_SHAPES` maps that text
+  to its code object process-wide: the sixteen PE bodies of one array,
+  the same body in another program and in another sweep signature all
+  run one ``compile()`` and differ only in ``__defaults__``;
+* **hot blocks only** — a plan replays until it has run
+  :data:`~repro.sim.plan.TIER_UP_EXECUTIONS` times.
 
 The generated function honors the same inline/suspend protocol as
 :func:`~repro.sim.plan._inline_run`: it returns ``None`` when the body
@@ -46,18 +57,22 @@ across every registered scenario.
 Fallback rules
 ==============
 
-A plan is declined (``BlockPlan.compiled`` stays ``None``, counted as a
-``codegen_fallbacks``) when it is not inlineable — it contains ``K_GEN``,
-``K_RET``, or ``K_ANY`` steps whose flush/return semantics need the full
-generator executor.  Declined plans replay through the plan path
-unchanged, so codegen mode is always safe to request.  Under detailed
-tracing the arith metadata is withheld by the compiler (the traced
-wrapper must run), and the emitter falls back to closure calls for those
-steps while still flattening the rest.
+A plan can never be generated (counted in ``codegen_fallbacks`` under
+its reason, e.g. ``K_GEN:equeue.await``) when it is not inlineable — it
+contains ``K_GEN``, ``K_RET``, or ``K_ANY`` steps whose flush/return
+semantics need the full generator executor.  Such plans replay through
+the plan path however hot they get, so codegen mode is always safe to
+request.  Under detailed tracing the arith metadata is withheld by the
+compiler (the traced wrapper must run), and the emitter falls back to
+closure calls for those steps while still flattening the rest.
 """
 
 from __future__ import annotations
 
+import builtins
+import itertools
+import weakref
+from types import CodeType, FunctionType
 from typing import Optional
 
 import numpy as np
@@ -76,14 +91,22 @@ from .plan import (
     _resume,
 )
 
-__all__ = ["compile_block_body"]
+__all__ = ["compile_block_body", "source_of"]
 
 #: Loop nests deeper than this call the (itself codegen'd) body function
 #: per iteration instead of inlining its statements.
 _MAX_FLATTEN_DEPTH = 2
 
-#: Monotonic id for generated function filenames (aids tracebacks).
-_SERIAL = 0
+#: Monotonic id for generated code filenames (aids tracebacks).
+_SERIAL = itertools.count(1)
+
+#: Emitted source -> the function code object ``compile()`` made of it:
+#: THE process-wide table of generated code.  A shape lives as long as
+#: some plan's body uses it.
+_SHAPES = weakref.WeakValueDictionary()
+
+#: Globals of every generated function: builtins only.
+_GLOBALS = {"__builtins__": builtins}
 
 
 def _for_resume(plan, ex, env, gen, body_exec, induction, it, steps_rest):
@@ -112,16 +135,28 @@ class _Emitter:
         self._names_by_id = {}
 
     def bind(self, prefix, value):
-        # One binding per object: shared callables (``engine._resolve``,
-        # repeated constants) collapse to a single default argument.
+        # One binding per object: shared callables (``engine._resolve``)
+        # and SSA values used twice collapse to a single default argument.
         name = self._names_by_id.get(id(value))
-        if name is not None:
-            return name
+        if name is None:
+            name = self._names_by_id[id(value)] = self.site(prefix, value)
+        return name
+
+    def site(self, prefix, value):
+        """A per-site constant (an index, a cycle count, a folded
+        attribute): always its own default argument, never a literal and
+        never merged with an equal one, so the emitted text depends on
+        the block's structure alone and every block of that structure
+        shares one code object."""
         self._serial += 1
         name = f"_{prefix}{self._serial}"
         self.bindings[name] = value
-        self._names_by_id[id(value)] = name
         return name
+
+    def _item(self, const_idx):
+        """``_u.array.item(i, j)`` with the static coordinates bound."""
+        idx = ", ".join(self.site("j", i) for i in const_idx)
+        return f"_u.array.item({idx})"
 
     def line(self, indent, text):
         self.lines.append("    " * indent + text)
@@ -198,7 +233,7 @@ class _Emitter:
 
     def _emit_branch(self, indent, branch_plan, branch_wrap, depth):
         """One arm of an inlined ``scf.if``: flatten the branch body when
-        possible, else call its (codegen'd or plan) executor."""
+        possible, else enter its plan (which tiers up on its own)."""
         if depth < _MAX_FLATTEN_DEPTH and branch_plan.inlineable:
             mark = len(self.lines)
             branch_name = self.bind("p", branch_plan)
@@ -208,9 +243,7 @@ class _Emitter:
             if len(self.lines) == mark:  # empty branch body
                 self.line(indent, "pass")
         else:
-            branch_exec = self.bind(
-                "p", branch_plan.compiled or branch_plan.execute
-            )
+            branch_exec = self.bind("e", branch_plan.execute)
             self.line(indent, f"_r = {branch_exec}(ex, env)")
             self.line(indent, "if _r is not None:")
             self.line(indent + 1, branch_wrap("_r"))
@@ -310,8 +343,7 @@ class _Emitter:
         self.line(indent, f"_co = {st}[1]")
         cond = "_co >= 0" if posted else "_co == 0"
         self.line(indent, f"if {cond}:")
-        idx = ", ".join(repr(i) for i in const_idx)
-        self.line(indent + 1, f"env[{out}] = _u.array.item({idx})")
+        self.line(indent + 1, f"env[{out}] = {self._item(const_idx)}")
         self._read_stats(indent + 1, posted)
         self.line(indent, "else:")
         self._emit_general(indent + 1, general, index, plan_name, wrap)
@@ -355,7 +387,7 @@ class _Emitter:
         self._emit_general(indent + 2, general, index, plan_name, wrap)
         self.line(indent + 1, "else:")
         if const_idx is not None:
-            tgt = self.bind("g", const_idx)
+            tgt = self.site("g", const_idx)
             self._emit_write_store(indent + 2, tgt, posted)
         else:
             idx = ", ".join(
@@ -388,8 +420,7 @@ class _Emitter:
         out = self.bind("o", result)
         self.line(indent, f"if {st}[1] == 0:")
         if const_idx is not None:
-            idx = ", ".join(repr(i) for i in const_idx)
-            self.line(indent + 1, f"env[{out}] = _u.array.item({idx})")
+            self.line(indent + 1, f"env[{out}] = {self._item(const_idx)}")
             self.line(indent + 1, "_m.bytes_read += _u.element_bits >> 3")
             self.line(indent + 1, "_m.reads += 1")
         else:
@@ -418,7 +449,7 @@ class _Emitter:
         self._emit_general(indent + 2, general, index, plan_name, wrap)
         self.line(indent + 1, "else:")
         if const_idx is not None:
-            tgt = self.bind("g", const_idx)
+            tgt = self.site("g", const_idx)
             self.line(indent + 2, f"_u.array[{tgt}] = _w")
             self.line(indent + 2, "_m.bytes_written += _u.element_bits >> 3")
             self.line(indent + 2, "_m.writes += 1")
@@ -454,7 +485,7 @@ class _Emitter:
             self.line(indent, f"for _ssa, _val in zip({rsn}, _vres):")
             self.line(indent + 1, "env[_ssa] = _val")
         if fixed_cycles:
-            self.line(indent, f"ex.pending += {fixed_cycles!r}")
+            self.line(indent, f"ex.pending += {self.site('n', fixed_cycles)}")
 
     # -- per-plan emission -------------------------------------------------
 
@@ -471,7 +502,7 @@ class _Emitter:
         for index, (kind, a, b) in enumerate(steps):
             if kind == K_CONST:
                 key = self.bind("k", a)
-                val = self.bind("v", b)
+                val = self.site("v", b)
                 self.line(indent, f"env[{key}] = {val}")
             elif kind == K_DYN and type(b) is tuple and b:
                 tag = b[0]
@@ -553,7 +584,7 @@ class _Emitter:
         """Scalar affine.for with flattening metadata: a native loop —
         plan mode pays a generator frame here on every execution."""
         _, body_plan, induction, loop_range = meta
-        body_exec = self.bind("e", body_plan.compiled or body_plan.execute)
+        body_exec = self.bind("e", body_plan.execute)
         ind = self.bind("i", induction)
         rng = self.bind("r", loop_range)
         tail = self.bind("t", plan.steps[index + 1:])
@@ -579,17 +610,19 @@ class _Emitter:
             self.line(indent + 2, body_wrap("_r"))
 
 
-def compile_block_body(plan: BlockPlan) -> Optional[object]:
-    """Emit, compile, and return the specialized body for ``plan``.
+def compile_block_body(plan: BlockPlan):
+    """Emit and instantiate the specialized body for an inlineable
+    ``plan``; returns ``(fn, shared)``.
 
-    Returns ``None`` when the plan cannot be code-generated (caller
-    counts the fallback and keeps plan replay).  The returned function
-    has the ``_inline_run`` contract — ``fn(ex, env)`` → ``None`` or a
-    generator — and carries the emitted source on
-    ``fn.__codegen_source__`` for inspection and tests.
+    ``fn`` has the ``_inline_run`` contract — ``fn(ex, env)`` → ``None``
+    or a generator.  Everything the body references is a default
+    argument (``LOAD_FAST`` at execution time, no global or closure
+    lookups), so the emitted text names no object and ``compile()`` runs
+    once per *shape*: ``shared`` is true when an earlier block — of this
+    program or any other in the process — already compiled the same
+    text, and ``fn`` differs from that block's body only in
+    ``__defaults__``.  :func:`source_of` returns the text.
     """
-    if not plan.inlineable:
-        return None
     emitter = _Emitter()
     emitter.bindings["_plan"] = plan
     emitter.bindings["_resume"] = _resume
@@ -601,19 +634,27 @@ def compile_block_body(plan: BlockPlan) -> Optional[object]:
     prologue = []
     if emitter.needs_arith_cycles:
         prologue.append("    _ac = ex.proc.spec.arith_cycles")
-
-    # Bind everything as default arguments: LOAD_FAST at execution time,
-    # no global or closure lookups in the hot body.
-    params = "".join(f", {name}={name}" for name in emitter.bindings)
-    source = "def _plan_body(ex, env{params}):\n{body}\n".format(
-        params=params, body="\n".join(prologue + emitter.lines)
+    source = "def _plan_body(ex, env, {params}):\n{body}\n".format(
+        params=", ".join(emitter.bindings),
+        body="\n".join(prologue + emitter.lines),
     )
+    code = _SHAPES.get(source)
+    shared = code is not None
+    if not shared:
+        module = compile(source, f"<plan-codegen-{next(_SERIAL)}>", "exec")
+        code = _SHAPES[source] = next(
+            c for c in module.co_consts if isinstance(c, CodeType)
+        )
+    fn = FunctionType(
+        code, _GLOBALS, "_plan_body", tuple(emitter.bindings.values())
+    )
+    return fn, shared
 
-    global _SERIAL
-    _SERIAL += 1
-    namespace = dict(emitter.bindings)
-    code = compile(source, f"<plan-codegen-{_SERIAL}>", "exec")
-    exec(code, namespace)
-    fn = namespace["_plan_body"]
-    fn.__codegen_source__ = source
-    return fn
+
+def source_of(fn) -> Optional[str]:
+    """The emitted source of a generated body (kept once per shape, as
+    the shape table's key — not once per function)."""
+    for source, code in _SHAPES.items():
+        if code is fn.__code__:
+            return source
+    return None

@@ -24,18 +24,22 @@ Execution has three interchangeable strategies, selected by one
 * ``interpret`` — :meth:`Engine._run_block` walks ``block.ops`` and
   dispatches through the handler table on every execution.  Simple,
   always available, and the reference semantics.
-* ``plan`` (the default) — on first execution each block is lowered by
+* ``plan`` — on first execution each block is lowered by
   :mod:`repro.sim.plan` into a :class:`~repro.sim.plan.BlockPlan` of
   pre-bound step closures (handler lookup, attribute parsing, operand
   decomposition, and flush/trace decisions resolved once); subsequent
   executions replay the cached plan, and contention-free ``affine.for``
-  bodies collapse into single batched NumPy evaluations.
-* ``codegen`` — every inlineable plan is additionally lowered by
+  bodies collapse into single batched NumPy evaluations.  Never
+  generates code: the differential oracle for the mode below.
+* ``codegen`` (the default) — plan replay, until a block has been
+  entered often enough (``plan.TIER_UP_EXECUTIONS``) for generated code
+  to repay its cost; the block's inlineable plan is then lowered by
   :mod:`repro.sim.codegen` into specialized Python *source* —
-  straight-line code with the step dispatch loop gone, constants folded
-  into direct environment stores, and suspension-free ``affine.for``
-  bodies flattened — which is ``compile()``d once and cached next to
-  the plan.  Plans the emitter cannot flatten fall back to plan replay.
+  straight-line code with the step dispatch loop gone, constants bound
+  as arguments, and suspension-free ``affine.for`` bodies flattened —
+  ``compile()``d once per *shape* (every block of the same structure,
+  in any program, shares the code object) and swapped in at the block's
+  next entry.  Plans the emitter cannot flatten keep replaying.
 
 Observable results (cycle counts, buffers, statistics, even the
 scheduler-event count) are bit-identical across all three modes; see
@@ -105,8 +109,8 @@ class ExecutionMode(str, enum.Enum):
     INTERPRET = "interpret"
     #: Compile-once/execute-many block plans (:mod:`repro.sim.plan`).
     PLAN = "plan"
-    #: Plans plus specialized Python source per block
-    #: (:mod:`repro.sim.codegen`).
+    #: Plans plus specialized Python source for each block that runs
+    #: often enough to repay it (:mod:`repro.sim.codegen`).
     CODEGEN = "codegen"
 
 
@@ -116,13 +120,16 @@ def resolve_execution_mode(
     """THE canonical normalization point for execution-path selection.
 
     Maps an :class:`ExecutionMode`, its string spelling, or ``None``
-    (the default, ``plan``) onto one resolved mode.  Every surface that
-    accepts a mode — :class:`EngineOptions`, ``equeue-sim --mode``, the
-    service request layer — routes through here, so an unknown spelling
-    is rejected with the same message everywhere.
+    (the default, ``codegen``) onto one resolved mode.  Every surface
+    that accepts a mode — :class:`EngineOptions`, ``equeue-sim --mode``,
+    the service request layer — routes through here, so an unknown
+    spelling is rejected with the same message everywhere, and
+    ``resolve_execution_mode(None)`` is the only place the default is
+    spelled: the CLI and the service derive the mode they leave out of
+    journal headers and store keys from it.
     """
     if mode is None:
-        return ExecutionMode.PLAN
+        return ExecutionMode.CODEGEN
     try:
         return ExecutionMode(mode)
     except ValueError:
@@ -159,8 +166,8 @@ class EngineOptions:
     verify_module: bool = True
     #: Execution path: ``interpret`` | ``plan`` | ``codegen`` (an
     #: :class:`ExecutionMode` or its string spelling; ``None`` means the
-    #: default, ``plan``).  After construction this is always a resolved
-    #: :class:`ExecutionMode`.
+    #: default, ``resolve_execution_mode(None)`` — ``codegen``).  After
+    #: construction this is always a resolved :class:`ExecutionMode`.
     mode: Union[str, ExecutionMode, None] = None
     #: Allow compiled plans to batch contention-free ``affine.for`` bodies
     #: into single NumPy evaluations (plan and codegen modes).
@@ -336,7 +343,9 @@ class Engine:
         started = _time.perf_counter()
         if self._plans is not None:
             self._plans.attach(self)
-            self._plan_base = self._plans.counters()
+            self._plan_base = (
+                self._plans.counters(), self._plans.codegen_fallbacks.copy()
+            )
         if self.options.verify_module:
             with _span("engine.verify"):
                 verify(self.module)
@@ -360,7 +369,7 @@ class Engine:
             done=top_done,
             # The top block shares the engine env so top-level results
             # (e.g. awaited launch returns) are observable afterwards.
-            payload=(self.module.body, self.env, []),
+            payload=(self.module.body, self.env, ()),
             label="top",
         )
         host.enqueue(entry)
@@ -556,22 +565,22 @@ class Engine:
             # single generator frame, and the trailing pending-cycles
             # flush is a plain yield.
             if entry.kind == "launch":
-                block, env, captured = entry.payload
-                # Launch entries get a fresh env (isolation); the top
-                # entry shares the engine env so top-level bindings
-                # persist into the result.
-                local_env = env if env is not None else {}
-                for arg, value in zip(block.arguments, captured):
-                    if type(value) is Future:
-                        value = value.value  # dep guarantees resolution
-                    local_env[arg] = value
+                # The body's env was bound when the launch was issued
+                # (_launch_impl: a fresh dict per launch, for isolation;
+                # the top entry shares the engine env so top-level
+                # bindings persist into the result).  Only captured
+                # launch results are left to fill in.
+                block, local_env, futures = entry.payload
+                for arg in futures:
+                    # The dep guarantees resolution.
+                    local_env[arg] = local_env[arg].value
                 if plans is not None:
                     plan = plans.plan_for(block)
                     body_fn = plan.compiled
                     if body_fn is not None:
-                        # Codegen mode: the block's specialized source,
-                        # compiled once, under the same inline/suspend
-                        # protocol as _inline_run.
+                        # A hot block under codegen: its generated body,
+                        # under the same inline/suspend protocol as
+                        # _inline_run.
                         returns = _NO_RETURNS
                         suspended = body_fn(body_ex, local_env)
                         if suspended is not None:
@@ -580,7 +589,7 @@ class Engine:
                         # An inlineable plan has no K_RET step, so there
                         # are never return values to collect.
                         returns = _NO_RETURNS
-                        suspended = _inline_run(plan, body_ex, local_env)
+                        suspended = _cold_run(plan, body_ex, local_env)
                         if suspended is not None:
                             yield from suspended
                     else:
@@ -889,17 +898,18 @@ class Engine:
         cached = self._static.get(id(op))
         if cached is None:
             results = tuple(op.results)
+            block = op.regions[0].entry_block
             cached = (
                 op.operand(0),
                 op.operand(1),
-                tuple(op.operand_values[2:]),
-                op.regions[0].entry_block,
+                tuple(zip(block.arguments, op.operand_values[2:])),
+                block,
                 op.get_attr("label", "launch"),
                 results[0],
                 results[1:],
             )
             self._static[id(op)] = cached
-        dep_ssa, target_ssa, captured_ssa, block, label, done_ssa, value_ssa = (
+        dep_ssa, target_ssa, captures, block, label, done_ssa, value_ssa = (
             cached
         )
         dep = self._resolve(env, dep_ssa)
@@ -907,19 +917,25 @@ class Engine:
         if not isinstance(target, ProcessorModel):
             raise EngineError("launch target is not a processor")
         engine_env = self.env
-        captured = []
-        for ssa in captured_ssa:
+        # Bind the captured values straight into the body's own env; a
+        # captured launch result resolves when the body starts, so the
+        # processor loop is told which arguments still hold one.
+        body_env = {}
+        futures = ()
+        for arg, ssa in captures:
             value = env.get(ssa)
             if value is None:
                 value = engine_env.get(ssa)
                 if value is None:
                     raise EngineError(f"unbound captured value {ssa!r}")
-            captured.append(value)
+            if type(value) is Future:
+                futures += (arg,)
+            body_env[arg] = value
         sim = self.sim
         done = sim.event("launch.done")
         target.enqueue(
             EventEntry(
-                "launch", dep, done, (block, None, captured), label, sim.now
+                "launch", dep, done, (block, body_env, futures), label, sim.now
             )
         )
         env[done_ssa] = done
@@ -1370,16 +1386,19 @@ class Engine:
             # accumulates across simulations, but each run reports only
             # its own compiles/hits (so a fully warm run shows
             # plans_compiled == 0 and pure cache hits).
+            base, base_reasons = self._plan_base
             (
                 compiled, hits, vec_loops, vec_iters, vec_falls,
-                codegenned, codegen_falls,
+                codegenned, code_shared, tiered_up,
             ) = (
-                current - base
-                for current, base in zip(plans.counters(), self._plan_base)
+                current - before
+                for current, before in zip(plans.counters(), base)
             )
+            fallback_reasons = dict(plans.codegen_fallbacks - base_reasons)
         else:
             compiled = hits = vec_loops = vec_iters = vec_falls = 0
-            codegenned = codegen_falls = 0
+            codegenned = code_shared = tiered_up = 0
+            fallback_reasons = {}
         sim = self.sim
         return ProfilingSummary(
             execution_time_s=elapsed,
@@ -1398,7 +1417,10 @@ class Engine:
             vector_iterations=vec_iters,
             vector_fallbacks=vec_falls,
             blocks_codegenned=codegenned,
-            codegen_fallbacks=codegen_falls,
+            codegen_code_shared=code_shared,
+            codegen_tiered_up=tiered_up,
+            codegen_fallbacks=sum(fallback_reasons.values()),
+            codegen_fallback_reasons=fallback_reasons,
             execution_mode=self.options.mode.value,
         )
 
@@ -1434,6 +1456,21 @@ class Engine:
         registry.counter(
             "engine.blocks_codegenned", "Blocks lowered to Python source"
         ).inc(summary.blocks_codegenned)
+        registry.counter(
+            "engine.codegen_code_shared",
+            "Generated bodies instantiated from an already-compiled shape",
+        ).inc(summary.codegen_code_shared)
+        registry.counter(
+            "engine.codegen_tiered_up",
+            "Generated bodies swapped in for a plan that had been replaying",
+        ).inc(summary.codegen_tiered_up)
+        for reason, count in summary.codegen_fallback_reasons.items():
+            # "K_GEN:equeue.await" -> engine.codegen_fallbacks.k_gen.equeue.await
+            registry.counter(
+                "engine.codegen_fallbacks."
+                + reason.lower().replace(":", "."),
+                "Plans codegen can never take, by first non-inlineable step",
+            ).inc(count)
         registry.counter(
             "engine.trace_records_dropped", "Trace records over max_records"
         ).inc(self.trace.dropped)
@@ -1482,4 +1519,4 @@ TensorType  # noqa: B018
 
 # engine <-> plan import each other; see the note at the bottom of plan.py.
 from .plan import _EMPTY as _NO_RETURNS  # noqa: E402
-from .plan import PlanCache, _inline_run  # noqa: E402
+from .plan import PlanCache, _cold_run  # noqa: E402

@@ -71,6 +71,7 @@ replay when it fails, so the fast path is always safe to attempt.
 
 from __future__ import annotations
 
+import collections
 import itertools
 from typing import Dict, List, Optional, Tuple
 
@@ -114,24 +115,42 @@ _INLINEABLE = frozenset(
     {K_CONST, K_CYCLES, K_DYN, K_CTRL, K_VEC, K_FLUSH_CALL}
 )
 
+#: The non-inlineable kinds, as spelled in a codegen fallback reason
+#: (``K_RET`` is spelled where its one step is made).
+_KIND_NAMES = {K_GEN: "K_GEN", K_ANY: "K_ANY"}
+
+#: Executions an inlineable plan replays through :func:`_inline_run`
+#: before ``mode=codegen`` swaps in its generated body: measured cost of
+#: generating a body (0.37 ms) ÷ measured gain per execution of one
+#: (4.9 µs) ≈ 75, rounded down to a power of two — ``docs/performance.md``,
+#: "Default mode", has the readings.  A block entered fewer times never
+#: reaches ``compile()``; a systolic PE body crosses it a tenth of the
+#: way into its first simulation.  Not an option: tests patch it.
+TIER_UP_EXECUTIONS = 64
+
 
 class BlockPlan:
     """A compiled block: a flat list of ``(kind, payload, extra)`` steps.
 
-    Under ``mode=codegen`` an inlineable plan additionally carries
-    ``compiled`` — the specialized Python function
-    :func:`repro.sim.codegen.compile_block_body` emitted and
-    ``compile()``d from this plan's steps, honoring the same
-    inline/suspend protocol as :func:`_inline_run`.  ``None`` in plan
-    mode or when the emitter declined the plan (fallback to replay).
+    Under ``mode=codegen`` an inlineable plan counts its executions in
+    ``runs`` (the count lives as long as the plan, so it carries over
+    between simulations sharing a :class:`PlanCache`) and, past
+    :data:`TIER_UP_EXECUTIONS`, gains ``compiled`` — the specialized
+    Python function :func:`repro.sim.codegen.compile_block_body`
+    instantiates from this plan's steps, honoring the same
+    inline/suspend protocol as :func:`_inline_run`.  ``tier`` is the
+    cache that does the swap; ``None`` in plan mode, where ``compiled``
+    stays ``None`` for good.
     """
 
-    __slots__ = ("steps", "inlineable", "compiled")
+    __slots__ = ("steps", "inlineable", "compiled", "runs", "tier")
 
-    def __init__(self, steps):
+    def __init__(self, steps, tier=None):
         self.steps = steps
         self.inlineable = all(k in _INLINEABLE for k, _, _ in steps)
         self.compiled = None
+        self.runs = 0
+        self.tier = tier
 
     def execute(self, ex, env):
         """Run under the inline/suspend protocol: ``None`` when the plan
@@ -143,7 +162,7 @@ class BlockPlan:
         if self.compiled is not None:
             return self.compiled(ex, env)
         if self.inlineable:
-            return _inline_run(self, ex, env)
+            return _cold_run(self, ex, env)
         return self.run(ex, env)
 
     def run(self, ex, env, steps=None):
@@ -250,6 +269,18 @@ def _inline_run(plan, ex, env):
     return None
 
 
+def _cold_run(plan, ex, env):
+    """Enter an inlineable plan that has no generated body: replay it,
+    or — once ``mode=codegen`` has seen it :data:`TIER_UP_EXECUTIONS`
+    times — generate the body and run that from this entry on."""
+    cache = plan.tier
+    if cache is not None:
+        plan.runs = runs = plan.runs + 1
+        if runs > TIER_UP_EXECUTIONS:
+            return cache.tier_up(plan)(ex, env)
+    return _inline_run(plan, ex, env)
+
+
 def _resume(plan, ex, env, gen, index, flush):
     """Finish a suspended :func:`_inline_run`: drive the pending
     generator (flushing first for ``K_DYN``), then the remaining steps."""
@@ -298,7 +329,11 @@ class PlanCache:
         self.vectorize = False
         self.codegen = False
         self.codegen_blocks = 0
-        self.codegen_fallbacks = 0
+        self.codegen_shared = 0
+        self.codegen_tiered_up = 0
+        #: Why plans can never be code-generated: the first
+        #: non-inlineable step of each, ``"K_GEN:equeue.await"`` -> count.
+        self.codegen_fallbacks = collections.Counter()
         self._config_key = None
         #: Last-seen-memory memo cells of compiled access steps; reset on
         #: detach so they cannot pin a completed engine's component tree.
@@ -357,7 +392,7 @@ class PlanCache:
         self.codegen = options.mode is ExecutionMode.CODEGEN
         return self
 
-    def counters(self) -> Tuple[int, int, int, int, int, int, int]:
+    def counters(self) -> Tuple[int, ...]:
         """Cumulative statistics (engines snapshot these for per-run deltas)."""
         return (
             self.compiled,
@@ -366,8 +401,20 @@ class PlanCache:
             self.vector_iterations,
             self.vector_fallbacks,
             self.codegen_blocks,
-            self.codegen_fallbacks,
+            self.codegen_shared,
+            self.codegen_tiered_up,
         )
+
+    def tier_up(self, plan: BlockPlan):
+        """Generate ``plan``'s body and swap it in; returns the body."""
+        from .codegen import compile_block_body
+
+        with _span("codegen.compile", steps=len(plan.steps)):
+            plan.compiled, shared = compile_block_body(plan)
+        self.codegen_blocks += 1
+        self.codegen_shared += shared
+        self.codegen_tiered_up += plan.runs > 1
+        return plan.compiled
 
     def plan_for(self, block) -> BlockPlan:
         """The cached plan for a block, compiling on first use."""
@@ -383,6 +430,7 @@ class PlanCache:
 
     def _compile_block(self, block) -> BlockPlan:
         steps = []
+        declined = None
         engine = self.engine
         for op in block.ops:
             name = op.name
@@ -401,23 +449,21 @@ class PlanCache:
                             engine._resolve,
                         )
                     )
+                    declined = declined or f"K_RET:{name}"
                 break
             if name in ("affine.yield", "scf.yield"):
                 break
             step = self._compile_op(op)
             if step is not None:
                 steps.append(step)
-        plan = BlockPlan(steps)
-        if self.codegen:
-            if plan.inlineable:
-                from .codegen import compile_block_body
-
-                with _span("codegen.compile", steps=len(plan.steps)):
-                    plan.compiled = compile_block_body(plan)
-            if plan.compiled is not None:
-                self.codegen_blocks += 1
-            else:
-                self.codegen_fallbacks += 1
+                if declined is None and step[0] not in _INLINEABLE:
+                    declined = f"{_KIND_NAMES[step[0]]}:{name}"
+        # Nothing is generated here: a body is emitted when executions
+        # enter this plan often enough (:func:`_cold_run`), so sub-plans
+        # that a parent's body flattens never reach ``compile()``.
+        plan = BlockPlan(steps, self if self.codegen else None)
+        if self.codegen and declined is not None:
+            self.codegen_fallbacks[declined] += 1
         self.plans[id(block)] = (block, plan)
         self.compiled += 1
         return plan
@@ -1004,12 +1050,7 @@ def _c_if(cache, engine, op):
         plan = then_plan if taken else else_plan
         if plan is None:
             return None
-        body = plan.compiled
-        if body is not None:
-            return body(ex, env)
-        if plan.inlineable:
-            return _inline_run(plan, ex, env)
-        return plan.run(ex, env)
+        return plan.execute(ex, env)
 
     # ("if", ...) metadata: the codegen emitter expands the condition
     # dispatch and direct branch-body calls inline (plan replay ignores

@@ -101,10 +101,20 @@ class ProfilingSummary:
     #: Vectorized executions that hit a runtime guard and replayed the
     #: scalar plan instead.
     vector_fallbacks: int = 0
-    #: Block plans lowered to specialized Python source (``mode=codegen``).
+    #: Hot block plans given a generated Python body (``mode=codegen``).
     blocks_codegenned: int = 0
-    #: Plans codegen mode declined (non-inlineable); replayed as plans.
+    #: ... of which instantiated from a shape some block had already
+    #: compiled (``blocks_codegenned - codegen_code_shared`` is the
+    #: number of ``compile()`` calls the run made).
+    codegen_code_shared: int = 0
+    #: ... of which swapped in for a plan that had been replaying.
+    codegen_tiered_up: int = 0
+    #: Plans compiled this run that codegen can never take
+    #: (non-inlineable); they replay as plans however hot they get.
     codegen_fallbacks: int = 0
+    #: ``codegen_fallbacks`` by cause: the first non-inlineable step of
+    #: each plan as ``"<step kind>:<op name>"``.
+    codegen_fallback_reasons: Dict[str, int] = field(default_factory=dict)
     #: Resolved :class:`~repro.sim.engine.ExecutionMode` value the run
     #: executed under ("" for records written before modes existed).
     execution_mode: str = ""
@@ -200,9 +210,18 @@ class ProfilingSummary:
                 f"{self.vector_fallbacks} fallbacks"
             )
         if self.blocks_codegenned or self.codegen_fallbacks:
+            reasons = ", ".join(
+                f"{count} {reason}"
+                for reason, count in sorted(
+                    self.codegen_fallback_reasons.items()
+                )
+            )
             lines.append(
                 f"codegen blocks:           {self.blocks_codegenned} "
-                f"generated, {self.codegen_fallbacks} fallbacks"
+                f"generated ({self.codegen_code_shared} shared code, "
+                f"{self.codegen_tiered_up} tiered up), "
+                f"{self.codegen_fallbacks} fallbacks"
+                + (f" ({reasons})" if reasons else "")
             )
         if self.connections:
             lines.append("-- connections (bytes/cycle) --")

@@ -3,7 +3,7 @@
 Usage::
 
     equeue-sim program.mlir --trace trace.json
-    equeue-sim program.mlir --mode codegen --stats-json stats.json
+    equeue-sim program.mlir --mode plan --stats-json stats.json
     equeue-sim program.mlir --pipeline "equeue-read-write,..." --max-cycles 100000
     equeue-sim a.mlir b.mlir c.mlir --jobs 4
     equeue-sim --scenario gemm:k=32,tile_k=8 --seed 7
@@ -37,7 +37,9 @@ from ..passes import PassManager
 from ..scenarios import ScenarioError, all_scenarios, parse_scenario_spec
 from ..sim import (
     EngineOptions,
+    ExecutionMode,
     SweepRunner,
+    resolve_execution_mode,
     simulate,
 )
 
@@ -91,11 +93,13 @@ def build_arg_parser() -> argparse.ArgumentParser:
         help="error if allocations exceed declared memory sizes",
     )
     parser.add_argument(
-        "--mode", choices=("interpret", "plan", "codegen"), default="plan",
+        "--mode", choices=[m.value for m in ExecutionMode],
+        default=resolve_execution_mode(None).value,
         help="execution path: the reference interpreter, block-plan "
-        "replay (default), or specialized Python source generated per "
-        "block plan (fastest on repeated execution; bit-identical "
-        "results across all three)",
+        "replay only, or plan replay that swaps in specialized Python "
+        "source for each block once it has run often enough to repay "
+        "generating it (bit-identical results across all three; "
+        "default: %(default)s)",
     )
     parser.add_argument(
         "--scheduler", choices=("wheel", "heap"), default="wheel",
@@ -345,7 +349,7 @@ def _sweep_option_overrides(args) -> Optional[dict]:
         overrides["max_cycles"] = args.max_cycles
     if args.strict_capacity:
         overrides["strict_capacity"] = True
-    if args.mode != "plan":
+    if args.mode != resolve_execution_mode(None).value:
         overrides["mode"] = args.mode
     if args.scheduler != "wheel":
         overrides["scheduler"] = args.scheduler

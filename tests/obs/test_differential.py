@@ -20,8 +20,14 @@ from repro.obs import metrics as obs_metrics
 from repro.obs import spans as obs_spans
 from repro.scenarios import scenario_names, simulate_scenario
 
-#: Summary fields that measure the *host*, not the simulated machine.
-HOST_ONLY_FIELDS = ("execution_time_s",)
+#: Summary fields that measure the *host*, not the simulated machine:
+#: wall clock, and which run a warm program cache's blocks got hot in.
+HOST_ONLY_FIELDS = (
+    "execution_time_s",
+    "blocks_codegenned",
+    "codegen_code_shared",
+    "codegen_tiered_up",
+)
 
 
 def _semantic_fingerprint(result, checked):

@@ -191,6 +191,8 @@ GOLDEN_ENGINE_METRICS = (
     "engine.plans_compiled",
     "engine.plan_cache_hits",
     "engine.blocks_codegenned",
+    "engine.codegen_code_shared",
+    "engine.codegen_tiered_up",
     "engine.trace_records_dropped",
     "engine.run_seconds.count",
     "engine.run_seconds.sum",
@@ -215,6 +217,40 @@ class TestEngineGoldenKeys:
         assert (
             after["engine.cycles"]
             == before.get("engine.cycles", 0.0) + result.cycles
+        )
+
+    def test_codegen_fallbacks_carry_their_reason(self):
+        """A cold run's fallbacks land in one counter per cause — the
+        first step kind and op that keep a plan out of codegen — with
+        the reason spelled as a metric-name suffix."""
+        from repro.scenarios import get_scenario
+        from repro.sim import simulate
+
+        scenario = get_scenario("fir")
+        cfg = scenario.configure()
+        before = obs_metrics.get_registry().snapshot()
+        obs_metrics.enable_metrics()
+        try:
+            summary = simulate(
+                scenario.build(cfg), inputs=scenario.make_inputs(cfg, 0)
+            ).summary
+        finally:
+            obs_metrics.disable_metrics()
+        after = obs_metrics.get_registry().snapshot()
+        assert summary.codegen_fallback_reasons == {
+            "K_GEN:equeue.await": 1,
+            "K_RET:equeue.return_values": 8,
+        }
+        assert summary.codegen_fallbacks == 9
+        for suffix, count in (
+            ("k_gen.equeue.await", 1),
+            ("k_ret.equeue.return_values", 8),
+        ):
+            name = f"engine.codegen_fallbacks.{suffix}"
+            assert after[name] == before.get(name, 0.0) + count
+        assert (
+            "9 fallbacks (1 K_GEN:equeue.await, "
+            "8 K_RET:equeue.return_values)" in summary.format()
         )
 
 

@@ -55,14 +55,20 @@ CHAOS_SEEDS = range(24)
 
 
 #: Summary fields that measure the *host* (wall time, per-process
-#: compile-cache hit/miss split, loops vectorized at compile time), not
-#: the simulation.  Everything else — cycles, event counts, memory
+#: compile-cache hit/miss split, loops vectorized at compile time, which
+#: blocks had run often enough to get generated code), not the
+#: simulation.  Everything else — cycles, event counts, memory
 #: traffic, the checked model — must match bit for bit.
 HOST_FIELDS = (
     "execution_time_s",
     "plans_compiled",
     "plan_cache_hits",
     "vector_loops",
+    "blocks_codegenned",
+    "codegen_code_shared",
+    "codegen_tiered_up",
+    "codegen_fallbacks",
+    "codegen_fallback_reasons",
 )
 
 

@@ -44,6 +44,11 @@ HOST_FIELDS = (
     "plans_compiled",
     "plan_cache_hits",
     "vector_loops",
+    "blocks_codegenned",
+    "codegen_code_shared",
+    "codegen_tiered_up",
+    "codegen_fallbacks",
+    "codegen_fallback_reasons",
 )
 
 

@@ -23,6 +23,7 @@ from repro.scenarios import (
 from repro.scenarios.sweep import run_scenario_sweep
 from repro.service import JobRequest, JobScheduler, ResultStore
 from repro.service.scheduler import RequestError, SweepRequest
+from repro.sim import ExecutionMode, resolve_execution_mode
 
 
 class TestJobRequest:
@@ -554,11 +555,32 @@ class TestExecutionModeStoreSafety:
     records never cross, while default spellings coalesce onto one key."""
 
     def test_default_spellings_share_one_key(self):
+        default = resolve_execution_mode(None)
         base = JobRequest.make("fir")
-        assert JobRequest.make("fir", options={"mode": "plan"}) == base
+        assert JobRequest.make("fir", options={"mode": default.value}) == base
+        assert JobRequest.make("fir", options={"mode": default}) == base
         assert base.options == ()  # canonical: default mode is omitted
-        interpret = JobRequest.make("fir", options={"mode": "interpret"})
-        assert dict(interpret.options) == {"mode": "interpret"}
+        for mode in set(ExecutionMode) - {default}:
+            spelled = JobRequest.make("fir", options={"mode": mode.value})
+            assert dict(spelled.options) == {"mode": mode.value}
+
+    def test_elided_mode_follows_the_resolver(self, monkeypatch):
+        """The default that is left out of a key is whatever
+        ``resolve_execution_mode(None)`` says — it is not spelled a
+        second time in the service, so changing it cannot leave ``{}``
+        and the spelled-out default on two keys."""
+        resolve = scheduler_module.resolve_execution_mode
+        monkeypatch.setattr(
+            scheduler_module,
+            "resolve_execution_mode",
+            lambda mode: resolve("plan" if mode is None else mode),
+        )
+        assert JobRequest.make("fir", options={"mode": "plan"}).options == ()
+        codegen = JobRequest.make("fir", options={"mode": "codegen"})
+        assert dict(codegen.options) == {"mode": "codegen"}
+        scheduler = JobScheduler(store=None)
+        scheduler.submit(JobRequest.make("fir"))
+        assert scheduler.stats.submitted_by_mode == {"plan": 1}
 
     def test_removed_alias_and_bad_values_rejected(self):
         with pytest.raises(RequestError, match="unknown engine option"):
@@ -573,19 +595,23 @@ class TestExecutionModeStoreSafety:
         }
         assert len(set(keys.values())) == 3
 
-    def test_warm_hits_never_cross_modes(self, tmp_path, monkeypatch):
+    def test_warm_hits_never_cross_modes(
+        self, tmp_path, monkeypatch, tier_up_at
+    ):
         """A record persisted under mode=plan must never answer a
         mode=codegen request (or vice versa); true same-mode hits serve
         with provably zero engine work."""
         clear_scenario_caches()
-        plan_request = JobRequest.make("fir")
-        codegen_request = JobRequest.make("fir", options={"mode": "codegen"})
+        tier_up_at(0)  # fir is too small to generate code on its own
+        plan_request = JobRequest.make("fir", options={"mode": "plan"})
+        codegen_request = JobRequest.make("fir")
 
         cold = JobScheduler(store=ResultStore(tmp_path))
         plan_job = cold.submit(plan_request)
         cold.run_pending()
         plan_record = plan_job.result()
         assert plan_record["summary"]["execution_mode"] == "plan"
+        assert plan_record["summary"]["blocks_codegenned"] == 0
 
         # A fresh scheduler over the warm store: the codegen request
         # must queue and simulate, not hit the plan record.
@@ -622,16 +648,18 @@ class TestExecutionModeStoreSafety:
             assert job.done and job.source == "store"
             assert job.record == record
         # The explicit default spelling hits the same record.
-        spelled = warm.submit(JobRequest.make("fir", options={"mode": "plan"}))
+        spelled = warm.submit(
+            JobRequest.make("fir", options={"mode": "codegen"})
+        )
         assert spelled.done and spelled.source == "store"
-        assert spelled.record == plan_record
+        assert spelled.record == codegen_record
         assert warm.stats.simulated == 0
         assert warm.stats.store_hits == 3
 
     def test_stats_report_submissions_by_mode(self, tmp_path):
         scheduler = JobScheduler(store=ResultStore(tmp_path))
         scheduler.submit(JobRequest.make("fir"))
-        scheduler.submit(JobRequest.make("fir", options={"mode": "codegen"}))
+        scheduler.submit(JobRequest.make("fir", options={"mode": "plan"}))
         scheduler.submit(
             JobRequest.make("fir", options={"mode": "interpret"}, seed=1)
         )

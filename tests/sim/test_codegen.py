@@ -7,8 +7,13 @@ codegen (:mod:`repro.sim.codegen`).  These tests pin down:
 * the one canonical normalization point (:func:`resolve_execution_mode`),
 * bit-identity of all three modes on loop/branch/dynamic-index programs,
   including a hypothesis property over randomly generated small modules,
-* the codegen counters, the ``__codegen_source__`` escape hatch, and the
-  plan cache's mode keying (plan and codegen artifacts never mix).
+* the codegen counters, the ``source_of`` escape hatch, and the plan
+  cache's mode keying (plan and codegen artifacts never mix).
+
+The programs here are small — no block runs often enough to tier up on
+its own — so every test generates bodies at the first execution
+(``tier_up_at(0)``); ``test_codegen_tiering.py`` holds the tiering
+itself.
 """
 
 from __future__ import annotations
@@ -28,11 +33,18 @@ from repro.sim import (
     EngineOptions,
     ExecutionMode,
     PlanCache,
+    codegen,
     resolve_execution_mode,
     simulate,
 )
+from tests.conftest import observables
 
 MODES = ("interpret", "plan", "codegen")
+
+
+@pytest.fixture(autouse=True)
+def _generate_at_first_execution(tier_up_at):
+    tier_up_at(0)
 
 
 # ---------------------------------------------------------------------------
@@ -42,7 +54,7 @@ MODES = ("interpret", "plan", "codegen")
 
 class TestExecutionMode:
     def test_resolution_matrix(self):
-        assert resolve_execution_mode(None) is ExecutionMode.PLAN
+        assert resolve_execution_mode(None) is ExecutionMode.CODEGEN
         for spelling in MODES:
             assert resolve_execution_mode(spelling) is ExecutionMode(spelling)
             assert (
@@ -59,7 +71,7 @@ class TestExecutionMode:
             resolve_execution_mode("turbo")
 
     def test_options_resolve_to_the_enum(self):
-        assert EngineOptions().mode is ExecutionMode.PLAN
+        assert EngineOptions().mode is resolve_execution_mode(None)
         for spelling in MODES:
             assert EngineOptions(mode=spelling).mode is ExecutionMode(spelling)
         with pytest.raises(ValueError, match="valid modes"):
@@ -69,26 +81,6 @@ class TestExecutionMode:
 # ---------------------------------------------------------------------------
 # Three-way differential
 # ---------------------------------------------------------------------------
-
-
-def observables(engine, result):
-    return {
-        "cycles": result.cycles,
-        "events": result.summary.scheduler_events,
-        "launches": result.summary.launches_executed,
-        "buffers": {
-            name: buffer.array.tolist()
-            for name, buffer in sorted(result.buffers.items())
-        },
-        "processors": [
-            (p.name, p.busy_cycles, p.executed_events)
-            for p in engine.processors
-        ],
-        "memories": [
-            (m.name, m.bytes_read, m.bytes_written, m.reads, m.writes)
-            for m in engine.memories
-        ],
-    }
 
 
 def run_all_modes(build, **option_overrides):
@@ -246,8 +238,9 @@ class TestCodegenMechanics:
         ]
         assert bodies
         for body in bodies:
-            source = body.__codegen_source__
-            assert source.startswith("def _plan_body(ex, env")
+            assert codegen.source_of(body).startswith(
+                "def _plan_body(ex, env"
+            )
 
     def test_interpreter_never_codegens(self, rng):
         data = rng.integers(-40, 40, 12).astype(np.int32)
@@ -320,6 +313,7 @@ class TestCodegenMechanics:
         record.pop("execution_mode")
         record.pop("blocks_codegenned")
         record.pop("codegen_fallbacks")
+        record.pop("codegen_fallback_reasons")
         old = ProfilingSummary.from_dict(record)
         assert old.execution_mode == ""
 

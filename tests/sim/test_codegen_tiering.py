@@ -1,0 +1,340 @@
+"""Execution-mode gates: call-driven, shape-shared, hot-block codegen.
+
+``mode=codegen`` (the default) replays a block's plan until the block has
+been entered ``plan.TIER_UP_EXECUTIONS`` times, then generates its body —
+from an already compiled code object when some block of the same shape
+got there first.  These tests hold:
+
+* every registered scenario, plus two programs whose bodies suspend
+  (a contended read; a flush with pending cycles), bit-identical across
+  ``interpret``, ``plan`` and codegen with the tier-up at the first
+  execution, in the middle of the run, and never — on both schedulers;
+* exact counts: how many ``compile()`` calls a cold run makes, that a
+  block below the threshold makes none, that executions are counted
+  across simulations sharing a :class:`PlanCache`;
+* code sharing: structurally identical bodies are one code object.
+"""
+
+from __future__ import annotations
+
+import gc
+import sys
+
+import numpy as np
+import pytest
+
+from repro import ir
+from repro.dialects import affine, arith
+from repro.dialects.equeue import EQueueBuilder
+from repro.dialects.linalg import ConvDims
+from repro.generators.systolic import SystolicConfig, build_systolic_program
+from repro.scenarios import get_scenario, scenario_names
+from repro.sim import Engine, EngineOptions, PlanCache, codegen, plan, simulate
+from tests.conftest import observables
+
+#: Tier-up thresholds: generated at the first execution, swapped in
+#: mid-run, never reached.
+TIERS = {"codegen@0": 0, "codegen@2": 2, "codegen@never": sys.maxsize}
+VARIANTS = ("interpret", "plan", *TIERS)
+
+
+# ---------------------------------------------------------------------------
+# Programs whose hot body suspends
+# ---------------------------------------------------------------------------
+
+
+def _two_pe_program(loop_body, n=8):
+    """Two PEs each running ``loop_body`` ``n`` times over one shared
+    SRAM source buffer and their own register destination."""
+    module = ir.create_module()
+    builder = ir.Builder(ir.InsertionPoint.at_end(module.body))
+    eq = EQueueBuilder(builder)
+    sram = eq.create_mem("SRAM", 256, ir.i32, name="sram")
+    regs = eq.create_mem("Register", 256, ir.i32, name="regs")
+    src = eq.alloc(sram, [n], ir.i32, name="src")
+    start = eq.control_start()
+    done = []
+    for k in range(2):
+        pe = eq.create_proc("MAC", name=f"pe{k}")
+        dst = eq.alloc(regs, [n], ir.i32, name=f"dst{k}")
+
+        def body(b, src_a, dst_a):
+            affine.for_loop(
+                b, 0, n, body=lambda b2, i: loop_body(b2, i, src_a, dst_a)
+            )
+
+        done.append(
+            eq.launch(start, pe, args=[src, dst], body=body, label=f"pe{k}")[0]
+        )
+    eq.await_(eq.control_and(done))
+    ir.verify(module)
+    return module
+
+
+def _contended_read(b, i, src, dst):
+    # Both PEs read the one-ported SRAM in the same cycles: the read
+    # takes the general handler and suspends on the memory's queue.
+    eq = EQueueBuilder(b)
+    x = eq.read_element(src, [i])
+    eq.write_element(arith.muli(b, x, x), dst, [i])
+
+
+def _pending_flush(b, i, src, dst):
+    # The addi leaves a pending cycle, so the control_start that
+    # follows must flush — a suspension in the middle of the body.
+    eq = EQueueBuilder(b)
+    x = eq.read_element(dst, [i])
+    eq.write_element(arith.addi(b, x, x), dst, [i])
+    eq.control_start()
+    y = eq.read_element(src, [i])
+    eq.write_element(arith.addi(b, y, x), dst, [i])
+
+
+SUSPENDING = {
+    "contended-read": _contended_read,
+    "pending-flush": _pending_flush,
+}
+
+
+def _builder(program):
+    """``build() -> (module, inputs)`` for a scenario or a suspending
+    program, plus the engine options the program runs under."""
+    if program in SUSPENDING:
+        data = np.arange(1, 9, dtype=np.int32)
+
+        def build():
+            return _two_pe_program(SUSPENDING[program]), {"src": data}
+
+        # Scalar loops: the suspension has to come from inside the
+        # flattened body, not from the vectorizer's guard fallback.
+        return build, {"vectorize_loops": False}
+    scenario = get_scenario(program)
+    cfg = scenario.configure()
+    return (lambda: (scenario.build(cfg), scenario.make_inputs(cfg, 5))), {}
+
+
+@pytest.mark.parametrize("scheduler", ["wheel", "heap"])
+@pytest.mark.parametrize("program", [*scenario_names(), *SUSPENDING])
+def test_every_tier_is_bit_identical(program, scheduler, tier_up_at):
+    build, overrides = _builder(program)
+    reference = None
+    for variant in VARIANTS:
+        if variant in TIERS:
+            tier_up_at(TIERS[variant])
+        module, inputs = build()
+        options = EngineOptions(
+            mode=variant.split("@")[0], scheduler=scheduler, **overrides
+        )
+        engine = Engine(module, options, inputs)
+        result = engine.run()
+        seen = observables(engine, result)
+        if reference is None:
+            reference = seen
+        assert seen == reference, f"{variant} diverged from interpret"
+        generated = result.summary.blocks_codegenned
+        if variant == "codegen@0":
+            assert generated > 0
+            assert result.summary.codegen_tiered_up == 0
+        elif variant == "codegen@2":
+            assert result.summary.codegen_tiered_up == generated
+        else:
+            assert generated == 0
+
+
+def test_suspending_bodies_do_suspend_in_generated_code(
+    tier_up_at, monkeypatch
+):
+    """The two suspending programs only test resumption if the generated
+    body is what suspends: its flattened loop hands the rest of itself
+    to ``_for_resume``."""
+    tier_up_at(0)
+    resumed = []
+
+    def counting(*args):
+        resumed.append(args)
+        return for_resume(*args)
+
+    for_resume = codegen._for_resume
+    monkeypatch.setattr(codegen, "_for_resume", counting)
+    for program in SUSPENDING:
+        build, overrides = _builder(program)
+        module, inputs = build()
+        before = len(resumed)
+        result = simulate(module, EngineOptions(**overrides), inputs=inputs)
+        assert result.summary.blocks_codegenned >= 2  # one per PE body
+        assert len(resumed) > before
+
+
+# ---------------------------------------------------------------------------
+# Exact counts
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def compile_calls(monkeypatch):
+    """Every ``compile()`` the code generator makes, from a cold shape
+    table (the table is process-wide: other tests' shapes would hide
+    calls)."""
+    calls = []
+
+    def counting(source, *args):
+        calls.append(source)
+        return compile(source, *args)
+
+    monkeypatch.setattr(codegen, "compile", counting, raising=False)
+    saved = dict(codegen._SHAPES)
+    codegen._SHAPES.clear()
+    yield calls
+    codegen._SHAPES.update(saved)
+
+
+STEADY_DIMS = ConvDims(n=1, c=3, h=16, w=16, fh=2, fw=2)
+
+
+def _systolic(dataflow, height, width, dims=STEADY_DIMS):
+    program = build_systolic_program(
+        SystolicConfig(dataflow, height, width, dims)
+    )
+    rng = np.random.default_rng(7)
+    ifmap = rng.integers(-3, 4, (dims.c, dims.h, dims.w)).astype(np.int32)
+    weights = rng.integers(
+        -3, 4, (dims.n, dims.c, dims.fh, dims.fw)
+    ).astype(np.int32)
+    return program.module, program.prepare_inputs(ifmap, weights)
+
+
+def test_cold_ws_4x4_compiles_at_most_25_bodies(compile_calls):
+    """The ``engine_steady`` WS program cold: 82 ``compile()`` calls when
+    every block plan was compiled eagerly and separately."""
+    module, inputs = _systolic("WS", 4, 4)
+    cache = PlanCache()
+    summary = simulate(
+        module, EngineOptions(), inputs=inputs, plan_cache=cache
+    ).summary
+    assert 1 <= len(compile_calls) <= 25
+    assert len(set(compile_calls)) == len(compile_calls)
+    assert (
+        summary.blocks_codegenned - summary.codegen_code_shared
+        == len(compile_calls)
+    )
+    # All 16 PE bodies run generated code, so most of it is shared.
+    assert summary.blocks_codegenned >= 16
+    assert summary.codegen_tiered_up == summary.blocks_codegenned
+    assert summary.codegen_fallback_reasons == {"K_GEN:equeue.await": 3}
+    assert summary.codegen_fallbacks == 3
+    # Warm: nothing left to generate, nothing new to decline.
+    warm = simulate(
+        module, EngineOptions(), inputs=inputs, plan_cache=cache
+    ).summary
+    assert (warm.blocks_codegenned, warm.codegen_fallbacks) == (0, 0)
+    assert len(compile_calls) <= 25
+
+
+def _counted_loop(n):
+    """One launch whose loop body runs ``n`` times."""
+    module = ir.create_module()
+    builder = ir.Builder(ir.InsertionPoint.at_end(module.body))
+    eq = EQueueBuilder(builder)
+    pe = eq.create_proc("MAC", name="pe")
+    regs = eq.create_mem("Register", 256, ir.i32, name="regs")
+    buf = eq.alloc(regs, [n], ir.i32, name="buf")
+    start = eq.control_start()
+
+    def body(b, buf_a):
+        def step(b2, i):
+            eq2 = EQueueBuilder(b2)
+            x = eq2.read_element(buf_a, [i])
+            eq2.write_element(arith.addi(b2, x, x), buf_a, [i])
+
+        affine.for_loop(b, 0, n, body=step)
+
+    done, = eq.launch(start, pe, args=[buf], body=body)
+    eq.await_(done)
+    return module
+
+
+def test_a_block_below_the_threshold_never_compiles(compile_calls):
+    executions = plan.TIER_UP_EXECUTIONS // 4
+    module = _counted_loop(executions)
+    cache = PlanCache()
+    options = EngineOptions(vectorize_loops=False)
+    data = {"buf": np.arange(executions, dtype=np.int32)}
+    summary = simulate(module, options, inputs=data, plan_cache=cache).summary
+    assert summary.blocks_codegenned == 0
+    assert compile_calls == []
+    plans = [p for _, p in cache.plans.values()]
+    assert all(p.compiled is None for p in plans)
+    assert max(p.runs for p in plans) == executions
+
+    # The count belongs to the plan, so it outlives the simulation: the
+    # fifth run sharing this cache crosses the threshold part-way.
+    for _ in range(4):
+        summary = simulate(
+            module, options, inputs=data, plan_cache=cache
+        ).summary
+    assert summary.blocks_codegenned == summary.codegen_tiered_up == 1
+    assert len(compile_calls) == 1
+    loop_body, = [p for p in plans if p.compiled is not None]
+    assert loop_body.runs == plan.TIER_UP_EXECUTIONS + 1
+    assert codegen.source_of(loop_body.compiled) == compile_calls[0]
+
+
+def test_plan_mode_counts_nothing_and_compiles_nothing(compile_calls):
+    module = _counted_loop(4 * plan.TIER_UP_EXECUTIONS)
+    cache = PlanCache()
+    simulate(
+        module,
+        EngineOptions(mode="plan", vectorize_loops=False),
+        inputs={"buf": np.zeros(4 * plan.TIER_UP_EXECUTIONS, np.int32)},
+        plan_cache=cache,
+    )
+    assert compile_calls == []
+    assert all(
+        (p.runs, p.compiled, p.tier) == (0, None, None)
+        for _, p in cache.plans.values()
+    )
+
+
+# ---------------------------------------------------------------------------
+# Code sharing
+# ---------------------------------------------------------------------------
+
+
+def _generated_bodies(module, inputs):
+    """The generated functions a cold run leaves on its plans."""
+    cache = PlanCache()
+    simulate(module, EngineOptions(), inputs=inputs, plan_cache=cache)
+    return [
+        p.compiled for _, p in cache.plans.values() if p.compiled is not None
+    ]
+
+
+def test_identical_bodies_share_one_code_object(tier_up_at, compile_calls):
+    tier_up_at(0)
+    dims = ConvDims(n=1, c=2, h=6, w=6, fh=2, fw=2)
+    small = _generated_bodies(*_systolic("WS", 3, 3, dims))
+    by_code = {}
+    for body in small:
+        by_code.setdefault(body.__code__, []).append(body)
+    # Same array: PE bodies differ only in their coordinates, and those
+    # are default arguments, not text.
+    a, b = max(by_code.values(), key=len)[:2]
+    assert a is not b and a.__code__ is b.__code__
+    assert a.__defaults__ != b.__defaults__
+    assert len(small) >= 9
+    assert len(by_code) == len(compile_calls) < len(small) / 2
+    # Another program, another array size: the same shapes, no compile().
+    large = _generated_bodies(*_systolic("WS", 4, 2, dims))
+    assert large and {body.__code__ for body in large} <= set(by_code)
+    assert len(compile_calls) == len(by_code)
+
+
+def test_shapes_die_with_their_last_body(tier_up_at, compile_calls):
+    """The shape table holds code weakly: a dropped cache frees it."""
+    tier_up_at(0)
+    dims = ConvDims(n=1, c=2, h=6, w=6, fh=2, fw=2)
+    bodies = _generated_bodies(*_systolic("OS", 2, 2, dims))
+    assert len(codegen._SHAPES) == len({b.__code__ for b in bodies}) > 0
+    del bodies
+    gc.collect()  # a body and its plan reference each other
+    assert len(codegen._SHAPES) == 0

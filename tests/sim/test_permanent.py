@@ -128,6 +128,43 @@ class TestHandOffIsInvisible:
         assert gc.get_freeze_count() == 0
 
 
+    def test_bodies_generated_after_parking_join_the_next_hand_off(self):
+        """A block can cross the tier-up threshold in a simulation after
+        the one that parked its program.  The body generated then is as
+        permanent as the plan it belongs to: it is owed a hand-off, and
+        the next cached simulation's settle parks it."""
+        cache = CompileCache()
+        cfg = sweep_style_points()[0]
+        ifmap, weights = deterministic_conv_inputs(cfg.dims, 0)
+        entry = _lookup(cache, cfg)
+
+        def run():
+            return entry.simulate(
+                _prepared(entry, cfg, ifmap, weights)
+            ).summary.blocks_codegenned
+
+        assert run() == 0  # too few executions to generate anything yet
+        assert run() == 0  # ... and this one settled the first hand-off
+        assert not permanent._deferred
+        generated = 0
+        while not generated:
+            generated = run()
+        assert permanent._deferred
+        bodies = [
+            plan.compiled
+            for _, plan in entry.plan_cache.plans.values()
+            if plan.compiled is not None
+        ]
+        assert len(bodies) == generated
+        young = {id(obj) for obj in gc.get_objects()}
+        assert all(id(body) in young for body in bodies)
+        run()
+        assert not permanent._deferred
+        parked = {id(obj) for obj in gc.get_objects()}
+        assert not any(id(body) in parked for body in bodies)
+        cache.clear()
+
+
 class _Sentinel:
     pass
 

@@ -7,6 +7,7 @@ import pytest
 from repro import ir
 from repro.dialects import linalg, memref
 from repro.dialects.equeue import EQueueBuilder
+from repro.sim import resolve_execution_mode
 from repro.tools import equeue_opt, equeue_sim
 
 
@@ -474,7 +475,10 @@ class TestExecutionModeFlag:
         assert "invalid choice" in capsys.readouterr().err
 
     @pytest.mark.parametrize("mode", ["interpret", "plan", "codegen"])
-    def test_stats_json_reports_resolved_mode(self, tmp_path, capsys, mode):
+    def test_stats_json_reports_resolved_mode(
+        self, tmp_path, capsys, mode, tier_up_at
+    ):
+        tier_up_at(0)  # fir is too small to generate code on its own
         stats_path = tmp_path / "stats.json"
         code = equeue_sim.main(
             ["--scenario", "fir", "--mode", mode,
@@ -483,8 +487,27 @@ class TestExecutionModeFlag:
         assert code == 0
         record = json.loads(stats_path.read_text())
         assert record["summary"]["execution_mode"] == mode
-        if mode == "codegen":
-            assert record["summary"]["blocks_codegenned"] > 0
+        assert (record["summary"]["blocks_codegenned"] > 0) == (
+            mode == "codegen"
+        )
+
+    def test_default_mode_follows_the_resolver(self):
+        """``--mode``'s default and the default left out of a sweep's
+        identity are ``resolve_execution_mode(None)``, not a spelling of
+        their own: a journal written with the flag omitted resumes with
+        the default spelled out, and every other mode is recorded."""
+        default = resolve_execution_mode(None).value
+        parser = equeue_sim.build_arg_parser()
+        bare = parser.parse_args(["--scenario", "fir", "--sweep"])
+        assert bare.mode == default
+        assert equeue_sim._sweep_option_overrides(bare) is None
+        for mode in ("interpret", "plan", "codegen"):
+            args = parser.parse_args(
+                ["--scenario", "fir", "--sweep", "--mode", mode]
+            )
+            assert equeue_sim._sweep_option_overrides(args) == (
+                None if mode == default else {"mode": mode}
+            )
 
     def test_sweep_accepts_mode(self, capsys):
         code = equeue_sim.main(
