@@ -14,7 +14,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict
 
 
 def measure_loc(path: Path) -> int:
@@ -92,5 +91,3 @@ def generator_loc_report() -> GeneratorLOCReport:
         total_loc=total, dataflow_conditional_loc=conditional
     )
 
-
-Dict  # noqa: B018

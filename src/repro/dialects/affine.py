@@ -23,6 +23,12 @@ from ..ir.types import IndexType, MemRefType
 from ..ir.values import Value
 from .memref import _check_indices, _check_memref
 
+__all__ = [
+    "AffineLoadOp", "AffineStoreOp", "ForOp", "ParallelOp", "YieldOp",
+    "for_loop", "load", "parallel", "store",
+    "MemRefType",  # re-exported for type checks
+]
+
 
 @register_op
 class ForOp(Operation):
@@ -232,5 +238,3 @@ def load(builder: Builder, buffer: Value, indices: Sequence[Value]) -> Value:
 def store(builder: Builder, value: Value, buffer: Value, indices: Sequence[Value]) -> None:
     builder.create("affine.store", [value, buffer, *indices], [])
 
-
-MemRefType  # noqa: B018  (re-export convenience for type checks)

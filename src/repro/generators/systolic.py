@@ -38,14 +38,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List
 
 import numpy as np
 
 from ..dialects import arith, scf
 from ..dialects.equeue import EQueueBuilder
 from ..dialects.linalg import ConvDims
-from ..ir import Builder, InsertionPoint, create_module, i1, i32, index, verify
+from ..ir import Builder, InsertionPoint, create_module, i32, index, verify
 from ..ir.module import ModuleOp
 from ..ir.values import Value
 
@@ -588,8 +588,3 @@ def _pe_active_body(
             r_next = arith.constant(b, r + 1, index)
             eq.write_element(x, named[f"flow_v_{write_sfx}"], [r_next, c_const])
 
-
-i1  # noqa: B018
-Callable  # noqa: B018
-Optional  # noqa: B018
-Tuple  # noqa: B018

@@ -207,7 +207,8 @@ class Operation:
     def erase(self) -> None:
         """Remove this op from its block and drop all operand uses.
 
-        The op must have no remaining uses of its results.
+        The op must have no remaining uses of its results.  It is dead
+        afterwards (:meth:`drop_all_references`).
         """
         for result in self.results:
             if result.has_uses:
@@ -220,13 +221,29 @@ class Operation:
             self.parent.remove(self)
 
     def drop_all_references(self) -> None:
-        """Drop operand uses of this op and, recursively, of nested ops."""
+        """Drop operand uses of this op and, recursively, of nested ops.
+
+        A dropped op is dead, so every back-reference inside its subtree
+        goes too (result -> op, region -> op, block -> region, argument
+        -> block, nested op -> block): what is left is a tree that
+        reference counting frees the moment the caller lets go.  Nothing
+        cyclic is left for the collector — or for ``gc.freeze()`` to
+        park as garbage (:mod:`repro.sim.permanent` freezes a program
+        right after its build, lowering passes included).
+        """
         for operand in self.operands:
             operand.drop()
         self.operands = ()
+        for result in self.results:
+            result.owner = None
         for region in self.regions:
+            region.parent = None
             for block in region.blocks:
-                for op in list(block.ops):
+                block.parent = None
+                for argument in block.arguments:
+                    argument.owner = None
+                for op in block.ops:
+                    op.parent = None
                     op.drop_all_references()
 
     def detach(self) -> "Operation":

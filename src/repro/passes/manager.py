@@ -14,7 +14,7 @@ Pipelines can be described textually, e.g.::
 from __future__ import annotations
 
 import re
-from typing import Dict, List, Optional, Tuple, Type
+from typing import Dict, List, Tuple, Type
 
 from ..ir.diagnostics import PassError
 from ..ir.module import ModuleOp
@@ -181,5 +181,3 @@ def _coerce(value: str):
         return value == "true"
     return value
 
-
-Optional  # noqa: B018

@@ -46,6 +46,7 @@ import pickle
 import threading
 import time
 import weakref
+from contextlib import nullcontext
 from concurrent.futures import (
     FIRST_COMPLETED,
     CancelledError,
@@ -855,11 +856,14 @@ class CachedProgram:
 
     module: object
     plan_cache: PlanCache
-    #: Set once the first simulation has compiled the plans and the
-    #: program is owed to the permanent generation: parked there by the
-    #: next cached simulation (:mod:`repro.sim.permanent`), as is code
-    #: a later simulation generates for blocks that got hot.
+    #: Something of this program is in the permanent generation or owed
+    #: to it (:mod:`repro.sim.permanent`): the IR from the moment
+    #: :meth:`CompileCache.lookup` built it, the plans once ``warmed``.
     parked: bool = False
+    #: Set once the first simulation has compiled the plans.  They — and
+    #: code a later simulation generates for blocks that got hot — are
+    #: parked by the next cached simulation.
+    warmed: bool = False
 
     def simulate(
         self,
@@ -878,18 +882,23 @@ class CachedProgram:
         # hands by now: the safe point for the hand-off it deferred.
         permanent.settle()
         compiled = options.mode is not ExecutionMode.INTERPRET
-        result = simulate(
-            self.module,
-            options,
-            inputs=inputs,
-            plan_cache=self.plan_cache if compiled else None,
-        )
-        if not self.parked or result.summary.blocks_codegenned:
-            # Built, verified, plans compiled: nothing here changes any
-            # more, so the collector need never walk it again.  Blocks
-            # that only got hot in a later simulation gained their
-            # generated bodies after that hand-off; they join the next.
-            self.parked = True
+        # The first simulation compiles the plans; like the build before
+        # it (CompileCache.lookup) it allocates what the cache keeps, so
+        # the collector sits it out and the hand-off owed below walks
+        # what the run leaves, once.
+        with nullcontext() if self.warmed else permanent.paused():
+            result = simulate(
+                self.module,
+                options,
+                inputs=inputs,
+                plan_cache=self.plan_cache if compiled else None,
+            )
+        if not self.warmed or result.summary.blocks_codegenned:
+            # Plans compiled: nothing here changes any more, so the
+            # collector need never walk it again.  Blocks that only got
+            # hot in a later simulation gained their generated bodies
+            # after that hand-off; they join the next.
+            self.warmed = self.parked = True
             permanent.defer()
         return result
 
@@ -932,9 +941,13 @@ class CompileCache:
         ``build()`` for the (verified) module."""
         entry = self.entries.get(signature)
         if entry is None:
-            entry = self.entries[signature] = CachedProgram(
-                build(), PlanCache()
-            )
+            # A program under construction is all live: the collector is
+            # held off while it is built and the finished IR goes
+            # straight to the permanent generation.
+            with permanent.under_construction():
+                entry = self.entries[signature] = CachedProgram(
+                    build(), PlanCache(), parked=True
+                )
             self.stats.programs_built += 1
         else:
             self.stats.program_hits += 1

@@ -86,7 +86,10 @@ from .plan import (
     K_CYCLES,
     K_DYN,
     K_FLUSH_CALL,
+    K_SITE,
     K_VEC,
+    ShapePlan,
+    SiteIndex,
     _plain_access_cost,
     _resume,
 )
@@ -130,6 +133,9 @@ class _Emitter:
     def __init__(self):
         self.lines = []
         self.bindings = {}
+        #: For a :class:`~repro.sim.plan.ShapePlan`: the bindings that
+        #: are a launch site's own, as ``name -> f(site)``.
+        self.recipes = {}
         self.needs_arith_cycles = False
         self._serial = 0
         self._names_by_id = {}
@@ -142,21 +148,56 @@ class _Emitter:
             name = self._names_by_id[id(value)] = self.site(prefix, value)
         return name
 
-    def site(self, prefix, value):
+    def site(self, prefix, value, recipe=None):
         """A per-site constant (an index, a cycle count, a folded
         attribute): always its own default argument, never a literal and
         never merged with an equal one, so the emitted text depends on
         the block's structure alone and every block of that structure
-        shares one code object."""
+        shares one code object.  ``recipe(site)`` computes the value for
+        a launch site of a shared body."""
         self._serial += 1
         name = f"_{prefix}{self._serial}"
         self.bindings[name] = value
+        if recipe is not None:
+            self.recipes[name] = recipe
+        return name
+
+    def plan(self, plan):
+        """``plan`` as a default argument; a shared plan stands for the
+        launch site's view of it."""
+        name = self.bind("p", plan)
+        if type(plan) is ShapePlan:
+            self.recipes[name] = lambda site, _i=plan.index: site.plans[_i]
+        return name
+
+    def entry(self, plan):
+        """``plan.execute``, likewise."""
+        name = self.site("e", plan.execute)
+        if type(plan) is ShapePlan:
+            self.recipes[name] = (
+                lambda site, _i=plan.index: site.plans[_i].execute
+            )
         return name
 
     def _item(self, const_idx):
         """``_u.array.item(i, j)`` with the static coordinates bound."""
-        idx = ", ".join(self.site("j", i) for i in const_idx)
-        return f"_u.array.item({idx})"
+        names = []
+        slots = getattr(const_idx, "slots", itertools.repeat(None))
+        for i, slot in zip(const_idx, slots):
+            recipe = None
+            if slot is not None:
+                def recipe(site, _s=slot):
+                    return int(site.consts[_s])
+            names.append(self.site("j", i, recipe))
+        return f"_u.array.item({', '.join(names)})"
+
+    def _target(self, const_idx):
+        """The static coordinates as one bound tuple (a store target)."""
+        if type(const_idx) is SiteIndex:
+            return self.site(
+                "g", const_idx, lambda site: const_idx.at(site.consts)
+            )
+        return self.site("g", const_idx)
 
     def line(self, indent, text):
         self.lines.append("    " * indent + text)
@@ -236,14 +277,14 @@ class _Emitter:
         possible, else enter its plan (which tiers up on its own)."""
         if depth < _MAX_FLATTEN_DEPTH and branch_plan.inlineable:
             mark = len(self.lines)
-            branch_name = self.bind("p", branch_plan)
+            branch_name = self.plan(branch_plan)
             self.emit_plan(
                 branch_plan, branch_name, indent, branch_wrap, depth + 1
             )
             if len(self.lines) == mark:  # empty branch body
                 self.line(indent, "pass")
         else:
-            branch_exec = self.bind("e", branch_plan.execute)
+            branch_exec = self.entry(branch_plan)
             self.line(indent, f"_r = {branch_exec}(ex, env)")
             self.line(indent, "if _r is not None:")
             self.line(indent + 1, branch_wrap("_r"))
@@ -387,7 +428,7 @@ class _Emitter:
         self._emit_general(indent + 2, general, index, plan_name, wrap)
         self.line(indent + 1, "else:")
         if const_idx is not None:
-            tgt = self.site("g", const_idx)
+            tgt = self._target(const_idx)
             self._emit_write_store(indent + 2, tgt, posted)
         else:
             idx = ", ".join(
@@ -449,7 +490,7 @@ class _Emitter:
         self._emit_general(indent + 2, general, index, plan_name, wrap)
         self.line(indent + 1, "else:")
         if const_idx is not None:
-            tgt = self.site("g", const_idx)
+            tgt = self._target(const_idx)
             self.line(indent + 2, f"_u.array[{tgt}] = _w")
             self.line(indent + 2, "_m.bytes_written += _u.element_bits >> 3")
             self.line(indent + 2, "_m.writes += 1")
@@ -503,6 +544,11 @@ class _Emitter:
             if kind == K_CONST:
                 key = self.bind("k", a)
                 val = self.site("v", b)
+                self.line(indent, f"env[{key}] = {val}")
+            elif kind == K_SITE:
+                # The same store; the value is the launch site's.
+                key = self.bind("k", a)
+                val = self.site("v", None, lambda site, _s=b: site.consts[_s])
                 self.line(indent, f"env[{key}] = {val}")
             elif kind == K_DYN and type(b) is tuple and b:
                 tag = b[0]
@@ -584,7 +630,7 @@ class _Emitter:
         """Scalar affine.for with flattening metadata: a native loop —
         plan mode pays a generator frame here on every execution."""
         _, body_plan, induction, loop_range = meta
-        body_exec = self.bind("e", body_plan.execute)
+        body_exec = self.entry(body_plan)
         ind = self.bind("i", induction)
         rng = self.bind("r", loop_range)
         tail = self.bind("t", plan.steps[index + 1:])
@@ -600,7 +646,7 @@ class _Emitter:
             )
 
         if depth < _MAX_FLATTEN_DEPTH and body_plan.inlineable:
-            body_name = self.bind("p", body_plan)
+            body_name = self.plan(body_plan)
             self.emit_plan(
                 body_plan, body_name, indent + 1, body_wrap, depth + 1
             )
@@ -610,21 +656,16 @@ class _Emitter:
             self.line(indent + 2, body_wrap("_r"))
 
 
-def compile_block_body(plan: BlockPlan):
-    """Emit and instantiate the specialized body for an inlineable
-    ``plan``; returns ``(fn, shared)``.
-
-    ``fn`` has the ``_inline_run`` contract — ``fn(ex, env)`` → ``None``
-    or a generator.  Everything the body references is a default
-    argument (``LOAD_FAST`` at execution time, no global or closure
-    lookups), so the emitted text names no object and ``compile()`` runs
-    once per *shape*: ``shared`` is true when an earlier block — of this
-    program or any other in the process — already compiled the same
-    text, and ``fn`` differs from that block's body only in
-    ``__defaults__``.  :func:`source_of` returns the text.
-    """
+def _emit(plan: BlockPlan):
+    """``(code, shared, defaults, recipes)`` for an inlineable ``plan``:
+    the body's code object (``shared``: some block had compiled the same
+    text already), the default arguments binding everything it names,
+    and — for a :class:`~repro.sim.plan.ShapePlan` — which of those are
+    a launch site's own, as ``position -> f(site)``."""
     emitter = _Emitter()
     emitter.bindings["_plan"] = plan
+    if type(plan) is ShapePlan:
+        emitter.recipes["_plan"] = lambda site, _i=plan.index: site.plans[_i]
     emitter.bindings["_resume"] = _resume
     emitter.bindings["_for_resume"] = _for_resume
     emitter.bindings["_Future"] = Future
@@ -645,10 +686,47 @@ def compile_block_body(plan: BlockPlan):
         code = _SHAPES[source] = next(
             c for c in module.co_consts if isinstance(c, CodeType)
         )
-    fn = FunctionType(
-        code, _GLOBALS, "_plan_body", tuple(emitter.bindings.values())
-    )
-    return fn, shared
+    recipes = [
+        (position, emitter.recipes[name])
+        for position, name in enumerate(emitter.bindings)
+        if name in emitter.recipes
+    ]
+    return code, shared, list(emitter.bindings.values()), recipes
+
+
+def compile_block_body(plan: BlockPlan):
+    """Emit and instantiate the specialized body for an inlineable
+    ``plan``; returns ``(fn, shared)``.
+
+    ``fn`` has the ``_inline_run`` contract — ``fn(ex, env)`` → ``None``
+    or a generator.  Everything the body references is a default
+    argument (``LOAD_FAST`` at execution time, no global or closure
+    lookups), so the emitted text names no object and ``compile()`` runs
+    once per *shape*: ``shared`` is true when an earlier block — of this
+    program or any other in the process — already compiled the same
+    text, and ``fn`` differs from that block's body only in
+    ``__defaults__``.  :func:`source_of` returns the text.
+
+    A launch site's view of a shared plan is not even emitted twice: the
+    first hot site emits the shape's body, and every site — that one
+    included — gets a function of that code object whose per-site
+    defaults (constants, folded index tuples, its views of nested plans)
+    are filled in from the site.
+    """
+    shape = plan.shape
+    if shape is None:
+        code, shared, defaults, _ = _emit(plan)
+    else:
+        shared = shape.emitted is not None
+        if not shared:
+            code, shared, defaults, recipes = _emit(shape)
+            shape.emitted = code, defaults, recipes
+        code, defaults, recipes = shape.emitted
+        defaults = defaults.copy()
+        site = plan.site
+        for position, recipe in recipes:
+            defaults[position] = recipe(site)
+    return FunctionType(code, _GLOBALS, "_plan_body", tuple(defaults)), shared
 
 
 def source_of(fn) -> Optional[str]:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
@@ -414,5 +414,3 @@ def _register_default_kinds() -> None:
 
 
 _register_default_kinds()
-
-field  # noqa: B018  (dataclasses re-export convenience)

@@ -91,6 +91,13 @@ from .tracing import TraceRecorder
 from ..obs import metrics as _obs_metrics
 from ..obs.spans import span as _span
 
+__all__ = [
+    "Engine", "EngineError", "EngineOptions", "ExecutionMode", "Future",
+    "SimulationResult", "resolve_execution_mode", "simulate",
+    # Re-exported for callers catching both error kinds / checking types.
+    "IRError", "TensorType",
+]
+
 
 class EngineError(Exception):
     """Raised for runtime simulation errors (deadlock, unresolved values)."""
@@ -344,7 +351,9 @@ class Engine:
         if self._plans is not None:
             self._plans.attach(self)
             self._plan_base = (
-                self._plans.counters(), self._plans.codegen_fallbacks.copy()
+                self._plans.counters(),
+                self._plans.codegen_fallbacks.copy(),
+                self._plans.plan_share_declined.copy(),
             )
         if self.options.verify_module:
             with _span("engine.verify"):
@@ -899,19 +908,31 @@ class Engine:
         if cached is None:
             results = tuple(op.results)
             block = op.regions[0].entry_block
+            # A body compiled once per shape runs over the shape's SSA
+            # values: its captures bind to the representative block's
+            # arguments, and its env names the site (repro.sim.plan,
+            # "Shapes and sites").  The interpreter walks every body's
+            # own ops.
+            arguments, site = (
+                self._plans.bind_site(block)
+                if self._plans is not None
+                else (block.arguments, None)
+            )
             cached = (
                 op.operand(0),
                 op.operand(1),
-                tuple(zip(block.arguments, op.operand_values[2:])),
+                tuple(zip(arguments, op.operand_values[2:])),
                 block,
                 op.get_attr("label", "launch"),
                 results[0],
                 results[1:],
+                site,
             )
             self._static[id(op)] = cached
-        dep_ssa, target_ssa, captures, block, label, done_ssa, value_ssa = (
-            cached
-        )
+        (
+            dep_ssa, target_ssa, captures, block, label, done_ssa, value_ssa,
+            site,
+        ) = cached
         dep = self._resolve(env, dep_ssa)
         target = self._resolve(env, target_ssa)
         if not isinstance(target, ProcessorModel):
@@ -920,7 +941,7 @@ class Engine:
         # Bind the captured values straight into the body's own env; a
         # captured launch result resolves when the body starts, so the
         # processor loop is told which arguments still hold one.
-        body_env = {}
+        body_env = {} if site is None else {_SITE: site}
         futures = ()
         for arg, ssa in captures:
             value = env.get(ssa)
@@ -1386,19 +1407,21 @@ class Engine:
             # accumulates across simulations, but each run reports only
             # its own compiles/hits (so a fully warm run shows
             # plans_compiled == 0 and pure cache hits).
-            base, base_reasons = self._plan_base
+            base, base_reasons, base_declined = self._plan_base
             (
                 compiled, hits, vec_loops, vec_iters, vec_falls,
-                codegenned, code_shared, tiered_up,
+                codegenned, code_shared, tiered_up, shapes, shared,
             ) = (
                 current - before
                 for current, before in zip(plans.counters(), base)
             )
             fallback_reasons = dict(plans.codegen_fallbacks - base_reasons)
+            share_declined = dict(plans.plan_share_declined - base_declined)
         else:
             compiled = hits = vec_loops = vec_iters = vec_falls = 0
-            codegenned = code_shared = tiered_up = 0
+            codegenned = code_shared = tiered_up = shapes = shared = 0
             fallback_reasons = {}
+            share_declined = {}
         sim = self.sim
         return ProfilingSummary(
             execution_time_s=elapsed,
@@ -1413,6 +1436,9 @@ class Engine:
             launches_executed=self.launches_executed,
             plans_compiled=compiled,
             plan_cache_hits=hits,
+            plan_shapes=shapes,
+            plans_shared=shared,
+            plan_share_declined=share_declined,
             vector_loops=vec_loops,
             vector_iterations=vec_iters,
             vector_fallbacks=vec_falls,
@@ -1453,6 +1479,20 @@ class Engine:
         registry.counter(
             "engine.plan_cache_hits", "Block-plan cache hits"
         ).inc(summary.plan_cache_hits)
+        registry.counter(
+            "engine.plan_shapes", "Launch-body shapes compiled"
+        ).inc(summary.plan_shapes)
+        registry.counter(
+            "engine.plans_shared",
+            "Launch bodies bound to an already compiled shape",
+        ).inc(summary.plans_shared)
+        for reason, count in summary.plan_share_declined.items():
+            # "identity:equeue.alloc" -> engine.plan_share_declined.identity.equeue.alloc
+            registry.counter(
+                "engine.plan_share_declined."
+                + reason.lower().replace(":", "."),
+                "Launch bodies compiled on their own, by the op in the way",
+            ).inc(count)
         registry.counter(
             "engine.blocks_codegenned", "Blocks lowered to Python source"
         ).inc(summary.blocks_codegenned)
@@ -1514,9 +1554,6 @@ def simulate(
     return Engine(module, options, inputs, plan_cache=plan_cache).run()
 
 
-IRError  # noqa: B018  (re-export for callers catching both error kinds)
-TensorType  # noqa: B018
-
 # engine <-> plan import each other; see the note at the bottom of plan.py.
 from .plan import _EMPTY as _NO_RETURNS  # noqa: E402
-from .plan import PlanCache, _cold_run  # noqa: E402
+from .plan import _SITE, PlanCache, _cold_run  # noqa: E402

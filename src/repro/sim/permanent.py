@@ -22,6 +22,16 @@ this module:
   its way in — by then the previous result is garbage, and
 * :func:`hand_off` collects before it freezes, so cyclic garbage is
   freed rather than made permanent.
+* :func:`under_construction` brackets the build of a new program: it
+  collects what the previous run left, then holds automatic collection
+  off while the builder allocates — every object of a program under
+  construction is live, so a collection there only re-walks it — and
+  parks the finished program (and whatever hand-off was still owed)
+  with a bare ``gc.freeze()``, an O(1) list splice.
+* :func:`paused` holds collection off over the program's first
+  simulation the same way: what that run leaves behind is the next
+  hand-off's to walk, once, instead of the automatic collector's many
+  times.
 * :func:`release` thaws the heap when a cache drops parked programs (IR
   is cyclic: while frozen, dropped modules are never reclaimed).  It
   thaws everything, including programs another cache still holds; they
@@ -37,6 +47,7 @@ died later waits for the next :func:`release`.
 from __future__ import annotations
 
 import gc
+import threading
 from contextlib import contextmanager
 
 #: A hand-off is owed (:func:`defer`).  Process-wide like the freeze
@@ -64,6 +75,49 @@ def hand_off() -> None:
     _deferred = False
     gc.collect()
     gc.freeze()
+
+
+#: Nested/concurrent :func:`paused` windows, and whether collection was
+#: enabled when the outermost opened.
+_pause_lock = threading.Lock()
+_pauses = 0
+_was_enabled = False
+
+
+@contextmanager
+def paused():
+    """Hold automatic collection off; whatever way the block is left,
+    the collector is as it was found once the last window closes."""
+    global _pauses, _was_enabled
+    with _pause_lock:
+        if not _pauses:
+            _was_enabled = gc.isenabled()
+            gc.disable()
+        _pauses += 1
+    try:
+        yield
+    finally:
+        with _pause_lock:
+            _pauses -= 1
+            if not _pauses and _was_enabled:
+                gc.enable()
+
+
+@contextmanager
+def under_construction():
+    """Build a long-lived object graph without the collector walking it.
+
+    The last run's leftovers are garbage by now: collect them, then
+    build with collection paused and park everything alive — the new
+    graph, and whatever that run's hand-off still owed — with a bare
+    freeze.  The builder must leave no cyclic garbage behind (it would
+    be parked); nothing is parked if it raises."""
+    global _deferred
+    gc.collect()
+    with paused():
+        yield
+        _deferred = False
+        gc.freeze()
 
 
 def release() -> None:

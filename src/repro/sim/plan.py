@@ -32,6 +32,9 @@ Step kinds
 
 =================  ========================================================
 ``K_CONST``        bind a constant into the environment (no call at all)
+``K_SITE``         the same for a constant of a launch body compiled once
+                   per *shape*: the value comes from the launch site's
+                   constant vector (see "Shapes and sites" below)
 ``K_DYN``          pre-bound closure returning a local cycle cost *or* a
                    generator (arith, reads/writes, coarse models) — the
                    hot kind, checked first by both executors
@@ -67,6 +70,24 @@ bit-for-bit on the final (element-typed) stores.  A cheap runtime guard
 re-checks what static analysis cannot see — memory kinds, buffer
 aliasing, scatter-address injectivity — and falls back to scalar plan
 replay when it fails, so the fast path is always safe to attempt.
+
+Shapes and sites
+================
+
+An ``equeue.launch`` body is a closed term over its block arguments, and
+a generated array stamps the same body out once per PE with different
+``arith.constant`` values.  :func:`_shape_key` gives a body a structural
+key — op names, attributes, argument and result types, operands as
+positions over the whole body tree, constant *values* left out — and
+:meth:`PlanCache.bind_site` compiles plan steps once per key, against
+the first body seen with it.  Every launch of such a body binds its
+captures to that representative's block arguments and carries a
+:class:`BodySite`: its own constant vector plus one :class:`BlockPlan`
+*view* per plan of the shape (shared steps, own generated body).  The
+execution count and the emitted source belong to the shape; a site whose
+shape got hot instantiates its own function from the shape's code object
+with its constants as defaults.  What stops a body from being shared,
+and what keeps a constant in the key, is listed at :func:`_shape_key`.
 """
 
 from __future__ import annotations
@@ -85,8 +106,12 @@ from .components import Buffer, MemoryModel
 
 (
     K_CONST, K_CYCLES, K_DYN, K_FLUSH_CALL, K_GEN, K_CTRL, K_VEC, K_RET,
-    K_ANY,
-) = range(9)
+    K_ANY, K_SITE,
+) = range(10)
+
+#: Environment key under which a launch body finds the :class:`BodySite`
+#: it runs for (only bodies compiled once per shape carry one).
+_SITE = object()
 
 _EMPTY: List[object] = []
 
@@ -112,7 +137,7 @@ V_STEP, V_CONST, V_READ, V_WRITE, V_REDUCE = range(5)
 #: without allocating a generator — as long as no step actually suspends.
 #: See :func:`_inline_run`.
 _INLINEABLE = frozenset(
-    {K_CONST, K_CYCLES, K_DYN, K_CTRL, K_VEC, K_FLUSH_CALL}
+    {K_CONST, K_SITE, K_CYCLES, K_DYN, K_CTRL, K_VEC, K_FLUSH_CALL}
 )
 
 #: The non-inlineable kinds, as spelled in a codegen fallback reason
@@ -141,9 +166,17 @@ class BlockPlan:
     inline/suspend protocol as :func:`_inline_run`.  ``tier`` is the
     cache that does the swap; ``None`` in plan mode, where ``compiled``
     stays ``None`` for good.
+
+    A launch site's *view* of a plan compiled once per shape shares that
+    :class:`ShapePlan`'s ``steps`` and names it in ``shape`` — the
+    threshold is compared against the shape's count, summed over every
+    site — while ``compiled`` is the site's own function, instantiated
+    for the :class:`BodySite` in ``site``.
     """
 
-    __slots__ = ("steps", "inlineable", "compiled", "runs", "tier")
+    __slots__ = (
+        "steps", "inlineable", "compiled", "runs", "tier", "shape", "site",
+    )
 
     def __init__(self, steps, tier=None):
         self.steps = steps
@@ -151,6 +184,8 @@ class BlockPlan:
         self.compiled = None
         self.runs = 0
         self.tier = tier
+        self.shape = None
+        self.site = None
 
     def execute(self, ex, env):
         """Run under the inline/suspend protocol: ``None`` when the plan
@@ -222,6 +257,10 @@ class BlockPlan:
                         ex.pending += result
                 else:
                     yield from result
+            elif kind == K_SITE:
+                # Only a suspended shared body resumes here (shared
+                # plans are inlineable): last in line.
+                env[a] = env[_SITE].consts[b]
             else:  # K_RET
                 if ex.pending:
                     pending, ex.pending = ex.pending, 0
@@ -253,6 +292,8 @@ def _inline_run(plan, ex, env):
             return _resume(plan, ex, env, result, index, True)
         elif kind == K_CONST:
             env[a] = b
+        elif kind == K_SITE:
+            env[a] = env[_SITE].consts[b]
         elif kind == K_FLUSH_CALL:
             if ex.pending:
                 return plan.run(ex, env, steps[index:])
@@ -276,6 +317,10 @@ def _cold_run(plan, ex, env):
     cache = plan.tier
     if cache is not None:
         plan.runs = runs = plan.runs + 1
+        shape = plan.shape
+        if shape is not None:
+            # A site's view: the threshold is the shape's, over all sites.
+            shape.runs = runs = shape.runs + 1
         if runs > TIER_UP_EXECUTIONS:
             return cache.tier_up(plan)(ex, env)
     return _inline_run(plan, ex, env)
@@ -303,6 +348,192 @@ def _step_body(plan, ex, env):
     return plan.execute(ex, env)
 
 
+class ShapePlan(BlockPlan):
+    """A plan compiled once for every launch body of one shape.
+
+    Nothing executes it directly: a site runs its own view of it
+    (``site.plans[index]``).  The shape's steps — shared by all those
+    views — reach a nested plan through :meth:`execute`, which forwards
+    to the view of the site the body is running for.  ``emitted`` is
+    what the code generator keeps once the shape got hot: the code
+    object and how to fill its defaults in for a site.
+    """
+
+    __slots__ = ("index", "emitted")
+
+    def __init__(self, steps, tier, index):
+        super().__init__(steps, tier)
+        self.index = index
+        self.emitted = None
+
+    def execute(self, ex, env):
+        return env[_SITE].plans[self.index].execute(ex, env)
+
+    def view(self, site) -> BlockPlan:
+        plan = BlockPlan.__new__(BlockPlan)
+        plan.steps = self.steps
+        plan.inlineable = self.inlineable
+        plan.compiled = None
+        plan.runs = 0
+        plan.tier = self.tier
+        plan.shape = self
+        plan.site = site
+        return plan
+
+
+class BodyShape:
+    """One compiled launch-body structure: the representative block the
+    steps were compiled against (sites bind their captures to *its*
+    arguments), the plans of its body tree — the body's own last — with
+    the block each was compiled from, and that block's position in the
+    key walk, which is how a site's own blocks find their views."""
+
+    __slots__ = ("block", "plans", "blocks", "positions")
+
+    def __init__(self, block):
+        self.block = block
+        self.plans: List[ShapePlan] = []
+        self.blocks: List[object] = []
+        self.positions: List[int] = []
+
+
+class BodySite:
+    """What one launch site of a shared body owns: the values of its
+    abstracted ``arith.constant`` ops, in key order, and its views of
+    the shape's plans.  Found by the shared steps as ``env[_SITE]``."""
+
+    __slots__ = ("consts", "plans")
+
+    def __init__(self, consts, shape: BodyShape):
+        self.consts = consts
+        self.plans = [plan.view(self) for plan in shape.plans]
+
+
+class SiteIndex(tuple):
+    """An all-constant index list of a shared body: the representative's
+    coordinates, and for each the slot of a site's constant vector it
+    comes from (``None``: the constant stayed in the key).  Replay reads
+    the indices from the environment like any dynamic index; generated
+    code gets them folded per site by :meth:`at`."""
+
+    def __new__(cls, values, slots):
+        self = super().__new__(cls, values)
+        self.slots = tuple(slots)
+        return self
+
+    def at(self, consts) -> Tuple[int, ...]:
+        return tuple(
+            value if slot is None else int(consts[slot])
+            for value, slot in zip(self, self.slots)
+        )
+
+
+class _Unshareable(Exception):
+    """Raised by :func:`_shape_key`; carries ``'<reason>:<op>'``."""
+
+
+#: Ops whose handlers key state on the op's own identity
+#: (``engine._elaborated``, a buffer named after the result): two launch
+#: sites must never run one such op.
+_IDENTITY_OPS = frozenset({"equeue.alloc", "equeue.get_comp", "memref.alloc"})
+
+#: Region ops constant abstraction continues through.  Below a loop the
+#: vectoriser bakes constants into its batched program, and a nested
+#: launch body is a site of its own that every outer site would share.
+_ABSTRACTS_INTO = frozenset({"scf.if"})
+
+
+def _unshareable(op) -> Optional[str]:
+    """Why ``op`` (not in :data:`_SHAREABLE`) keeps its body per-site;
+    ``None`` for the one op that is shareable conditionally."""
+    name = op.name
+    if name == "equeue.return_values":
+        return f"K_RET:{name}" if op.operands else None
+    if name == "equeue.await":
+        return f"K_GEN:{name}"
+    if name in _IDENTITY_OPS or name in _STRUCTURE_OPS:
+        return f"identity:{name}"
+    return f"K_ANY:{name}"
+
+
+def _shape_key(block):
+    """``(key, consts, values, blocks)`` of a launch body: its
+    structural key, the values of the constants the key leaves out, the
+    SSA values those constants define (same order), and the blocks of
+    the body tree in walk order.
+
+    The key is a flat tuple over the whole body tree: block-argument
+    types, then per op its name, each operand as the position of its
+    definition in the walk, its attributes, its result types, and a
+    bracket around each nested block.  Two bodies with equal keys differ
+    only in the *values* of their abstracted ``arith.constant`` ops, so
+    plan steps compiled for one serve the other.  The fences:
+
+    * an op that is not inlineable (``equeue.await``, returned values,
+      uncompiled extension ops) or bears identity (:data:`_IDENTITY_OPS`,
+      structure ops) raises :class:`_Unshareable` — the body is compiled
+      on its own, as every body was;
+    * a constant below a loop or a nested launch stays in the key
+      (:data:`_ABSTRACTS_INTO`); attributes — loop bounds, labels,
+      signatures, memcpy counts — and types always do;
+    * an operand defined outside the body (not IsolatedFromAbove) is
+      unshareable too.
+
+    SSA name hints are not part of the key: no shareable op reads them.
+    """
+    numbers: Dict[object, int] = {}
+    parts: List[object] = []
+    consts: List[object] = []
+    values: List[object] = []
+    blocks: List[object] = []
+    try:
+        _key_block(block, numbers, parts, consts, values, blocks)
+    except KeyError:
+        raise _Unshareable("escapes:equeue.launch") from None
+    return tuple(parts), tuple(consts), values, blocks
+
+
+def _key_block(block, numbers, parts, consts, values, blocks) -> None:
+    """Append ``block``'s part of a shape key; ``values is None`` where
+    constants are no longer abstracted."""
+    # Screened before anything nested is walked: a kernel body that
+    # awaits the 64 PE bodies it launched is turned away without keying
+    # them.
+    for op in block.ops:
+        if op.name not in _SHAREABLE:
+            reason = _unshareable(op)
+            if reason is not None:
+                raise _Unshareable(reason)
+    blocks.append(block)
+    append = parts.append
+    for argument in block.arguments:
+        numbers[argument] = len(numbers)
+        append(argument.type)
+    for op in block.ops:
+        name = op.name
+        append(name)
+        for operand in op.operands:
+            append(numbers[operand.value])
+        attributes = op.attributes
+        if values is not None and name == "arith.constant":
+            value = attributes["value"]
+            append(type(value))
+            consts.append(value.value)
+            values.append(op.results[0])
+        elif attributes:
+            append(tuple(attributes.items()))
+        for result in op.results:
+            numbers[result] = len(numbers)
+            append(result.type)
+        if op.regions:
+            inner = values if name in _ABSTRACTS_INTO else None
+            for region in op.regions:
+                for nested in region.blocks:
+                    append("(")
+                    _key_block(nested, numbers, parts, consts, inner, blocks)
+                append(")")
+
+
 class PlanCache:
     """A cache of compiled plans plus fast-path statistics.
 
@@ -316,6 +547,10 @@ class PlanCache:
     ``id`` can never alias a stale plan).  :meth:`attach` flushes the
     store when the new engine's plan-relevant configuration differs from
     the one the plans were compiled under.
+
+    Launch bodies are compiled once per *shape* (:meth:`bind_site`): the
+    entry ``plans`` holds for such a body is the launch site's view of
+    its shape's plan.
     """
 
     def __init__(self, engine=None):
@@ -334,6 +569,19 @@ class PlanCache:
         #: Why plans can never be code-generated: the first
         #: non-inlineable step of each, ``"K_GEN:equeue.await"`` -> count.
         self.codegen_fallbacks = collections.Counter()
+        #: Launch-body shapes by structural key, and every launch body
+        #: seen: ``id(block) -> (block, arguments, site)``.
+        self.shapes: Dict[tuple, BodyShape] = {}
+        self.sites: Dict[int, tuple] = {}
+        self.plan_shapes = 0
+        self.plans_shared = 0
+        #: Why launch bodies were compiled on their own, by the first op
+        #: in the way: ``"identity:equeue.alloc"`` -> count.
+        self.plan_share_declined = collections.Counter()
+        #: While a shape compiles: its record, and the slot of the site
+        #: constant vector each abstracted constant's SSA value reads.
+        self._shape: Optional[BodyShape] = None
+        self._slots: Dict[object, int] = {}
         self._config_key = None
         #: Last-seen-memory memo cells of compiled access steps; reset on
         #: detach so they cannot pin a completed engine's component tree.
@@ -380,6 +628,8 @@ class PlanCache:
         key = self._key(engine)
         if self._config_key is not None and key != self._config_key:
             self.plans.clear()
+            self.shapes.clear()
+            self.sites.clear()
             self._memos.clear()
         self._config_key = key
         self.engine = engine
@@ -403,18 +653,65 @@ class PlanCache:
             self.codegen_blocks,
             self.codegen_shared,
             self.codegen_tiered_up,
+            self.plan_shapes,
+            self.plans_shared,
         )
 
     def tier_up(self, plan: BlockPlan):
-        """Generate ``plan``'s body and swap it in; returns the body."""
+        """Generate ``plan``'s body and swap it in; returns the body.
+        For a site's view that is one emit per shape and one function —
+        the shape's code, this site's constants — per site."""
         from .codegen import compile_block_body
 
         with _span("codegen.compile", steps=len(plan.steps)):
             plan.compiled, shared = compile_block_body(plan)
         self.codegen_blocks += 1
         self.codegen_shared += shared
-        self.codegen_tiered_up += plan.runs > 1
+        # Had the plan (for a view: its shape) replayed before this entry?
+        replays = min((plan.shape or plan).runs - 1, TIER_UP_EXECUTIONS)
+        self.codegen_tiered_up += replays > 0
         return plan.compiled
+
+    def bind_site(self, block):
+        """``(arguments, site)`` for a launch of ``block``: the block
+        arguments its captures bind to, and the :class:`BodySite` its
+        environment carries — the representative's arguments and this
+        body's constants when the body shares a shape, else the body's
+        own arguments and ``None`` (it compiles on first execution, as
+        every block does)."""
+        entry = self.sites.get(id(block))
+        if entry is None:
+            with _span("plan.compile", ops=len(block.ops)):
+                entry = self.sites[id(block)] = self._bind_site(block)
+        return entry[1], entry[2]
+
+    def _bind_site(self, block):
+        try:
+            key, consts, values, blocks = _shape_key(block)
+        except _Unshareable as declined:
+            self.plan_share_declined[str(declined)] += 1
+            return block, block.arguments, None
+        shape = self.shapes.get(key)
+        if shape is None:
+            shape = self._shape = BodyShape(block)
+            self._slots = {value: slot for slot, value in enumerate(values)}
+            try:
+                self._compile_block(block)
+            finally:
+                self._shape = None
+                self._slots = {}
+            position = {id(b): i for i, b in enumerate(blocks)}
+            shape.positions = [position[id(b)] for b in shape.blocks]
+            self.shapes[key] = shape
+            self.plan_shapes += 1
+        else:
+            self.plans_shared += 1
+        # ``plans`` stays total: each of the site's own blocks that has
+        # a plan answers with the site's view of it.
+        site = BodySite(consts, shape)
+        for view, position in zip(site.plans, shape.positions):
+            self.plans[id(blocks[position])] = (blocks[position], view)
+        return block, shape.block.arguments, site
 
     def plan_for(self, block) -> BlockPlan:
         """The cached plan for a block, compiling on first use."""
@@ -461,7 +758,14 @@ class PlanCache:
         # Nothing is generated here: a body is emitted when executions
         # enter this plan often enough (:func:`_cold_run`), so sub-plans
         # that a parent's body flattens never reach ``compile()``.
-        plan = BlockPlan(steps, self if self.codegen else None)
+        tier = self if self.codegen else None
+        shape = self._shape
+        if shape is None:
+            plan = BlockPlan(steps, tier)
+        else:
+            plan = ShapePlan(steps, tier, len(shape.plans))
+            shape.plans.append(plan)
+            shape.blocks.append(block)
         if self.codegen and declined is not None:
             self.codegen_fallbacks[declined] += 1
         self.plans[id(block)] = (block, plan)
@@ -546,7 +850,11 @@ def _compiles(*names):
 
 @_compiles("arith.constant")
 def _c_constant(cache, engine, op):
-    return (K_CONST, op.result(), op.get_attr("value"))
+    result = op.result()
+    slot = cache._slots.get(result)
+    if slot is not None:
+        return (K_SITE, result, slot)
+    return (K_CONST, result, op.get_attr("value"))
 
 
 @_compiles(
@@ -702,22 +1010,35 @@ def _bound(cache, func, op):
 _MISSING = object()
 
 
-def _static_index_tuple(indices_ssa) -> Optional[Tuple[int, ...]]:
-    """The compile-time value of an all-``arith.constant`` index list.
+def _static_index_tuple(indices_ssa, slots):
+    """The compile-time value of an all-``arith.constant`` index list,
+    as ``(folded, const_idx)``: what the replayed step may bake in, and
+    what the code generator folds.
 
     PE step bodies address their flow/stationary registers with constant
     coordinates baked in by the generators; folding them at plan-compile
     time removes every per-execution environment lookup and ``int()``
-    conversion from those accesses.  Returns ``None`` when any index is
-    dynamic (a block argument or computed value).
+    conversion from those accesses.  Both are ``None`` when any index is
+    dynamic (a block argument or computed value) and the same tuple when
+    all are constants of this block alone.  When one is a constant a
+    shared body abstracts (``slots``, from the cache) the coordinates
+    are the launch site's, not the step's: replay reads them from the
+    environment like dynamic ones (``folded`` is ``None``) and
+    ``const_idx`` is a :class:`SiteIndex`, folded per site only in the
+    site's generated body.
     """
     values = []
     for ssa in indices_ssa:
         owner = getattr(ssa, "owner", None)
         if owner is None or getattr(owner, "name", None) != "arith.constant":
-            return None
+            return None, None
         values.append(int(owner.get_attr("value")))
-    return tuple(values)
+    if slots and not slots.keys().isdisjoint(indices_ssa):
+        return None, SiteIndex(
+            values, [slots.get(ssa) for ssa in indices_ssa]
+        )
+    folded = tuple(values)
+    return folded, folded
 
 
 def _plain_access_cost(memory, is_write) -> int:
@@ -743,7 +1064,7 @@ def _c_read(cache, engine, op):
     resolve = engine._resolve
     # Last-seen memory and its 1-element read cost (-1: slow path).
     state = cache.access_memo()
-    const_idx = _static_index_tuple(indices_ssa)
+    folded, const_idx = _static_index_tuple(indices_ssa, cache._slots)
 
     # Scalar element read, no connection: for stateless memories the cost
     # is address-independent, so zero-cost and posted accesses complete
@@ -751,7 +1072,7 @@ def _c_read(cache, engine, op):
     # traffic.  Anything else falls back to the full handler.
     # ``ndarray.item(*indices)`` yields the Python scalar directly,
     # skipping the intermediate NumPy scalar of plain indexing.
-    if const_idx is not None:
+    if folded is not None:
 
         def step(ex, env):
             try:
@@ -766,7 +1087,7 @@ def _c_read(cache, engine, op):
                 state[0] = memory
             cost = state[1]
             if cost == 0 or (posted and cost > 0):
-                env[result] = buffer.array.item(*const_idx)
+                env[result] = buffer.array.item(*folded)
                 memory.bytes_read += buffer.element_bits >> 3
                 memory.reads += 1
                 if cost:
@@ -809,7 +1130,8 @@ def _c_read(cache, engine, op):
         return general(ex, env)
 
     meta = (
-        "readx", buffer_ssa, result, posted, state, indices_ssa, general,
+        "readx" if const_idx is None else "read", buffer_ssa, result, posted,
+        state, indices_ssa if const_idx is None else const_idx, general,
         resolve,
     )
     return (K_DYN, step, meta)
@@ -826,7 +1148,7 @@ def _c_write(cache, engine, op):
     value_ssa = op.operand(0)
     resolve = engine._resolve
     state = cache.access_memo()
-    const_idx = _static_index_tuple(indices_ssa)
+    folded, const_idx = _static_index_tuple(indices_ssa, cache._slots)
 
     def step(ex, env):
         try:
@@ -844,8 +1166,8 @@ def _c_write(cache, engine, op):
             stored = env.get(value_ssa, _MISSING)
             if stored is _MISSING or type(stored) is Future:
                 return general(ex, env)
-            if const_idx is not None:
-                target = const_idx
+            if folded is not None:
+                target = folded
             else:
                 try:
                     # int(Future) raises TypeError, a missing binding
@@ -881,7 +1203,7 @@ def _c_load(cache, engine, op):
     result = op.result()
     resolve = engine._resolve
     state = cache.access_memo()
-    const_idx = _static_index_tuple(indices_ssa)
+    folded, const_idx = _static_index_tuple(indices_ssa, cache._slots)
 
     def step(ex, env):
         try:
@@ -895,8 +1217,8 @@ def _c_load(cache, engine, op):
             state[1] = _plain_access_cost(memory, False)
             state[0] = memory
         if state[1] == 0:
-            if const_idx is not None:
-                env[result] = buffer.array.item(*const_idx)
+            if folded is not None:
+                env[result] = buffer.array.item(*folded)
             else:
                 try:
                     env[result] = buffer.array.item(
@@ -924,7 +1246,7 @@ def _c_store(cache, engine, op):
     indices_ssa = tuple(op.operand_values[2:])
     resolve = engine._resolve
     state = cache.access_memo()
-    const_idx = _static_index_tuple(indices_ssa)
+    folded, const_idx = _static_index_tuple(indices_ssa, cache._slots)
 
     def step(ex, env):
         try:
@@ -941,8 +1263,8 @@ def _c_store(cache, engine, op):
             stored = env.get(value_ssa, _MISSING)
             if stored is _MISSING or type(stored) is Future:
                 return general(ex, env)
-            if const_idx is not None:
-                target = const_idx
+            if folded is not None:
+                target = folded
             else:
                 try:
                     target = tuple([int(env[s]) for s in indices_ssa])
@@ -1513,3 +1835,11 @@ from .engine import (  # noqa: E402
     ExecutionMode,
     Future,
 )
+
+#: Ops a launch body may contain and still be compiled once per shape:
+#: everything the compiler specializes into an inlineable step, minus the
+#: identity-bearing ones (``equeue.return_values`` joins when it returns
+#: nothing — :func:`_unshareable`).
+_SHAREABLE = (
+    frozenset(_COMPILERS) - _IDENTITY_OPS - {"equeue.await"}
+) | {"affine.yield", "scf.yield"}

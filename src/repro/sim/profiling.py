@@ -94,6 +94,15 @@ class ProfilingSummary:
     plans_compiled: int = 0
     #: Block executions served from the plan cache.
     plan_cache_hits: int = 0
+    #: Launch-body shapes compiled: one set of plans per structural key
+    #: (:func:`repro.sim.plan._shape_key`), whatever the site count.
+    plan_shapes: int = 0
+    #: Launch bodies bound to a shape some other body had compiled —
+    #: each of these compiled nothing.
+    plans_shared: int = 0
+    #: Launch bodies compiled on their own, by the op that kept them
+    #: from sharing a shape, as ``"<reason>:<op name>"``.
+    plan_share_declined: Dict[str, int] = field(default_factory=dict)
     #: ``affine.for`` loops compiled to the batched NumPy fast path.
     vector_loops: int = 0
     #: Loop iterations collapsed into batched evaluations.
@@ -200,9 +209,17 @@ class ProfilingSummary:
         )
         lines.append(f"launches executed:        {self.launches_executed}")
         if self.plans_compiled or self.plan_cache_hits:
+            declined = ", ".join(
+                f"{count} {reason}"
+                for reason, count in sorted(self.plan_share_declined.items())
+            )
             lines.append(
                 f"block plans:              {self.plans_compiled} compiled, "
-                f"{self.plan_cache_hits} cache hits"
+                f"{self.plan_cache_hits} cache hits, "
+                f"{self.plan_shapes} body shapes "
+                f"({self.plans_shared} bodies shared one, "
+                f"{sum(self.plan_share_declined.values())} declined"
+                + (f": {declined})" if declined else ")")
             )
             lines.append(
                 f"vectorized loops:         {self.vector_loops} compiled, "

@@ -24,6 +24,9 @@ from repro.scenarios import scenario_names, simulate_scenario
 #: wall clock, and which run a warm program cache's blocks got hot in.
 HOST_ONLY_FIELDS = (
     "execution_time_s",
+    "plan_shapes",
+    "plans_shared",
+    "plan_share_declined",
     "blocks_codegenned",
     "codegen_code_shared",
     "codegen_tiered_up",

@@ -190,6 +190,8 @@ GOLDEN_ENGINE_METRICS = (
     "engine.launches",
     "engine.plans_compiled",
     "engine.plan_cache_hits",
+    "engine.plan_shapes",
+    "engine.plans_shared",
     "engine.blocks_codegenned",
     "engine.codegen_code_shared",
     "engine.codegen_tiered_up",
@@ -251,6 +253,40 @@ class TestEngineGoldenKeys:
         assert (
             "9 fallbacks (1 K_GEN:equeue.await, "
             "8 K_RET:equeue.return_values)" in summary.format()
+        )
+
+
+    def test_declined_shape_sharing_carries_its_reason(self):
+        """Launch bodies compiled once per shape are counted; one kept
+        out of a shape lands in a counter named after the op in the way
+        (the ``codegen_fallbacks`` convention)."""
+        from repro.scenarios import get_scenario
+        from repro.sim import simulate
+
+        scenario = get_scenario("systolic")
+        cfg = scenario.configure(array_height=2, array_width=2)
+        before = obs_metrics.get_registry().snapshot()
+        obs_metrics.enable_metrics()
+        try:
+            summary = simulate(
+                scenario.build(cfg), inputs=scenario.make_inputs(cfg, 0)
+            ).summary
+        finally:
+            obs_metrics.disable_metrics()
+        after = obs_metrics.get_registry().snapshot()
+        # Four PEs, four corners: every body is a shape of its own, and
+        # the kernel body awaits.
+        assert (summary.plan_shapes, summary.plans_shared) == (4, 0)
+        assert summary.plan_share_declined == {"K_GEN:equeue.await": 1}
+        for name, count in (
+            ("engine.plan_shapes", 4),
+            ("engine.plans_shared", 0),
+            ("engine.plan_share_declined.k_gen.equeue.await", 1),
+        ):
+            assert after[name] == before.get(name, 0.0) + count
+        assert (
+            "4 body shapes (0 bodies shared one, 1 declined: "
+            "1 K_GEN:equeue.await)" in summary.format()
         )
 
 

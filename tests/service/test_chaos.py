@@ -63,6 +63,9 @@ HOST_FIELDS = (
     "execution_time_s",
     "plans_compiled",
     "plan_cache_hits",
+    "plan_shapes",
+    "plans_shared",
+    "plan_share_declined",
     "vector_loops",
     "blocks_codegenned",
     "codegen_code_shared",

@@ -8,6 +8,7 @@ from __future__ import annotations
 import gc
 import weakref
 
+import numpy as np
 import pytest
 
 from repro.analysis import SweepSpec, run_sweep
@@ -15,7 +16,14 @@ from repro.analysis.dse import clear_sweep_caches
 from repro.generators.systolic import SystolicProgram, build_systolic_program
 from repro.scenarios import clear_scenario_caches, get_scenario
 from repro.service import JobRequest, JobScheduler, ResultStore
-from repro.sim import CompileCache, EngineOptions, permanent, simulate
+from repro.sim import (
+    CachedProgram,
+    CompileCache,
+    EngineOptions,
+    PlanCache,
+    permanent,
+    simulate,
+)
 from repro.sim.batch import (
     deterministic_conv_inputs,
     process_compile_cache,
@@ -117,16 +125,18 @@ class TestHandOffIsInvisible:
         cfg = sweep_style_points()[0]
         ifmap, weights = deterministic_conv_inputs(cfg.dims, 0)
         entry = _lookup(cache, cfg)
+        built = gc.get_freeze_count()
+        assert entry.parked and built > 0  # the IR, straight from the build
         entry.simulate(
             _prepared(entry, cfg, ifmap, weights),
             EngineOptions(verify_module=False, mode="interpret"),
         )
-        assert entry.parked and gc.get_freeze_count() == 0  # owed, not yet done
-        permanent.settle()
-        assert gc.get_freeze_count() > 0
+        assert entry.warmed and permanent._deferred  # owed, not yet done
+        assert gc.get_freeze_count() == built
+        permanent.settle()  # an interpreted run leaves no plans to add
+        assert gc.get_freeze_count() >= built and not permanent._deferred
         cache.clear()
         assert gc.get_freeze_count() == 0
-
 
     def test_bodies_generated_after_parking_join_the_next_hand_off(self):
         """A block can cross the tier-up threshold in a simulation after
@@ -183,7 +193,37 @@ def _fill(cache: CompileCache, cfg):
     return entry.simulate(_prepared(entry, cfg, ifmap, weights))
 
 
+def _stranded_after_thaw() -> int:
+    """What a full collection finds once everything parked is given
+    back: objects that were garbage when parked, or died parked."""
+    permanent.settle()
+    gc.collect()
+    gc.unfreeze()
+    return gc.collect()
+
+
+def _scenario_points():
+    """Every registered scenario's default config and one grid point,
+    plus all four stages of the lowering pipeline."""
+    from repro.generators.pipeline import STAGES
+    from repro.scenarios import scenario_names
+
+    draw = np.random.default_rng(2022)
+    for name in scenario_names():
+        scenario = get_scenario(name)
+        yield scenario, scenario.configure()
+        grid = scenario.grid_points()
+        yield scenario, grid[int(draw.integers(len(grid)))]
+    pipeline = get_scenario("pipeline")
+    for stage in STAGES:
+        yield pipeline, pipeline.configure(stage=stage)
+
+
 class TestNothingLeaks:
+    """Garbage is collected, never parked — and a program is frozen
+    straight from its build, so whatever cyclic garbage the build left
+    would be parked with it: the stranded counts below are exact."""
+
     def test_garbage_is_collected_not_parked(self):
         """A cycle dropped just before a fill must die at the hand-off.
         Automatic collection is off, so only the hand-off's own collect
@@ -239,11 +279,30 @@ class TestNothingLeaks:
         parked, idle = CompileCache(), CompileCache()
         _fill(parked, sweep_style_points()[0])
         permanent.settle()
-        _lookup(idle, sweep_style_points()[1])  # built, never simulated
+        # A program that reached the cache some other way than lookup()
+        # and never ran: nothing of it was parked.
+        idle.entries["by-hand"] = CachedProgram(
+            build_systolic_program(sweep_style_points()[1]).module, PlanCache()
+        )
         idle.clear()
         assert gc.get_freeze_count() > 0
         parked.clear()
         assert gc.get_freeze_count() == 0
+
+    def test_a_program_built_and_never_simulated_is_given_back(self):
+        """lookup() parks the IR it builds, so the entry counts as
+        parked from then on: clearing must thaw, or the module — cyclic,
+        frozen — would never be reclaimed."""
+        cache = CompileCache()
+        entry = _lookup(cache, sweep_style_points()[1])
+        assert entry.parked and not entry.warmed
+        assert gc.get_freeze_count() > 0
+        module = weakref.ref(entry.module)
+        del entry
+        cache.clear()
+        assert gc.get_freeze_count() == 0
+        gc.collect()
+        assert module() is None
 
     def test_dropping_a_cache_without_clear_still_thaws(self):
         cache = CompileCache()
@@ -252,6 +311,137 @@ class TestNothingLeaks:
         assert gc.get_freeze_count() > 0
         del cache
         assert gc.get_freeze_count() == 0
+
+    @pytest.mark.parametrize(
+        "scenario, cfg",
+        [
+            pytest.param(scenario, cfg, id=f"{scenario.name}-{index}")
+            for index, (scenario, cfg) in enumerate(_scenario_points())
+        ],
+    )
+    def test_build_run_settle_thaw_finds_nothing(self, scenario, cfg):
+        from repro.scenarios.sweep import simulate_scenario
+
+        result, _ = simulate_scenario(scenario, cfg)
+        assert result.cycles > 0
+        del result
+        assert gc.get_freeze_count() > 0
+        assert _stranded_after_thaw() == 0
+
+    def test_a_systolic_sweep_slice_strands_nothing(self):
+        spec = SweepSpec(
+            dataflows=("WS",),
+            array_heights=(4,),
+            total_pes=16,
+            image_sizes=(4,),
+            filter_sizes=(2,),
+            channels=(1, 2),
+            filter_counts=(1, 2, 4, 8, 16, 32),
+        )
+        points = run_sweep(spec, use_des=True, jobs=1, compile_cache=True)
+        assert len(points) == 12 and all(point.simulated for point in points)
+        del points
+        assert len(process_compile_cache().entries) > 1
+        assert _stranded_after_thaw() == 0
+
+    def test_an_erased_op_is_a_tree(self):
+        """What the lowering passes leave behind: an erased op — nested
+        regions, results and all — is freed by reference counting."""
+        from repro import ir
+        from repro.dialects import affine, arith
+
+        block = ir.Block()
+        builder = ir.Builder(ir.InsertionPoint.at_end(block))
+        bound = arith.constant(builder, 3, ir.index)
+        loop = affine.for_loop(
+            builder, 0, 4,
+            body=lambda b, i: arith.addi(b, arith.addi(b, i, bound), i),
+        )
+        probes = [weakref.ref(loop), weakref.ref(loop.body.ops[0])]
+        gc.disable()
+        try:
+            loop.erase()
+            del loop
+            assert [probe() for probe in probes] == [None, None]
+        finally:
+            gc.enable()
+        assert not bound.has_uses and block.ops == [bound.owner]
+
+
+class TestCollectorStateIsRestored:
+    """``under_construction`` / ``paused`` hold automatic collection off;
+    every way out leaves ``gc.isenabled()`` as it was found."""
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_after_a_sweep(self, enabled):
+        spec = SweepSpec(
+            array_heights=(2,), total_pes=4, image_sizes=(3,),
+            filter_sizes=(1, 2), channels=(1,), filter_counts=(1, 2),
+        )
+        (gc.enable if enabled else gc.disable)()
+        try:
+            run_sweep(spec, use_des=True, jobs=1, compile_cache=True)
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable()
+
+    def test_after_an_exception_inside_a_build(self):
+        cache = CompileCache()
+
+        def build():
+            assert not gc.isenabled()  # held off while building
+            raise RuntimeError("generator bug")
+
+        with pytest.raises(RuntimeError, match="generator bug"):
+            cache.lookup(("broken",), build)
+        assert gc.isenabled()
+        assert not cache.entries and gc.get_freeze_count() == 0
+
+    def test_after_an_exception_inside_the_first_simulation(self):
+        cache = CompileCache()
+        cfg = sweep_style_points()[0]
+        entry = _lookup(cache, cfg)
+        with pytest.raises(Exception, match="does not match any buffer"):
+            entry.simulate({"no_such_buffer": np.zeros(1, np.int32)})
+        assert gc.isenabled() and not entry.warmed
+        cache.clear()
+
+    def test_with_two_threads_interleaving_misses(self):
+        import threading
+
+        cache = CompileCache()
+        points = sweep_style_points()[:6]
+        inside = threading.Barrier(2, timeout=60)
+        failures = []
+
+        def fill(cfgs, rendezvous):
+            try:
+                for cfg in cfgs:
+                    def build(cfg=cfg):
+                        if rendezvous:  # both threads mid-build at once
+                            inside.wait()
+                        return build_systolic_program(cfg).module
+
+                    ifmap, weights = deterministic_conv_inputs(cfg.dims, 0)
+                    entry = cache.lookup(
+                        structural_signature(cfg) + (rendezvous,), build
+                    )
+                    entry.simulate(_prepared(entry, cfg, ifmap, weights))
+                    rendezvous = False
+            except Exception as error:  # noqa: BLE001 - reported below
+                failures.append(error)
+
+        threads = [
+            threading.Thread(target=fill, args=(points[i::2], True))
+            for i in range(2)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+        assert not failures
+        assert gc.isenabled() and permanent._pauses == 0
+        cache.clear()
 
 
 class TestForkWindow:
@@ -297,12 +487,13 @@ class TestServiceThread:
             job = scheduler.submit(JobRequest.make("gemm", check=False))
             assert job.wait(timeout=120)
             record = job.result()
-            assert gc.get_freeze_count() == 0
+            built = gc.get_freeze_count()
+            assert built > 0 and permanent._deferred  # IR parked, plans owed
             # The next first-seen structure settles gemm's hand-off.
             assert scheduler.submit(JobRequest.make("fir")).wait(timeout=120)
         finally:
             scheduler.stop()
-        assert gc.get_freeze_count() > 0
+        assert gc.get_freeze_count() > built
         scenario = get_scenario("gemm")
         cfg = scenario.configure()
         cold = simulate(
