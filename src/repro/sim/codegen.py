@@ -18,6 +18,9 @@ specialized Python function — one statement group per step, with:
   ``cmpi``) and ``scf.if`` condition dispatch expanded *inline* from the
   compiler's step metadata — the register/ALU traffic of a PE step body
   runs without a single intermediate Python call,
+* the IR's static types used (see "Typed bodies" below): ``index``
+  arithmetic is plain expressions over Python locals, and the values a
+  body is entered with are looked up and checked once, not per use,
 * the per-processor arith cost (``ex.proc.spec.arith_cycles``) hoisted
   to one attribute chain per block execution,
 * scalar ``affine.for`` loops flattened into native ``for`` statements
@@ -65,6 +68,35 @@ the plan path however hot they get, so codegen mode is always safe to
 request.  Under detailed tracing the arith metadata is withheld by the
 compiler (the traced wrapper must run), and the emitter falls back to
 closure calls for those steps while still flattening the rest.
+
+Typed bodies
+============
+
+Plan replay finds out what every value *is* each time it reads one:
+``try: env[k] / except KeyError``, ``type(x) is Future``, ``type(x) is
+int``, ``isinstance(x, ndarray)``, ``int(x)``.  The IR already says:
+an ``index`` or integer value is a Python ``int`` unless something
+unusual is going on.  So the emitter keeps such a value in a Python
+local and spells its consumers as expressions (``_n5 = _n4 - _v2`` …
+``if _n7:`` … ``_x9.array.item(_n4, _n5)``), on three conditions:
+
+* a value the body *defines* is typed only by construction — a
+  constant, arithmetic on ints, ``cmpi`` of ints, a flattened loop's
+  induction variable; read results and buffers are locals too, known
+  only not to be a ``Future``; anything defined by a step the emitter
+  does not follow stays in ``env`` and is read dynamically;
+* a value the body is *entered with* (a block argument, a value of an
+  enclosing block — :func:`_in_tree` draws the line) is loaded and
+  checked, exactly (``type(x) is int``), in a prologue that runs before
+  any side effect; an entry that fails is replayed from its first step
+  by :func:`~repro.sim.plan._inline_run` — the replay tier is the deopt
+  tier (:func:`_deopt`, counted by reason in ``codegen_deopts``);
+* whether a shared body's constants are ``int``s is each launch site's
+  own matter, settled when its function is instantiated
+  (:func:`_site_guard`).
+
+Every local is still written through to ``env``, so suspension paths,
+general handlers and nested plans read what they always read.
 """
 
 from __future__ import annotations
@@ -77,19 +109,20 @@ from typing import Optional
 
 import numpy as np
 
+from ..ir.types import IndexType, IntegerType
+from ..ir.values import BlockArgument
 from .engine import Future
 from .plan import (
     _MISSING,
     BlockPlan,
     K_CONST,
     K_CTRL,
-    K_CYCLES,
     K_DYN,
     K_FLUSH_CALL,
     K_SITE,
-    K_VEC,
     ShapePlan,
     SiteIndex,
+    _inline_run,
     _plain_access_cost,
     _resume,
 )
@@ -127,16 +160,134 @@ def _for_resume(plan, ex, env, gen, body_exec, induction, it, steps_rest):
     yield from plan.run(ex, env, steps_rest)
 
 
-class _Emitter:
-    """Accumulates source lines plus the objects they reference."""
+#: Typed arithmetic: when both operands are Python ints known to the
+#: emitter, an op is the expression :mod:`repro.sim.interp`'s raw-int
+#: evaluator computes, in place of a call to it.
+_INT_EXPR = {
+    "arith.addi": "{0} + {1}",
+    "arith.subi": "{0} - {1}",
+    "arith.muli": "{0} * {1}",
+    "arith.maxsi": "{0} if {0} >= {1} else {1}",
+    "arith.minsi": "{0} if {0} <= {1} else {1}",
+    "arith.andi": "{0} & {1}",
+    "arith.ori": "{0} | {1}",
+    "arith.xori": "{0} ^ {1}",
+    "arith.shli": "{0} << {1}",
+    "arith.shrsi": "{0} >> {1}",
+}
+_CMP_EXPR = {
+    "eq": "==", "ne": "!=", "slt": "<", "sle": "<=", "sgt": ">", "sge": ">=",
+}
 
-    def __init__(self):
+#: The entry check of a typed local, as emitted.  Exact: a ``bool``, a
+#: ``numpy.int64`` or an ``ndarray`` lane is not what ``_INT_EXPR`` and a
+#: bare ``ndarray.item(i, j)`` were written for.
+_INT_CHECK = "type({0}) is not int"
+
+
+def _is_int_type(value) -> bool:
+    return isinstance(value.type, (IndexType, IntegerType))
+
+
+def _in_tree(value, root) -> bool:
+    """Is ``value`` defined while the body compiled from ``root`` runs —
+    by an op of its block tree, or as the argument of a nested block —
+    rather than before the body is entered?
+
+    The fence of the typed prologue: it may load a value the body is
+    entered with (an argument of ``root`` itself, a value of an
+    enclosing block), never one the body defines.  What ``env`` holds
+    under such a value at entry is what the previous loop iteration, or
+    the previous entry with this env, left there.
+    """
+    if isinstance(value, BlockArgument):
+        block = value.owner
+        if block is root:
+            return False
+    else:
+        block = value.owner.parent
+    while block is not None:
+        if block is root:
+            return True
+        op = block.parent_op
+        block = op.parent if op is not None else None
+    return False
+
+
+def _type_name(value) -> str:
+    cls = type(value)
+    module = cls.__module__
+    if module == "builtins" or module.startswith("repro."):
+        return cls.__name__
+    return f"{module}.{cls.__name__}"
+
+
+def _site_guard(defaults, constants):
+    """Why a site can never run its shape's typed body — a constant the
+    body consumes as an ``int`` is not one at this site — or ``None``."""
+    for position in constants:
+        if type(defaults[position]) is not int:
+            return f"int:{_type_name(defaults[position])}"
+    return None
+
+
+def _deopt(plan, ex, env, loads, reason):
+    """The deopt tier of a typed body: its prologue — which runs before
+    anything has a side effect — found a value the body was not compiled
+    for, so this entry replays the plan, which takes any value.  Counted
+    under what was found: ``int:numpy.int64`` (an ``index`` value that
+    is not an ``int``), ``value:Future``, ``value:unbound``; ``reason``
+    is given when the site's own constants were at fault."""
+    if reason is None:
+        for ssa, is_int in loads:
+            value = env.get(ssa, _MISSING)
+            if value is _MISSING:
+                reason = "value:unbound"
+            elif is_int and type(value) is not int:
+                reason = f"int:{_type_name(value)}"
+            elif type(value) is Future:
+                reason = "value:Future"
+            else:
+                continue
+            break
+    plan.tier.codegen_deopts[reason] += 1
+    return _inline_run(plan, ex, env)
+
+
+class _Emitter:
+    """Accumulates source lines plus the objects they reference.
+
+    The body is *typed* against ``root``, the block its plan was
+    compiled from.  An SSA value whose Python value is known not to be
+    a ``Future`` lives in a Python local beside its ``env`` entry
+    (``env`` stays written through: suspension paths, general handlers
+    and nested plans read it as before), and one the emitter knows to
+    be an ``int`` — an ``index``/integer constant, the result of
+    arithmetic on such values, a flattened loop's induction variable,
+    an ``index``/integer value checked at entry — is consumed as a
+    plain expression.  Values the body is entered with (:func:`_in_tree`
+    says which) are loaded and checked once, in a prologue; values it
+    defines in ways the emitter does not follow (closure calls,
+    launches, nested plans) are read from ``env`` where they are used,
+    with every dynamic check.
+    """
+
+    def __init__(self, root):
+        self.root = root
         self.lines = []
         self.bindings = {}
         #: For a :class:`~repro.sim.plan.ShapePlan`: the bindings that
         #: are a launch site's own, as ``name -> f(site)``.
         self.recipes = {}
         self.needs_arith_cycles = False
+        #: SSA value -> ``(local name, is a checked int)``.
+        self.locals = {}
+        #: The prologue: ``(local, env key binding, SSA value, int?)``.
+        self.loads = []
+        #: Bindings of the constants the IR types ``index``/integer —
+        #: the body may consume them as ints: verified per site when a
+        #: function is instantiated.
+        self.int_constants = []
         self._serial = 0
         self._names_by_id = {}
 
@@ -179,8 +330,8 @@ class _Emitter:
             )
         return name
 
-    def _item(self, const_idx):
-        """``_u.array.item(i, j)`` with the static coordinates bound."""
+    def _item(self, buf, const_idx):
+        """``buf.array.item(i, j)`` with the static coordinates bound."""
         names = []
         slots = getattr(const_idx, "slots", itertools.repeat(None))
         for i, slot in zip(const_idx, slots):
@@ -189,7 +340,7 @@ class _Emitter:
                 def recipe(site, _s=slot):
                     return int(site.consts[_s])
             names.append(self.site("j", i, recipe))
-        return f"_u.array.item({', '.join(names)})"
+        return f"{buf}.array.item({', '.join(names)})"
 
     def _target(self, const_idx):
         """The static coordinates as one bound tuple (a store target)."""
@@ -202,74 +353,130 @@ class _Emitter:
     def line(self, indent, text):
         self.lines.append("    " * indent + text)
 
-    # -- inline step bodies ------------------------------------------------
+    # -- typed locals --------------------------------------------------------
 
-    def _load_pair(self, indent, s0, s1, resolve):
-        """The two-operand environment load with resolve fallback every
-        binary arith step starts with."""
-        a = self.bind("a", s0)
-        b = self.bind("b", s1)
+    def local(self, ssa):
+        """``(name, is_int)`` of the Python local holding ``ssa``, or
+        ``None`` when it has to be read from ``env`` where it is used.
+        A value the body is entered with gets its prologue load here."""
+        found = self.locals.get(ssa)
+        if found is None and not _in_tree(ssa, self.root):
+            is_int = _is_int_type(ssa)
+            name = self.define(ssa, is_int)
+            self.loads.append((name, self.bind("k", ssa), ssa, is_int))
+            found = name, is_int
+        return found
+
+    def define(self, ssa, is_int=False, name=None):
+        """A fresh local (or ``name``) for a value this body defines."""
+        if name is None:
+            self._serial += 1
+            name = f"_{'n' if is_int else 'x'}{self._serial}"
+        self.locals[ssa] = (name, is_int)
+        return name
+
+    def operand(self, indent, ssa, scratch, resolve):
+        """``(expression, is_int)`` for reading ``ssa``: its local, or
+        — after emitting the load with resolve fallback and ``Future``
+        unwrapping every dynamic read starts with — ``scratch``."""
+        found = self.local(ssa)
+        if found is not None:
+            return found
+        key = self.bind("k", ssa)
         rs = self.bind("rs", resolve)
         self.line(indent, "try:")
-        self.line(indent + 1, f"_a = env[{a}]")
-        self.line(indent + 1, f"_b = env[{b}]")
+        self.line(indent + 1, f"{scratch} = env[{key}]")
         self.line(indent, "except KeyError:")
-        self.line(indent + 1, f"_a = {rs}(env, {a})")
-        self.line(indent + 1, f"_b = {rs}(env, {b})")
+        self.line(indent + 1, f"{scratch} = {rs}(env, {key})")
+        self.line(indent, f"if type({scratch}) is _Future:")
+        self.line(indent + 1, f"{scratch} = {scratch}.value")
+        return scratch, False
+
+    def _index(self, ssa):
+        """One dynamic coordinate as an expression, and whether it can
+        raise (``int()`` of a ``Future``, a missing binding)."""
+        found = self.local(ssa)
+        if found is None:
+            return f"int(env[{self.bind('k', ssa)}])", True
+        name, is_int = found
+        return (name, False) if is_int else (f"int({name})", True)
+
+    def _indices(self, indices_ssa):
+        parts = [self._index(ssa) for ssa in indices_ssa]
+        return (
+            ", ".join(text for text, _ in parts),
+            any(raises for _, raises in parts),
+        )
+
+    # -- inline step bodies ------------------------------------------------
 
     def _arith_cost(self, indent, is_free):
         if not is_free:
             self.needs_arith_cycles = True
             self.line(indent, "ex.pending += _ac")
 
+    def _store(self, indent, result, expr, is_int=False):
+        """``env[result] = expr``, through a local when typed."""
+        name = self.define(result, is_int)
+        self.line(indent, f"{name} = {expr}")
+        self.line(indent, f"env[{self.bind('k', result)}] = {name}")
+
     def emit_arith2(self, indent, meta):
         _, s0, s1, result, raw, fn, is_free, resolve = meta
-        self._load_pair(indent, s0, s1, resolve)
-        out = self.bind("o", result)
-        rawn = self.bind("f", raw)
-        fnn = self.bind("g", fn)
-        self.line(indent, "if type(_a) is int and type(_b) is int:")
-        self.line(indent + 1, f"env[{out}] = {rawn}(_a, _b)")
-        self.line(indent, "else:")
-        self.line(indent + 1, "if type(_a) is _Future:")
-        self.line(indent + 2, "_a = _a.value")
-        self.line(indent + 1, "if type(_b) is _Future:")
-        self.line(indent + 2, "_b = _b.value")
-        self.line(indent + 1, f"env[{out}] = {fnn}(_a, _b)")
+        a, a_int = self.operand(indent, s0, "_a", resolve)
+        b, b_int = self.operand(indent, s1, "_b", resolve)
+        expr = _INT_EXPR.get(result.owner.name)
+        if a_int and b_int and expr is not None:
+            self._store(indent, result, expr.format(a, b), True)
+        else:
+            # The raw-int dispatch, testing the operands not known to be.
+            ints = " and ".join(
+                f"type({name}) is int"
+                for name, known in ((a, a_int), (b, b_int))
+                if not known
+            )
+            self._store(
+                indent, result,
+                f"{self.bind('f', raw)}({a}, {b}) if {ints or True}"
+                f" else {self.bind('g', fn)}({a}, {b})",
+            )
         self._arith_cost(indent, is_free)
 
     def emit_barith2(self, indent, meta):
         _, s0, s1, result, fn, is_free, resolve = meta
-        self._load_pair(indent, s0, s1, resolve)
-        out = self.bind("o", result)
-        fnn = self.bind("g", fn)
-        self.line(indent, "if type(_a) is _Future:")
-        self.line(indent + 1, "_a = _a.value")
-        self.line(indent, "if type(_b) is _Future:")
-        self.line(indent + 1, "_b = _b.value")
-        self.line(indent, f"env[{out}] = {fnn}(_a, _b)")
+        a, a_int = self.operand(indent, s0, "_a", resolve)
+        b, b_int = self.operand(indent, s1, "_b", resolve)
+        # divsi/remsi of two ints is an int (or raises).
+        is_int = a_int and b_int and result.owner.name in (
+            "arith.divsi", "arith.remsi"
+        )
+        self._store(
+            indent, result, f"{self.bind('g', fn)}({a}, {b})", is_int
+        )
         self._arith_cost(indent, is_free)
 
     def emit_cmp(self, indent, meta):
         _, s0, s1, result, compare, is_free, resolve = meta
-        self._load_pair(indent, s0, s1, resolve)
-        out = self.bind("o", result)
-        cmp = self.bind("c", compare)
-        self.line(indent, "if type(_a) is _Future:")
-        self.line(indent + 1, "_a = _a.value")
-        self.line(indent, "if type(_b) is _Future:")
-        self.line(indent + 1, "_b = _b.value")
-        self.line(indent, f"_v = {cmp}(_a, _b)")
-        self.line(indent, "if _v is True:")
-        self.line(indent + 1, f"env[{out}] = 1")
-        self.line(indent, "elif _v is False:")
-        self.line(indent + 1, f"env[{out}] = 0")
-        self.line(indent, "elif isinstance(_v, _ndarray):")
-        self.line(indent + 1, f"env[{out}] = _v.astype(_int8)")
-        self.line(indent, "else:")
-        self.line(indent + 1, f"env[{out}] = int(bool(_v))")
-        self.bindings.setdefault("_ndarray", np.ndarray)
-        self.bindings.setdefault("_int8", np.int8)
+        a, a_int = self.operand(indent, s0, "_a", resolve)
+        b, b_int = self.operand(indent, s1, "_b", resolve)
+        if a_int and b_int:
+            symbol = _CMP_EXPR[result.owner.get_attr("predicate")]
+            self._store(indent, result, f"1 if {a} {symbol} {b} else 0", True)
+        else:
+            name = self.define(result)
+            cmp = self.bind("c", compare)
+            self.line(indent, f"_v = {cmp}({a}, {b})")
+            self.line(indent, "if _v is True:")
+            self.line(indent + 1, f"{name} = 1")
+            self.line(indent, "elif _v is False:")
+            self.line(indent + 1, f"{name} = 0")
+            self.line(indent, "elif isinstance(_v, _ndarray):")
+            self.line(indent + 1, f"{name} = _v.astype(_int8)")
+            self.line(indent, "else:")
+            self.line(indent + 1, f"{name} = int(bool(_v))")
+            self.line(indent, f"env[{self.bind('k', result)}] = {name}")
+            self.bindings.setdefault("_ndarray", np.ndarray)
+            self.bindings.setdefault("_int8", np.int8)
         self._arith_cost(indent, is_free)
 
     def _emit_branch(self, indent, branch_plan, branch_wrap, depth):
@@ -291,21 +498,18 @@ class _Emitter:
 
     def emit_if(self, indent, meta, index, plan_name, wrap, depth):
         _, cond_ssa, then_plan, else_plan, resolve = meta
-        cond = self.bind("q", cond_ssa)
-        rs = self.bind("rs", resolve)
-        self.line(indent, "try:")
-        self.line(indent + 1, f"_c = env[{cond}]")
-        self.line(indent, "except KeyError:")
-        self.line(indent + 1, f"_c = {rs}(env, {cond})")
-        self.line(indent, "if type(_c) is _Future:")
-        self.line(indent + 1, "_c = _c.value")
-        self.line(indent, "if type(_c) is int:")
-        self.line(indent + 1, "_t = _c != 0")
-        self.line(indent, "elif isinstance(_c, _ndarray):")
-        self.line(indent + 1, "_t = bool(_c.any())")
-        self.line(indent, "else:")
-        self.line(indent + 1, "_t = bool(int(_c))")
-        self.bindings.setdefault("_ndarray", np.ndarray)
+        cond, is_int = self.operand(indent, cond_ssa, "_c", resolve)
+        if is_int:
+            taken, not_taken = f"if {cond}:", f"if not {cond}:"
+        else:
+            self.line(indent, f"if type({cond}) is int:")
+            self.line(indent + 1, f"_t = {cond} != 0")
+            self.line(indent, f"elif isinstance({cond}, _ndarray):")
+            self.line(indent + 1, f"_t = bool({cond}.any())")
+            self.line(indent, "else:")
+            self.line(indent + 1, f"_t = bool(int({cond}))")
+            self.bindings.setdefault("_ndarray", np.ndarray)
+            taken, not_taken = "if _t:", "if not _t:"
 
         def branch_wrap(gen):
             # Plan mode returns the branch's suspension generator from the
@@ -315,13 +519,12 @@ class _Emitter:
             )
 
         if then_plan is not None and else_plan is not None:
-            self.line(indent, "if _t:")
+            self.line(indent, taken)
             self._emit_branch(indent + 1, then_plan, branch_wrap, depth)
             self.line(indent, "else:")
             self._emit_branch(indent + 1, else_plan, branch_wrap, depth)
         elif then_plan is not None or else_plan is not None:
-            guard = "if _t:" if then_plan is not None else "if not _t:"
-            self.line(indent, guard)
+            self.line(indent, taken if then_plan is not None else not_taken)
             self._emit_branch(
                 indent + 1, then_plan or else_plan, branch_wrap, depth
             )
@@ -329,194 +532,145 @@ class _Emitter:
     # -- inlined buffer accesses -------------------------------------------
 
     def _emit_buffer_head(self, indent, buffer_ssa, state, is_write, resolve):
-        """Shared preamble of every scalar buffer fast path: resolve the
-        buffer, unwrap a Future, refresh the last-seen-memory memo."""
-        buf = self.bind("u", buffer_ssa)
-        rs = self.bind("rs", resolve)
+        """Shared preamble of every scalar buffer fast path: the buffer
+        (resolved and unwrapped unless a local holds it) and the
+        last-seen-memory memo, refreshed.  Returns both names."""
+        buf, _ = self.operand(indent, buffer_ssa, "_u", resolve)
         st = self.bind("m", state)
         pac = self.bind("pc", _plain_access_cost)
-        self.line(indent, "try:")
-        self.line(indent + 1, f"_u = env[{buf}]")
-        self.line(indent, "except KeyError:")
-        self.line(indent + 1, f"_u = {rs}(env, {buf})")
-        self.line(indent, "if type(_u) is _Future:")
-        self.line(indent + 1, "_u = _u.value")
-        self.line(indent, "_m = _u.memory")
+        self.line(indent, f"_m = {buf}.memory")
         self.line(indent, f"if _m is not {st}[0]:")
         self.line(indent + 1, f"{st}[1] = {pac}(_m, {is_write})")
         self.line(indent + 1, f"{st}[0] = _m")
-        return st
+        return buf, st
 
-    def _emit_general(self, indent, general, index, plan_name, wrap):
+    def _emit_general(self, indent, general, index, plan_name, wrap,
+                      result=None):
         """The slow-path handler call of a read/write fast path, under the
-        K_DYN suspension protocol."""
+        K_DYN suspension protocol.  The handler binds the op's result in
+        ``env``; a typed body that goes on inline picks it up."""
         gn = self.bind("h", general)
         self.line(indent, f"_r = {gn}(ex, env)")
         self.line(indent, "if type(_r) is int:")
         self.line(indent + 1, "if _r:")
         self.line(indent + 2, "ex.pending += _r")
+        if result is not None:
+            name = self.locals[result][0]
+            self.line(indent + 1, f"{name} = env[{self.bind('k', result)}]")
         self.line(indent, "else:")
         self.line(
             indent + 1,
             wrap(f"_resume({plan_name}, ex, env, _r, {index}, True)"),
         )
 
-    def _read_stats(self, indent, posted):
-        self.line(indent, "_m.bytes_read += _u.element_bits >> 3")
-        self.line(indent, "_m.reads += 1")
-        if posted:
-            self.line(indent, "if _co:")
-            self.line(indent + 1, "_m.queue.posted_busy_cycles += _co")
-
-    def _write_stats(self, indent, posted):
-        self.line(indent, "_m.bytes_written += _u.element_bits >> 3")
-        self.line(indent, "_m.writes += 1")
+    def _stats(self, indent, buf, posted, traffic, count):
+        """The memory's traffic counters for one element access."""
+        self.line(indent, f"_m.{traffic} += {buf}.element_bits >> 3")
+        self.line(indent, f"_m.{count} += 1")
         if posted:
             self.line(indent, "if _co:")
             self.line(indent + 1, "_m.queue.posted_busy_cycles += _co")
 
     def emit_read(self, indent, meta, index, plan_name, wrap):
-        _, buffer_ssa, result, posted, state, const_idx, general, resolve = (
-            meta
+        (
+            _, buffer_ssa, result, posted, state, const_idx, indices_ssa,
+            general, resolve,
+        ) = meta
+        buf, st = self._emit_buffer_head(
+            indent, buffer_ssa, state, False, resolve
         )
-        st = self._emit_buffer_head(indent, buffer_ssa, state, False, resolve)
-        out = self.bind("o", result)
-        self.line(indent, f"_co = {st}[1]")
-        cond = "_co >= 0" if posted else "_co == 0"
-        self.line(indent, f"if {cond}:")
-        self.line(indent + 1, f"env[{out}] = {self._item(const_idx)}")
-        self._read_stats(indent + 1, posted)
-        self.line(indent, "else:")
-        self._emit_general(indent + 1, general, index, plan_name, wrap)
 
-    def emit_readx(self, indent, meta, index, plan_name, wrap):
-        _, buffer_ssa, result, posted, state, indices_ssa, general, resolve = (
-            meta
-        )
-        st = self._emit_buffer_head(indent, buffer_ssa, state, False, resolve)
-        out = self.bind("o", result)
+        def slow(at):
+            self._emit_general(at, general, index, plan_name, wrap, result)
+
+        outer = indent
         self.line(indent, f"_co = {st}[1]")
-        cond = "_co >= 0" if posted else "_co == 0"
-        self.line(indent, f"if {cond}:")
-        idx = ", ".join(
-            f"int(env[{self.bind('x', s)}])" for s in indices_ssa
-        )
-        self.line(indent + 1, "try:")
-        self.line(indent + 2, f"env[{out}] = _u.array.item({idx})")
-        self.line(indent + 1, "except (KeyError, TypeError):")
-        self._emit_general(indent + 2, general, index, plan_name, wrap)
-        self.line(indent + 1, "else:")
-        self._read_stats(indent + 2, posted)
-        self.line(indent, "else:")
-        self._emit_general(indent + 1, general, index, plan_name, wrap)
+        self.line(indent, "if _co >= 0:" if posted else "if _co == 0:")
+        indent += 1
+        if const_idx is not None:
+            item, raises = self._item(buf, const_idx), False
+        else:
+            idx, raises = self._indices(indices_ssa)
+            item = f"{buf}.array.item({idx})"
+        if raises:  # for want of an int: the handler's to sort out
+            self.line(indent, "try:")
+            self._store(indent + 1, result, item)
+            self.line(indent, "except (KeyError, TypeError):")
+            slow(indent + 1)
+            self.line(indent, "else:")
+            indent += 1
+        else:
+            self._store(indent, result, item)
+        self._stats(indent, buf, posted, "bytes_read", "reads")
+        self.line(outer, "else:")
+        slow(outer + 1)
 
     def emit_write(self, indent, meta, index, plan_name, wrap):
         (
             _, buffer_ssa, value_ssa, posted, state, const_idx, indices_ssa,
-            general, resolve,
+            general, resolve, reshape,
         ) = meta
-        st = self._emit_buffer_head(indent, buffer_ssa, state, True, resolve)
-        val = self.bind("w", value_ssa)
-        self.bindings.setdefault("_MISS", _MISSING)
-        self.bindings.setdefault("_np", np)
-        self.bindings.setdefault("_ndarray", np.ndarray)
-        self.line(indent, f"_co = {st}[1]")
-        cond = "_co >= 0" if posted else "_co == 0"
-        self.line(indent, f"if {cond}:")
-        self.line(indent + 1, f"_w = env.get({val}, _MISS)")
-        self.line(indent + 1, "if _w is _MISS or type(_w) is _Future:")
-        self._emit_general(indent + 2, general, index, plan_name, wrap)
-        self.line(indent + 1, "else:")
-        if const_idx is not None:
-            tgt = self._target(const_idx)
-            self._emit_write_store(indent + 2, tgt, posted)
-        else:
-            idx = ", ".join(
-                f"int(env[{self.bind('x', s)}])" for s in indices_ssa
-            )
-            self.line(indent + 2, "try:")
-            self.line(indent + 3, f"_tg = ({idx},)")
-            self.line(indent + 2, "except (KeyError, TypeError):")
-            self._emit_general(indent + 3, general, index, plan_name, wrap)
-            self.line(indent + 2, "else:")
-            self._emit_write_store(indent + 3, "_tg", posted)
-        self.line(indent, "else:")
-        self._emit_general(indent + 1, general, index, plan_name, wrap)
-
-    def _emit_write_store(self, indent, tgt, posted):
-        self.line(indent, "if isinstance(_w, _ndarray):")
-        self.line(
-            indent + 1,
-            f"_u.array[{tgt}] = _np.asarray(_w).reshape("
-            f"_u.array[{tgt}].shape)",
+        buf, st = self._emit_buffer_head(
+            indent, buffer_ssa, state, True, resolve
         )
-        self.line(indent, "else:")
-        self.line(indent + 1, f"_u.array[{tgt}] = _w")
-        self._write_stats(indent, posted)
+        outer = indent
 
-    def emit_load(self, indent, meta, index, plan_name, wrap):
-        _, buffer_ssa, result, state, const_idx, indices_ssa, general, \
-            resolve = meta
-        st = self._emit_buffer_head(indent, buffer_ssa, state, False, resolve)
-        out = self.bind("o", result)
-        self.line(indent, f"if {st}[1] == 0:")
-        if const_idx is not None:
-            self.line(indent + 1, f"env[{out}] = {self._item(const_idx)}")
-            self.line(indent + 1, "_m.bytes_read += _u.element_bits >> 3")
-            self.line(indent + 1, "_m.reads += 1")
-        else:
-            idx = ", ".join(
-                f"int(env[{self.bind('x', s)}])" for s in indices_ssa
-            )
-            self.line(indent + 1, "try:")
-            self.line(indent + 2, f"env[{out}] = _u.array.item({idx})")
-            self.line(indent + 1, "except (KeyError, TypeError):")
-            self._emit_general(indent + 2, general, index, plan_name, wrap)
-            self.line(indent + 1, "else:")
-            self.line(indent + 2, "_m.bytes_read += _u.element_bits >> 3")
-            self.line(indent + 2, "_m.reads += 1")
-        self.line(indent, "else:")
-        self._emit_general(indent + 1, general, index, plan_name, wrap)
+        def slow(at):
+            self._emit_general(at, general, index, plan_name, wrap)
 
-    def emit_store(self, indent, meta, index, plan_name, wrap):
-        _, buffer_ssa, value_ssa, state, const_idx, indices_ssa, general, \
-            resolve = meta
-        st = self._emit_buffer_head(indent, buffer_ssa, state, True, resolve)
-        val = self.bind("w", value_ssa)
-        self.bindings.setdefault("_MISS", _MISSING)
-        self.line(indent, f"if {st}[1] == 0:")
-        self.line(indent + 1, f"_w = env.get({val}, _MISS)")
-        self.line(indent + 1, "if _w is _MISS or type(_w) is _Future:")
-        self._emit_general(indent + 2, general, index, plan_name, wrap)
-        self.line(indent + 1, "else:")
+        self.line(indent, f"_co = {st}[1]")
+        self.line(indent, "if _co >= 0:" if posted else "if _co == 0:")
+        indent += 1
+        # The value: checked for a Future or a missing binding unless a
+        # local holds it.
+        found = self.local(value_ssa)
+        if found is None:
+            val = self.bind("k", value_ssa)
+            self.bindings.setdefault("_MISS", _MISSING)
+            self.line(indent, f"_w = env.get({val}, _MISS)")
+            self.line(indent, "if _w is _MISS or type(_w) is _Future:")
+            slow(indent + 1)
+            self.line(indent, "else:")
+            indent += 1
+            found = ("_w", False)
+        stored, is_int = found
         if const_idx is not None:
-            tgt = self._target(const_idx)
-            self.line(indent + 2, f"_u.array[{tgt}] = _w")
-            self.line(indent + 2, "_m.bytes_written += _u.element_bits >> 3")
-            self.line(indent + 2, "_m.writes += 1")
+            target = self._target(const_idx)
         else:
-            idx = ", ".join(
-                f"int(env[{self.bind('x', s)}])" for s in indices_ssa
-            )
-            self.line(indent + 2, "try:")
-            self.line(indent + 3, f"_tg = ({idx},)")
-            self.line(indent + 2, "except (KeyError, TypeError):")
-            self._emit_general(indent + 3, general, index, plan_name, wrap)
-            self.line(indent + 2, "else:")
-            self.line(indent + 3, "_u.array[_tg] = _w")
+            idx, raises = self._indices(indices_ssa)
+            target = f"({idx},)"
+            if raises:
+                self.line(indent, "try:")
+                self.line(indent + 1, f"_tg = {target}")
+                self.line(indent, "except (KeyError, TypeError):")
+                slow(indent + 1)
+                self.line(indent, "else:")
+                indent += 1
+                target = "_tg"
+        if reshape and not is_int:
+            self.bindings.setdefault("_np", np)
+            self.bindings.setdefault("_ndarray", np.ndarray)
+            self.line(indent, f"if isinstance({stored}, _ndarray):")
             self.line(
-                indent + 3, "_m.bytes_written += _u.element_bits >> 3"
+                indent + 1,
+                f"{buf}.array[{target}] = _np.asarray({stored}).reshape("
+                f"{buf}.array[{target}].shape)",
             )
-            self.line(indent + 3, "_m.writes += 1")
-        self.line(indent, "else:")
-        self._emit_general(indent + 1, general, index, plan_name, wrap)
+            self.line(indent, "else:")
+            self.line(indent + 1, f"{buf}.array[{target}] = {stored}")
+        else:
+            self.line(indent, f"{buf}.array[{target}] = {stored}")
+        self._stats(indent, buf, posted, "bytes_written", "writes")
+        self.line(outer, "else:")
+        slow(outer + 1)
 
     def emit_extern(self, indent, meta):
         _, operand_ssa, result_ssa, func, fixed_cycles, resolve = meta
         fu = self.bind("f", func)
         rs = self.bind("rs", resolve)
         args = ", ".join(
-            f"{rs}(env, {self.bind('x', v)})" for v in operand_ssa
+            (self.local(v) or (f"{rs}(env, {self.bind('k', v)})",))[0]
+            for v in operand_ssa
         )
         self.line(indent, f"_vres = {fu}({args})")
         if result_ssa:
@@ -526,7 +680,7 @@ class _Emitter:
             self.line(indent, f"for _ssa, _val in zip({rsn}, _vres):")
             self.line(indent + 1, "env[_ssa] = _val")
         if fixed_cycles:
-            self.line(indent, f"ex.pending += {self.site('n', fixed_cycles)}")
+            self.line(indent, f"ex.pending += {self.site('d', fixed_cycles)}")
 
     # -- per-plan emission -------------------------------------------------
 
@@ -541,15 +695,22 @@ class _Emitter:
         """
         steps = plan.steps
         for index, (kind, a, b) in enumerate(steps):
-            if kind == K_CONST:
+            if kind == K_CONST or kind == K_SITE:
+                # One store either way; a shared body's constant is the
+                # launch site's.
                 key = self.bind("k", a)
-                val = self.site("v", b)
+                recipe = None
+                if kind == K_SITE:
+                    def recipe(site, _s=b):
+                        return site.consts[_s]
+                val = self.site("v", b if kind == K_CONST else None, recipe)
                 self.line(indent, f"env[{key}] = {val}")
-            elif kind == K_SITE:
-                # The same store; the value is the launch site's.
-                key = self.bind("k", a)
-                val = self.site("v", None, lambda site, _s=b: site.consts[_s])
-                self.line(indent, f"env[{key}] = {val}")
+                # The binding is the local.  Whether an index constant
+                # is an ``int`` is the site's to say: checked when the
+                # function is instantiated, not here.
+                self.define(a, _is_int_type(a), val)
+                if _is_int_type(a):
+                    self.int_constants.append(val)
             elif kind == K_DYN and type(b) is tuple and b:
                 tag = b[0]
                 if tag == "arith2":
@@ -560,14 +721,8 @@ class _Emitter:
                     self.emit_cmp(indent, b)
                 elif tag == "read":
                     self.emit_read(indent, b, index, plan_name, wrap)
-                elif tag == "readx":
-                    self.emit_readx(indent, b, index, plan_name, wrap)
                 elif tag == "write":
                     self.emit_write(indent, b, index, plan_name, wrap)
-                elif tag == "load":
-                    self.emit_load(indent, b, index, plan_name, wrap)
-                elif tag == "store":
-                    self.emit_store(indent, b, index, plan_name, wrap)
                 elif tag == "extern":
                     self.emit_extern(indent, b)
                 else:  # unknown metadata: conservative closure call
@@ -631,13 +786,15 @@ class _Emitter:
         plan mode pays a generator frame here on every execution."""
         _, body_plan, induction, loop_range = meta
         body_exec = self.entry(body_plan)
-        ind = self.bind("i", induction)
+        ind = self.bind("k", induction)
         rng = self.bind("r", loop_range)
         tail = self.bind("t", plan.steps[index + 1:])
         it = f"_it{index}_{depth}"
+        # ``range`` yields ints: the induction variable is typed.
+        var = self.define(induction, True)
         self.line(indent, f"{it} = iter({rng})")
-        self.line(indent, f"for _i in {it}:")
-        self.line(indent + 1, f"env[{ind}] = _i")
+        self.line(indent, f"for {var} in {it}:")
+        self.line(indent + 1, f"env[{ind}] = {var}")
 
         def body_wrap(gen):
             return wrap(
@@ -655,14 +812,48 @@ class _Emitter:
             self.line(indent + 1, "if _r is not None:")
             self.line(indent + 2, body_wrap("_r"))
 
+    def prologue(self):
+        """The lines before the body: load what it is entered with, check
+        it, hand the entry to :func:`_deopt` if it is not what the body
+        was compiled for.  Nothing before or in it has a side effect."""
+        lines = []
+        if self.loads or self.int_constants:
+            # ``_guard``: why this *site* can never run the typed body
+            # (``None``: it can).
+            self.bindings["_guard"] = None
+            self.bindings["_deopt"] = _deopt
+            self.bindings["_loads"] = tuple(
+                (ssa, is_int) for _, _, ssa, is_int in self.loads
+            )
+            deopt = "return _deopt(_plan, ex, env, _loads, _guard)"
+            checks = ["_guard"]
+            if self.loads:
+                lines.append("    try:")
+                for name, key, _, is_int in self.loads:
+                    lines.append(f"        {name} = env[{key}]")
+                    checks.append(
+                        _INT_CHECK.format(name) if is_int
+                        else f"type({name}) is _Future"
+                    )
+                lines.append("    except KeyError:")
+                lines.append("        " + deopt)
+            lines.append(f"    if {' or '.join(checks)}:")
+            lines.append("        " + deopt)
+        if self.needs_arith_cycles:
+            lines.append("    _ac = ex.proc.spec.arith_cycles")
+        return lines
+
 
 def _emit(plan: BlockPlan):
-    """``(code, shared, defaults, recipes)`` for an inlineable ``plan``:
-    the body's code object (``shared``: some block had compiled the same
-    text already), the default arguments binding everything it names,
-    and — for a :class:`~repro.sim.plan.ShapePlan` — which of those are
-    a launch site's own, as ``position -> f(site)``."""
-    emitter = _Emitter()
+    """``(code, shared, defaults, recipes, checks)`` for an inlineable
+    ``plan``: the body's code object (``shared``: some block had
+    compiled the same text already), the default arguments binding
+    everything it names, and — for a :class:`~repro.sim.plan.ShapePlan`
+    — which of those are a launch site's own, as ``position ->
+    f(site)``.  ``checks`` is ``None`` for a body without a typed
+    prologue, else where its guard and the constants it consumes as
+    ints sit among the defaults."""
+    emitter = _Emitter(plan.block)
     emitter.bindings["_plan"] = plan
     if type(plan) is ShapePlan:
         emitter.recipes["_plan"] = lambda site, _i=plan.index: site.plans[_i]
@@ -672,12 +863,9 @@ def _emit(plan: BlockPlan):
     emitter.emit_plan(plan, "_plan", 1, lambda gen: f"return {gen}", 0)
     emitter.line(1, "return None")
 
-    prologue = []
-    if emitter.needs_arith_cycles:
-        prologue.append("    _ac = ex.proc.spec.arith_cycles")
+    lines = emitter.prologue() + emitter.lines
     source = "def _plan_body(ex, env, {params}):\n{body}\n".format(
-        params=", ".join(emitter.bindings),
-        body="\n".join(prologue + emitter.lines),
+        params=", ".join(emitter.bindings), body="\n".join(lines)
     )
     code = _SHAPES.get(source)
     shared = code is not None
@@ -686,17 +874,22 @@ def _emit(plan: BlockPlan):
         code = _SHAPES[source] = next(
             c for c in module.co_consts if isinstance(c, CodeType)
         )
+    positions = {name: at for at, name in enumerate(emitter.bindings)}
     recipes = [
-        (position, emitter.recipes[name])
-        for position, name in enumerate(emitter.bindings)
-        if name in emitter.recipes
+        (positions[name], recipe) for name, recipe in emitter.recipes.items()
     ]
-    return code, shared, list(emitter.bindings.values()), recipes
+    checks = None
+    if "_guard" in positions:
+        checks = (
+            positions["_guard"],
+            [positions[name] for name in emitter.int_constants],
+        )
+    return code, shared, list(emitter.bindings.values()), recipes, checks
 
 
 def compile_block_body(plan: BlockPlan):
     """Emit and instantiate the specialized body for an inlineable
-    ``plan``; returns ``(fn, shared)``.
+    ``plan``; returns ``(fn, shared, typed)``.
 
     ``fn`` has the ``_inline_run`` contract — ``fn(ex, env)`` → ``None``
     or a generator.  Everything the body references is a default
@@ -712,21 +905,31 @@ def compile_block_body(plan: BlockPlan):
     included — gets a function of that code object whose per-site
     defaults (constants, folded index tuples, its views of nested plans)
     are filled in from the site.
+
+    ``typed``: the body starts with a typed prologue.  The text is
+    typed by the IR's static types alone, so it is the shape's; whether
+    a constant it consumes as an ``int`` *is* one is each site's own
+    matter, settled here: a site with one that is not gets the guard
+    that sends its every entry to :func:`_deopt`.
     """
     shape = plan.shape
     if shape is None:
-        code, shared, defaults, _ = _emit(plan)
+        code, shared, defaults, _, checks = _emit(plan)
     else:
         shared = shape.emitted is not None
         if not shared:
-            code, shared, defaults, recipes = _emit(shape)
-            shape.emitted = code, defaults, recipes
-        code, defaults, recipes = shape.emitted
+            code, shared, *emitted = _emit(shape)
+            shape.emitted = (code, *emitted)
+        code, defaults, recipes, checks = shape.emitted
         defaults = defaults.copy()
         site = plan.site
         for position, recipe in recipes:
             defaults[position] = recipe(site)
-    return FunctionType(code, _GLOBALS, "_plan_body", tuple(defaults)), shared
+    if checks is not None:
+        guard, constants = checks
+        defaults[guard] = _site_guard(defaults, constants)
+    fn = FunctionType(code, _GLOBALS, "_plan_body", tuple(defaults))
+    return fn, shared, checks is not None
 
 
 def source_of(fn) -> Optional[str]:

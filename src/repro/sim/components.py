@@ -171,14 +171,20 @@ class ProcessorModel(Component):
         #: engine pops the head once per executed entry, and launch-heavy
         #: programs keep hundreds of entries queued per processor.
         self.queue: deque = deque()
-        self.wake: Optional[SimEvent] = None
+        #: While the processor idles on an empty queue: what schedules
+        #: its dispatcher (a zero-delay callback).  ``None`` while a
+        #: dispatch is scheduled, waiting on the head entry's dependency
+        #: or running an entry — it looks at the queue again by itself.
+        self.wake: Optional[Callable[[], None]] = None
         self.busy_cycles = 0
         self.executed_events = 0
 
     def enqueue(self, entry: EventEntry) -> None:
         self.queue.append(entry)
-        if self.wake is not None and not self.wake.triggered:
-            self.wake.trigger(None)
+        wake = self.wake
+        if wake is not None:
+            self.wake = None
+            wake()
 
 
 class DMAModel(ProcessorModel):

@@ -6,8 +6,8 @@ The engine executes a verified EQueue module:
    hierarchy ops) are evaluated once, building the component model.
 2. **Simulation** — the top-level block runs as an implicit host process;
    every processor/DMA runs its own event-queue loop (the paper's
-   setup-entry / check-queue / schedule / finish stages map onto the loop
-   in :meth:`Engine._proc_loop`).
+   setup-entry / check-queue / schedule / finish stages map onto
+   :meth:`_Dispatcher.dispatch`).
 3. **Reporting** — profiling summary (§IV-B) plus an optional Chrome trace.
 
 Timing and function are separated: op handlers compute real values (NumPy)
@@ -58,6 +58,7 @@ the reference both must match bit-for-bit; see
 from __future__ import annotations
 
 import enum
+import functools
 import time as _time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Union
@@ -70,7 +71,7 @@ from ..ir.diagnostics import IRError
 from ..ir.module import ModuleOp
 from ..ir.operation import Operation
 from ..ir.types import IndexType, MemRefType, TensorType
-from ..ir.values import Value
+from ..ir.values import OpResult, Value
 from ..ir.verifier import verify
 from . import interp, oplib
 from .components import (
@@ -85,7 +86,7 @@ from .components import (
     memory_spec,
     register_memory_kind,
 )
-from .kernel import AllOf, SimEvent, all_of, any_of, make_simulator
+from .kernel import AllOf, Process, SimEvent, all_of, any_of, make_simulator
 from .profiling import ConnectionReport, MemoryReport, ProfilingSummary
 from .tracing import TraceRecorder
 from ..obs import metrics as _obs_metrics
@@ -248,14 +249,253 @@ class SimulationResult:
         return runtime
 
 
-class _BodyExec:
-    """Per-running-block execution state (the pending-cycles accumulator)."""
+class LaunchSite:
+    """What is known of one ``equeue.launch`` op before it runs: the SSA
+    values of its dependency, target and captures, its label and
+    results — and, from its first issue on, the block arguments the
+    captures bind to and the :class:`~repro.sim.plan.BodySite` the body
+    runs for (``PlanCache.bind_site``: the representative's arguments
+    when the body shares a shape).
 
-    __slots__ = ("proc", "pending")
+    :meth:`issue` is THE definition of issuing a launch: the interpreter
+    calls it through its per-op memo, a compiled plan has it as the
+    step itself.  One slotted record per op and no closure: a cached
+    program keeps one of these per launch site for good.
+    """
 
-    def __init__(self, proc: ProcessorModel):
+    __slots__ = (
+        "dep", "target", "block", "label", "done", "values", "captures",
+        "futures", "site",
+    )
+
+    def __init__(self, op: Operation):
+        self.dep = op.operand(0)
+        self.target = op.operand(1)
+        self.block = op.regions[0].entry_block
+        self.label = op.get_attr("label", "launch")
+        self.done = op.results[0]
+        self.values = op.results[1:]
+        #: Block argument -> the captured SSA value bound to it.
+        self.captures: Optional[Dict[Value, Value]] = None
+        self.futures = ()
+        self.site = None
+
+    def bind(self, plans: Optional["PlanCache"]) -> Dict[Value, Value]:
+        arguments, self.site = (
+            plans.bind_site(self.block)
+            if plans is not None
+            else (self.block.arguments, None)
+        )
+        operands = self.done.owner.operand_values[2:]
+        self.captures = captures = dict(zip(arguments, operands))
+        # Only a launch's value results are ever bound to a Future
+        # (below, the sole constructor), so which captures can hold one
+        # is known from the op alone; the dispatcher resolves exactly
+        # those block arguments before the body starts.
+        self.futures = tuple(
+            argument
+            for argument, ssa in captures.items()
+            if type(ssa) is OpResult
+            and ssa.index
+            and ssa.owner.name == "equeue.launch"
+        )
+        return captures
+
+    def issue(self, ex: "_Dispatcher", env: Dict[Value, object]) -> None:
+        engine = ex.engine
+        captures = self.captures
+        if captures is None:
+            captures = self.bind(engine._plans)
+        # The two lookups resolve() makes, without the calls, when the
+        # value is what it nearly always is; anything else — a launch
+        # result, an unbound value — is resolve()'s to sort out.
+        dep = env.get(self.dep)
+        if type(dep) is not SimEvent:
+            dep = engine._resolve(env, self.dep)
+        target = env.get(self.target)
+        if not isinstance(target, ProcessorModel):
+            target = engine._resolve(env, self.target)
+            if not isinstance(target, ProcessorModel):
+                raise EngineError("launch target is not a processor")
+        # The body gets an env of its own (a fresh dict per launch, for
+        # isolation) with the captured values bound straight into it.
+        site = self.site
+        body_env = {} if site is None else {_SITE: site}
+        for argument, ssa in captures.items():
+            try:
+                value = env[ssa]
+            except KeyError:
+                value = None
+            if value is None:
+                value = engine.env.get(ssa)
+                if value is None:
+                    raise EngineError(f"unbound captured value {ssa!r}")
+            body_env[argument] = value
+        sim = engine.sim
+        done = SimEvent(sim, "launch.done")
+        target.enqueue(
+            EventEntry(
+                "launch", dep, done, (self.block, body_env, self.futures),
+                self.label, sim.now,
+            )
+        )
+        env[self.done] = done
+        if self.values:
+            for index, result in enumerate(self.values):
+                env[result] = Future(done, index)
+
+
+class _Dispatcher(Process):
+    """One processor's event-queue loop — the paper's four stages: set
+    up the entry, check the queue head, schedule, finish — as plain
+    scheduler callbacks.
+
+    :meth:`dispatch` is the callback.  It is on the scheduler exactly
+    when the processor has something to look at: once at start, when an
+    entry lands on the idle processor (``ProcessorModel.enqueue`` calls
+    :attr:`ProcessorModel.wake`), when the head entry's dependency
+    triggers, and when the cycles an entry left pending have elapsed.
+    Each time it finishes the entry that was running, if any, and runs
+    queued entries for as long as their dependencies have triggered and
+    their bodies complete in no time.
+
+    A body that really suspends — a generated body or plan that hit a
+    contended access, a non-inlineable plan, an interpreted block, a
+    memcpy — is a generator, driven by the :class:`Process` this object
+    also is: its requests go through ``Process._handle`` and its
+    resumes are ``Process._tick`` callbacks, one per request as under
+    any process.  When it ends, :meth:`_finished` hands its value back
+    here.  A generator that ends at its first ``send`` never leaves the
+    dispatch loop, so thousands of zero-cycle bodies queued on one
+    processor run iteratively.
+
+    It is also the execution state bodies run against (``ex`` in the
+    handlers, plan steps and generated code): the processor and the
+    pending-cycles accumulator, which every entry leaves at zero.
+    """
+
+    __slots__ = (
+        "engine", "proc", "pending", "entry", "returns", "plans", "trace",
+        "_dispatch", "_on_dep", "_wake",
+    )
+
+    def __init__(self, engine: "Engine", proc: ProcessorModel):
+        super().__init__(engine.sim, None, f"loop:{proc.name}")
+        self.engine = engine
         self.proc = proc
         self.pending = 0
+        #: The entry being executed while a callback that finishes it is
+        #: outstanding, and the values its body returned.
+        self.entry: Optional[EventEntry] = None
+        self.returns: object = _NO_RETURNS
+        self.plans = engine._plans
+        self.trace = engine.trace if engine.options.trace else None
+        self._dispatch = self.dispatch
+        self._on_dep = self._dep_triggered
+        self._wake = functools.partial(self._soon, self._dispatch)
+
+    def _dep_triggered(self, _event: SimEvent) -> None:
+        self._soon(self._dispatch)
+
+    def _finished(self, returns) -> None:
+        """The suspended body of the running entry ran to its end."""
+        self.generator = None
+        self.returns = _NO_RETURNS if returns is None else returns
+        pending = self.pending
+        if pending:
+            self.pending = 0
+            self.sim.schedule_bucket(pending, self._dispatch)
+        else:
+            self.dispatch()
+
+    def dispatch(self) -> None:
+        sim = self.sim
+        proc = self.proc
+        queue = proc.queue
+        plans = self.plans
+        trace = self.trace
+        entry = self.entry
+        returns = self.returns
+        self.entry = None
+        while True:
+            if entry is not None:
+                # Stage 4: finish the operation.
+                entry.end_time = now = sim.now
+                proc.busy_cycles += now - entry.start_time
+                proc.executed_events += 1
+                if trace is not None:
+                    trace.record(
+                        entry.label or entry.kind,
+                        "operation",
+                        "Processor",
+                        proc.path,
+                        entry.start_time,
+                        now - entry.start_time,
+                    )
+                entry.done.trigger(returns)
+            # Stage 1/2: set up the entry and check the queue head.
+            if not queue:
+                proc.wake = self._wake
+                return
+            entry = queue[0]
+            dep = entry.dep
+            if not dep.triggered:
+                dep.on_trigger(self._on_dep)
+                return
+            queue.popleft()
+            now = sim.now
+            entry.ready_time = dep.time if dep.time is not None else now
+            entry.start_time = now
+            # Stage 3: schedule (execute) the operation.  A hot body
+            # whose generated code or plan never suspends completes
+            # without a generator frame.
+            if entry.kind == "launch":
+                # The body's env was bound when the launch was issued
+                # (the top entry shares the engine env so top-level
+                # bindings persist into the result); only captured
+                # launch results are left to fill in.
+                block, env, futures = entry.payload
+                for argument in futures:
+                    value = env[argument]
+                    if type(value) is Future:
+                        # The dep guarantees resolution.
+                        env[argument] = value.value
+                if plans is not None:
+                    plan = plans.plan_for(block)
+                    body = plan.compiled
+                    if body is not None:
+                        suspended = body(self, env)
+                    elif plan.inlineable:
+                        suspended = _cold_run(plan, self, env)
+                    else:
+                        suspended = plan.run(self, env)
+                else:
+                    suspended = self.engine._run_block(self, block, env)
+            elif entry.kind == "memcpy":
+                suspended = self.engine._exec_memcpy(entry)
+            else:  # pragma: no cover
+                raise EngineError(f"unknown entry kind {entry.kind}")
+            returns = _NO_RETURNS
+            if suspended is not None:
+                try:
+                    request = suspended.send(None)
+                except StopIteration as stop:
+                    if stop.value is not None:
+                        returns = stop.value
+                else:
+                    self.entry = entry
+                    self.generator = suspended
+                    self._handle(request)
+                    return
+            pending = self.pending
+            if pending:
+                # The trailing flush: the entry ends when the cycles its
+                # body accumulated have elapsed.
+                self.pending = 0
+                self.entry = entry
+                self.returns = returns
+                sim.schedule_bucket(pending, self._dispatch)
+                return
 
 
 _STRUCTURE_OPS = frozenset(
@@ -354,6 +594,7 @@ class Engine:
                 self._plans.counters(),
                 self._plans.codegen_fallbacks.copy(),
                 self._plans.plan_share_declined.copy(),
+                self._plans.codegen_deopts.copy(),
             )
         if self.options.verify_module:
             with _span("engine.verify"):
@@ -383,7 +624,7 @@ class Engine:
         )
         host.enqueue(entry)
         for proc in self.processors:
-            self.sim.process(self._proc_loop(proc), name=f"loop:{proc.name}")
+            self.sim.schedule_soon(_Dispatcher(self, proc).dispatch)
         until = self.options.max_cycles or None
         with _span("engine.des_run", mode=self.options.mode.value):
             self.sim.run(until=until)
@@ -533,104 +774,10 @@ class Engine:
         return self._ideal_memory
 
     # ------------------------------------------------------------------
-    # Processor event loops (the paper's four-stage engine loop)
+    # Queue entries that are not launches
     # ------------------------------------------------------------------
 
-    def _proc_loop(self, proc: ProcessorModel):
-        # One reusable execution state per processor: entries run to
-        # completion before the next is popped, and the pending counter is
-        # always flushed to zero by then.
-        # This loop resumes once per scheduler event, so everything it
-        # touches repeatedly — the queue, the wake label, the plan cache —
-        # is hoisted into locals (a generator keeps its locals across
-        # yields).
-        body_ex = _BodyExec(proc)
-        sim = self.sim
-        queue = proc.queue
-        trace_enabled = self.options.trace
-        plans = self._plans
-        wake_label = f"{proc.name}.wake"
-        while True:
-            # Stage 1/2: set up the entry and check the queue head.
-            while not queue:
-                wake = proc.wake = sim.event(wake_label)
-                yield wake
-                # The wake event is consumed by exactly this yield; recycle
-                # it to keep idle/wake cycles allocation-free.
-                proc.wake = None
-                sim.release(wake)
-            entry: EventEntry = queue[0]
-            if not entry.dep.triggered:
-                yield entry.dep
-                continue
-            queue.popleft()
-            entry.ready_time = (
-                entry.dep.time if entry.dep.time is not None else sim.now
-            )
-            entry.start_time = sim.now
-            # Stage 3: schedule (execute) the operation.  The launch path
-            # runs inline (no per-entry sub-generator): hot bodies whose
-            # compiled plan never suspends complete without allocating a
-            # single generator frame, and the trailing pending-cycles
-            # flush is a plain yield.
-            if entry.kind == "launch":
-                # The body's env was bound when the launch was issued
-                # (_launch_impl: a fresh dict per launch, for isolation;
-                # the top entry shares the engine env so top-level
-                # bindings persist into the result).  Only captured
-                # launch results are left to fill in.
-                block, local_env, futures = entry.payload
-                for arg in futures:
-                    # The dep guarantees resolution.
-                    local_env[arg] = local_env[arg].value
-                if plans is not None:
-                    plan = plans.plan_for(block)
-                    body_fn = plan.compiled
-                    if body_fn is not None:
-                        # A hot block under codegen: its generated body,
-                        # under the same inline/suspend protocol as
-                        # _inline_run.
-                        returns = _NO_RETURNS
-                        suspended = body_fn(body_ex, local_env)
-                        if suspended is not None:
-                            yield from suspended
-                    elif plan.inlineable:
-                        # An inlineable plan has no K_RET step, so there
-                        # are never return values to collect.
-                        returns = _NO_RETURNS
-                        suspended = _cold_run(plan, body_ex, local_env)
-                        if suspended is not None:
-                            yield from suspended
-                    else:
-                        returns = yield from plan.run(body_ex, local_env)
-                else:
-                    returns = yield from self._run_block(
-                        body_ex, block, local_env
-                    )
-                pending = body_ex.pending
-                if pending:
-                    body_ex.pending = 0
-                    yield pending
-            elif entry.kind == "memcpy":
-                returns = yield from self._exec_memcpy(proc, entry)
-            else:  # pragma: no cover
-                raise EngineError(f"unknown entry kind {entry.kind}")
-            # Stage 4: finish the operation.
-            entry.end_time = sim.now
-            proc.busy_cycles += entry.end_time - entry.start_time
-            proc.executed_events += 1
-            if trace_enabled:
-                self.trace.record(
-                    entry.label or entry.kind,
-                    "operation",
-                    "Processor",
-                    proc.path,
-                    entry.start_time,
-                    entry.end_time - entry.start_time,
-                )
-            entry.done.trigger(returns)
-
-    def _exec_memcpy(self, proc: ProcessorModel, entry: EventEntry):
+    def _exec_memcpy(self, entry: EventEntry):
         source, destination, conn, src_offset, dst_offset, count = entry.payload
         if isinstance(source, Future):
             source = source.value
@@ -678,7 +825,7 @@ class Engine:
     # Block execution
     # ------------------------------------------------------------------
 
-    def _run_block(self, ex: _BodyExec, block, env: Dict[Value, object]):
+    def _run_block(self, ex: _Dispatcher, block, env: Dict[Value, object]):
         """Execute a block's ops; returns the terminator's operand values."""
         returns: List[object] = []
         for op in block.ops:
@@ -716,7 +863,7 @@ class Engine:
             yield from result
         return returns
 
-    def _flush(self, ex: _BodyExec):
+    def _flush(self, ex: _Dispatcher):
         if ex.pending:
             pending, ex.pending = ex.pending, 0
             yield pending
@@ -903,70 +1050,13 @@ class Engine:
 
     # -- launch / memcpy -----------------------------------------------------------
 
-    def _launch_impl(self, ex, op, env):
-        cached = self._static.get(id(op))
-        if cached is None:
-            results = tuple(op.results)
-            block = op.regions[0].entry_block
-            # A body compiled once per shape runs over the shape's SSA
-            # values: its captures bind to the representative block's
-            # arguments, and its env names the site (repro.sim.plan,
-            # "Shapes and sites").  The interpreter walks every body's
-            # own ops.
-            arguments, site = (
-                self._plans.bind_site(block)
-                if self._plans is not None
-                else (block.arguments, None)
-            )
-            cached = (
-                op.operand(0),
-                op.operand(1),
-                tuple(zip(arguments, op.operand_values[2:])),
-                block,
-                op.get_attr("label", "launch"),
-                results[0],
-                results[1:],
-                site,
-            )
-            self._static[id(op)] = cached
-        (
-            dep_ssa, target_ssa, captures, block, label, done_ssa, value_ssa,
-            site,
-        ) = cached
-        dep = self._resolve(env, dep_ssa)
-        target = self._resolve(env, target_ssa)
-        if not isinstance(target, ProcessorModel):
-            raise EngineError("launch target is not a processor")
-        engine_env = self.env
-        # Bind the captured values straight into the body's own env; a
-        # captured launch result resolves when the body starts, so the
-        # processor loop is told which arguments still hold one.
-        body_env = {} if site is None else {_SITE: site}
-        futures = ()
-        for arg, ssa in captures:
-            value = env.get(ssa)
-            if value is None:
-                value = engine_env.get(ssa)
-                if value is None:
-                    raise EngineError(f"unbound captured value {ssa!r}")
-            if type(value) is Future:
-                futures += (arg,)
-            body_env[arg] = value
-        sim = self.sim
-        done = sim.event("launch.done")
-        target.enqueue(
-            EventEntry(
-                "launch", dep, done, (block, body_env, futures), label, sim.now
-            )
-        )
-        env[done_ssa] = done
-        if value_ssa:
-            for i, result in enumerate(value_ssa):
-                env[result] = Future(done, i)
-
     def _h_launch(self, ex, op, env):
+        site = self._static.get(id(op))
+        if site is None:
+            site = self._static[id(op)] = LaunchSite(op)
+
         def gen():
-            self._launch_impl(ex, op, env)
+            site.issue(ex, env)
             return
             yield  # pragma: no cover
 
@@ -1407,21 +1497,24 @@ class Engine:
             # accumulates across simulations, but each run reports only
             # its own compiles/hits (so a fully warm run shows
             # plans_compiled == 0 and pure cache hits).
-            base, base_reasons, base_declined = self._plan_base
+            base, base_reasons, base_declined, base_deopts = self._plan_base
             (
                 compiled, hits, vec_loops, vec_iters, vec_falls,
-                codegenned, code_shared, tiered_up, shapes, shared,
+                codegenned, code_shared, tiered_up, shapes, shared, typed,
             ) = (
                 current - before
                 for current, before in zip(plans.counters(), base)
             )
             fallback_reasons = dict(plans.codegen_fallbacks - base_reasons)
             share_declined = dict(plans.plan_share_declined - base_declined)
+            deopts = dict(plans.codegen_deopts - base_deopts)
         else:
             compiled = hits = vec_loops = vec_iters = vec_falls = 0
             codegenned = code_shared = tiered_up = shapes = shared = 0
+            typed = 0
             fallback_reasons = {}
             share_declined = {}
+            deopts = {}
         sim = self.sim
         return ProfilingSummary(
             execution_time_s=elapsed,
@@ -1445,6 +1538,8 @@ class Engine:
             blocks_codegenned=codegenned,
             codegen_code_shared=code_shared,
             codegen_tiered_up=tiered_up,
+            codegen_typed=typed,
+            codegen_deopts=deopts,
             codegen_fallbacks=sum(fallback_reasons.values()),
             codegen_fallback_reasons=fallback_reasons,
             execution_mode=self.options.mode.value,
@@ -1504,6 +1599,18 @@ class Engine:
             "engine.codegen_tiered_up",
             "Generated bodies swapped in for a plan that had been replaying",
         ).inc(summary.codegen_tiered_up)
+        registry.counter(
+            "engine.codegen_typed",
+            "Generated bodies that start with a typed prologue",
+        ).inc(summary.codegen_typed)
+        for reason, count in summary.codegen_deopts.items():
+            # "int:numpy.int64" -> engine.codegen_deopts.int.numpy.int64
+            registry.counter(
+                "engine.codegen_deopts."
+                + reason.lower().replace(":", "."),
+                "Entries a typed body handed to plan replay, by what its "
+                "prologue found",
+            ).inc(count)
         for reason, count in summary.codegen_fallback_reasons.items():
             # "K_GEN:equeue.await" -> engine.codegen_fallbacks.k_gen.equeue.await
             registry.counter(

@@ -9,8 +9,9 @@ paper).  It provides:
   reference implementation and escape hatch (``--scheduler heap``).
 * :class:`SimEvent` — one-shot events with callbacks (the runtime
   counterpart of EQueue dependency values).
-* :class:`Process` — generator-based concurrent processes; each modeled
-  processor runs as one process.
+* :class:`Process` — generator-based concurrent processes; the engine's
+  per-processor dispatcher is one, driving whichever launch body or
+  memcpy of its processor has suspended.
 * :class:`AllOf` / :class:`AnyOf` — composite waits backing
   ``equeue.control_and`` / ``equeue.control_or``.
 * :class:`ScheduleQueue` — the paper's per-component "schedule queue": a
@@ -105,7 +106,7 @@ class SimEvent:
         self.value = value
         self.time = self.sim.now
         # Detach the list before invoking anything: a callback may
-        # release-and-recycle this event, and must not disturb iteration.
+        # register on this event again, and must not disturb iteration.
         callbacks = self._callbacks
         if callbacks is not None:
             self._callbacks = None
@@ -242,6 +243,11 @@ class Process:
     The wrapped generator yields requests (see module docstring); the
     process itself exposes :attr:`done` — an event triggered with the
     generator's return value when it finishes.
+
+    A subclass that drives one generator after another (the engine's
+    per-processor dispatcher) assigns :attr:`generator`, passes the
+    first request to :meth:`_handle`, and overrides :meth:`_finished`
+    to take the return value instead of triggering :attr:`done`.
     """
 
     __slots__ = (
@@ -280,9 +286,12 @@ class Process:
         try:
             request = self.generator.send(send_value)
         except StopIteration as stop:
-            self.done.trigger(stop.value)
+            self._finished(stop.value)
             return
         self._handle(request)
+
+    def _finished(self, value: Any) -> None:
+        self.done.trigger(value)
 
     def _handle(self, request: Any) -> None:
         # Exact type checks first: requests are overwhelmingly plain ints
@@ -317,32 +326,11 @@ class _SimulatorBase:
     def __init__(self):
         self.now: int = 0
         self._event_count = 0
-        #: Free-list of recycled one-shot events (see :meth:`release`).
-        self._free_events: List[SimEvent] = []
 
     # -- events ----------------------------------------------------------------
 
     def event(self, label: str = "") -> SimEvent:
-        free = self._free_events
-        if free:
-            event = free.pop()
-            event.label = label
-            return event
         return SimEvent(self, label)
-
-    def release(self, event: SimEvent) -> None:
-        """Recycle a one-shot event onto the free-list.
-
-        The caller guarantees no live references remain (the engine uses
-        this for processor wake events, which are consumed by exactly one
-        ``yield``).  The event is reset and handed back out by a later
-        :meth:`event` call, avoiding allocation churn on idle/wake cycles.
-        """
-        event.triggered = False
-        event.value = None
-        event.time = None
-        event._callbacks = None
-        self._free_events.append(event)
 
     def process(self, generator: Generator, name: str = "") -> Process:
         """Register a new process; it starts at the current time."""

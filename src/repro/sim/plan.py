@@ -172,13 +172,19 @@ class BlockPlan:
     threshold is compared against the shape's count, summed over every
     site — while ``compiled`` is the site's own function, instantiated
     for the :class:`BodySite` in ``site``.
+
+    ``block`` is the block the steps were compiled from — for a view,
+    the representative's, whose SSA values the steps name: the code
+    generator tells values defined inside its tree from values the
+    body is entered with by it.
     """
 
     __slots__ = (
         "steps", "inlineable", "compiled", "runs", "tier", "shape", "site",
+        "block",
     )
 
-    def __init__(self, steps, tier=None):
+    def __init__(self, steps, tier, block):
         self.steps = steps
         self.inlineable = all(k in _INLINEABLE for k, _, _ in steps)
         self.compiled = None
@@ -186,6 +192,7 @@ class BlockPlan:
         self.tier = tier
         self.shape = None
         self.site = None
+        self.block = block
 
     def execute(self, ex, env):
         """Run under the inline/suspend protocol: ``None`` when the plan
@@ -356,13 +363,14 @@ class ShapePlan(BlockPlan):
     views — reach a nested plan through :meth:`execute`, which forwards
     to the view of the site the body is running for.  ``emitted`` is
     what the code generator keeps once the shape got hot: the code
-    object and how to fill its defaults in for a site.
+    object, how to fill its defaults in for a site, and which of them a
+    site has to hold ``int``s in for the typed body to be its.
     """
 
     __slots__ = ("index", "emitted")
 
-    def __init__(self, steps, tier, index):
-        super().__init__(steps, tier)
+    def __init__(self, steps, tier, index, block):
+        super().__init__(steps, tier, block)
         self.index = index
         self.emitted = None
 
@@ -378,6 +386,7 @@ class ShapePlan(BlockPlan):
         plan.tier = self.tier
         plan.shape = self
         plan.site = site
+        plan.block = self.block
         return plan
 
 
@@ -563,12 +572,18 @@ class PlanCache:
         self.vector_fallbacks = 0
         self.vectorize = False
         self.codegen = False
+        self.detailed = False
         self.codegen_blocks = 0
         self.codegen_shared = 0
         self.codegen_tiered_up = 0
+        self.codegen_typed = 0
         #: Why plans can never be code-generated: the first
         #: non-inlineable step of each, ``"K_GEN:equeue.await"`` -> count.
         self.codegen_fallbacks = collections.Counter()
+        #: Entries a generated body handed back to plan replay because a
+        #: value it was entered with is not of the type it was compiled
+        #: for, by what its prologue found: ``"int:numpy.int64"`` -> count.
+        self.codegen_deopts = collections.Counter()
         #: Launch-body shapes by structural key, and every launch body
         #: seen: ``id(block) -> (block, arguments, site)``.
         self.shapes: Dict[tuple, BodyShape] = {}
@@ -607,7 +622,7 @@ class PlanCache:
         options = engine.options
         return (
             type(engine),
-            bool(options.trace and options.detailed_trace),
+            _detailed(options),
             bool(options.vectorize_loops),
             options.mode is ExecutionMode.CODEGEN,
         )
@@ -634,11 +649,10 @@ class PlanCache:
         self._config_key = key
         self.engine = engine
         options = engine.options
+        self.detailed = _detailed(options)
         # Vectorization changes nothing observable except per-op detailed
         # trace records, which an aggregated evaluation cannot emit.
-        self.vectorize = options.vectorize_loops and not (
-            options.trace and options.detailed_trace
-        )
+        self.vectorize = options.vectorize_loops and not self.detailed
         self.codegen = options.mode is ExecutionMode.CODEGEN
         return self
 
@@ -655,6 +669,7 @@ class PlanCache:
             self.codegen_tiered_up,
             self.plan_shapes,
             self.plans_shared,
+            self.codegen_typed,
         )
 
     def tier_up(self, plan: BlockPlan):
@@ -664,9 +679,10 @@ class PlanCache:
         from .codegen import compile_block_body
 
         with _span("codegen.compile", steps=len(plan.steps)):
-            plan.compiled, shared = compile_block_body(plan)
+            plan.compiled, shared, typed = compile_block_body(plan)
         self.codegen_blocks += 1
         self.codegen_shared += shared
+        self.codegen_typed += typed
         # Had the plan (for a view: its shape) replayed before this entry?
         replays = min((plan.shape or plan).runs - 1, TIER_UP_EXECUTIONS)
         self.codegen_tiered_up += replays > 0
@@ -761,9 +777,9 @@ class PlanCache:
         tier = self if self.codegen else None
         shape = self._shape
         if shape is None:
-            plan = BlockPlan(steps, tier)
+            plan = BlockPlan(steps, tier, block)
         else:
-            plan = ShapePlan(steps, tier, len(shape.plans))
+            plan = ShapePlan(steps, tier, len(shape.plans), block)
             shape.plans.append(plan)
             shape.blocks.append(block)
         if self.codegen and declined is not None:
@@ -808,11 +824,24 @@ class PlanCache:
         return (K_ANY, _maybe_trace(self, op, step), None)
 
 
+def _detailed(options) -> bool:
+    """Does every timed op inside a launch body leave a trace record?"""
+    return bool(options.trace and options.detailed_trace)
+
+
+def _emittable(cache, meta):
+    """A step's inline-expansion metadata as the code generator may see
+    it: withheld under detailed tracing, where the traced wrapper of
+    the step's closure must run — the emitter then calls the closure,
+    and nothing the step defines becomes a typed local.  ``"int"``
+    still certifies that the closure returns a plain int."""
+    return "int" if cache.detailed else meta
+
+
 def _maybe_trace(cache, op, fn):
     """Wrap an int-cost step with the detailed-trace record the
     interpreter emits for non-zero local costs."""
-    options = cache.engine.options
-    if not (options.trace and options.detailed_trace):
+    if not cache.detailed:
         return fn
     label = op.get_attr("signature", op.name)
 
@@ -876,9 +905,8 @@ def _c_arith(cache, engine, op):
     resolve = engine._resolve
     fn = interp.binary_callable(name)
     # Inline-expansion metadata for the codegen emitter: enough to emit
-    # the step's body as straight-line source instead of a closure call.
-    # Suppressed under detailed tracing (the traced wrapper must run) —
-    # the emitter then falls back to calling the wrapped closure.
+    # the step's body as straight-line source instead of a closure call
+    # (see :func:`_emittable` for when it is withheld).
     meta = "int"
     if fn is not None and len(operand_ssa) == 2:
         s0, s1 = operand_ssa
@@ -957,10 +985,7 @@ def _c_arith(cache, engine, op):
     # generator), letting generated code skip the type dispatch; the richer
     # tuples above let it inline the whole body.  Plan-mode replay ignores
     # the extra slot entirely.
-    options = engine.options
-    if options.trace and options.detailed_trace:
-        meta = "int"
-    return (K_DYN, _maybe_trace(cache, op, step), meta)
+    return (K_DYN, _maybe_trace(cache, op, step), _emittable(cache, meta))
 
 
 @_compiles("equeue.op")
@@ -984,13 +1009,10 @@ def _c_external(cache, engine, op):
             return fixed_cycles
         return int(cycles(operands))
 
-    options = engine.options
     meta = "int"
-    if fixed_cycles is not None and not (
-        options.trace and options.detailed_trace
-    ):
+    if fixed_cycles is not None:
         meta = ("extern", operand_ssa, result_ssa, func, fixed_cycles, resolve)
-    return (K_DYN, _maybe_trace(cache, op, step), meta)
+    return (K_DYN, _maybe_trace(cache, op, step), _emittable(cache, meta))
 
 
 # -- pre-bound handler steps ---------------------------------------------------
@@ -1065,6 +1087,12 @@ def _c_read(cache, engine, op):
     # Last-seen memory and its 1-element read cost (-1: slow path).
     state = cache.access_memo()
     folded, const_idx = _static_index_tuple(indices_ssa, cache._slots)
+    # One layout for every scalar read the emitter inlines (memref loads
+    # are the unposted case), and one for every write.
+    meta = (
+        "read", buffer_ssa, result, posted, state, const_idx, indices_ssa,
+        general, resolve,
+    )
 
     # Scalar element read, no connection: for stateless memories the cost
     # is address-independent, so zero-cost and posted accesses complete
@@ -1095,10 +1123,6 @@ def _c_read(cache, engine, op):
                 return 0
             return general(ex, env)
 
-        meta = (
-            "read", buffer_ssa, result, posted, state, const_idx, general,
-            resolve,
-        )
         return (K_DYN, step, meta)
 
     def step(ex, env):
@@ -1129,11 +1153,6 @@ def _c_read(cache, engine, op):
             return 0
         return general(ex, env)
 
-    meta = (
-        "readx" if const_idx is None else "read", buffer_ssa, result, posted,
-        state, indices_ssa if const_idx is None else const_idx, general,
-        resolve,
-    )
     return (K_DYN, step, meta)
 
 
@@ -1188,9 +1207,10 @@ def _c_write(cache, engine, op):
             return 0
         return general(ex, env)
 
+    # (The last slot: an ndarray value is reshaped to the target's.)
     meta = (
         "write", buffer_ssa, value_ssa, posted, state, const_idx,
-        indices_ssa, general, resolve,
+        indices_ssa, general, resolve, True,
     )
     return (K_DYN, step, meta)
 
@@ -1232,8 +1252,8 @@ def _c_load(cache, engine, op):
         return general(ex, env)
 
     meta = (
-        "load", buffer_ssa, result, state, const_idx, indices_ssa, general,
-        resolve,
+        "read", buffer_ssa, result, False, state, const_idx, indices_ssa,
+        general, resolve,
     )
     return (K_DYN, step, meta)
 
@@ -1277,15 +1297,17 @@ def _c_store(cache, engine, op):
         return general(ex, env)
 
     meta = (
-        "store", buffer_ssa, value_ssa, state, const_idx, indices_ssa,
-        general, resolve,
+        "write", buffer_ssa, value_ssa, False, state, const_idx,
+        indices_ssa, general, resolve, False,
     )
     return (K_DYN, step, meta)
 
 
 @_compiles("equeue.launch")
 def _c_launch(cache, engine, op):
-    return (K_FLUSH_CALL, _bound(cache, type(engine)._launch_impl, op), None)
+    # The step is the launch site's own issue method: nothing between
+    # the plan (or the generated body) and THE definition of a launch.
+    return (K_FLUSH_CALL, LaunchSite(op).issue, None)
 
 
 @_compiles("equeue.memcpy")
@@ -1834,6 +1856,7 @@ from .engine import (  # noqa: E402
     EngineError,
     ExecutionMode,
     Future,
+    LaunchSite,
 )
 
 #: Ops a launch body may contain and still be compiled once per shape:

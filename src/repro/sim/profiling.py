@@ -118,6 +118,14 @@ class ProfilingSummary:
     codegen_code_shared: int = 0
     #: ... of which swapped in for a plan that had been replaying.
     codegen_tiered_up: int = 0
+    #: ... of which start with a typed prologue: the values the body is
+    #: entered with are loaded and type-checked once, and ``index``
+    #: arithmetic on them is plain Python expressions.
+    codegen_typed: int = 0
+    #: Entries a typed body handed back to plan replay because a value
+    #: it was entered with was not of the type it was compiled for, as
+    #: ``"<kind>:<type found>"`` (``int:numpy.int64``, ``value:Future``).
+    codegen_deopts: Dict[str, int] = field(default_factory=dict)
     #: Plans compiled this run that codegen can never take
     #: (non-inlineable); they replay as plans however hot they get.
     codegen_fallbacks: int = 0
@@ -226,19 +234,30 @@ class ProfilingSummary:
                 f"{self.vector_iterations} iterations batched, "
                 f"{self.vector_fallbacks} fallbacks"
             )
-        if self.blocks_codegenned or self.codegen_fallbacks:
+        if (
+            self.blocks_codegenned
+            or self.codegen_fallbacks
+            or self.codegen_deopts
+        ):
             reasons = ", ".join(
                 f"{count} {reason}"
                 for reason, count in sorted(
                     self.codegen_fallback_reasons.items()
                 )
             )
+            deopts = ", ".join(
+                f"{count} {reason}"
+                for reason, count in sorted(self.codegen_deopts.items())
+            )
             lines.append(
                 f"codegen blocks:           {self.blocks_codegenned} "
                 f"generated ({self.codegen_code_shared} shared code, "
-                f"{self.codegen_tiered_up} tiered up), "
+                f"{self.codegen_tiered_up} tiered up, "
+                f"{self.codegen_typed} typed), "
                 f"{self.codegen_fallbacks} fallbacks"
                 + (f" ({reasons})" if reasons else "")
+                + f", {sum(self.codegen_deopts.values())} deopts"
+                + (f" ({deopts})" if deopts else "")
             )
         if self.connections:
             lines.append("-- connections (bytes/cycle) --")

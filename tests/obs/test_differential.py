@@ -30,6 +30,8 @@ HOST_ONLY_FIELDS = (
     "blocks_codegenned",
     "codegen_code_shared",
     "codegen_tiered_up",
+    "codegen_typed",
+    "codegen_deopts",
 )
 
 

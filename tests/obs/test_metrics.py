@@ -195,6 +195,7 @@ GOLDEN_ENGINE_METRICS = (
     "engine.blocks_codegenned",
     "engine.codegen_code_shared",
     "engine.codegen_tiered_up",
+    "engine.codegen_typed",
     "engine.trace_records_dropped",
     "engine.run_seconds.count",
     "engine.run_seconds.sum",

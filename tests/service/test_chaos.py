@@ -70,6 +70,8 @@ HOST_FIELDS = (
     "blocks_codegenned",
     "codegen_code_shared",
     "codegen_tiered_up",
+    "codegen_typed",
+    "codegen_deopts",
     "codegen_fallbacks",
     "codegen_fallback_reasons",
 )

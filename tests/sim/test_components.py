@@ -174,14 +174,45 @@ class TestBufferAndDMA:
         assert dma.kind == "DMA"
 
     def test_enqueue_wakes(self):
-        sim = Simulator()
-        proc = ProcessorModel("p", "MAC")
-        proc.wake = sim.event("wake")
+        """An idle processor holds what schedules its dispatcher: the
+        first enqueue calls it, once, and takes it — a second enqueue
+        before the dispatch has run schedules nothing."""
         from repro.sim.components import EventEntry
 
-        entry = EventEntry(
-            kind="launch", dep=sim.event(), done=sim.event(), payload=None
-        )
-        proc.enqueue(entry)
-        assert proc.wake.triggered
-        assert list(proc.queue) == [entry]
+        sim = Simulator()
+        proc = ProcessorModel("p", "MAC")
+        scheduled = []
+        proc.wake = lambda: scheduled.append(sim.now)
+
+        def entry():
+            return EventEntry(
+                kind="launch", dep=sim.event(), done=sim.event(), payload=None
+            )
+
+        first, second = entry(), entry()
+        proc.enqueue(first)
+        assert scheduled == [0] and proc.wake is None
+        proc.enqueue(second)
+        assert scheduled == [0]
+        assert list(proc.queue) == [first, second]
+
+    def test_enqueue_on_an_idle_processor_schedules_one_dispatch(self):
+        """The same through an engine: one microtask for two launches
+        issued back to back onto one idle processor."""
+        from repro import ir
+        from repro.dialects.equeue import EQueueBuilder
+        from repro.sim import Engine
+
+        module = ir.create_module()
+        eq = EQueueBuilder(ir.Builder(ir.InsertionPoint.at_end(module.body)))
+        pe = eq.create_proc("MAC", name="pe")
+        start = eq.control_start()
+        done = [eq.launch(start, pe, body=lambda b: None)[0] for _ in range(2)]
+        eq.await_(eq.control_and(done))
+        engine = Engine(module)
+        result = engine.run()
+        # pe start + host start, one wake of pe for both launches, one
+        # resume of the host's await.
+        assert result.summary.scheduler_events == 4
+        assert engine.processors[0].executed_events == 2
+        assert engine.processors[0].wake is not None  # idle again

@@ -418,53 +418,7 @@ class TestSchedulerBackends:
             sim.schedule_bucket(-1, lambda: None)
 
 
-class TestEventRecycling:
-    """The free-list (release/event) contract, including callback state."""
-
-    def test_release_recycles_instance(self, kind):
-        sim = make_simulator(kind)
-        event = sim.event("first")
-        event.trigger(42)
-        sim.release(event)
-        again = sim.event("second")
-        assert again is event  # recycled, not reallocated
-        assert again.label == "second"
-        assert not again.triggered
-        assert again.value is None and again.time is None
-
-    def test_release_drops_stale_callbacks(self, kind):
-        """Callbacks registered before release must never fire on the
-        recycled event's next trigger."""
-        sim = make_simulator(kind)
-        event = sim.event()
-        stale = []
-        event.on_trigger(lambda e: stale.append("stale"))
-        sim.release(event)
-        fresh = sim.event()
-        assert fresh is event
-        seen = []
-        fresh.on_trigger(lambda e: seen.append(e.value))
-        fresh.trigger("new")
-        assert seen == ["new"]
-        assert stale == []
-
-    def test_recycled_event_can_wait_again(self, kind):
-        """A released wake event reused by a process behaves like new."""
-        sim = make_simulator(kind)
-        log = []
-
-        def worker():
-            for expected in ("a", "b"):
-                gate = sim.event("gate")
-                sim.schedule(5, lambda g=gate, v=expected: g.trigger(v))
-                value = yield gate
-                log.append((sim.now, value))
-                sim.release(gate)
-
-        sim.process(worker())
-        sim.run()
-        assert log == [(5, "a"), (10, "b")]
-
+class TestEventCallbacks:
     def test_detach_unregistered_is_noop(self, kind):
         sim = make_simulator(kind)
         event = sim.event()
