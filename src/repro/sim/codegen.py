@@ -10,8 +10,8 @@ from eliminating exactly that loop: emit straight-line target code per
 block and let the host interpreter see it whole.
 
 This module does the Python equivalent.  :func:`compile_block_body`
-walks an inlineable :class:`~repro.sim.plan.BlockPlan` once and emits a
-specialized Python function — one statement group per step, with:
+walks a :class:`~repro.sim.plan.BlockPlan` once and emits a specialized
+Python function — one statement group per step, with:
 
 * constant binds folded to plain dict stores (no call at all),
 * hot ``arith`` bodies (raw-int binary ops, generic binary ops,
@@ -25,7 +25,8 @@ specialized Python function — one statement group per step, with:
   to one attribute chain per block execution,
 * scalar ``affine.for`` loops flattened into native ``for`` statements
   (plan mode pays a generator frame per loop execution), with loop
-  bodies recursively inlined up to :data:`_MAX_FLATTEN_DEPTH` levels,
+  bodies recursively inlined — in an inline body (below) up to
+  :data:`_MAX_FLATTEN_DEPTH` levels,
 * everything the body refers to — SSA values, pre-bound callables, and
   every per-site constant (static indices, fixed cycle counts, folded
   attribute values) — bound as a default argument (``LOAD_FAST``, no
@@ -47,27 +48,58 @@ where the activity is (GSIM), so three things keep ``compile()`` rare:
 * **hot blocks only** — a plan replays until it has run
   :data:`~repro.sim.plan.TIER_UP_EXECUTIONS` times.
 
-The generated function honors the same inline/suspend protocol as
-:func:`~repro.sim.plan._inline_run`: it returns ``None`` when the body
-completed without suspending (the hot case — no generator frame at
-all), or a generator finishing the remaining work when a step suspended.
-Suspension paths re-enter the plan machinery (``_resume`` /
-``BlockPlan.run``), so observable behaviour — cycle counts, buffer
-contents, busy time, traffic, scheduler-event counts — is bit-identical
-to plan replay and to the interpreter; the differential suite proves it
-across every registered scenario.
+The two kinds of body
+=====================
+
+A generated function honors the :meth:`~repro.sim.plan.BlockPlan.execute`
+protocol — ``fn(ex, env)`` is ``None`` when the body completed without
+suspending, else a generator the caller drives — in one of two kinds,
+from the one emitter (same step expansions, same typed prologue, same
+deopt tier):
+
+* an **inline** body is a plain function.  It returns ``None`` (the hot
+  case — no generator frame at all), or, the rare time a step waits,
+  *returns* a generator that finishes the entry through the plan
+  machinery: ``_resume`` / ``BlockPlan.run`` for the plan's remaining
+  steps, :func:`_for_resume` for the flattened loops around them
+  (``wrap`` in the emitter composes the chain).  What a systolic PE
+  body gets: it never suspends;
+* a **suspending** body is a generator function: where an inline body
+  returns, it *yields* — ``if ex.pending: … yield`` for a flush,
+  ``yield from`` for an ``await`` or a handler's generator, ``return
+  [...]`` for ``equeue.return_values`` — and goes on in generated code.
+  Nothing is handed back to plan replay, so its ``affine.for`` nests
+  are native loops at *every* depth (text grows with the op count,
+  nothing is unrolled), a vectorized loop's failed guard falls into the
+  flattened loop (:meth:`~repro.sim.plan._VectorLoop.attempt`), and a
+  scalar ``equeue.read``/``equeue.write`` that has to wait is emitted
+  in place, phase by phase in the general handler's order
+  (:data:`_READ_ORDER`, :data:`_WRITE_ORDER`): value and traffic
+  counters, flush, ``queue.book`` at the flushed ``now``, the store,
+  ``yield end - now``.  What the lowering ladder's loops over SRAM and
+  every body that awaits or returns values get.
+
+:func:`~repro.sim.plan._suspends` picks the kind when the body is
+generated, from what the block's replays did (and from whether the plan
+has an inline form at all).  Either way observable behaviour — cycle
+counts, buffer contents, busy time, traffic, scheduler-event counts — is
+bit-identical to plan replay and to the interpreter; the differential
+suites prove it across every registered scenario with each kind forced
+(``tests/sim/test_suspending_bodies.py``).
 
 Fallback rules
 ==============
 
 A plan can never be generated (counted in ``codegen_fallbacks`` under
-its reason, e.g. ``K_GEN:equeue.await``) when it is not inlineable — it
-contains ``K_GEN``, ``K_RET``, or ``K_ANY`` steps whose flush/return
-semantics need the full generator executor.  Such plans replay through
-the plan path however hot they get, so codegen mode is always safe to
-request.  Under detailed tracing the arith metadata is withheld by the
-compiler (the traced wrapper must run), and the emitter falls back to
-closure calls for those steps while still flattening the rest.
+its reason, ``K_ANY:<op>``) when it contains a step the emitter cannot
+express: an op the plan compiler has no description of, run by its
+pre-bound handler.  Such a plan replays however hot it gets — inside a
+generated body too, which enters it as a plan — so codegen mode is
+always safe to request.  Under detailed tracing the arith metadata is
+withheld by the compiler (the traced wrapper must run), and the emitter
+falls back to closure calls for those steps while still flattening the
+rest; an access that waits goes to the general handler, which makes the
+trace record of the wait.
 
 Typed bodies
 ============
@@ -89,8 +121,9 @@ local and spells its consumers as expressions (``_n5 = _n4 - _v2`` …
   enclosing block — :func:`_in_tree` draws the line) is loaded and
   checked, exactly (``type(x) is int``), in a prologue that runs before
   any side effect; an entry that fails is replayed from its first step
-  by :func:`~repro.sim.plan._inline_run` — the replay tier is the deopt
-  tier (:func:`_deopt`, counted by reason in ``codegen_deopts``);
+  by :func:`~repro.sim.plan._inline_run` (:meth:`BlockPlan.run` for a
+  plan with no inline form) — the replay tier is the deopt tier
+  (:func:`_deopt`, counted by reason in ``codegen_deopts``);
 * whether a shared body's constants are ``int``s is each launch site's
   own matter, settled when its function is instantiated
   (:func:`_site_guard`).
@@ -119,18 +152,23 @@ from .plan import (
     K_CTRL,
     K_DYN,
     K_FLUSH_CALL,
+    K_GEN,
+    K_RET,
     K_SITE,
+    K_VEC,
     ShapePlan,
     SiteIndex,
     _inline_run,
     _plain_access_cost,
     _resume,
+    _suspends,
 )
 
 __all__ = ["compile_block_body", "source_of"]
 
-#: Loop nests deeper than this call the (itself codegen'd) body function
-#: per iteration instead of inlining its statements.
+#: An inline body's loop nests deeper than this call the (itself
+#: codegen'd) body function per iteration instead of inlining its
+#: statements.  (A suspending body flattens at every depth.)
 _MAX_FLATTEN_DEPTH = 2
 
 #: Monotonic id for generated code filenames (aids tracebacks).
@@ -178,6 +216,23 @@ _INT_EXPR = {
 _CMP_EXPR = {
     "eq": "==", "ne": "!=", "slt": "<", "sle": "<=", "sgt": ">", "sge": ">=",
 }
+
+#: A scalar access that has to wait, phase by phase, in the order
+#: :meth:`Engine._h_read` and :meth:`Engine._h_write` go through them:
+#: the value is read, and the traffic counted, *before* the pending
+#: cycles are flushed (another processor may store over the element
+#: while they elapse); the queue is booked at the flushed ``now``; a
+#: write stores its element once the booking is made.
+_READ_ORDER = ("value", "count", "flush", "book", "wait")
+_WRITE_ORDER = ("count", "flush", "book", "apply", "wait")
+
+#: Flushing the pending cycles, in a body that may yield.
+_FLUSH = (
+    "if ex.pending:",
+    "    _p = ex.pending",
+    "    ex.pending = 0",
+    "    yield _p",
+)
 
 #: The entry check of a typed local, as emitted.  Exact: a ``bool``, a
 #: ``numpy.int64`` or an ``ndarray`` lane is not what ``_INT_EXPR`` and a
@@ -251,7 +306,23 @@ def _deopt(plan, ex, env, loads, reason):
                 continue
             break
     plan.tier.codegen_deopts[reason] += 1
-    return _inline_run(plan, ex, env)
+    if plan.inlineable:
+        return _inline_run(plan, ex, env)
+    return plan.run(ex, env)
+
+
+def _stepped(step, ex, env):
+    """A step closure under the suspension protocol, as a generator: the
+    slow path of a suspending body's inlined access."""
+    result = step(ex, env)
+    if type(result) is int:
+        if result:
+            ex.pending += result
+    else:
+        if ex.pending:
+            pending, ex.pending = ex.pending, 0
+            yield pending
+        yield from result
 
 
 class _Emitter:
@@ -272,8 +343,12 @@ class _Emitter:
     with every dynamic check.
     """
 
-    def __init__(self, root):
+    def __init__(self, root, suspending):
         self.root = root
+        #: The kind of body: a generator function in which a step that
+        #: waits yields in place, or a plain function that returns what
+        #: is left of the entry as a generator (``wrap``).
+        self.suspending = suspending
         self.lines = []
         self.bindings = {}
         #: For a :class:`~repro.sim.plan.ShapePlan`: the bindings that
@@ -353,6 +428,40 @@ class _Emitter:
     def line(self, indent, text):
         self.lines.append("    " * indent + text)
 
+    def block(self, indent, texts):
+        for text in texts:
+            self.line(indent, text)
+
+    # -- where a body waits ------------------------------------------------
+
+    def flush(self, indent):
+        self.block(indent, _FLUSH)
+
+    def suspend(self, indent, wrap, plan_name, index, flush):
+        """A step produced the generator ``_r``: a suspending body
+        drives it where it stands; an inline one returns, through
+        ``wrap``, a generator that drives it and then the rest of the
+        entry — :func:`~repro.sim.plan._resume` has the plan's remaining
+        steps, ``wrap`` the enclosing flattened loops."""
+        if self.suspending:
+            if flush:
+                self.flush(indent)
+            self.line(indent, "yield from _r")
+        else:
+            self.line(
+                indent,
+                wrap(f"_resume({plan_name}, ex, env, _r, {index}, {flush})"),
+            )
+
+    def flattens(self, plan, depth):
+        """Are ``plan``'s steps emitted in place where a body enters it?
+        A suspending body takes everything the emitter can express, at
+        any depth; an inline one what never suspends by kind, down to
+        :data:`_MAX_FLATTEN_DEPTH`."""
+        if self.suspending:
+            return plan.tier is not None
+        return depth < _MAX_FLATTEN_DEPTH and plan.inlineable
+
     # -- typed locals --------------------------------------------------------
 
     def local(self, ssa):
@@ -418,8 +527,10 @@ class _Emitter:
     def _store(self, indent, result, expr, is_int=False):
         """``env[result] = expr``, through a local when typed."""
         name = self.define(result, is_int)
-        self.line(indent, f"{name} = {expr}")
-        self.line(indent, f"env[{self.bind('k', result)}] = {name}")
+        self.block(indent, self._stores(result, name, expr))
+
+    def _stores(self, result, name, expr):
+        return [f"{name} = {expr}", f"env[{self.bind('k', result)}] = {name}"]
 
     def emit_arith2(self, indent, meta):
         _, s0, s1, result, raw, fn, is_free, resolve = meta
@@ -479,10 +590,19 @@ class _Emitter:
             self.bindings.setdefault("_int8", np.int8)
         self._arith_cost(indent, is_free)
 
-    def _emit_branch(self, indent, branch_plan, branch_wrap, depth):
+    def _emit_branch(self, indent, branch_plan, index, plan_name, wrap,
+                     depth):
         """One arm of an inlined ``scf.if``: flatten the branch body when
         possible, else enter its plan (which tiers up on its own)."""
-        if depth < _MAX_FLATTEN_DEPTH and branch_plan.inlineable:
+        if self.flattens(branch_plan, depth):
+            # Plan mode returns the branch's suspension generator from
+            # the K_CTRL step; _resume then finishes this plan after
+            # the if.
+            def branch_wrap(gen):
+                return wrap(
+                    f"_resume({plan_name}, ex, env, {gen}, {index}, False)"
+                )
+
             mark = len(self.lines)
             branch_name = self.plan(branch_plan)
             self.emit_plan(
@@ -494,7 +614,7 @@ class _Emitter:
             branch_exec = self.entry(branch_plan)
             self.line(indent, f"_r = {branch_exec}(ex, env)")
             self.line(indent, "if _r is not None:")
-            self.line(indent + 1, branch_wrap("_r"))
+            self.suspend(indent + 1, wrap, plan_name, index, False)
 
     def emit_if(self, indent, meta, index, plan_name, wrap, depth):
         _, cond_ssa, then_plan, else_plan, resolve = meta
@@ -511,22 +631,20 @@ class _Emitter:
             self.bindings.setdefault("_ndarray", np.ndarray)
             taken, not_taken = "if _t:", "if not _t:"
 
-        def branch_wrap(gen):
-            # Plan mode returns the branch's suspension generator from the
-            # K_CTRL step; _resume then finishes this plan after the if.
-            return wrap(
-                f"_resume({plan_name}, ex, env, {gen}, {index}, False)"
-            )
-
         if then_plan is not None and else_plan is not None:
             self.line(indent, taken)
-            self._emit_branch(indent + 1, then_plan, branch_wrap, depth)
+            self._emit_branch(
+                indent + 1, then_plan, index, plan_name, wrap, depth
+            )
             self.line(indent, "else:")
-            self._emit_branch(indent + 1, else_plan, branch_wrap, depth)
+            self._emit_branch(
+                indent + 1, else_plan, index, plan_name, wrap, depth
+            )
         elif then_plan is not None or else_plan is not None:
             self.line(indent, taken if then_plan is not None else not_taken)
             self._emit_branch(
-                indent + 1, then_plan or else_plan, branch_wrap, depth
+                indent + 1, then_plan or else_plan, index, plan_name, wrap,
+                depth,
             )
 
     # -- inlined buffer accesses -------------------------------------------
@@ -534,7 +652,8 @@ class _Emitter:
     def _emit_buffer_head(self, indent, buffer_ssa, state, is_write, resolve):
         """Shared preamble of every scalar buffer fast path: the buffer
         (resolved and unwrapped unless a local holds it) and the
-        last-seen-memory memo, refreshed.  Returns both names."""
+        last-seen-memory memo, refreshed, its cost in ``_co``.  Returns
+        the buffer's name."""
         buf, _ = self.operand(indent, buffer_ssa, "_u", resolve)
         st = self.bind("m", state)
         pac = self.bind("pc", _plain_access_cost)
@@ -542,89 +661,131 @@ class _Emitter:
         self.line(indent, f"if _m is not {st}[0]:")
         self.line(indent + 1, f"{st}[1] = {pac}(_m, {is_write})")
         self.line(indent + 1, f"{st}[0] = _m")
-        return buf, st
+        self.line(indent, f"_co = {st}[1]")
+        return buf
 
-    def _emit_general(self, indent, general, index, plan_name, wrap,
-                      result=None):
-        """The slow-path handler call of a read/write fast path, under the
-        K_DYN suspension protocol.  The handler binds the op's result in
-        ``env``; a typed body that goes on inline picks it up."""
-        gn = self.bind("h", general)
-        self.line(indent, f"_r = {gn}(ex, env)")
+    def _emit_step(self, indent, step, index, plan_name, wrap, slow=False,
+                   result=None):
+        """A ``K_DYN`` step closure called under the suspension protocol
+        — all there is to a step the emitter has no expansion for, and
+        the ``slow`` path of a read/write fast path (the closure falls
+        back on the general handler by itself; in a suspending body that
+        is one line, :func:`_stepped`).  It binds the op's result in
+        ``env``; a typed body that goes on picks it up."""
+        s = self.bind("s", step)
+        pickup = None
+        if result is not None:
+            name = self.locals[result][0]
+            pickup = f"{name} = env[{self.bind('k', result)}]"
+        if self.suspending and slow:
+            self.bindings.setdefault("_stepped", _stepped)
+            self.line(indent, f"yield from _stepped({s}, ex, env)")
+            if pickup:
+                self.line(indent, pickup)
+            return
+        self.line(indent, f"_r = {s}(ex, env)")
         self.line(indent, "if type(_r) is int:")
         self.line(indent + 1, "if _r:")
         self.line(indent + 2, "ex.pending += _r")
-        if result is not None:
-            name = self.locals[result][0]
-            self.line(indent + 1, f"{name} = env[{self.bind('k', result)}]")
+        if pickup:
+            self.line(indent + 1, pickup)
         self.line(indent, "else:")
-        self.line(
-            indent + 1,
-            wrap(f"_resume({plan_name}, ex, env, _r, {index}, True)"),
+        self.suspend(indent + 1, wrap, plan_name, index, True)
+
+    def _emit_cost_test(self, indent, posted, order, phases):
+        """Open the fast path: the test of the access's cost.  Where a
+        suspending body takes an access that has to wait itself, that
+        branch comes first — ``phases`` (else ``None``) in ``order``,
+        around the flush and the booking."""
+        test = "if"
+        if phases is not None:
+            phases["flush"] = _FLUSH
+            phases["book"] = ("_q = _m.queue", "_e = _q.book(_co)[1]")
+            phases["wait"] = ("yield _e - _q.sim.now",)
+            self.line(indent, "if _co > 0:")
+            for phase in order:
+                self.block(indent + 1, phases[phase])
+            test = "elif"
+        self.line(indent, f"{test} _co {'>= 0' if posted else '== 0'}:")
+
+    def _stats(self, buf, traffic, count):
+        """The memory's traffic counters for one element access."""
+        return (
+            f"_m.{traffic} += {buf}.element_bits >> 3", f"_m.{count} += 1",
         )
 
-    def _stats(self, indent, buf, posted, traffic, count):
-        """The memory's traffic counters for one element access."""
-        self.line(indent, f"_m.{traffic} += {buf}.element_bits >> 3")
-        self.line(indent, f"_m.{count} += 1")
+    def _emit_fast(self, indent, posted, stats):
+        self.block(indent, stats)
         if posted:
             self.line(indent, "if _co:")
             self.line(indent + 1, "_m.queue.posted_busy_cycles += _co")
 
-    def emit_read(self, indent, meta, index, plan_name, wrap):
+    def emit_read(self, indent, meta, step, index, plan_name, wrap):
         (
             _, buffer_ssa, result, posted, state, const_idx, indices_ssa,
-            general, resolve,
+            resolve, waits,
         ) = meta
-        buf, st = self._emit_buffer_head(
-            indent, buffer_ssa, state, False, resolve
-        )
-
-        def slow(at):
-            self._emit_general(at, general, index, plan_name, wrap, result)
-
-        outer = indent
-        self.line(indent, f"_co = {st}[1]")
-        self.line(indent, "if _co >= 0:" if posted else "if _co == 0:")
-        indent += 1
+        buf = self._emit_buffer_head(indent, buffer_ssa, state, False, resolve)
         if const_idx is not None:
             item, raises = self._item(buf, const_idx), False
         else:
             idx, raises = self._indices(indices_ssa)
             item = f"{buf}.array.item({idx})"
+        stores = self._stores(result, self.define(result), item)
+        stats = self._stats(buf, "bytes_read", "reads")
+
+        def slow(at):
+            self._emit_step(at, step, index, plan_name, wrap, True, result)
+
+        outer = indent
+        waiting = None
+        if self.suspending and waits and not raises:
+            waiting = {"value": stores, "count": stats}
+        self._emit_cost_test(indent, posted, _READ_ORDER, waiting)
+        indent += 1
         if raises:  # for want of an int: the handler's to sort out
             self.line(indent, "try:")
-            self._store(indent + 1, result, item)
+            self.block(indent + 1, stores)
             self.line(indent, "except (KeyError, TypeError):")
             slow(indent + 1)
             self.line(indent, "else:")
             indent += 1
         else:
-            self._store(indent, result, item)
-        self._stats(indent, buf, posted, "bytes_read", "reads")
+            self.block(indent, stores)
+        self._emit_fast(indent, posted, stats)
         self.line(outer, "else:")
         slow(outer + 1)
 
-    def emit_write(self, indent, meta, index, plan_name, wrap):
+    def emit_write(self, indent, meta, step, index, plan_name, wrap):
         (
             _, buffer_ssa, value_ssa, posted, state, const_idx, indices_ssa,
-            general, resolve, reshape,
+            resolve, waits, reshape,
         ) = meta
-        buf, st = self._emit_buffer_head(
-            indent, buffer_ssa, state, True, resolve
-        )
+        buf = self._emit_buffer_head(indent, buffer_ssa, state, True, resolve)
         outer = indent
 
         def slow(at):
-            self._emit_general(at, general, index, plan_name, wrap)
+            self._emit_step(at, step, index, plan_name, wrap, True)
 
-        self.line(indent, f"_co = {st}[1]")
-        self.line(indent, "if _co >= 0:" if posted else "if _co == 0:")
-        indent += 1
         # The value: checked for a Future or a missing binding unless a
-        # local holds it.
-        found = self.local(value_ssa)
-        if found is None:
+        # local holds it.  The target: the static coordinates folded,
+        # else a tuple that may want an int.
+        stored, is_int = self.local(value_ssa) or ("_w", False)
+        if const_idx is not None:
+            target, raises = self._target(const_idx), False
+        else:
+            idx, raises = self._indices(indices_ssa)
+            target = f"({idx},)"
+        stats = self._stats(buf, "bytes_written", "writes")
+        waiting = None
+        if self.suspending and waits and stored != "_w" and not raises:
+            waiting = {
+                "count": stats,
+                "apply": self._apply(buf, target, stored, reshape, is_int),
+            }
+        self._emit_cost_test(indent, posted, _WRITE_ORDER, waiting)
+        indent += 1
+        if stored == "_w":
             val = self.bind("k", value_ssa)
             self.bindings.setdefault("_MISS", _MISSING)
             self.line(indent, f"_w = env.get({val}, _MISS)")
@@ -632,46 +793,39 @@ class _Emitter:
             slow(indent + 1)
             self.line(indent, "else:")
             indent += 1
-            found = ("_w", False)
-        stored, is_int = found
-        if const_idx is not None:
-            target = self._target(const_idx)
-        else:
-            idx, raises = self._indices(indices_ssa)
-            target = f"({idx},)"
-            if raises:
-                self.line(indent, "try:")
-                self.line(indent + 1, f"_tg = {target}")
-                self.line(indent, "except (KeyError, TypeError):")
-                slow(indent + 1)
-                self.line(indent, "else:")
-                indent += 1
-                target = "_tg"
-        if reshape and not is_int:
-            self.bindings.setdefault("_np", np)
-            self.bindings.setdefault("_ndarray", np.ndarray)
-            self.line(indent, f"if isinstance({stored}, _ndarray):")
-            self.line(
-                indent + 1,
-                f"{buf}.array[{target}] = _np.asarray({stored}).reshape("
-                f"{buf}.array[{target}].shape)",
-            )
+        if raises:
+            self.line(indent, "try:")
+            self.line(indent + 1, f"_tg = {target}")
+            self.line(indent, "except (KeyError, TypeError):")
+            slow(indent + 1)
             self.line(indent, "else:")
-            self.line(indent + 1, f"{buf}.array[{target}] = {stored}")
-        else:
-            self.line(indent, f"{buf}.array[{target}] = {stored}")
-        self._stats(indent, buf, posted, "bytes_written", "writes")
+            indent += 1
+            target = "_tg"
+        self.block(indent, self._apply(buf, target, stored, reshape, is_int))
+        self._emit_fast(indent, posted, stats)
         self.line(outer, "else:")
         slow(outer + 1)
+
+    def _apply(self, buf, target, stored, reshape, is_int):
+        """The statements storing one element."""
+        plain = f"{buf}.array[{target}] = {stored}"
+        if not reshape or is_int:
+            return (plain,)
+        self.bindings.setdefault("_np", np)
+        self.bindings.setdefault("_ndarray", np.ndarray)
+        return (
+            f"if isinstance({stored}, _ndarray):",
+            f"    {buf}.array[{target}] = _np.asarray({stored}).reshape("
+            f"{buf}.array[{target}].shape)",
+            "else:",
+            "    " + plain,
+        )
 
     def emit_extern(self, indent, meta):
         _, operand_ssa, result_ssa, func, fixed_cycles, resolve = meta
         fu = self.bind("f", func)
         rs = self.bind("rs", resolve)
-        args = ", ".join(
-            (self.local(v) or (f"{rs}(env, {self.bind('k', v)})",))[0]
-            for v in operand_ssa
-        )
+        args = ", ".join(self._resolved(v, rs) for v in operand_ssa)
         self.line(indent, f"_vres = {fu}({args})")
         if result_ssa:
             rsn = self.bind("y", result_ssa)
@@ -682,16 +836,23 @@ class _Emitter:
         if fixed_cycles:
             self.line(indent, f"ex.pending += {self.site('d', fixed_cycles)}")
 
+    def _resolved(self, ssa, rs):
+        """``resolve(env, ssa)`` as an expression: the local, if any."""
+        found = self.local(ssa)
+        return found[0] if found else f"{rs}(env, {self.bind('k', ssa)})"
+
     # -- per-plan emission -------------------------------------------------
 
     def emit_plan(self, plan, plan_name, indent, wrap, depth):
         """Emit the statement sequence for ``plan``'s steps.
 
-        ``wrap`` turns a suspension-generator expression into the full
-        ``return`` statement for this nesting level — for nested loops it
-        composes ``_for_resume`` chains outward, so a suspension anywhere
-        resumes the whole flattened nest exactly like the plan-mode
-        generator stack would.
+        In an inline body ``wrap`` turns a suspension-generator
+        expression into the full ``return`` statement for this nesting
+        level — for nested loops it composes ``_for_resume`` chains
+        outward, so a suspension anywhere resumes the whole flattened
+        nest exactly like the plan-mode generator stack would.  A
+        suspending body has no use for it (``None``): it yields where
+        it stands.
         """
         steps = plan.steps
         for index, (kind, a, b) in enumerate(steps):
@@ -720,13 +881,13 @@ class _Emitter:
                 elif tag == "cmp":
                     self.emit_cmp(indent, b)
                 elif tag == "read":
-                    self.emit_read(indent, b, index, plan_name, wrap)
+                    self.emit_read(indent, b, a, index, plan_name, wrap)
                 elif tag == "write":
-                    self.emit_write(indent, b, index, plan_name, wrap)
+                    self.emit_write(indent, b, a, index, plan_name, wrap)
                 elif tag == "extern":
                     self.emit_extern(indent, b)
                 else:  # unknown metadata: conservative closure call
-                    self._emit_dyn_call(indent, a, index, plan_name, wrap)
+                    self._emit_step(indent, a, index, plan_name, wrap)
             elif kind == K_DYN and b == "int":
                 # Certified by the compiler to return a plain int: no
                 # type dispatch, no suspension path.
@@ -735,25 +896,45 @@ class _Emitter:
                 self.line(indent, "if _r:")
                 self.line(indent + 1, "ex.pending += _r")
             elif kind == K_DYN:
-                self._emit_dyn_call(indent, a, index, plan_name, wrap)
+                self._emit_step(indent, a, index, plan_name, wrap)
             elif kind == K_FLUSH_CALL:
                 s = self.bind("s", a)
-                tail = self.bind("t", steps[index:])
-                self.line(indent, "if ex.pending:")
-                self.line(
-                    indent + 1, wrap(f"{plan_name}.run(ex, env, {tail})")
-                )
+                if self.suspending:
+                    self.flush(indent)
+                else:
+                    tail = self.bind("t", steps[index:])
+                    self.line(indent, "if ex.pending:")
+                    self.line(
+                        indent + 1, wrap(f"{plan_name}.run(ex, env, {tail})")
+                    )
                 self.line(indent, f"{s}(ex, env)")
+            elif kind == K_GEN:
+                self.flush(indent)
+                self.line(indent, f"yield from {self.bind('s', a)}(ex, env)")
+            elif kind == K_RET:
+                # The block's last step.  (Only a launch body's values
+                # go anywhere: nested, they are resolved and dropped.)
+                self.flush(indent)
+                rs = self.bind("rs", b)
+                values = ", ".join(self._resolved(v, rs) for v in a)
+                self.line(
+                    indent, f"{'' if depth else 'return '}[{values}]"
+                )
             elif (
                 kind == K_CTRL and type(b) is tuple and b and b[0] == "if"
             ):
                 self.emit_if(indent, b, index, plan_name, wrap, depth)
             elif (
-                kind == K_CTRL and type(b) is tuple and b and b[0] == "for"
+                type(b) is tuple and b and b[0] == "for"
+                and (kind == K_CTRL or self.suspending)
             ):
-                self._emit_for(
-                    indent, b, index, plan, plan_name, wrap, depth
-                )
+                at = indent
+                if kind == K_VEC:
+                    # The scalar loop is what a failed guard falls into.
+                    attempt = self.site("s", a.attempt)
+                    self.line(indent, f"if not {attempt}(ex, env):")
+                    at += 1
+                self._emit_for(at, b, index, plan, plan_name, wrap, depth)
             else:  # generic K_CTRL / K_VEC / K_CYCLES
                 s = self.bind("s", a)
                 self.line(indent, f"_r = {s}(ex, env)")
@@ -762,52 +943,43 @@ class _Emitter:
                 self.line(indent + 2, "if _r:")
                 self.line(indent + 3, "ex.pending += _r")
                 self.line(indent + 1, "else:")
-                self.line(
-                    indent + 2,
-                    wrap(
-                        f"_resume({plan_name}, ex, env, _r, {index}, False)"
-                    ),
-                )
-
-    def _emit_dyn_call(self, indent, step, index, plan_name, wrap):
-        s = self.bind("s", step)
-        self.line(indent, f"_r = {s}(ex, env)")
-        self.line(indent, "if type(_r) is int:")
-        self.line(indent + 1, "if _r:")
-        self.line(indent + 2, "ex.pending += _r")
-        self.line(indent, "else:")
-        self.line(
-            indent + 1,
-            wrap(f"_resume({plan_name}, ex, env, _r, {index}, True)"),
-        )
+                self.suspend(indent + 2, wrap, plan_name, index, False)
 
     def _emit_for(self, indent, meta, index, plan, plan_name, wrap, depth):
         """Scalar affine.for with flattening metadata: a native loop —
         plan mode pays a generator frame here on every execution."""
         _, body_plan, induction, loop_range = meta
-        body_exec = self.entry(body_plan)
         ind = self.bind("k", induction)
         rng = self.bind("r", loop_range)
-        tail = self.bind("t", plan.steps[index + 1:])
-        it = f"_it{index}_{depth}"
         # ``range`` yields ints: the induction variable is typed.
         var = self.define(induction, True)
-        self.line(indent, f"{it} = iter({rng})")
-        self.line(indent, f"for {var} in {it}:")
+        if self.suspending:
+            self.line(indent, f"for {var} in {rng}:")
+            body_wrap = "yield from {}".format
+        else:
+            # An inline body that suspends hands the loop's iterator,
+            # and the steps after the loop, to ``_for_resume``.
+            body_exec = self.entry(body_plan)
+            tail = self.bind("t", plan.steps[index + 1:])
+            it = f"_it{index}_{depth}"
+            self.line(indent, f"{it} = iter({rng})")
+            self.line(indent, f"for {var} in {it}:")
+
+            def body_wrap(gen):
+                return wrap(
+                    f"_for_resume({plan_name}, ex, env, {gen}, {body_exec}, "
+                    f"{ind}, {it}, {tail})"
+                )
+
         self.line(indent + 1, f"env[{ind}] = {var}")
-
-        def body_wrap(gen):
-            return wrap(
-                f"_for_resume({plan_name}, ex, env, {gen}, {body_exec}, "
-                f"{ind}, {it}, {tail})"
-            )
-
-        if depth < _MAX_FLATTEN_DEPTH and body_plan.inlineable:
+        if self.flattens(body_plan, depth):
             body_name = self.plan(body_plan)
             self.emit_plan(
                 body_plan, body_name, indent + 1, body_wrap, depth + 1
             )
         else:
+            if self.suspending:
+                body_exec = self.entry(body_plan)
             self.line(indent + 1, f"_r = {body_exec}(ex, env)")
             self.line(indent + 1, "if _r is not None:")
             self.line(indent + 2, body_wrap("_r"))
@@ -825,7 +997,10 @@ class _Emitter:
             self.bindings["_loads"] = tuple(
                 (ssa, is_int) for _, _, ssa, is_int in self.loads
             )
-            deopt = "return _deopt(_plan, ex, env, _loads, _guard)"
+            deopt = "_deopt(_plan, ex, env, _loads, _guard)"
+            if self.suspending:  # (a replay that did not suspend: None)
+                deopt = f"(yield from {deopt} or ())"
+            deopt = "return " + deopt
             checks = ["_guard"]
             if self.loads:
                 lines.append("    try:")
@@ -844,24 +1019,29 @@ class _Emitter:
         return lines
 
 
-def _emit(plan: BlockPlan):
-    """``(code, shared, defaults, recipes, checks)`` for an inlineable
-    ``plan``: the body's code object (``shared``: some block had
-    compiled the same text already), the default arguments binding
+def _emit(plan: BlockPlan, suspending: bool):
+    """``(code, shared, defaults, recipes, checks)`` for ``plan``: the
+    body's code object, of the kind asked for (``shared``: some block
+    had compiled the same text already), the default arguments binding
     everything it names, and — for a :class:`~repro.sim.plan.ShapePlan`
     — which of those are a launch site's own, as ``position ->
     f(site)``.  ``checks`` is ``None`` for a body without a typed
     prologue, else where its guard and the constants it consumes as
     ints sit among the defaults."""
-    emitter = _Emitter(plan.block)
+    emitter = _Emitter(plan.block, suspending)
     emitter.bindings["_plan"] = plan
     if type(plan) is ShapePlan:
         emitter.recipes["_plan"] = lambda site, _i=plan.index: site.plans[_i]
-    emitter.bindings["_resume"] = _resume
-    emitter.bindings["_for_resume"] = _for_resume
     emitter.bindings["_Future"] = Future
-    emitter.emit_plan(plan, "_plan", 1, lambda gen: f"return {gen}", 0)
-    emitter.line(1, "return None")
+    if suspending:
+        emitter.emit_plan(plan, "_plan", 1, None, 0)
+        if not emitter.lines:
+            emitter.line(1, "pass")
+    else:
+        emitter.bindings["_resume"] = _resume
+        emitter.bindings["_for_resume"] = _for_resume
+        emitter.emit_plan(plan, "_plan", 1, lambda gen: f"return {gen}", 0)
+        emitter.line(1, "return None")
 
     lines = emitter.prologue() + emitter.lines
     source = "def _plan_body(ex, env, {params}):\n{body}\n".format(
@@ -888,20 +1068,25 @@ def _emit(plan: BlockPlan):
 
 
 def compile_block_body(plan: BlockPlan):
-    """Emit and instantiate the specialized body for an inlineable
-    ``plan``; returns ``(fn, shared, typed)``.
+    """Emit and instantiate the specialized body for ``plan``; returns
+    ``(fn, shared, typed, suspending)``.
 
-    ``fn`` has the ``_inline_run`` contract — ``fn(ex, env)`` → ``None``
-    or a generator.  Everything the body references is a default
-    argument (``LOAD_FAST`` at execution time, no global or closure
-    lookups), so the emitted text names no object and ``compile()`` runs
-    once per *shape*: ``shared`` is true when an earlier block — of this
-    program or any other in the process — already compiled the same
-    text, and ``fn`` differs from that block's body only in
-    ``__defaults__``.  :func:`source_of` returns the text.
+    ``fn`` has the :meth:`~repro.sim.plan.BlockPlan.execute` contract —
+    ``fn(ex, env)`` → ``None`` or a generator — in one of two kinds,
+    :func:`~repro.sim.plan._suspends` says which: an *inline* body is a
+    plain function that returns ``None`` when nothing suspended, and a
+    *suspending* body is a generator function (``suspending``).
+    Everything the body references is a default argument (``LOAD_FAST``
+    at execution time, no global or closure lookups), so the emitted
+    text names no object and ``compile()`` runs once per *shape*:
+    ``shared`` is true when an earlier block — of this program or any
+    other in the process — already compiled the same text, and ``fn``
+    differs from that block's body only in ``__defaults__``.
+    :func:`source_of` returns the text.
 
     A launch site's view of a shared plan is not even emitted twice: the
-    first hot site emits the shape's body, and every site — that one
+    first hot site emits the shape's body — in the kind the shape's
+    replays, over all sites, call for — and every site — that one
     included — gets a function of that code object whose per-site
     defaults (constants, folded index tuples, its views of nested plans)
     are filled in from the site.
@@ -914,13 +1099,15 @@ def compile_block_body(plan: BlockPlan):
     """
     shape = plan.shape
     if shape is None:
-        code, shared, defaults, _, checks = _emit(plan)
+        suspending = _suspends(plan)
+        code, shared, defaults, _, checks = _emit(plan, suspending)
     else:
         shared = shape.emitted is not None
         if not shared:
-            code, shared, *emitted = _emit(shape)
-            shape.emitted = (code, *emitted)
-        code, defaults, recipes, checks = shape.emitted
+            suspending = _suspends(plan)
+            code, shared, *emitted = _emit(shape, suspending)
+            shape.emitted = (code, *emitted, suspending)
+        code, defaults, recipes, checks, suspending = shape.emitted
         defaults = defaults.copy()
         site = plan.site
         for position, recipe in recipes:
@@ -929,7 +1116,7 @@ def compile_block_body(plan: BlockPlan):
         guard, constants = checks
         defaults[guard] = _site_guard(defaults, constants)
     fn = FunctionType(code, _GLOBALS, "_plan_body", tuple(defaults))
-    return fn, shared, checks is not None
+    return fn, shared, checks is not None, suspending
 
 
 def source_of(fn) -> Optional[str]:

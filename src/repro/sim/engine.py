@@ -33,13 +33,15 @@ Execution has three interchangeable strategies, selected by one
   generates code: the differential oracle for the mode below.
 * ``codegen`` (the default) — plan replay, until a block has been
   entered often enough (``plan.TIER_UP_EXECUTIONS``) for generated code
-  to repay its cost; the block's inlineable plan is then lowered by
+  to repay its cost; the block's plan is then lowered by
   :mod:`repro.sim.codegen` into specialized Python *source* —
   straight-line code with the step dispatch loop gone, constants bound
-  as arguments, and suspension-free ``affine.for`` bodies flattened —
+  as arguments, and ``affine.for`` bodies flattened: a plain function
+  for a block that never suspends, a generator function (waits are
+  ``yield``s in place) for one that does —
   ``compile()``d once per *shape* (every block of the same structure,
   in any program, shares the code object) and swapped in at the block's
-  next entry.  Plans the emitter cannot flatten keep replaying.
+  next entry.  Plans the emitter cannot express keep replaying.
 
 Observable results (cycle counts, buffers, statistics, even the
 scheduler-event count) are bit-identical across all three modes; see
@@ -359,12 +361,12 @@ class _Dispatcher(Process):
     queued entries for as long as their dependencies have triggered and
     their bodies complete in no time.
 
-    A body that really suspends — a generated body or plan that hit a
-    contended access, a non-inlineable plan, an interpreted block, a
-    memcpy — is a generator, driven by the :class:`Process` this object
-    also is: its requests go through ``Process._handle`` and its
-    resumes are ``Process._tick`` callbacks, one per request as under
-    any process.  When it ends, :meth:`_finished` hands its value back
+    A body that really suspends — a suspending generated body, an
+    inline one or a plan that hit a contended access, a non-inlineable
+    plan, an interpreted block, a memcpy — is a generator, driven by
+    the :class:`Process` this object also is: its requests go through
+    ``Process._handle`` and its resumes are ``Process._tick``
+    callbacks, one per request as under any process.  When it ends, :meth:`_finished` hands its value back
     here.  A generator that ends at its first ``send`` never leaves the
     dispatch loop, so thousands of zero-cycle bodies queued on one
     processor run iteratively.
@@ -465,10 +467,8 @@ class _Dispatcher(Process):
                     body = plan.compiled
                     if body is not None:
                         suspended = body(self, env)
-                    elif plan.inlineable:
-                        suspended = _cold_run(plan, self, env)
                     else:
-                        suspended = plan.run(self, env)
+                        suspended = _cold_run(plan, self, env)
                 else:
                     suspended = self.engine._run_block(self, block, env)
             elif entry.kind == "memcpy":
@@ -1501,6 +1501,7 @@ class Engine:
             (
                 compiled, hits, vec_loops, vec_iters, vec_falls,
                 codegenned, code_shared, tiered_up, shapes, shared, typed,
+                suspending,
             ) = (
                 current - before
                 for current, before in zip(plans.counters(), base)
@@ -1511,7 +1512,7 @@ class Engine:
         else:
             compiled = hits = vec_loops = vec_iters = vec_falls = 0
             codegenned = code_shared = tiered_up = shapes = shared = 0
-            typed = 0
+            typed = suspending = 0
             fallback_reasons = {}
             share_declined = {}
             deopts = {}
@@ -1539,6 +1540,7 @@ class Engine:
             codegen_code_shared=code_shared,
             codegen_tiered_up=tiered_up,
             codegen_typed=typed,
+            codegen_suspending=suspending,
             codegen_deopts=deopts,
             codegen_fallbacks=sum(fallback_reasons.values()),
             codegen_fallback_reasons=fallback_reasons,
@@ -1603,6 +1605,10 @@ class Engine:
             "engine.codegen_typed",
             "Generated bodies that start with a typed prologue",
         ).inc(summary.codegen_typed)
+        registry.counter(
+            "engine.codegen_suspending",
+            "Generated bodies of the suspending kind (generator functions)",
+        ).inc(summary.codegen_suspending)
         for reason, count in summary.codegen_deopts.items():
             # "int:numpy.int64" -> engine.codegen_deopts.int.numpy.int64
             registry.counter(
@@ -1616,7 +1622,8 @@ class Engine:
             registry.counter(
                 "engine.codegen_fallbacks."
                 + reason.lower().replace(":", "."),
-                "Plans codegen can never take, by first non-inlineable step",
+                "Plans codegen can never take, by the first step the emitter "
+                "cannot express",
             ).inc(count)
         registry.counter(
             "engine.trace_records_dropped", "Trace records over max_records"

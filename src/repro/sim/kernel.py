@@ -272,8 +272,19 @@ class Process:
         self._soon = sim.schedule_soon
 
     def _resume_pending(self) -> None:
+        # One frame per resume: the send, and the request a body that
+        # waits on a memory makes over and over — a positive duration —
+        # without the calls to ``_step``/``_handle`` in between.
         value, self._value = self._value, None
-        self._step(value)
+        try:
+            request = self.generator.send(value)
+        except StopIteration as stop:
+            self._finished(stop.value)
+            return
+        if type(request) is int and request > 0:
+            self.sim.schedule_bucket(request, self._tick)
+        else:
+            self._handle(request)
 
     def _event_fired(self, event: SimEvent) -> None:
         # Resume via the scheduler's microtask ring (delay 0) so that the
@@ -281,14 +292,6 @@ class Process:
         # inside the trigger call.
         self._value = event.value
         self._soon(self._tick)
-
-    def _step(self, send_value: Any = None) -> None:
-        try:
-            request = self.generator.send(send_value)
-        except StopIteration as stop:
-            self._finished(stop.value)
-            return
-        self._handle(request)
 
     def _finished(self, value: Any) -> None:
         self.done.trigger(value)

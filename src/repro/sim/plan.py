@@ -37,7 +37,10 @@ Step kinds
                    constant vector (see "Shapes and sites" below)
 ``K_DYN``          pre-bound closure returning a local cycle cost *or* a
                    generator (arith, reads/writes, coarse models) — the
-                   hot kind, checked first by both executors
+                   hot kind, checked first by both executors.  A scalar
+                   read/write that has to wait takes the value and
+                   counts the traffic in the step, and returns only the
+                   booking as a generator (:func:`_blocked_read`)
 ``K_FLUSH_CALL``   flush pending cycles, then a plain call (launch, memcpy,
                    control events — their handlers never suspend)
 ``K_GEN``          flush pending cycles, then drive a generator (await)
@@ -45,6 +48,9 @@ Step kinds
                    flush — inner ops flush themselves on demand
 ``K_VEC``          a vectorized ``affine.for`` (see below)
 ``K_RET``          flush, resolve the block's return values, stop
+``K_ANY``          an op with a handler but no step compiler, outside
+                   ``_NEEDS_FLUSH``: the handler, pre-bound — the one kind
+                   the code generator cannot express
 =================  ========================================================
 
 (``K_CYCLES`` — a closure guaranteed to return an int — still exists as a
@@ -135,17 +141,15 @@ V_STEP, V_CONST, V_READ, V_WRITE, V_REDUCE = range(5)
 
 #: Step kinds a plan may contain while still being executable *inline* —
 #: without allocating a generator — as long as no step actually suspends.
-#: See :func:`_inline_run`.
+#: See :func:`_inline_run`.  (A plan with the others — an ``await``,
+#: returned values — replays through :meth:`BlockPlan.run`, and its
+#: generated body can only be of the suspending kind.)
 _INLINEABLE = frozenset(
     {K_CONST, K_SITE, K_CYCLES, K_DYN, K_CTRL, K_VEC, K_FLUSH_CALL}
 )
 
-#: The non-inlineable kinds, as spelled in a codegen fallback reason
-#: (``K_RET`` is spelled where its one step is made).
-_KIND_NAMES = {K_GEN: "K_GEN", K_ANY: "K_ANY"}
-
-#: Executions an inlineable plan replays through :func:`_inline_run`
-#: before ``mode=codegen`` swaps in its generated body: measured cost of
+#: Executions a plan replays before ``mode=codegen`` swaps in its
+#: generated body: measured cost of
 #: generating a body (0.37 ms) ÷ measured gain per execution of one
 #: (4.9 µs) ≈ 75, rounded down to a power of two — ``docs/performance.md``,
 #: "Default mode", has the readings.  A block entered fewer times never
@@ -157,19 +161,21 @@ TIER_UP_EXECUTIONS = 64
 class BlockPlan:
     """A compiled block: a flat list of ``(kind, payload, extra)`` steps.
 
-    Under ``mode=codegen`` an inlineable plan counts its executions in
-    ``runs`` (the count lives as long as the plan, so it carries over
-    between simulations sharing a :class:`PlanCache`) and, past
-    :data:`TIER_UP_EXECUTIONS`, gains ``compiled`` — the specialized
-    Python function :func:`repro.sim.codegen.compile_block_body`
-    instantiates from this plan's steps, honoring the same
-    inline/suspend protocol as :func:`_inline_run`.  ``tier`` is the
-    cache that does the swap; ``None`` in plan mode, where ``compiled``
-    stays ``None`` for good.
+    Under ``mode=codegen`` a plan counts its executions in ``runs`` (the
+    count lives as long as the plan, so it carries over between
+    simulations sharing a :class:`PlanCache`) and how many of them
+    suspended in ``suspensions``; past :data:`TIER_UP_EXECUTIONS` it
+    gains ``compiled`` — the specialized Python function
+    :func:`repro.sim.codegen.compile_block_body` instantiates from this
+    plan's steps, of the kind :func:`_suspends` picks from those two
+    counts.  ``tier`` is the cache that does the swap; ``None`` in plan
+    mode and for a plan the emitter cannot express (an uncompiled
+    extension op, ``K_ANY``), where ``compiled`` stays ``None`` for
+    good.
 
     A launch site's *view* of a plan compiled once per shape shares that
     :class:`ShapePlan`'s ``steps`` and names it in ``shape`` — the
-    threshold is compared against the shape's count, summed over every
+    threshold is compared against the shape's counts, summed over every
     site — while ``compiled`` is the site's own function, instantiated
     for the :class:`BodySite` in ``site``.
 
@@ -180,8 +186,8 @@ class BlockPlan:
     """
 
     __slots__ = (
-        "steps", "inlineable", "compiled", "runs", "tier", "shape", "site",
-        "block",
+        "steps", "inlineable", "compiled", "runs", "suspensions", "tier",
+        "shape", "site", "block",
     )
 
     def __init__(self, steps, tier, block):
@@ -189,6 +195,7 @@ class BlockPlan:
         self.inlineable = all(k in _INLINEABLE for k, _, _ in steps)
         self.compiled = None
         self.runs = 0
+        self.suspensions = 0
         self.tier = tier
         self.shape = None
         self.site = None
@@ -198,14 +205,11 @@ class BlockPlan:
         """Run under the inline/suspend protocol: ``None`` when the plan
         completed without suspending (the hot case — no generator frame
         was allocated), else a generator the caller must drive to finish
-        the remaining work.  Callers that need ``equeue.return_values``
-        must use :meth:`run` instead; inlineable plans never contain a
-        ``K_RET`` step, so they have no return values to lose."""
+        the remaining work; it returns what ``equeue.return_values``
+        names, if the block ends in one."""
         if self.compiled is not None:
             return self.compiled(ex, env)
-        if self.inlineable:
-            return _cold_run(self, ex, env)
-        return self.run(ex, env)
+        return _cold_run(self, ex, env)
 
     def run(self, ex, env, steps=None):
         """Execute the plan; a generator with the engine's yield protocol.
@@ -318,19 +322,52 @@ def _inline_run(plan, ex, env):
 
 
 def _cold_run(plan, ex, env):
-    """Enter an inlineable plan that has no generated body: replay it,
-    or — once ``mode=codegen`` has seen it :data:`TIER_UP_EXECUTIONS`
-    times — generate the body and run that from this entry on."""
+    """Enter a plan that has no generated body: replay it, or — once
+    ``mode=codegen`` has seen it :data:`TIER_UP_EXECUTIONS` times —
+    generate the body and run that from this entry on.  What the
+    replays did is what the body's kind is chosen from: an entry whose
+    replay handed a generator back is counted as suspended."""
     cache = plan.tier
-    if cache is not None:
-        plan.runs = runs = plan.runs + 1
-        shape = plan.shape
-        if shape is not None:
-            # A site's view: the threshold is the shape's, over all sites.
-            shape.runs = runs = shape.runs + 1
-        if runs > TIER_UP_EXECUTIONS:
-            return cache.tier_up(plan)(ex, env)
-    return _inline_run(plan, ex, env)
+    if cache is None:
+        if plan.inlineable:
+            return _inline_run(plan, ex, env)
+        return plan.run(ex, env)
+    plan.runs = runs = plan.runs + 1
+    # A site's view: the counts are the shape's, over all sites.
+    counted = plan.shape
+    if counted is None:
+        counted = plan
+    else:
+        counted.runs = runs = counted.runs + 1
+    if runs > TIER_UP_EXECUTIONS:
+        return cache.tier_up(plan)(ex, env)
+    if not plan.inlineable:
+        return plan.run(ex, env)
+    suspended = _inline_run(plan, ex, env)
+    if suspended is not None:
+        counted.suspensions += 1
+    return suspended
+
+
+def _suspends(plan) -> bool:
+    """Which kind of generated body ``plan`` gets: the *suspending* kind
+    (a generator function: a step that waits yields in place) or the
+    *inline* kind (a plain function that returns ``None``, or hands the
+    rest of the entry to :func:`_resume` the rare time a step waits).
+
+    A plan with an ``await`` or returned values in it has no inline
+    form.  Otherwise the replays decide: a generator frame costs an
+    entry about 0.9 µs (the 4x4 WS program's 11 093 entries with each
+    kind forced), one suspension of the inline kind about 6 µs
+    (``_resume`` plus :meth:`BlockPlan.run` over the rest of the
+    steps), so the suspending kind pays from one suspended entry in
+    seven or so — one in eight, as a power of two.  Nothing observable
+    depends on the choice (``tests/sim/test_suspending_bodies.py``
+    forces each)."""
+    if not plan.inlineable:
+        return True
+    counted = plan.shape or plan
+    return counted.suspensions * 8 > counted.runs
 
 
 def _resume(plan, ex, env, gen, index, flush):
@@ -383,6 +420,7 @@ class ShapePlan(BlockPlan):
         plan.inlineable = self.inlineable
         plan.compiled = None
         plan.runs = 0
+        plan.suspensions = 0
         plan.tier = self.tier
         plan.shape = self
         plan.site = site
@@ -577,8 +615,9 @@ class PlanCache:
         self.codegen_shared = 0
         self.codegen_tiered_up = 0
         self.codegen_typed = 0
-        #: Why plans can never be code-generated: the first
-        #: non-inlineable step of each, ``"K_GEN:equeue.await"`` -> count.
+        self.codegen_suspending = 0
+        #: Why plans can never be code-generated: the first step of each
+        #: that the emitter cannot express, ``"K_ANY:<op>"`` -> count.
         self.codegen_fallbacks = collections.Counter()
         #: Entries a generated body handed back to plan replay because a
         #: value it was entered with is not of the type it was compiled
@@ -670,6 +709,7 @@ class PlanCache:
             self.plan_shapes,
             self.plans_shared,
             self.codegen_typed,
+            self.codegen_suspending,
         )
 
     def tier_up(self, plan: BlockPlan):
@@ -679,10 +719,13 @@ class PlanCache:
         from .codegen import compile_block_body
 
         with _span("codegen.compile", steps=len(plan.steps)):
-            plan.compiled, shared, typed = compile_block_body(plan)
+            plan.compiled, shared, typed, suspending = compile_block_body(
+                plan
+            )
         self.codegen_blocks += 1
         self.codegen_shared += shared
         self.codegen_typed += typed
+        self.codegen_suspending += suspending
         # Had the plan (for a view: its shape) replayed before this entry?
         replays = min((plan.shape or plan).runs - 1, TIER_UP_EXECUTIONS)
         self.codegen_tiered_up += replays > 0
@@ -762,19 +805,20 @@ class PlanCache:
                             engine._resolve,
                         )
                     )
-                    declined = declined or f"K_RET:{name}"
                 break
             if name in ("affine.yield", "scf.yield"):
                 break
             step = self._compile_op(op)
             if step is not None:
                 steps.append(step)
-                if declined is None and step[0] not in _INLINEABLE:
-                    declined = f"{_KIND_NAMES[step[0]]}:{name}"
+                if declined is None and step[0] == K_ANY:
+                    declined = f"K_ANY:{name}"
         # Nothing is generated here: a body is emitted when executions
         # enter this plan often enough (:func:`_cold_run`), so sub-plans
-        # that a parent's body flattens never reach ``compile()``.
-        tier = self if self.codegen else None
+        # that a parent's body flattens never reach ``compile()``.  An
+        # op the compiler has no description of is the one thing the
+        # emitter cannot express: such a plan replays however hot.
+        tier = self if self.codegen and declined is None else None
         shape = self._shape
         if shape is None:
             plan = BlockPlan(steps, tier, block)
@@ -1074,57 +1118,92 @@ def _plain_access_cost(memory, is_write) -> int:
     return -1
 
 
+def _waits_inline(cache) -> bool:
+    """May a scalar access that has to wait be taken without the general
+    handler?  Not under detailed tracing: the handler makes the
+    ``read``/``write`` trace record of the wait."""
+    return not cache.detailed
+
+
+def _blocked_read(queue, cost, conn, nbytes):
+    """What is left of a scalar read that has to wait, once its step has
+    taken the value and counted the traffic and the executor has flushed
+    the pending cycles (so ``now`` is the flushed one): book the
+    memory's queue, then the connection's from where the memory is done,
+    as :meth:`Engine._h_read` does, and wait for the later end."""
+    now = queue.sim.now
+    end = queue.book(cost)[1] if cost else now
+    if conn is not None:
+        transfer = conn.transfer_cycles(nbytes)
+        conn.record(nbytes, transfer, is_write=False)
+        if transfer:
+            end = max(end, conn.read_queue.book(transfer, at=end)[1])
+    if end > now:
+        yield end - now
+
+
+def _blocked_write(queue, cost, conn, nbytes, array, target, stored):
+    """The same for a scalar write, in :meth:`Engine._h_write`'s order:
+    the connection first, the memory's queue from where the connection
+    is done — and the element is stored once both are booked, so a read
+    that another processor makes during the flush sees the old one."""
+    now = end = queue.sim.now
+    if conn is not None:
+        transfer = conn.transfer_cycles(nbytes)
+        conn.record(nbytes, transfer, is_write=True)
+        if transfer:
+            end = conn.write_queue.book(transfer, at=now)[1]
+    if cost:
+        end = max(end, queue.book(cost, at=end)[1])
+    array[target] = stored
+    if end > now:
+        yield end - now
+
+
+def _scalar_access(cache, engine, op, leading):
+    """What :func:`_c_read` and :func:`_c_write` share: the static
+    decomposition of a full-rank element access, or ``None`` when the
+    op is the general handler's — a tensor or partial access, or a
+    connected one that is posted or has a trace record to leave."""
+    posted, buffer_ssa, conn_ssa, indices_ssa = engine._read_write_static(
+        op, leading
+    )
+    rank = _buffer_rank(buffer_ssa)
+    if rank is None or rank == 0 or len(indices_ssa) != rank:
+        return None
+    # A wait is taken here (:func:`_blocked_read`) unless the access is
+    # posted — it never waits — or traced op by op.
+    waits = not posted and _waits_inline(cache)
+    if conn_ssa is not None and not waits:
+        return None
+    folded, const_idx = _static_index_tuple(indices_ssa, cache._slots)
+    return (
+        posted, waits, buffer_ssa, conn_ssa, indices_ssa, folded, const_idx,
+        cache.access_memo(),
+    )
+
+
 @_compiles("equeue.read")
 def _c_read(cache, engine, op):
     general = _bound(cache, type(engine)._h_read, op)
-    posted, buffer_ssa, conn_ssa, indices_ssa = engine._read_write_static(op, 1)
-    rank = _buffer_rank(buffer_ssa)
-    if conn_ssa is not None or rank is None or rank == 0 \
-            or len(indices_ssa) != rank:
+    static = _scalar_access(cache, engine, op, 1)
+    if static is None:
         return (K_DYN, general, None)
+    (
+        posted, waits, buffer_ssa, conn_ssa, indices_ssa, folded, const_idx,
+        state,
+    ) = static
     result = op.result()
     resolve = engine._resolve
-    # Last-seen memory and its 1-element read cost (-1: slow path).
-    state = cache.access_memo()
-    folded, const_idx = _static_index_tuple(indices_ssa, cache._slots)
-    # One layout for every scalar read the emitter inlines (memref loads
-    # are the unposted case), and one for every write.
-    meta = (
-        "read", buffer_ssa, result, posted, state, const_idx, indices_ssa,
-        general, resolve,
-    )
 
-    # Scalar element read, no connection: for stateless memories the cost
-    # is address-independent, so zero-cost and posted accesses complete
-    # without touching the schedule queue — the hot path of PE register
-    # traffic.  Anything else falls back to the full handler.
-    # ``ndarray.item(*indices)`` yields the Python scalar directly,
-    # skipping the intermediate NumPy scalar of plain indexing.
-    if folded is not None:
-
-        def step(ex, env):
-            try:
-                buffer = env[buffer_ssa]
-            except KeyError:
-                buffer = resolve(env, buffer_ssa)
-            if type(buffer) is Future:
-                buffer = buffer.value
-            memory = buffer.memory
-            if memory is not state[0]:
-                state[1] = _plain_access_cost(memory, False)
-                state[0] = memory
-            cost = state[1]
-            if cost == 0 or (posted and cost > 0):
-                env[result] = buffer.array.item(*folded)
-                memory.bytes_read += buffer.element_bits >> 3
-                memory.reads += 1
-                if cost:
-                    memory.queue.posted_busy_cycles += cost
-                return 0
-            return general(ex, env)
-
-        return (K_DYN, step, meta)
-
+    # Scalar element read: for stateless memories the cost is
+    # address-independent (``state``: last-seen memory and its 1-element
+    # read cost, -1: the handler's), so zero-cost and posted accesses
+    # complete without touching the schedule queue — the hot path of PE
+    # register traffic — and one that has to wait leaves only the
+    # booking to a generator.  ``ndarray.item(*indices)`` yields the
+    # Python scalar directly, skipping the intermediate NumPy scalar of
+    # plain indexing.
     def step(ex, env):
         try:
             buffer = env[buffer_ssa]
@@ -1137,37 +1216,60 @@ def _c_read(cache, engine, op):
             state[1] = _plain_access_cost(memory, False)
             state[0] = memory
         cost = state[1]
-        if cost == 0 or (posted and cost > 0):
+        conn = None
+        if conn_ssa is not None:
+            conn = resolve(env, conn_ssa)
+            if cost == 0 and conn.bandwidth <= 0:
+                return general(ex, env)  # nothing to wait for
+        if cost == 0 or (cost > 0 and (posted or waits)):
             try:
                 # int(Future) raises TypeError, a missing binding KeyError;
                 # both mean "take the general handler".
-                env[result] = buffer.array.item(
-                    *[int(env[s]) for s in indices_ssa]
+                value = buffer.array.item(
+                    *(folded or [int(env[s]) for s in indices_ssa])
                 )
             except (KeyError, TypeError):
                 return general(ex, env)
-            memory.bytes_read += buffer.element_bits >> 3
+            # The value is the one in the buffer *now*, before any
+            # pending cycles are flushed: another processor may store
+            # over it while they elapse.
+            env[result] = value
+            nbytes = buffer.element_bits >> 3
+            memory.bytes_read += nbytes
             memory.reads += 1
-            if cost:
-                memory.queue.posted_busy_cycles += cost
-            return 0
+            if conn is None:
+                if not cost:
+                    return 0
+                if posted:
+                    memory.queue.posted_busy_cycles += cost
+                    return 0
+            return _blocked_read(memory.queue, cost, conn, nbytes)
         return general(ex, env)
 
+    # One layout for every scalar read the emitter inlines (memref loads
+    # are the unposted case), and one for every write; a connected
+    # access is the step's alone.
+    meta = None
+    if conn_ssa is None:
+        meta = (
+            "read", buffer_ssa, result, posted, state, const_idx,
+            indices_ssa, resolve, waits,
+        )
     return (K_DYN, step, meta)
 
 
 @_compiles("equeue.write")
 def _c_write(cache, engine, op):
     general = _bound(cache, type(engine)._h_write, op)
-    posted, buffer_ssa, conn_ssa, indices_ssa = engine._read_write_static(op, 2)
-    rank = _buffer_rank(buffer_ssa)
-    if conn_ssa is not None or rank is None or rank == 0 \
-            or len(indices_ssa) != rank:
+    static = _scalar_access(cache, engine, op, 2)
+    if static is None:
         return (K_DYN, general, None)
+    (
+        posted, waits, buffer_ssa, conn_ssa, indices_ssa, folded, const_idx,
+        state,
+    ) = static
     value_ssa = op.operand(0)
     resolve = engine._resolve
-    state = cache.access_memo()
-    folded, const_idx = _static_index_tuple(indices_ssa, cache._slots)
 
     def step(ex, env):
         try:
@@ -1181,7 +1283,12 @@ def _c_write(cache, engine, op):
             state[1] = _plain_access_cost(memory, True)
             state[0] = memory
         cost = state[1]
-        if cost == 0 or (posted and cost > 0):
+        conn = None
+        if conn_ssa is not None:
+            conn = resolve(env, conn_ssa)
+            if cost == 0 and conn.bandwidth <= 0:
+                return general(ex, env)  # nothing to wait for
+        if cost == 0 or (cost > 0 and (posted or waits)):
             stored = env.get(value_ssa, _MISSING)
             if stored is _MISSING or type(stored) is Future:
                 return general(ex, env)
@@ -1194,24 +1301,35 @@ def _c_write(cache, engine, op):
                     target = tuple([int(env[s]) for s in indices_ssa])
                 except (KeyError, TypeError):
                     return general(ex, env)
+            blocked = conn is not None or (cost > 0 and not posted)
             if isinstance(stored, np.ndarray):
+                if blocked:
+                    return general(ex, env)
                 buffer.array[target] = np.asarray(stored).reshape(
                     buffer.array[target].shape
                 )
-            else:
+            elif not blocked:
                 buffer.array[target] = stored
-            memory.bytes_written += buffer.element_bits >> 3
+            nbytes = buffer.element_bits >> 3
+            memory.bytes_written += nbytes
             memory.writes += 1
+            if blocked:
+                return _blocked_write(
+                    memory.queue, cost, conn, nbytes, buffer.array, target,
+                    stored,
+                )
             if cost:
                 memory.queue.posted_busy_cycles += cost
             return 0
         return general(ex, env)
 
     # (The last slot: an ndarray value is reshaped to the target's.)
-    meta = (
-        "write", buffer_ssa, value_ssa, posted, state, const_idx,
-        indices_ssa, general, resolve, True,
-    )
+    meta = None
+    if conn_ssa is None:
+        meta = (
+            "write", buffer_ssa, value_ssa, posted, state, const_idx,
+            indices_ssa, resolve, waits, True,
+        )
     return (K_DYN, step, meta)
 
 
@@ -1251,9 +1369,10 @@ def _c_load(cache, engine, op):
             return 0
         return general(ex, env)
 
+    # (A load that has to wait stays the handler's: ``False``.)
     meta = (
         "read", buffer_ssa, result, False, state, const_idx, indices_ssa,
-        general, resolve,
+        resolve, False,
     )
     return (K_DYN, step, meta)
 
@@ -1298,7 +1417,7 @@ def _c_store(cache, engine, op):
 
     meta = (
         "write", buffer_ssa, value_ssa, False, state, const_idx,
-        indices_ssa, general, resolve, False,
+        indices_ssa, resolve, False, False,
     )
     return (K_DYN, step, meta)
 
@@ -1408,11 +1527,17 @@ def _c_for(cache, engine, op):
     body_plan = cache.compile(body)
     induction = body.arguments[0]
     loop_range = range(op.lower_bound, op.upper_bound, op.step)
+    # The ("for", ...) metadata lets the codegen emitter flatten the loop
+    # into the generated body — no generator frame per loop — while plan
+    # replay keeps using the step closures (both executors ignore the
+    # extra slot of K_CTRL and K_VEC).  A suspending body flattens a
+    # vectorized loop too, behind :meth:`_VectorLoop.attempt`.
+    meta = ("for", body_plan, induction, loop_range)
     if cache.vectorize:
         vec = _try_vectorize(cache, body, induction, loop_range, body_plan)
         if vec is not None:
             cache.vector_loops += 1
-            return (K_VEC, vec, None)
+            return (K_VEC, vec, meta)
 
     def step(ex, env):
         for i in loop_range:
@@ -1421,11 +1546,7 @@ def _c_for(cache, engine, op):
             if suspended is not None:
                 yield from suspended
 
-    # The ("for", ...) metadata lets the codegen emitter flatten the loop
-    # into the generated body — no generator frame per loop — while plan
-    # replay keeps using the step closure above (the extra slot is ignored
-    # by both executors for K_CTRL).
-    return (K_CTRL, step, ("for", body_plan, induction, loop_range))
+    return (K_CTRL, step, meta)
 
 
 @_compiles("affine.parallel")
@@ -1526,7 +1647,7 @@ def _try_vectorize(cache, body, induction, loop_range, body_plan):
     Returns a :class:`_VectorLoop` or ``None`` when any op falls outside
     the analysable subset.  The *runtime* part of the safety argument
     (zero-cost memories, aliasing, scatter injectivity) lives in the guard
-    inside :meth:`_VectorLoop.__call__`.
+    inside :meth:`_VectorLoop.attempt`.
     """
     engine = cache.engine
     ops = list(body.ops)
@@ -1704,7 +1825,7 @@ class _VectorLoop:
 
     Calling it either performs the whole loop (returning ``None``) or
     returns a generator that replays the scalar plan when a runtime guard
-    fails.
+    fails (:meth:`attempt` is the first half alone).
     """
 
     __slots__ = (
@@ -1728,7 +1849,6 @@ class _VectorLoop:
         self.trip = len(loop_range)
 
     def _scalar(self, ex, env):
-        self.cache.vector_fallbacks += 1
         plan = self.body_plan
         induction = self.induction
         for i in self.loop_range:
@@ -1738,9 +1858,21 @@ class _VectorLoop:
                 yield from suspended
 
     def __call__(self, ex, env):
+        if self.attempt(ex, env):
+            return None
+        return self._scalar(ex, env)
+
+    def _guard_failed(self) -> bool:
+        self.cache.vector_fallbacks += 1
+        return False
+
+    def attempt(self, ex, env) -> bool:
+        """Perform the whole loop if the runtime guards allow it; when
+        one fails no buffer or counter has been touched, and the caller
+        runs the scalar loop — ``_scalar``, or a generated body's own."""
         trip = self.trip
         if trip == 0:
-            return None
+            return True
         engine = self.cache.engine
         resolve = engine._resolve
 
@@ -1751,15 +1883,15 @@ class _VectorLoop:
             if not isinstance(runtime, Buffer) or not _uncontended(
                 runtime.memory
             ):
-                return self._scalar(ex, env)
+                return self._guard_failed()
             buffers[ssa] = runtime
         written = [buffers[s] for s in self.write_ssas]
         written += [buffers[s] for s in self.reduce_ssas]
         written_ids = {id(b) for b in written}
         if len(written_ids) != len(written):
-            return self._scalar(ex, env)
+            return self._guard_failed()
         if written_ids & {id(buffers[s]) for s in self.read_ssas}:
-            return self._scalar(ex, env)
+            return self._guard_failed()
 
         # -- batched evaluation (no buffer mutation yet) ---------------
         env[self.induction] = np.arange(
@@ -1822,7 +1954,7 @@ class _VectorLoop:
                 mode="wrap",
             )
             if len(np.unique(flat)) != trip:
-                return self._scalar(ex, env)
+                return self._guard_failed()
 
         # -- commit: buffers, statistics, aggregate cycles -------------
         for buffer, indices, value in scatters:
@@ -1843,7 +1975,7 @@ class _VectorLoop:
         if self.charged:
             ex.pending += trip * self.charged * ex.proc.spec.arith_cycles
         self.cache.vector_iterations += trip
-        return None
+        return True
 
 
 # plan <-> engine import each other.  Both sides import at the bottom,

@@ -13,7 +13,7 @@ After a simulation the engine produces a :class:`ProfilingSummary` with:
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional
 
 
@@ -122,15 +122,20 @@ class ProfilingSummary:
     #: entered with are loaded and type-checked once, and ``index``
     #: arithmetic on them is plain Python expressions.
     codegen_typed: int = 0
+    #: ... of which are of the *suspending* kind — generator functions,
+    #: in which a step that waits yields in place: what a block whose
+    #: replays kept suspending, or that awaits or returns values, gets.
+    codegen_suspending: int = 0
     #: Entries a typed body handed back to plan replay because a value
     #: it was entered with was not of the type it was compiled for, as
     #: ``"<kind>:<type found>"`` (``int:numpy.int64``, ``value:Future``).
     codegen_deopts: Dict[str, int] = field(default_factory=dict)
-    #: Plans compiled this run that codegen can never take
-    #: (non-inlineable); they replay as plans however hot they get.
+    #: Plans compiled this run that codegen can never take (an op the
+    #: plan compiler has no description of); they replay as plans
+    #: however hot they get.
     codegen_fallbacks: int = 0
-    #: ``codegen_fallbacks`` by cause: the first non-inlineable step of
-    #: each plan as ``"<step kind>:<op name>"``.
+    #: ``codegen_fallbacks`` by cause: the first step of each plan that
+    #: the emitter cannot express, as ``"<step kind>:<op name>"``.
     codegen_fallback_reasons: Dict[str, int] = field(default_factory=dict)
     #: Resolved :class:`~repro.sim.engine.ExecutionMode` value the run
     #: executed under ("" for records written before modes existed).
@@ -165,15 +170,21 @@ class ProfilingSummary:
         result round-trips through :meth:`from_dict` to an equal summary
         (``from_dict(s.to_dict()) == s``).
         """
-        record = asdict(self)
-        record["connections"] = {
-            name: asdict(report)
-            for name, report in sorted(self.connections.items())
-        }
-        record["memories"] = {
-            name: asdict(report)
-            for name, report in sorted(self.memories.items())
-        }
+        # One flat copy, field by field (``dataclasses.asdict`` deep-copies
+        # every leaf, recursively): the dict-valued fields hold scalars
+        # or reports of scalars, so one level is a full copy.
+        record = {}
+        for name in _SUMMARY_FIELDS:
+            value = getattr(self, name)
+            report_fields = _REPORT_FIELDS.get(name)
+            if report_fields is not None:
+                value = {
+                    key: {f: getattr(report, f) for f in report_fields}
+                    for key, report in sorted(value.items())
+                }
+            elif type(value) is dict:
+                value = dict(value)
+            record[name] = value
         return record
 
     @classmethod
@@ -253,6 +264,7 @@ class ProfilingSummary:
                 f"codegen blocks:           {self.blocks_codegenned} "
                 f"generated ({self.codegen_code_shared} shared code, "
                 f"{self.codegen_tiered_up} tiered up, "
+                f"{self.codegen_suspending} suspending, "
                 f"{self.codegen_typed} typed), "
                 f"{self.codegen_fallbacks} fallbacks"
                 + (f" ({reasons})" if reasons else "")
@@ -290,3 +302,12 @@ class ProfilingSummary:
                     f"{m.avg_write_bandwidth:8.3f}"
                 )
         return "\n".join(lines)
+
+
+#: Field names, in declaration order (the key order of ``to_dict``).
+_SUMMARY_FIELDS = tuple(f.name for f in fields(ProfilingSummary))
+#: The fields holding reports by name, and the fields of a report.
+_REPORT_FIELDS = {
+    "connections": tuple(f.name for f in fields(ConnectionReport)),
+    "memories": tuple(f.name for f in fields(MemoryReport)),
+}

@@ -31,6 +31,7 @@ HOST_ONLY_FIELDS = (
     "codegen_code_shared",
     "codegen_tiered_up",
     "codegen_typed",
+    "codegen_suspending",
     "codegen_deopts",
 )
 

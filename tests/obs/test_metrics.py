@@ -196,6 +196,7 @@ GOLDEN_ENGINE_METRICS = (
     "engine.codegen_code_shared",
     "engine.codegen_tiered_up",
     "engine.codegen_typed",
+    "engine.codegen_suspending",
     "engine.trace_records_dropped",
     "engine.run_seconds.count",
     "engine.run_seconds.sum",
@@ -224,38 +225,30 @@ class TestEngineGoldenKeys:
 
     def test_codegen_fallbacks_carry_their_reason(self):
         """A cold run's fallbacks land in one counter per cause — the
-        first step kind and op that keep a plan out of codegen — with
-        the reason spelled as a metric-name suffix."""
-        from repro.scenarios import get_scenario
-        from repro.sim import simulate
+        first step of a plan that the emitter cannot express: an op the
+        plan compiler has no description of, run by its handler — with
+        the reason spelled as a metric-name suffix.  (``await`` and
+        returned values are no cause: FIR declines nothing.)"""
+        from repro.scenarios import simulate_scenario
+        from tests.sim.test_suspending_bodies import (
+            ExtendedEngine,
+            _extension_op_program,
+        )
 
-        scenario = get_scenario("fir")
-        cfg = scenario.configure()
+        assert simulate_scenario("fir")[0].summary.codegen_fallbacks == 0
+        module, inputs = _extension_op_program()
         before = obs_metrics.get_registry().snapshot()
         obs_metrics.enable_metrics()
         try:
-            summary = simulate(
-                scenario.build(cfg), inputs=scenario.make_inputs(cfg, 0)
-            ).summary
+            summary = ExtendedEngine(module, inputs=inputs).run().summary
         finally:
             obs_metrics.disable_metrics()
         after = obs_metrics.get_registry().snapshot()
-        assert summary.codegen_fallback_reasons == {
-            "K_GEN:equeue.await": 1,
-            "K_RET:equeue.return_values": 8,
-        }
-        assert summary.codegen_fallbacks == 9
-        for suffix, count in (
-            ("k_gen.equeue.await", 1),
-            ("k_ret.equeue.return_values", 8),
-        ):
-            name = f"engine.codegen_fallbacks.{suffix}"
-            assert after[name] == before.get(name, 0.0) + count
-        assert (
-            "9 fallbacks (1 K_GEN:equeue.await, "
-            "8 K_RET:equeue.return_values)" in summary.format()
-        )
-
+        assert summary.codegen_fallback_reasons == {"K_ANY:ext.tick": 2}
+        assert summary.codegen_fallbacks == 2
+        name = "engine.codegen_fallbacks.k_any.ext.tick"
+        assert after[name] == before.get(name, 0.0) + 2
+        assert "2 fallbacks (2 K_ANY:ext.tick)" in summary.format()
 
     def test_declined_shape_sharing_carries_its_reason(self):
         """Launch bodies compiled once per shape are counted; one kept

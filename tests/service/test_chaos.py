@@ -71,6 +71,7 @@ HOST_FIELDS = (
     "codegen_code_shared",
     "codegen_tiered_up",
     "codegen_typed",
+    "codegen_suspending",
     "codegen_deopts",
     "codegen_fallbacks",
     "codegen_fallback_reasons",

@@ -189,10 +189,11 @@ class TestCodegenDifferential:
 
         results = run_all_modes(build)
         summary = results["codegen"].summary
-        # The FIR cascade has both inlineable bodies and suspension-heavy
-        # ones: codegen takes the former and cleanly declines the latter.
-        assert summary.blocks_codegenned > 0
-        assert summary.codegen_fallbacks > 0
+        # The FIR cascade has both inlineable bodies and ones that await
+        # or return values: codegen takes the former as plain functions
+        # and the latter as generators, and declines nothing.
+        assert summary.blocks_codegenned > summary.codegen_suspending > 0
+        assert summary.codegen_fallbacks == 0
 
     def test_heap_scheduler(self, rng):
         data = rng.integers(-40, 40, 12).astype(np.int32)

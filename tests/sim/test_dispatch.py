@@ -7,11 +7,15 @@ kept beside, so the oracle is a recording:
 ``tests/sim/data/dispatch_recorded.json`` holds — for every registered
 scenario (default configuration and one grid point), the four lowering
 pipeline stages, ``examples/programs/toy_accelerator.mlir``, the two
-programs of ``test_codegen_tiering.py`` whose hot bodies suspend, and
+programs of ``test_codegen_tiering.py`` whose hot bodies suspend,
 five hand-written programs that walk each arm of the dispatcher (a head
 entry whose dependency triggers late, launch results captured by a
 second launch, a memcpy queued behind a busy DMA, a value-returning body
-between plain ones, a burst of zero-cycle launches) — what the
+between plain ones, a burst of zero-cycle launches), and six whose
+bodies *block* (``BLOCKING``, recorded one PR later, while every access
+that waits, every ``await`` and every ``return_values`` still went
+through the general handlers — the oracle of
+``test_suspending_bodies.py``) — what the
 generator loop produced under each execution mode and scheduler: cycles,
 the scheduler-event count and its microtask/wheel/heap split, every
 processor's busy cycles and executed entries, a digest of every buffer,
@@ -212,6 +216,226 @@ def _toy():
     return module, {"sram_buf": np.array([1, 2, 3, 4], np.int32)}
 
 
+# ---------------------------------------------------------------------------
+# Bodies that block (recorded while every blocked access, ``await`` and
+# ``return_values`` still went through the general handlers and plan
+# replay: the oracle of ``tests/sim/test_suspending_bodies.py``)
+# ---------------------------------------------------------------------------
+
+#: Entries of the hot bodies below: past ``plan.TIER_UP_EXECUTIONS``, so
+#: a default run generates their code part-way.
+HOT = 72
+
+
+def _nest(racing=False):
+    """A three-deep ``affine.for`` nest — 3 x 4 x 6 = ``HOT`` innermost
+    iterations — whose every read and write waits on a one-cycle SRAM
+    (the vectoriser compiles the innermost loop and its guard turns the
+    SRAM away on each of its 12 entries).  The read of ``flag`` comes
+    after three cycles of arithmetic: its value is taken *before* those
+    cycles are flushed.  ``racing``: a second processor adds to ``flag``
+    every fifth cycle — out of step with the nest's twelve — so a value
+    taken after the flush is, more often than not, a different one."""
+    module, eq = _program()
+    sram = eq.create_mem("SRAM", 512, ir.i32, name="sram")
+    side = eq.create_mem("SRAM", 8, ir.i32, name="side")
+    src = eq.alloc(sram, [3, 4, 6], ir.i32, name="src")
+    acc = eq.alloc(sram, [3, 4], ir.i32, name="acc")
+    seen = eq.alloc(sram, [3, 4, 6], ir.i32, name="seen")
+    flag = eq.alloc(side, [1], ir.i32, name="flag")
+    pe = eq.create_proc("MAC", name="pe")
+    start = eq.control_start()
+
+    def nest(b, src_a, acc_a, seen_a, flag_a):
+        zero = arith.constant(b, 0, ir.index)
+
+        def innermost(b3, i, j, k):
+            eq3 = EQueueBuilder(b3)
+            x = eq3.read_element(src_a, [i, j, k])
+            y = arith.addi(b3, arith.muli(b3, x, x), x)
+            total = arith.addi(b3, eq3.read_element(acc_a, [i, j]), y)
+            eq3.write_element(total, acc_a, [i, j])
+            y = arith.addi(b3, arith.addi(b3, arith.addi(b3, y, x), x), x)
+            eq3.write_element(
+                arith.addi(b3, y, eq3.read_element(flag_a, [zero])),
+                seen_a, [i, j, k],
+            )
+
+        affine.for_loop(b, 0, 3, body=lambda b1, i: affine.for_loop(
+            b1, 0, 4, body=lambda b2, j: affine.for_loop(
+                b2, 0, 6, body=lambda b3, k: innermost(b3, i, j, k))))
+
+    done = [
+        eq.launch(start, pe, args=[src, acc, seen, flag], body=nest,
+                  label="nest")[0]
+    ]
+    if racing:
+        racer = eq.create_proc("MAC", name="racer")
+
+        def rewrite(b, flag_a):
+            zero = arith.constant(b, 0, ir.index)
+            one = arith.constant(b, 1, ir.i32)
+
+            def step(b1, n):
+                eq1 = EQueueBuilder(b1)
+                value = eq1.read_element(flag_a, [zero])
+                for _ in range(3):
+                    value = arith.addi(b1, value, one)
+                eq1.write_element(value, flag_a, [zero])
+
+            affine.for_loop(b, 0, 2 * HOT, body=step)
+
+        done.append(
+            eq.launch(start, racer, args=[flag], body=rewrite, label="racer")[0]
+        )
+    eq.await_(eq.control_and(done))
+    ir.verify(module)
+    return module, {
+        "src": np.arange(1, HOT + 1, dtype=np.int32).reshape(3, 4, 6),
+        "flag": np.array([1], np.int32),
+    }
+
+
+def _connection_contended():
+    """Two processors' scalar reads share one two-bytes-a-cycle
+    connection: one reads a register file through it (only the
+    connection makes it wait), the other an SRAM (the memory's queue,
+    then the connection's)."""
+    module, eq = _program()
+    sram = eq.create_mem("SRAM", 64, ir.i32, name="sram")
+    regs = eq.create_mem("Register", 256, ir.i32, name="regs")
+    link = eq.create_connection("Streaming", 2)
+    sources = [
+        eq.alloc(regs, [12], ir.i32, name="near"),
+        eq.alloc(sram, [12], ir.i32, name="far"),
+    ]
+    start = eq.control_start()
+    done = []
+    for k, source in enumerate(sources):
+        pe = eq.create_proc("MAC", name=f"pe{k}")
+        out = eq.alloc(regs, [12], ir.i32, name=f"out{k}")
+
+        def body(b, source_a, out_a, link_a):
+            def step(b1, i):
+                eq1 = EQueueBuilder(b1)
+                x = eq1.read_element(source_a, [i], conn=link_a)
+                eq1.write_element(arith.addi(b1, x, x), out_a, [i])
+                eq1.write_element(x, source_a, [i], conn=link_a)
+
+            affine.for_loop(b, 0, 12, body=step)
+
+        done.append(
+            eq.launch(start, pe, args=[source, out, link], body=body,
+                      label=f"pe{k}")[0]
+        )
+    eq.await_(eq.control_and(done))
+    ir.verify(module)
+    data = np.arange(3, 15, dtype=np.int32)
+    return module, {"near": data, "far": data[::-1].copy()}
+
+
+def _hot_kernel(step):
+    """A kernel that runs ``step(builder, i, pe, dma, src, out)`` —
+    a loop body — ``HOT`` times."""
+    module, eq = _program()
+    sram = eq.create_mem("SRAM", 256, ir.i32, name="sram")
+    regs = eq.create_mem("Register", 256, ir.i32, name="regs")
+    src = eq.alloc(sram, [HOT], ir.i32, name="src")
+    out = eq.alloc(regs, [HOT], ir.i32, name="out")
+    kernel = eq.create_proc("ARMr5", name="kernel")
+    pe = eq.create_proc("MAC", name="pe")
+    dma = eq.create_dma(name="dma")
+    start = eq.control_start()
+
+    def main(b, *captured):
+        affine.for_loop(
+            b, 0, HOT, body=lambda b1, i: step(b1, i, *captured)
+        )
+
+    done, = eq.launch(
+        start, kernel, args=[pe, dma, src, out], body=main, label="main"
+    )
+    eq.await_(done)
+    ir.verify(module)
+    return module, {"src": np.arange(2, HOT + 2, dtype=np.int32)}
+
+
+def _await_hot():
+    """The kernel launches a body per iteration that itself launches a
+    read onto the DMA and *awaits* it: ``HOT`` entries of a body with an
+    ``equeue.await`` in it."""
+
+    def step(b, i, pe, dma, src, out):
+        eq = EQueueBuilder(b)
+
+        def fetch(b2, i2, src2, out2):
+            eq2 = EQueueBuilder(b2)
+            eq2.write_element(eq2.read_element(src2, [i2]), out2, [i2])
+
+        def waits(b1, i1, dma1, src1, out1):
+            eq1 = EQueueBuilder(b1)
+            fetched, = eq1.launch(
+                eq1.control_start(), dma1, args=[i1, src1, out1], body=fetch
+            )
+            eq1.await_(fetched)
+            x = eq1.read_element(out1, [i1])
+            eq1.write_element(arith.muli(b1, x, x), out1, [i1])
+
+        eq.launch(
+            eq.control_start(), pe, args=[i, dma, src, out], body=waits
+        )
+
+    return _hot_kernel(step)
+
+
+def _returns_hot():
+    """``HOT`` entries of a body that returns values, each consumed by
+    the launch that depends on it."""
+
+    def step(b, i, pe, dma, src, out):
+        eq = EQueueBuilder(b)
+
+        def produce(b1, i1, src1):
+            x = EQueueBuilder(b1).read_element(src1, [i1])
+            return [arith.addi(b1, x, x), i1]
+
+        def consume(b1, doubled, where, out1):
+            EQueueBuilder(b1).write_element(doubled, out1, [where])
+
+        produced, doubled, where = eq.launch(
+            eq.control_start(), pe, args=[i, src], body=produce
+        )
+        eq.launch(produced, dma, args=[doubled, where, out], body=consume)
+
+    return _hot_kernel(step)
+
+
+def _memcpy_hot():
+    """A one-element ``memcpy`` per iteration of the kernel's hot loop,
+    issued after a cycle of arithmetic (so the issue has a flush to
+    make) and awaited in the loop."""
+
+    def step(b, i, pe, dma, src, out):
+        eq = EQueueBuilder(b)
+        x = eq.read_element(out, [i])
+        eq.write_element(arith.addi(b, x, x), out, [i])
+        copied = eq.memcpy(
+            eq.control_start(), src, out, dma, offsets=[i, i], count=1
+        )
+        eq.await_(copied)
+
+    return _hot_kernel(step)
+
+
+BLOCKING = {
+    "nest-blocking": _nest,
+    "nest-racing": lambda: _nest(racing=True),
+    "connection-contended": _connection_contended,
+    "await-hot": _await_hot,
+    "returns-hot": _returns_hot,
+    "memcpy-hot": _memcpy_hot,
+}
+
 HAND_WRITTEN = {
     "late-dep": _late_dep,
     "returns-captured": _returns_captured,
@@ -220,6 +444,7 @@ HAND_WRITTEN = {
     "burst-50": lambda: _burst(50),
     "burst-50-returning": lambda: _burst(50, returning=True),
     "toy-accelerator": _toy,
+    **BLOCKING,
 }
 
 
@@ -270,16 +495,17 @@ def _digest(parts) -> str:
     return digest.hexdigest()[:16]
 
 
-def observe(program, mode, scheduler):
+def observe(program, mode, scheduler, tier_up_at=0):
     """One run's record.  Codegen runs with the tier-up at the first
-    execution, so generated bodies are what is compared."""
+    execution (as recorded; ``tier_up_at``: after that many), so
+    generated bodies are what is compared."""
     module, inputs, overrides = _build(program)
     options = EngineOptions(
         mode=mode, scheduler=scheduler, trace=True, **overrides
     )
     engine = Engine(module, options, inputs)
     saved = plan.TIER_UP_EXECUTIONS
-    plan.TIER_UP_EXECUTIONS = 0
+    plan.TIER_UP_EXECUTIONS = tier_up_at
     try:
         result = engine.run()
     finally:

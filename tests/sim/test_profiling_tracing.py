@@ -143,6 +143,37 @@ class TestSummarySerialization:
                 isinstance(value, (int, float, str)) for value in report.values()
             )
 
+    def test_the_flat_copy_is_what_asdict_made(self):
+        """Same keys, in the same order — fields as declared, reports by
+        sorted name — and the same values as ``dataclasses.asdict``."""
+        import dataclasses
+
+        summary = self._summary()
+        summary.codegen_deopts = {"int:bool": 2}
+        record = summary.to_dict()
+        reference = dataclasses.asdict(summary)
+        assert record == reference
+        assert list(record) == list(reference)
+        assert list(record["memories"]) == ["accel.regs", "accel.sram"]
+        assert list(record["memories"]["accel.sram"]) == list(
+            reference["memories"]["accel.sram"]
+        )
+
+    def test_the_dict_never_aliases_the_summary(self):
+        summary = self._summary()
+        summary.plan_share_declined = {"K_GEN:equeue.await": 1}
+        untouched = make_summary()
+        untouched.plan_share_declined = {"K_GEN:equeue.await": 1}
+        record = summary.to_dict()
+        record["plan_share_declined"]["identity:equeue.alloc"] = 3
+        record["codegen_deopts"]["int:bool"] = 1
+        record["connections"]["c"]["bandwidth"] = 99
+        record["memories"]["accel.sram"]["reads"] = 0
+        del record["memories"]["accel.regs"]
+        record["connections"]["d"] = {}
+        assert summary == untouched
+        assert summary.to_dict() == untouched.to_dict()
+
     def test_from_dict_tolerates_unknown_and_missing_fields(self):
         record = self._summary().to_dict()
         record["future_counter"] = 123  # newer writer
