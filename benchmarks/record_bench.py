@@ -121,8 +121,6 @@ def _row(mode, scheduler, warm, result, wall_clock_s, compile_summary):
         "launches_executed": summary.launches_executed,
         "plans_compiled": compile_summary.plans_compiled,
         "plan_cache_hits": summary.plan_cache_hits,
-        "vector_loops": compile_summary.vector_loops,
-        "vector_iterations": summary.vector_iterations,
         "blocks_codegenned": compile_summary.blocks_codegenned,
         "codegen_fallbacks": compile_summary.codegen_fallbacks,
     }

@@ -63,7 +63,6 @@ _log = obs_logs.get_logger("service.scheduler")
 _ALLOWED_OPTIONS = (
     "scheduler",
     "mode",
-    "vectorize_loops",
     "max_cycles",
     "strict_capacity",
     "linalg_mac_cycles",

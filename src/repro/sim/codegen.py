@@ -23,10 +23,9 @@ Python function — one statement group per step, with:
   body is entered with are looked up and checked once, not per use,
 * the per-processor arith cost (``ex.proc.spec.arith_cycles``) hoisted
   to one attribute chain per block execution,
-* scalar ``affine.for`` loops flattened into native ``for`` statements
-  (plan mode pays a generator frame per loop execution), with loop
-  bodies recursively inlined — in an inline body (below) up to
-  :data:`_MAX_FLATTEN_DEPTH` levels,
+* ``affine.for`` loops flattened into native ``for`` statements (plan
+  mode pays a generator frame per loop execution), with loop bodies
+  recursively inlined,
 * everything the body refers to — SSA values, pre-bound callables, and
   every per-site constant (static indices, fixed cycle counts, folded
   attribute values) — bound as a default argument (``LOAD_FAST``, no
@@ -61,27 +60,25 @@ deopt tier):
   case — no generator frame at all), or, the rare time a step waits,
   *returns* a generator that finishes the entry through the plan
   machinery: ``_resume`` / ``BlockPlan.run`` for the plan's remaining
-  steps, :func:`_for_resume` for the flattened loops around them
-  (``wrap`` in the emitter composes the chain).  What a systolic PE
-  body gets: it never suspends;
+  steps (``wrap`` in the emitter composes the chain out of flattened
+  branches).  What a systolic PE body gets: it never suspends;
 * a **suspending** body is a generator function: where an inline body
   returns, it *yields* — ``if ex.pending: … yield`` for a flush,
   ``yield from`` for an ``await`` or a handler's generator, ``return
   [...]`` for ``equeue.return_values`` — and goes on in generated code.
   Nothing is handed back to plan replay, so its ``affine.for`` nests
   are native loops at *every* depth (text grows with the op count,
-  nothing is unrolled), a vectorized loop's failed guard falls into the
-  flattened loop (:meth:`~repro.sim.plan._VectorLoop.attempt`), and a
-  scalar ``equeue.read``/``equeue.write`` that has to wait is emitted
-  in place, phase by phase in the general handler's order
-  (:data:`_READ_ORDER`, :data:`_WRITE_ORDER`): value and traffic
-  counters, flush, ``queue.book`` at the flushed ``now``, the store,
-  ``yield end - now``.  What the lowering ladder's loops over SRAM and
-  every body that awaits or returns values get.
+  nothing is unrolled), and a scalar ``equeue.read``/``equeue.write``
+  that has to wait is emitted in place, phase by phase in the general
+  handler's order (:data:`_READ_ORDER`, :data:`_WRITE_ORDER`): value
+  and traffic counters, flush, ``queue.book`` at the flushed ``now``,
+  the store, ``yield end - now``.  What every body that holds a loop,
+  awaits or returns values gets.
 
 :func:`~repro.sim.plan._suspends` picks the kind when the body is
-generated, from what the block's replays did (and from whether the plan
-has an inline form at all).  Either way observable behaviour — cycle
+generated: from whether the plan has an inline form at all, whether it
+holds a loop (a replayed loop step always suspends), and otherwise from
+what the block's replays did.  Either way observable behaviour — cycle
 counts, buffer contents, busy time, traffic, scheduler-event counts — is
 bit-identical to plan replay and to the interpreter; the differential
 suites prove it across every registered scenario with each kind forced
@@ -155,7 +152,6 @@ from .plan import (
     K_GEN,
     K_RET,
     K_SITE,
-    K_VEC,
     ShapePlan,
     SiteIndex,
     _inline_run,
@@ -166,9 +162,9 @@ from .plan import (
 
 __all__ = ["compile_block_body", "source_of"]
 
-#: An inline body's loop nests deeper than this call the (itself
-#: codegen'd) body function per iteration instead of inlining its
-#: statements.  (A suspending body flattens at every depth.)
+#: An inline body's ``scf.if`` nests deeper than this enter the branch's
+#: (itself codegen'd) plan instead of inlining its statements.  (A
+#: suspending body flattens at every depth.)
 _MAX_FLATTEN_DEPTH = 2
 
 #: Monotonic id for generated code filenames (aids tracebacks).
@@ -181,21 +177,6 @@ _SHAPES = weakref.WeakValueDictionary()
 
 #: Globals of every generated function: builtins only.
 _GLOBALS = {"__builtins__": builtins}
-
-
-def _for_resume(plan, ex, env, gen, body_exec, induction, it, steps_rest):
-    """Finish a suspended inlined ``affine.for``: drive the pending body
-    generator, run the remaining iterations under the inline/suspend
-    protocol, then the plan's remaining steps.  Mirrors what the scalar
-    loop step closure plus :func:`~repro.sim.plan._resume` do in plan
-    mode (structured control flow never flushes first)."""
-    yield from gen
-    for i in it:
-        env[induction] = i
-        suspended = body_exec(ex, env)
-        if suspended is not None:
-            yield from suspended
-    yield from plan.run(ex, env, steps_rest)
 
 
 #: Typed arithmetic: when both operands are Python ints known to the
@@ -442,7 +423,7 @@ class _Emitter:
         drives it where it stands; an inline one returns, through
         ``wrap``, a generator that drives it and then the rest of the
         entry — :func:`~repro.sim.plan._resume` has the plan's remaining
-        steps, ``wrap`` the enclosing flattened loops."""
+        steps, ``wrap`` those of the plans it was flattened into."""
         if self.suspending:
             if flush:
                 self.flush(indent)
@@ -848,9 +829,9 @@ class _Emitter:
 
         In an inline body ``wrap`` turns a suspension-generator
         expression into the full ``return`` statement for this nesting
-        level — for nested loops it composes ``_for_resume`` chains
-        outward, so a suspension anywhere resumes the whole flattened
-        nest exactly like the plan-mode generator stack would.  A
+        level — a flattened branch composes ``_resume`` chains outward,
+        so a suspension anywhere finishes every plan it was flattened
+        into exactly like the plan-mode generator stack would.  A
         suspending body has no use for it (``None``): it yields where
         it stands.
         """
@@ -924,65 +905,33 @@ class _Emitter:
                 kind == K_CTRL and type(b) is tuple and b and b[0] == "if"
             ):
                 self.emit_if(indent, b, index, plan_name, wrap, depth)
-            elif (
-                type(b) is tuple and b and b[0] == "for"
-                and (kind == K_CTRL or self.suspending)
-            ):
-                at = indent
-                if kind == K_VEC:
-                    # The scalar loop is what a failed guard falls into.
-                    attempt = self.site("s", a.attempt)
-                    self.line(indent, f"if not {attempt}(ex, env):")
-                    at += 1
-                self._emit_for(at, b, index, plan, plan_name, wrap, depth)
-            else:  # generic K_CTRL / K_VEC / K_CYCLES
+            elif kind == K_CTRL and self.suspending and b and b[0] == "for":
+                self._emit_for(indent, b, depth)
+            else:
+                # A K_CTRL the body has no expansion for: its step
+                # closure — ``affine.parallel``, and the loop an inline
+                # body meets in a flattened branch.
                 s = self.bind("s", a)
                 self.line(indent, f"_r = {s}(ex, env)")
                 self.line(indent, "if _r is not None:")
-                self.line(indent + 1, "if type(_r) is int:")
-                self.line(indent + 2, "if _r:")
-                self.line(indent + 3, "ex.pending += _r")
-                self.line(indent + 1, "else:")
-                self.suspend(indent + 2, wrap, plan_name, index, False)
+                self.suspend(indent + 1, wrap, plan_name, index, False)
 
-    def _emit_for(self, indent, meta, index, plan, plan_name, wrap, depth):
-        """Scalar affine.for with flattening metadata: a native loop —
-        plan mode pays a generator frame here on every execution."""
+    def _emit_for(self, indent, meta, depth):
+        """An ``affine.for`` of a suspending body: a native loop — plan
+        mode pays a generator frame here on every execution."""
         _, body_plan, induction, loop_range = meta
-        ind = self.bind("k", induction)
-        rng = self.bind("r", loop_range)
         # ``range`` yields ints: the induction variable is typed.
         var = self.define(induction, True)
-        if self.suspending:
-            self.line(indent, f"for {var} in {rng}:")
-            body_wrap = "yield from {}".format
-        else:
-            # An inline body that suspends hands the loop's iterator,
-            # and the steps after the loop, to ``_for_resume``.
-            body_exec = self.entry(body_plan)
-            tail = self.bind("t", plan.steps[index + 1:])
-            it = f"_it{index}_{depth}"
-            self.line(indent, f"{it} = iter({rng})")
-            self.line(indent, f"for {var} in {it}:")
-
-            def body_wrap(gen):
-                return wrap(
-                    f"_for_resume({plan_name}, ex, env, {gen}, {body_exec}, "
-                    f"{ind}, {it}, {tail})"
-                )
-
-        self.line(indent + 1, f"env[{ind}] = {var}")
+        self.line(indent, f"for {var} in {self.bind('r', loop_range)}:")
+        self.line(indent + 1, f"env[{self.bind('k', induction)}] = {var}")
         if self.flattens(body_plan, depth):
-            body_name = self.plan(body_plan)
             self.emit_plan(
-                body_plan, body_name, indent + 1, body_wrap, depth + 1
+                body_plan, self.plan(body_plan), indent + 1, None, depth + 1
             )
-        else:
-            if self.suspending:
-                body_exec = self.entry(body_plan)
-            self.line(indent + 1, f"_r = {body_exec}(ex, env)")
+        else:  # a plan the emitter cannot express: entered as a plan
+            self.line(indent + 1, f"_r = {self.entry(body_plan)}(ex, env)")
             self.line(indent + 1, "if _r is not None:")
-            self.line(indent + 2, body_wrap("_r"))
+            self.line(indent + 2, "yield from _r")
 
     def prologue(self):
         """The lines before the body: load what it is entered with, check
@@ -1039,7 +988,6 @@ def _emit(plan: BlockPlan, suspending: bool):
             emitter.line(1, "pass")
     else:
         emitter.bindings["_resume"] = _resume
-        emitter.bindings["_for_resume"] = _for_resume
         emitter.emit_plan(plan, "_plan", 1, lambda gen: f"return {gen}", 0)
         emitter.line(1, "return None")
 

@@ -28,9 +28,8 @@ Execution has three interchangeable strategies, selected by one
   :mod:`repro.sim.plan` into a :class:`~repro.sim.plan.BlockPlan` of
   pre-bound step closures (handler lookup, attribute parsing, operand
   decomposition, and flush/trace decisions resolved once); subsequent
-  executions replay the cached plan, and contention-free ``affine.for``
-  bodies collapse into single batched NumPy evaluations.  Never
-  generates code: the differential oracle for the mode below.
+  executions replay the cached plan.  Never generates code: the
+  differential oracle for the mode below.
 * ``codegen`` (the default) — plan replay, until a block has been
   entered often enough (``plan.TIER_UP_EXECUTIONS``) for generated code
   to repay its cost; the block's plan is then lowered by
@@ -179,9 +178,6 @@ class EngineOptions:
     #: default, ``resolve_execution_mode(None)`` — ``codegen``).  After
     #: construction this is always a resolved :class:`ExecutionMode`.
     mode: Union[str, ExecutionMode, None] = None
-    #: Allow compiled plans to batch contention-free ``affine.for`` bodies
-    #: into single NumPy evaluations (plan and codegen modes).
-    vectorize_loops: bool = True
     #: Discrete-event scheduler backend: ``"wheel"`` (the tiered
     #: microtask-ring + calendar-wheel scheduler, the default) or
     #: ``"heap"`` (the classic binary-heap reference).  Both produce
@@ -590,12 +586,7 @@ class Engine:
         started = _time.perf_counter()
         if self._plans is not None:
             self._plans.attach(self)
-            self._plan_base = (
-                self._plans.counters(),
-                self._plans.codegen_fallbacks.copy(),
-                self._plans.plan_share_declined.copy(),
-                self._plans.codegen_deopts.copy(),
-            )
+            self._plan_base = self._plans.counters()
         if self.options.verify_module:
             with _span("engine.verify"):
                 verify(self.module)
@@ -1491,31 +1482,15 @@ class Engine:
             )
             for m in self.memories
         }
-        plans = self._plans
-        if plans is not None:
-            # Deltas against the attach-time snapshot: a shared cache
-            # accumulates across simulations, but each run reports only
-            # its own compiles/hits (so a fully warm run shows
-            # plans_compiled == 0 and pure cache hits).
-            base, base_reasons, base_declined, base_deopts = self._plan_base
-            (
-                compiled, hits, vec_loops, vec_iters, vec_falls,
-                codegenned, code_shared, tiered_up, shapes, shared, typed,
-                suspending,
-            ) = (
-                current - before
-                for current, before in zip(plans.counters(), base)
+        # The plan cache's share of the summary (``plan.PLAN_COUNTERS``):
+        # this run's own, against the attach-time snapshot.  Interpreted,
+        # every such field keeps its zero.
+        plans = {}
+        if self._plans is not None:
+            plans = self._plans.since(self._plan_base)
+            plans["codegen_fallbacks"] = sum(
+                plans["codegen_fallback_reasons"].values()
             )
-            fallback_reasons = dict(plans.codegen_fallbacks - base_reasons)
-            share_declined = dict(plans.plan_share_declined - base_declined)
-            deopts = dict(plans.codegen_deopts - base_deopts)
-        else:
-            compiled = hits = vec_loops = vec_iters = vec_falls = 0
-            codegenned = code_shared = tiered_up = shapes = shared = 0
-            typed = suspending = 0
-            fallback_reasons = {}
-            share_declined = {}
-            deopts = {}
         sim = self.sim
         return ProfilingSummary(
             execution_time_s=elapsed,
@@ -1528,23 +1503,8 @@ class Engine:
             wheel_events=sim.wheel_events,
             heap_events=sim.heap_events,
             launches_executed=self.launches_executed,
-            plans_compiled=compiled,
-            plan_cache_hits=hits,
-            plan_shapes=shapes,
-            plans_shared=shared,
-            plan_share_declined=share_declined,
-            vector_loops=vec_loops,
-            vector_iterations=vec_iters,
-            vector_fallbacks=vec_falls,
-            blocks_codegenned=codegenned,
-            codegen_code_shared=code_shared,
-            codegen_tiered_up=tiered_up,
-            codegen_typed=typed,
-            codegen_suspending=suspending,
-            codegen_deopts=deopts,
-            codegen_fallbacks=sum(fallback_reasons.values()),
-            codegen_fallback_reasons=fallback_reasons,
             execution_mode=self.options.mode.value,
+            **plans,
         )
 
     def _record_metrics(self, summary: ProfilingSummary) -> None:
@@ -1568,63 +1528,18 @@ class Engine:
             "engine.scheduler_events", "DES events processed"
         ).inc(summary.scheduler_events)
         registry.counter(
-            "engine.launches", "equeue.launch ops executed"
+            "engine.launches",
+            "Queue entries executed: equeue.launch bodies and memcpys",
         ).inc(summary.launches_executed)
-        registry.counter(
-            "engine.plans_compiled", "Block plans compiled"
-        ).inc(summary.plans_compiled)
-        registry.counter(
-            "engine.plan_cache_hits", "Block-plan cache hits"
-        ).inc(summary.plan_cache_hits)
-        registry.counter(
-            "engine.plan_shapes", "Launch-body shapes compiled"
-        ).inc(summary.plan_shapes)
-        registry.counter(
-            "engine.plans_shared",
-            "Launch bodies bound to an already compiled shape",
-        ).inc(summary.plans_shared)
-        for reason, count in summary.plan_share_declined.items():
-            # "identity:equeue.alloc" -> engine.plan_share_declined.identity.equeue.alloc
-            registry.counter(
-                "engine.plan_share_declined."
-                + reason.lower().replace(":", "."),
-                "Launch bodies compiled on their own, by the op in the way",
-            ).inc(count)
-        registry.counter(
-            "engine.blocks_codegenned", "Blocks lowered to Python source"
-        ).inc(summary.blocks_codegenned)
-        registry.counter(
-            "engine.codegen_code_shared",
-            "Generated bodies instantiated from an already-compiled shape",
-        ).inc(summary.codegen_code_shared)
-        registry.counter(
-            "engine.codegen_tiered_up",
-            "Generated bodies swapped in for a plan that had been replaying",
-        ).inc(summary.codegen_tiered_up)
-        registry.counter(
-            "engine.codegen_typed",
-            "Generated bodies that start with a typed prologue",
-        ).inc(summary.codegen_typed)
-        registry.counter(
-            "engine.codegen_suspending",
-            "Generated bodies of the suspending kind (generator functions)",
-        ).inc(summary.codegen_suspending)
-        for reason, count in summary.codegen_deopts.items():
-            # "int:numpy.int64" -> engine.codegen_deopts.int.numpy.int64
-            registry.counter(
-                "engine.codegen_deopts."
-                + reason.lower().replace(":", "."),
-                "Entries a typed body handed to plan replay, by what its "
-                "prologue found",
-            ).inc(count)
-        for reason, count in summary.codegen_fallback_reasons.items():
-            # "K_GEN:equeue.await" -> engine.codegen_fallbacks.k_gen.equeue.await
-            registry.counter(
-                "engine.codegen_fallbacks."
-                + reason.lower().replace(":", "."),
-                "Plans codegen can never take, by the first step the emitter "
-                "cannot express",
-            ).inc(count)
+        for _, field, metric, text in PLAN_COUNTERS:
+            registry.counter(metric, text).inc(getattr(summary, field))
+        for _, field, metric, text in PLAN_REASONS:
+            for reason, count in getattr(summary, field).items():
+                # "identity:equeue.alloc" ->
+                # engine.plan_share_declined.identity.equeue.alloc
+                registry.counter(
+                    f"{metric}.{reason.lower().replace(':', '.')}", text
+                ).inc(count)
         registry.counter(
             "engine.trace_records_dropped", "Trace records over max_records"
         ).inc(self.trace.dropped)
@@ -1670,4 +1585,10 @@ def simulate(
 
 # engine <-> plan import each other; see the note at the bottom of plan.py.
 from .plan import _EMPTY as _NO_RETURNS  # noqa: E402
-from .plan import _SITE, PlanCache, _cold_run  # noqa: E402
+from .plan import (  # noqa: E402
+    _SITE,
+    PLAN_COUNTERS,
+    PLAN_REASONS,
+    PlanCache,
+    _cold_run,
+)

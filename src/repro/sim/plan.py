@@ -46,36 +46,23 @@ Step kinds
 ``K_GEN``          flush pending cycles, then drive a generator (await)
 ``K_CTRL``         structured control flow (scf.if / affine loops); no
                    flush — inner ops flush themselves on demand
-``K_VEC``          a vectorized ``affine.for`` (see below)
 ``K_RET``          flush, resolve the block's return values, stop
 ``K_ANY``          an op with a handler but no step compiler, outside
                    ``_NEEDS_FLUSH``: the handler, pre-bound — the one kind
                    the code generator cannot express
 =================  ========================================================
 
-(``K_CYCLES`` — a closure guaranteed to return an int — still exists as a
-name, but the compiler emits ``K_DYN`` for those steps: the executors'
-``type(result) is int`` check subsumes it, and one hot branch beats two.)
+A step that only ever costs cycles is a ``K_DYN`` too: the executors'
+``type(result) is int`` check is its whole dispatch.
 
-Vectorized loops
-================
+Loops
+=====
 
-An ``affine.for`` body that is *contention-free* — pure ``arith`` plus
-scalar reads/writes of zero-cost, uncontended memories (registers,
-streams, the ideal memref store) with statically analysable index
-structure — observes no global time at all: every op either accumulates
-pending cycles or touches a queue-less memory.  Its plan therefore
-collapses the whole trip count into one batched NumPy evaluation: the
-induction variable becomes an ``arange``, gathers/scatters replace
-per-element loads/stores, reductions (``x[i] += f(iv)`` with a
-loop-invariant index) fold into a single exact integer sum, and the
-aggregate cycle cost is charged in one pending-counter update.  Integer
-lanes are widened to int64 and float lanes to float64 so the batched
-arithmetic matches the interpreter's exact Python-scalar arithmetic
-bit-for-bit on the final (element-typed) stores.  A cheap runtime guard
-re-checks what static analysis cannot see — memory kinds, buffer
-aliasing, scatter-address injectivity — and falls back to scalar plan
-replay when it fails, so the fast path is always safe to attempt.
+An ``affine.for`` has one form per tier: under replay the closure
+:func:`_c_for` builds — a generator that enters the body's plan once per
+iteration — and, in the generated body of the plan that holds it, a
+native ``for`` statement with the loop body's steps in place (a
+generator function: :func:`_suspends`).
 
 Shapes and sites
 ================
@@ -105,15 +92,14 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..ir.attributes import attr_to_python
-from ..ir.types import IndexType, IntegerType, MemRefType
+from ..ir.types import IndexType, MemRefType
 from ..obs.spans import span as _span
 from . import interp, oplib
-from .components import Buffer, MemoryModel
+from .components import MemoryModel
 
 (
-    K_CONST, K_CYCLES, K_DYN, K_FLUSH_CALL, K_GEN, K_CTRL, K_VEC, K_RET,
-    K_ANY, K_SITE,
-) = range(10)
+    K_CONST, K_DYN, K_FLUSH_CALL, K_GEN, K_CTRL, K_RET, K_ANY, K_SITE,
+) = range(8)
 
 #: Environment key under which a launch body finds the :class:`BodySite`
 #: it runs for (only bodies compiled once per shape carry one).
@@ -121,32 +107,12 @@ _SITE = object()
 
 _EMPTY: List[object] = []
 
-#: arith ops the vectorizer may evaluate elementwise.  Everything is exact
-#: in the widened int64/float64 lanes except shifts (whose Python-int
-#: semantics have no 64-bit equivalent) and signed div/rem, which go
-#: through float64 and are therefore only admitted on (small) index values.
-_VEC_ARITH = frozenset(
-    {
-        "arith.addi", "arith.subi", "arith.muli", "arith.maxsi",
-        "arith.minsi", "arith.andi", "arith.ori", "arith.xori",
-        "arith.addf", "arith.subf", "arith.mulf", "arith.divf",
-        "arith.cmpi", "arith.select", "arith.index_cast",
-        "arith.divsi", "arith.remsi",
-    }
-)
-_VEC_INDEX_ONLY = frozenset({"arith.divsi", "arith.remsi"})
-
-V_STEP, V_CONST, V_READ, V_WRITE, V_REDUCE = range(5)
-
-
 #: Step kinds a plan may contain while still being executable *inline* —
 #: without allocating a generator — as long as no step actually suspends.
 #: See :func:`_inline_run`.  (A plan with the others — an ``await``,
 #: returned values — replays through :meth:`BlockPlan.run`, and its
 #: generated body can only be of the suspending kind.)
-_INLINEABLE = frozenset(
-    {K_CONST, K_SITE, K_CYCLES, K_DYN, K_CTRL, K_VEC, K_FLUSH_CALL}
-)
+_INLINEABLE = frozenset({K_CONST, K_SITE, K_DYN, K_CTRL, K_FLUSH_CALL})
 
 #: Executions a plan replays before ``mode=codegen`` swaps in its
 #: generated body: measured cost of
@@ -236,20 +202,12 @@ class BlockPlan:
                     yield from result
             elif kind == K_CONST:
                 env[a] = b
-            elif kind == K_CYCLES:
-                cost = a(ex, env)
-                if cost:
-                    ex.pending += cost
             elif kind == K_FLUSH_CALL:
                 if ex.pending:
                     pending, ex.pending = ex.pending, 0
                     yield pending
                 a(ex, env)
             elif kind == K_CTRL:
-                gen = a(ex, env)
-                if gen is not None:
-                    yield from gen
-            elif kind == K_VEC:
                 gen = a(ex, env)
                 if gen is not None:
                     yield from gen
@@ -309,15 +267,10 @@ def _inline_run(plan, ex, env):
             if ex.pending:
                 return plan.run(ex, env, steps[index:])
             a(ex, env)
-        else:  # K_CYCLES / K_CTRL / K_VEC
+        else:  # K_CTRL
             result = a(ex, env)
-            if result is None:
-                continue
-            if type(result) is int:
-                if result:
-                    ex.pending += result
-                continue
-            return _resume(plan, ex, env, result, index, False)
+            if result is not None:
+                return _resume(plan, ex, env, result, index, False)
     return None
 
 
@@ -356,7 +309,10 @@ def _suspends(plan) -> bool:
     rest of the entry to :func:`_resume` the rare time a step waits).
 
     A plan with an ``await`` or returned values in it has no inline
-    form.  Otherwise the replays decide: a generator frame costs an
+    form, and one that holds an ``affine.for`` suspends on every
+    replayed entry — the loop step (:func:`_c_for`) *is* a generator —
+    so its loop is a native ``for`` of the suspending kind, whatever the
+    threshold.  Otherwise the replays decide: a generator frame costs an
     entry about 0.9 µs (the 4x4 WS program's 11 093 entries with each
     kind forced), one suspension of the inline kind about 6 µs
     (``_resume`` plus :meth:`BlockPlan.run` over the rest of the
@@ -364,10 +320,16 @@ def _suspends(plan) -> bool:
     seven or so — one in eight, as a power of two.  Nothing observable
     depends on the choice (``tests/sim/test_suspending_bodies.py``
     forces each)."""
-    if not plan.inlineable:
+    if not plan.inlineable or any(map(_is_for, plan.steps)):
         return True
     counted = plan.shape or plan
     return counted.suspensions * 8 > counted.runs
+
+
+def _is_for(step) -> bool:
+    """Is ``step`` an ``affine.for`` (:func:`_c_for`)?"""
+    kind, _, meta = step
+    return kind == K_CTRL and meta is not None and meta[0] == "for"
 
 
 def _resume(plan, ex, env, gen, index, flush):
@@ -378,18 +340,6 @@ def _resume(plan, ex, env, gen, index, flush):
         yield pending
     yield from gen
     yield from plan.run(ex, env, plan.steps[index + 1:])
-
-
-def _step_body(plan, ex, env):
-    """Execute one loop-body iteration under the inline/suspend protocol.
-
-    Every scalar loop (compiled ``affine.for`` / ``affine.parallel`` and
-    the vectorizer's guard fallback) goes through here; the engine's
-    launch path uses :meth:`BlockPlan.execute` directly.  Returns ``None``
-    when the iteration completed inline, or a generator the caller must
-    drive.
-    """
-    return plan.execute(ex, env)
 
 
 class ShapePlan(BlockPlan):
@@ -484,10 +434,10 @@ class _Unshareable(Exception):
 #: sites must never run one such op.
 _IDENTITY_OPS = frozenset({"equeue.alloc", "equeue.get_comp", "memref.alloc"})
 
-#: Region ops constant abstraction continues through.  Below a loop the
-#: vectoriser bakes constants into its batched program, and a nested
-#: launch body is a site of its own that every outer site would share.
-_ABSTRACTS_INTO = frozenset({"scf.if"})
+#: Region ops constant abstraction continues through: all but a nested
+#: launch, whose body is a site of its own that every outer site would
+#: share.
+_ABSTRACTS_INTO = frozenset({"scf.if", "affine.for", "affine.parallel"})
 
 
 def _unshareable(op) -> Optional[str]:
@@ -520,7 +470,7 @@ def _shape_key(block):
       uncompiled extension ops) or bears identity (:data:`_IDENTITY_OPS`,
       structure ops) raises :class:`_Unshareable` — the body is compiled
       on its own, as every body was;
-    * a constant below a loop or a nested launch stays in the key
+    * a constant below a nested launch stays in the key
       (:data:`_ABSTRACTS_INTO`); attributes — loop bounds, labels,
       signatures, memcpy counts — and types always do;
     * an operand defined outside the body (not IsolatedFromAbove) is
@@ -581,6 +531,56 @@ def _key_block(block, numbers, parts, consts, values, blocks) -> None:
                 append(")")
 
 
+#: What a :class:`PlanCache` counts, stated once: ``(cache attribute,
+#: ProfilingSummary field, metric name, help)``.  The cache's attributes,
+#: its :meth:`~PlanCache.counters` snapshot, a run's delta on its summary
+#: and the registry export are all read off this table.
+PLAN_COUNTERS = (
+    ("compiled", "plans_compiled", "engine.plans_compiled",
+     "Block plans compiled"),
+    ("hits", "plan_cache_hits", "engine.plan_cache_hits",
+     "Block-plan cache hits"),
+    ("plan_shapes", "plan_shapes", "engine.plan_shapes",
+     "Launch-body shapes compiled"),
+    ("plans_shared", "plans_shared", "engine.plans_shared",
+     "Launch bodies bound to an already compiled shape"),
+    ("codegen_blocks", "blocks_codegenned", "engine.blocks_codegenned",
+     "Blocks lowered to Python source"),
+    ("codegen_shared", "codegen_code_shared", "engine.codegen_code_shared",
+     "Generated bodies instantiated from an already-compiled shape"),
+    ("codegen_tiered_up", "codegen_tiered_up", "engine.codegen_tiered_up",
+     "Generated bodies swapped in for a plan that had been replaying"),
+    ("codegen_typed", "codegen_typed", "engine.codegen_typed",
+     "Generated bodies that start with a typed prologue"),
+    ("codegen_suspending", "codegen_suspending", "engine.codegen_suspending",
+     "Generated bodies of the suspending kind (generator functions)"),
+)
+
+#: The same for what it counts by reason, ``"<kind>:<what>" -> count``
+#: (a ``collections.Counter`` each; exported as one metric per reason,
+#: ``"K_ANY:ext.tick"`` -> ``engine.codegen_fallbacks.k_any.ext.tick``):
+#:
+#: * why launch bodies were compiled on their own, by the first op in
+#:   the way (``"identity:equeue.alloc"``);
+#: * entries a generated body handed back to plan replay because a value
+#:   it was entered with is not of the type it was compiled for, by what
+#:   its prologue found (``"int:numpy.int64"``);
+#: * why plans can never be code-generated: the first step of each that
+#:   the emitter cannot express (``"K_ANY:<op>"``).
+PLAN_REASONS = (
+    ("plan_share_declined", "plan_share_declined",
+     "engine.plan_share_declined",
+     "Launch bodies compiled on their own, by the op in the way"),
+    ("codegen_deopts", "codegen_deopts", "engine.codegen_deopts",
+     "Entries a typed body handed to plan replay, by what its prologue "
+     "found"),
+    ("codegen_fallbacks", "codegen_fallback_reasons",
+     "engine.codegen_fallbacks",
+     "Plans codegen can never take, by the first step the emitter cannot "
+     "express"),
+)
+
+
 class PlanCache:
     """A cache of compiled plans plus fast-path statistics.
 
@@ -603,35 +603,16 @@ class PlanCache:
     def __init__(self, engine=None):
         self.engine = engine
         self.plans: Dict[int, Tuple[object, BlockPlan]] = {}
-        self.compiled = 0
-        self.hits = 0
-        self.vector_loops = 0
-        self.vector_iterations = 0
-        self.vector_fallbacks = 0
-        self.vectorize = False
+        for attribute, _, _, _ in PLAN_COUNTERS:
+            setattr(self, attribute, 0)
+        for attribute, _, _, _ in PLAN_REASONS:
+            setattr(self, attribute, collections.Counter())
         self.codegen = False
         self.detailed = False
-        self.codegen_blocks = 0
-        self.codegen_shared = 0
-        self.codegen_tiered_up = 0
-        self.codegen_typed = 0
-        self.codegen_suspending = 0
-        #: Why plans can never be code-generated: the first step of each
-        #: that the emitter cannot express, ``"K_ANY:<op>"`` -> count.
-        self.codegen_fallbacks = collections.Counter()
-        #: Entries a generated body handed back to plan replay because a
-        #: value it was entered with is not of the type it was compiled
-        #: for, by what its prologue found: ``"int:numpy.int64"`` -> count.
-        self.codegen_deopts = collections.Counter()
         #: Launch-body shapes by structural key, and every launch body
         #: seen: ``id(block) -> (block, arguments, site)``.
         self.shapes: Dict[tuple, BodyShape] = {}
         self.sites: Dict[int, tuple] = {}
-        self.plan_shapes = 0
-        self.plans_shared = 0
-        #: Why launch bodies were compiled on their own, by the first op
-        #: in the way: ``"identity:equeue.alloc"`` -> count.
-        self.plan_share_declined = collections.Counter()
         #: While a shape compiles: its record, and the slot of the site
         #: constant vector each abstracted constant's SSA value reads.
         self._shape: Optional[BodyShape] = None
@@ -662,7 +643,6 @@ class PlanCache:
         return (
             type(engine),
             _detailed(options),
-            bool(options.vectorize_loops),
             options.mode is ExecutionMode.CODEGEN,
         )
 
@@ -689,28 +669,34 @@ class PlanCache:
         self.engine = engine
         options = engine.options
         self.detailed = _detailed(options)
-        # Vectorization changes nothing observable except per-op detailed
-        # trace records, which an aggregated evaluation cannot emit.
-        self.vectorize = options.vectorize_loops and not self.detailed
         self.codegen = options.mode is ExecutionMode.CODEGEN
         return self
 
-    def counters(self) -> Tuple[int, ...]:
-        """Cumulative statistics (engines snapshot these for per-run deltas)."""
-        return (
-            self.compiled,
-            self.hits,
-            self.vector_loops,
-            self.vector_iterations,
-            self.vector_fallbacks,
-            self.codegen_blocks,
-            self.codegen_shared,
-            self.codegen_tiered_up,
-            self.plan_shapes,
-            self.plans_shared,
-            self.codegen_typed,
-            self.codegen_suspending,
-        )
+    def counters(self) -> Dict[str, object]:
+        """Cumulative statistics by ``ProfilingSummary`` field: a
+        snapshot an engine takes when it attaches and hands back to
+        :meth:`since` for its run's own share."""
+        snapshot = {
+            field: getattr(self, attribute)
+            for attribute, field, _, _ in PLAN_COUNTERS
+        }
+        for attribute, field, _, _ in PLAN_REASONS:
+            snapshot[field] = getattr(self, attribute).copy()
+        return snapshot
+
+    def since(self, base: Dict[str, object]) -> Dict[str, object]:
+        """What was counted after the :meth:`counters` snapshot ``base``,
+        as ``ProfilingSummary`` fields.  A shared cache accumulates
+        across simulations, but each run reports only its own
+        compiles/hits (so a fully warm run shows ``plans_compiled == 0``
+        and pure cache hits)."""
+        delta = {
+            field: getattr(self, attribute) - base[field]
+            for attribute, field, _, _ in PLAN_COUNTERS
+        }
+        for attribute, field, _, _ in PLAN_REASONS:
+            delta[field] = dict(getattr(self, attribute) - base[field])
+        return delta
 
     def tier_up(self, plan: BlockPlan):
         """Generate ``plan``'s body and swap it in; returns the body.
@@ -1160,11 +1146,22 @@ def _blocked_write(queue, cost, conn, nbytes, array, target, stored):
         yield end - now
 
 
-def _scalar_access(cache, engine, op, leading):
+def _buffer_rank(ssa) -> Optional[int]:
+    buffer_type = ssa.type
+    if not isinstance(buffer_type, MemRefType):
+        return None
+    return len(buffer_type.shape)
+
+
+def _scalar_access(cache, engine, op, leading, memref):
     """What :func:`_c_read` and :func:`_c_write` share: the static
     decomposition of a full-rank element access, or ``None`` when the
     op is the general handler's — a tensor or partial access, or a
-    connected one that is posted or has a trace record to leave."""
+    connected one that is posted or has a trace record to leave.
+
+    ``memref``: the op is the ``memref``/``affine`` spelling of the
+    access — the same operand layout with neither a connection nor a
+    posted form, and its own handler."""
     posted, buffer_ssa, conn_ssa, indices_ssa = engine._read_write_static(
         op, leading
     )
@@ -1172,8 +1169,9 @@ def _scalar_access(cache, engine, op, leading):
     if rank is None or rank == 0 or len(indices_ssa) != rank:
         return None
     # A wait is taken here (:func:`_blocked_read`) unless the access is
-    # posted — it never waits — or traced op by op.
-    waits = not posted and _waits_inline(cache)
+    # posted — it never waits — or traced op by op, or a memref one: its
+    # handler stores the element before it books the queue.
+    waits = not (posted or memref) and _waits_inline(cache)
     if conn_ssa is not None and not waits:
         return None
     folded, const_idx = _static_index_tuple(indices_ssa, cache._slots)
@@ -1183,10 +1181,12 @@ def _scalar_access(cache, engine, op, leading):
     )
 
 
-@_compiles("equeue.read")
+@_compiles("equeue.read", "affine.load", "memref.load")
 def _c_read(cache, engine, op):
-    general = _bound(cache, type(engine)._h_read, op)
-    static = _scalar_access(cache, engine, op, 1)
+    memref = op.name != "equeue.read"
+    handler = type(engine)._h_memref_load if memref else type(engine)._h_read
+    general = _bound(cache, handler, op)
+    static = _scalar_access(cache, engine, op, 1, memref)
     if static is None:
         return (K_DYN, general, None)
     (
@@ -1246,9 +1246,8 @@ def _c_read(cache, engine, op):
             return _blocked_read(memory.queue, cost, conn, nbytes)
         return general(ex, env)
 
-    # One layout for every scalar read the emitter inlines (memref loads
-    # are the unposted case), and one for every write; a connected
-    # access is the step's alone.
+    # One layout for every scalar read the emitter inlines, and one for
+    # every write; a connected access is the step's alone.
     meta = None
     if conn_ssa is None:
         meta = (
@@ -1258,10 +1257,12 @@ def _c_read(cache, engine, op):
     return (K_DYN, step, meta)
 
 
-@_compiles("equeue.write")
+@_compiles("equeue.write", "affine.store", "memref.store")
 def _c_write(cache, engine, op):
-    general = _bound(cache, type(engine)._h_write, op)
-    static = _scalar_access(cache, engine, op, 2)
+    memref = op.name != "equeue.write"
+    handler = type(engine)._h_memref_store if memref else type(engine)._h_write
+    general = _bound(cache, handler, op)
+    static = _scalar_access(cache, engine, op, 2, memref)
     if static is None:
         return (K_DYN, general, None)
     (
@@ -1270,6 +1271,9 @@ def _c_write(cache, engine, op):
     ) = static
     value_ssa = op.operand(0)
     resolve = engine._resolve
+    # An ndarray value is reshaped to the target's, as ``_h_write`` does
+    # (the memref handler stores what it is given).
+    reshape = not memref
 
     def step(ex, env):
         try:
@@ -1302,7 +1306,7 @@ def _c_write(cache, engine, op):
                 except (KeyError, TypeError):
                     return general(ex, env)
             blocked = conn is not None or (cost > 0 and not posted)
-            if isinstance(stored, np.ndarray):
+            if reshape and isinstance(stored, np.ndarray):
                 if blocked:
                     return general(ex, env)
                 buffer.array[target] = np.asarray(stored).reshape(
@@ -1323,102 +1327,12 @@ def _c_write(cache, engine, op):
             return 0
         return general(ex, env)
 
-    # (The last slot: an ndarray value is reshaped to the target's.)
     meta = None
     if conn_ssa is None:
         meta = (
             "write", buffer_ssa, value_ssa, posted, state, const_idx,
-            indices_ssa, resolve, waits, True,
+            indices_ssa, resolve, waits, reshape,
         )
-    return (K_DYN, step, meta)
-
-
-@_compiles("affine.load", "memref.load")
-def _c_load(cache, engine, op):
-    general = _bound(cache, type(engine)._h_memref_load, op)
-    buffer_ssa = op.operand(0)
-    indices_ssa = tuple(op.operand_values[1:])
-    result = op.result()
-    resolve = engine._resolve
-    state = cache.access_memo()
-    folded, const_idx = _static_index_tuple(indices_ssa, cache._slots)
-
-    def step(ex, env):
-        try:
-            buffer = env[buffer_ssa]
-        except KeyError:
-            buffer = resolve(env, buffer_ssa)
-        if type(buffer) is Future:
-            buffer = buffer.value
-        memory = buffer.memory
-        if memory is not state[0]:
-            state[1] = _plain_access_cost(memory, False)
-            state[0] = memory
-        if state[1] == 0:
-            if folded is not None:
-                env[result] = buffer.array.item(*folded)
-            else:
-                try:
-                    env[result] = buffer.array.item(
-                        *[int(env[s]) for s in indices_ssa]
-                    )
-                except (KeyError, TypeError):
-                    return general(ex, env)
-            memory.bytes_read += buffer.element_bits >> 3
-            memory.reads += 1
-            return 0
-        return general(ex, env)
-
-    # (A load that has to wait stays the handler's: ``False``.)
-    meta = (
-        "read", buffer_ssa, result, False, state, const_idx, indices_ssa,
-        resolve, False,
-    )
-    return (K_DYN, step, meta)
-
-
-@_compiles("affine.store", "memref.store")
-def _c_store(cache, engine, op):
-    general = _bound(cache, type(engine)._h_memref_store, op)
-    value_ssa = op.operand(0)
-    buffer_ssa = op.operand(1)
-    indices_ssa = tuple(op.operand_values[2:])
-    resolve = engine._resolve
-    state = cache.access_memo()
-    folded, const_idx = _static_index_tuple(indices_ssa, cache._slots)
-
-    def step(ex, env):
-        try:
-            buffer = env[buffer_ssa]
-        except KeyError:
-            buffer = resolve(env, buffer_ssa)
-        if type(buffer) is Future:
-            buffer = buffer.value
-        memory = buffer.memory
-        if memory is not state[0]:
-            state[1] = _plain_access_cost(memory, True)
-            state[0] = memory
-        if state[1] == 0:
-            stored = env.get(value_ssa, _MISSING)
-            if stored is _MISSING or type(stored) is Future:
-                return general(ex, env)
-            if folded is not None:
-                target = folded
-            else:
-                try:
-                    target = tuple([int(env[s]) for s in indices_ssa])
-                except (KeyError, TypeError):
-                    return general(ex, env)
-            buffer.array[target] = stored
-            memory.bytes_written += buffer.element_bits >> 3
-            memory.writes += 1
-            return 0
-        return general(ex, env)
-
-    meta = (
-        "write", buffer_ssa, value_ssa, False, state, const_idx,
-        indices_ssa, resolve, False, False,
-    )
     return (K_DYN, step, meta)
 
 
@@ -1527,26 +1441,19 @@ def _c_for(cache, engine, op):
     body_plan = cache.compile(body)
     induction = body.arguments[0]
     loop_range = range(op.lower_bound, op.upper_bound, op.step)
-    # The ("for", ...) metadata lets the codegen emitter flatten the loop
-    # into the generated body — no generator frame per loop — while plan
-    # replay keeps using the step closures (both executors ignore the
-    # extra slot of K_CTRL and K_VEC).  A suspending body flattens a
-    # vectorized loop too, behind :meth:`_VectorLoop.attempt`.
-    meta = ("for", body_plan, induction, loop_range)
-    if cache.vectorize:
-        vec = _try_vectorize(cache, body, induction, loop_range, body_plan)
-        if vec is not None:
-            cache.vector_loops += 1
-            return (K_VEC, vec, meta)
 
     def step(ex, env):
         for i in loop_range:
             env[induction] = i
-            suspended = _step_body(body_plan, ex, env)
+            suspended = body_plan.execute(ex, env)
             if suspended is not None:
                 yield from suspended
 
-    return (K_CTRL, step, meta)
+    # The ("for", ...) metadata lets a suspending generated body flatten
+    # the loop into a native ``for`` — no generator frame per loop —
+    # while plan replay keeps using the step closure (the executors
+    # ignore the extra slot of K_CTRL).
+    return (K_CTRL, step, ("for", body_plan, induction, loop_range))
 
 
 @_compiles("affine.parallel")
@@ -1562,420 +1469,11 @@ def _c_parallel(cache, engine, op):
         for point in points:
             for arg, coordinate in zip(args, point):
                 env[arg] = coordinate
-            suspended = _step_body(body_plan, ex, env)
+            suspended = body_plan.execute(ex, env)
             if suspended is not None:
                 yield from suspended
 
     return (K_CTRL, step, None)
-
-
-# ---------------------------------------------------------------------------
-# The vectorized affine.for fast path
-# ---------------------------------------------------------------------------
-
-
-def _buffer_rank(ssa) -> Optional[int]:
-    buffer_type = ssa.type
-    if not isinstance(buffer_type, MemRefType):
-        return None
-    return len(buffer_type.shape)
-
-
-def _element_bytes(ssa) -> int:
-    return getattr(ssa.type.element_type, "width", 32) // 8
-
-
-class _Access:
-    """One scalar read or write inside a vectorization candidate."""
-
-    __slots__ = (
-        "op", "buffer_ssa", "index_ssa", "value_ssa", "result_ssa",
-        "nbytes", "is_write", "varying",
-    )
-
-    def __init__(self, op, buffer_ssa, index_ssa, value_ssa, result_ssa,
-                 is_write):
-        self.op = op
-        self.buffer_ssa = buffer_ssa
-        self.index_ssa = tuple(index_ssa)
-        self.value_ssa = value_ssa
-        self.result_ssa = result_ssa
-        self.nbytes = _element_bytes(buffer_ssa)
-        self.is_write = is_write
-        self.varying = False
-
-
-def _classify_access(engine, op):
-    """Decompose a read/write op into an :class:`_Access`, or ``None``
-    when the op's shape disqualifies the loop (connections, partial
-    indexing, whole-buffer transfers)."""
-    name = op.name
-    if name == "equeue.read":
-        posted, buffer_ssa, conn_ssa, indices = engine._read_write_static(op, 1)
-        if conn_ssa is not None:
-            return None
-        access = _Access(op, buffer_ssa, indices, None, op.result(), False)
-    elif name == "equeue.write":
-        posted, buffer_ssa, conn_ssa, indices = engine._read_write_static(op, 2)
-        if conn_ssa is not None:
-            return None
-        access = _Access(op, buffer_ssa, indices, op.operand(0), None, True)
-    elif name in ("affine.load", "memref.load"):
-        access = _Access(
-            op, op.operand(0), op.operand_values[1:], None, op.result(), False
-        )
-    elif name in ("affine.store", "memref.store"):
-        access = _Access(
-            op, op.operand(1), op.operand_values[2:], op.operand(0), None, True
-        )
-    else:
-        return None
-    rank = _buffer_rank(access.buffer_ssa)
-    if rank is None or rank == 0 or len(access.index_ssa) != rank:
-        return None  # whole-buffer or sliced access: stays scalar
-    return access
-
-
-def _single_user(value):
-    users = value.users()
-    return users[0] if len(users) == 1 and len(value.uses) == 1 else None
-
-
-def _try_vectorize(cache, body, induction, loop_range, body_plan):
-    """Compile a contention-free loop body into a batched program.
-
-    Returns a :class:`_VectorLoop` or ``None`` when any op falls outside
-    the analysable subset.  The *runtime* part of the safety argument
-    (zero-cost memories, aliasing, scatter injectivity) lives in the guard
-    inside :meth:`_VectorLoop.attempt`.
-    """
-    engine = cache.engine
-    ops = list(body.ops)
-    if ops and ops[-1].name in ("affine.yield", "scf.yield"):
-        ops = ops[:-1]
-    if not ops:
-        return None
-    varying = {induction}
-    accesses: List[_Access] = []
-    entries = []  # (tag, op-or-access)
-    charged = 0
-    for op in ops:
-        name = op.name
-        if name == "arith.constant":
-            entries.append(("const", op))
-            continue
-        if name in _VEC_ARITH:
-            operand_ssa = [o.value for o in op.operands]
-            is_free = (
-                isinstance(op.result().type, IndexType)
-                or any(isinstance(v.type, IndexType) for v in operand_ssa)
-                or name == "arith.index_cast"
-            )
-            if name in _VEC_INDEX_ONLY and not is_free:
-                return None  # div/rem on data: float64 rounding risk
-            if not is_free:
-                charged += 1
-            if any(v in varying for v in operand_ssa):
-                varying.add(op.result())
-            entries.append(("arith", op))
-            continue
-        access = _classify_access(engine, op)
-        if access is None:
-            return None
-        access.varying = any(v in varying for v in access.index_ssa)
-        if not access.is_write and access.varying:
-            varying.add(access.result_ssa)
-        accesses.append(access)
-        entries.append(("access", access))
-
-    reads = [a for a in accesses if not a.is_write]
-    writes = [a for a in accesses if a.is_write]
-    by_buffer: Dict[object, List[_Access]] = {}
-    for access in accesses:
-        by_buffer.setdefault(access.buffer_ssa, []).append(access)
-
-    reductions: Dict[object, Tuple[_Access, _Access, object]] = {}
-    for write in writes:
-        if write.varying:
-            continue
-        # Loop-invariant store address: only legal as the classic integer
-        # reduction  buf[i] = buf[i] + partial  with the load feeding
-        # exactly that add and the add feeding exactly this store.
-        element = write.buffer_ssa.type.element_type
-        if not isinstance(element, IntegerType):
-            return None
-        # A BlockArgument's owner is a Block, not an Operation — only an
-        # OpResult of arith.addi qualifies as the reduction accumulator.
-        adder = getattr(write.value_ssa, "owner", None)
-        if adder is None or getattr(adder, "name", None) != "arith.addi":
-            return None
-        if _single_user(write.value_ssa) is not write.op:
-            return None
-        lhs, rhs = adder.operand(0), adder.operand(1)
-        load = None
-        partial = None
-        for candidate, other in ((lhs, rhs), (rhs, lhs)):
-            for read in reads:
-                if (
-                    read.result_ssa is candidate
-                    and read.buffer_ssa is write.buffer_ssa
-                    and read.index_ssa == write.index_ssa
-                ):
-                    load, partial = read, other
-                    break
-            if load is not None:
-                break
-        if load is None or _single_user(load.result_ssa) is not adder:
-            return None
-        if len(by_buffer[write.buffer_ssa]) != 2:  # exactly the load+store
-            return None
-        reductions[write.buffer_ssa] = (load, write, partial)
-
-    plain_writes = [w for w in writes if w.varying]
-    # One varying store per buffer SSA keeps the injectivity check simple.
-    write_ssas = [w.buffer_ssa for w in plain_writes]
-    if len(set(write_ssas)) != len(write_ssas):
-        return None
-    read_ssas = {
-        r.buffer_ssa for r in reads
-        if r.buffer_ssa not in reductions
-    }
-    if read_ssas & set(write_ssas):
-        return None
-    if set(write_ssas) & set(reductions):
-        return None
-
-    # Lower to the vector program, dropping the reduction load/add pairs
-    # (they fold into the committed sum).
-    skipped_ops = set()
-    for load, write, _partial in reductions.values():
-        skipped_ops.add(id(load.op))
-        skipped_ops.add(id(_single_user(load.result_ssa)))
-    program = []
-    for tag, payload in entries:
-        if tag == "const":
-            program.append(
-                (V_CONST, (payload.result(), payload.get_attr("value")), None)
-            )
-        elif tag == "arith":
-            if id(payload) in skipped_ops:
-                continue
-            kind, fn, _ = _c_arith(cache, engine, payload)
-            program.append((V_STEP, fn, None))
-        else:  # access
-            access = payload
-            if id(access.op) in skipped_ops:
-                continue
-            if access.is_write:
-                if access.buffer_ssa in reductions:
-                    load, write, partial = reductions[access.buffer_ssa]
-                    program.append(
-                        (
-                            V_REDUCE,
-                            (access.buffer_ssa, access.index_ssa, partial),
-                            (load.nbytes, write.nbytes),
-                        )
-                    )
-                else:
-                    program.append(
-                        (
-                            V_WRITE,
-                            (access.buffer_ssa, access.index_ssa,
-                             access.value_ssa),
-                            access.nbytes,
-                        )
-                    )
-            else:
-                program.append(
-                    (
-                        V_READ,
-                        (access.buffer_ssa, access.index_ssa,
-                         access.result_ssa),
-                        (access.nbytes, access.varying),
-                    )
-                )
-
-    buffer_ssas = sorted(by_buffer, key=id)
-    return _VectorLoop(
-        cache,
-        induction,
-        loop_range,
-        body_plan,
-        program,
-        charged,
-        buffer_ssas,
-        frozenset(read_ssas),
-        tuple(write_ssas),
-        frozenset(reductions),
-    )
-
-
-def _uncontended(memory) -> bool:
-    """True when accesses are free and stateless: no schedule-queue
-    interaction, no per-access model state (rules out ``CacheModel``)."""
-    return (
-        memory.spec.cycles_per_access == 0
-        and type(memory).get_read_or_write_cycles
-        is MemoryModel.get_read_or_write_cycles
-    )
-
-
-class _VectorLoop:
-    """Runtime executor for a vectorized ``affine.for``.
-
-    Calling it either performs the whole loop (returning ``None``) or
-    returns a generator that replays the scalar plan when a runtime guard
-    fails (:meth:`attempt` is the first half alone).
-    """
-
-    __slots__ = (
-        "cache", "induction", "loop_range", "body_plan", "program",
-        "charged", "buffer_ssas", "read_ssas", "write_ssas", "reduce_ssas",
-        "trip",
-    )
-
-    def __init__(self, cache, induction, loop_range, body_plan, program,
-                 charged, buffer_ssas, read_ssas, write_ssas, reduce_ssas):
-        self.cache = cache
-        self.induction = induction
-        self.loop_range = loop_range
-        self.body_plan = body_plan
-        self.program = program
-        self.charged = charged
-        self.buffer_ssas = buffer_ssas
-        self.read_ssas = read_ssas
-        self.write_ssas = write_ssas
-        self.reduce_ssas = reduce_ssas
-        self.trip = len(loop_range)
-
-    def _scalar(self, ex, env):
-        plan = self.body_plan
-        induction = self.induction
-        for i in self.loop_range:
-            env[induction] = i
-            suspended = _step_body(plan, ex, env)
-            if suspended is not None:
-                yield from suspended
-
-    def __call__(self, ex, env):
-        if self.attempt(ex, env):
-            return None
-        return self._scalar(ex, env)
-
-    def _guard_failed(self) -> bool:
-        self.cache.vector_fallbacks += 1
-        return False
-
-    def attempt(self, ex, env) -> bool:
-        """Perform the whole loop if the runtime guards allow it; when
-        one fails no buffer or counter has been touched, and the caller
-        runs the scalar loop — ``_scalar``, or a generated body's own."""
-        trip = self.trip
-        if trip == 0:
-            return True
-        engine = self.cache.engine
-        resolve = engine._resolve
-
-        # -- runtime guard: memory kinds and aliasing ------------------
-        buffers = {}
-        for ssa in self.buffer_ssas:
-            runtime = resolve(env, ssa)
-            if not isinstance(runtime, Buffer) or not _uncontended(
-                runtime.memory
-            ):
-                return self._guard_failed()
-            buffers[ssa] = runtime
-        written = [buffers[s] for s in self.write_ssas]
-        written += [buffers[s] for s in self.reduce_ssas]
-        written_ids = {id(b) for b in written}
-        if len(written_ids) != len(written):
-            return self._guard_failed()
-        if written_ids & {id(buffers[s]) for s in self.read_ssas}:
-            return self._guard_failed()
-
-        # -- batched evaluation (no buffer mutation yet) ---------------
-        env[self.induction] = np.arange(
-            self.loop_range.start,
-            self.loop_range.stop,
-            self.loop_range.step,
-            dtype=np.int64,
-        )
-        scatters = []
-        reduces = []
-        stats = []  # (memory, nbytes, is_write)
-        for tag, a, b in self.program:
-            if tag == V_STEP:
-                a(ex, env)
-            elif tag == V_CONST:
-                env[a[0]] = a[1]
-            elif tag == V_READ:
-                buffer_ssa, index_ssa, result_ssa = a
-                nbytes, is_varying = b
-                buffer = buffers[buffer_ssa]
-                indices = tuple(resolve(env, v) for v in index_ssa)
-                if is_varying:
-                    lane = buffer.array[indices]
-                    # Widen to the interpreter's exact Python-scalar
-                    # arithmetic: int64 for ints, float64 for floats.
-                    if lane.dtype.kind in "iub":
-                        lane = lane.astype(np.int64)
-                    elif lane.dtype.kind == "f":
-                        lane = lane.astype(np.float64)
-                    env[result_ssa] = lane
-                else:
-                    value = buffer.array[tuple(int(i) for i in indices)]
-                    env[result_ssa] = (
-                        value.item() if hasattr(value, "item") else value
-                    )
-                stats.append((buffer.memory, nbytes, False))
-            elif tag == V_WRITE:
-                buffer_ssa, index_ssa, value_ssa = a
-                buffer = buffers[buffer_ssa]
-                indices = tuple(resolve(env, v) for v in index_ssa)
-                scatters.append((buffer, indices, resolve(env, value_ssa)))
-                stats.append((buffer.memory, b, True))
-            else:  # V_REDUCE
-                buffer_ssa, index_ssa, partial_ssa = a
-                buffer = buffers[buffer_ssa]
-                indices = tuple(int(resolve(env, v)) for v in index_ssa)
-                reduces.append((buffer, indices, resolve(env, partial_ssa)))
-                read_nbytes, write_nbytes = b
-                stats.append((buffer.memory, read_nbytes, False))
-                stats.append((buffer.memory, write_nbytes, True))
-
-        # -- scatter-address injectivity guard -------------------------
-        for buffer, indices, _value in scatters:
-            flat = np.ravel_multi_index(
-                tuple(
-                    np.broadcast_to(np.asarray(i, dtype=np.int64), (trip,))
-                    for i in indices
-                ),
-                buffer.array.shape,
-                mode="wrap",
-            )
-            if len(np.unique(flat)) != trip:
-                return self._guard_failed()
-
-        # -- commit: buffers, statistics, aggregate cycles -------------
-        for buffer, indices, value in scatters:
-            buffer.array[indices] = value
-        for buffer, indices, partial in reduces:
-            if isinstance(partial, np.ndarray):
-                total = int(partial.sum(dtype=np.int64))
-            else:
-                total = int(partial) * trip
-            buffer.array[indices] = int(buffer.array[indices]) + total
-        for memory, nbytes, is_write in stats:
-            if is_write:
-                memory.bytes_written += trip * nbytes
-                memory.writes += trip
-            else:
-                memory.bytes_read += trip * nbytes
-                memory.reads += trip
-        if self.charged:
-            ex.pending += trip * self.charged * ex.proc.spec.arith_cycles
-        self.cache.vector_iterations += trip
-        return True
 
 
 # plan <-> engine import each other.  Both sides import at the bottom,

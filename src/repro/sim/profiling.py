@@ -103,13 +103,6 @@ class ProfilingSummary:
     #: Launch bodies compiled on their own, by the op that kept them
     #: from sharing a shape, as ``"<reason>:<op name>"``.
     plan_share_declined: Dict[str, int] = field(default_factory=dict)
-    #: ``affine.for`` loops compiled to the batched NumPy fast path.
-    vector_loops: int = 0
-    #: Loop iterations collapsed into batched evaluations.
-    vector_iterations: int = 0
-    #: Vectorized executions that hit a runtime guard and replayed the
-    #: scalar plan instead.
-    vector_fallbacks: int = 0
     #: Hot block plans given a generated Python body (``mode=codegen``).
     blocks_codegenned: int = 0
     #: ... of which instantiated from a shape some block had already
@@ -239,11 +232,6 @@ class ProfilingSummary:
                 f"({self.plans_shared} bodies shared one, "
                 f"{sum(self.plan_share_declined.values())} declined"
                 + (f": {declined})" if declined else ")")
-            )
-            lines.append(
-                f"vectorized loops:         {self.vector_loops} compiled, "
-                f"{self.vector_iterations} iterations batched, "
-                f"{self.vector_fallbacks} fallbacks"
             )
         if (
             self.blocks_codegenned

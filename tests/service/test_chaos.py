@@ -55,10 +55,10 @@ CHAOS_SEEDS = range(24)
 
 
 #: Summary fields that measure the *host* (wall time, per-process
-#: compile-cache hit/miss split, loops vectorized at compile time, which
-#: blocks had run often enough to get generated code), not the
-#: simulation.  Everything else — cycles, event counts, memory
-#: traffic, the checked model — must match bit for bit.
+#: compile-cache hit/miss split, which blocks had run often enough to
+#: get generated code), not the simulation.  Everything else — cycles,
+#: event counts, memory traffic, the checked model — must match bit
+#: for bit.
 HOST_FIELDS = (
     "execution_time_s",
     "plans_compiled",
@@ -66,7 +66,6 @@ HOST_FIELDS = (
     "plan_shapes",
     "plans_shared",
     "plan_share_declined",
-    "vector_loops",
     "blocks_codegenned",
     "codegen_code_shared",
     "codegen_tiered_up",

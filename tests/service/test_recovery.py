@@ -46,7 +46,6 @@ HOST_FIELDS = (
     "plan_shapes",
     "plans_shared",
     "plan_share_declined",
-    "vector_loops",
     "blocks_codegenned",
     "codegen_code_shared",
     "codegen_tiered_up",

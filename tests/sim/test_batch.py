@@ -172,10 +172,10 @@ class TestPlanCacheReuse:
         # Same plan-relevant options: plans survive.
         simulate(program.module, inputs=inputs, plan_cache=shared)
         assert shared.plans
-        # Different vectorization config: plans are flushed, then rebuilt.
+        # Another execution mode: plans are flushed, then rebuilt.
         result = simulate(
             program.module,
-            EngineOptions(vectorize_loops=False),
+            EngineOptions(mode="plan"),
             inputs=inputs,
             plan_cache=shared,
         )

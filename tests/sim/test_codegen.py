@@ -189,10 +189,10 @@ class TestCodegenDifferential:
 
         results = run_all_modes(build)
         summary = results["codegen"].summary
-        # The FIR cascade has both inlineable bodies and ones that await
-        # or return values: codegen takes the former as plain functions
-        # and the latter as generators, and declines nothing.
-        assert summary.blocks_codegenned > summary.codegen_suspending > 0
+        # Every body of the FIR cascade awaits, returns values or holds
+        # a loop: codegen takes them all, as generators, and declines
+        # nothing.
+        assert summary.blocks_codegenned == summary.codegen_suspending > 0
         assert summary.codegen_fallbacks == 0
 
     def test_heap_scheduler(self, rng):

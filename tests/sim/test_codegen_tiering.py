@@ -99,32 +99,26 @@ SUSPENDING = {
 
 def _builder(program):
     """``build() -> (module, inputs)`` for a scenario or a suspending
-    program, plus the engine options the program runs under."""
+    program."""
     if program in SUSPENDING:
         data = np.arange(1, 9, dtype=np.int32)
-
-        def build():
-            return _two_pe_program(SUSPENDING[program]), {"src": data}
-
-        # Scalar loops: the suspension has to come from inside the
-        # flattened body, not from the vectorizer's guard fallback.
-        return build, {"vectorize_loops": False}
+        return lambda: (_two_pe_program(SUSPENDING[program]), {"src": data})
     scenario = get_scenario(program)
     cfg = scenario.configure()
-    return (lambda: (scenario.build(cfg), scenario.make_inputs(cfg, 5))), {}
+    return lambda: (scenario.build(cfg), scenario.make_inputs(cfg, 5))
 
 
 @pytest.mark.parametrize("scheduler", ["wheel", "heap"])
 @pytest.mark.parametrize("program", [*scenario_names(), *SUSPENDING])
 def test_every_tier_is_bit_identical(program, scheduler, tier_up_at):
-    build, overrides = _builder(program)
+    build = _builder(program)
     reference = None
     for variant in VARIANTS:
         if variant in TIERS:
             tier_up_at(TIERS[variant])
         module, inputs = build()
         options = EngineOptions(
-            mode=variant.split("@")[0], scheduler=scheduler, **overrides
+            mode=variant.split("@")[0], scheduler=scheduler
         )
         engine = Engine(module, options, inputs)
         result = engine.run()
@@ -145,25 +139,38 @@ def test_every_tier_is_bit_identical(program, scheduler, tier_up_at):
 def test_suspending_bodies_do_suspend_in_generated_code(
     tier_up_at, monkeypatch
 ):
-    """The two suspending programs only test resumption if the generated
-    body is what suspends: its flattened loop hands the rest of itself
-    to ``_for_resume``."""
+    """The two suspending programs only test suspension if the generated
+    body is what suspends: a PE body — it holds the loop — is a generator
+    function, and the waits are that generator's own yields."""
     tier_up_at(0)
-    resumed = []
+    waits = []
 
-    def counting(*args):
-        resumed.append(args)
-        return for_resume(*args)
+    def tallying(plan_):
+        fn, *counts = compile_body(plan_)
+        if not any(map(plan._is_for, plan_.steps)):
+            return (fn, *counts)
+        assert inspect.isgeneratorfunction(fn)
 
-    for_resume = codegen._for_resume
-    monkeypatch.setattr(codegen, "_for_resume", counting)
+        def body(ex, env):
+            generated, sent = fn(ex, env), None
+            while True:
+                try:
+                    request = generated.send(sent)
+                except StopIteration as stop:
+                    return stop.value
+                waits.append(request)
+                sent = yield request
+
+        return (body, *counts)
+
+    compile_body = codegen.compile_block_body
+    monkeypatch.setattr(codegen, "compile_block_body", tallying)
     for program in SUSPENDING:
-        build, overrides = _builder(program)
-        module, inputs = build()
-        before = len(resumed)
-        result = simulate(module, EngineOptions(**overrides), inputs=inputs)
-        assert result.summary.blocks_codegenned >= 2  # one per PE body
-        assert len(resumed) > before
+        module, inputs = _builder(program)()
+        before = len(waits)
+        result = simulate(module, inputs=inputs)
+        assert result.summary.codegen_suspending >= 2  # one per PE body
+        assert len(waits) > before
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +269,7 @@ def test_a_block_below_the_threshold_never_compiles(compile_calls):
     executions = plan.TIER_UP_EXECUTIONS // 4
     module = _counted_loop(executions)
     cache = PlanCache()
-    options = EngineOptions(vectorize_loops=False)
+    options = EngineOptions()
     data = {"buf": np.arange(executions, dtype=np.int32)}
     summary = simulate(module, options, inputs=data, plan_cache=cache).summary
     assert summary.blocks_codegenned == 0
@@ -289,7 +296,7 @@ def test_plan_mode_counts_nothing_and_compiles_nothing(compile_calls):
     cache = PlanCache()
     simulate(
         module,
-        EngineOptions(mode="plan", vectorize_loops=False),
+        EngineOptions(mode="plan"),
         inputs={"buf": np.zeros(4 * plan.TIER_UP_EXECUTIONS, np.int32)},
         plan_cache=cache,
     )

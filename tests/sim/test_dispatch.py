@@ -472,14 +472,13 @@ PROGRAMS = (*SCENARIO_POINTS, *SUSPENDING, *HAND_WRITTEN)
 
 
 def _build(program):
-    """``(module, inputs, option overrides)``, freshly built."""
+    """``(module, inputs)``, freshly built."""
     if program in SCENARIO_POINTS:
         scenario, cfg = SCENARIO_POINTS[program]
-        return scenario.build(cfg), scenario.make_inputs(cfg, 5), {}
+        return scenario.build(cfg), scenario.make_inputs(cfg, 5)
     if program in SUSPENDING:
-        build, overrides = _suspending(program)
-        return (*build(), overrides)
-    return (*HAND_WRITTEN[program](), {})
+        return _suspending(program)()
+    return HAND_WRITTEN[program]()
 
 
 # ---------------------------------------------------------------------------
@@ -499,10 +498,8 @@ def observe(program, mode, scheduler, tier_up_at=0):
     """One run's record.  Codegen runs with the tier-up at the first
     execution (as recorded; ``tier_up_at``: after that many), so
     generated bodies are what is compared."""
-    module, inputs, overrides = _build(program)
-    options = EngineOptions(
-        mode=mode, scheduler=scheduler, trace=True, **overrides
-    )
+    module, inputs = _build(program)
+    options = EngineOptions(mode=mode, scheduler=scheduler, trace=True)
     engine = Engine(module, options, inputs)
     saved = plan.TIER_UP_EXECUTIONS
     plan.TIER_UP_EXECUTIONS = tier_up_at

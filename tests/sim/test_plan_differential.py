@@ -14,9 +14,9 @@ observable is identical:
 * per-memory traffic statistics and schedule-queue busy time,
 * per-connection traffic and busy time.
 
-A second group exercises the vectorized ``affine.for`` fast path directly:
-batched map loops, integer reductions, and the runtime guards (timed
-memories, buffer aliasing) that must fall back to scalar replay.
+A second group runs one ``affine.for`` — a map and an integer reduction —
+over free, timed and aliased buffers; a third the ``memref``/``affine``
+element accesses no registered scenario reaches.
 """
 
 from __future__ import annotations
@@ -25,10 +25,11 @@ import numpy as np
 import pytest
 
 from repro import ir
-from repro.dialects import affine, arith
+from repro.dialects import affine, arith, memref
 from repro.dialects.equeue import EQueueBuilder
 from repro.dialects.linalg import ConvDims
-from repro.sim import Engine, EngineOptions
+from repro.sim import Engine, EngineOptions, plan
+from tests.conftest import observables
 
 
 def run_both(build, **option_overrides):
@@ -154,7 +155,7 @@ class TestGeneratorsDifferential:
 
 
 # ---------------------------------------------------------------------------
-# Vectorized loop fast path
+# Loops
 # ---------------------------------------------------------------------------
 
 
@@ -192,52 +193,32 @@ def _loop_program(memory_kind: str, alias: bool = False):
 
 
 class TestVectorizedLoops:
-    def test_register_loop_vectorizes(self, rng):
+    """One ``affine.for`` over free, timed and aliased buffers.  (Named
+    after the NumPy vectoriser these programs were written for, retired
+    in PR 20; the name stays so the kept tests keep their ids.)"""
+
+    @pytest.mark.parametrize(
+        "memory,alias", [("Register", False), ("SRAM", False), ("Register", True)]
+    )
+    def test_loop_program(self, memory, alias, rng):
+        """Free registers, a timed SRAM, and ``src`` and ``dst`` one
+        buffer: the same loop, iteration by iteration, everywhere."""
         data = rng.integers(-50, 50, 16).astype(np.int32)
 
         def build():
-            return _loop_program("Register"), {"src": data}
+            return _loop_program(memory, alias), {"src": data}
 
         compiled, _ = run_both(build)
-        assert compiled.summary.vector_loops == 1
-        assert compiled.summary.vector_iterations == 16
-        assert compiled.summary.vector_fallbacks == 0
-        np.testing.assert_array_equal(compiled.buffer("dst"), data * 2)
+        doubled = compiled.buffer("src" if alias else "dst")
+        np.testing.assert_array_equal(doubled, data * 2)
         assert compiled.buffer("acc")[0] == int(data.sum())
-        # Two charged data ops (muli, addi) per iteration.
-        assert compiled.cycles == 32
-
-    def test_sram_loop_falls_back(self, rng):
-        data = rng.integers(-50, 50, 16).astype(np.int32)
-
-        def build():
-            return _loop_program("SRAM"), {"src": data}
-
-        compiled, _ = run_both(build)
-        # Compiled as a vector loop, but the timed SRAM fails the runtime
-        # guard, so every execution replays the scalar plan — and still
-        # matches the interpreter exactly.
-        assert compiled.summary.vector_loops == 1
-        assert compiled.summary.vector_iterations == 0
-        assert compiled.summary.vector_fallbacks == 1
-        np.testing.assert_array_equal(compiled.buffer("dst"), data * 2)
-
-    def test_aliased_buffers_fall_back(self, rng):
-        data = rng.integers(-50, 50, 16).astype(np.int32)
-
-        def build():
-            return _loop_program("Register", alias=True), {"src": data}
-
-        compiled, _ = run_both(build)
-        # src and dst are the same Buffer at runtime: the aliasing guard
-        # must reject the batch and replay scalar iterations.
-        assert compiled.summary.vector_fallbacks >= 1
-        np.testing.assert_array_equal(compiled.buffer("src"), data * 2)
+        if memory == "Register":
+            # Two charged data ops (muli, addi) per iteration.
+            assert compiled.cycles == 32
 
     def test_blockarg_store_at_invariant_index(self):
         """A loop storing a captured scalar (a BlockArgument) at a
-        loop-invariant index is not a reduction; the vectorizer must
-        reject it gracefully, not crash on the argument's Block owner."""
+        loop-invariant index."""
 
         def build():
             module = ir.create_module()
@@ -265,7 +246,6 @@ class TestVectorizedLoops:
             return module, None
 
         compiled, _ = run_both(build)
-        assert compiled.summary.vector_loops == 0
         np.testing.assert_array_equal(
             compiled.buffer("buf"), np.array([7, 0, 0, 0], np.int32)
         )
@@ -281,30 +261,17 @@ class TestVectorizedLoops:
         assert result.summary.plan_cache_hits == 0
         assert engine._plans is None
 
-    def test_vectorize_escape_hatch(self, rng):
-        data = rng.integers(-50, 50, 16).astype(np.int32)
-
-        def build():
-            return _loop_program("Register"), {"src": data}
-
-        compiled, _ = run_both(build, vectorize_loops=False)
-        assert compiled.summary.plans_compiled > 0
-        assert compiled.summary.vector_loops == 0
-        np.testing.assert_array_equal(compiled.buffer("dst"), data * 2)
-
     def test_summary_format_reports_plans(self, rng):
         data = rng.integers(-50, 50, 16).astype(np.int32)
         module = _loop_program("Register")
         result = Engine(module, EngineOptions(), {"src": data}).run()
-        text = result.summary.format()
-        assert "block plans:" in text
-        assert "vectorized loops:" in text
+        assert "block plans:" in result.summary.format()
 
 
 class TestTraceDifferential:
     def test_detailed_trace_records(self, rng):
-        """With detailed tracing on, compiled plans disable vectorization
-        and must emit the same trace records as the interpreter."""
+        """With detailed tracing on, compiled plans must emit the same
+        trace records as the interpreter."""
         data = rng.integers(-50, 50, 16).astype(np.int32)
         records = []
         for mode in ("plan", "interpret", "codegen"):
@@ -320,3 +287,100 @@ class TestTraceDifferential:
                 ]
             )
         assert records[0] == records[1] == records[2]
+
+
+# ---------------------------------------------------------------------------
+# memref / affine element accesses
+# ---------------------------------------------------------------------------
+
+
+def _memref_program(dialect: str, backing: str, n: int = 72):
+    """A kernel whose loops load and store single elements through the
+    ``memref`` or ``affine`` spelling — at constant, dynamic and mixed
+    indices, storing computed values and a launch result (a ``Future``)
+    — over buffers of the ideal store (``memref.alloc``, free) or of a
+    one-ported SRAM (every access waits).  ``n`` iterations: past the
+    real tier-up threshold."""
+    load, store = {
+        "memref": (memref.load, memref.store),
+        "affine": (affine.load, affine.store),
+    }[dialect]
+    module = ir.create_module()
+    eq = EQueueBuilder(ir.Builder(ir.InsertionPoint.at_end(module.body)))
+    kernel = eq.create_proc("ARMr5", name="kernel")
+    pe = eq.create_proc("MAC", name="pe")
+    buffers = []
+    if backing == "SRAM":
+        sram = eq.create_mem("SRAM", 4 * n, ir.i32, name="sram")
+        buffers = [
+            eq.alloc(sram, [n], ir.i32, name="src"),
+            eq.alloc(sram, [2, n], ir.i32, name="dst"),
+        ]
+
+    def main(b, pe_a, *allocated):
+        eq_b = EQueueBuilder(b)
+        if allocated:
+            src, dst = allocated
+        else:
+            src = memref.alloc(b, [n], ir.i32)
+            dst = memref.alloc(b, [2, n], ir.i32)
+            src.name_hint, dst.name_hint = "src", "dst"
+        done, gain = eq_b.launch(
+            eq_b.control_start(), pe_a,
+            body=lambda b1: [arith.constant(b1, 3, ir.i32)],
+        )
+        eq_b.await_(done)
+        zero = arith.constant(b, 0, ir.index)
+        one = arith.constant(b, 1, ir.index)
+
+        def fill(b2, i):
+            x = b2.create("arith.index_cast", [i], [ir.i32]).result()
+            store(b2, arith.muli(b2, x, x), src, [i])
+
+        affine.for_loop(b, 0, n, body=fill)
+
+        def step(b2, i):
+            x = load(b2, src, [i])
+            first = load(b2, src, [one])
+            store(b2, arith.addi(b2, x, first), dst, [zero, i])
+            store(b2, gain, dst, [one, i])
+
+        affine.for_loop(b, 0, n, body=step)
+        store(b, gain, src, [zero])
+
+    done, = eq.launch(
+        eq.control_start(), kernel, args=[pe, *buffers], body=main
+    )
+    eq.await_(done)
+    ir.verify(module)
+    return module
+
+
+class TestMemrefAccess:
+    """``memref.load``/``store`` and ``affine.load``/``store`` in every
+    mode: no registered scenario reaches their compiled steps."""
+
+    @pytest.mark.parametrize("scheduler", ["wheel", "heap"])
+    @pytest.mark.parametrize("backing", ["Ideal", "SRAM"])
+    @pytest.mark.parametrize("dialect", ["memref", "affine"])
+    def test_every_mode_agrees(self, dialect, backing, scheduler, tier_up_at):
+        def run(mode):
+            module = _memref_program(dialect, backing)
+            options = EngineOptions(mode=mode, scheduler=scheduler)
+            engine = Engine(module, options)
+            result = engine.run()
+            return observables(engine, result), result.summary
+
+        reference, _ = run("interpret")
+        dst = reference["buffers"]["dst"]
+        assert dst[0][:4] == [1, 2, 5, 10] and set(dst[1]) == {3}
+        assert reference["buffers"]["src"][:3] == [3, 1, 4]
+        # The SRAM makes every access wait; the ideal store none.
+        assert (reference["cycles"] > 6 * 72) == (backing == "SRAM")
+        seen, _ = run("plan")
+        assert seen == reference, "plan diverged from interpret"
+        for threshold in (0, plan.TIER_UP_EXECUTIONS):
+            tier_up_at(threshold)
+            seen, summary = run("codegen")
+            assert seen == reference, f"codegen@{threshold} diverged"
+            assert summary.blocks_codegenned > 0

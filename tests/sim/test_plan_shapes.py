@@ -85,8 +85,8 @@ def _array_program(site_body, sites, shape=(8,), label="pe{}", src="SRAM"):
 def _every_kind_of_constant(b, k, src, out):
     """A body whose sites differ in a folded index (``row``), a data
     constant read after a suspension (``bias``), a branch condition
-    (``k % 2``) and a constant inside a branch — and agree in the loop
-    bounds and the in-loop constant, which stay in the key."""
+    (``k % 2``) and a constant inside a branch — and agree in a constant
+    inside the loop and in the loop bounds, which stay in the key."""
     eq = EQueueBuilder(b)
     row = arith.constant(b, k, ir.index)
     bias = arith.constant(b, 10 * (k + 1), ir.i32)
@@ -95,7 +95,7 @@ def _every_kind_of_constant(b, k, src, out):
 
     def step(b2, i):
         eq2 = EQueueBuilder(b2)
-        one = arith.constant(b2, 1, ir.i32)  # below a loop: in the key
+        one = arith.constant(b2, 1, ir.i32)
         x = eq2.read_element(src, [i])  # contended: suspends
         y = arith.addi(b2, arith.addi(b2, x, bias), one)
         eq2.write_element(y, out, [row, i])
@@ -112,12 +112,10 @@ def _every_kind_of_constant(b, k, src, out):
 
 
 def _builder(program):
-    """``build() -> (module, inputs)`` plus engine option overrides: the
-    tiering suite's programs and ``every-constant``."""
+    """``build() -> (module, inputs)``: the tiering suite's programs and
+    ``every-constant``."""
     if program == "every-constant":
-        return (lambda: _array_program(_every_kind_of_constant, 4)), {
-            "vectorize_loops": False
-        }
+        return lambda: _array_program(_every_kind_of_constant, 4)
     return _tiering_builder(program)
 
 
@@ -150,14 +148,14 @@ def _agree(build, modes=("plan", "codegen"), **overrides):
 def test_shared_plans_are_bit_identical_in_every_tier(
     program, scheduler, tier_up_at
 ):
-    build, overrides = _builder(program)
+    build = _builder(program)
     reference = None
     shared = 0
     for variant in VARIANTS:
         if variant in TIERS:
             tier_up_at(TIERS[variant])
         seen, summary = _run(
-            build, variant.split("@")[0], scheduler=scheduler, **overrides
+            build, variant.split("@")[0], scheduler=scheduler
         )
         if reference is None:
             reference = seen
@@ -179,12 +177,11 @@ def test_a_site_is_what_differs_between_same_shape_bodies(tier_up_at):
     tier_up_at(0)
     module, inputs = _array_program(_every_kind_of_constant, 4)
     cache = PlanCache()
-    options = EngineOptions(vectorize_loops=False)
-    summary = simulate(module, options, inputs=inputs, plan_cache=cache).summary
+    summary = simulate(module, inputs=inputs, plan_cache=cache).summary
     assert (summary.plan_shapes, summary.plans_shared) == (1, 3)
     sites = [site for _, _, site in cache.sites.values()]
     assert [site.consts for site in sites] == [
-        (k, 10 * (k + 1), k % 2, 0, k + 2) for k in range(4)
+        (k, 10 * (k + 1), k % 2, 0, 1, k + 2) for k in range(4)
     ]
     shape, = cache.shapes.values()
     assert all(
@@ -262,12 +259,7 @@ def test_one_emit_per_shape_one_function_per_site(tier_up_at, monkeypatch):
     monkeypatch.setattr(codegen, "_emit", counting)
     module, inputs = _array_program(_every_kind_of_constant, 4)
     cache = PlanCache()
-    summary = simulate(
-        module,
-        EngineOptions(vectorize_loops=False),
-        inputs=inputs,
-        plan_cache=cache,
-    ).summary
+    summary = simulate(module, inputs=inputs, plan_cache=cache).summary
     shape, = cache.shapes.values()
     # The body, its loop body (entered when a suspended loop resumes)
     # and its branch: each emitted once, whichever site got there first.
@@ -290,12 +282,7 @@ def test_the_threshold_counts_the_shape_not_the_site(tier_up_at):
     tier_up_at(2)
     module, inputs = _array_program(_every_kind_of_constant, 4)
     cache = PlanCache()
-    summary = simulate(
-        module,
-        EngineOptions(vectorize_loops=False),
-        inputs=inputs,
-        plan_cache=cache,
-    ).summary
+    summary = simulate(module, inputs=inputs, plan_cache=cache).summary
     shape, = cache.shapes.values()
     assert shape.plans[-1].runs == 4
     tops = [site.plans[-1] for _, _, site in cache.sites.values()]
@@ -350,38 +337,6 @@ def test_unshareable_ops_are_not_in_the_shareable_set(name):
     assert plan._COMPILERS.keys() >= plan._SHAREABLE - {
         "affine.yield", "scf.yield"
     }
-
-
-def _in_loop_constant(b, k, src, out):
-    """A constant the vectoriser bakes into its batched program."""
-    row = arith.constant(b, k, ir.index)
-
-    def step(b2, i):
-        eq2 = EQueueBuilder(b2)
-        gain = arith.constant(b2, k + 2, ir.i32)
-        x = eq2.read_element(src, [i])
-        eq2.write_element(arith.addi(b2, x, gain), out, [row, i])
-
-    affine.for_loop(b, 0, 8, body=step)
-
-
-def _batched():
-    # Register to register: the loop runs as one NumPy evaluation.
-    return _array_program(_in_loop_constant, 3, src="Register")
-
-
-def test_a_constant_below_a_loop_stays_in_the_key():
-    summary = _agree(_batched)
-    assert (summary.plan_shapes, summary.plans_shared) == (3, 0)
-    assert (summary.vector_loops, summary.vector_fallbacks) == (3, 0)
-
-
-def test_the_loop_fence_is_what_holds(monkeypatch):
-    monkeypatch.setattr(
-        plan, "_ABSTRACTS_INTO", plan._ABSTRACTS_INTO | {"affine.for"}
-    )
-    with pytest.raises(AssertionError, match="diverged"):
-        _agree(_batched)
 
 
 def _loop_bound(b, k, src, out):
@@ -488,9 +443,8 @@ def test_constant_values_are_all_two_same_shape_keys_leave_out():
         )
         return plan._shape_key(block)[:2]
 
-    assert key(1, 5)[0] == key(2, 5)[0]
-    assert (key(1, 5)[1], key(2, 5)[1]) == ((1,), (2,))
-    assert key(1, 5)[0] != key(1, 6)[0]
+    assert key(1, 5)[0] == key(2, 6)[0]  # below a loop too
+    assert (key(1, 5)[1], key(2, 6)[1]) == ((1, 5), (2, 6))
 
 
 def test_a_body_that_is_not_closed_is_not_shared():
@@ -531,9 +485,7 @@ def test_detailed_trace_labels_stay_per_site(mode, tier_up_at):
         module, inputs = _array_program(
             _every_kind_of_constant, 4, label="site-{}"
         )
-        options = EngineOptions(
-            mode=mode, trace=True, detailed_trace=True, vectorize_loops=False
-        )
+        options = EngineOptions(mode=mode, trace=True, detailed_trace=True)
         result = simulate(module, options, inputs=inputs)
         return sorted(
             (r.name, r.category, r.pid, r.tid, r.start, r.duration)

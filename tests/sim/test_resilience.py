@@ -48,6 +48,8 @@ def _evaluate(payload):  # module-level: picklable for pool workers
         time.sleep(20)
     if action == "stall-always":
         time.sleep(20)
+    if action == "slow":
+        time.sleep(0.2)
     if action == "raise":
         raise ValueError(f"bad item {value}")
     return value * 3
@@ -157,9 +159,12 @@ class TestCancel:
             delivered.append(index)
             cancel.set()
 
+        # All but the first chunk take a while: on a loaded host the
+        # pool must not finish the sweep before the cancel is seen.
+        items = _items(16, [(i, "slow", "") for i in range(2, 16)])
         runner = SweepRunner(jobs=2, chunk_size=2)
         with pytest.raises(SweepInterrupted) as info:
-            runner.map(_evaluate, _items(16), on_result=on_result, cancel=cancel)
+            runner.map(_evaluate, items, on_result=on_result, cancel=cancel)
         # Everything reported completed was actually delivered.
         assert info.value.completed == len(delivered)
         assert 1 <= len(delivered) < 16

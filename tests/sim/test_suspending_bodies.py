@@ -206,16 +206,22 @@ def test_the_selector_goes_by_share_and_inlineability():
     class Counted:
         shape = None
 
-        def __init__(self, runs, suspensions, inlineable=True):
+        def __init__(self, runs, suspensions, inlineable=True, steps=()):
             self.runs = runs
             self.suspensions = suspensions
             self.inlineable = inlineable
+            self.steps = steps
 
     assert not plan._suspends(Counted(65, 0))
     assert not plan._suspends(Counted(65, 8))  # one in eight: not yet
     assert plan._suspends(Counted(65, 9))
     assert plan._suspends(Counted(65, 65))
     assert plan._suspends(Counted(1, 0, inlineable=False))
+    # A loop step suspends on every replay: no need to count.
+    branch = (plan.K_CTRL, None, ("if", None, None, None, None))
+    loop = (plan.K_CTRL, None, ("for", None, None, range(0)))
+    assert not plan._suspends(Counted(1, 0, steps=(branch,)))
+    assert plan._suspends(Counted(1, 0, steps=(branch, loop)))
     # A site's view goes by its shape's counts, over all sites.
     view = Counted(1, 0)
     view.shape = Counted(65, 40)
@@ -266,12 +272,10 @@ def test_a_nest_is_native_loops_at_every_depth(tier_up_at, force_kind):
     force_kind("suspending")
     sources = _sources(BLOCKING["nest-blocking"])
     text = max(sources, key=len)
-    # Three loops in one body, the innermost behind the vectoriser's
-    # guard (which turns the SRAM away), none of them a call.
+    # Three loops in one body, none of them a call.
     assert re.search(
         r"\n( +)for _n\d+ in _r\d+:\n(.*\n)*?\1    for _n\d+ in _r\d+:\n"
-        r"(.*\n)*?\1        if not _s\d+\(ex, env\):\n"
-        r"\1            for _n\d+ in _r\d+:\n",
+        r"(.*\n)*?\1        for _n\d+ in _r\d+:\n",
         text,
     )
     # A read that waits, in the handler's order, in two lines' booking.
@@ -296,26 +300,6 @@ def test_await_and_returned_values_are_yield_from_and_return(tier_up_at):
     assert re.search(r"\n    yield from _s\d+\(ex, env\)\n", texts)
     texts = "\n".join(_sources(BLOCKING["returns-hot"]))
     assert re.search(r"\n    return \[_x\d+, _n\d+\]\n", texts)
-
-
-def test_a_failed_vector_guard_falls_into_the_flattened_loop(
-    tier_up_at, force_kind, monkeypatch
-):
-    """Not into ``_VectorLoop._scalar``: the replay loop is the cold
-    tier's alone.  The fallback is counted either way."""
-    reference, ref_summary = _run(BLOCKING["nest-blocking"], "plan")
-    assert ref_summary.vector_fallbacks == 12
-    tier_up_at(0)
-    force_kind("suspending")
-
-    def scalar(self, ex, env):
-        raise AssertionError("a generated body replayed a loop")
-
-    monkeypatch.setattr(plan._VectorLoop, "_scalar", scalar)
-    seen, summary = _run(BLOCKING["nest-blocking"], "codegen")
-    assert seen == reference
-    assert summary.vector_fallbacks == 12
-    assert (summary.vector_loops, summary.vector_iterations) == (1, 0)
 
 
 def test_suspending_bodies_are_counted_and_reported(tier_up_at):
@@ -745,15 +729,14 @@ def _generated_nest(depth, costs, posted, contended, trips):
     posted=st.booleans(),
     contended=st.booleans(),
     scheduler=st.sampled_from(SCHEDULERS),
-    vectorize=st.booleans(),
 )
 def test_generated_nests_every_kind_equals_interpreted(
-    depth, costs, posted, contended, scheduler, vectorize
+    depth, costs, posted, contended, scheduler
 ):
     def build():
         return _generated_nest(depth, costs, posted, contended, (3, 2, 2, 2, 2, 2))
 
-    overrides = {"scheduler": scheduler, "vectorize_loops": vectorize}
+    overrides = {"scheduler": scheduler}
     reference, _ = _run(build, "interpret", **overrides)
     seen, _ = _run(build, "plan", **overrides)
     assert seen == reference, "plan diverged from interpret"

@@ -151,9 +151,9 @@ def _agree(build, **overrides):
 # ---------------------------------------------------------------------------
 
 
-def _sources(module, inputs, **overrides):
+def _sources(module, inputs):
     cache = PlanCache()
-    simulate(module, EngineOptions(**overrides), inputs=inputs, plan_cache=cache)
+    simulate(module, inputs=inputs, plan_cache=cache)
     return {
         codegen.source_of(p.compiled)
         for _, p in cache.plans.values()
@@ -260,10 +260,10 @@ def test_an_unresolved_future_where_a_buffer_is_expected(tier_up_at):
         ir.verify(module)
         return module, {"out": np.arange(4, dtype=np.float32)}
 
-    summary = _agree(build, vectorize_loops=False)
+    summary = _agree(build)
     assert summary.codegen_deopts == {"value:Future": 3}
     module, inputs = build()
-    result = simulate(module, EngineOptions(vectorize_loops=False), inputs)
+    result = simulate(module, inputs=inputs)
     assert result.buffer("out").tolist() == [1.5, 2.5, 3.5, 4.5]
 
 
@@ -334,10 +334,10 @@ def _stale():
 
 def test_in_tree_values_are_read_where_they_are_used(tier_up_at):
     tier_up_at(0)
-    summary = _agree(_stale, vectorize_loops=False)
+    summary = _agree(_stale)
     assert summary.codegen_deopts == {}
     module, inputs = _stale()
-    text = "\n".join(_sources(module, inputs, vectorize_loops=False))
+    text = "\n".join(_sources(module, inputs))
     assert "int(env[" in text  # x: dynamic, as without types
 
 
@@ -347,7 +347,7 @@ def test_the_in_tree_fence_is_what_holds(tier_up_at, monkeypatch):
     tier_up_at(0)
     monkeypatch.setattr(codegen, "_in_tree", lambda value, root: False)
     with pytest.raises(AssertionError, match="diverged"):
-        _agree(_stale, vectorize_loops=False)
+        _agree(_stale)
 
 
 def _odd_constant(b, k, src, out):
@@ -374,9 +374,8 @@ def test_a_shared_bodys_constants_are_typed_per_site(tier_up_at):
     tier_up_at(0)
     module, inputs = _odd()
     cache = PlanCache()
-    reference, _ = _run(_odd, "interpret", vectorize_loops=False)
-    options = EngineOptions(vectorize_loops=False)
-    engine = Engine(module, options, inputs, plan_cache=cache)
+    reference, _ = _run(_odd, "interpret")
+    engine = Engine(module, inputs=inputs, plan_cache=cache)
     result = engine.run()
     assert observables(engine, result) == reference
     assert result.summary.plans_shared == 2
@@ -396,14 +395,12 @@ def test_the_site_guard_is_what_holds(tier_up_at, monkeypatch):
     tier_up_at(0)
     monkeypatch.setattr(codegen, "_site_guard", lambda *args: None)
     with pytest.raises((AssertionError, TypeError, IndexError)):
-        _agree(_odd, vectorize_loops=False)
+        _agree(_odd)
 
 
 def _traced(mode):
     module, inputs = _array_program(_every_kind_of_constant, 4)
-    options = EngineOptions(
-        mode=mode, trace=True, detailed_trace=True, vectorize_loops=False
-    )
+    options = EngineOptions(mode=mode, trace=True, detailed_trace=True)
     result = simulate(module, options, inputs=inputs)
     return sorted(
         (r.name, r.category, r.pid, r.tid, r.start, r.duration)

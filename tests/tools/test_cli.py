@@ -372,7 +372,7 @@ class TestEqueueSimScenarios:
                 for line in capsys.readouterr().out.splitlines()
                 if not line.startswith(
                     ("simulator execution time", "scheduler tiers",
-                     "block plans", "vectorized loops", "codegen blocks")
+                     "block plans", "codegen blocks")
                 )
             ]
 
@@ -457,7 +457,7 @@ class TestExecutionModeFlag:
             for line in capsys.readouterr().out.splitlines()
             if not line.startswith(
                 ("simulator execution time", "scheduler tiers",
-                 "block plans", "vectorized loops", "codegen blocks")
+                 "block plans", "codegen blocks")
             )
         ]
 
