@@ -1,4 +1,4 @@
-"""The thin ``equeue-serve`` client (``http.client``, no dependencies).
+"""The thin ``equeue-serve`` client (a socket, no dependencies).
 
 Tests, benchmarks, and the CI smoke all drive the service through this
 class, so the wire format is exercised end to end everywhere — nothing
@@ -10,6 +10,12 @@ handshake (and the server a thread spawn) once, not per request (see
 ``docs/serving.md``, "Connections").  It talks to ``base_url``
 directly; the ``http_proxy``-style environment variables are not
 consulted.
+
+It speaks the HTTP/1.1 subset the service answers with, by hand: a
+request is one ``sendall`` (head and JSON body together), and of a
+response it reads the status line, ``Content-Length`` and ``Connection``
+— an interim ``100 Continue`` is skipped, a body without a length runs
+to the end of the connection, a ``Transfer-Encoding`` is refused.
 
 Retry semantics (see ``docs/serving.md``, "Failure modes & retry
 semantics"): overload answers (429, 503) and transport failures are
@@ -23,10 +29,11 @@ from __future__ import annotations
 
 import json
 import random
+import socket
+import ssl
 import time
 from collections import deque
-from http.client import HTTPConnection, HTTPException, HTTPSConnection
-from typing import Deque, Dict, List, Optional
+from typing import Deque, Dict, List, NamedTuple, Optional, Tuple
 from urllib.parse import urlsplit
 
 from ..obs import logs as obs_logs
@@ -49,6 +56,77 @@ class ServiceError(RuntimeError):
         super().__init__(message)
         self.status = status
         self.retry_after = retry_after
+
+
+#: Ceiling on a response head (the server's are ~250 bytes).
+_MAX_HEAD_BYTES = 1 << 20
+
+
+class _Response(NamedTuple):
+    """What the client acts on in a response head."""
+
+    status: int
+    reason: str
+    will_close: bool
+
+
+def _read_response(sock: socket.socket) -> Tuple[_Response, bytes]:
+    """Read one response off ``sock``: its head, parsed, and its body.
+
+    ``ConnectionResetError`` when the peer closed before sending a byte
+    (what a stale pooled socket looks like); any other way a response
+    can fall short or be malformed is a :class:`ServiceError` without a
+    status, i.e. a transport failure the caller may retry.
+    """
+    buffer = b""
+    while True:
+        while (end := buffer.find(b"\r\n\r\n")) < 0:
+            if len(buffer) > _MAX_HEAD_BYTES:
+                raise ServiceError("response head too large")
+            chunk = sock.recv(65536)
+            if not chunk:
+                if not buffer:
+                    raise ConnectionResetError("connection closed by the server")
+                raise ServiceError("connection closed inside a response head")
+            buffer += chunk
+        lines = buffer[:end].decode("latin-1").split("\r\n")
+        buffer = buffer[end + 4:]
+        version, _, rest = lines[0].partition(" ")
+        code, _, reason = rest.partition(" ")
+        if not version.startswith("HTTP/1.") or not code.isdigit():
+            raise ServiceError(f"malformed status line {lines[0]!r}")
+        status = int(code)
+        if status >= 200:  # 1xx: an interim response, the real one follows
+            break
+    length = None
+    will_close = version == "HTTP/1.0"
+    for line in lines[1:]:
+        name, _, value = line.partition(":")
+        name = name.lower()
+        if name == "content-length":
+            value = value.strip()
+            if not (value.isascii() and value.isdigit()):
+                raise ServiceError(f"malformed Content-Length {value!r}")
+            length = int(value)
+        elif name == "connection":
+            token = value.strip().lower()
+            if token in ("close", "keep-alive"):
+                will_close = token == "close"
+        elif name == "transfer-encoding":
+            raise ServiceError("Transfer-Encoding responses are not supported")
+    if length is None:
+        will_close = True
+    while length is None or len(buffer) < length:
+        chunk = sock.recv(65536)
+        if not chunk:
+            if length is None:
+                break
+            raise ServiceError(
+                f"connection closed {length - len(buffer)} bytes short of "
+                "the response body"
+            )
+        buffer += chunk
+    return _Response(status, reason, will_close), buffer
 
 
 class ServiceClient:
@@ -85,12 +163,17 @@ class ServiceClient:
             raise ValueError(
                 f"base_url must be http(s)://host[:port], got {base_url!r}"
             )
-        self._connection_cls = (
-            HTTPSConnection if url.scheme == "https" else HTTPConnection
+        #: ``https``: the same code over a TLS-wrapped socket, verified
+        #: against the system's trust store.
+        self._tls = (
+            ssl.create_default_context() if url.scheme == "https" else None
         )
-        self._host, self._port, self._prefix = url.hostname, url.port, url.path
+        self._host = url.hostname
+        self._port = url.port or (443 if self._tls else 80)
+        self._prefix = url.path
+        self._host_header = url.netloc.rpartition("@")[2]
         #: Idle keep-alive connections, most recently used last.
-        self._idle: Deque[HTTPConnection] = deque()
+        self._idle: Deque[socket.socket] = deque()
         self.timeout = timeout
         self.retries = max(1, int(retries))
         self.backoff_s = backoff_s
@@ -155,24 +238,36 @@ class ServiceClient:
         payload: Optional[Dict],
         timeout: Optional[float],
     ) -> Dict:
-        body = None
-        headers = {"Accept": "application/json"}
+        head = (
+            f"{method} {self._prefix}{path} HTTP/1.1\r\n"
+            f"Host: {self._host_header}\r\n"
+            "Accept: application/json\r\n"
+        )
+        body = b""
         if payload is not None:
             body = json.dumps(payload).encode("utf-8")
-            headers["Content-Type"] = "application/json"
+            head += (
+                "Content-Type: application/json\r\n"
+                f"Content-Length: {len(body)}\r\n"
+            )
+        request = head.encode("latin-1") + b"\r\n" + body
         timeout = timeout or self.timeout
         try:
-            conn, reused = self._idle.pop(), True
-            conn.sock.settimeout(timeout)
+            sock, reused = self._idle.pop(), True
+            sock.settimeout(timeout)
         except IndexError:
-            conn, reused = self._connect(timeout), False
+            sock, reused = self._connect(timeout), False
         while True:
             try:
-                conn.request(method, self._prefix + path, body, headers)
-                response = conn.getresponse()
+                # One write: two small ones meet Nagle and a delayed ACK.
+                sock.sendall(request)
+                response, raw = _read_response(sock)
                 break
-            except (OSError, HTTPException) as error:
-                conn.close()
+            except ServiceError:
+                sock.close()
+                raise
+            except OSError as error:
+                sock.close()
                 # Connect failures and a server killed mid response are
                 # the same transport blip: one retryable ServiceError.
                 # A pooled socket is different: the server may have
@@ -181,18 +276,13 @@ class ServiceClient:
                 # One fresh connection settles whether the server is
                 # really gone, without charging the caller's retries.
                 # A timeout is a slow server, not a stale socket.
-                if not reused or isinstance(error, TimeoutError):
+                if not (reused and isinstance(error, ConnectionError)):
                     raise ServiceError(str(error)) from None
-                conn, reused = self._connect(timeout), False
-        try:
-            raw = response.read()
-        except (OSError, HTTPException) as error:
-            conn.close()
-            raise ServiceError(str(error)) from None
+                sock, reused = self._connect(timeout), False
         if response.will_close:
-            conn.close()
+            sock.close()
         else:
-            self._idle.append(conn)
+            self._idle.append(sock)
         if response.status >= 400:
             message, retry_after = self._decode_error(response, raw)
             raise ServiceError(
@@ -200,8 +290,15 @@ class ServiceClient:
             )
         return json.loads(raw)
 
-    def _connect(self, timeout: float) -> HTTPConnection:
-        return self._connection_cls(self._host, self._port, timeout=timeout)
+    def _connect(self, timeout: float) -> socket.socket:
+        try:
+            sock = socket.create_connection((self._host, self._port), timeout)
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            if self._tls is not None:
+                sock = self._tls.wrap_socket(sock, server_hostname=self._host)
+        except OSError as error:
+            raise ServiceError(str(error)) from None
+        return sock
 
     @staticmethod
     def _decode_error(response, raw: bytes):

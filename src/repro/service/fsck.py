@@ -25,12 +25,11 @@ path that holds no service state is almost certainly an operator error.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List
 
+from .store import parse_blob
 from .wal import WAL_KIND, WALError, load_wal
 
 #: The WAL file name under a ``--state-dir`` (shared with the server).
@@ -109,21 +108,12 @@ def _check_wal(state_dir: Path, report: FsckReport) -> None:
 
 
 def _verify_blob(path: Path) -> bool:
-    """The read path's check, offline: trailer digest + JSON object."""
+    """The read path's check (:func:`~repro.service.store.parse_blob`),
+    offline."""
     try:
-        lines = path.read_text(encoding="utf-8").splitlines()
+        return parse_blob(path.read_text(encoding="utf-8")) is not None
     except (OSError, UnicodeDecodeError):
         return False
-    if len(lines) != 2 or not lines[1].startswith("sha256:"):
-        return False
-    line, trailer = lines
-    if hashlib.sha256(line.encode("utf-8")).hexdigest() != trailer[7:]:
-        return False
-    try:
-        record = json.loads(line)
-    except ValueError:
-        return False
-    return isinstance(record, dict)
 
 
 def _check_store(state_dir: Path, report: FsckReport) -> None:

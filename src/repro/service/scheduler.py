@@ -552,6 +552,15 @@ class Job:
             payload["record"] = self.record
         return payload
 
+    def to_json(self, line: Optional[bytes] = None) -> bytes:
+        """``json.dumps(self.to_dict())`` as bytes.  Given the canonical
+        ``line`` this job's record was read from, the ``record`` member
+        is that line spliced in byte for byte, not serialised again."""
+        if line is None:
+            return json.dumps(self.to_dict()).encode("utf-8")
+        head = json.dumps(self.to_dict(include_record=False))
+        return b'%s, "record": %s}' % (head[:-1].encode("utf-8"), line)
+
 
 class SweepJob(Job):
     """A scheduled sweep: one job whose record aggregates many points.
@@ -828,7 +837,7 @@ class JobScheduler:
         here at admission when the caller (a non-HTTP embedder) did not
         already mint one at the front door.
         """
-        return self._admit(Job, request, deadline_s, client, request_id)
+        return self.admit(request, deadline_s, client, request_id)[0]
 
     def submit_sweep(
         self,
@@ -845,10 +854,25 @@ class JobScheduler:
         queue bounds and draining, and the admission is WAL-logged
         before the job is visible.
         """
-        return self._admit(SweepJob, request, deadline_s, client, request_id)
+        return self.admit(request, deadline_s, client, request_id)[0]
 
-    def _admit(self, job_cls, request, deadline_s, client, request_id):
-        sweep = job_cls is SweepJob
+    def admit(
+        self,
+        request,
+        deadline_s: Optional[float] = None,
+        client: Optional[str] = None,
+        request_id: Optional[str] = None,
+    ) -> Tuple[Job, Optional[bytes]]:
+        """:meth:`submit` / :meth:`submit_sweep` for a caller that
+        writes the job out: ``(job, line)``, where a store hit's
+        ``line`` is the verified canonical line its record was parsed
+        from (``None`` otherwise) — :meth:`Job.to_json` splices it.
+
+        Handed to the caller, not kept on the job: a line per retained
+        job read +10 MB of resident set on ``service_warm``.
+        """
+        sweep = isinstance(request, SweepRequest)
+        job_cls = SweepJob if sweep else Job
         key = request_store_key(request)
         mode = dict(request.options).get(
             "mode", resolve_execution_mode(None).value
@@ -864,15 +888,16 @@ class JobScheduler:
             if inflight is not None:
                 inflight.waiters += 1
                 self.stats.coalesced += 1
-                return inflight
-        stored = self.store.get(key) if self.store is not None else None
+                return inflight, None
+        found = self.store.read(key) if self.store is not None else None
         with self._lock:
             inflight = self._inflight.get(key)
             if inflight is not None:
                 inflight.waiters += 1
                 self.stats.coalesced += 1
-                return inflight
-            if stored is not None:
+                return inflight, None
+            if found is not None:
+                stored, line = found
                 job = job_cls(
                     self._next_id(), key, request, request_id=request_id
                 )
@@ -886,7 +911,7 @@ class JobScheduler:
                 job._complete(stored, source="store")
                 self._note_terminal(job)
                 _log.debug("job.store_hit", job=job.id, request_id=request_id)
-                return job
+                return job, line
             if self.draining:
                 self.stats.rejected_draining += 1
                 raise DrainingError("scheduler is draining; not accepting new jobs")
@@ -915,7 +940,7 @@ class JobScheduler:
             request_id=request_id,
         )
         faults.fire("server.crash", context=f"admit:{job.id}")
-        return job
+        return job, None
 
     def _prune_jobs(self) -> None:
         """Drop the oldest *completed* jobs beyond ``max_jobs`` (called

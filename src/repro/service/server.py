@@ -54,6 +54,7 @@ import sys
 import threading
 import time
 from dataclasses import asdict
+from email.utils import formatdate
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Dict, Optional, Tuple
@@ -110,6 +111,12 @@ MAX_DRAIN_BYTES = 8 << 20
 #: without closing do not accumulate.  Clients reconnect transparently
 #: (``ServiceClient`` retries a stale pooled socket once for free).
 KEEPALIVE_IDLE_S = 30.0
+
+#: The request head's limits — http.server's (``http.client._MAXLINE``
+#: and ``_MAXHEADERS``, blank line included), restated because the head
+#: is parsed here: a longer line or a longer head is a 431.
+MAX_LINE_BYTES = 65536
+MAX_HEAD_LINES = 100
 
 
 class RateLimiter:
@@ -174,6 +181,90 @@ class ServiceHandler(BaseHTTPRequestHandler):
         # logging; stdlib-internal messages route through it at debug.
         _log.debug("http.stdlib", client=self.address_string(), message=format % args)
 
+    def parse_request(self) -> bool:
+        """http.server's ``parse_request`` — its request-line rules, its
+        limits, its statuses — with the header block parsed here instead
+        of by ``email.parser``, into ``self.headers``: a dict keyed by
+        lower-cased field name (repeats joined with ``", "``).
+
+        Stricter than the stdlib where leniency lets two parsers
+        disagree about where a request ends: a folded header line,
+        whitespace before the colon and a line with no colon are 400s.
+        """
+        self.command = None
+        self.request_version = self.default_request_version
+        self.close_connection = True
+        self.requestline = requestline = str(
+            self.raw_requestline, "iso-8859-1"
+        ).rstrip("\r\n")
+        words = requestline.split()
+        if not words:
+            return False
+        keep_alive = False
+        if len(words) >= 3:
+            version = words[-1]
+            try:
+                if not version.startswith("HTTP/"):
+                    raise ValueError
+                major, minor = version[5:].split(".")
+                if len(major) > 10 or len(minor) > 10:
+                    raise ValueError
+                if not (major.isdigit() and minor.isdigit()):
+                    raise ValueError
+                number = int(major), int(minor)
+            except ValueError:
+                return self._refuse(400, f"Bad request version ({version!r})")
+            if number >= (2, 0):
+                return self._refuse(505, f"Invalid HTTP version ({version[5:]})")
+            keep_alive = number >= (1, 1)
+            self.request_version = version
+        if not 2 <= len(words) <= 3:
+            return self._refuse(400, f"Bad request syntax ({requestline!r})")
+        command, path = words[:2]
+        if len(words) == 2 and command != "GET":
+            return self._refuse(400, f"Bad HTTP/0.9 request type ({command!r})")
+        if path.startswith("//"):  # gh-87389: never an absolute URI
+            path = "/" + path.lstrip("/")
+        headers: Dict[str, str] = {}
+        for _ in range(MAX_HEAD_LINES):
+            line = self.rfile.readline(MAX_LINE_BYTES + 1)
+            if len(line) > MAX_LINE_BYTES:
+                return self._refuse(431, "Line too long")
+            if line in (b"\r\n", b"\n", b""):
+                break
+            name, colon, value = line.decode("iso-8859-1").partition(":")
+            if not colon or not name or name[0] in " \t" or name[-1] in " \t":
+                return self._refuse(400, "Bad header line")
+            name, value = name.lower(), value.strip()
+            if name in headers:
+                value = f"{headers[name]}, {value}"
+            headers[name] = value
+        else:
+            return self._refuse(431, "Too many headers")
+        self.command, self.path, self.headers = command, path, headers
+        connection = headers.get("connection", "").lower()
+        if connection == "keep-alive":
+            keep_alive = True
+        elif connection == "close":
+            keep_alive = False
+        self.close_connection = not keep_alive
+        if (
+            headers.get("expect", "").lower() == "100-continue"
+            and self.request_version >= "HTTP/1.1"
+        ):
+            return self.handle_expect_100()
+        return True
+
+    def _refuse(self, status: int, message: str) -> bool:
+        """Answer a head that does not parse: the stdlib's
+        ``send_error``, but always with a status line (the stdlib
+        answers a bad version word in HTTP/0.9, with none) and always
+        closing (it keeps reading after a 505)."""
+        self.request_version = self.protocol_version
+        self.close_connection = True
+        self.send_error(status, message)
+        return False
+
     def _begin(self) -> None:
         """Stamp the request: start clock, a fresh request id, and how
         much request body is waiting on the socket.
@@ -184,26 +275,28 @@ class ServiceHandler(BaseHTTPRequestHandler):
         joins the access log, the service logs, and the WAL.
 
         Raises ``ValueError`` (a 400, connection closed) when the
-        request's length cannot be known.
+        request's length cannot be known: no digits, two
+        ``Content-Length`` headers (joined by :meth:`parse_request`, so
+        no longer digits — the first used to win and the rest of the
+        body was parsed as the next request), or any
+        ``Transfer-Encoding``, with a ``Content-Length`` beside it or
+        not.
         """
         self._began = time.perf_counter()
         self._request_id = obs_logs.new_request_id()
         self._unread = 0
-        raw = self.headers.get("Content-Length")
-        try:
-            length = int(raw or 0)
-        except ValueError:
-            length = -1
-        if length < 0 or self.headers.get("Transfer-Encoding"):
+        raw = self.headers.get("content-length", "0")
+        encoded = "transfer-encoding" in self.headers
+        if encoded or not (raw.isascii() and raw.isdigit()):
             # Where this request ends is unknown, so nothing after it
             # on this connection can be trusted to be a request.
             self.close_connection = True
             raise ValueError(
-                f"bad Content-Length {raw!r}"
-                if length < 0
-                else "Transfer-Encoding is not supported; send Content-Length"
+                "Transfer-Encoding is not supported; send Content-Length"
+                if encoded
+                else f"bad Content-Length {raw!r}"
             )
-        self._unread = length
+        self._unread = int(raw)
 
     def _finish_response(self, status: int) -> None:
         """Access-log + meter one response (any status)."""
@@ -255,21 +348,20 @@ class ServiceHandler(BaseHTTPRequestHandler):
         self._discard_body()
         if self.scheduler.draining:
             self.close_connection = True
-        head = [
-            f"HTTP/1.1 {status} {self.responses[status][0]}",
-            f"Server: {self.version_string()}",
-            f"Date: {self.date_time_string()}",
-            f"Content-Type: {content_type}",
-            f"Content-Length: {len(body)}",
-            f"X-Request-Id: {self._request_id}",
-        ]
+        head = (
+            f"HTTP/1.1 {status} {self.responses[status][0]}\r\n"
+            f"Server: {self.version_string()}\r\n"
+            f"Date: {self.server.http_date()}\r\n"  # type: ignore[attr-defined]
+            f"Content-Type: {content_type}\r\n"
+            f"Content-Length: {len(body)}\r\n"
+            f"X-Request-Id: {self._request_id}\r\n"
+        )
         if retry_after is not None:
-            head.append(f"Retry-After: {max(1, round(retry_after))}")
+            head += f"Retry-After: {max(1, round(retry_after))}\r\n"
         if self.close_connection:
-            head.append("Connection: close")
-        head.append("\r\n")
+            head += "Connection: close\r\n"
         self._finish_response(status)
-        self.wfile.write("\r\n".join(head).encode("latin-1") + body)
+        self.wfile.write(head.encode("latin-1") + b"\r\n" + body)
 
     def _send_json(
         self,
@@ -451,22 +543,13 @@ class ServiceHandler(BaseHTTPRequestHandler):
         # an orphaned job simulating with its id never returned.
         wait = self._wait_seconds(query, body)
         deadline = self._deadline_seconds(body)
-        client = self.client_address[0]
         try:
-            if sweep:
-                job = self.scheduler.submit_sweep(
-                    request,
-                    deadline_s=deadline,
-                    client=client,
-                    request_id=self._request_id,
-                )
-            else:
-                job = self.scheduler.submit(
-                    request,
-                    deadline_s=deadline,
-                    client=client,
-                    request_id=self._request_id,
-                )
+            job, line = self.scheduler.admit(
+                request,
+                deadline_s=deadline,
+                client=self.client_address[0],
+                request_id=self._request_id,
+            )
         except WALError as error:
             # Durability could not be promised (admission-log append
             # failed): refuse rather than issue an id that would not
@@ -490,7 +573,13 @@ class ServiceHandler(BaseHTTPRequestHandler):
         if wait:
             job.wait(wait)
         with obs_span("server.respond", job=job.id):
-            self._send_json(200 if job.done else 202, {"job": job.to_dict()})
+            # A store hit's record leaves as the bytes it was verified
+            # as: the blob's canonical line, spliced, not re-serialised.
+            self._respond(
+                200 if job.done else 202,
+                b'{"job": %s}' % job.to_json(line),
+                "application/json",
+            )
 
     def _deadline_seconds(self, body: Dict) -> Optional[float]:
         raw = body.get("deadline", None)
@@ -594,6 +683,16 @@ class ServiceServer(ThreadingHTTPServer):
         #: server runs without a ``--state-dir``).
         self.recovery: Optional[Dict] = None
         self._shutdown_requested = threading.Event()
+        self._date = (0, "")
+
+    def http_date(self) -> str:
+        """The ``Date:`` header's value, formatted once per second."""
+        now = int(time.time())
+        second, text = self._date  # one read: handler threads race here
+        if second != now:
+            text = formatdate(now, usegmt=True)
+            self._date = (now, text)
+        return text
 
     def stats_dict(self) -> Dict:
         """The front end's own numbers: the ``server`` section of

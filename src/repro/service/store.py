@@ -51,7 +51,7 @@ import tempfile
 import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Dict, Iterator, List, Mapping, Optional, Union
+from typing import Dict, Iterator, List, Mapping, Optional, Tuple, Union
 
 from ..codeversion import code_version  # noqa: F401  (re-exported)
 from ..sim.linecodec import record_line
@@ -96,6 +96,22 @@ def request_key(parts: Mapping) -> str:
     ).hexdigest()
 
 
+def parse_blob(text: str) -> Optional[Tuple[Dict, bytes]]:
+    """Verify-and-parse a blob's text into ``(record, line)``; ``None``
+    means corrupt.  The one definition of a valid blob (the read path
+    and ``--fsck`` both call it): a line, a newline, the ``sha256:``
+    trailer digesting that line, a newline — and the line a JSON object."""
+    line, _, trailer = text.partition("\n")
+    raw = line.encode("utf-8")
+    if trailer != f"sha256:{hashlib.sha256(raw).hexdigest()}\n":
+        return None
+    try:
+        record = json.loads(line)
+    except ValueError:
+        return None
+    return (record, raw) if isinstance(record, dict) else None
+
+
 @dataclass
 class StoreStats:
     """Per-instance counters (reset when the instance is recreated)."""
@@ -133,6 +149,7 @@ class ResultStore:
         tmp_max_age_s: float = 3600.0,
     ):
         self.root = Path(root)
+        self._objects = os.path.join(str(root), "objects")
         self.max_entries = max_entries
         self.tmp_max_age_s = tmp_max_age_s
         self.stats = StoreStats()
@@ -146,10 +163,15 @@ class ResultStore:
 
     # -- paths ---------------------------------------------------------
 
-    def _blob_path(self, key: str) -> Path:
+    def _blob_name(self, key: str) -> str:
+        """THE layout: ``root/objects/<k[:2]>/<k>.json`` — as a string,
+        because a ``Path`` costs more to build than the blob to read."""
         if not _KEY_PATTERN.match(key):
             raise ValueError(f"malformed store key {key!r}")
-        return self.root / "objects" / key[:2] / f"{key}.json"
+        return f"{self._objects}/{key[:2]}/{key}.json"
+
+    def _blob_path(self, key: str) -> Path:
+        return Path(self._blob_name(key))
 
     def _blobs(self) -> Iterator[Path]:
         # [!.] keeps in-flight ``.tmp-*`` publish files out: they are
@@ -160,19 +182,31 @@ class ResultStore:
     # -- the key-value API ---------------------------------------------
 
     def get(self, key: str) -> Optional[Dict]:
-        """The stored record for ``key``, or ``None`` (a miss).
+        """The stored record for ``key``, or ``None`` (a miss)."""
+        found = self.read(key)
+        return None if found is None else found[0]
+
+    def read(self, key: str) -> Optional[Tuple[Dict, bytes]]:
+        """THE read path: ``(record, line)`` for ``key`` or ``None`` (a
+        miss), ``line`` being the blob's canonical JSON line exactly as
+        stored — what a response can carry without serialising
+        ``record`` again.
 
         A read is trusted only after its trailer digest re-verifies:
         corrupt or malformed blobs are quarantined and served as misses,
         and I/O errors are misses too — the store can degrade a read to
         a re-simulation, never to a wrong record.
         """
-        path = self._blob_path(key)
+        name = self._blob_name(key)
         try:
+            with open(name, "rb", buffering=0) as handle:
+                data = handle.readall()
+            # "replace": bytes that are not UTF-8 cannot re-encode to
+            # what the trailer digests, so they fail like any bit rot.
             text = faults.fire(
                 "store.get",
                 context=key,
-                payload=path.read_text(encoding="utf-8"),
+                payload=data.decode("utf-8", "replace"),
             )
         except FileNotFoundError:
             self.stats.misses += 1
@@ -181,18 +215,18 @@ class ResultStore:
             self.stats.read_errors += 1
             self.stats.misses += 1
             return None
-        record = self._parse_blob(text)
-        if record is None:
-            self._quarantine(path)
+        found = parse_blob(text)
+        if found is None:
+            self._quarantine(name)
             self.stats.quarantined += 1
             self.stats.misses += 1
             return None
         self.stats.hits += 1
         try:  # refresh LRU recency; best-effort (blob may be evicted)
-            os.utime(path)
+            os.utime(name)
         except OSError:
             pass
-        return record
+        return found
 
     @staticmethod
     def _frame_blob(record: Mapping) -> str:
@@ -201,31 +235,16 @@ class ResultStore:
         digest = hashlib.sha256(line.encode("utf-8")).hexdigest()
         return f"{line}\nsha256:{digest}\n"
 
-    @staticmethod
-    def _parse_blob(text: str) -> Optional[Dict]:
-        """Parse-and-verify a blob's text; ``None`` means corrupt."""
-        lines = text.splitlines()
-        if len(lines) != 2 or not lines[1].startswith("sha256:"):
-            return None
-        line, trailer = lines
-        if hashlib.sha256(line.encode("utf-8")).hexdigest() != trailer[7:]:
-            return None
-        try:
-            record = json.loads(line)
-        except ValueError:
-            return None
-        return record if isinstance(record, dict) else None
-
-    def _quarantine(self, path: Path) -> None:
+    def _quarantine(self, name: str) -> None:
         """Move a corrupt blob out of the address space (best-effort:
         fall back to deletion so the bad bytes can never be read again)."""
         quarantine = self.root / "quarantine"
         try:
             quarantine.mkdir(parents=True, exist_ok=True)
-            os.replace(path, quarantine / path.name)
+            os.replace(name, quarantine / os.path.basename(name))
         except OSError:
             try:
-                path.unlink()
+                os.unlink(name)
             except OSError:
                 pass
 

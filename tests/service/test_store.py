@@ -158,13 +158,47 @@ class TestIntegrity:
 
     def test_truncated_and_garbage_blobs_are_misses(self, tmp_path):
         store = ResultStore(tmp_path)
-        for index, payload in enumerate(["", '{"v":1}\n', "not json\nsha256:x\n"]):
+        good = ResultStore._frame_blob({"v": 1}).encode("utf-8")
+        payloads = [
+            b"",
+            b'{"v":1}\n',
+            b"not json\nsha256:x\n",
+            good[:-1],  # the trailer's newline is part of the frame
+            good + b"\n",
+            good.replace(b"\n", b"\r\n"),
+            ResultStore._frame_blob([1]).encode("utf-8"),  # digest right, no object
+            b"\xff\xfe" + good,  # not UTF-8 (used to escape as UnicodeDecodeError)
+        ]
+        for index, payload in enumerate(payloads):
             key = key_of(f"bad-{index}")
             path = store._blob_path(key)
             path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text(payload, encoding="utf-8")
-            assert store.get(key) is None
-        assert store.stats.quarantined == 3
+            path.write_bytes(payload)
+            assert store.read(key) is None
+            assert not path.exists()
+        assert store.stats.quarantined == store.stats.misses == len(payloads)
+
+    def test_read_hands_out_the_verified_line(self, tmp_path, monkeypatch):
+        from repro.service import faults
+
+        store = ResultStore(tmp_path)
+        key = key_of("k1")
+        record = {"b": [1.5, "é"], "a": {"z": None}}
+        store.put(key, record)
+        seen = []
+        real_fire = faults.fire
+
+        def fire(site, context=None, payload=None):
+            seen.append((site, context, payload))
+            return real_fire(site, context=context, payload=payload)
+
+        monkeypatch.setattr(faults, "fire", fire)
+        found, line = store.read(key)
+        blob = store._blob_path(key).read_bytes()
+        assert found == record == store.get(key)
+        assert blob == line + b"\nsha256:" + hashlib.sha256(line).hexdigest().encode() + b"\n"
+        # The chaos plane still sees (and may corrupt) the blob's text.
+        assert seen[0] == ("store.get", key, blob.decode("utf-8"))
 
     def test_injected_read_error_is_a_miss(self, tmp_path):
         from repro.service import faults
