@@ -46,6 +46,7 @@ from ..dialects import arith, scf
 from ..dialects.equeue import EQueueBuilder
 from ..dialects.linalg import ConvDims
 from ..ir import Builder, InsertionPoint, create_module, i32, index, verify
+from ..ir.attributes import integer_attr
 from ..ir.module import ModuleOp
 from ..ir.values import Value
 
@@ -421,6 +422,7 @@ def _build_kernel_body(
             eq3 = EQueueBuilder(b3)
             step_start = eq3.control_start()
             dones: List[Value] = []
+            built: Dict[tuple, tuple] = {}
             for r in range(ah):
                 for c in range(aw):
                     pe = pe_args[r * aw + c]
@@ -433,8 +435,8 @@ def _build_kernel_body(
                         step_start,
                         pe,
                         args=launch_args,
-                        body=lambda bb, *vals, _r=r, _c=c: _pe_step(
-                            bb, cfg, _r, _c, vals
+                        body=lambda bb, *vals, _r=r, _c=c: _pe_body(
+                            bb, cfg, built, _r, _c, vals
                         ),
                         label=f"pe_{r}_{c}",
                     )[0]
@@ -482,13 +484,65 @@ def _pe_buffer_names(cfg: SystolicConfig) -> List[str]:
     ]
 
 
-def _pe_step(b: Builder, cfg: SystolicConfig, r: int, c: int, vals) -> None:
+def _pe_body(
+    b: Builder, cfg: SystolicConfig, built: Dict[tuple, tuple], r: int, c: int,
+    vals,
+) -> None:
+    """The launch body of PE ``(r, c)``: built op by op when it is the
+    first of its position class, stamped from that first one otherwise.
+
+    Which edges of the array a PE sits on — ``(c == 0, r == 0, c+1 < aw,
+    r+1 < ah)`` — decides every branch :func:`_pe_step` takes, so the
+    bodies of one class differ only in the values of the constants that
+    carry :func:`_position` (a 8x8 array holds 64 bodies of 9 classes).
+    ``built`` maps a class to its first body: the ops, the block
+    arguments they read, and those constants as ``(result, which)``.
+    """
+    key = (c == 0, r == 0, c + 1 < cfg.array_width, r + 1 < cfg.array_height)
+    first = built.get(key)
+    if first is None:
+        placed: List[tuple] = []
+        _pe_step(b, cfg, r, c, vals, placed)
+        block = b.insertion_point.block
+        built[key] = (tuple(block.ops), block.arguments, placed)
+        return
+    ops, arguments, placed = first
+    value_map = dict(zip(arguments, vals))
+    for op in ops:
+        b.insert(op.clone(value_map))
+    position = _position(r, c)
+    for constant, which in placed:
+        value_map[constant].owner.attributes["value"] = integer_attr(
+            position[which], index
+        )
+
+
+def _position(r: int, c: int) -> tuple:
+    """What a PE body knows of where it sits, as index constants."""
+    return (r + c, r, c, c + 1, r + 1)
+
+
+_RC, _R, _C, _C_NEXT, _R_NEXT = range(5)
+
+
+def _placed(b: Builder, r: int, c: int, which: int, placed: List[tuple]) -> Value:
+    """``arith.constant`` of ``_position(r, c)[which]``, noted in
+    ``placed`` so a stamped copy of the body takes its own PE's value
+    there."""
+    value = arith.constant(b, _position(r, c)[which], index)
+    placed.append((value, which))
+    return value
+
+
+def _pe_step(
+    b: Builder, cfg: SystolicConfig, r: int, c: int, vals, placed: List[tuple]
+) -> None:
     """One PE, one step: guarded by the skew-activity predicate."""
     s, fr, fc = vals[0], vals[1], vals[2]
     named = dict(zip(_pe_buffer_names(cfg), vals[3:]))
 
     t_len = cfg.stream_length
-    rc = arith.constant(b, r + c, index)
+    rc = _placed(b, r, c, _RC, placed)
     t = arith.subi(b, s, rc)
     zero = arith.constant(b, 0, index)
     t_max = arith.constant(b, t_len, index)
@@ -504,8 +558,12 @@ def _pe_step(b: Builder, cfg: SystolicConfig, r: int, c: int, vals) -> None:
             scf.if_op(
                 b2,
                 is_even,
-                lambda b3: _pe_active_body(b3, cfg, r, c, t, fr, fc, named, "a"),
-                lambda b3: _pe_active_body(b3, cfg, r, c, t, fr, fc, named, "b"),
+                lambda b3: _pe_active_body(
+                    b3, cfg, r, c, t, fr, fc, named, "a", placed
+                ),
+                lambda b3: _pe_active_body(
+                    b3, cfg, r, c, t, fr, fc, named, "b", placed
+                ),
             )
 
         scf.if_op(b1, in_range, when_active)
@@ -523,6 +581,7 @@ def _pe_active_body(
     fc: Value,
     named: Dict[str, Value],
     phase: str,
+    placed: List[tuple],
 ) -> None:
     """The actual read/compute/pass work for an active step.
 
@@ -532,8 +591,8 @@ def _pe_active_body(
     eq = EQueueBuilder(b)
     ah, aw = cfg.array_height, cfg.array_width
     read_sfx, write_sfx = ("a", "b") if phase == "a" else ("b", "a")
-    r_const = arith.constant(b, r, index)
-    c_const = arith.constant(b, c, index)
+    r_const = _placed(b, r, c, _R, placed)
+    c_const = _placed(b, r, c, _C, placed)
 
     if cfg.dataflow in ("WS", "IS"):
         # Horizontal flow: streamed value; vertical flow: partial sum.
@@ -552,10 +611,10 @@ def _pe_active_body(
         w = eq.read_element(named["stat_reg"], [r_const, c_const])
         new_psum = eq.op("mac", [x, w, psum], [x.type])[0]
         if c + 1 < aw:
-            c_next = arith.constant(b, c + 1, index)
+            c_next = _placed(b, r, c, _C_NEXT, placed)
             eq.write_element(x, named[f"flow_h_{write_sfx}"], [r_const, c_next])
         if r + 1 < ah:
-            r_next = arith.constant(b, r + 1, index)
+            r_next = _placed(b, r, c, _R_NEXT, placed)
             eq.write_element(
                 new_psum, named[f"flow_v_{write_sfx}"], [r_next, c_const]
             )
@@ -582,9 +641,9 @@ def _pe_active_body(
         new_acc = eq.op("mac", [x, w, acc], [x.type])[0]
         eq.write_element(new_acc, named["acc_reg"], [r_const, c_const])
         if c + 1 < aw:
-            c_next = arith.constant(b, c + 1, index)
+            c_next = _placed(b, r, c, _C_NEXT, placed)
             eq.write_element(w, named[f"flow_h_{write_sfx}"], [r_const, c_next])
         if r + 1 < ah:
-            r_next = arith.constant(b, r + 1, index)
+            r_next = _placed(b, r, c, _R_NEXT, placed)
             eq.write_element(x, named[f"flow_v_{write_sfx}"], [r_next, c_const])
 

@@ -32,6 +32,8 @@ class OpTrait:
 
 _OP_REGISTRY: Dict[str, PyType["Operation"]] = {}
 
+_new = object.__new__
+
 
 def register_op(cls: PyType["Operation"]) -> PyType["Operation"]:
     """Class decorator adding ``cls`` to the global op registry."""
@@ -121,20 +123,50 @@ class Operation:
 
         ``value_map`` maps old values to new ones; operands not present in
         the map keep referring to the original values, which is the correct
-        behaviour for values defined above the cloned subtree.
+        behaviour for values defined above the cloned subtree.  The copy
+        prints as the original does: results and block arguments keep
+        their name hints, blocks their labels.
+
+        A copy is made of parts that already passed through
+        :meth:`create` once — the class is the original's, attributes
+        are shared :class:`Attribute` instances — so every slot is set
+        directly (a generator stamps tens of thousands of ops this way:
+        :mod:`repro.generators.systolic`).
         """
-        value_map = value_map if value_map is not None else {}
-        new_operands = [value_map.get(o.value, o.value) for o in self.operands]
-        new_regions = [r.clone(value_map) for r in self.regions]
-        op = Operation.create(
-            self.name,
-            new_operands,
-            [r.type for r in self.results],
-            dict(self.attributes),
-            new_regions,
+        if value_map is None:
+            value_map = {}
+        op = _new(type(self))
+        op.name = self.name
+        op.parent = None
+        op.attributes = self.attributes.copy()
+        operands = op.operands = [] if self.operands else ()
+        for index, old in enumerate(self.operands):
+            value = old.value
+            value = value_map.get(value, value)
+            operand = _new(OpOperand)
+            operand.owner = op
+            operand.index = index
+            operand.value = value
+            if value.uses:
+                value.uses.append(operand)
+            else:
+                value.uses = [operand]
+            operands.append(operand)
+        results = []
+        for old in self.results:
+            result = value_map[old] = _new(OpResult)
+            result.type = old.type
+            result.uses = ()
+            result.name_hint = old.name_hint
+            result.owner = op
+            result.index = old.index
+            results.append(result)
+        op.results = tuple(results)
+        regions = op.regions = tuple(
+            [region.clone(value_map) for region in self.regions]
         )
-        for old, new in zip(self.results, op.results):
-            value_map[old] = new
+        for region in regions:
+            region.parent = op
         return op
 
     # -- operand / result access ---------------------------------------------

@@ -4,10 +4,14 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, List, Optional
 
+from .block import Block
+from .values import BlockArgument
+
 if TYPE_CHECKING:  # pragma: no cover
-    from .block import Block
     from .operation import Operation
     from .values import Value
+
+_new = object.__new__
 
 
 class Region:
@@ -44,22 +48,37 @@ class Region:
         block.parent = None
 
     def clone(self, value_map: Optional[Dict["Value", "Value"]] = None) -> "Region":
-        """Deep-copy all blocks, remapping block arguments and results."""
-        from .block import Block
-
-        value_map = value_map if value_map is not None else {}
-        new_region = Region()
+        """Deep-copy all blocks, remapping block arguments and results
+        (slot by slot, like :meth:`Operation.clone`; labels and argument
+        name hints are kept)."""
+        if value_map is None:
+            value_map = {}
+        new_region = _new(Region)
+        new_region.parent = None
+        new_blocks = new_region.blocks = []
         # First create all blocks and their arguments so forward references
         # between blocks (if any) resolve.
         for block in self.blocks:
-            new_block = Block(arg_types=[a.type for a in block.arguments])
-            for old_arg, new_arg in zip(block.arguments, new_block.arguments):
-                new_arg.name_hint = old_arg.name_hint
-                value_map[old_arg] = new_arg
-            new_region.append(new_block)
-        for block, new_block in zip(self.blocks, new_region.blocks):
+            new_block = _new(Block)
+            new_block.parent = new_region
+            new_block.label = block.label
+            new_block.ops = []
+            arguments = new_block.arguments = []
+            for old in block.arguments:
+                argument = value_map[old] = _new(BlockArgument)
+                argument.type = old.type
+                argument.uses = ()
+                argument.name_hint = old.name_hint
+                argument.owner = new_block
+                argument.index = old.index
+                arguments.append(argument)
+            new_blocks.append(new_block)
+        for block, new_block in zip(self.blocks, new_blocks):
+            ops = new_block.ops
             for op in block.ops:
-                new_block.append(op.clone(value_map))
+                cloned = op.clone(value_map)
+                cloned.parent = new_block
+                ops.append(cloned)
         return new_region
 
     def walk(self):

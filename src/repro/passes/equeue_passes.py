@@ -692,10 +692,6 @@ class ParallelToEqueuePass(Pass):
         # Clone the body with induction variables bound to constants.
         cloned_ops: List[Operation] = []
         value_map: Dict[Value, Value] = {}
-        stage = Builder(InsertionPoint.before(builder.insertion_point.block.ops[
-            builder.insertion_point.index - 1
-        ]) if False else builder.insertion_point)
-        del stage
         constants: List[Value] = []
         for coordinate in point:
             constants.append(
@@ -707,6 +703,11 @@ class ParallelToEqueuePass(Pass):
             if op.name == "affine.yield":
                 continue
             cloned = op.clone(value_map)
+            # A hint names one value — the engine names a buffer after
+            # its ``alloc``'s — and this is one copy of many.
+            for copied in cloned.walk():
+                for result in copied.results:
+                    result.name_hint = None
             builder.insert(cloned)
             cloned_ops.append(cloned)
         launch = outline_ops(cloned_ops, proc, dep=start, label=label)

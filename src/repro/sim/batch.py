@@ -20,9 +20,11 @@ an in-process serial loop with the same semantics.
 dataflow, array shape, stream length, and fold counts
 (:func:`structural_signature`), while the points differ in convolution
 dims and data.  :class:`CompileCache` keys on whatever structure key its
-caller computes and reuses both the built (and verified) module and the
-:class:`~repro.sim.plan.PlanCache` of compiled block plans, making
-compilation compile-once/execute-many *across* simulations.  Each
+caller computes and reuses both the built (and verified) module and
+the compiled block plans — in ONE :class:`~repro.sim.plan.PlanCache`
+for all its programs, so structures of one family share the launch-body
+shapes they have in common — making compilation
+compile-once/execute-many *across* simulations.  Each
 process holds ONE such cache (:func:`process_compile_cache`) — the
 systolic DSE, scenario sweeps and the service all fill and hit it — and
 the runner sorts work so structurally identical points land in the same
@@ -850,12 +852,16 @@ class CompileCacheStats:
 @dataclass
 class CachedProgram:
     """One structure's reusable compilation artifacts: the
-    built-and-verified module plus the plan cache accumulated over every
-    simulation of that structure.  Every cached simulation — DSE point,
-    scenario sweep point, service job — goes through :meth:`simulate`."""
+    built-and-verified module, simulated against the plan cache its
+    :class:`CompileCache` keeps for all its programs.  Every cached
+    simulation — DSE point, scenario sweep point, service job — goes
+    through :meth:`simulate`."""
 
     module: object
+    #: The compile cache's: shared with every other program of it, and
+    #: serving one engine at a time — hence its lock.
     plan_cache: PlanCache
+    lock: threading.Lock = field(default_factory=threading.Lock)
     #: Something of this program is in the permanent generation or owed
     #: to it (:mod:`repro.sim.permanent`): the IR from the moment
     #: :meth:`CompileCache.lookup` built it, the plans once ``warmed``.
@@ -878,28 +884,30 @@ class CachedProgram:
         """
         if options is None:
             options = EngineOptions(verify_module=False)
-        # The previous cached simulation's result is out of its caller's
-        # hands by now: the safe point for the hand-off it deferred.
-        permanent.settle()
         compiled = options.mode is not ExecutionMode.INTERPRET
-        # The first simulation compiles the plans; like the build before
-        # it (CompileCache.lookup) it allocates what the cache keeps, so
-        # the collector sits it out and the hand-off owed below walks
-        # what the run leaves, once.
-        with nullcontext() if self.warmed else permanent.paused():
-            result = simulate(
-                self.module,
-                options,
-                inputs=inputs,
-                plan_cache=self.plan_cache if compiled else None,
-            )
-        if not self.warmed or result.summary.blocks_codegenned:
-            # Plans compiled: nothing here changes any more, so the
-            # collector need never walk it again.  Blocks that only got
-            # hot in a later simulation gained their generated bodies
-            # after that hand-off; they join the next.
-            self.warmed = self.parked = True
-            permanent.defer()
+        with self.lock:
+            # The previous cached simulation's result is out of its
+            # caller's hands by now: the safe point for the hand-off it
+            # deferred.
+            permanent.settle()
+            # The first simulation compiles the plans; like the build
+            # before it (CompileCache.lookup) it allocates what the cache
+            # keeps, so the collector sits it out and the hand-off owed
+            # below walks what the run leaves, once.
+            with nullcontext() if self.warmed else permanent.paused():
+                result = simulate(
+                    self.module,
+                    options,
+                    inputs=inputs,
+                    plan_cache=self.plan_cache if compiled else None,
+                )
+            if not self.warmed or result.summary.blocks_codegenned:
+                # Plans compiled: nothing here changes any more, so the
+                # collector need never walk it again.  Blocks that only
+                # got hot in a later simulation gained their generated
+                # bodies after that hand-off; they join the next.
+                self.warmed = self.parked = True
+                permanent.defer()
         return result
 
 
@@ -924,10 +932,19 @@ class CompileCache:
     same structure share one entry.  Entries pin their modules (and the
     plans pin their blocks), so the cache is also what keeps
     ``id``-keyed plan lookups safe over time.
+
+    All programs compile into ONE :class:`~repro.sim.plan.PlanCache`:
+    a launch-body shape is keyed without its buffers' dimensions, so
+    the 62 systolic programs of a sweep meet 18 shapes between them
+    where each used to compile its own nine — steps, emitted code and
+    tier-up count are the family's.  A plan cache serves one engine at
+    a time; ``lock`` makes that so for the cache's simulations.
     """
 
     entries: Dict[Tuple, CachedProgram] = field(default_factory=dict)
     stats: CompileCacheStats = field(default_factory=CompileCacheStats)
+    plans: PlanCache = field(default_factory=PlanCache)
+    lock: threading.Lock = field(default_factory=threading.Lock)
 
     def __post_init__(self):
         # A cache dropped without clear() must not strand the programs
@@ -946,7 +963,7 @@ class CompileCache:
             # straight to the permanent generation.
             with permanent.under_construction():
                 entry = self.entries[signature] = CachedProgram(
-                    build(), PlanCache(), parked=True
+                    build(), self.plans, self.lock, parked=True
                 )
             self.stats.programs_built += 1
         else:
@@ -954,7 +971,9 @@ class CompileCache:
         return entry
 
     def clear(self) -> None:
-        drop_programs(self.entries)
+        with self.lock:
+            self.plans.clear()
+            drop_programs(self.entries)
         self.stats.programs_built = 0
         self.stats.program_hits = 0
 

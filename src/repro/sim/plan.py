@@ -505,7 +505,7 @@ def _key_block(block, numbers, parts, consts, values, blocks) -> None:
     append = parts.append
     for argument in block.arguments:
         numbers[argument] = len(numbers)
-        append(argument.type)
+        _key_type(parts, argument.type)
     for op in block.ops:
         name = op.name
         append(name)
@@ -529,6 +529,18 @@ def _key_block(block, numbers, parts, consts, values, blocks) -> None:
                     append("(")
                     _key_block(nested, numbers, parts, consts, inner, blocks)
                 append(")")
+
+
+def _key_type(parts, type_) -> None:
+    """Append the type of a block argument to a shape key: a memref as
+    its rank and element type — all a step compiler
+    (:func:`_buffer_rank`) or the emitter reads off one; a buffer's
+    dimensions are the buffer's, at run time — anything else as itself.
+    (A result's type is kept whole: no shareable op makes a buffer.)"""
+    if type(type_) is MemRefType:
+        parts += (MemRefType, len(type_.shape), type_.element_type)
+    else:
+        parts.append(type_)
 
 
 #: What a :class:`PlanCache` counts, stated once: ``(cache attribute,
@@ -587,42 +599,56 @@ class PlanCache:
     A cache serves one engine at a time but *outlives* engines: compiled
     steps reach engine state through ``cache.engine`` (one indirection)
     rather than capturing a specific instance, so a cache attached to a
-    fresh engine simulating the same module replays every previously
-    compiled plan — the cross-simulation half of compile-once/execute-many
-    (see :mod:`repro.sim.batch`).  Plans are keyed by block identity and
-    pin their block (cached entries keep the IR alive, so a recycled
-    ``id`` can never alias a stale plan).  :meth:`attach` flushes the
-    store when the new engine's plan-relevant configuration differs from
-    the one the plans were compiled under.
+    fresh engine replays every previously compiled plan — the
+    cross-simulation half of compile-once/execute-many (see
+    :mod:`repro.sim.batch`, whose compile cache serves all its programs
+    from one of these).  Plans are keyed by block identity and pin their
+    block (cached entries keep the IR alive, so a recycled ``id`` can
+    never alias a stale plan).  What is compiled depends on the engine's
+    plan-relevant configuration (:meth:`_key`), so there is one table of
+    plans, shapes and sites per configuration seen and :meth:`attach`
+    selects the engine's: runs that alternate between two
+    configurations each find what they compiled last time.
 
     Launch bodies are compiled once per *shape* (:meth:`bind_site`): the
     entry ``plans`` holds for such a body is the launch site's view of
-    its shape's plan.
+    its shape's plan.  A shape is not a program's: bodies of two modules
+    with one key share it — steps, emitted code and execution count.
     """
 
     def __init__(self, engine=None):
         self.engine = engine
-        self.plans: Dict[int, Tuple[object, BlockPlan]] = {}
         for attribute, _, _, _ in PLAN_COUNTERS:
             setattr(self, attribute, 0)
         for attribute, _, _, _ in PLAN_REASONS:
             setattr(self, attribute, collections.Counter())
         self.codegen = False
         self.detailed = False
-        #: Launch-body shapes by structural key, and every launch body
-        #: seen: ``id(block) -> (block, arguments, site)``.
-        self.shapes: Dict[tuple, BodyShape] = {}
-        self.sites: Dict[int, tuple] = {}
+        #: What was compiled under each configuration, by :meth:`_key`:
+        #: ``(plans, shapes, sites, _memos)`` — the attached one's are
+        #: this object's attributes of those names.  ``plans``:
+        #: ``id(block) -> (block, plan)``; ``shapes``: launch-body shapes
+        #: by structural key; ``sites``: every launch body seen,
+        #: ``id(block) -> (block, arguments, site)``; ``_memos``:
+        #: last-seen-memory memo cells of compiled access steps, reset on
+        #: detach so they cannot pin a completed engine's component tree.
+        self._tables: Dict[tuple, tuple] = {}
         #: While a shape compiles: its record, and the slot of the site
         #: constant vector each abstracted constant's SSA value reads.
         self._shape: Optional[BodyShape] = None
         self._slots: Dict[object, int] = {}
-        self._config_key = None
-        #: Last-seen-memory memo cells of compiled access steps; reset on
-        #: detach so they cannot pin a completed engine's component tree.
-        self._memos: List[list] = []
+        self.clear()
         if engine is not None:
             self.attach(engine)
+
+    def clear(self) -> None:
+        """Forget everything compiled, under every configuration (plans
+        pin the blocks they were compiled from)."""
+        self._tables.clear()
+        self.plans: Dict[int, Tuple[object, BlockPlan]] = {}
+        self.shapes: Dict[tuple, BodyShape] = {}
+        self.sites: Dict[int, tuple] = {}
+        self._memos: List[list] = []
 
     def access_memo(self) -> list:
         """A ``[last_memory, cost]`` memo cell, registered for detach."""
@@ -634,11 +660,10 @@ class PlanCache:
     def _key(engine):
         """The configuration baked into compiled steps at compile time.
 
-        The execution mode participates so a cache reattached under a
-        different mode flushes: plan-mode and codegen-mode artifacts are
-        never mixed within one store (a ``compiled`` body emitted for one
-        plan must not survive into a run that asked for pure plan replay,
-        and vice versa)."""
+        The execution mode participates so plan-mode and codegen-mode
+        artifacts are never mixed within one table (a ``compiled`` body
+        emitted for one plan must not serve a run that asked for pure
+        plan replay, and vice versa)."""
         options = engine.options
         return (
             type(engine),
@@ -649,23 +674,21 @@ class PlanCache:
     def detach(self) -> None:
         """Stop serving an engine (steps dereference ``cache.engine`` only
         while a run executes).  Long-lived caches — the process-wide
-        compile cache keeps one per structure — must not pin a completed
-        engine's buffers and simulator state in memory; that includes the
-        access steps' last-seen-memory memos."""
+        compile cache keeps one — must not pin a completed engine's
+        buffers and simulator state in memory; that includes the access
+        steps' last-seen-memory memos."""
         self.engine = None
         for memo in self._memos:
             memo[0] = None
             memo[1] = -1
 
     def attach(self, engine) -> "PlanCache":
-        """Serve ``engine``; flush plans compiled under a different config."""
+        """Serve ``engine``, from the table of its configuration."""
         key = self._key(engine)
-        if self._config_key is not None and key != self._config_key:
-            self.plans.clear()
-            self.shapes.clear()
-            self.sites.clear()
-            self._memos.clear()
-        self._config_key = key
+        table = self._tables.get(key)
+        if table is None:
+            table = self._tables[key] = ({}, {}, {}, [])
+        self.plans, self.shapes, self.sites, self._memos = table
         self.engine = engine
         options = engine.options
         self.detailed = _detailed(options)

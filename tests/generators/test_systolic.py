@@ -5,14 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis import SweepSpec
 from repro.dialects.linalg import ConvDims
+from repro.generators import systolic
 from repro.generators.systolic import (
     SystolicConfig,
     build_systolic_program,
     im2col,
     weight_matrix,
 )
+from repro.ir import print_op
 from repro.sim import simulate
+from repro.sim.batch import structural_signature
 from tests.conftest import conv2d_reference
 
 
@@ -161,3 +165,92 @@ def test_systolic_matches_reference_conv(dataflow, n, c, size, filt, ah, seed):
     result, got, want = run_config(cfg, rng)
     assert np.array_equal(got, want)
     assert result.cycles == cfg.expected_cycles
+
+
+# ---------------------------------------------------------------------------
+# Stamped PE bodies
+# ---------------------------------------------------------------------------
+#
+# Only the first PE body of each position class is built op by op; the
+# others are copies of it with their own position constants
+# (``systolic._pe_body``).  The reference — every body built — is reached
+# by patching the stamping away, as ``tier_up_at`` patches the tier-up
+# threshold: there is no flag for it.
+
+
+def _built_not_stamped(monkeypatch):
+    monkeypatch.setattr(
+        systolic,
+        "_pe_body",
+        lambda b, cfg, built, r, c, vals: systolic._pe_step(
+            b, cfg, r, c, vals, []
+        ),
+    )
+
+
+def _stamped_then_built(cfg):
+    stamped = print_op(build_systolic_program(cfg).module)
+    with pytest.MonkeyPatch.context() as patch:
+        _built_not_stamped(patch)
+        built = print_op(build_systolic_program(cfg).module)
+    return stamped, built
+
+
+def test_stamped_equals_built_for_every_signature_of_the_sweep():
+    """The 288-point throughput sweep of ``benchmarks/`` (its spec,
+    restated): 62 structures, each printed both ways."""
+    spec = SweepSpec(
+        array_heights=(4, 8),
+        total_pes=64,
+        image_sizes=(2, 4),
+        filter_sizes=(1, 2),
+        channels=(1, 2, 4),
+        filter_counts=(1, 2, 4, 8),
+        dataflows=("WS", "IS", "OS"),
+    )
+    structures = {}
+    for cfg in spec.points():
+        structures.setdefault(structural_signature(cfg), cfg)
+    assert len(structures) == 62
+    for cfg in structures.values():
+        stamped, built = _stamped_then_built(cfg)
+        assert stamped == built, structural_signature(cfg)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    dataflow=st.sampled_from(["WS", "IS", "OS"]),
+    ah=st.integers(1, 6),
+    aw=st.integers(1, 6),
+)
+def test_stamped_equals_built_where_classes_collapse(dataflow, ah, aw):
+    """1xN and Nx1 arrays put a PE on two opposite edges at once; a
+    1x1 array on all four."""
+    dims = ConvDims(n=2, c=2, h=4, w=4, fh=2, fw=2)
+    stamped, built = _stamped_then_built(SystolicConfig(dataflow, ah, aw, dims))
+    assert stamped == built
+
+
+def test_bodies_are_stamped_and_the_reference_is_not(monkeypatch):
+    """The two sides of the comparisons above are different code: an
+    8x8 array builds nine bodies and clones the other 55 — per fold
+    step, and there is one — and none once the stamping is patched
+    away."""
+    cfg = SystolicConfig("WS", 8, 8, ConvDims(n=8, c=2, h=8, w=8, fh=2, fw=2))
+    built_bodies = []
+    pe_step = systolic._pe_step
+
+    def counting(b, cfg, r, c, vals, placed):
+        built_bodies.append((r, c))
+        pe_step(b, cfg, r, c, vals, placed)
+
+    monkeypatch.setattr(systolic, "_pe_step", counting)
+    build_systolic_program(cfg)
+    assert len(built_bodies) == 9
+    assert set(built_bodies) == {
+        (r, c) for r in (0, 1, 7) for c in (0, 1, 7)
+    }
+    del built_bodies[:]
+    _built_not_stamped(monkeypatch)
+    build_systolic_program(cfg)
+    assert len(built_bodies) == 64

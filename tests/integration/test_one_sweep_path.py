@@ -43,6 +43,7 @@ from repro.sim.batch import (
     process_compile_cache,
 )
 from repro.sim.journal import load_journal
+from tests.service.test_chaos import HOST_FIELDS
 
 SEED = 5
 
@@ -186,7 +187,10 @@ class _StoreSweep:
         rows = []
         for point in record["points"]:
             point = dict(point, summary=dict(point["summary"]))
-            del point["summary"]["execution_time_s"]  # host wall clock
+            # What the host did — wall clock, and which plans this run
+            # found compiled by an earlier one — is not the point's.
+            for name in HOST_FIELDS:
+                del point["summary"][name]
             rows.append(point)
         return rows
 

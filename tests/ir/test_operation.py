@@ -1,5 +1,8 @@
 """Unit tests for Operation construction, mutation, and cloning."""
 
+from pathlib import Path
+
+import numpy as np
 import pytest
 
 from repro.ir import (
@@ -9,8 +12,35 @@ from repro.ir import (
     Region,
     i32,
     lookup_op_class,
+    parse_module,
+    print_op,
     registered_ops,
+    verify,
+    verify_value_integrity,
 )
+
+PROGRAMS = sorted(
+    (Path(__file__).resolve().parents[2] / "examples" / "programs").glob("*.mlir")
+)
+
+
+def _named_modules():
+    """Modules whose values carry name hints: the textual examples,
+    every registered scenario's default program and the four stages of
+    the lowering pipeline."""
+    from repro.generators.pipeline import STAGES
+    from repro.scenarios import get_scenario, scenario_names
+
+    for path in PROGRAMS:
+        yield path.name, lambda path=path: parse_module(path.read_text())
+    for name in scenario_names():
+        scenario = get_scenario(name)
+        yield name, lambda s=scenario: s.build(s.configure())
+    pipeline = get_scenario("pipeline")
+    for stage in STAGES:
+        yield f"pipeline-{stage}", lambda stage=stage: pipeline.build(
+            pipeline.configure(stage=stage)
+        )
 
 
 class TestCreation:
@@ -133,6 +163,51 @@ class TestClone:
         assert clone.get_attr("k") == 3
         clone.set_attr("k", 4)
         assert op.get_attr("k") == 3
+
+    def test_clone_keeps_classes_name_hints_and_labels(self):
+        block = Block(arg_types=[i32], label="entry")
+        block.arguments[0].name_hint = "x"
+        produced = block.append(Operation.create("arith.constant", [], [i32]))
+        produced.result().name_hint = "kernel"
+        outer = Operation.create("equeue.launch", regions=[Region([block])])
+        clone = outer.clone()
+        assert type(clone) is type(outer) is lookup_op_class("equeue.launch")
+        assert clone.parent is None and clone.body.parent.parent is clone
+        assert clone.body.label == "entry"
+        assert clone.body.arguments[0].name_hint == "x"
+        assert clone.body.arguments[0].owner is clone.body
+        copied = clone.body.ops[0]
+        assert type(copied) is type(produced) and copied.parent is clone.body
+        assert copied.result().name_hint == "kernel"
+        assert copied.result().owner is copied
+        assert print_op(clone) == print_op(outer)
+
+    @pytest.mark.parametrize(
+        "build", [pytest.param(b, id=n) for n, b in _named_modules()]
+    )
+    def test_a_clone_prints_as_its_original(self, build):
+        module = build()
+        clone = module.clone()
+        assert print_op(clone) == print_op(module)
+        verify(clone)
+        verify_value_integrity(clone)
+        verify_value_integrity(module)  # and took no use of the original's
+
+    def test_a_cloned_module_simulates_to_the_same_buffers_by_name(self):
+        """``equeue.alloc`` names its buffer after its result's hint: a
+        clone that dropped hints had no ``sram_buf`` to hand inputs to."""
+        from repro.sim import simulate
+
+        toy, = [p for p in PROGRAMS if p.name == "toy_accelerator.mlir"]
+        module = parse_module(toy.read_text())
+        inputs = {"sram_buf": np.array([1, 2, 3, 4], np.int32)}
+        original = simulate(module, inputs=inputs)
+        cloned = simulate(module.clone(), inputs=inputs)
+        assert cloned.cycles == original.cycles
+        assert sorted(cloned.buffers) == sorted(original.buffers)
+        for name in original.buffers:
+            assert (cloned.buffer(name) == original.buffer(name)).all(), name
+        assert cloned.buffer("buf0").tolist() == [2, 6, 12, 20]
 
 
 class TestWalk:

@@ -341,6 +341,27 @@ class TestParallelToEqueueAndLowerExtraction:
         # Concurrent PEs: one cycle total, not four.
         assert result.cycles == 1
 
+    def test_unrolled_copies_of_a_named_value_go_unnamed(self):
+        """A name hint names one value, and the engine names a buffer
+        after its ``alloc``'s: four copies of a body that allocates
+        ``%scratch`` are four buffers, none of them ``scratch``."""
+        module = self._parallel_module()
+        loop, = [op for op in module.walk() if op.name == "affine.parallel"]
+        body = ir.Builder(ir.InsertionPoint.at_begin(loop.body))
+        memref.alloc(body, [1], ir.i32).name_hint = "scratch"
+        loop.body.ops[2].result().name_hint = "doubled"
+        assert "%scratch" in ir.print_op(module)
+        PassManager.parse(
+            "parallel-to-equeue{comp=grid,proc_template=pe_{0}}"
+        ).run(module)
+        verify(module)
+        text = ir.print_op(module)
+        assert "%scratch" not in text and "%doubled" not in text
+        assert ir.print_op(ir.parse_module(text)) == text
+        result = simulate(module, inputs={"buf": np.arange(8, dtype=np.int32)})
+        scratch = [name for name in result.buffers if name != "buf"]
+        assert len(scratch) == len(set(scratch)) == 4
+
     def test_lower_extraction_folds_templates(self, module_and_builder):
         module, builder = module_and_builder
         eq = EQueueBuilder(builder)

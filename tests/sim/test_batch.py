@@ -17,6 +17,7 @@ from repro.sim import (
     simulate,
     structural_signature,
 )
+from repro.sim.batch import deterministic_conv_inputs
 from repro.sim.plan import PlanCache
 
 
@@ -156,8 +157,139 @@ class TestCompileCache:
         assert second.cycles == first.cycles == a.expected_cycles
 
 
+class TestOnePlanCachePerCompileCache:
+    """Every program of a :class:`CompileCache` compiles into the
+    cache's one ``PlanCache``: shapes cross programs, a lock keeps the
+    simulations apart, and each engine configuration has its table."""
+
+    FAMILY = (
+        _ws_config(n=2, c=4, h=5, w=5, fh=1, fw=1),
+        _ws_config(n=4, c=2, h=4, w=4, fh=2, fw=2),
+        SystolicConfig("OS", 4, 4, ConvDims(n=3, c=2, h=4, w=4, fh=2, fw=2)),
+    )
+
+    @staticmethod
+    def _inputs(entry, cfg, seed=0):
+        ifmap, weights = deterministic_conv_inputs(cfg.dims, seed)
+        return SystolicProgram(entry.module, cfg).prepare_inputs(
+            ifmap, weights
+        )
+
+    @staticmethod
+    def _seen(result):
+        return (
+            result.cycles,
+            result.summary.scheduler_events,
+            result.summary.launches_executed,
+            {
+                name: (report.bytes_read, report.bytes_written)
+                for name, report in result.summary.memories.items()
+            },
+            {n: b.array.tolist() for n, b in result.buffers.items()},
+        )
+
+    def _cold(self, cfg, seed=0):
+        program = build_systolic_program(cfg)
+        ifmap, weights = deterministic_conv_inputs(cfg.dims, seed)
+        return self._seen(
+            simulate(
+                program.module,
+                inputs=program.prepare_inputs(ifmap, weights),
+            )
+        )
+
+    def test_a_family_compiles_each_shape_once(self):
+        """Two WS programs of different stream lengths (other buffer
+        dimensions, one set of nine body shapes) and an OS one."""
+        cache = CompileCache()
+        summaries = []
+        for cfg in self.FAMILY:
+            entry = _lookup(cache, cfg)
+            assert entry.plan_cache is cache.plans
+            result = entry.simulate(self._inputs(entry, cfg))
+            assert self._seen(result) == self._cold(cfg)
+            summaries.append(result.summary)
+        first, second, third = summaries
+        assert (first.plan_shapes, first.plans_shared) == (9, 7)
+        assert (second.plan_shapes, second.plans_shared) == (0, 16)
+        # Only the kernel's own blocks are the second program's to compile.
+        assert second.plans_compiled == first.plans_compiled - 9 * 5
+        assert (third.plan_shapes, third.plans_shared) == (9, 7)
+        cache.clear()
+        assert not cache.plans.shapes and not cache.plans.plans
+
+    def test_traced_and_untraced_requests_each_keep_what_they_compiled(self):
+        cache = CompileCache()
+        cfg = self.FAMILY[0]
+        entry = _lookup(cache, cfg)
+        quiet = EngineOptions(verify_module=False)
+        traced = EngineOptions(
+            verify_module=False, trace=True, detailed_trace=True
+        )
+        rounds = [
+            [
+                entry.simulate(self._inputs(entry, cfg), options)
+                for options in (quiet, traced)
+            ]
+            for _ in range(2)
+        ]
+        assert all(r.summary.plans_compiled > 0 for r in rounds[0])
+        for result in rounds[1]:
+            assert result.summary.plans_compiled == 0
+            assert result.summary.plan_shapes == 0
+            assert result.summary.plan_share_declined == {}
+        assert len(rounds[1][1].trace.records) == len(
+            rounds[0][1].trace.records
+        ) > len(rounds[1][0].trace.records)
+        cold = self._cold(cfg)
+        assert all(self._seen(r) == cold for rs in rounds for r in rs)
+        cache.clear()
+
+    def test_two_threads_on_two_programs_stay_bit_identical(self):
+        """The plan cache serves one engine at a time; the compile
+        cache's lock is what makes two service threads take turns."""
+        import sys
+        import threading
+
+        cache = CompileCache()
+        references = [self._cold(cfg, seed=3) for cfg in self.FAMILY[:2]]
+        seen = [[], []]
+        failures = []
+
+        def worker(which):
+            cfg = self.FAMILY[which]
+            try:
+                for _ in range(4):
+                    entry = _lookup(cache, cfg)
+                    seen[which].append(
+                        self._seen(
+                            entry.simulate(self._inputs(entry, cfg, seed=3))
+                        )
+                    )
+            except Exception as error:  # noqa: BLE001 - reported below
+                failures.append(error)
+
+        threads = [
+            threading.Thread(target=worker, args=(which,)) for which in (0, 1)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not failures
+        for which in (0, 1):
+            assert seen[which] == [references[which]] * 4
+        cache.clear()
+
+
 class TestPlanCacheReuse:
-    def test_attach_flushes_on_config_change(self):
+    def test_attach_selects_the_table_of_the_engines_configuration(self):
         cfg = STRUCTURAL_TWINS[0]
         program = build_systolic_program(cfg)
         inputs = program.prepare_inputs(
@@ -167,20 +299,36 @@ class TestPlanCacheReuse:
             ),
         )
         shared = PlanCache()
-        simulate(program.module, inputs=inputs, plan_cache=shared)
-        assert shared.plans
+
+        def run(**options):
+            return simulate(
+                program.module, EngineOptions(**options), inputs=inputs,
+                plan_cache=shared,
+            )
+
+        run()
+        codegen_plans = shared.plans
+        assert codegen_plans
         # Same plan-relevant options: plans survive.
-        simulate(program.module, inputs=inputs, plan_cache=shared)
-        assert shared.plans
-        # Another execution mode: plans are flushed, then rebuilt.
-        result = simulate(
-            program.module,
-            EngineOptions(mode="plan"),
-            inputs=inputs,
-            plan_cache=shared,
-        )
+        assert run().summary.plans_compiled == 0
+        assert shared.plans is codegen_plans
+        # Another execution mode: a table of its own, compiled afresh —
+        # a plan-mode artifact never serves a codegen run or vice versa.
+        result = run(mode="plan")
         assert result.summary.plans_compiled > 0
         assert result.cycles == cfg.expected_cycles
+        assert shared.plans and shared.plans is not codegen_plans
+        assert codegen_plans.keys() == shared.plans.keys()
+        assert all(
+            plan.compiled is None and plan.tier is None
+            for _, plan in shared.plans.values()
+        )
+        # ... and back: what the first mode compiled is still there.
+        assert run().summary.plans_compiled == 0
+        assert shared.plans is codegen_plans
+        shared.clear()
+        assert not shared.plans
+        assert run().summary.plans_compiled > 0
 
     def test_engines_attach_at_run_not_construction(self):
         """Constructing several engines on one cache before running any

@@ -418,18 +418,141 @@ def test_the_nested_launch_fence_is_what_holds(monkeypatch):
         _agree(_nested_program)
 
 
-def test_types_are_in_the_key():
-    def key(shape, element):
-        block = ir.Block(
-            arg_types=[ir.MemRefType(tuple(shape), element)]
-        )
-        b = ir.Builder(ir.InsertionPoint.at_end(block))
-        arith.constant(b, 1, element)
+def test_types_are_in_the_key_and_a_memref_is_its_rank_and_element():
+    """A buffer's dimensions are the buffer's, at run time: no step
+    compiler reads them.  Everything else about a type stays."""
+
+    def key(argument, build=lambda b, buffer: arith.constant(b, 1, ir.i32)):
+        block = ir.Block(arg_types=[argument])
+        build(ir.Builder(ir.InsertionPoint.at_end(block)), *block.arguments)
         return plan._shape_key(block)[0]
 
-    assert key([4], ir.i32) == key([4], ir.i32)
-    assert key([4], ir.i32) != key([8], ir.i32)  # an argument type
-    assert key([4], ir.i32) != key([4], ir.index)  # ... and a result type
+    def buffer(shape, element=ir.i32):
+        return ir.MemRefType(tuple(shape), element)
+
+    assert key(buffer([4])) == key(buffer([8]))  # dimensions: left out
+    assert key(buffer([4, 4])) == key(buffer([2, 16]))
+    assert key(buffer([4])) != key(buffer([2, 2]))  # the rank
+    assert key(buffer([4])) != key(buffer([4], ir.index))  # the element
+    assert key(buffer([4])) != key(ir.TensorType((4,), ir.i32))
+    assert key(ir.TensorType((4,), ir.i32)) != key(ir.TensorType((8,), ir.i32))
+
+    def whole_read(b, source):  # ... and a tensor result keeps its own
+        EQueueBuilder(b).read(source)
+
+    assert key(buffer([4]), whole_read) != key(buffer([8]), whole_read)
+    assert key(buffer([4]), whole_read) == key(buffer([4]), whole_read)
+
+    def posted_read(b, source):  # an attribute
+        EQueueBuilder(b).read(source, posted=True)
+
+    assert key(buffer([4]), whole_read) != key(buffer([4]), posted_read)
+
+
+def _copy_some(b, k, src, out):
+    """Site ``k`` copies the first four elements of ``src`` to its row."""
+    row = arith.constant(b, k, ir.index)
+
+    def step(b2, i):
+        eq2 = EQueueBuilder(b2)
+        eq2.write_element(eq2.read_element(src, [i]), out, [row, i])
+
+    affine.for_loop(b, 0, 4, body=step)
+
+
+@pytest.mark.parametrize("threshold", [0, 3, 10**9])
+def test_programs_that_differ_in_buffer_dimensions_share_their_shapes(
+    threshold, tier_up_at
+):
+    """Two modules, one body up to the dimensions of what it is handed:
+    through one cache the second binds the first's shape — steps,
+    emitted code, execution count — and both see what they see through
+    a cache each."""
+    tier_up_at(threshold)
+
+    def programs():
+        return [
+            _array_program(_copy_some, 3, shape=(8,)),
+            _array_program(_copy_some, 3, shape=(12,)),
+        ]
+
+    def run(module, inputs, cache):
+        engine = Engine(module, EngineOptions(), inputs, plan_cache=cache)
+        result = engine.run()
+        return observables(engine, result), result.summary
+
+    apart = [run(*program, PlanCache()) for program in programs()]
+    shared = PlanCache()
+    together = [run(*program, shared) for program in programs()]
+    assert [seen for seen, _ in together] == [seen for seen, _ in apart]
+    assert apart[0][0] != apart[1][0]  # the programs do differ
+    own, bound = (summary for _, summary in together)
+    assert (own.plan_shapes, own.plans_shared) == (1, 2)
+    assert (bound.plan_shapes, bound.plans_shared) == (0, 3)
+    # The second program compiles its top-level block and nothing else.
+    assert bound.plans_compiled == apart[1][1].plans_compiled - 2 == 1
+    assert len(shared.shapes) == 1
+    if threshold == 0:
+        assert bound.blocks_codegenned == apart[1][1].blocks_codegenned
+        # Site functions of the one code object the first program emitted.
+        assert bound.codegen_code_shared >= 3
+
+
+def _scalar_into(b, k, buffer):
+    eq = EQueueBuilder(b)
+    zero = arith.constant(b, 0, ir.index)
+    eq.write_element(arith.constant(b, 7, ir.i32), buffer, [zero])
+
+
+def _one_index_program():
+    """Two PEs, one body — ``buffer[0] = 7`` — over a vector and over a
+    matrix, where one index names a row of four."""
+    module = ir.create_module()
+    builder = ir.Builder(ir.InsertionPoint.at_end(module.body))
+    eq = EQueueBuilder(builder)
+    regs = eq.create_mem("Register", 64, ir.i32, name="regs")
+    buffers = [
+        eq.alloc(regs, [4], ir.i32, name="vector"),
+        eq.alloc(regs, [2, 4], ir.i32, name="matrix"),
+    ]
+    start = eq.control_start()
+    done = [
+        eq.launch(
+            start, eq.create_proc("MAC", name=f"pe{k}"), args=[buffer],
+            body=lambda b, a, _k=k: _scalar_into(b, _k, a), label=f"pe{k}",
+        )[0]
+        for k, buffer in enumerate(buffers)
+    ]
+    eq.await_(eq.control_and(done))
+    return module, {}
+
+
+def test_a_buffer_of_another_rank_is_another_shape():
+    """The vector's write is one element, compiled as one
+    (``_scalar_access``); the matrix's is a row, the general handler's."""
+    summary = _agree(_one_index_program, verify_module=False)
+    assert (summary.plan_shapes, summary.plans_shared) == (2, 0)
+    module, inputs = _one_index_program()
+    result = simulate(module, EngineOptions(verify_module=False), inputs=inputs)
+    assert result.buffer("vector").tolist() == [7, 0, 0, 0]
+    assert result.buffer("matrix").tolist() == [[7, 7, 7, 7], [0, 0, 0, 0]]
+    assert result.summary.memory_named("regs").bytes_written == 4 + 16
+
+
+def test_the_rank_in_the_key_is_what_holds(monkeypatch):
+    monkeypatch.setattr(
+        plan, "_key_type",
+        lambda parts, type_: parts.append(
+            ir.MemRefType if type(type_) is ir.MemRefType else type_
+        ),
+    )
+    with pytest.raises(AssertionError, match="diverged"):
+        _agree(_one_index_program, verify_module=False)
+    module, inputs = _one_index_program()
+    result = simulate(module, EngineOptions(verify_module=False), inputs=inputs)
+    assert result.summary.plans_shared == 1
+    # The row went through the vector's one-element step.
+    assert result.summary.memory_named("regs").bytes_written == 4 + 4
 
 
 def test_constant_values_are_all_two_same_shape_keys_leave_out():
