@@ -376,6 +376,28 @@ def _format_value(value: float) -> str:
     return repr(value)
 
 
+#: One Prometheus text-format sample line: ``name{labels} value``.
+SAMPLE_RE = re.compile(
+    r"^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[^}]*\})? "
+    r"[+-]?(\d+(\.\d+)?([eE][+-]?\d+)?|Inf|NaN)$"
+)
+
+
+def parse_metrics(text: str) -> Dict[str, float]:
+    """Parse a Prometheus exposition body into ``{sample_name: value}``
+    — the reader of :func:`render_prometheus`.  Raises ``ValueError`` on
+    any line that is neither a comment nor a well-formed sample."""
+    samples: Dict[str, float] = {}
+    for line in text.splitlines():
+        if not line or line.startswith("#"):
+            continue
+        if not SAMPLE_RE.match(line):
+            raise ValueError(f"malformed Prometheus sample line: {line!r}")
+        name, value = line.rsplit(" ", 1)
+        samples[name] = float(value)
+    return samples
+
+
 # ---------------------------------------------------------------------------
 # Process-global switch (FAULT_HOOK discipline)
 # ---------------------------------------------------------------------------

@@ -40,7 +40,7 @@ import time
 import traceback
 from dataclasses import asdict, dataclass, field, fields
 from itertools import islice
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 from ..obs import logs as obs_logs
 from ..obs import metrics as obs_metrics
@@ -55,6 +55,18 @@ from .store import ResultStore, code_version, inputs_digest, request_key
 from .wal import AdmissionWAL, WALError
 
 _log = obs_logs.get_logger("service.scheduler")
+
+#: Jobs the by-id index holds: beyond it the oldest *completed* ones are
+#: dropped (their ids resolve through the terminal index, four times as
+#: long, and their records live on in the store).
+MAX_JOBS = 10_000
+
+#: Seconds between two watchdog passes.
+WATCHDOG_POLL_S = 0.05
+
+#: Seconds a worker thread may stay wedged past an expired deadline
+#: before the watchdog writes it off and starts a replacement.
+STUCK_GRACE_S = 30.0
 
 #: Engine-options fields a request may override.  Trace recording is
 #: excluded (traces are not part of the stored record), and
@@ -432,8 +444,8 @@ class Job:
     Completion is **first-writer-wins**: the watchdog can fail a job on
     deadline while the engine is still grinding on it, and whichever of
     the two outcomes lands first is the job's outcome forever — the
-    loser's :meth:`_complete`/:meth:`_fail` is a counted no-op, so a
-    late record can never overwrite a deadline failure (or vice versa).
+    loser's :meth:`_settle` is a no-op, so a late record can never
+    overwrite a deadline failure (or vice versa).
     """
 
     __slots__ = (
@@ -497,24 +509,22 @@ class Job:
         assert self.record is not None
         return self.record
 
-    def _complete(self, record: Dict, source: str) -> bool:
+    def _settle(
+        self, outcome: Union[Dict, str], source: Optional[str] = None
+    ) -> bool:
+        """End the job with a record (from ``source``) or an error
+        message, and wake its waiters; False when another outcome landed
+        first."""
         with self._outcome_lock:
             if self._done.is_set():
                 return False
-            self.record = record
-            self.source = source
-            self.state = "done"
-            self.finished_at = time.time()
-            self._stamp_timings()
-            self._done.set()
-        return True
-
-    def _fail(self, message: str) -> bool:
-        with self._outcome_lock:
-            if self._done.is_set():
-                return False
-            self.error = message
-            self.state = "error"
+            if isinstance(outcome, str):
+                self.error = outcome
+                self.state = "error"
+            else:
+                self.record = outcome
+                self.source = source
+                self.state = "done"
             self.finished_at = time.time()
             self._stamp_timings()
             self._done.set()
@@ -600,6 +610,15 @@ class SweepJob(Job):
         payload = super().to_dict(include_record)
         payload["progress"] = self.progress()
         return payload
+
+    def _settle(
+        self, outcome: Union[Dict, str], source: Optional[str] = None
+    ) -> bool:
+        if source == "store":
+            # A stored sweep is whole: every point is done.
+            self.points_total = outcome.get("points_total")
+            self.points_done = self.points_total or 0
+        return super()._settle(outcome, source)
 
 
 @dataclass
@@ -719,10 +738,9 @@ class JobScheduler:
     :class:`SweepRunner` worker count for each drained batch (``1`` —
     the default, and the right choice on single-CPU hosts — executes
     batches on the draining thread over the per-process program cache).
-    ``max_jobs`` caps the by-id job index: beyond it, the oldest
-    *completed* jobs are dropped (their records live on in the store;
-    polling a pruned id is a 404, which long-running clients should
-    treat as "resubmit — it will be a store hit").
+    The by-id job index holds :data:`MAX_JOBS`: beyond it, the oldest
+    *completed* jobs are dropped, and their ids resolve through the
+    terminal index.
 
     Robustness knobs (all optional):
 
@@ -733,23 +751,23 @@ class JobScheduler:
       watchdog thread (started with the worker) fails any running job
       past its deadline — waiters wake with a clean error while the
       engine finishes into a discarded record — and, if the worker
-      thread itself stays wedged ``stuck_grace_s`` beyond the deadline,
-      replaces the worker so the queue keeps draining: the job fails,
-      the service survives.
+      thread itself stays wedged :data:`STUCK_GRACE_S` beyond the
+      deadline, replaces the worker so the queue keeps draining: the
+      job fails, the service survives.
     * :meth:`drain` refuses new queue admissions
       (:class:`DrainingError`) while already-admitted work completes —
       the graceful-shutdown half of admission control.
+
+    Every way a job ends — simulated, failed, a store hit at admission,
+    the watchdog, recovery — goes through :meth:`_settle`.
     """
 
     def __init__(
         self,
         store: Optional[ResultStore] = None,
         jobs: int = 1,
-        max_jobs: int = 10_000,
         max_queue: Optional[int] = None,
         deadline_s: Optional[float] = None,
-        watchdog_poll_s: float = 0.05,
-        stuck_grace_s: float = 30.0,
         wal: Optional[AdmissionWAL] = None,
     ):
         self.store = store
@@ -760,11 +778,8 @@ class JobScheduler:
         #: a job whose durability was promised but not delivered.
         self.wal = wal
         self.jobs = max(1, int(jobs))
-        self.max_jobs = max(1, int(max_jobs))
         self.max_queue = None if max_queue is None else max(1, int(max_queue))
         self.deadline_s = deadline_s
-        self.watchdog_poll_s = watchdog_poll_s
-        self.stuck_grace_s = stuck_grace_s
         self.stats = SchedulerStats()
         #: Pool-resilience counters aggregated across every batch and
         #: sweep this scheduler ran (surfaced on ``/stats``).
@@ -784,7 +799,6 @@ class JobScheduler:
         #: store instead of 404ing an id the client was given.  Bounded
         #: FIFO; entries beyond the cap age out oldest-first.
         self._terminal: Dict[str, Dict] = {}
-        self._terminal_cap = 4 * self.max_jobs
         #: Watchdog view of executing work: job id -> (job, deadline
         #: timestamp or None, executing thread ident).
         self._active: Dict[str, Tuple[Job, Optional[float], int]] = {}
@@ -809,12 +823,13 @@ class JobScheduler:
 
     def submit(
         self,
-        request: JobRequest,
+        request: Union[JobRequest, SweepRequest],
         deadline_s: Optional[float] = None,
         client: Optional[str] = None,
         request_id: Optional[str] = None,
     ) -> Job:
-        """Register a request; returns its (possibly shared) job.
+        """Register a request or a sweep; returns its (possibly shared)
+        job — a :class:`SweepJob` for a :class:`SweepRequest`.
 
         Lookup order: in-flight job with the same key (coalesce) ->
         persistent store (complete immediately) -> new queued job.  The
@@ -839,23 +854,6 @@ class JobScheduler:
         """
         return self.admit(request, deadline_s, client, request_id)[0]
 
-    def submit_sweep(
-        self,
-        request: SweepRequest,
-        deadline_s: Optional[float] = None,
-        client: Optional[str] = None,
-        request_id: Optional[str] = None,
-    ) -> SweepJob:
-        """Register a sweep; returns its (possibly shared) job.
-
-        The same admission path as :meth:`submit` — an in-flight sweep
-        with the same key coalesces, a fully persisted sweep completes
-        instantly from the store, only genuinely new work is subject to
-        queue bounds and draining, and the admission is WAL-logged
-        before the job is visible.
-        """
-        return self.admit(request, deadline_s, client, request_id)[0]
-
     def admit(
         self,
         request,
@@ -863,7 +861,7 @@ class JobScheduler:
         client: Optional[str] = None,
         request_id: Optional[str] = None,
     ) -> Tuple[Job, Optional[bytes]]:
-        """:meth:`submit` / :meth:`submit_sweep` for a caller that
+        """:meth:`submit` for a caller that
         writes the job out: ``(job, line)``, where a store hit's
         ``line`` is the verified canonical line its record was parsed
         from (``None`` otherwise) — :meth:`Job.to_json` splices it.
@@ -902,15 +900,9 @@ class JobScheduler:
                     self._next_id(), key, request, request_id=request_id
                 )
                 self._wal_admit(job, client=client, status="done")
-                if sweep:
-                    job.points_total = stored.get("points_total")
-                    job.points_done = job.points_total or 0
                 self._jobs[job.id] = job
                 self._prune_jobs()
-                self.stats.store_hits += 1
-                job._complete(stored, source="store")
-                self._note_terminal(job)
-                _log.debug("job.store_hit", job=job.id, request_id=request_id)
+                self._settle(job, stored, "store", "store_hits", logged=True)
                 return job, line
             if self.draining:
                 self.stats.rejected_draining += 1
@@ -943,7 +935,7 @@ class JobScheduler:
         return job, None
 
     def _prune_jobs(self) -> None:
-        """Drop the oldest *completed* jobs beyond ``max_jobs`` (called
+        """Drop the oldest *completed* jobs beyond :data:`MAX_JOBS` (called
         under the lock; dict order is insertion/creation order).
 
         A pruned id is NOT gone: its terminal outcome stays in the
@@ -951,11 +943,11 @@ class JobScheduler:
         from the store instead of handing the client a 404 for an id it
         was given.
         """
-        excess = len(self._jobs) - self.max_jobs
+        excess = len(self._jobs) - MAX_JOBS
         if excess <= 0:
             return
         # Stop at the ``excess``-th done job: listing every done job to
-        # delete one made each admission past the cap O(max_jobs).
+        # delete one made each admission past the cap O(MAX_JOBS).
         done = (job_id for job_id, job in self._jobs.items() if job.done)
         for job_id in list(islice(done, excess)):
             del self._jobs[job_id]
@@ -981,23 +973,19 @@ class JobScheduler:
         return self._resurrect(job_id, entry)
 
     def _resurrect(self, job_id: str, entry: Dict) -> Optional[Job]:
-        request = _RecoveredRequest(entry.get("request"))
+        """A settled, unindexed view of a terminal entry (``None`` when
+        its record left the store)."""
+        key = entry.get("key") or ""
         if entry.get("status") == "error":
-            job = Job(job_id, entry.get("key") or "", request)
-            job._fail(entry.get("error") or "job failed before restart")
-            with self._lock:
-                self.stats.resurrected += 1
-            return job
-        key = entry.get("key")
-        record = (
-            self.store.get(key)
-            if (self.store is not None and key)
-            else None
-        )
-        if record is None:
+            outcome = entry.get("error") or "job failed before restart"
+        elif self.store is not None and key:
+            outcome = self.store.get(key)
+        else:
+            outcome = None
+        if outcome is None:
             return None
-        job = Job(job_id, key, request)
-        job._complete(record, source="store")
+        job = Job(job_id, key, _RecoveredRequest(entry.get("request")))
+        job._settle(outcome, "store")
         with self._lock:
             self.stats.resurrected += 1
         return job
@@ -1011,7 +999,7 @@ class JobScheduler:
             "error": job.error,
             "request": job.request.to_dict(),
         }
-        while len(self._terminal) > self._terminal_cap:
+        while len(self._terminal) > 4 * MAX_JOBS:
             self._terminal.pop(next(iter(self._terminal)))
 
     def _next_id(self) -> str:
@@ -1048,22 +1036,48 @@ class JobScheduler:
                 f"admission log append failed: {error}"
             ) from None
 
-    def _wal_terminal(
+    def _settle(
         self,
-        job_id: str,
-        status: str,
-        key: Optional[str] = None,
-        error: Optional[str] = None,
-    ) -> None:
-        """Log a job's outcome (never fatal: a lost terminal record only
-        costs a redundant — store-hit — replay after the next crash)."""
-        if self.wal is None:
-            return
-        try:
-            self.wal.append_terminal(job_id, status, key=key, error=error)
-        except OSError:
-            with self._lock:
-                self.stats.wal_append_failures += 1
+        job: Job,
+        outcome: Union[Dict, str],
+        source: Optional[str],
+        counter: str,
+        logged: bool = False,
+    ) -> bool:
+        """THE end of a job: its record (from ``source``) or its error.
+
+        First writer wins (:meth:`Job._settle`); the job leaves the
+        coalescing index either way, and only the winner is counted
+        under ``counter``, indexed as terminal and then logged to the
+        WAL — unless ``logged``: a store hit's admission record already
+        holds its outcome.  A lost terminal record is never fatal: it
+        only costs a redundant, store-hit, replay after the next crash.
+        """
+        won = job._settle(outcome, source)
+        with self._lock:
+            self._deindex(job)
+            if not won:
+                return False
+            setattr(self.stats, counter, getattr(self.stats, counter) + 1)
+            self._note_terminal(job)
+        if self.wal is not None and not logged:
+            try:
+                self.wal.append_terminal(
+                    job.id, job.state, key=job.key, error=job.error
+                )
+            except OSError:
+                with self._lock:
+                    self.stats.wal_append_failures += 1
+        if job.error is None:
+            _log.debug(
+                "job.done", job=job.id, source=source, request_id=job.request_id
+            )
+        else:
+            _log.warning(
+                "job.error", job=job.id, error=job.error,
+                request_id=job.request_id,
+            )
+        return True
 
     def recover(self) -> Dict:
         """Open the WAL and replay outstanding admissions (call once,
@@ -1109,9 +1123,10 @@ class JobScheduler:
     def _recover_job(
         self, job_id: str, entry: Dict, summary: Dict
     ) -> None:
-        """Rebuild one WAL-admitted job (original id) and route it."""
+        """Rebuild one WAL-admitted job (original id and request id)
+        and route it."""
         data = dict(entry.get("request") or {})
-        deadline_s = entry.get("deadline_s")
+        request_id = entry.get("request_id")
         try:
             if entry.get("sweep") or data.get("sweep"):
                 request = SweepRequest.make(
@@ -1122,8 +1137,6 @@ class JobScheduler:
                     options=data.get("options"),
                     check=data.get("check", True),
                 )
-                key = request_store_key(request)
-                job: Job = SweepJob(job_id, key, request, deadline_s=deadline_s)
             else:
                 request = JobRequest.make(
                     data["scenario"],
@@ -1132,37 +1145,43 @@ class JobScheduler:
                     options=data.get("options"),
                     check=data.get("check", True),
                 )
-                key = request_store_key(request)
-                job = Job(job_id, key, request, deadline_s=deadline_s)
+            key = request_store_key(request)
         except (RequestError, KeyError, TypeError) as error:
             # The admitted request no longer validates against this code
             # (scenario removed, option renamed).  Fail it cleanly — an
             # id the client holds must resolve to *something*.
-            message = f"recovery failed: {type(error).__name__}: {error}"
-            job = Job(job_id, entry.get("key") or "", _RecoveredRequest(data))
-            job._fail(message)
-            self._wal_terminal(job_id, "error", error=message)
+            job = Job(
+                job_id,
+                entry.get("key") or "",
+                _RecoveredRequest(data),
+                request_id=request_id,
+            )
             with self._lock:
                 self._jobs[job_id] = job
-                self.stats.recovered_failed += 1
-                self._note_terminal(job)
+            self._settle(
+                job,
+                f"recovery failed: {type(error).__name__}: {error}",
+                None,
+                "recovered_failed",
+            )
             summary["failed"] += 1
             return
+        job_cls = SweepJob if isinstance(request, SweepRequest) else Job
+        job = job_cls(
+            job_id,
+            key,
+            request,
+            deadline_s=entry.get("deadline_s"),
+            request_id=request_id,
+        )
+        with self._lock:
+            self._jobs[job_id] = job
         stored = self.store.get(key) if self.store is not None else None
         if stored is not None:
-            job._complete(stored, source="store")
-            if isinstance(job, SweepJob):
-                job.points_total = stored.get("points_total")
-                job.points_done = job.points_total or 0
-            self._wal_terminal(job_id, "done", key=key)
-            with self._lock:
-                self._jobs[job_id] = job
-                self.stats.recovered_store_hits += 1
-                self._note_terminal(job)
+            self._settle(job, stored, "store", "recovered_store_hits")
             summary["store_hits"] += 1
             return
         with self._lock:
-            self._jobs[job_id] = job
             # Two pending admissions can share a key only across a
             # crash window; the first keeps the coalescing slot, the
             # duplicate still runs (deterministic — a redundant but
@@ -1375,20 +1394,7 @@ class JobScheduler:
         faults.fire("server.crash", context=f"finish:{job.id}")
         error = record.get("error")
         if error is not None:
-            won = job._fail(error)
-            with self._lock:
-                self._deindex(job)
-                if won:
-                    self.stats.errors += 1
-                    self._note_terminal(job)
-            if won:
-                self._wal_terminal(job.id, "error", key=job.key, error=error)
-                _log.warning(
-                    "job.error",
-                    job=job.id,
-                    error=error,
-                    request_id=job.request_id,
-                )
+            self._settle(job, error, None, "errors")
             return
         # Normalize through the canonical JSON line so a fresh record is
         # byte-for-byte the record a warm store hit will serve tomorrow.
@@ -1413,20 +1419,7 @@ class JobScheduler:
         # in neither case does it queue a duplicate simulation.  A job
         # the watchdog already failed keeps its failure (first writer
         # wins); this record reached the store and that is all.
-        won = job._complete(record, source="simulated")
-        with self._lock:
-            self._deindex(job)
-            if won:
-                self.stats.simulated += 1
-                self._note_terminal(job)
-        if won:
-            self._wal_terminal(job.id, "done", key=job.key)
-            _log.debug(
-                "job.done",
-                job=job.id,
-                source="simulated",
-                request_id=job.request_id,
-            )
+        self._settle(job, record, "simulated", "simulated")
 
     def _deindex(self, job: Job) -> None:
         """Drop ``job`` from the coalescing index (under the lock) —
@@ -1455,24 +1448,12 @@ class JobScheduler:
             for job in batch:
                 self._active.pop(job.id, None)
 
-    def _fail_job(self, job: Job, message: str, counter: str) -> None:
-        """Fail a job from outside its executing thread (watchdog path):
-        first-writer-wins, counted once, deindexed for re-submission."""
-        won = job._fail(message)
-        with self._lock:
-            self._deindex(job)
-            if won:
-                setattr(self.stats, counter, getattr(self.stats, counter) + 1)
-                self._note_terminal(job)
-        if won:
-            self._wal_terminal(job.id, "error", key=job.key, error=message)
-
     def _watchdog_tick(self) -> None:
         """One watchdog pass: fail overdue jobs; replace a wedged worker.
 
         A job past its deadline fails immediately — its waiters wake with
         a clean error while the engine grinds on into a discarded record.
-        If the *worker thread* is still stuck ``stuck_grace_s`` past an
+        If the *worker thread* is still stuck :data:`STUCK_GRACE_S` past an
         expired deadline (an injected stall longer than the grace, a
         pathological simulation), the thread is written off: every job of
         its drain fails, a fresh worker takes over the queue, and the
@@ -1487,14 +1468,15 @@ class JobScheduler:
             if deadline_ts is None:
                 continue
             if not job.done and now >= deadline_ts:
-                self._fail_job(
+                self._settle(
                     job,
                     f"deadline exceeded: job ran past its "
                     f"{job.deadline_s:g}s wall-clock budget",
+                    None,
                     "deadline_failures",
                 )
             if (
-                now >= deadline_ts + self.stuck_grace_s
+                now >= deadline_ts + STUCK_GRACE_S
                 and worker is not None
                 and ident == worker.ident
             ):
@@ -1516,12 +1498,12 @@ class JobScheduler:
             )
             self.last_error_at = time.time()
         for job in abandoned:
-            if not job.done:
-                self._fail_job(
-                    job,
-                    "worker thread wedged mid-drain; job abandoned",
-                    "errors",
-                )
+            self._settle(
+                job,
+                "worker thread wedged mid-drain; job abandoned",
+                None,
+                "errors",
+            )
         self.start()
 
     def _watchdog_loop(self) -> None:
@@ -1536,7 +1518,7 @@ class JobScheduler:
                     "scheduler.watchdog_error",
                     traceback=traceback.format_exc(),
                 )
-            time.sleep(self.watchdog_poll_s)
+            time.sleep(WATCHDOG_POLL_S)
 
     # -- the background worker -----------------------------------------
 
@@ -1590,14 +1572,13 @@ class JobScheduler:
                     self.last_error = "worker still running at stop(); abandoned"
                     self.last_error_at = time.time()
                 for job in abandoned:
-                    if not job.done:
-                        self._fail_job(
-                            job, "scheduler stopped; job abandoned", "errors"
-                        )
+                    self._settle(
+                        job, "scheduler stopped; job abandoned", None, "errors"
+                    )
         with self._lock:
             self._worker = None
         if watchdog is not None:
-            watchdog.join(self.watchdog_poll_s * 20 + 1.0)
+            watchdog.join(WATCHDOG_POLL_S * 20 + 1.0)
         with self._lock:
             self._watchdog = None
 

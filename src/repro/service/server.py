@@ -769,7 +769,6 @@ def make_server(
     rate_limit: Optional[float] = None,
     rate_burst: int = 20,
     state_dir: Optional[str] = None,
-    wal_sync: bool = True,
 ) -> ServiceServer:
     """A ready-to-run service (scheduler started by :func:`serve_forever`
     or by the caller).  ``port=0`` binds an ephemeral port — read the
@@ -799,7 +798,7 @@ def make_server(
         store: Optional[ResultStore] = ResultStore(
             state / STORE_NAME, max_entries=max_entries
         )
-        wal = AdmissionWAL(state / WAL_NAME, sync=wal_sync)
+        wal = AdmissionWAL(state / WAL_NAME)
     else:
         store = (
             ResultStore(store_path, max_entries=max_entries)

@@ -17,9 +17,10 @@ work; replaying too little only loses ids the client can resubmit.  The
 WAL never has to be exactly-once — at-least-once plus idempotent
 execution is the whole design.
 
-**Format.**  The shared :mod:`repro.sim.linecodec` line format (the same
-canonical-JSON + ``#sha256:`` trailer the sweep journal uses): one
-record per line, fsynced appends, torn-tail truncation on open.  Records:
+**Format.**  A record schema over the one append-only log,
+:class:`repro.sim.linecodec.LineLog` (the file, line format and
+torn-tail handling the sweep journal uses too): one record per line,
+fsynced appends, torn-tail truncation on open.  Records:
 
 * header — ``{"kind": "admission-wal/v1", "code": <code_version>}``.
   A code-version mismatch on replay is *recorded, not refused*: admitted
@@ -33,26 +34,32 @@ record per line, fsynced appends, torn-tail truncation on open.  Records:
 * ``{"kind": "terminal", "job": id, "status": "done"|"error",
   "key": ..., "error": ...}`` — appended when the job's outcome lands.
 
-**Compaction.**  Every ``compact_every`` terminal appends the log is
-rewritten (tmp file + fsync + ``os.replace``) keeping only the pending
-``admitted`` records plus the most recent ``keep_terminal`` terminal
+**Compaction.**  Every :data:`COMPACT_EVERY` terminal outcomes the log
+is rewritten (:meth:`~repro.sim.linecodec.LineLog.rewrite`: tmp file,
+fsync, ``os.replace``, directory fsync) keeping only the pending
+``admitted`` records plus the most recent :data:`KEEP_TERMINAL` terminal
 records, so the file stays bounded while recently issued ids remain
 resolvable across a restart.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from threading import Lock
-from typing import Dict, List, Mapping, Optional
+from typing import Dict, Mapping, Optional
 
-from ..sim.linecodec import encode_line, scan_lines
+from ..sim.linecodec import LineLog
 from . import faults
 
 #: The WAL format identifier (bump on incompatible change).
 WAL_KIND = "admission-wal/v1"
+
+#: Terminal outcomes appended between two compactions.
+COMPACT_EVERY = 256
+
+#: Terminal outcomes a compaction keeps (the most recent ones).
+KEEP_TERMINAL = 1024
 
 
 class WALError(RuntimeError):
@@ -115,25 +122,15 @@ class AdmissionWAL:
     """One service's append-only admission log, thread-safe to append.
 
     Construction never touches the disk; :meth:`open` replays the valid
-    prefix (truncating any torn tail) and arms appends.  ``sync=True``
-    (the default) fsyncs every append, so a power loss costs at most the
-    in-flight record.
+    prefix (truncating any torn tail) and arms appends.  Every append is
+    fsynced, so a power loss costs at most the in-flight record.
     """
 
-    def __init__(
-        self,
-        path,
-        sync: bool = True,
-        compact_every: int = 256,
-        keep_terminal: int = 1024,
-    ):
+    def __init__(self, path):
         self.path = Path(path)
-        self.sync = bool(sync)
-        self.compact_every = max(1, int(compact_every))
-        self.keep_terminal = max(0, int(keep_terminal))
         self.stats = WALStats()
         self._lock = Lock()
-        self._handle = None
+        self._log = LineLog(self.path, WAL_KIND, WALError)
         self._header: Dict = {}
         #: Live replay state, maintained as appends flow so compaction
         #: never has to re-read the file: admitted-without-terminal by
@@ -157,55 +154,39 @@ class AdmissionWAL:
         from .store import code_version
 
         with self._lock:
-            if self._handle is not None:
-                return self._recovery_view(code_version())
-            try:
-                data = self.path.read_bytes()
-            except FileNotFoundError:
-                data = b""
-            records, valid_bytes, dropped = scan_lines(data)
-            header: Optional[Dict] = None
-            for record in records:
-                if header is None:
-                    if record.get("kind") != WAL_KIND:
-                        raise WALError(
-                            f"{self.path}: not an {WAL_KIND} log "
-                            f"(first record kind={record.get('kind')!r})"
-                        )
-                    header = record
-                elif record.get("kind") == "admitted":
-                    self._replay_admitted(record)
-                elif record.get("kind") == "terminal":
-                    self._replay_terminal(record)
-                # Unknown kinds are tolerated so the format can grow.
-            self.stats.records_replayed = len(records)
-            self.stats.lines_dropped = dropped
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._handle = open(self.path, "ab")
-            if self._handle.tell() != valid_bytes:
-                self._handle.truncate(valid_bytes)
-                self._handle.seek(valid_bytes)
-            if header is None:
-                self._header = {"kind": WAL_KIND, "code": code_version()}
-                self._append_locked(self._header)
-            else:
-                self._header = header
-            recovery = self._recovery_view(code_version())
-            recovery.header = dict(self._header)
+            if not self._log.is_open:
+                self._log.open(self._load())
+                if not self._header:
+                    self._header = {"kind": WAL_KIND, "code": code_version()}
+                    self._append_locked(self._header)
+            recovery = self._recovery()
+            recovery.code_changed = self._header.get("code") != code_version()
             return recovery
 
-    def _recovery_view(self, code: str) -> WALRecovery:
+    def _load(self) -> int:
+        """Replay the file's valid prefix into this log's state without
+        writing; returns how many bytes of it verified."""
+        records, valid_bytes, dropped = self._log.scan()
+        for record in records[1:]:
+            if record.get("kind") == "admitted":
+                self._replay_admitted(record)
+            elif record.get("kind") == "terminal":
+                self._replay_terminal(record)
+            # Unknown kinds are tolerated so the format can grow.
+        self._header = records[0] if records else {}
+        self.stats.records_replayed = len(records)
+        self.stats.lines_dropped = dropped
+        return valid_bytes
+
+    def _recovery(self) -> WALRecovery:
         ids = list(self._pending) + list(self._terminal)
         return WALRecovery(
-            header=dict(self._header) if self._handle is not None else None,
+            header=dict(self._header) if self._header else None,
             pending={k: dict(v) for k, v in self._pending.items()},
             terminal={k: dict(v) for k, v in self._terminal.items()},
             max_counter=max((_job_counter(i) for i in ids), default=0),
             records_replayed=self.stats.records_replayed,
             lines_dropped=self.stats.lines_dropped,
-            code_changed=(
-                bool(self._header) and self._header.get("code") != code
-            ),
         )
 
     def _replay_admitted(self, record: Dict) -> None:
@@ -232,12 +213,7 @@ class AdmissionWAL:
 
     def close(self) -> None:
         with self._lock:
-            if self._handle is not None:
-                self._handle.flush()
-                if self.sync:
-                    os.fsync(self._handle.fileno())
-                self._handle.close()
-                self._handle = None
+            self._log.close()
 
     def __enter__(self) -> "AdmissionWAL":
         self.open()
@@ -251,13 +227,8 @@ class AdmissionWAL:
     def _append_locked(self, record: Mapping) -> None:
         """Append one record (call under the lock; raises ``OSError`` —
         including the injected ``wal.append`` fault — on failure)."""
-        if self._handle is None:
-            raise WALError(f"{self.path}: admission log is not open")
         faults.fire("wal.append", context=str(record.get("kind")))
-        self._handle.write((encode_line(record) + "\n").encode("utf-8"))
-        self._handle.flush()
-        if self.sync:
-            os.fsync(self._handle.fileno())
+        self._log.append(record)
 
     def append_admitted(
         self,
@@ -293,8 +264,7 @@ class AdmissionWAL:
             self.stats.admitted_appends += 1
             self._replay_admitted(record)
             if status:
-                self._terminals_since_compact += 1
-                self._maybe_compact_locked()
+                self._count_terminal_locked()
 
     def append_terminal(
         self,
@@ -315,51 +285,26 @@ class AdmissionWAL:
             self._append_locked(record)
             self.stats.terminal_appends += 1
             self._replay_terminal(record)
-            self._terminals_since_compact += 1
-            self._maybe_compact_locked()
+            self._count_terminal_locked()
 
-    # -- compaction ----------------------------------------------------
-
-    def _maybe_compact_locked(self) -> None:
-        if self._terminals_since_compact >= self.compact_every:
-            self._compact_locked()
-
-    def compact(self) -> None:
-        """Rewrite the log now: pending admissions plus the most recent
-        ``keep_terminal`` terminal outcomes (atomic tmp + replace)."""
-        with self._lock:
-            self._compact_locked()
-
-    def _compact_locked(self) -> None:
-        if self._handle is None:
-            raise WALError(f"{self.path}: admission log is not open")
-        if self.keep_terminal and len(self._terminal) > self.keep_terminal:
-            trimmed = list(self._terminal.items())[-self.keep_terminal:]
-            self._terminal = dict(trimmed)
-        elif not self.keep_terminal:
-            self._terminal = {}
-        tmp = self.path.with_name(self.path.name + ".compact-tmp")
-        with open(tmp, "wb") as handle:
-            handle.write(
-                (encode_line(self._header) + "\n").encode("utf-8")
+    def _count_terminal_locked(self) -> None:
+        """Count one terminal outcome; every :data:`COMPACT_EVERY`th
+        rewrites the log as the pending admissions plus the most recent
+        :data:`KEEP_TERMINAL` outcomes."""
+        self._terminals_since_compact += 1
+        if self._terminals_since_compact < COMPACT_EVERY:
+            return
+        if len(self._terminal) > KEEP_TERMINAL:
+            self._terminal = dict(
+                list(self._terminal.items())[-KEEP_TERMINAL:]
             )
-            for record in self._pending.values():
-                handle.write((encode_line(record) + "\n").encode("utf-8"))
-            for record in self._terminal.values():
-                handle.write((encode_line(record) + "\n").encode("utf-8"))
-            handle.flush()
-            os.fsync(handle.fileno())
-        self._handle.close()
-        os.replace(tmp, self.path)
-        self._handle = open(self.path, "ab")
+        self._log.rewrite(
+            [self._header, *self._pending.values(), *self._terminal.values()]
+        )
         self._terminals_since_compact = 0
         self.stats.compactions += 1
 
     # -- reporting -----------------------------------------------------
-
-    def pending_count(self) -> int:
-        with self._lock:
-            return len(self._pending)
 
     def stats_dict(self) -> Dict:
         """Counters plus live log state, JSON-ready."""
@@ -375,31 +320,6 @@ class AdmissionWAL:
 def load_wal(path) -> WALRecovery:
     """Read-only replay of a WAL's valid prefix (fsck and tests): never
     truncates, never writes, raises :class:`WALError` on a bad header."""
-    try:
-        data = Path(path).read_bytes()
-    except FileNotFoundError:
-        return WALRecovery()
-    records, _, dropped = scan_lines(data)
     wal = AdmissionWAL(path)
-    header: Optional[Dict] = None
-    for record in records:
-        if header is None:
-            if record.get("kind") != WAL_KIND:
-                raise WALError(
-                    f"{path}: not an {WAL_KIND} log "
-                    f"(first record kind={record.get('kind')!r})"
-                )
-            header = record
-        elif record.get("kind") == "admitted":
-            wal._replay_admitted(record)
-        elif record.get("kind") == "terminal":
-            wal._replay_terminal(record)
-    ids = list(wal._pending) + list(wal._terminal)
-    return WALRecovery(
-        header=header,
-        pending=wal._pending,
-        terminal=wal._terminal,
-        max_counter=max((_job_counter(i) for i in ids), default=0),
-        records_replayed=len(records),
-        lines_dropped=dropped,
-    )
+    wal._load()
+    return wal._recovery()

@@ -569,16 +569,23 @@ class SweepRunner:
                         self._completed(results), len(items)
                     )
                 round_states, pending = pending, []
-                futures = {
-                    pool.submit(
-                        _run_chunk,
-                        worker,
-                        [items[i] for i in state.indices],
-                        state.indices,
-                        self.describe,
-                    ): state
-                    for state in round_states
-                }
+                futures: Dict = {}
+                for position, state in enumerate(round_states):
+                    try:
+                        future = pool.submit(
+                            _run_chunk,
+                            worker,
+                            [items[i] for i in state.indices],
+                            state.indices,
+                            self.describe,
+                        )
+                    except BrokenProcessPool:
+                        # A worker died before this submit: the round
+                        # failed.  What never reached the pool goes back
+                        # in the queue without a strike.
+                        pending = round_states[position:]
+                        break
+                    futures[future] = state
                 failed, interrupted = self._collect(
                     pool, futures, results, on_result, cancel
                 )
@@ -586,7 +593,7 @@ class SweepRunner:
                     raise SweepInterrupted(
                         self._completed(results), len(items)
                     )
-                if not failed:
+                if not failed and not pending:
                     continue
                 self.resilience.pool_rebuilds += 1
                 if self.resilience.pool_rebuilds > budget:
@@ -595,7 +602,7 @@ class SweepRunner:
                     )
                 pool.shutdown(wait=False, cancel_futures=True)
                 pool = None
-                pending = self._retry_plan(
+                pending += self._retry_plan(
                     worker, items, results, on_result, failed
                 )
                 if pending:

@@ -32,19 +32,19 @@ Format (one record per line, self-verifying — the shared
   "point": {...}}``.  Unknown kinds are tolerated on read, so the format
   can grow.
 
-Appends are atomic in practice: one ``write()`` of a complete line to an
-append-mode handle, flushed (and fsynced by default) per point.  A crash
+Appends are atomic in practice: one fsynced ``write()`` of a complete
+line to an append-mode handle, per point (the one
+:class:`~repro.sim.linecodec.LineLog` under the WAL too).  A crash
 mid-append leaves at most one torn line — exactly what open tolerates.
 """
 
 from __future__ import annotations
 
-import os
 from pathlib import Path
 from typing import Dict, Mapping, Optional, Tuple
 
 from ..codeversion import code_version
-from .linecodec import encode_line, record_line, scan_lines
+from .linecodec import LineLog, record_line
 
 #: The journal format identifier (bump on incompatible change).
 JOURNAL_KIND = "sweep-journal/v1"
@@ -85,39 +85,28 @@ def load_journal(
     dropped as torn or corrupt.  Raises :class:`JournalError` when the
     first record is not a ``sweep-journal/v1`` header.
     """
-    try:
-        data = Path(path).read_bytes()
-    except FileNotFoundError:
-        return None, {}, 0, 0
-    records, valid_bytes, dropped = scan_lines(data)
-    header: Optional[Dict] = None
-    points: Dict[int, Dict] = {}
-    for record in records:
-        if header is None:
-            if record.get("kind") != JOURNAL_KIND:
-                raise JournalError(
-                    f"{path}: not a {JOURNAL_KIND} journal "
-                    f"(first record kind={record.get('kind')!r})"
-                )
-            header = record
-        elif record.get("kind") == "point":
-            points[int(record["index"])] = record["point"]
-    return header, points, valid_bytes, dropped
+    records, valid_bytes, dropped = _log(path).scan()
+    points = {
+        int(record["index"]): record["point"]
+        for record in records[1:]
+        if record.get("kind") == "point"
+    }
+    return (records[0] if records else None), points, valid_bytes, dropped
+
+
+def _log(path) -> LineLog:
+    return LineLog(path, JOURNAL_KIND, JournalError)
 
 
 class SweepJournal:
     """One sweep's checkpoint file: open (fresh or resuming), append
-    points as they complete, close.  Context-manager friendly.
+    points as they complete, close.  Context-manager friendly.  Every
+    append is fsynced, so a power loss costs at most the in-flight
+    point."""
 
-    ``sync=True`` (the default) fsyncs every append so a power loss
-    costs at most the in-flight point; pass ``False`` to trade that for
-    throughput on sweeps whose points are very cheap.
-    """
-
-    def __init__(self, path, sync: bool = True):
+    def __init__(self, path):
         self.path = Path(path)
-        self.sync = bool(sync)
-        self._handle = None
+        self._log = _log(self.path)
         #: Points loaded from the valid prefix on a resuming open.
         self.points_resumed = 0
         #: Torn/corrupt trailing lines dropped on a resuming open.
@@ -135,7 +124,6 @@ class SweepJournal:
         completed points by index.  An empty or missing file resumes as
         a fresh journal.
         """
-        completed: Dict[int, Dict] = {}
         if resume:
             existing, completed, valid_bytes, dropped = load_journal(
                 self.path
@@ -144,15 +132,11 @@ class SweepJournal:
             if existing is not None:
                 self._check_header(existing, header)
                 self.points_resumed = len(completed)
-                self._handle = open(self.path, "ab")
-                if self._handle.tell() != valid_bytes:
-                    self._handle.truncate(valid_bytes)
+                self._log.open(valid_bytes)
                 return completed
-            completed = {}
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._handle = open(self.path, "wb")
-        self._append_record(dict(header))
-        return completed
+        self._log.open(0)
+        self._log.append(dict(header))
+        return {}
 
     def _check_header(self, existing: Mapping, header: Mapping) -> None:
         want = record_line(dict(header))
@@ -166,12 +150,7 @@ class SweepJournal:
             )
 
     def close(self) -> None:
-        if self._handle is not None:
-            self._handle.flush()
-            if self.sync:
-                os.fsync(self._handle.fileno())
-            self._handle.close()
-            self._handle = None
+        self._log.close()
 
     def __enter__(self) -> "SweepJournal":
         return self
@@ -181,16 +160,8 @@ class SweepJournal:
 
     # -- appends -------------------------------------------------------
 
-    def _append_record(self, record: Mapping) -> None:
-        if self._handle is None:
-            raise JournalError(f"{self.path}: journal is not open")
-        self._handle.write((encode_line(record) + "\n").encode("utf-8"))
-        self._handle.flush()
-        if self.sync:
-            os.fsync(self._handle.fileno())
-
     def append_point(self, index: int, point: Mapping) -> None:
         """Checkpoint one completed point under its sweep index."""
-        self._append_record(
+        self._log.append(
             {"kind": "point", "index": int(index), "point": dict(point)}
         )

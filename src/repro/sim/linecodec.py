@@ -1,10 +1,11 @@
-"""The shared self-verifying journal line codec.
+"""The one append-only log: a self-verifying line codec and its file.
 
 Two durable logs in this repository append one record per line and must
 survive being killed mid-write: the sweep checkpoint journal
 (:mod:`repro.sim.journal`) and the service admission WAL
-(:mod:`repro.service.wal`).  Both use this codec, so there is exactly
-one implementation of the on-disk line format:
+(:mod:`repro.service.wal`).  Both are record schemas over one
+:class:`LineLog`, so there is exactly one implementation of the on-disk
+line format and of the file handling under it:
 
     <canonical JSON> #sha256:<16 hex digits>\\n
 
@@ -21,16 +22,17 @@ one implementation of the on-disk line format:
   answer.
 
 Appends are atomic in practice: one ``write()`` of a complete line to an
-append-mode handle, flushed (and usually fsynced) per record.  A crash
-mid-append leaves at most one torn line — exactly what the scan
-tolerates.
+append-mode handle, flushed and fsynced per record.  A crash mid-append
+leaves at most one torn line — exactly what the scan tolerates.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from typing import Dict, List, Mapping, Optional, Tuple
+import os
+from pathlib import Path
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 #: Hex digits of SHA-256 kept in each line's trailer.
 TRAILER_HEX = 16
@@ -110,3 +112,98 @@ def scan_lines(data: bytes) -> Tuple[List[Dict], int, int]:
         records.append(record)
         valid_bytes = offset
     return records, valid_bytes, dropped
+
+
+def _encoded(record: Mapping) -> bytes:
+    return (encode_line(record) + "\n").encode("utf-8")
+
+
+def _fsync_dir(path: Path) -> None:
+    """Make a creation or a rename inside directory ``path`` durable."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
+class LineLog:
+    """One append-only file of lines in this format, headed by a record
+    of kind ``kind``.
+
+    Construction never touches the disk.  :meth:`scan` reads the valid
+    prefix and writes nothing; :meth:`open` arms appends after it,
+    cutting a torn tail.  Every append is one ``write()``, flushed and
+    fsynced; :meth:`rewrite` replaces the file atomically.  A header of
+    the wrong kind, or an append to a log that is not open, raises
+    ``error``.
+    """
+
+    def __init__(self, path, kind: str, error: type):
+        self.path = Path(path)
+        self.kind = kind
+        self.error = error
+        self._handle = None
+
+    @property
+    def is_open(self) -> bool:
+        return self._handle is not None
+
+    def scan(self) -> Tuple[List[Dict], int, int]:
+        """The valid prefix, read-only: :func:`scan_lines`'s
+        ``(records, valid_bytes, dropped_lines)`` with ``records[0]`` the
+        header.  A missing file scans empty."""
+        try:
+            data = self.path.read_bytes()
+        except FileNotFoundError:
+            return [], 0, 0
+        records, valid_bytes, dropped = scan_lines(data)
+        if records and records[0].get("kind") != self.kind:
+            raise self.error(
+                f"{self.path}: expected a {self.kind!r} header, found "
+                f"kind={records[0].get('kind')!r}"
+            )
+        return records, valid_bytes, dropped
+
+    def open(self, valid_bytes: int) -> None:
+        """Arm appends after the file's first ``valid_bytes`` (what lies
+        beyond them is cut; 0 starts the file over).  A log this creates
+        has its directory fsynced, so the new name survives a power
+        loss."""
+        created = not self.path.exists()
+        if created:
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+        self._handle = open(self.path, "ab")
+        if self._handle.tell() != valid_bytes:
+            self._handle.truncate(valid_bytes)
+        if created:
+            _fsync_dir(self.path.parent)
+
+    def append(self, record: Mapping) -> None:
+        if self._handle is None:
+            raise self.error(f"{self.path}: {self.kind} log is not open")
+        self._handle.write(_encoded(record))
+        self._handle.flush()
+        os.fsync(self._handle.fileno())
+
+    def rewrite(self, records: Iterable[Mapping]) -> None:
+        """Replace the file with ``records`` and keep appending to it:
+        a fsynced temp file renamed over the log, then the directory
+        fsynced — without it a power loss can undo the rename, and with
+        it every append made to the new file since."""
+        tmp = self.path.with_name(self.path.name + ".compact-tmp")
+        with open(tmp, "wb") as handle:
+            handle.write(b"".join(_encoded(record) for record in records))
+            handle.flush()
+            os.fsync(handle.fileno())
+        self._handle.close()
+        os.replace(tmp, self.path)
+        _fsync_dir(self.path.parent)
+        self._handle = open(self.path, "ab")
+
+    def close(self) -> None:
+        if self._handle is not None:
+            self._handle.flush()
+            os.fsync(self._handle.fileno())
+            self._handle.close()
+            self._handle = None

@@ -178,7 +178,7 @@ class _StoreSweep:
 
     def _run(self, store_dir):
         scheduler = JobScheduler(store=ResultStore(str(store_dir)))
-        job = scheduler.submit_sweep(SweepRequest.make(**self.REQUEST))
+        job = scheduler.submit(SweepRequest.make(**self.REQUEST))
         scheduler.run_pending()
         return scheduler, job
 

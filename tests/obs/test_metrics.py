@@ -10,10 +10,10 @@ from repro.obs import metrics as obs_metrics
 from repro.obs.metrics import (
     DEFAULT_TIME_BUCKETS,
     MetricsRegistry,
+    parse_metrics,
     prometheus_name,
     render_prometheus,
 )
-from repro.obs.smoke import parse_metrics
 
 
 @pytest.fixture

@@ -27,6 +27,7 @@ from repro.scenarios import scenario_grid
 from repro.scenarios.sweep import run_scenario_sweep
 from repro.service import JobRequest, JobScheduler, ServiceClient, ServiceError
 from repro.service import faults
+from repro.service import scheduler as scheduler_module
 from repro.service.server import make_server
 
 #: The deterministic request mix every plan runs (spec, config, seed) —
@@ -115,6 +116,12 @@ def references():
     return lines
 
 
+@pytest.fixture(autouse=True)
+def fast_watchdog(monkeypatch):
+    """A deadline failure lands within 20 ms of its budget."""
+    monkeypatch.setattr(scheduler_module, "WATCHDOG_POLL_S", 0.02)
+
+
 @contextmanager
 def chaos_server(tmp_path):
     server = make_server(
@@ -124,7 +131,6 @@ def chaos_server(tmp_path):
         max_queue=64,
         deadline_s=DEADLINE_S,
     )
-    server.scheduler.watchdog_poll_s = 0.02
     server.scheduler.start()
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()

@@ -23,6 +23,7 @@ from collections import Counter
 
 from repro.obs import logs as obs_logs
 from repro.service import ServiceClient
+from repro.service import wal as wal_module
 from repro.service.server import make_server
 
 SCENARIO = "gemm:m=4,k=8,n=4,tile_k=4"
@@ -46,9 +47,9 @@ def test_fifty_hits_cost_fifty_of_each(tmp_path, monkeypatch):
     server = make_server(
         host="127.0.0.1", port=0, state_dir=str(tmp_path / "state")
     )
-    # The run stays under compact_every: no WAL compaction (an fsync, an
+    # The run stays under COMPACT_EVERY: no WAL compaction (an fsync, an
     # open and a dumps per kept record) lands inside the counted window.
-    assert server.scheduler.wal.compact_every > HITS + 1
+    assert wal_module.COMPACT_EVERY > HITS + 1
     server.scheduler.start()
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()

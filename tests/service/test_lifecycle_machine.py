@@ -1,0 +1,223 @@
+"""The job lifecycle as a state machine, against a ten-line model.
+
+Hypothesis drives a :class:`JobScheduler` over a real
+:class:`AdmissionWAL` and :class:`ResultStore` in a temporary directory:
+submits of new, duplicate (in-flight) and already-stored keys, drains,
+watchdog failures, pruning past a small :data:`MAX_JOBS`, and crashes —
+the scheduler dropped, with or without the terminal records of its last
+drain, and a new one recovered from the same directory.  After every
+step every id ever issued must resolve, to the outcome the model says,
+and no key already in the store may simulate again.
+
+``evaluate_request`` is patched to a cheap deterministic function of
+the request, so an example costs milliseconds; what is under test is
+the lifecycle, not the engine.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import shutil
+import tempfile
+from pathlib import Path
+from unittest import mock
+
+import pytest
+from hypothesis import HealthCheck, settings
+from hypothesis import strategies as st
+from hypothesis.stateful import (
+    Bundle,
+    RuleBasedStateMachine,
+    invariant,
+    precondition,
+    rule,
+    run_state_machine_as_test,
+)
+
+from repro.service import AdmissionWAL, JobRequest, JobScheduler, ResultStore
+from repro.service import scheduler as scheduler_module
+from repro.service import wal as wal_module
+from repro.service.scheduler import request_store_key
+from repro.sim.linecodec import record_line
+
+#: Few enough keys that submits keep landing on in-flight and stored ones.
+REQUESTS = [JobRequest.make("fir", seed=seed) for seed in range(3)] + [
+    JobRequest.make("mesh")
+]
+
+#: Ids one example may issue: inside the terminal index (4 x MAX_JOBS)
+#: and inside what a WAL compaction keeps, so every one stays resolvable.
+ID_LIMIT = 24
+
+DEADLINE_ERROR = "deadline exceeded: failed by the test's watchdog"
+
+
+def fake_record(payload) -> dict:
+    """What the patched engine returns for a request: a pure function."""
+    name, config, seed, options = payload[:4]
+    digest = hashlib.sha256(repr(payload[:5]).encode()).digest()
+    return {
+        "cycles": int.from_bytes(digest[:4], "big"),
+        "scenario": name,
+        "config": dict(config),
+        "seed": seed,
+        "options": dict(options),
+    }
+
+
+def expected_record(request: JobRequest) -> dict:
+    return json.loads(record_line(fake_record(request.payload(None))))
+
+
+class LifecycleMachine(RuleBasedStateMachine):
+    ids = Bundle("ids")
+
+    def __init__(self):
+        super().__init__()
+        self.dir = Path(tempfile.mkdtemp(prefix="lifecycle-"))
+        self._patches = [
+            mock.patch.object(scheduler_module, "evaluate_request", self._evaluate),
+            mock.patch.object(scheduler_module, "MAX_JOBS", ID_LIMIT // 4),
+            mock.patch.object(wal_module, "COMPACT_EVERY", 5),
+            mock.patch.object(wal_module, "KEEP_TERMINAL", ID_LIMIT),
+        ]
+        for patch in self._patches:
+            patch.start()
+        self.scheduler = self._recovered()
+        # The model: keys with a record in the store, the unsettled job
+        # of each key, and each issued id's key and state.
+        self.stored = set()
+        self.queued = {}
+        self.state = {}
+        self.key = {}
+        self.doomed = set()
+
+    def teardown(self):
+        self.scheduler.wal.close()
+        for patch in reversed(self._patches):
+            patch.stop()
+        shutil.rmtree(self.dir, ignore_errors=True)
+
+    def _recovered(self) -> JobScheduler:
+        scheduler = JobScheduler(
+            store=ResultStore(self.dir / "store"),
+            wal=AdmissionWAL(self.dir / "admission.wal"),
+        )
+        scheduler.recover()
+        return scheduler
+
+    def _evaluate(self, payload) -> dict:
+        key = request_store_key(JobRequest(*payload[:5]))
+        assert key not in self.stored, f"{payload} simulated a stored key"
+        (job,) = [
+            job for job, _, _ in self.scheduler._active.values()
+            if job.key == key
+        ]
+        if job.id in self.doomed:
+            # What the watchdog does to a job past its deadline while
+            # the engine grinds on: it fails, its record is discarded.
+            self.scheduler._settle(job, DEADLINE_ERROR, None, "deadline_failures")
+        return fake_record(payload)
+
+    # -- rules -----------------------------------------------------------
+
+    @precondition(lambda self: len(self.state) < ID_LIMIT)
+    @rule(target=ids, index=st.integers(0, len(REQUESTS) - 1))
+    def submit(self, index):
+        request = REQUESTS[index]
+        key = request_store_key(request)
+        job = self.scheduler.submit(request)
+        if key in self.queued:
+            assert job.id == self.queued[key], "an in-flight key coalesces"
+        else:
+            assert job.id not in self.state, f"{job.id} was issued twice"
+            self.key[job.id] = key
+            if key in self.stored:
+                assert job.source == "store"
+                self.state[job.id] = "done"
+            else:
+                self.queued[key] = job.id
+                self.state[job.id] = "queued"
+        return job.id
+
+    @rule(job_id=ids)
+    def fail_when_it_runs(self, job_id):
+        self.doomed.add(job_id)
+
+    @rule()
+    def run_pending(self):
+        self.scheduler.run_pending()
+        self._drained()
+
+    @rule(lose_terminals=st.booleans())
+    def crash_and_recover(self, lose_terminals):
+        if lose_terminals:
+            # A kill after the drain's records reached the store but
+            # before any terminal record reached the WAL: replay finds
+            # them admitted, and answers each from the store.
+            with mock.patch.object(self.scheduler.wal, "append_terminal"):
+                self.scheduler.run_pending()
+            self._drained(outcome="done")
+        self.scheduler.wal.close()
+        self.scheduler = self._recovered()
+
+    @rule(job_id=ids)
+    def resolve(self, job_id):
+        job = self.scheduler.job(job_id)
+        if job_id not in self.scheduler._jobs:
+            assert job_id in self.scheduler._terminal  # pruned or recovered
+        self._check(job_id, job)
+        json.loads(job.to_json())  # and it serialises for the wire
+
+    def _drained(self, outcome=None):
+        for key, job_id in self.queued.items():
+            self.state[job_id] = outcome or (
+                "error" if job_id in self.doomed else "done"
+            )
+            self.stored.add(key)  # a failed job's record is spilled too
+        self.queued.clear()
+
+    # -- invariants --------------------------------------------------------
+
+    def _check(self, job_id, job):
+        assert job is not None, f"issued id {job_id} no longer resolves"
+        assert job.state == self.state[job_id], job_id
+        if job.state == "done":
+            request = next(
+                r for r in REQUESTS
+                if request_store_key(r) == self.key[job_id]
+            )
+            assert job.record == expected_record(request)
+        elif job.state == "error":
+            assert job.error == DEADLINE_ERROR
+
+    @invariant()
+    def every_issued_id_resolves_as_the_model_says(self):
+        for job_id in self.state:
+            self._check(job_id, self.scheduler.job(job_id))
+
+
+def test_the_lifecycle_holds_the_model():
+    run_state_machine_as_test(
+        LifecycleMachine,
+        settings=settings(
+            max_examples=25,
+            stateful_step_count=25,
+            deadline=None,
+            suppress_health_check=[HealthCheck.too_slow],
+        ),
+    )
+
+
+@pytest.mark.slow
+def test_the_lifecycle_holds_the_model_deeply():
+    run_state_machine_as_test(
+        LifecycleMachine,
+        settings=settings(
+            max_examples=200,
+            stateful_step_count=50,
+            deadline=None,
+            suppress_health_check=[HealthCheck.too_slow],
+        ),
+    )

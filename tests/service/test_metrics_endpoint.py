@@ -14,7 +14,7 @@ import pytest
 
 from repro.obs import logs as obs_logs
 from repro.obs import metrics as obs_metrics
-from repro.obs.smoke import parse_metrics
+from repro.obs.metrics import parse_metrics
 from repro.service import ServiceClient
 from repro.service.scheduler import STATS_SCHEMA
 from repro.service.server import make_server

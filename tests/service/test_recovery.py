@@ -118,6 +118,10 @@ class TestInProcessRecovery:
         replay_a = recovered.job("job-000001")
         replay_b = recovered.job("job-000002")
         assert replay_a.state == "queued" and replay_b.state == "queued"
+        # The admission's log correlation id comes back with the job.
+        assert [replay_a.request_id, replay_b.request_id] == [
+            a.request_id, b.request_id
+        ]
         recovered.run_pending()
         assert replay_a.done and replay_b.done
         # Bit-identical to an uncrashed run of the same requests.

@@ -249,8 +249,9 @@ class TestScheduling:
         assert job.result()["cycles"] > 0
         assert scheduler.stats.store_put_failures == 1
 
-    def test_completed_jobs_pruned_beyond_cap(self, tmp_path):
-        scheduler = JobScheduler(store=ResultStore(tmp_path), max_jobs=2)
+    def test_completed_jobs_pruned_beyond_cap(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(scheduler_module, "MAX_JOBS", 2)
+        scheduler = JobScheduler(store=ResultStore(tmp_path))
         jobs = []
         for seed in range(3):
             jobs.append(scheduler.submit(JobRequest.make("mesh", seed=seed)))
@@ -272,28 +273,29 @@ class TestScheduling:
     def test_prune_drops_exactly_the_oldest_done_jobs(
         self, tmp_path, monkeypatch
     ):
-        """3 x max_jobs admissions: the index holds max_jobs, the pruned
+        """3 x MAX_JOBS admissions: the index holds MAX_JOBS, the pruned
         ids are the oldest *done* ones in issue order, a still-queued
         job older than all of them is stepped over, every pruned id
         still resolves through the terminal index — and an admission
         past the cap looks at a handful of jobs, not at all of them."""
         cap = 50
-        scheduler = JobScheduler(store=ResultStore(tmp_path), max_jobs=cap)
+        monkeypatch.setattr(scheduler_module, "MAX_JOBS", cap)
+        scheduler = JobScheduler(store=ResultStore(tmp_path))
         first = scheduler.submit(JobRequest.make("fir"))
         scheduler.run_pending()
         queued = scheduler.submit(JobRequest.make("fir", seed=1))
         looked_at = []
         is_done = scheduler_module.Job.done.fget
-        monkeypatch.setattr(
-            scheduler_module.Job,
-            "done",
-            property(lambda job: looked_at.append(job) or is_done(job)),
-        )
-        hits = [
-            scheduler.submit(JobRequest.make("fir"))
-            for _ in range(3 * cap - 2)
-        ]
-        monkeypatch.undo()
+        with monkeypatch.context() as counting:
+            counting.setattr(
+                scheduler_module.Job,
+                "done",
+                property(lambda job: looked_at.append(job) or is_done(job)),
+            )
+            hits = [
+                scheduler.submit(JobRequest.make("fir"))
+                for _ in range(3 * cap - 2)
+            ]
         assert len(looked_at) < 10 * len(hits)  # was > cap per admission
         issued = [first, queued, *hits]
         assert len({job.id for job in issued}) == 3 * cap
@@ -389,15 +391,14 @@ class TestRobustness:
         assert all(job.done for job in jobs)
         assert sum(job.state == "done" for job in jobs) >= 2
 
-    def test_deadline_fails_job_not_worker(self, tmp_path):
+    def test_deadline_fails_job_not_worker(self, tmp_path, monkeypatch):
         from repro.service import faults
 
+        monkeypatch.setattr(scheduler_module, "WATCHDOG_POLL_S", 0.02)
         plan = faults.FaultPlan(
             [faults.Fault("job.evaluate", "slow", delay_s=0.6)]
         )
-        scheduler = JobScheduler(
-            store=ResultStore(tmp_path), deadline_s=0.15, watchdog_poll_s=0.02
-        )
+        scheduler = JobScheduler(store=ResultStore(tmp_path), deadline_s=0.15)
         scheduler.start()
         try:
             with faults.injected(plan):
@@ -477,8 +478,8 @@ class TestRobustness:
         eventual record must not resurrect it."""
         scheduler = JobScheduler(store=ResultStore(tmp_path))
         job = scheduler.submit(JobRequest.make("fir"))
-        assert job._fail("deadline exceeded (simulated)") is True
-        assert job._complete({"cycles": 1}, source="simulated") is False
+        assert job._settle("deadline exceeded (simulated)") is True
+        assert job._settle({"cycles": 1}, "simulated") is False
         assert job.state == "error"
         assert job.record is None
 

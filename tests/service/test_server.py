@@ -290,7 +290,8 @@ class TestClientRetry:
 class TestSmoke:
     def test_subprocess_smoke(self):
         """The CI smoke end to end: real subprocess server, two requests,
-        second one a store hit, clean shutdown (exit 0)."""
+        second one a store hit, both seen by ``/metrics``, clean
+        shutdown (exit 0)."""
         completed = subprocess.run(
             [sys.executable, "-m", "repro.service.smoke"],
             capture_output=True,
@@ -299,4 +300,5 @@ class TestSmoke:
         )
         assert completed.returncode == 0, completed.stderr
         assert "warm served from store" in completed.stdout
+        assert "/metrics parsed" in completed.stdout
         assert "clean shutdown" in completed.stdout

@@ -59,7 +59,7 @@ class TestSweepRequest:
 
 class TestSchedulerSweeps:
     def test_sweep_completes_with_aggregate_record(self, scheduler):
-        job = scheduler.submit_sweep(SweepRequest.make("gemm", sample=4))
+        job = scheduler.submit(SweepRequest.make("gemm", sample=4))
         assert isinstance(job, SweepJob)
         scheduler.run_pending()
         record = job.result()
@@ -72,21 +72,21 @@ class TestSchedulerSweeps:
         }
 
     def test_resubmit_is_store_hit(self, scheduler):
-        job = scheduler.submit_sweep(SweepRequest.make("gemm", sample=4))
+        job = scheduler.submit(SweepRequest.make("gemm", sample=4))
         scheduler.run_pending()
-        again = scheduler.submit_sweep(SweepRequest.make("gemm", sample=4))
+        again = scheduler.submit(SweepRequest.make("gemm", sample=4))
         assert again.done and again.source == "store"
         assert again.record == job.record
 
     def test_inflight_sweeps_coalesce(self, scheduler):
-        first = scheduler.submit_sweep(SweepRequest.make("gemm", sample=4))
-        second = scheduler.submit_sweep(SweepRequest.make("gemm", sample=4))
+        first = scheduler.submit(SweepRequest.make("gemm", sample=4))
+        second = scheduler.submit(SweepRequest.make("gemm", sample=4))
         assert first is second
         assert first.waiters == 2
 
     def test_points_checkpoint_as_single_job_hits(self, scheduler):
         request = SweepRequest.make("gemm", sample=4)
-        scheduler.submit_sweep(request)
+        scheduler.submit(request)
         scheduler.run_pending()
         # Each sweep point is now an individual store hit for plain jobs.
         point = request.point_requests()[0]
@@ -103,7 +103,7 @@ class TestSchedulerSweeps:
         })
         request = SweepRequest.make("gemm", seed=3)
         with injected(plan):
-            job = scheduler.submit_sweep(request)
+            job = scheduler.submit(request)
             scheduler.run_pending()
         assert job.state == "error"
         assert "resubmit to resume" in job.error
@@ -113,7 +113,7 @@ class TestSchedulerSweeps:
         assert scheduler.stats.sweep_point_failures == 1
 
         # Resubmit without faults: resumes from checkpoints.
-        resumed = scheduler.submit_sweep(request)
+        resumed = scheduler.submit(request)
         scheduler.run_pending()
         record = resumed.result()
         assert record["points_failed"] == 0
@@ -123,7 +123,7 @@ class TestSchedulerSweeps:
         assert scheduler.stats.sweep_points_simulated == 12
 
     def test_stats_carry_resilience_counters(self, scheduler):
-        scheduler.submit_sweep(SweepRequest.make("gemm", sample=2))
+        scheduler.submit(SweepRequest.make("gemm", sample=2))
         scheduler.run_pending()
         stats = scheduler.stats_dict()
         assert "resilience" in stats

@@ -4,9 +4,17 @@ codec contract with the sweep journal."""
 
 from __future__ import annotations
 
+import json
+import os
+import shutil
+import stat
+from dataclasses import asdict
+from pathlib import Path
+
 import pytest
 
 from repro.service import Fault, FaultPlan, injected
+from repro.service import wal as wal_module
 from repro.service.wal import (
     WAL_KIND,
     AdmissionWAL,
@@ -102,7 +110,7 @@ class TestAdmissionWAL:
         path = tmp_path / "admission.wal"
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(encode_line({"kind": "sweep-journal/v1"}) + "\n")
-        with pytest.raises(WALError, match="not an admission-wal/v1"):
+        with pytest.raises(WALError, match="'admission-wal/v1' header"):
             AdmissionWAL(path).open()
         with pytest.raises(WALError):
             load_wal(path)
@@ -115,9 +123,11 @@ class TestAdmissionWAL:
         assert again.header == first.header
         assert list(again.pending) == ["job-000001"]
 
-    def test_compaction_bounds_the_log(self, tmp_path):
+    def test_compaction_bounds_the_log(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(wal_module, "COMPACT_EVERY", 10)
+        monkeypatch.setattr(wal_module, "KEEP_TERMINAL", 5)
         path = tmp_path / "admission.wal"
-        wal = AdmissionWAL(path, compact_every=10, keep_terminal=5)
+        wal = AdmissionWAL(path)
         wal.open()
         wal.append_admitted("job-999999", key="kp", request={"pend": 1})
         for index in range(30):
@@ -128,13 +138,42 @@ class TestAdmissionWAL:
         wal.close()
         recovery = load_wal(path)
         # Pending admissions survive every compaction; terminals are
-        # bounded to the most recent keep_terminal.
+        # bounded to the most recent KEEP_TERMINAL.
         assert list(recovery.pending) == ["job-999999"]
         assert len(recovery.terminal) == 5
         assert "job-000030" in recovery.terminal
         assert "job-000001" not in recovery.terminal
         # The compacted log replays cleanly through a normal open too.
         assert list(AdmissionWAL(path).open().pending) == ["job-999999"]
+
+    def test_creation_and_compaction_fsync_the_directory(
+        self, tmp_path, monkeypatch
+    ):
+        """A rename (or a creation) is durable only once its directory
+        is: without that fsync a power loss can undo the compaction's
+        ``os.replace`` and every admission fsynced into the new file."""
+        monkeypatch.setattr(wal_module, "COMPACT_EVERY", 2)
+        synced = []
+        real_fsync = os.fsync
+
+        def recording_fsync(fd):
+            synced.append(stat.S_ISDIR(os.fstat(fd).st_mode))
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", recording_fsync)
+        wal = AdmissionWAL(tmp_path / "admission.wal")
+        wal.open()
+        assert synced == [True, False]  # the new name, then the header
+        synced.clear()
+        wal.append_admitted("job-000001", key="k", request={})
+        wal.append_terminal("job-000001", "done", key="k")
+        assert wal.stats.compactions == 0 and synced == [False, False]
+        synced.clear()
+        wal.append_admitted("job-000002", key="k", request={}, status="done")
+        assert wal.stats.compactions == 1
+        # The append, the rewritten file, then its directory.
+        assert synced == [False, False, True]
+        wal.close()
 
     def test_load_wal_never_mutates(self, tmp_path):
         path = tmp_path / "admission.wal"
@@ -164,3 +203,80 @@ class TestAdmissionWAL:
         # The budget spent, the next append lands.
         wal.append_admitted("job-000002", key="k2", request={})
         assert list(load_wal(wal.path).pending) == ["job-000002"]
+
+
+#: A log written by an earlier commit, and what that commit's
+#: ``load_wal`` and ``AdmissionWAL.open`` read from it.  Re-record
+#: (``PYTHONPATH=src python tests/service/test_wal.py``) only from a
+#: commit whose log format you trust: the point is that today's code
+#: replays yesterday's bytes.
+DATA = Path(__file__).resolve().parent / "data"
+PARENT_WAL = DATA / "parent.wal"
+PARENT_WAL_REPLAY = DATA / "parent_wal_replay.json"
+#: The code version both sides stamp (``EQUEUE_CODE_VERSION``).
+FIXTURE_CODE = "log-fixture"
+
+
+def write_fixture_wal(path: Path) -> None:
+    """A pending admission, a folded store hit, an admission closed by
+    its terminal record, and a torn tail."""
+    with AdmissionWAL(path) as wal:
+        wal.append_admitted(
+            "job-000001", key="k1", request={"scenario": "fir", "seed": 1},
+            client="127.0.0.1", deadline_s=5.0, request_id="req-1",
+        )
+        wal.append_admitted(
+            "job-000002", key="k2", request={"scenario": "fir"},
+            status="done", request_id="req-2",
+        )
+        wal.append_admitted(
+            "job-000003", key="k3", request={"scenario": "gemm"},
+            sweep=True, request_id="req-3",
+        )
+        wal.append_terminal("job-000003", "error", key="k3", error="boom")
+    with open(path, "ab") as handle:
+        handle.write(b'{"kind":"admitted","job":"job-000004"')
+
+
+def _replays(path: Path) -> dict:
+    """What ``load_wal`` and ``open`` (on a copy) read, in key order."""
+    copy = path.with_name(path.name + ".open")
+    shutil.copyfile(path, copy)
+    wal = AdmissionWAL(copy)
+    try:
+        opened = asdict(wal.open())
+    finally:
+        wal.close()
+    return {
+        "load_wal": asdict(load_wal(path)),
+        "open": opened,
+        "size_after_open": copy.stat().st_size,
+    }
+
+
+class TestParentWrittenLog:
+    def test_replays_as_the_parent_read_it(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("EQUEUE_CODE_VERSION", FIXTURE_CODE)
+        path = tmp_path / "admission.wal"
+        shutil.copyfile(PARENT_WAL, path)
+        before = path.read_bytes()
+        got = _replays(path)
+        assert path.read_bytes() == before  # load_wal never mutates
+        want = json.loads(PARENT_WAL_REPLAY.read_text())
+        # Compared as text: key order is admission order, and it counts.
+        assert json.dumps(got) == json.dumps(want)
+
+
+if __name__ == "__main__":
+    os.environ["EQUEUE_CODE_VERSION"] = FIXTURE_CODE
+    DATA.mkdir(exist_ok=True)
+    PARENT_WAL.unlink(missing_ok=True)
+    write_fixture_wal(PARENT_WAL)
+    scratch = PARENT_WAL.with_name("replay.wal")
+    shutil.copyfile(PARENT_WAL, scratch)
+    try:
+        replay = _replays(scratch)
+    finally:
+        scratch.unlink()
+        scratch.with_name(scratch.name + ".open").unlink()
+    PARENT_WAL_REPLAY.write_text(json.dumps(replay, indent=1) + "\n")

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import shutil
+from pathlib import Path
 
 import pytest
 
@@ -154,3 +156,51 @@ class TestJournalFile:
         )
         with pytest.raises(JournalError):
             load_journal(path)
+
+
+#: A journal written by an earlier commit, and the ``load_journal`` tuple
+#: that commit read from it.  Re-record (``PYTHONPATH=src python
+#: tests/sim/test_journal.py``) only from a commit whose journal format
+#: you trust: the point is that today's code resumes yesterday's bytes.
+DATA = Path(__file__).resolve().parent / "data"
+PARENT_JOURNAL = DATA / "parent.journal"
+PARENT_JOURNAL_LOAD = DATA / "parent_journal_load.json"
+
+
+def write_fixture_journal(path: Path) -> None:
+    """A header, three points out of order, and a torn tail."""
+    with SweepJournal(path) as journal:
+        journal.open(HEADER)
+        for index in (2, 0, 1):
+            journal.append_point(index, _point(index))
+    with open(path, "ab") as handle:
+        handle.write(b'{"index":3,"kind":"point","po')
+
+
+def _loaded(path: Path) -> list:
+    header, points, valid_bytes, dropped = load_journal(path)
+    return [header, sorted(points.items()), valid_bytes, dropped]
+
+
+class TestParentWrittenJournal:
+    def test_loads_and_resumes_as_the_parent_read_it(self, tmp_path):
+        path = tmp_path / "sweep.journal"
+        shutil.copyfile(PARENT_JOURNAL, path)
+        before = path.read_bytes()
+        want = json.loads(PARENT_JOURNAL_LOAD.read_text())
+        assert json.loads(json.dumps(_loaded(path))) == want
+        assert path.read_bytes() == before  # load_journal never mutates
+        header, points, valid_bytes, _ = want
+        with SweepJournal(path) as journal:
+            resumed = journal.open(header, resume=True)
+        assert sorted(resumed) == [index for index, _ in points]
+        assert path.stat().st_size == valid_bytes  # the torn tail is cut
+
+
+if __name__ == "__main__":
+    DATA.mkdir(exist_ok=True)
+    PARENT_JOURNAL.unlink(missing_ok=True)
+    write_fixture_journal(PARENT_JOURNAL)
+    PARENT_JOURNAL_LOAD.write_text(
+        json.dumps(_loaded(PARENT_JOURNAL), indent=1) + "\n"
+    )

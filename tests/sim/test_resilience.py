@@ -18,6 +18,8 @@ import os
 import signal
 import threading
 import time
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -94,6 +96,28 @@ class TestCrashRecovery:
         assert runner.resilience.chunk_splits >= 1
         assert runner.resilience.poison_isolated >= 1
         assert not runner.fell_back
+
+    def test_pool_broken_mid_submit_is_a_failed_round(self, monkeypatch):
+        """A worker can die while a round is still being submitted, and
+        the next ``submit`` then raises.  That is a failed round, not a
+        reason to fall back to serial: what never reached the pool goes
+        back in the queue without a strike."""
+        real_submit = ProcessPoolExecutor.submit
+        calls = []
+
+        def submit(pool, *args, **kwargs):
+            calls.append(args)
+            if len(calls) == 2:
+                raise BrokenProcessPool("a worker died mid-round")
+            return real_submit(pool, *args, **kwargs)
+
+        monkeypatch.setattr(ProcessPoolExecutor, "submit", submit)
+        items = _items(2, [(0, "kill-in-child", str(os.getpid()))])
+        runner = SweepRunner(jobs=2, chunk_size=1)
+        assert runner.map(_evaluate, items) == [0, 3]
+        assert len(calls) > 2
+        assert runner.resilience.poison_isolated == 1
+        assert runner.resilience.serial_fallbacks == 0
 
     def test_worker_exception_propagates_from_pool(self):
         items = _items(8, [(2, "raise", "")])

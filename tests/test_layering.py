@@ -2,8 +2,9 @@
 
 The engine tier (``ir``, ``dialects``, ``passes``, ``sim``) sits below
 everything that *uses* it; ``analysis`` and ``scenarios`` sit below the
-service.  Lazy imports inside functions count too — an upward import
-hidden in a function body is still a cycle waiting for a caller.
+service; ``obs`` imports no other layer at all.  Lazy imports inside
+functions count too — an upward import hidden in a function body is
+still a cycle waiting for a caller.
 """
 
 from __future__ import annotations
@@ -23,6 +24,8 @@ RULES = {
     **{layer: ABOVE_THE_ENGINE for layer in ENGINE_TIER},
     "analysis": ("service",),
     "scenarios": ("service",),
+    # Telemetry sits under every layer that reports into it.
+    "obs": ENGINE_TIER + ABOVE_THE_ENGINE + ("baselines",),
 }
 
 
