@@ -7,7 +7,8 @@ lookup order:
 
 1. **Store hits.**  A submitted request whose key is already in the
    :class:`~repro.service.store.ResultStore` completes immediately with
-   the persisted record; no job is queued, no engine work happens.
+   the persisted record; no job is queued, no engine work happens, and
+   nothing is written: the hit's id (``hit-<key>``) names its record.
 2. **Request coalescing.**  A request whose key matches a queued or
    running job joins that job instead of creating a new one — N callers
    wait on one simulation, and each sees the same completed record.
@@ -57,9 +58,16 @@ from .wal import AdmissionWAL, WALError
 _log = obs_logs.get_logger("service.scheduler")
 
 #: Jobs the by-id index holds: beyond it the oldest *completed* ones are
-#: dropped (their ids resolve through the terminal index, four times as
-#: long, and their records live on in the store).
+#: dropped (a counter id resolves through the terminal index, four times
+#: as long, a hit id through the store key it names).
 MAX_JOBS = 10_000
+
+#: What a store hit's id is: this prefix and the hit's store key.  The
+#: id names its record, so it resolves through the store after any
+#: restart with no log line, and misses cleanly once the record is
+#: evicted.  Jobs that simulate get counter ids (``job-000123``) held by
+#: the WAL.
+HIT_PREFIX = "hit-"
 
 #: Seconds between two watchdog passes.
 WATCHDOG_POLL_S = 0.05
@@ -675,7 +683,7 @@ class SchedulerStats:
     #: removed, option renamed) — failed cleanly, never dropped.
     recovered_failed: int = 0
     #: Jobs no longer in memory (pruned, or completed before a restart)
-    #: resolved from their terminal record + the store.
+    #: resolved from their terminal record, or their hit id, + the store.
     resurrected: int = 0
     #: Submissions by resolved execution mode ("interpret" | "plan" |
     #: "codegen").
@@ -740,7 +748,7 @@ class JobScheduler:
     batches on the draining thread over the per-process program cache).
     The by-id job index holds :data:`MAX_JOBS`: beyond it, the oldest
     *completed* jobs are dropped, and their ids resolve through the
-    terminal index.
+    terminal index or, for a hit id, the store.
 
     Robustness knobs (all optional):
 
@@ -843,10 +851,12 @@ class JobScheduler:
         is recorded in the admission log.  Queue admission is checked
         *last*: requests the service can answer for free (coalesce,
         store hit) are never refused, even when the queue is full or
-        draining.  With a WAL attached, the ``admitted`` record is
-        appended (and fsynced) *before* the job becomes visible — an
-        append failure refuses admission (:class:`WALError` -> 503)
-        rather than issuing an id that would not survive a crash.
+        draining.  With a WAL attached, a queued job's ``admitted``
+        record is appended (and fsynced) *before* the job becomes
+        visible — an append failure refuses admission (:class:`WALError`
+        -> 503) rather than issuing an id that would not survive a
+        crash.  A store hit writes nothing: its id, ``hit-<key>``,
+        survives any crash by naming its record.
 
         ``request_id`` is the structured-log correlation id — issued
         here at admission when the caller (a non-HTTP embedder) did not
@@ -897,12 +907,14 @@ class JobScheduler:
             if found is not None:
                 stored, line = found
                 job = job_cls(
-                    self._next_id(), key, request, request_id=request_id
+                    HIT_PREFIX + key, key, request, request_id=request_id
                 )
-                self._wal_admit(job, client=client, status="done")
+                # One entry per hit id, moved to the newest end: pruning
+                # drops the least recently hit first.
+                self._jobs.pop(job.id, None)
                 self._jobs[job.id] = job
                 self._prune_jobs()
-                self._settle(job, stored, "store", "store_hits", logged=True)
+                self._settle(job, stored, "store", "store_hits")
                 return job, line
             if self.draining:
                 self.stats.rejected_draining += 1
@@ -938,10 +950,10 @@ class JobScheduler:
         """Drop the oldest *completed* jobs beyond :data:`MAX_JOBS` (called
         under the lock; dict order is insertion/creation order).
 
-        A pruned id is NOT gone: its terminal outcome stays in the
-        terminal index (mirrored in the WAL), so :meth:`job` resolves it
-        from the store instead of handing the client a 404 for an id it
-        was given.
+        A pruned id is NOT gone: a counter id's terminal outcome stays
+        in the terminal index (mirrored in the WAL), and a hit id names
+        its store key, so :meth:`job` resolves either from the store
+        instead of handing the client a 404 for an id it was given.
         """
         excess = len(self._jobs) - MAX_JOBS
         if excess <= 0:
@@ -958,30 +970,34 @@ class JobScheduler:
 
         Ids no longer in the live index — pruned by the retention cap,
         or issued before a restart — resolve through their terminal
-        record: ``done`` outcomes re-read the store by key (a miss means
-        the record was evicted; the client resubmits and gets a store
-        hit or a clean re-simulation), ``error`` outcomes replay the
-        recorded failure.
+        record, or a hit id through the key it names: ``done`` outcomes
+        re-read the store by key (a miss means the record was evicted;
+        the client resubmits and gets a store hit or a clean
+        re-simulation), ``error`` outcomes replay the recorded failure.
         """
         with self._lock:
             job = self._jobs.get(job_id)
             entry = None if job is not None else self._terminal.get(job_id)
         if job is not None:
             return job
+        if entry is None and job_id.startswith(HIT_PREFIX):
+            entry = {"status": "done", "key": job_id[len(HIT_PREFIX):]}
         if entry is None:
             return None
         return self._resurrect(job_id, entry)
 
     def _resurrect(self, job_id: str, entry: Dict) -> Optional[Job]:
         """A settled, unindexed view of a terminal entry (``None`` when
-        its record left the store)."""
+        its record left the store, or its key is not a store key)."""
         key = entry.get("key") or ""
+        outcome = None
         if entry.get("status") == "error":
             outcome = entry.get("error") or "job failed before restart"
         elif self.store is not None and key:
-            outcome = self.store.get(key)
-        else:
-            outcome = None
+            try:
+                outcome = self.store.get(key)
+            except ValueError:  # a malformed key names no record
+                pass
         if outcome is None:
             return None
         job = Job(job_id, key, _RecoveredRequest(entry.get("request")))
@@ -1008,12 +1024,7 @@ class JobScheduler:
 
     # -- the write-ahead admission log ---------------------------------
 
-    def _wal_admit(
-        self,
-        job: Job,
-        client: Optional[str] = None,
-        status: Optional[str] = None,
-    ) -> None:
+    def _wal_admit(self, job: Job, client: Optional[str] = None) -> None:
         """Log an admission before the job becomes visible (called under
         the lock; admission-ordering with respect to visibility is the
         WAL's one correctness requirement).  Failure refuses admission."""
@@ -1027,7 +1038,6 @@ class JobScheduler:
                 sweep=isinstance(job, SweepJob),
                 client=client,
                 deadline_s=job.deadline_s,
-                status=status,
                 request_id=job.request_id,
             )
         except OSError as error:
@@ -1042,25 +1052,29 @@ class JobScheduler:
         outcome: Union[Dict, str],
         source: Optional[str],
         counter: str,
-        logged: bool = False,
     ) -> bool:
         """THE end of a job: its record (from ``source``) or its error.
 
         First writer wins (:meth:`Job._settle`); the job leaves the
-        coalescing index either way, and only the winner is counted
-        under ``counter``, indexed as terminal and then logged to the
-        WAL — unless ``logged``: a store hit's admission record already
-        holds its outcome.  A lost terminal record is never fatal: it
-        only costs a redundant, store-hit, replay after the next crash.
+        coalescing index either way, in the same lock hold that settles
+        it, so a racing submit either coalesces onto the job before it
+        ends or reads its spilled record after — never joins a job that
+        already answered.  Only the winner is counted under
+        ``counter``, indexed as terminal and then logged to the WAL —
+        unless it is a store hit, whose id names its record and needs
+        neither.  A lost terminal record is never fatal: it only costs a
+        redundant, store-hit, replay after the next crash.
         """
-        won = job._settle(outcome, source)
+        hit = job.id.startswith(HIT_PREFIX)
         with self._lock:
+            won = job._settle(outcome, source)
             self._deindex(job)
             if not won:
                 return False
             setattr(self.stats, counter, getattr(self.stats, counter) + 1)
-            self._note_terminal(job)
-        if self.wal is not None and not logged:
+            if not hit:
+                self._note_terminal(job)
+        if self.wal is not None and not hit:
             try:
                 self.wal.append_terminal(
                     job.id, job.state, key=job.key, error=job.error
@@ -1414,11 +1428,11 @@ class JobScheduler:
                 with self._lock:
                     self.stats.store_put_failures += 1
             job.store_put_s = time.perf_counter() - put_started
-        # Complete before deindexing: a submit racing this window either
-        # coalesces onto the (already done) job or hits the fresh blob —
-        # in neither case does it queue a duplicate simulation.  A job
-        # the watchdog already failed keeps its failure (first writer
-        # wins); this record reached the store and that is all.
+        # Complete and deindex in one lock hold: a submit racing this
+        # either coalesces onto the still-running job or hits the fresh
+        # blob — in neither case does it queue a duplicate simulation.
+        # A job the watchdog already failed keeps its failure (first
+        # writer wins); this record reached the store and that is all.
         self._settle(job, record, "simulated", "simulated")
 
     def _deindex(self, job: Job) -> None:

@@ -27,10 +27,11 @@ fsynced appends, torn-tail truncation on open.  Records:
   jobs re-validate and re-key against the new code, so recovery after a
   deploy simply re-simulates what the new code cannot prove persisted.
 * ``{"kind": "admitted", "job": id, "key": ..., "request": {...},
-  "sweep": bool, "client": ..., "deadline_s": ..., "status": ...}`` —
-  appended before the job is visible.  ``status`` folds an instant
-  outcome (a store-hit completion) into the admission itself, so the
-  warm path costs one append, not two.
+  "sweep": bool, "client": ..., "deadline_s": ..., "status": null}`` —
+  appended before the job is visible.  Earlier code wrote a store hit
+  as one admission with ``status: "done"`` folded in; replay still
+  reads such a record straight into the terminal index, but a hit now
+  writes nothing (its id names its store key).
 * ``{"kind": "terminal", "job": id, "status": "done"|"error",
   "key": ..., "error": ...}`` — appended when the job's outcome lands.
 
@@ -72,7 +73,7 @@ class WALError(RuntimeError):
 class WALStats:
     """Per-instance counters (surfaced on ``/stats``)."""
 
-    #: Admission records appended (including folded instant outcomes).
+    #: Admission records appended.
     admitted_appends: int = 0
     #: Terminal records appended.
     terminal_appends: int = 0
@@ -194,7 +195,8 @@ class AdmissionWAL:
         if not job_id:
             return
         if record.get("status"):
-            # A folded instant outcome: straight to the terminal index.
+            # A store hit folded into its admission by earlier code:
+            # straight to the terminal index.
             self._pending.pop(job_id, None)
             self._terminal[job_id] = record
         else:
@@ -238,15 +240,12 @@ class AdmissionWAL:
         sweep: bool = False,
         client: Optional[str] = None,
         deadline_s: Optional[float] = None,
-        status: Optional[str] = None,
         request_id: Optional[str] = None,
     ) -> None:
         """Record an admission — call *before* the job becomes visible.
 
-        ``status`` folds an instant outcome (``"done"`` for a store-hit
-        completion) into the admission record, saving the warm path a
-        second fsync.  ``request_id`` ties the record to the structured
-        service logs; replay tolerates its absence in older WALs.
+        ``request_id`` ties the record to the structured service logs;
+        replay tolerates its absence in older WALs.
         """
         record = {
             "kind": "admitted",
@@ -256,15 +255,13 @@ class AdmissionWAL:
             "sweep": bool(sweep),
             "client": client,
             "deadline_s": deadline_s,
-            "status": status,
+            "status": None,
             "request_id": request_id,
         }
         with self._lock:
             self._append_locked(record)
             self.stats.admitted_appends += 1
             self._replay_admitted(record)
-            if status:
-                self._count_terminal_locked()
 
     def append_terminal(
         self,

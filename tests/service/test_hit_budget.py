@@ -1,11 +1,12 @@
 """What a store hit costs, as counts.
 
 A hit is one read, one digest and one write: over 50 warm
-``client.run`` calls on one connection, exactly one ``os.fsync`` (the
-WAL's ``admitted`` record), one blob open, one ``sendall`` per side,
-three ``json.dumps`` (client request, WAL line, job head) and three
-``json.loads`` (request body, blob check, client response) per hit —
-process-wide, server and client threads together — and no call into
+``client.run`` calls on one connection, no ``os.fsync`` and not a byte
+of WAL (a hit's id, ``hit-<key>``, names its record, so it needs no
+log to survive a restart), one blob open, one ``sendall`` per side,
+two ``json.dumps`` (client request, job head) and three ``json.loads``
+(request body, blob check, client response) per hit — process-wide,
+server and client threads together — and no call into
 ``email.parser``.  Counts, not milliseconds: deterministic on any host,
 and a regression names the call that came back.
 """
@@ -22,8 +23,7 @@ import threading
 from collections import Counter
 
 from repro.obs import logs as obs_logs
-from repro.service import ServiceClient
-from repro.service import wal as wal_module
+from repro.service import JobRequest, ServiceClient
 from repro.service.server import make_server
 
 SCENARIO = "gemm:m=4,k=8,n=4,tile_k=4"
@@ -42,14 +42,22 @@ def counting(monkeypatch, counts: Counter, owner, name: str, label: str,
     monkeypatch.setattr(owner, name, counted)
 
 
+def appends(stats) -> int:
+    """Records the WAL has appended, by ``/stats``."""
+    return stats["wal"]["admitted_appends"] + stats["wal"]["terminal_appends"]
+
+
 def test_fifty_hits_cost_fifty_of_each(tmp_path, monkeypatch):
     obs_logs.configure_logging(level="warning")  # the access log is not the hit
     server = make_server(
         host="127.0.0.1", port=0, state_dir=str(tmp_path / "state")
     )
-    # The run stays under COMPACT_EVERY: no WAL compaction (an fsync, an
-    # open and a dumps per kept record) lands inside the counted window.
-    assert wal_module.COMPACT_EVERY > HITS + 1
+    # The cold job runs here, on this thread: its terminal record is in
+    # the WAL before the first byte of the measurement.
+    cold = server.scheduler.submit(JobRequest.make(SCENARIO))
+    assert server.scheduler.run_pending() == 1 and cold.source == "simulated"
+    wal_path = server.scheduler.wal.path
+    wal_before = wal_path.stat().st_size
     server.scheduler.start()
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
@@ -58,8 +66,9 @@ def test_fifty_hits_cost_fifty_of_each(tmp_path, monkeypatch):
     connections = server.connections.value  # a process-wide counter
     try:
         with ServiceClient(f"http://{host}:{port}", timeout=60.0) as client:
-            assert client.run(SCENARIO, wait=120.0)["source"] == "simulated"
             cycles = client.run(SCENARIO, wait=120.0)["record"]["cycles"]
+            assert cycles == cold.record["cycles"]
+            appends_before = appends(client.stats())
 
             counting(monkeypatch, counts, os, "fsync", "fsync")
             counting(monkeypatch, counts, json, "dumps", "dumps")
@@ -76,10 +85,12 @@ def test_fifty_hits_cost_fifty_of_each(tmp_path, monkeypatch):
                 job = client.run(SCENARIO, wait=120.0)
                 assert job["source"] == "store"
                 assert job["record"]["cycles"] == cycles
+                assert job["id"] == "hit-" + job["key"]
             monkeypatch.undo()
 
             assert len(client._idle) == 1
             stats = client.stats()
+            assert wal_path.stat().st_size == wal_before
     finally:
         obs_logs.configure_logging()
         server.shutdown()
@@ -87,12 +98,12 @@ def test_fifty_hits_cost_fifty_of_each(tmp_path, monkeypatch):
         server.server_close()
         thread.join(timeout=30)
     assert dict(counts) == {
-        "fsync": HITS,
         "blob_open": HITS,
         "sendall": 2 * HITS,  # one per side
-        "dumps": 3 * HITS,
+        "dumps": 2 * HITS,
         "loads": 3 * HITS,
     }
+    assert counts["fsync"] == 0
+    assert appends(stats) == appends_before
     assert stats["store_hits"] == HITS + 1
-    assert stats["wal"]["compactions"] == 0
     assert stats["server"]["connections"] - connections == 1

@@ -3,11 +3,14 @@
 Hypothesis drives a :class:`JobScheduler` over a real
 :class:`AdmissionWAL` and :class:`ResultStore` in a temporary directory:
 submits of new, duplicate (in-flight) and already-stored keys, drains,
-watchdog failures, pruning past a small :data:`MAX_JOBS`, and crashes —
-the scheduler dropped, with or without the terminal records of its last
-drain, and a new one recovered from the same directory.  After every
-step every id ever issued must resolve, to the outcome the model says,
-and no key already in the store may simulate again.
+watchdog failures, pruning past a small :data:`MAX_JOBS`, evictions of
+stored records, and crashes — the scheduler dropped, with or without
+the terminal records of its last drain, and a new one recovered from
+the same directory.  After every step every id ever issued must
+resolve, to the outcome the model says, and no key already in the store
+may simulate again.  A store hit writes no byte of WAL: its id names
+its key, and it resolves through the store — after a crash too — until
+that record is evicted.
 
 ``evaluate_request`` is patched to a cheap deterministic function of
 the request, so an example costs milliseconds; what is under test is
@@ -38,7 +41,7 @@ from hypothesis.stateful import (
 from repro.service import AdmissionWAL, JobRequest, JobScheduler, ResultStore
 from repro.service import scheduler as scheduler_module
 from repro.service import wal as wal_module
-from repro.service.scheduler import request_store_key
+from repro.service.scheduler import HIT_PREFIX, request_store_key
 from repro.sim.linecodec import record_line
 
 #: Few enough keys that submits keep landing on in-flight and stored ones.
@@ -127,19 +130,29 @@ class LifecycleMachine(RuleBasedStateMachine):
     def submit(self, index):
         request = REQUESTS[index]
         key = request_store_key(request)
+        wal_before = self.wal_bytes()
         job = self.scheduler.submit(request)
         if key in self.queued:
             assert job.id == self.queued[key], "an in-flight key coalesces"
+        elif key in self.stored:
+            assert job.source == "store"
+            assert job.id == HIT_PREFIX + key, "a hit's id names its key"
+            assert self.wal_bytes() == wal_before, "a hit wrote to the WAL"
+            self.key[job.id] = key
+            self.state[job.id] = "done"
         else:
             assert job.id not in self.state, f"{job.id} was issued twice"
             self.key[job.id] = key
-            if key in self.stored:
-                assert job.source == "store"
-                self.state[job.id] = "done"
-            else:
-                self.queued[key] = job.id
-                self.state[job.id] = "queued"
+            self.queued[key] = job.id
+            self.state[job.id] = "queued"
         return job.id
+
+    @precondition(lambda self: self.stored)
+    @rule(data=st.data())
+    def evict(self, data):
+        key = data.draw(st.sampled_from(sorted(self.stored)))
+        self.scheduler.store._blob_path(key).unlink()
+        self.stored.discard(key)
 
     @rule(job_id=ids)
     def fail_when_it_runs(self, job_id):
@@ -161,14 +174,25 @@ class LifecycleMachine(RuleBasedStateMachine):
             self._drained(outcome="done")
         self.scheduler.wal.close()
         self.scheduler = self._recovered()
+        for job_id, key in self.key.items():
+            if job_id.startswith(HIT_PREFIX):
+                # Held by no log: the store it names answers, or misses.
+                resolved = self.scheduler.job(job_id)
+                assert (resolved is not None) == (key in self.stored), job_id
 
     @rule(job_id=ids)
     def resolve(self, job_id):
         job = self.scheduler.job(job_id)
-        if job_id not in self.scheduler._jobs:
+        if job_id not in self.scheduler._jobs and not job_id.startswith(
+            HIT_PREFIX
+        ):
             assert job_id in self.scheduler._terminal  # pruned or recovered
         self._check(job_id, job)
-        json.loads(job.to_json())  # and it serialises for the wire
+        if job is not None:
+            json.loads(job.to_json())  # and it serialises for the wire
+
+    def wal_bytes(self) -> bytes:
+        return self.scheduler.wal.path.read_bytes()
 
     def _drained(self, outcome=None):
         for key, job_id in self.queued.items():
@@ -181,6 +205,14 @@ class LifecycleMachine(RuleBasedStateMachine):
     # -- invariants --------------------------------------------------------
 
     def _check(self, job_id, job):
+        if (
+            self.state[job_id] == "done"
+            and self.key[job_id] not in self.stored
+            and job_id not in self.scheduler._jobs
+        ):
+            # Evicted, and not held in memory: the store read misses.
+            assert job is None, f"{job_id} resolved past its eviction"
+            return
         assert job is not None, f"issued id {job_id} no longer resolves"
         assert job.state == self.state[job_id], job_id
         if job.state == "done":

@@ -22,7 +22,11 @@ from repro.scenarios import (
 )
 from repro.scenarios.sweep import run_scenario_sweep
 from repro.service import JobRequest, JobScheduler, ResultStore
-from repro.service.scheduler import RequestError, SweepRequest
+from repro.service.scheduler import (
+    RequestError,
+    SweepRequest,
+    request_store_key,
+)
 from repro.sim import ExecutionMode, resolve_execution_mode
 
 
@@ -276,14 +280,19 @@ class TestScheduling:
         """3 x MAX_JOBS admissions: the index holds MAX_JOBS, the pruned
         ids are the oldest *done* ones in issue order, a still-queued
         job older than all of them is stepped over, every pruned id
-        still resolves through the terminal index — and an admission
-        past the cap looks at a handful of jobs, not at all of them."""
+        still resolves — a counter id through the terminal index, a hit
+        id through the store — and an admission past the cap looks at a
+        handful of jobs, not at all of them."""
         cap = 50
         monkeypatch.setattr(scheduler_module, "MAX_JOBS", cap)
-        scheduler = JobScheduler(store=ResultStore(tmp_path))
-        first = scheduler.submit(JobRequest.make("fir"))
+        store = ResultStore(tmp_path)
+        scheduler = JobScheduler(store=store)
+        requests = [JobRequest.make("fir", seed=seed) for seed in range(3 * cap)]
+        for seed, request in enumerate(requests[2:], start=2):
+            store.put(request_store_key(request), {"seed": seed})
+        first = scheduler.submit(requests[0])
         scheduler.run_pending()
-        queued = scheduler.submit(JobRequest.make("fir", seed=1))
+        queued = scheduler.submit(requests[1])
         looked_at = []
         is_done = scheduler_module.Job.done.fget
         with monkeypatch.context() as counting:
@@ -292,23 +301,50 @@ class TestScheduling:
                 "done",
                 property(lambda job: looked_at.append(job) or is_done(job)),
             )
-            hits = [
-                scheduler.submit(JobRequest.make("fir"))
-                for _ in range(3 * cap - 2)
-            ]
+            hits = [scheduler.submit(request) for request in requests[2:]]
         assert len(looked_at) < 10 * len(hits)  # was > cap per admission
         issued = [first, queued, *hits]
         assert len({job.id for job in issued}) == 3 * cap
         assert len(scheduler._jobs) == cap
         assert scheduler.stats.jobs_pruned == 2 * cap
-        pruned = [job.id for job in issued if job.id not in scheduler._jobs]
-        done = [job.id for job in issued if job.done]
+        pruned = [job for job in issued if job.id not in scheduler._jobs]
+        done = [job for job in issued if job.done]
         assert pruned == done[: 2 * cap]
         assert scheduler.job(queued.id) is queued and not queued.done
-        for job_id in pruned:
-            resurrected = scheduler.job(job_id)
+        for job in pruned:
+            resurrected = scheduler.job(job.id)
             assert resurrected.done and resurrected.source == "store"
-            assert resurrected.result() == first.result()
+            assert resurrected.result() == job.result()
+
+    def test_a_hit_again_moves_its_id_to_the_newest_slot(
+        self, tmp_path, monkeypatch
+    ):
+        """One entry per hit id: a key hit again moves its id to the end
+        of the index, so pruning drops the least recently hit id first,
+        and the pruned id still resolves through the store."""
+        monkeypatch.setattr(scheduler_module, "MAX_JOBS", 2)
+        store = ResultStore(tmp_path)
+        scheduler = JobScheduler(store=store)
+        a, b, c = (JobRequest.make("fir", seed=seed) for seed in range(3))
+        for request in (a, b, c):
+            store.put(request_store_key(request), {"seed": request.seed})
+        first_a = scheduler.submit(a)
+        hit_b = scheduler.submit(b)
+        again_a = scheduler.submit(a)
+        assert again_a.id == first_a.id == "hit-" + request_store_key(a)
+        assert again_a is not first_a and again_a.request_id != first_a.request_id
+        assert list(scheduler._jobs) == [hit_b.id, again_a.id]
+        hit_c = scheduler.submit(c)
+        assert list(scheduler._jobs) == [again_a.id, hit_c.id]
+        assert scheduler.stats.jobs_pruned == 1
+        resolved = scheduler.job(hit_b.id)
+        assert resolved is not hit_b and resolved.source == "store"
+        assert resolved.result() == {"seed": 1}
+        assert scheduler.job(again_a.id) is again_a
+        # Evicted, the pruned id misses; an id naming no store key too.
+        store._blob_path(request_store_key(b)).unlink()
+        assert scheduler.job(hit_b.id) is None
+        assert scheduler.job("hit-../not-a-key") is None
 
     def test_background_worker_drains(self, tmp_path):
         scheduler = JobScheduler(store=ResultStore(tmp_path))
@@ -346,6 +382,36 @@ class TestScheduling:
         # At most one simulation ran, no matter how submits interleaved
         # with the worker (coalesced or store-served, never recomputed).
         assert scheduler.stats.simulated == 1
+
+    def test_a_submit_racing_completion_never_joins_the_answered_job(
+        self, tmp_path, monkeypatch
+    ):
+        """A submit that lands the instant a job has woken its waiters —
+        the caller already holding the answer — must not coalesce onto
+        that finished job: it waits out the settle and hits the store."""
+        scheduler = JobScheduler(store=ResultStore(tmp_path))
+        request = JobRequest.make("fir")
+        job = scheduler.submit(request)
+        racers = []
+        settle = scheduler_module.Job._settle
+
+        def settle_then_race(self, outcome, source=None):
+            won = settle(self, outcome, source)
+            if not racers:
+                racer = threading.Thread(
+                    target=lambda: racers.append(scheduler.submit(request))
+                )
+                racers.append(racer)
+                racer.start()
+                racer.join(0.2)  # blocked until the settle is whole
+            return won
+
+        monkeypatch.setattr(scheduler_module.Job, "_settle", settle_then_race)
+        scheduler.run_pending()
+        racers[0].join(timeout=60)
+        late = racers[1]
+        assert late is not job and late.source == "store"
+        assert job.waiters == 1 and late.record == job.record
 
 
 class TestRobustness:

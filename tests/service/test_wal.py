@@ -1,6 +1,7 @@
 """The admission WAL: append/replay round trips, torn-tail tolerance,
-folded store-hit admissions, compaction bounds, and the shared line
-codec contract with the sweep journal."""
+replay of the folded store-hit admissions earlier code wrote,
+compaction bounds, and the shared line codec contract with the sweep
+journal."""
 
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.service import Fault, FaultPlan, injected
+from repro.service import Fault, FaultPlan, JobScheduler, injected
 from repro.service import wal as wal_module
 from repro.service.wal import (
     WAL_KIND,
@@ -22,6 +23,16 @@ from repro.service.wal import (
     load_wal,
 )
 from repro.sim.linecodec import encode_line, parse_line, scan_lines
+
+
+def folded_hit(job_id: str, key: str, request: dict, request_id=None) -> dict:
+    """A store hit as earlier code logged it: one admission record with
+    its outcome folded in."""
+    return {
+        "kind": "admitted", "job": job_id, "key": key, "request": request,
+        "sweep": False, "client": None, "deadline_s": None,
+        "status": "done", "request_id": request_id,
+    }
 
 
 class TestLineCodec:
@@ -83,13 +94,11 @@ class TestAdmissionWAL:
         assert recovery.max_counter == 2
 
     def test_folded_store_hit_goes_straight_to_terminal(self, tmp_path):
+        """Nothing writes a folded store hit any more; replay still
+        reads one as a terminal outcome."""
         path = tmp_path / "admission.wal"
         with AdmissionWAL(path) as wal:
-            wal.append_admitted(
-                "job-000001", key="k1", request={}, status="done"
-            )
-            assert wal.stats.admitted_appends == 1
-            assert wal.stats.terminal_appends == 0
+            wal._log.append(folded_hit("job-000001", key="k1", request={}))
         recovery = load_wal(path)
         assert recovery.pending == {}
         assert recovery.terminal["job-000001"]["status"] == "done"
@@ -169,10 +178,11 @@ class TestAdmissionWAL:
         wal.append_terminal("job-000001", "done", key="k")
         assert wal.stats.compactions == 0 and synced == [False, False]
         synced.clear()
-        wal.append_admitted("job-000002", key="k", request={}, status="done")
+        wal.append_admitted("job-000002", key="k", request={})
+        wal.append_terminal("job-000002", "done", key="k")
         assert wal.stats.compactions == 1
-        # The append, the rewritten file, then its directory.
-        assert synced == [False, False, True]
+        # The two appends, the rewritten file, then its directory.
+        assert synced == [False, False, False, True]
         wal.close()
 
     def test_load_wal_never_mutates(self, tmp_path):
@@ -225,10 +235,10 @@ def write_fixture_wal(path: Path) -> None:
             "job-000001", key="k1", request={"scenario": "fir", "seed": 1},
             client="127.0.0.1", deadline_s=5.0, request_id="req-1",
         )
-        wal.append_admitted(
+        wal._log.append(folded_hit(
             "job-000002", key="k2", request={"scenario": "fir"},
-            status="done", request_id="req-2",
-        )
+            request_id="req-2",
+        ))
         wal.append_admitted(
             "job-000003", key="k3", request={"scenario": "gemm"},
             sweep=True, request_id="req-3",
@@ -265,6 +275,28 @@ class TestParentWrittenLog:
         want = json.loads(PARENT_WAL_REPLAY.read_text())
         # Compared as text: key order is admission order, and it counts.
         assert json.dumps(got) == json.dumps(want)
+
+
+def test_a_parent_folded_hit_resolves_through_the_scheduler(tmp_path):
+    """The folded store hit in the parent-written log still resolves
+    ``done`` once a scheduler recovers over it, from the store under
+    its key.  The fixture's keys (``k1``..``k3``) are labels, not
+    content addresses, so the store here is a mapping from key to
+    record: all :meth:`JobScheduler.job` asks of a store is ``get``."""
+    path = tmp_path / "admission.wal"
+    shutil.copyfile(PARENT_WAL, path)
+    record = {"cycles": 7, "scenario": "fir"}
+    scheduler = JobScheduler(store={"k2": record}, wal=AdmissionWAL(path))
+    try:
+        summary = scheduler.recover()
+        assert (summary["terminal"], summary["requeued"]) == (2, 1)
+        hit = scheduler.job("job-000002")
+        assert hit is not None and hit.state == "done"
+        assert hit.record == record and hit.source == "store"
+        assert hit.request.to_dict() == {"scenario": "fir"}
+        assert scheduler.job("job-000003").error == "boom"
+    finally:
+        scheduler.wal.close()
 
 
 if __name__ == "__main__":

@@ -21,7 +21,9 @@ ROADMAP item 4 wants the service core an explicit state machine over
 one log; :data:`LIFECYCLE` pins its files the same way.  Readings: 1 507
 before the PR that added this group (``scheduler.py`` 1 101, ``wal.py``
 259, ``journal.py`` 94, ``linecodec.py`` 53), which made a job end in
-one place and both logs one class; 1 424 after it.
+one place and both logs one class; 1 424 after it; 1 421 once a store
+hit stopped writing the WAL (the folded-hit writer left, and a hit id
+resolves through the store it names).
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ LIFECYCLE = (
     "service/scheduler.py", "service/wal.py", "sim/journal.py",
     "sim/linecodec.py",
 )
-LIFECYCLE_BUDGET = 1424
+LIFECYCLE_BUDGET = 1421
 #: How far under the budget the count may sit before the budget has to
 #: follow it down.
 SLACK = 40
