@@ -143,7 +143,7 @@ def evaluate_point(
     if compile_cache:
         cached = process_compile_cache().lookup(
             ("systolic",) + structural_signature(cfg),
-            lambda: build_systolic_program(cfg).module,
+            lambda: build_systolic_program(cfg),
         )
         inputs = SystolicProgram(cached.module, cfg).prepare_inputs(
             ifmap, weights

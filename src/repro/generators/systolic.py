@@ -45,7 +45,7 @@ import numpy as np
 from ..dialects import arith, scf
 from ..dialects.equeue import EQueueBuilder
 from ..dialects.linalg import ConvDims
-from ..ir import Builder, InsertionPoint, create_module, i32, index, verify
+from ..ir import Block, Builder, InsertionPoint, create_module, i32, index, verify
 from ..ir.attributes import integer_attr
 from ..ir.module import ModuleOp
 from ..ir.values import Value
@@ -137,6 +137,10 @@ class SystolicProgram:
     module: ModuleOp
     config: SystolicConfig
     buffer_names: Dict[str, str] = field(default_factory=dict)
+    #: Each stamped PE body's block -> the block of its class's first
+    #: body, which it copies: what the build knows and a plan cache can
+    #: use (:class:`repro.sim.batch.CachedProgram` hands it over).
+    stamps: Dict[Block, Block] = field(default_factory=dict)
 
     def prepare_inputs(
         self, ifmap: np.ndarray, weights: np.ndarray
@@ -363,13 +367,14 @@ def build_systolic_program(cfg: SystolicConfig) -> SystolicProgram:
     all_args = captures + pe_list + [dma]
 
     start = eq.control_start()
+    stamps: List[tuple] = []
 
     def kernel_body(body_builder: Builder, *args: Value) -> None:
         named = dict(zip(capture_names, args[: len(capture_names)]))
         pe_args = args[len(capture_names) : len(capture_names) + ah * aw]
         dma_arg = args[-1]
         _build_kernel_body(
-            body_builder, cfg, named, pe_args, dma_arg
+            body_builder, cfg, named, pe_args, dma_arg, stamps
         )
 
     done = eq.launch(
@@ -377,8 +382,11 @@ def build_systolic_program(cfg: SystolicConfig) -> SystolicProgram:
     )[0]
     eq.await_(done)
 
+    # The PE bodies still to be stamped are empty launches here: the
+    # verifier walks the skeleton and one body per class, and a copy of
+    # a verified body is verified by construction (:func:`_stamp`).
     verify(module)
-    return SystolicProgram(module=module, config=cfg)
+    return SystolicProgram(module=module, config=cfg, stamps=_stamp(stamps))
 
 
 def _build_kernel_body(
@@ -387,6 +395,7 @@ def _build_kernel_body(
     buffers: Dict[str, Value],
     pe_args,
     dma: Value,
+    stamps: List[tuple],
 ) -> None:
     from ..dialects import affine
 
@@ -436,7 +445,7 @@ def _build_kernel_body(
                         pe,
                         args=launch_args,
                         body=lambda bb, *vals, _r=r, _c=c: _pe_body(
-                            bb, cfg, built, _r, _c, vals
+                            bb, cfg, built, stamps, r=_r, c=_c, vals=vals
                         ),
                         label=f"pe_{r}_{c}",
                     )[0]
@@ -485,36 +494,57 @@ def _pe_buffer_names(cfg: SystolicConfig) -> List[str]:
 
 
 def _pe_body(
-    b: Builder, cfg: SystolicConfig, built: Dict[tuple, tuple], r: int, c: int,
-    vals,
+    b: Builder, cfg: SystolicConfig, built: Dict[tuple, tuple],
+    stamps: List[tuple], *, r: int, c: int, vals,
 ) -> None:
     """The launch body of PE ``(r, c)``: built op by op when it is the
-    first of its position class, stamped from that first one otherwise.
+    first of its position class, else left empty and recorded in
+    ``stamps`` to be copied from that first one once the module has
+    verified (:func:`_stamp`).
 
     Which edges of the array a PE sits on — ``(c == 0, r == 0, c+1 < aw,
     r+1 < ah)`` — decides every branch :func:`_pe_step` takes, so the
     bodies of one class differ only in the values of the constants that
     carry :func:`_position` (a 8x8 array holds 64 bodies of 9 classes).
-    ``built`` maps a class to its first body: the ops, the block
-    arguments they read, and those constants as ``(result, which)``.
+    ``built`` maps a class to its first body: the ops, their block, and
+    those constants as ``(result, which)``.
     """
     key = (c == 0, r == 0, c + 1 < cfg.array_width, r + 1 < cfg.array_height)
     first = built.get(key)
+    block = b.insertion_point.block
     if first is None:
         placed: List[tuple] = []
         _pe_step(b, cfg, r, c, vals, placed)
-        block = b.insertion_point.block
-        built[key] = (tuple(block.ops), block.arguments, placed)
-        return
-    ops, arguments, placed = first
-    value_map = dict(zip(arguments, vals))
-    for op in ops:
-        b.insert(op.clone(value_map))
-    position = _position(r, c)
-    for constant, which in placed:
-        value_map[constant].owner.attributes["value"] = integer_attr(
-            position[which], index
-        )
+        built[key] = (tuple(block.ops), block, placed)
+    else:
+        stamps.append((block, first, vals, r, c))
+
+
+def _stamp(stamps: List[tuple]) -> Dict[Block, Block]:
+    """Copy each recorded PE body's class representative into it, ahead
+    of its terminator, with its own position constants; returns each
+    stamped block -> its representative's block.
+
+    A copy has the representative's argument types (one ``launch_args``
+    list serves every PE) and differs from it only in the values of
+    ``index`` constants, so the representative's verification holds for
+    it too — ``tests/generators/test_systolic.py`` proves every stamped
+    module equal to the one built op by op, and that it verifies.
+    """
+    relation: Dict[Block, Block] = {}
+    for block, (ops, first, placed), vals, r, c in stamps:
+        value_map = dict(zip(first.arguments, vals))
+        terminator = block.ops.pop()
+        for op in ops:
+            block.append(op.clone(value_map))
+        block.ops.append(terminator)
+        position = _position(r, c)
+        for constant, which in placed:
+            value_map[constant].owner.attributes["value"] = integer_attr(
+                position[which], index
+            )
+        relation[block] = first
+    return relation
 
 
 def _position(r: int, c: int) -> tuple:

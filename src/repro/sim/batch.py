@@ -877,6 +877,13 @@ class CachedProgram:
     #: code a later simulation generates for blocks that got hot — are
     #: parked by the next cached simulation.
     warmed: bool = False
+    #: What the build knows of its launch bodies: each block that is a
+    #: copy of another but for its constants' values -> that other (the
+    #: systolic generator's stamped PE bodies).  It holds because the
+    #: module never changes once built.  Handed to the plan cache,
+    #: which binds a copy to its original's shape without keying it
+    #: and consumes the entry as it does (``PlanCache.stamps``).
+    stamps: Dict = field(default_factory=dict)
 
     def simulate(
         self,
@@ -893,6 +900,7 @@ class CachedProgram:
             options = EngineOptions(verify_module=False)
         compiled = options.mode is not ExecutionMode.INTERPRET
         with self.lock:
+            self.plan_cache.stamps = self.stamps
             # The previous cached simulation's result is out of its
             # caller's hands by now: the safe point for the hand-off it
             # deferred.
@@ -962,15 +970,19 @@ class CompileCache:
         self, signature: Tuple, build: Callable[[], object]
     ) -> CachedProgram:
         """The cached artifacts for ``signature``; a miss calls
-        ``build()`` for the (verified) module."""
+        ``build()`` for the (verified) module — or for a program that
+        holds it as ``module`` and brings its :attr:`CachedProgram.stamps`
+        as ``stamps`` (``SystolicProgram``)."""
         entry = self.entries.get(signature)
         if entry is None:
             # A program under construction is all live: the collector is
             # held off while it is built and the finished IR goes
             # straight to the permanent generation.
             with permanent.under_construction():
+                built = build()
                 entry = self.entries[signature] = CachedProgram(
-                    build(), self.plans, self.lock, parked=True
+                    getattr(built, "module", built), self.plans, self.lock,
+                    parked=True, stamps=getattr(built, "stamps", {}),
                 )
             self.stats.programs_built += 1
         else:

@@ -396,14 +396,16 @@ class BodyShape:
 
 class BodySite:
     """What one launch site of a shared body owns: the values of its
-    abstracted ``arith.constant`` ops, in key order, and its views of
-    the shape's plans.  Found by the shared steps as ``env[_SITE]``."""
+    abstracted ``arith.constant`` ops, in key order, its views of the
+    shape's plans, and the shape.  Found by the shared steps as
+    ``env[_SITE]``."""
 
-    __slots__ = ("consts", "plans")
+    __slots__ = ("consts", "plans", "shape")
 
     def __init__(self, consts, shape: BodyShape):
         self.consts = consts
         self.plans = [plan.view(self) for plan in shape.plans]
+        self.shape = shape
 
 
 class SiteIndex(tuple):
@@ -531,6 +533,23 @@ def _key_block(block, numbers, parts, consts, values, blocks) -> None:
                 append(")")
 
 
+def _stamp_walk(representative, stamp, consts, blocks, abstract=True) -> None:
+    """The ``consts`` and ``blocks`` :func:`_shape_key` gives of
+    ``stamp``, a copy of ``representative`` but for its constants'
+    values (:attr:`PlanCache.stamps`), without building a key: the two
+    trees are walked in lockstep, the structure read off the
+    representative and only constant values and blocks off the stamp."""
+    blocks.append(stamp)
+    for model, op in zip(representative.ops, stamp.ops):
+        if model.regions:
+            inner = abstract and model.name in _ABSTRACTS_INTO
+            for model_region, region in zip(model.regions, op.regions):
+                for model_block, block in zip(model_region.blocks, region.blocks):
+                    _stamp_walk(model_block, block, consts, blocks, inner)
+        elif abstract and model.name == "arith.constant":
+            consts.append(op.attributes["value"].value)
+
+
 def _key_type(parts, type_) -> None:
     """Append the type of a block argument to a shape key: a memref as
     its rank and element type — all a step compiler
@@ -649,6 +668,11 @@ class PlanCache:
         self.shapes: Dict[tuple, BodyShape] = {}
         self.sites: Dict[int, tuple] = {}
         self._memos: List[list] = []
+        #: The program simulating now may bring what its build knows:
+        #: launch-body block -> the block it is a copy of, but for its
+        #: constants' values (``repro.sim.batch.CachedProgram.stamps``).
+        #: Each entry is consumed as its stamp binds (:meth:`_bind_site`).
+        self.stamps: Dict[object, object] = {}
 
     def access_memo(self) -> list:
         """A ``[last_memory, cost]`` memo cell, registered for detach."""
@@ -754,6 +778,17 @@ class PlanCache:
         return entry[1], entry[2]
 
     def _bind_site(self, block):
+        # A stamp whose representative has a shape here has that shape;
+        # anything else — a declined or unbound representative included
+        # — is keyed, which is always correct.
+        representative = self.stamps.pop(block, None)
+        if representative is not None:
+            bound = self.sites.get(id(representative))
+            if bound is not None and bound[2] is not None:
+                consts, blocks = [], []
+                _stamp_walk(representative, block, consts, blocks)
+                self.plans_shared += 1
+                return self._site(block, bound[2].shape, tuple(consts), blocks)
         try:
             key, consts, values, blocks = _shape_key(block)
         except _Unshareable as declined:
@@ -774,6 +809,9 @@ class PlanCache:
             self.plan_shapes += 1
         else:
             self.plans_shared += 1
+        return self._site(block, shape, consts, blocks)
+
+    def _site(self, block, shape: BodyShape, consts, blocks):
         # ``plans`` stays total: each of the site's own blocks that has
         # a plan answers with the site's view of it.
         site = BodySite(consts, shape)

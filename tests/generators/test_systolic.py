@@ -14,7 +14,17 @@ from repro.generators.systolic import (
     im2col,
     weight_matrix,
 )
-from repro.ir import print_op
+from repro.dialects import arith
+from repro.ir import (
+    Builder,
+    InsertionPoint,
+    VerificationError,
+    i32,
+    index,
+    print_op,
+    verifier,
+    verify,
+)
 from repro.sim import simulate
 from repro.sim.batch import structural_signature
 from tests.conftest import conv2d_reference
@@ -179,17 +189,25 @@ def test_systolic_matches_reference_conv(dataflow, n, c, size, filt, ah, seed):
 
 
 def _built_not_stamped(monkeypatch):
+    """Every PE body built op by op.  ``_pe_body`` takes the PE and its
+    block arguments by keyword, so this holds whatever bookkeeping the
+    stamping passes before them."""
     monkeypatch.setattr(
         systolic,
         "_pe_body",
-        lambda b, cfg, built, r, c, vals: systolic._pe_step(
+        lambda b, cfg, *bookkeeping, r, c, vals: systolic._pe_step(
             b, cfg, r, c, vals, []
         ),
     )
 
 
 def _stamped_then_built(cfg):
-    stamped = print_op(build_systolic_program(cfg).module)
+    """Both prints; the stamped module also passes a full ``verify()``
+    — the witness that a stamped body needs no verification of its own
+    (the build verifies before it stamps)."""
+    module = build_systolic_program(cfg).module
+    verify(module)
+    stamped = print_op(module)
     with pytest.MonkeyPatch.context() as patch:
         _built_not_stamped(patch)
         built = print_op(build_systolic_program(cfg).module)
@@ -245,12 +263,81 @@ def test_bodies_are_stamped_and_the_reference_is_not(monkeypatch):
         pe_step(b, cfg, r, c, vals, placed)
 
     monkeypatch.setattr(systolic, "_pe_step", counting)
-    build_systolic_program(cfg)
+    program = build_systolic_program(cfg)
     assert len(built_bodies) == 9
     assert set(built_bodies) == {
         (r, c) for r in (0, 1, 7) for c in (0, 1, 7)
     }
+    assert len(program.stamps) == 55
     del built_bodies[:]
     _built_not_stamped(monkeypatch)
-    build_systolic_program(cfg)
+    program = build_systolic_program(cfg)
     assert len(built_bodies) == 64
+    assert not program.stamps
+
+
+# The build verifies before it stamps: what it proves is the skeleton
+# and one body per class, and nothing a stamp copies can escape that.
+
+WS_8X8 = SystolicConfig("WS", 8, 8, ConvDims(n=8, c=2, h=8, w=8, fh=2, fw=2))
+
+
+def test_the_verifier_visits_the_skeleton_and_nine_bodies(monkeypatch):
+    visited = []
+    verify_op_tree = verifier._verify_op_tree
+
+    def counting(op, visible):
+        visited.append(op)
+        verify_op_tree(op, visible)
+
+    monkeypatch.setattr(verifier, "_verify_op_tree", counting)
+    program = build_systolic_program(WS_8X8)
+    module = program.module
+    copied = {
+        op
+        for block in program.stamps
+        for top in block.ops[:-1]  # each keeps its own terminator
+        for op in top.walk()
+    }
+    assert len(visited) == len(set(visited))
+    assert set(visited) == set(module.walk()) - copied
+    pe_bodies = {
+        op.body
+        for op in module.walk()
+        if op.name == "equeue.launch" and op.get_attr("label").startswith("pe_")
+    }
+    proved = {
+        op.parent
+        for op in visited
+        if op.parent in pe_bodies and op.name != "equeue.return_values"
+    }
+    assert len(pe_bodies) == 64 and len(program.stamps) == 55
+    assert proved == pe_bodies - set(program.stamps) and len(proved) == 9
+    assert set(program.stamps.values()) <= proved
+
+
+def _ill_typed(b, vals):
+    arith.addi(b, vals[0], arith.constant(b, 1, i32))
+
+
+def _not_dominating(b, vals):
+    later = arith.constant(b, 1, index)
+    first = Builder(InsertionPoint.at_begin(b.insertion_point.block))
+    first.create("arith.addi", [later, later], [index])
+
+
+@pytest.mark.parametrize("pe", [(0, 0), (1, 1), (7, 7)])
+@pytest.mark.parametrize("breakage", [_ill_typed, _not_dominating])
+def test_a_broken_representative_still_fails_the_build(monkeypatch, pe, breakage):
+    """An ill-formed first body of a class — the one its 55 stamps
+    would copy — fails ``verify`` inside the build, stamps or not."""
+    pe_step = systolic._pe_step
+
+    def broken(b, cfg, r, c, vals, placed):
+        pe_step(b, cfg, r, c, vals, placed)
+        if (r, c) == pe:
+            breakage(b, vals)
+
+    monkeypatch.setattr(systolic, "_pe_step", broken)
+    with pytest.raises(VerificationError):
+        build_systolic_program(WS_8X8)

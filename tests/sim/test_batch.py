@@ -3,6 +3,8 @@ SweepRunner sharding/determinism and the cross-simulation compile cache."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.dialects.linalg import ConvDims
 from repro.generators.systolic import (
@@ -17,8 +19,10 @@ from repro.sim import (
     simulate,
     structural_signature,
 )
+from repro.sim import plan
 from repro.sim.batch import deterministic_conv_inputs
 from repro.sim.plan import PlanCache
+from tests.service.test_chaos import HOST_FIELDS
 
 
 def _ws_config(**dims_kwargs) -> SystolicConfig:
@@ -157,6 +161,31 @@ class TestCompileCache:
         assert second.cycles == first.cycles == a.expected_cycles
 
 
+def _inputs(entry, cfg, seed=0):
+    ifmap, weights = deterministic_conv_inputs(cfg.dims, seed)
+    return SystolicProgram(entry.module, cfg).prepare_inputs(ifmap, weights)
+
+
+def _seen(result):
+    """Cycles, events, buffers and every stat of the simulated machine
+    (the summary but for what the host did)."""
+    summary = result.summary.to_dict()
+    return (
+        result.cycles,
+        result.summary.scheduler_events,
+        {n: b.array.tolist() for n, b in result.buffers.items()},
+        {k: v for k, v in summary.items() if k not in HOST_FIELDS},
+    )
+
+
+def _cold(cfg, seed=0):
+    program = build_systolic_program(cfg)
+    ifmap, weights = deterministic_conv_inputs(cfg.dims, seed)
+    return _seen(
+        simulate(program.module, inputs=program.prepare_inputs(ifmap, weights))
+    )
+
+
 class TestOnePlanCachePerCompileCache:
     """Every program of a :class:`CompileCache` compiles into the
     cache's one ``PlanCache``: shapes cross programs, a lock keeps the
@@ -168,36 +197,6 @@ class TestOnePlanCachePerCompileCache:
         SystolicConfig("OS", 4, 4, ConvDims(n=3, c=2, h=4, w=4, fh=2, fw=2)),
     )
 
-    @staticmethod
-    def _inputs(entry, cfg, seed=0):
-        ifmap, weights = deterministic_conv_inputs(cfg.dims, seed)
-        return SystolicProgram(entry.module, cfg).prepare_inputs(
-            ifmap, weights
-        )
-
-    @staticmethod
-    def _seen(result):
-        return (
-            result.cycles,
-            result.summary.scheduler_events,
-            result.summary.launches_executed,
-            {
-                name: (report.bytes_read, report.bytes_written)
-                for name, report in result.summary.memories.items()
-            },
-            {n: b.array.tolist() for n, b in result.buffers.items()},
-        )
-
-    def _cold(self, cfg, seed=0):
-        program = build_systolic_program(cfg)
-        ifmap, weights = deterministic_conv_inputs(cfg.dims, seed)
-        return self._seen(
-            simulate(
-                program.module,
-                inputs=program.prepare_inputs(ifmap, weights),
-            )
-        )
-
     def test_a_family_compiles_each_shape_once(self):
         """Two WS programs of different stream lengths (other buffer
         dimensions, one set of nine body shapes) and an OS one."""
@@ -206,8 +205,8 @@ class TestOnePlanCachePerCompileCache:
         for cfg in self.FAMILY:
             entry = _lookup(cache, cfg)
             assert entry.plan_cache is cache.plans
-            result = entry.simulate(self._inputs(entry, cfg))
-            assert self._seen(result) == self._cold(cfg)
+            result = entry.simulate(_inputs(entry, cfg))
+            assert _seen(result) == _cold(cfg)
             summaries.append(result.summary)
         first, second, third = summaries
         assert (first.plan_shapes, first.plans_shared) == (9, 7)
@@ -228,7 +227,7 @@ class TestOnePlanCachePerCompileCache:
         )
         rounds = [
             [
-                entry.simulate(self._inputs(entry, cfg), options)
+                entry.simulate(_inputs(entry, cfg), options)
                 for options in (quiet, traced)
             ]
             for _ in range(2)
@@ -241,8 +240,8 @@ class TestOnePlanCachePerCompileCache:
         assert len(rounds[1][1].trace.records) == len(
             rounds[0][1].trace.records
         ) > len(rounds[1][0].trace.records)
-        cold = self._cold(cfg)
-        assert all(self._seen(r) == cold for rs in rounds for r in rs)
+        cold = _cold(cfg)
+        assert all(_seen(r) == cold for rs in rounds for r in rs)
         cache.clear()
 
     def test_two_threads_on_two_programs_stay_bit_identical(self):
@@ -252,7 +251,7 @@ class TestOnePlanCachePerCompileCache:
         import threading
 
         cache = CompileCache()
-        references = [self._cold(cfg, seed=3) for cfg in self.FAMILY[:2]]
+        references = [_cold(cfg, seed=3) for cfg in self.FAMILY[:2]]
         seen = [[], []]
         failures = []
 
@@ -262,8 +261,8 @@ class TestOnePlanCachePerCompileCache:
                 for _ in range(4):
                     entry = _lookup(cache, cfg)
                     seen[which].append(
-                        self._seen(
-                            entry.simulate(self._inputs(entry, cfg, seed=3))
+                        _seen(
+                            entry.simulate(_inputs(entry, cfg, seed=3))
                         )
                     )
             except Exception as error:  # noqa: BLE001 - reported below
@@ -286,6 +285,102 @@ class TestOnePlanCachePerCompileCache:
         for which in (0, 1):
             assert seen[which] == [references[which]] * 4
         cache.clear()
+
+
+def _pe_bodies(module):
+    """Every PE launch body, in module order."""
+    return [
+        op.body
+        for op in module.walk()
+        if op.name == "equeue.launch" and op.get_attr("label").startswith("pe_")
+    ]
+
+
+def _tree(block):
+    """A body's blocks in the order its shape key walks them."""
+    yield block
+    for op in block.ops:
+        for region in op.regions:
+            for nested in region.blocks:
+                yield from _tree(nested)
+
+
+def _binding(plans, body):
+    """What a launch body was bound to: its shape, the arguments its
+    captures bind to, its constants, and the shape plan each of its
+    blocks answers with (by position in the walk) — a view of its own."""
+    _, arguments, site = plans.sites[id(body)]
+    views = [
+        (position, plans.plans[id(block)][1])
+        for position, block in enumerate(_tree(body))
+        if id(block) in plans.plans
+    ]
+    assert all(view.site is site for _, view in views)
+    return site.shape, arguments, site.consts, views
+
+
+class TestStampsBindByClass:
+    """A stamped PE body binds to the shape its class representative
+    keyed to, its constants read in a lockstep walk beside the
+    representative — no key walk.  The reference is the same program
+    with its stamp relation patched away, so every body is keyed; both
+    bind into one plan cache."""
+
+    def _class_bound_equals_key_walked(self, cfg):
+        cache = CompileCache()
+        signature = structural_signature(cfg)
+        bound, walked = (
+            cache.lookup((side,) + signature, lambda: build_systolic_program(cfg))
+            for side in ("class", "key")
+        )
+        stamps = len(bound.stamps)
+        assert stamps == len(walked.stamps)
+        bodies = _pe_bodies(bound.module)
+        keyed = []
+        shape_key = plan._shape_key
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(
+                plan, "_shape_key",
+                lambda block: keyed.append(block) or shape_key(block),
+            )
+            result = bound.simulate(_inputs(bound, cfg))
+            # The kernel's body (declined: it awaits) and the
+            # representatives; the relation is spent.
+            assert len(keyed) == 1 + len(bodies) - stamps
+            assert not bound.stamps
+            patch.setattr(walked, "stamps", {})
+            del keyed[:]
+            walked.simulate(_inputs(walked, cfg))
+            assert len(keyed) == 1 + len(bodies)
+        assert _seen(result) == _cold(cfg)
+        for body, reference in zip(bodies, _pe_bodies(walked.module)):
+            shape, arguments, consts, views = _binding(cache.plans, body)
+            expected = _binding(cache.plans, reference)
+            assert shape is expected[0] and arguments is expected[1]
+            assert consts == expected[2]
+            assert [p for p, _ in views] == [p for p, _ in expected[3]]
+            assert all(
+                mine.shape is theirs.shape
+                for (_, mine), (_, theirs) in zip(views, expected[3])
+            )
+        cache.clear()
+
+    @pytest.mark.parametrize("dataflow", ["WS", "IS", "OS"])
+    def test_stamps_of_an_8x8_array_bind_as_keyed(self, dataflow):
+        dims = ConvDims(n=2, c=2, h=4, w=4, fh=2, fw=2)
+        self._class_bound_equals_key_walked(SystolicConfig(dataflow, 8, 8, dims))
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        dataflow=st.sampled_from(["WS", "IS", "OS"]),
+        ah=st.integers(1, 6),
+        aw=st.integers(1, 6),
+    )
+    def test_stamps_bind_as_keyed_where_classes_collapse(self, dataflow, ah, aw):
+        dims = ConvDims(n=2, c=2, h=4, w=4, fh=2, fw=2)
+        self._class_bound_equals_key_walked(
+            SystolicConfig(dataflow, ah, aw, dims)
+        )
 
 
 class TestPlanCacheReuse:

@@ -15,7 +15,11 @@ Readings: 3 283 at PR 19 (the parent of the PR that added this gate,
 which deleted the NumPy vectoriser of ``affine.for``); 2 751 after it;
 2 757 with one plan cache per compile cache (PR 22: a table of plans
 per engine configuration where ``attach`` used to flush, ``clear``, and
-memref types keyed by rank and element — ``plan.py`` +6).
+memref types keyed by rank and element — ``plan.py`` +6); 2 779 once a
+stamped launch body binds to its class representative's shape (a
+lockstep walk beside the representative in place of a key walk, the
+site's shape on ``BodySite``, the stamp relation on the cache —
+``plan.py`` +22).
 
 ROADMAP item 4 wants the service core an explicit state machine over
 one log; :data:`LIFECYCLE` pins its files the same way.  Readings: 1 507
@@ -34,7 +38,7 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 CORE = ("sim/engine.py", "sim/plan.py", "sim/codegen.py")
-BUDGET = 2757
+BUDGET = 2779
 #: The job lifecycle and the append-only log under the WAL and the sweep
 #: journal.
 LIFECYCLE = (
