@@ -6,9 +6,10 @@ requests never pay for simulation twice** — via three mechanisms, in
 lookup order:
 
 1. **Store hits.**  A submitted request whose key is already in the
-   :class:`~repro.service.store.ResultStore` completes immediately with
-   the persisted record; no job is queued, no engine work happens, and
-   nothing is written: the hit's id (``hit-<key>``) names its record.
+   :class:`~repro.service.store.ResultStore` is answered by a settled
+   view of the stored line: nothing is queued, no engine work happens,
+   nothing is written and nothing is indexed — the hit's id
+   (``hit-<key>``) names its record.
 2. **Request coalescing.**  A request whose key matches a queued or
    running job joins that job instead of creating a new one — N callers
    wait on one simulation, and each sees the same completed record.
@@ -46,7 +47,9 @@ from typing import Dict, List, Mapping, Optional, Tuple, Union
 from ..obs import logs as obs_logs
 from ..obs import metrics as obs_metrics
 from ..obs.spans import span as _span
-from ..scenarios import get_scenario, parse_scenario_spec, scenario_cache_stats
+from ..scenarios import (
+    ScenarioError, get_scenario, parse_scenario_spec, scenario_cache_stats,
+)
 from ..scenarios.sweep import grid_record, scenario_grid, simulate_scenario
 from ..sim.batch import ResilienceStats, SweepRunner, result_record, subsample
 from ..sim.engine import EngineOptions, resolve_execution_mode
@@ -58,16 +61,19 @@ from .wal import AdmissionWAL, WALError
 _log = obs_logs.get_logger("service.scheduler")
 
 #: Jobs the by-id index holds: beyond it the oldest *completed* ones are
-#: dropped (a counter id resolves through the terminal index, four times
-#: as long, a hit id through the store key it names).
+#: dropped (their ids resolve through the terminal index, four times as
+#: long).
 MAX_JOBS = 10_000
 
 #: What a store hit's id is: this prefix and the hit's store key.  The
-#: id names its record, so it resolves through the store after any
-#: restart with no log line, and misses cleanly once the record is
-#: evicted.  Jobs that simulate get counter ids (``job-000123``) held by
-#: the WAL.
+#: id names its record, so a hit enters no index: its id resolves
+#: through the store, in process and after any restart, exactly while
+#: the record is stored.  Jobs that simulate get counter ids
+#: (``job-000123``) held by the WAL.
 HIT_PREFIX = "hit-"
+
+#: A sweep's identity and its stored aggregate's ``kind``.
+SWEEP_KIND = "scenario-sweep/v1"
 
 #: Seconds between two watchdog passes.
 WATCHDOG_POLL_S = 0.05
@@ -104,6 +110,14 @@ class DrainingError(RuntimeError):
 
 def _freeze(mapping: Optional[Mapping]) -> Tuple[Tuple[str, object], ...]:
     return tuple(sorted((mapping or {}).items()))
+
+
+def _spelled(mapping: Optional[Mapping]) -> Tuple:
+    """A mapping as part of a memo key: its items sorted, each value with
+    its type and ``repr``, so ``True``, ``1`` and ``1.0`` (and ``0.0``
+    and ``-0.0``) are different spellings."""
+    items = sorted(dict(mapping or {}).items())
+    return tuple((name, type(value), repr(value)) for name, value in items)
 
 
 def _field_dict(cfg) -> Dict[str, object]:
@@ -163,9 +177,23 @@ class JobRequest:
         (the CLI syntax); ``config`` merges on top of the spec's
         overrides.  Unknown scenarios, config keys, and option names
         raise :class:`RequestError`.
-        """
-        from ..scenarios import ScenarioError
 
+        A spelling resolves once per process (:data:`_RESOLVED`): the
+        same arguments, each value with its type, give the request they
+        gave before — while the scenario they named is still the one
+        registered under its name.
+        """
+        spelling = None
+        try:
+            spelling = (scenario, type(seed), seed, type(check), check,
+                        _spelled(config), _spelled(options))
+            scenario_obj, request = _RESOLVED[spelling]
+            if get_scenario(scenario_obj.name) is scenario_obj:
+                return request
+        except (KeyError, ScenarioError):
+            pass  # a new spelling, or its scenario left the registry
+        except (TypeError, ValueError):
+            spelling = None  # not a mapping, or unhashable: not kept
         try:
             scenario_obj, cfg = parse_scenario_spec(scenario)
             resolved = _field_dict(cfg)
@@ -208,13 +236,18 @@ class JobRequest:
             EngineOptions(**canonical)
         except (TypeError, ValueError) as error:
             raise RequestError(f"invalid engine options: {error}") from None
-        return cls(
+        request = cls(
             scenario=scenario_obj.name,
             config=_freeze(resolved),
             seed=int(seed),
             options=_freeze(canonical),
             check=bool(check),
         )
+        if spelling is not None:  # only a resolution that succeeded
+            if len(_RESOLVED) >= _MEMO_CAP:
+                _RESOLVED.clear()
+            _RESOLVED[spelling] = (scenario_obj, request)
+        return request
 
     # -- derived views -------------------------------------------------
 
@@ -336,7 +369,7 @@ class SweepRequest:
 
     def key_parts(self) -> Dict:
         return {
-            "kind": "scenario-sweep/v1",
+            "kind": SWEEP_KIND,
             "grid": grid_record(self.grid()),
             "seed": self.seed,
             "sample": self.sample,
@@ -360,13 +393,21 @@ class SweepRequest:
         }
 
 
+#: Entries each per-process memo below holds before it is cleared
+#: wholesale (requests are tiny; the cap is generous).
+_MEMO_CAP = 4096
+
+#: Spelling -> (scenario object, request) memo of :meth:`JobRequest.make`.
+#: Resolving parses the spec and builds and validates a config and the
+#: engine options — on the warm path, as much as the store read.  Only
+#: resolutions that succeeded are kept.
+_RESOLVED: Dict[Tuple, Tuple[object, JobRequest]] = {}
+
 #: Request -> store-key memo.  A key is a pure function of the (frozen,
 #: hashable) request and the code version, but computing one regenerates
 #: and digests the scenario's input arrays — noticeable on the warm path,
-#: where it would dominate the store read.  Bounded: cleared wholesale at
-#: the cap (requests are tiny; the cap is generous).
+#: where it would dominate the store read.
 _KEY_CACHE: Dict[Tuple[JobRequest, str], str] = {}
-_KEY_CACHE_CAP = 4096
 
 
 def request_store_key(request: JobRequest) -> str:
@@ -374,7 +415,7 @@ def request_store_key(request: JobRequest) -> str:
     memo_key = (request, code_version())
     key = _KEY_CACHE.get(memo_key)
     if key is None:
-        if len(_KEY_CACHE) >= _KEY_CACHE_CAP:
+        if len(_KEY_CACHE) >= _MEMO_CAP:
             _KEY_CACHE.clear()
         key = request.key()
         _KEY_CACHE[memo_key] = key
@@ -433,9 +474,10 @@ def _payload_context(payload: Tuple) -> str:
 
 
 class _RecoveredRequest:
-    """The request shim behind a resurrected job: a terminal WAL record
-    carries at most the admitted request *dict* — enough to report what
-    the job was, not enough (nor needed) to simulate it again."""
+    """The request shim behind a resolved id: a terminal WAL record
+    carries at most the admitted request *dict*, and a stored record
+    names its own (:func:`_stored_request`) — enough to report what the
+    job was, not enough (nor needed) to simulate it again."""
 
     __slots__ = ("_data",)
 
@@ -446,6 +488,19 @@ class _RecoveredRequest:
         return dict(self._data)
 
 
+def _stored_request(record: Mapping) -> Dict:
+    """The request dict a stored single-request record answers, read off
+    the record: :func:`evaluate_request` writes four of its fields, and
+    the oracle's ``checked`` stats are ``None`` exactly when ``check``
+    was off.  Any other record (a sweep aggregate) names none: ``{}``."""
+    if "config" not in record:
+        return {}
+    names = ("scenario", "config", "seed", "options")
+    return {name: record.get(name) for name in names} | {
+        "check": record.get("checked") is not None
+    }
+
+
 class Job:
     """One scheduled request: state, waiters, and the eventual record.
 
@@ -454,13 +509,19 @@ class Job:
     the two outcomes lands first is the job's outcome forever — the
     loser's :meth:`_settle` is a no-op, so a late record can never
     overwrite a deadline failure (or vice versa).
+
+    Made with an ``outcome``, a job is a settled view of it, held by
+    nothing: a store hit, or an id resolved from its terminal entry or
+    the store.  It has no event and no lock.  A hit's outcome is the
+    verified line it read: its ``record`` is parsed only when asked
+    for, and :meth:`to_json` splices the line in.
     """
 
     __slots__ = (
-        "id", "key", "request", "state", "record", "error", "source",
+        "id", "key", "request", "state", "error", "source",
         "waiters", "submitted_at", "started_at", "finished_at",
         "deadline_s", "request_id", "store_put_s", "timings",
-        "_done", "_outcome_lock",
+        "_record", "_line", "_done", "_outcome_lock",
     )
 
     def __init__(
@@ -470,20 +531,21 @@ class Job:
         request: JobRequest,
         deadline_s: Optional[float] = None,
         request_id: Optional[str] = None,
+        outcome: Union[Dict, bytes, str, None] = None,
     ):
         self.id = job_id
         self.key = key
         self.request = request
         self.state = "queued"  # queued | running | done | error
-        self.record: Optional[Dict] = None
+        self._record: Optional[Dict] = None
+        self._line: Optional[bytes] = None
         self.error: Optional[str] = None
         #: Where the record came from: "simulated" | "store".
         self.source: Optional[str] = None
         #: Callers sharing this job (1 = no coalescing happened).
         self.waiters = 1
         self.submitted_at = time.time()
-        #: When execution started (None until drained; store hits and
-        #: coalesces never start).
+        #: When execution started (None until drained).
         self.started_at: Optional[float] = None
         self.finished_at: Optional[float] = None
         #: Wall-clock execution budget (None = unbounded).
@@ -497,20 +559,32 @@ class Job:
         self.store_put_s: Optional[float] = None
         #: Wall-clock phase breakdown, stamped at completion.
         self.timings: Dict[str, float] = {}
-        self._done = threading.Event()
-        self._outcome_lock = threading.Lock()
+        if outcome is None:
+            self._done = threading.Event()
+            self._outcome_lock = threading.Lock()
+        else:
+            self._done = self._outcome_lock = None
+            self.finished_at = self.submitted_at
+            self._end(outcome, "store")
+
+    @property
+    def record(self) -> Optional[Dict]:
+        """The record once done (a hit's is parsed on first use)."""
+        if self._record is None and self._line is not None:
+            self._record = json.loads(self._line)
+        return self._record
 
     @property
     def done(self) -> bool:
-        return self._done.is_set()
+        return self._done is None or self._done.is_set()
 
     def wait(self, timeout: Optional[float] = None) -> bool:
         """Block until the job completes (True) or ``timeout`` passes."""
-        return self._done.wait(timeout)
+        return self._done is None or self._done.wait(timeout)
 
     def result(self, timeout: Optional[float] = None) -> Dict:
         """The completed record; raises on error or timeout."""
-        if not self._done.wait(timeout):
+        if not self.wait(timeout):
             raise TimeoutError(f"job {self.id} still {self.state}")
         if self.error is not None:
             raise RuntimeError(f"job {self.id} failed: {self.error}")
@@ -526,28 +600,30 @@ class Job:
         with self._outcome_lock:
             if self._done.is_set():
                 return False
-            if isinstance(outcome, str):
-                self.error = outcome
-                self.state = "error"
-            else:
-                self.record = outcome
-                self.source = source
-                self.state = "done"
             self.finished_at = time.time()
-            self._stamp_timings()
+            self._end(outcome, source)
             self._done.set()
         return True
 
-    def _stamp_timings(self) -> None:
-        """The per-request wall-clock breakdown (called under the
-        outcome lock, after ``finished_at`` is set).  A store hit shows
-        ``execute_s == 0`` — the whole point of the warm path."""
-        finished = self.finished_at or time.time()
-        started = self.started_at or finished
+    def _end(self, outcome: Union[Dict, bytes, str], source) -> None:
+        """Take the outcome — an error message, a record, or the
+        verified line it parses from — and stamp the per-request
+        wall-clock breakdown from ``finished_at``.  A job answered from
+        the store shows ``execute_s == 0``: the whole point of the warm
+        path."""
+        if isinstance(outcome, str):
+            self.error = outcome
+            self.state = "error"
+        else:
+            self._line = outcome if isinstance(outcome, bytes) else None
+            self._record = outcome if self._line is None else None
+            self.source = source
+            self.state = "done"
+        started = self.started_at or self.finished_at
         self.timings = {
             "queued_s": round(max(0.0, started - self.submitted_at), 6),
-            "execute_s": round(max(0.0, finished - started), 6),
-            "total_s": round(max(0.0, finished - self.submitted_at), 6),
+            "execute_s": round(max(0.0, self.finished_at - started), 6),
+            "total_s": round(max(0.0, self.finished_at - self.submitted_at), 6),
         }
         if self.store_put_s is not None:
             self.timings["store_put_s"] = round(self.store_put_s, 6)
@@ -570,14 +646,14 @@ class Job:
             payload["record"] = self.record
         return payload
 
-    def to_json(self, line: Optional[bytes] = None) -> bytes:
-        """``json.dumps(self.to_dict())`` as bytes.  Given the canonical
-        ``line`` this job's record was read from, the ``record`` member
-        is that line spliced in byte for byte, not serialised again."""
-        if line is None:
+    def to_json(self) -> bytes:
+        """``json.dumps(self.to_dict())`` as bytes.  A hit's ``record``
+        member is the verified line it read, spliced in byte for byte —
+        neither parsed nor serialised again."""
+        if self._line is None:
             return json.dumps(self.to_dict()).encode("utf-8")
         head = json.dumps(self.to_dict(include_record=False))
-        return b'%s, "record": %s}' % (head[:-1].encode("utf-8"), line)
+        return b'%s, "record": %s}' % (head[:-1].encode("utf-8"), self._line)
 
 
 class SweepJob(Job):
@@ -599,13 +675,14 @@ class SweepJob(Job):
         request: "SweepRequest",
         deadline_s: Optional[float] = None,
         request_id: Optional[str] = None,
+        outcome: Union[Dict, bytes, str, None] = None,
     ):
-        super().__init__(
-            job_id, key, request, deadline_s=deadline_s, request_id=request_id
-        )
+        # Before the job's own fields: a sweep made settled counts its
+        # points as it takes its outcome.
         self.points_total: Optional[int] = None
         self.points_done = 0
         self.points_resumed = 0
+        super().__init__(job_id, key, request, deadline_s, request_id, outcome)
 
     def progress(self) -> Dict:
         return {
@@ -619,14 +696,12 @@ class SweepJob(Job):
         payload["progress"] = self.progress()
         return payload
 
-    def _settle(
-        self, outcome: Union[Dict, str], source: Optional[str] = None
-    ) -> bool:
-        if source == "store":
+    def _end(self, outcome: Union[Dict, bytes, str], source) -> None:
+        super()._end(outcome, source)
+        if source == "store" and self.error is None:
             # A stored sweep is whole: every point is done.
-            self.points_total = outcome.get("points_total")
+            self.points_total = self.record.get("points_total")
             self.points_done = self.points_total or 0
-        return super()._settle(outcome, source)
 
 
 @dataclass
@@ -748,7 +823,8 @@ class JobScheduler:
     batches on the draining thread over the per-process program cache).
     The by-id job index holds :data:`MAX_JOBS`: beyond it, the oldest
     *completed* jobs are dropped, and their ids resolve through the
-    terminal index or, for a hit id, the store.
+    terminal index.  A store hit is settled when made and enters no
+    index: its id resolves through the store it names.
 
     Robustness knobs (all optional):
 
@@ -766,8 +842,8 @@ class JobScheduler:
       (:class:`DrainingError`) while already-admitted work completes —
       the graceful-shutdown half of admission control.
 
-    Every way a job ends — simulated, failed, a store hit at admission,
-    the watchdog, recovery — goes through :meth:`_settle`.
+    Every way a queued job ends — simulated, failed, the watchdog,
+    recovery — goes through :meth:`_settle`.
     """
 
     def __init__(
@@ -800,7 +876,8 @@ class JobScheduler:
         self._queue: List[Job] = []
         #: Coalescing index: key -> not-yet-finished job.
         self._inflight: Dict[str, Job] = {}
-        #: Every job ever created, by id (the server's lookup table).
+        #: Every job ever created, by id (the server's lookup table);
+        #: never a store hit.
         self._jobs: Dict[str, Job] = {}
         #: Terminal outcomes by id, kept after the job itself is pruned
         #: (or lost to a restart): ``job()`` resolves these from the
@@ -815,6 +892,9 @@ class JobScheduler:
         #: worker (later batches of that drain would otherwise hang).
         self._drains: Dict[int, List[Job]] = {}
         self._counter = 0
+        #: Jobs settled so far: a submit whose store read missed sees it
+        #: move when a twin settled meanwhile.
+        self._settled = 0
         self._worker: Optional[threading.Thread] = None
         self._watchdog: Optional[threading.Thread] = None
         self._stopping = False
@@ -840,11 +920,13 @@ class JobScheduler:
         job — a :class:`SweepJob` for a :class:`SweepRequest`.
 
         Lookup order: in-flight job with the same key (coalesce) ->
-        persistent store (complete immediately) -> new queued job.  The
-        store read (disk I/O) happens *outside* the lock; the in-flight
-        index is re-checked afterwards, so a request that raced a
-        just-finishing twin either coalesces or hits the freshly spilled
-        blob — never simulates twice.
+        persistent store (a settled view) -> new queued job.  The store
+        read (disk I/O) happens *outside* the lock; after a miss the
+        in-flight index is re-checked, and the store read again if a job
+        settled meanwhile, so a request that raced a just-finishing twin
+        either coalesces or hits the freshly spilled blob — never
+        simulates twice.  A hit answers even while a twin is in flight:
+        the stored record is the answer the twin gives.
 
         ``deadline_s`` overrides the scheduler default for this job;
         ``client`` (the peer address, when the HTTP layer forwards it)
@@ -855,29 +937,13 @@ class JobScheduler:
         record is appended (and fsynced) *before* the job becomes
         visible — an append failure refuses admission (:class:`WALError`
         -> 503) rather than issuing an id that would not survive a
-        crash.  A store hit writes nothing: its id, ``hit-<key>``,
-        survives any crash by naming its record.
+        crash.  A store hit is a job made settled with the verified line
+        it read: no event, no lock, no index entry and no write — its
+        id, ``hit-<key>``, names its record.
 
         ``request_id`` is the structured-log correlation id — issued
         here at admission when the caller (a non-HTTP embedder) did not
         already mint one at the front door.
-        """
-        return self.admit(request, deadline_s, client, request_id)[0]
-
-    def admit(
-        self,
-        request,
-        deadline_s: Optional[float] = None,
-        client: Optional[str] = None,
-        request_id: Optional[str] = None,
-    ) -> Tuple[Job, Optional[bytes]]:
-        """:meth:`submit` for a caller that
-        writes the job out: ``(job, line)``, where a store hit's
-        ``line`` is the verified canonical line its record was parsed
-        from (``None`` otherwise) — :meth:`Job.to_json` splices it.
-
-        Handed to the caller, not kept on the job: a line per retained
-        job read +10 MB of resident set on ``service_warm``.
         """
         sweep = isinstance(request, SweepRequest)
         job_cls = SweepJob if sweep else Job
@@ -896,47 +962,54 @@ class JobScheduler:
             if inflight is not None:
                 inflight.waiters += 1
                 self.stats.coalesced += 1
-                return inflight, None
+                return inflight
+            settled = self._settled
         found = self.store.read(key) if self.store is not None else None
         with self._lock:
-            inflight = self._inflight.get(key)
-            if inflight is not None:
-                inflight.waiters += 1
-                self.stats.coalesced += 1
-                return inflight, None
+            if found is None:
+                inflight = self._inflight.get(key)
+                if inflight is not None:
+                    inflight.waiters += 1
+                    self.stats.coalesced += 1
+                    return inflight
+                if self._settled != settled and self.store is not None:
+                    # A job settled after the read missed: if it was this
+                    # key's twin, its record is stored now.  Read again,
+                    # under the lock, where no twin can settle unseen.
+                    found = self.store.read(key)
             if found is not None:
-                stored, line = found
-                job = job_cls(
-                    HIT_PREFIX + key, key, request, request_id=request_id
-                )
-                # One entry per hit id, moved to the newest end: pruning
-                # drops the least recently hit first.
-                self._jobs.pop(job.id, None)
-                self._jobs[job.id] = job
-                self._prune_jobs()
-                self._settle(job, stored, "store", "store_hits")
-                return job, line
-            if self.draining:
+                self.stats.store_hits += 1
+            elif self.draining:
                 self.stats.rejected_draining += 1
                 raise DrainingError("scheduler is draining; not accepting new jobs")
-            if self.max_queue is not None and len(self._queue) >= self.max_queue:
+            elif self.max_queue is not None and len(self._queue) >= self.max_queue:
                 self.stats.rejected_queue_full += 1
                 raise QueueFullError(
                     f"job queue full ({len(self._queue)}/{self.max_queue})"
                 )
-            job = job_cls(
-                self._next_id(),
-                key,
-                request,
-                deadline_s=self.deadline_s if deadline_s is None else deadline_s,
+            else:
+                job = job_cls(
+                    self._next_id(),
+                    key,
+                    request,
+                    deadline_s=self.deadline_s if deadline_s is None else deadline_s,
+                    request_id=request_id,
+                )
+                self._wal_admit(job, client=client)
+                self._jobs[job.id] = job
+                self._prune_jobs()
+                self._inflight[key] = job
+                self._queue.append(job)
+                self._lock.notify_all()
+        if found is not None:
+            _log.debug(
+                "job.done", job=HIT_PREFIX + key, source="store",
                 request_id=request_id,
             )
-            self._wal_admit(job, client=client)
-            self._jobs[job.id] = job
-            self._prune_jobs()
-            self._inflight[key] = job
-            self._queue.append(job)
-            self._lock.notify_all()
+            return job_cls(
+                HIT_PREFIX + key, key, request, request_id=request_id,
+                outcome=found,
+            )
         _log.debug(
             "sweep.admitted" if sweep else "job.admitted",
             job=job.id,
@@ -944,16 +1017,16 @@ class JobScheduler:
             request_id=request_id,
         )
         faults.fire("server.crash", context=f"admit:{job.id}")
-        return job, None
+        return job
 
     def _prune_jobs(self) -> None:
         """Drop the oldest *completed* jobs beyond :data:`MAX_JOBS` (called
         under the lock; dict order is insertion/creation order).
 
-        A pruned id is NOT gone: a counter id's terminal outcome stays
-        in the terminal index (mirrored in the WAL), and a hit id names
-        its store key, so :meth:`job` resolves either from the store
-        instead of handing the client a 404 for an id it was given.
+        A pruned id is NOT gone: its terminal outcome stays in the
+        terminal index (mirrored in the WAL), so :meth:`job` resolves it
+        from the store instead of handing the client a 404 for an id it
+        was given.
         """
         excess = len(self._jobs) - MAX_JOBS
         if excess <= 0:
@@ -968,8 +1041,8 @@ class JobScheduler:
     def job(self, job_id: str) -> Optional[Job]:
         """Look a job up by id.
 
-        Ids no longer in the live index — pruned by the retention cap,
-        or issued before a restart — resolve through their terminal
+        Ids not in the live index — pruned by the retention cap, issued
+        before a restart, or a hit's — resolve through their terminal
         record, or a hit id through the key it names: ``done`` outcomes
         re-read the store by key (a miss means the record was evicted;
         the client resubmits and gets a store hit or a clean
@@ -987,24 +1060,30 @@ class JobScheduler:
         return self._resurrect(job_id, entry)
 
     def _resurrect(self, job_id: str, entry: Dict) -> Optional[Job]:
-        """A settled, unindexed view of a terminal entry (``None`` when
-        its record left the store, or its key is not a store key)."""
+        """A settled view of a terminal entry (``None`` when its record
+        left the store, or its key is not a store key).  An entry with
+        no admitted request — a hit id's — reports the one its record
+        names."""
         key = entry.get("key") or ""
-        outcome = None
+        request = entry.get("request")
+        job_cls = Job
         if entry.get("status") == "error":
             outcome = entry.get("error") or "job failed before restart"
-        elif self.store is not None and key:
-            try:
-                outcome = self.store.get(key)
-            except ValueError:  # a malformed key names no record
-                pass
-        if outcome is None:
-            return None
-        job = Job(job_id, key, _RecoveredRequest(entry.get("request")))
-        job._settle(outcome, "store")
+        else:
+            outcome = None
+            if self.store is not None and key:
+                try:
+                    outcome = self.store.get(key)
+                except ValueError:  # a malformed key names no record
+                    pass
+            if outcome is None:
+                return None
+            request = request or _stored_request(outcome)
+            if outcome.get("kind") == SWEEP_KIND:
+                job_cls = SweepJob
         with self._lock:
             self.stats.resurrected += 1
-        return job
+        return job_cls(job_id, key, _RecoveredRequest(request), outcome=outcome)
 
     def _note_terminal(self, job: Job) -> None:
         """Index a finished job's outcome by id (call under the lock):
@@ -1060,21 +1139,19 @@ class JobScheduler:
         it, so a racing submit either coalesces onto the job before it
         ends or reads its spilled record after — never joins a job that
         already answered.  Only the winner is counted under
-        ``counter``, indexed as terminal and then logged to the WAL —
-        unless it is a store hit, whose id names its record and needs
-        neither.  A lost terminal record is never fatal: it only costs a
-        redundant, store-hit, replay after the next crash.
+        ``counter``, indexed as terminal and then logged to the WAL.  A
+        lost terminal record is never fatal: it only costs a redundant,
+        store-hit, replay after the next crash.
         """
-        hit = job.id.startswith(HIT_PREFIX)
         with self._lock:
             won = job._settle(outcome, source)
             self._deindex(job)
             if not won:
                 return False
             setattr(self.stats, counter, getattr(self.stats, counter) + 1)
-            if not hit:
-                self._note_terminal(job)
-        if self.wal is not None and not hit:
+            self._settled += 1
+            self._note_terminal(job)
+        if self.wal is not None:
             try:
                 self.wal.append_terminal(
                     job.id, job.state, key=job.key, error=job.error
@@ -1386,7 +1463,7 @@ class JobScheduler:
                 "resubmit to resume"
             }
         return {
-            "kind": "scenario-sweep/v1",
+            "kind": SWEEP_KIND,
             "scenario": request.scenario,
             "points_total": total,
             "points_failed": 0,

@@ -544,7 +544,7 @@ class ServiceHandler(BaseHTTPRequestHandler):
         wait = self._wait_seconds(query, body)
         deadline = self._deadline_seconds(body)
         try:
-            job, line = self.scheduler.admit(
+            job = self.scheduler.submit(
                 request,
                 deadline_s=deadline,
                 client=self.client_address[0],
@@ -577,7 +577,7 @@ class ServiceHandler(BaseHTTPRequestHandler):
             # as: the blob's canonical line, spliced, not re-serialised.
             self._respond(
                 200 if job.done else 202,
-                b'{"job": %s}' % job.to_json(line),
+                b'{"job": %s}' % job.to_json(),
                 "application/json",
             )
 

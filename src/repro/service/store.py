@@ -51,7 +51,7 @@ import tempfile
 import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Dict, Iterator, List, Mapping, Optional, Tuple, Union
+from typing import Dict, Iterator, List, Mapping, Optional, Set, Tuple, Union
 
 from ..codeversion import code_version  # noqa: F401  (re-exported)
 from ..sim.linecodec import record_line
@@ -96,20 +96,41 @@ def request_key(parts: Mapping) -> str:
     ).hexdigest()
 
 
-def parse_blob(text: str) -> Optional[Tuple[Dict, bytes]]:
-    """Verify-and-parse a blob's text into ``(record, line)``; ``None``
-    means corrupt.  The one definition of a valid blob (the read path
-    and ``--fsck`` both call it): a line, a newline, the ``sha256:``
-    trailer digesting that line, a newline — and the line a JSON object."""
+#: Digests of the blob lines :func:`parse_blob` has parsed into a JSON
+#: object.  A line whose digest is here is byte for byte one that parsed,
+#: so it is valid without parsing it again.  Bounded: cleared wholesale
+#: at the cap (a miss only costs one parse).
+_PARSED_DIGESTS: Set[str] = set()
+_PARSED_DIGESTS_CAP = 4096
+
+
+def parse_blob(text: str) -> Optional[Tuple[bytes, Optional[Dict]]]:
+    """Verify a blob's text into ``(line, record)``; ``None`` means
+    corrupt.  The one definition of a valid blob (the read path and
+    ``--fsck`` both call it): a line, a newline, the ``sha256:`` trailer
+    digesting that line, a newline — and the line a JSON object.
+
+    The digest is checked on every call.  The line is parsed only the
+    first time its digest is seen in this process: ``record`` is then
+    the parsed line, and ``None`` on every later call, when the caller
+    parses ``line`` itself if it needs the record."""
     line, _, trailer = text.partition("\n")
     raw = line.encode("utf-8")
-    if trailer != f"sha256:{hashlib.sha256(raw).hexdigest()}\n":
+    digest = hashlib.sha256(raw).hexdigest()
+    if trailer != f"sha256:{digest}\n":
         return None
+    if digest in _PARSED_DIGESTS:
+        return raw, None
     try:
         record = json.loads(line)
     except ValueError:
         return None
-    return (record, raw) if isinstance(record, dict) else None
+    if not isinstance(record, dict):
+        return None
+    if len(_PARSED_DIGESTS) >= _PARSED_DIGESTS_CAP:
+        _PARSED_DIGESTS.clear()
+    _PARSED_DIGESTS.add(digest)
+    return raw, record
 
 
 @dataclass
@@ -183,14 +204,22 @@ class ResultStore:
 
     def get(self, key: str) -> Optional[Dict]:
         """The stored record for ``key``, or ``None`` (a miss)."""
-        found = self.read(key)
+        found = self._read(key)
+        if found is None:
+            return None
+        line, record = found
+        return json.loads(line) if record is None else record
+
+    def read(self, key: str) -> Optional[bytes]:
+        """The verified line stored under ``key``, or ``None`` (a miss):
+        the blob's canonical JSON line exactly as stored — what a
+        response can carry without parsing or serialising the record."""
+        found = self._read(key)
         return None if found is None else found[0]
 
-    def read(self, key: str) -> Optional[Tuple[Dict, bytes]]:
-        """THE read path: ``(record, line)`` for ``key`` or ``None`` (a
-        miss), ``line`` being the blob's canonical JSON line exactly as
-        stored — what a response can carry without serialising
-        ``record`` again.
+    def _read(self, key: str) -> Optional[Tuple[bytes, Optional[Dict]]]:
+        """THE read path: :func:`parse_blob` of the blob under ``key``,
+        or ``None`` (a miss).
 
         A read is trusted only after its trailer digest re-verifies:
         corrupt or malformed blobs are quarantined and served as misses,

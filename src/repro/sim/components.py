@@ -147,7 +147,8 @@ class ComponentGroup(Component):
 class EventEntry:
     """One queued event on a processor: the paper's operation entry.
 
-    Tracks the three timestamps of Fig. 7 (ready/start/end).
+    ``start_time`` is the cycle the processor began it: what its busy
+    time and its trace span are measured from.
     """
 
     kind: str                      # "launch" | "memcpy"
@@ -155,10 +156,7 @@ class EventEntry:
     done: SimEvent
     payload: object                # engine-specific (op + captured values)
     label: str = ""
-    issue_time: int = 0
-    ready_time: Optional[int] = None
     start_time: Optional[int] = None
-    end_time: Optional[int] = None
 
 
 class ProcessorModel(Component):

@@ -334,7 +334,7 @@ class LaunchSite:
         target.enqueue(
             EventEntry(
                 "launch", dep, done, (self.block, body_env, self.futures),
-                self.label, sim.now,
+                self.label,
             )
         )
         env[self.done] = done
@@ -418,7 +418,7 @@ class _Dispatcher(Process):
         while True:
             if entry is not None:
                 # Stage 4: finish the operation.
-                entry.end_time = now = sim.now
+                now = sim.now
                 proc.busy_cycles += now - entry.start_time
                 proc.executed_events += 1
                 if trace is not None:
@@ -441,9 +441,7 @@ class _Dispatcher(Process):
                 dep.on_trigger(self._on_dep)
                 return
             queue.popleft()
-            now = sim.now
-            entry.ready_time = dep.time if dep.time is not None else now
-            entry.start_time = now
+            entry.start_time = now = sim.now
             # Stage 3: schedule (execute) the operation.  A hot body
             # whose generated code or plan never suspends completes
             # without a generator frame.
@@ -1079,7 +1077,6 @@ class Engine:
             done=done,
             payload=(source, destination, conn, src_offset, dst_offset, count),
             label=op.get_attr("label", "memcpy"),
-            issue_time=self.sim.now,
         )
         dma.enqueue(entry)
         env[op.result()] = done

@@ -110,3 +110,28 @@ class TestFsck:
         report = fsck_state_dir(tmp_path / "never-created")
         assert not report.ok
         assert run_fsck(tmp_path / "never-created", out=io.StringIO()) == 1
+
+    def test_findings_do_not_depend_on_lines_parsed_before(
+        self, tmp_path, monkeypatch
+    ):
+        """A store read parses a line once per process (its digest is
+        remembered); fsck runs the same check, so its report is the same
+        whether or not the process has seen the lines before."""
+        import hashlib
+
+        from repro.service import store as store_module
+
+        state = _populated_state_dir(tmp_path)
+        good = next((state / STORE_NAME / "objects").glob("??/*.json"))
+        twin = good.parent / ("0" * 64 + ".json")
+        twin.write_bytes(good.read_bytes())  # the same line, another key
+        line = "[1]"  # digest-valid, not an object
+        bad = good.parent / ("1" * 64 + ".json")
+        bad.write_text(f"{line}\nsha256:{hashlib.sha256(line.encode()).hexdigest()}\n")
+        monkeypatch.setattr(store_module, "_PARSED_DIGESTS", set())
+        cold = fsck_state_dir(state).to_dict()
+        assert store_module._PARSED_DIGESTS  # the good line parsed once
+        assert fsck_state_dir(state).to_dict() == cold
+        assert cold["counts"]["blobs_checked"] == 3
+        assert cold["counts"]["blobs_corrupt"] == 1
+        assert [error.split(":")[0] for error in cold["errors"]] == [str(bad)]

@@ -4,11 +4,15 @@ A hit is one read, one digest and one write: over 50 warm
 ``client.run`` calls on one connection, no ``os.fsync`` and not a byte
 of WAL (a hit's id, ``hit-<key>``, names its record, so it needs no
 log to survive a restart), one blob open, one ``sendall`` per side,
-two ``json.dumps`` (client request, job head) and three ``json.loads``
-(request body, blob check, client response) per hit — process-wide,
-server and client threads together — and no call into
-``email.parser``.  Counts, not milliseconds: deterministic on any host,
-and a regression names the call that came back.
+two ``json.dumps`` (client request, job head) and two ``json.loads``
+(request body, client response) per hit — process-wide, server and
+client threads together — and no call into ``email.parser``.  The
+blob's line is parsed once per process, not once per hit: its digest,
+checked on every read, says it is the line that parsed.  The 50 hits
+of one spelling resolve it once (one ``JobRequest`` made), and a hit
+makes no job: the scheduler's by-id index does not grow.  Counts, not
+milliseconds: deterministic on any host, and a regression names the
+call that came back.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from collections import Counter
 
 from repro.obs import logs as obs_logs
 from repro.service import JobRequest, ServiceClient
+from repro.service import scheduler as scheduler_module
 from repro.service.server import make_server
 
 SCENARIO = "gemm:m=4,k=8,n=4,tile_k=4"
@@ -69,6 +74,8 @@ def test_fifty_hits_cost_fifty_of_each(tmp_path, monkeypatch):
             cycles = client.run(SCENARIO, wait=120.0)["record"]["cycles"]
             assert cycles == cold.record["cycles"]
             appends_before = appends(client.stats())
+            jobs_before = len(server.scheduler._jobs)
+            scheduler_module._RESOLVED.clear()  # the hits resolve it anew
 
             counting(monkeypatch, counts, os, "fsync", "fsync")
             counting(monkeypatch, counts, json, "dumps", "dumps")
@@ -80,6 +87,7 @@ def test_fifty_hits_cost_fifty_of_each(tmp_path, monkeypatch):
             )
             counting(monkeypatch, counts, email.parser.Parser, "parsestr", "email")
             counting(monkeypatch, counts, email.feedparser.FeedParser, "feed", "email")
+            counting(monkeypatch, counts, JobRequest, "__init__", "requests")
 
             for _ in range(HITS):
                 job = client.run(SCENARIO, wait=120.0)
@@ -89,6 +97,7 @@ def test_fifty_hits_cost_fifty_of_each(tmp_path, monkeypatch):
             monkeypatch.undo()
 
             assert len(client._idle) == 1
+            assert len(server.scheduler._jobs) == jobs_before
             stats = client.stats()
             assert wal_path.stat().st_size == wal_before
     finally:
@@ -101,7 +110,8 @@ def test_fifty_hits_cost_fifty_of_each(tmp_path, monkeypatch):
         "blob_open": HITS,
         "sendall": 2 * HITS,  # one per side
         "dumps": 2 * HITS,
-        "loads": 3 * HITS,
+        "loads": 2 * HITS,
+        "requests": 1,
     }
     assert counts["fsync"] == 0
     assert appends(stats) == appends_before

@@ -8,9 +8,9 @@ stored records, and crashes — the scheduler dropped, with or without
 the terminal records of its last drain, and a new one recovered from
 the same directory.  After every step every id ever issued must
 resolve, to the outcome the model says, and no key already in the store
-may simulate again.  A store hit writes no byte of WAL: its id names
-its key, and it resolves through the store — after a crash too — until
-that record is evicted.
+may simulate again.  A store hit writes no byte of WAL and enters no
+index: its id names its key, and it resolves through the store alone —
+in process and after a crash — until that record is evicted.
 
 ``evaluate_request`` is patched to a cheap deterministic function of
 the request, so an example costs milliseconds; what is under test is
@@ -223,6 +223,10 @@ class LifecycleMachine(RuleBasedStateMachine):
             assert job.record == expected_record(request)
         elif job.state == "error":
             assert job.error == DEADLINE_ERROR
+
+    @invariant()
+    def hits_are_held_by_the_store_alone(self):
+        assert not [i for i in self.scheduler._jobs if i.startswith(HIT_PREFIX)]
 
     @invariant()
     def every_issued_id_resolves_as_the_model_says(self):

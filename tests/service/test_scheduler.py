@@ -22,11 +22,7 @@ from repro.scenarios import (
 )
 from repro.scenarios.sweep import run_scenario_sweep
 from repro.service import JobRequest, JobScheduler, ResultStore
-from repro.service.scheduler import (
-    RequestError,
-    SweepRequest,
-    request_store_key,
-)
+from repro.service.scheduler import RequestError, SweepRequest
 from repro.sim import ExecutionMode, resolve_execution_mode
 
 
@@ -280,30 +276,30 @@ class TestScheduling:
         """3 x MAX_JOBS admissions: the index holds MAX_JOBS, the pruned
         ids are the oldest *done* ones in issue order, a still-queued
         job older than all of them is stepped over, every pruned id
-        still resolves — a counter id through the terminal index, a hit
-        id through the store — and an admission past the cap looks at a
-        handful of jobs, not at all of them."""
+        still resolves through the terminal index, and an admission
+        past the cap looks at a handful of jobs, not at all of them."""
         cap = 50
         monkeypatch.setattr(scheduler_module, "MAX_JOBS", cap)
-        store = ResultStore(tmp_path)
-        scheduler = JobScheduler(store=store)
+        scheduler = JobScheduler(store=ResultStore(tmp_path))
         requests = [JobRequest.make("fir", seed=seed) for seed in range(3 * cap)]
-        for seed, request in enumerate(requests[2:], start=2):
-            store.put(request_store_key(request), {"seed": seed})
         first = scheduler.submit(requests[0])
         scheduler.run_pending()
         queued = scheduler.submit(requests[1])
         looked_at = []
         is_done = scheduler_module.Job.done.fget
+        later = []
         with monkeypatch.context() as counting:
             counting.setattr(
                 scheduler_module.Job,
                 "done",
                 property(lambda job: looked_at.append(job) or is_done(job)),
             )
-            hits = [scheduler.submit(request) for request in requests[2:]]
-        assert len(looked_at) < 10 * len(hits)  # was > cap per admission
-        issued = [first, queued, *hits]
+            for seed, request in enumerate(requests[2:], start=2):
+                later.append(scheduler.submit(request))
+                # Finished the way a drain finishes it: spilled, settled.
+                scheduler._finish(later[-1], {"seed": seed})
+        assert len(looked_at) < 10 * len(later)  # was > cap per admission
+        issued = [first, queued, *later]
         assert len({job.id for job in issued}) == 3 * cap
         assert len(scheduler._jobs) == cap
         assert scheduler.stats.jobs_pruned == 2 * cap
@@ -316,34 +312,30 @@ class TestScheduling:
             assert resurrected.done and resurrected.source == "store"
             assert resurrected.result() == job.result()
 
-    def test_a_hit_again_moves_its_id_to_the_newest_slot(
-        self, tmp_path, monkeypatch
-    ):
-        """One entry per hit id: a key hit again moves its id to the end
-        of the index, so pruning drops the least recently hit id first,
-        and the pruned id still resolves through the store."""
-        monkeypatch.setattr(scheduler_module, "MAX_JOBS", 2)
+    def test_a_hit_is_held_by_the_store_alone(self, tmp_path):
+        """A hit makes no job: no event, no lock, no index entry.  Its
+        id resolves through the store it names while the record is
+        stored — reporting the request the record names — and misses
+        once the record is evicted.  A library caller's hit parses its
+        record on first use, to the record the store holds."""
         store = ResultStore(tmp_path)
         scheduler = JobScheduler(store=store)
-        a, b, c = (JobRequest.make("fir", seed=seed) for seed in range(3))
-        for request in (a, b, c):
-            store.put(request_store_key(request), {"seed": request.seed})
-        first_a = scheduler.submit(a)
-        hit_b = scheduler.submit(b)
-        again_a = scheduler.submit(a)
-        assert again_a.id == first_a.id == "hit-" + request_store_key(a)
-        assert again_a is not first_a and again_a.request_id != first_a.request_id
-        assert list(scheduler._jobs) == [hit_b.id, again_a.id]
-        hit_c = scheduler.submit(c)
-        assert list(scheduler._jobs) == [again_a.id, hit_c.id]
-        assert scheduler.stats.jobs_pruned == 1
-        resolved = scheduler.job(hit_b.id)
-        assert resolved is not hit_b and resolved.source == "store"
-        assert resolved.result() == {"seed": 1}
-        assert scheduler.job(again_a.id) is again_a
-        # Evicted, the pruned id misses; an id naming no store key too.
-        store._blob_path(request_store_key(b)).unlink()
-        assert scheduler.job(hit_b.id) is None
+        cold = scheduler.submit(JobRequest.make("fir", seed=7))
+        scheduler.run_pending()
+        hit = scheduler.submit(JobRequest.make("fir", seed=7))
+        again = scheduler.submit(JobRequest.make("fir", seed=7))
+        assert hit.id == again.id == "hit-" + cold.key and hit is not again
+        assert hit.request_id != again.request_id
+        assert hit._done is None and hit._outcome_lock is None
+        assert list(scheduler._jobs) == [cold.id]
+        assert scheduler.stats_dict()["jobs"] == 1
+        assert scheduler.stats.store_hits == 2
+        assert hit.result() == store.get(cold.key) == cold.record
+        resolved = scheduler.job(hit.id)
+        assert resolved is not hit and resolved.source == "store"
+        assert resolved.to_dict() == {**hit.to_dict(), "request_id": None}
+        store._blob_path(cold.key).unlink()
+        assert scheduler.job(hit.id) is None
         assert scheduler.job("hit-../not-a-key") is None
 
     def test_background_worker_drains(self, tmp_path):
@@ -412,6 +404,41 @@ class TestScheduling:
         late = racers[1]
         assert late is not job and late.source == "store"
         assert job.waiters == 1 and late.record == job.record
+
+    def test_a_submit_whose_read_missed_a_twin_that_settled_hits(
+        self, tmp_path
+    ):
+        """The other side of that race: a submit's store read misses,
+        then its twin is admitted, simulated, spilled and settled before
+        the submit takes the lock again — it must find the record, not
+        queue the key a second time."""
+        scheduler = JobScheduler(store=ResultStore(tmp_path))
+        request = JobRequest.make("fir", seed=3)
+        read = scheduler.store.read
+        missed, twin_done = threading.Event(), threading.Event()
+
+        def read_then_stall(key):
+            found = read(key)
+            if threading.current_thread().name == "late":
+                missed.set()
+                assert twin_done.wait(60)
+            return found
+
+        scheduler.store.read = read_then_stall
+        late = []
+        racer = threading.Thread(
+            target=lambda: late.append(scheduler.submit(request)), name="late"
+        )
+        racer.start()
+        assert missed.wait(60)
+        twin = scheduler.submit(request)
+        assert scheduler.run_pending() == 1 and twin.source == "simulated"
+        twin_done.set()
+        racer.join(timeout=60)
+        assert not racer.is_alive() and late[0].source == "store"
+        assert late[0].record == twin.record
+        assert scheduler.run_pending() == 0
+        assert scheduler.stats.simulated == 1
 
 
 class TestRobustness:
@@ -642,6 +669,8 @@ class TestExecutionModeStoreSafety:
             "resolve_execution_mode",
             lambda mode: resolve("plan" if mode is None else mode),
         )
+        # Spellings resolved under the real default resolve anew.
+        monkeypatch.setattr(scheduler_module, "_RESOLVED", {})
         assert JobRequest.make("fir", options={"mode": "plan"}).options == ()
         codegen = JobRequest.make("fir", options={"mode": "codegen"})
         assert dict(codegen.options) == {"mode": "codegen"}

@@ -193,9 +193,9 @@ class TestIntegrity:
             return real_fire(site, context=context, payload=payload)
 
         monkeypatch.setattr(faults, "fire", fire)
-        found, line = store.read(key)
+        line = store.read(key)
         blob = store._blob_path(key).read_bytes()
-        assert found == record == store.get(key)
+        assert json.loads(line) == record == store.get(key)
         assert blob == line + b"\nsha256:" + hashlib.sha256(line).hexdigest().encode() + b"\n"
         # The chaos plane still sees (and may corrupt) the blob's text.
         assert seen[0] == ("store.get", key, blob.decode("utf-8"))
@@ -224,6 +224,78 @@ class TestIntegrity:
         with faults.injected(plan):
             assert store.get(key) is None, "bit-flipped read must not parse"
         assert store.stats.quarantined == 1
+
+
+class TestParsedOnce:
+    """A line is parsed once per process; its digest is checked on every
+    read.  Skipping the parse of a line whose digest was seen parsing is
+    the same check, not a weaker one: the bytes are the bytes that
+    parsed."""
+
+    @pytest.fixture
+    def loads(self, monkeypatch):
+        calls = []
+        real = json.loads
+        monkeypatch.setattr(
+            json, "loads", lambda *a, **k: calls.append(a) or real(*a, **k)
+        )
+        return calls
+
+    @pytest.mark.parametrize("line", ["[1]", '{"a":'], ids=["array", "torn"])
+    def test_a_digest_valid_line_that_is_no_object_misses_every_time(
+        self, tmp_path, line
+    ):
+        store = ResultStore(tmp_path)
+        key = key_of("k1")
+        path = store._blob_path(key)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        digest = hashlib.sha256(line.encode()).hexdigest()
+        for reads in range(1, 4):
+            path.write_text(f"{line}\nsha256:{digest}\n", encoding="utf-8")
+            assert store.read(key) is None and not path.exists()
+            assert store.stats.quarantined == reads
+
+    def test_a_line_flipped_after_it_parsed_misses(self, tmp_path):
+        store = ResultStore(tmp_path)
+        key = key_of("k1")
+        store.put(key, {"v": 1})
+        assert store.get(key) == {"v": 1}
+        path = store._blob_path(key)
+        path.write_text(
+            path.read_text(encoding="utf-8").replace('"v":1', '"v":3'),
+            encoding="utf-8",
+        )
+        assert store.read(key) is None
+        assert store.stats.quarantined == 1
+
+    def test_a_line_parses_once_until_the_digests_are_cleared(
+        self, tmp_path, monkeypatch, loads
+    ):
+        from repro.service import store as store_module
+
+        monkeypatch.setattr(store_module, "_PARSED_DIGESTS", set())
+        store = ResultStore(tmp_path)
+        key = key_of("k1")
+        store.put(key, {"v": 1})
+        line = store.read(key)
+        assert len(loads) == 1
+        assert [store.read(key) for _ in range(3)] == [line] * 3
+        assert len(loads) == 1  # digest-checked, not parsed again
+        assert store.get(key) == {"v": 1} and len(loads) == 2  # get parses
+        store_module._PARSED_DIGESTS.clear()
+        assert store.read(key) == line and len(loads) == 3
+        assert store.stats.hits == 6
+
+    def test_the_digest_set_stays_within_its_cap(self, tmp_path, monkeypatch):
+        from repro.service import store as store_module
+
+        monkeypatch.setattr(store_module, "_PARSED_DIGESTS", set())
+        monkeypatch.setattr(store_module, "_PARSED_DIGESTS_CAP", 4)
+        store = ResultStore(tmp_path)
+        for index in range(10):
+            store.put(key_of(f"k{index}"), {"v": index})
+            assert store.get(key_of(f"k{index}")) == {"v": index}
+            assert 1 <= len(store_module._PARSED_DIGESTS) <= 4
 
 
 class TestTmpSweep:

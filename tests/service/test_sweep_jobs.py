@@ -77,6 +77,10 @@ class TestSchedulerSweeps:
         again = scheduler.submit(SweepRequest.make("gemm", sample=4))
         assert again.done and again.source == "store"
         assert again.record == job.record
+        assert again.progress() == job.progress()
+        # Held by the store alone, its id resolves with its progress.
+        assert again.id not in scheduler._jobs
+        assert scheduler.job(again.id).progress() == job.progress()
 
     def test_inflight_sweeps_coalesce(self, scheduler):
         first = scheduler.submit(SweepRequest.make("gemm", sample=4))

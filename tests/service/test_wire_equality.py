@@ -6,9 +6,12 @@ head serialised, the blob's verified canonical line spliced in as the
 On the wire the two must be one JSON value, for every way a job reaches
 a client (store hit, coalesced waiter, ``GET /jobs/<id>``,
 ``GET /jobs/<id>/result``, an id resurrected after a restart), and the
-spliced member must be the stored line byte for byte.  And the read
-that hands the line out keeps every check: a blob that fails one is
-quarantined and served as a miss, so a bad line can never be spliced.
+spliced member must be the stored line byte for byte.  A hit is held
+by the store alone, so ``GET /jobs/hit-<key>`` answers it from the
+record: as the ``POST`` did, but for the request id, which is each
+request's own.  And the read that hands the line out keeps every check:
+a blob that fails one is quarantined and served as a miss, so a bad line
+can never be spliced.
 """
 
 from __future__ import annotations
@@ -71,6 +74,17 @@ def exchange(server, method: str, path: str, payload=None):
     return int(head.split()[1]), body
 
 
+def held(scheduler, answer: dict) -> dict:
+    """What the scheduler holds for an answered job, as a wire dict: the
+    job itself for a counter id; for a hit id, a view of its record that
+    carries no request id of its own."""
+    job = scheduler.job(answer["id"]).to_dict()
+    if answer["id"].startswith("hit-"):
+        assert job["request_id"] is None
+        job["request_id"] = answer["request_id"]
+    return job
+
+
 def blob_line(server, key: str) -> bytes:
     return server.scheduler.store._blob_path(key).read_bytes().split(b"\n")[0]
 
@@ -95,13 +109,13 @@ def test_every_way_a_job_reaches_a_client(service, name, config, seed):
     cold = json.loads(cold)["job"]
     assert status == 200
     # (an earlier example may have drawn this seed: then cold is a hit too)
-    assert cold == scheduler.job(cold["id"]).to_dict()
+    assert cold == held(scheduler, cold)
 
     status, raw = exchange(service, "POST", "/jobs", submit)
     hit = json.loads(raw)
     job = scheduler.job(hit["job"]["id"])
     assert status == 200 and hit["job"]["source"] == "store"
-    assert hit == {"job": job.to_dict()}
+    assert hit == {"job": held(scheduler, hit["job"])}
     assert hit["job"]["record"] == cold["record"]
     # ...and its record member is the blob's line, not a re-serialisation.
     assert raw.endswith(b', "record": ' + blob_line(service, job.key) + b"}}")
