@@ -13,7 +13,7 @@ This module does the Python equivalent.  :func:`compile_block_body`
 walks a :class:`~repro.sim.plan.BlockPlan` once and emits a specialized
 Python function — one statement group per step, with:
 
-* constant binds folded to plain dict stores (no call at all),
+* constants bound as default arguments (no store, no call at all),
 * hot ``arith`` bodies (raw-int binary ops, generic binary ops,
   ``cmpi``) and ``scf.if`` condition dispatch expanded *inline* from the
   compiler's step metadata — the register/ALU traffic of a PE step body
@@ -60,7 +60,7 @@ deopt tier):
   case — no generator frame at all), or, the rare time a step waits,
   *returns* a generator that finishes the entry through the plan
   machinery: ``_resume`` / ``BlockPlan.run`` for the plan's remaining
-  steps (``wrap`` in the emitter composes the chain out of flattened
+  steps (:meth:`_Emitter.handback` composes the chain out of flattened
   branches).  What a systolic PE body gets: it never suspends;
 * a **suspending** body is a generator function: where an inline body
   returns, it *yields* — ``if ex.pending: … yield`` for a flush,
@@ -125,8 +125,15 @@ local and spells its consumers as expressions (``_n5 = _n4 - _v2`` …
   own matter, settled when its function is instantiated
   (:func:`_site_guard`).
 
-Every local is still written through to ``env``, so suspension paths,
-general handlers and nested plans read what they always read.
+A local is written to ``env`` only for a reader: where it is defined
+when one of its uses reads ``env`` (a step closure, a nested plan that
+is not flattened), and, before a slow path that goes on by replay
+(``_resume``, ``BlockPlan.run``, a waiting access's handler), exactly
+the locals that path reads.  So a PE body keeps its values in locals
+alone, and inline bodies flatten ``scf.if`` at every depth, as
+suspending bodies do.  (A block outside every launch body writes every
+local through: its env is the engine's, read after the run and by
+captures.)
 """
 
 from __future__ import annotations
@@ -141,7 +148,7 @@ import numpy as np
 
 from ..ir.types import IndexType, IntegerType
 from ..ir.values import BlockArgument
-from .engine import Future
+from .engine import _STRUCTURE_OPS, Future
 from .plan import (
     _MISSING,
     BlockPlan,
@@ -161,11 +168,6 @@ from .plan import (
 )
 
 __all__ = ["compile_block_body", "source_of"]
-
-#: An inline body's ``scf.if`` nests deeper than this enter the branch's
-#: (itself codegen'd) plan instead of inlining its statements.  (A
-#: suspending body flattens at every depth.)
-_MAX_FLATTEN_DEPTH = 2
 
 #: Monotonic id for generated code filenames (aids tracebacks).
 _SERIAL = itertools.count(1)
@@ -194,6 +196,10 @@ _INT_EXPR = {
     "arith.shli": "{0} << {1}",
     "arith.shrsi": "{0} >> {1}",
 }
+#: ``divsi``/``remsi`` of two ints, where the truncated result is the
+#: floored one (a non-negative dividend over a positive divisor); the
+#: :mod:`repro.sim.interp` call otherwise.
+_DIV_EXPR = {"arith.divsi": "//", "arith.remsi": "%"}
 _CMP_EXPR = {
     "eq": "==", "ne": "!=", "slt": "<", "sle": "<=", "sgt": ">", "sge": ">=",
 }
@@ -306,14 +312,42 @@ def _stepped(step, ex, env):
         yield from result
 
 
+def _step_ops(block):
+    """The op each step of ``block``'s plan was compiled from, in step
+    order: the plan compiler leaves structure ops out (elaborated, they
+    have nothing to replay) and stops at the terminator, keeping an
+    ``equeue.return_values`` that returns values."""
+    ops = []
+    for op in block.ops:
+        name = op.name
+        if name == "equeue.return_values":
+            if op.operands:
+                ops.append(op)
+            break
+        if name in ("affine.yield", "scf.yield"):
+            break
+        if name not in _STRUCTURE_OPS:
+            ops.append(op)
+    return ops
+
+
+def _writes_through(root) -> bool:
+    """Does the body of ``root`` write every local to ``env``?  Outside
+    every launch body, yes: that env is the engine's own, which
+    ``SimulationResult.value_of`` reads after the run and a capture
+    falls back on."""
+    op = root.parent_op
+    while op is not None and op.name != "equeue.launch":
+        op = op.parent and op.parent.parent_op
+    return op is None
+
+
 class _Emitter:
     """Accumulates source lines plus the objects they reference.
 
     The body is *typed* against ``root``, the block its plan was
     compiled from.  An SSA value whose Python value is known not to be
-    a ``Future`` lives in a Python local beside its ``env`` entry
-    (``env`` stays written through: suspension paths, general handlers
-    and nested plans read it as before), and one the emitter knows to
+    a ``Future`` lives in a Python local, and one the emitter knows to
     be an ``int`` — an ``index``/integer constant, the result of
     arithmetic on such values, a flattened loop's induction variable,
     an ``index``/integer value checked at entry — is consumed as a
@@ -322,13 +356,20 @@ class _Emitter:
     defines in ways the emitter does not follow (closure calls,
     launches, nested plans) are read from ``env`` where they are used,
     with every dynamic check.
+
+    A local reaches ``env`` only for a reader.  Each write is a
+    placeholder line ``(ssa, indent, local, spill)`` until the whole
+    body has been emitted and :attr:`env_reads` — what closure steps and
+    nested plans entered as plans read — is known: a write where a value
+    is defined stays if the value is in it, a spill before a slow path
+    if it is not (the definition wrote it then).
     """
 
     def __init__(self, root, suspending):
         self.root = root
         #: The kind of body: a generator function in which a step that
         #: waits yields in place, or a plain function that returns what
-        #: is left of the entry as a generator (``wrap``).
+        #: is left of the entry as a generator (:meth:`handback`).
         self.suspending = suspending
         self.lines = []
         self.bindings = {}
@@ -344,8 +385,14 @@ class _Emitter:
         #: the body may consume them as ints: verified per site when a
         #: function is instantiated.
         self.int_constants = []
+        #: SSA values read through ``env`` where the body goes on: the
+        #: operands of step closures it calls, and what nested plans it
+        #: enters as plans use.
+        self.env_reads = set()
         self._serial = 0
         self._names_by_id = {}
+        self._ops = {}
+        self._reads = {}
 
     def bind(self, prefix, value):
         # One binding per object: shared callables (``engine._resolve``)
@@ -378,7 +425,9 @@ class _Emitter:
         return name
 
     def entry(self, plan):
-        """``plan.execute``, likewise."""
+        """``plan.execute``, likewise — a nested plan entered as a plan,
+        which reads what it uses from ``env``."""
+        self.env_reads |= self.block_reads(plan.block)
         name = self.site("e", plan.execute)
         if type(plan) is ShapePlan:
             self.recipes[name] = (
@@ -407,41 +456,127 @@ class _Emitter:
         return self.site("g", const_idx)
 
     def line(self, indent, text):
-        self.lines.append("    " * indent + text)
+        if type(text) is tuple:  # an env write: (ssa, local, spill)
+            ssa, name, spill = text
+            self.lines.append((ssa, "    " * indent, name, spill))
+        else:
+            self.lines.append("    " * indent + text)
 
     def block(self, indent, texts):
         for text in texts:
             self.line(indent, text)
+
+    def empty_since(self, mark):
+        """Has nothing but placeholders been emitted since ``mark``?  (A
+        suite of those may come out empty.)"""
+        return all(type(text) is tuple for text in self.lines[mark:])
+
+    def text(self):
+        """The emitted lines, each env write resolved: one where a value
+        is defined stays if something reads ``env`` for it, a spill if
+        nothing did (else the definition wrote it)."""
+        through = _writes_through(self.root)
+        reads = self.env_reads
+        lines = []
+        for text in self.lines:
+            if type(text) is str:
+                lines.append(text)
+                continue
+            ssa, indent, name, spill = text
+            if not spill if through else (ssa in reads) != spill:
+                lines.append(f"{indent}env[{self.bind('k', ssa)}] = {name}")
+        return lines
+
+    # -- what replay reads -------------------------------------------------
+
+    def op_reads(self, op):
+        """The values ``op`` reads: its operands and those of every op
+        in its regions."""
+        found = self._reads.get(id(op))
+        if found is None:
+            found = self._reads[id(op)] = {
+                value for inner in op.walk() for value in inner.operand_values
+            }
+        return found
+
+    def block_reads(self, block):
+        return set().union(*map(self.op_reads, block.ops))
+
+    def step_ops(self, plan):
+        ops = self._ops.get(id(plan))
+        if ops is None:
+            ops = self._ops[id(plan)] = _step_ops(plan.block)
+            assert len(ops) == len(plan.steps)
+        return ops
+
+    def closure_reads(self, at):
+        """The step at ``at`` is its closure, called where the body goes
+        on: what its op reads, it reads from ``env``."""
+        plan, _, index, _ = at
+        self.env_reads |= self.op_reads(self.step_ops(plan)[index])
+
+    def tail_reads(self, plan, first):
+        """What replaying ``plan`` from step ``first`` on reads."""
+        return set().union(*map(self.op_reads, self.step_ops(plan)[first:]))
+
+    def store(self, ssa, name):
+        """``env[ssa] = name`` where ``ssa`` is defined: kept if
+        something reads ``env`` for it."""
+        return (ssa, name, False)
+
+    def spill(self, indent, reads, skip=()):
+        """Write the locals ``reads`` names to ``env`` — those not
+        written where they were defined — before a slow path reads
+        them there.  (Prologue loads came from ``env``; ``skip``: what
+        was spilled already, and the op's own result, which its slow
+        path binds.)"""
+        loaded = {ssa for _, _, ssa, _ in self.loads}
+        for ssa, (name, _) in self.locals.items():
+            if ssa in reads and ssa not in skip and ssa not in loaded:
+                self.line(indent, (ssa, name, True))
 
     # -- where a body waits ------------------------------------------------
 
     def flush(self, indent):
         self.block(indent, _FLUSH)
 
-    def suspend(self, indent, wrap, plan_name, index, flush):
+    def handback(self, indent, at, first, gen, skip=()):
+        """``return`` from an inline body the generator ``gen`` that
+        finishes the entry by replay: from step ``first`` of the plan
+        being emitted, then after the step of each plan it was
+        flattened into (``at``: :meth:`emit_plan`'s position).  The
+        locals that replay reads are spilled first."""
+        plan, _, _, frames = at
+        reads = self.tail_reads(plan, first)
+        for outer, outer_name, index in reversed(frames):
+            reads |= self.tail_reads(outer, index + 1)
+            gen = f"_resume({outer_name}, ex, env, {gen}, {index}, False)"
+        self.spill(indent, reads, skip)
+        self.line(indent, f"return {gen}")
+
+    def suspend(self, indent, at, flush, skip=()):
         """A step produced the generator ``_r``: a suspending body
-        drives it where it stands; an inline one returns, through
-        ``wrap``, a generator that drives it and then the rest of the
-        entry — :func:`~repro.sim.plan._resume` has the plan's remaining
-        steps, ``wrap`` those of the plans it was flattened into."""
+        drives it where it stands; an inline one hands it back, with
+        the rest of the entry — :func:`~repro.sim.plan._resume` has the
+        plan's remaining steps."""
         if self.suspending:
             if flush:
                 self.flush(indent)
             self.line(indent, "yield from _r")
         else:
-            self.line(
-                indent,
-                wrap(f"_resume({plan_name}, ex, env, _r, {index}, {flush})"),
+            _, plan_name, index, _ = at
+            self.handback(
+                indent, at, index + 1,
+                f"_resume({plan_name}, ex, env, _r, {index}, {flush})", skip,
             )
 
-    def flattens(self, plan, depth):
+    def flattens(self, plan):
         """Are ``plan``'s steps emitted in place where a body enters it?
-        A suspending body takes everything the emitter can express, at
-        any depth; an inline one what never suspends by kind, down to
-        :data:`_MAX_FLATTEN_DEPTH`."""
+        A suspending body takes everything the emitter can express, an
+        inline one what never suspends by kind — at any depth."""
         if self.suspending:
             return plan.tier is not None
-        return depth < _MAX_FLATTEN_DEPTH and plan.inlineable
+        return plan.inlineable
 
     # -- typed locals --------------------------------------------------------
 
@@ -506,12 +641,12 @@ class _Emitter:
             self.line(indent, "ex.pending += _ac")
 
     def _store(self, indent, result, expr, is_int=False):
-        """``env[result] = expr``, through a local when typed."""
+        """``result = expr`` in a local, typed or not."""
         name = self.define(result, is_int)
         self.block(indent, self._stores(result, name, expr))
 
     def _stores(self, result, name, expr):
-        return [f"{name} = {expr}", f"env[{self.bind('k', result)}] = {name}"]
+        return [f"{name} = {expr}", self.store(result, name)]
 
     def emit_arith2(self, indent, meta):
         _, s0, s1, result, raw, fn, is_free, resolve = meta
@@ -538,13 +673,14 @@ class _Emitter:
         _, s0, s1, result, fn, is_free, resolve = meta
         a, a_int = self.operand(indent, s0, "_a", resolve)
         b, b_int = self.operand(indent, s1, "_b", resolve)
-        # divsi/remsi of two ints is an int (or raises).
-        is_int = a_int and b_int and result.owner.name in (
-            "arith.divsi", "arith.remsi"
-        )
-        self._store(
-            indent, result, f"{self.bind('g', fn)}({a}, {b})", is_int
-        )
+        call = f"{self.bind('g', fn)}({a}, {b})"
+        # divsi/remsi of two ints is an int (or raises): the operator
+        # itself where truncating is flooring.
+        symbol = _DIV_EXPR.get(result.owner.name)
+        is_int = a_int and b_int and symbol is not None
+        if is_int:
+            call = f"{a} {symbol} {b} if {a} >= 0 and {b} > 0 else {call}"
+        self._store(indent, result, call, is_int)
         self._arith_cost(indent, is_free)
 
     def emit_cmp(self, indent, meta):
@@ -566,38 +702,33 @@ class _Emitter:
             self.line(indent + 1, f"{name} = _v.astype(_int8)")
             self.line(indent, "else:")
             self.line(indent + 1, f"{name} = int(bool(_v))")
-            self.line(indent, f"env[{self.bind('k', result)}] = {name}")
+            self.line(indent, self.store(result, name))
             self.bindings.setdefault("_ndarray", np.ndarray)
             self.bindings.setdefault("_int8", np.int8)
         self._arith_cost(indent, is_free)
 
-    def _emit_branch(self, indent, branch_plan, index, plan_name, wrap,
-                     depth):
+    def _emit_branch(self, indent, branch_plan, at):
         """One arm of an inlined ``scf.if``: flatten the branch body when
         possible, else enter its plan (which tiers up on its own)."""
-        if self.flattens(branch_plan, depth):
+        if self.flattens(branch_plan):
             # Plan mode returns the branch's suspension generator from
             # the K_CTRL step; _resume then finishes this plan after
             # the if.
-            def branch_wrap(gen):
-                return wrap(
-                    f"_resume({plan_name}, ex, env, {gen}, {index}, False)"
-                )
-
+            plan, plan_name, index, frames = at
             mark = len(self.lines)
-            branch_name = self.plan(branch_plan)
             self.emit_plan(
-                branch_plan, branch_name, indent, branch_wrap, depth + 1
+                branch_plan, self.plan(branch_plan), indent,
+                (*frames, (plan, plan_name, index)),
             )
-            if len(self.lines) == mark:  # empty branch body
+            if self.empty_since(mark):
                 self.line(indent, "pass")
         else:
             branch_exec = self.entry(branch_plan)
             self.line(indent, f"_r = {branch_exec}(ex, env)")
             self.line(indent, "if _r is not None:")
-            self.suspend(indent + 1, wrap, plan_name, index, False)
+            self.suspend(indent + 1, at, False)
 
-    def emit_if(self, indent, meta, index, plan_name, wrap, depth):
+    def emit_if(self, indent, meta, at):
         _, cond_ssa, then_plan, else_plan, resolve = meta
         cond, is_int = self.operand(indent, cond_ssa, "_c", resolve)
         if is_int:
@@ -614,19 +745,12 @@ class _Emitter:
 
         if then_plan is not None and else_plan is not None:
             self.line(indent, taken)
-            self._emit_branch(
-                indent + 1, then_plan, index, plan_name, wrap, depth
-            )
+            self._emit_branch(indent + 1, then_plan, at)
             self.line(indent, "else:")
-            self._emit_branch(
-                indent + 1, else_plan, index, plan_name, wrap, depth
-            )
+            self._emit_branch(indent + 1, else_plan, at)
         elif then_plan is not None or else_plan is not None:
             self.line(indent, taken if then_plan is not None else not_taken)
-            self._emit_branch(
-                indent + 1, then_plan or else_plan, index, plan_name, wrap,
-                depth,
-            )
+            self._emit_branch(indent + 1, then_plan or else_plan, at)
 
     # -- inlined buffer accesses -------------------------------------------
 
@@ -645,19 +769,28 @@ class _Emitter:
         self.line(indent, f"_co = {st}[1]")
         return buf
 
-    def _emit_step(self, indent, step, index, plan_name, wrap, slow=False,
-                   result=None):
+    def _emit_step(self, indent, step, at, slow=False, result=None):
         """A ``K_DYN`` step closure called under the suspension protocol
         — all there is to a step the emitter has no expansion for, and
         the ``slow`` path of a read/write fast path (the closure falls
         back on the general handler by itself; in a suspending body that
         is one line, :func:`_stepped`).  It binds the op's result in
-        ``env``; a typed body that goes on picks it up."""
+        ``env``; a typed body that goes on picks it up.  What the
+        closure reads is in ``env``: written where it was defined, or,
+        on a slow path, spilled here."""
         s = self.bind("s", step)
         pickup = None
         if result is not None:
             name = self.locals[result][0]
             pickup = f"{name} = env[{self.bind('k', result)}]"
+        spilled = ()
+        if slow:
+            plan, _, index, _ = at
+            spilled = self.op_reads(self.step_ops(plan)[index])
+            self.spill(indent, spilled)
+            spilled = spilled | {result}
+        else:
+            self.closure_reads(at)
         if self.suspending and slow:
             self.bindings.setdefault("_stepped", _stepped)
             self.line(indent, f"yield from _stepped({s}, ex, env)")
@@ -671,7 +804,7 @@ class _Emitter:
         if pickup:
             self.line(indent + 1, pickup)
         self.line(indent, "else:")
-        self.suspend(indent + 1, wrap, plan_name, index, True)
+        self.suspend(indent + 1, at, True, spilled)
 
     def _emit_cost_test(self, indent, posted, order, phases):
         """Open the fast path: the test of the access's cost.  Where a
@@ -701,7 +834,7 @@ class _Emitter:
             self.line(indent, "if _co:")
             self.line(indent + 1, "_m.queue.posted_busy_cycles += _co")
 
-    def emit_read(self, indent, meta, step, index, plan_name, wrap):
+    def emit_read(self, indent, meta, step, at):
         (
             _, buffer_ssa, result, posted, state, const_idx, indices_ssa,
             resolve, waits,
@@ -715,8 +848,8 @@ class _Emitter:
         stores = self._stores(result, self.define(result), item)
         stats = self._stats(buf, "bytes_read", "reads")
 
-        def slow(at):
-            self._emit_step(at, step, index, plan_name, wrap, True, result)
+        def slow(level):
+            self._emit_step(level, step, at, True, result)
 
         outer = indent
         waiting = None
@@ -737,7 +870,7 @@ class _Emitter:
         self.line(outer, "else:")
         slow(outer + 1)
 
-    def emit_write(self, indent, meta, step, index, plan_name, wrap):
+    def emit_write(self, indent, meta, step, at):
         (
             _, buffer_ssa, value_ssa, posted, state, const_idx, indices_ssa,
             resolve, waits, reshape,
@@ -745,8 +878,8 @@ class _Emitter:
         buf = self._emit_buffer_head(indent, buffer_ssa, state, True, resolve)
         outer = indent
 
-        def slow(at):
-            self._emit_step(at, step, index, plan_name, wrap, True)
+        def slow(level):
+            self._emit_step(level, step, at, True)
 
         # The value: checked for a Future or a missing binding unless a
         # local holds it.  The target: the static coordinates folded,
@@ -824,33 +957,32 @@ class _Emitter:
 
     # -- per-plan emission -------------------------------------------------
 
-    def emit_plan(self, plan, plan_name, indent, wrap, depth):
+    def emit_plan(self, plan, plan_name, indent, frames):
         """Emit the statement sequence for ``plan``'s steps.
 
-        In an inline body ``wrap`` turns a suspension-generator
-        expression into the full ``return`` statement for this nesting
-        level — a flattened branch composes ``_resume`` chains outward,
-        so a suspension anywhere finishes every plan it was flattened
-        into exactly like the plan-mode generator stack would.  A
-        suspending body has no use for it (``None``): it yields where
+        ``frames`` are the plans this one was flattened into, outermost
+        first, each with its name and the step that entered this one:
+        an inline body hands a suspension anywhere back through
+        ``_resume`` chains over all of them (:meth:`handback`), so it
+        finishes every plan it was flattened into exactly like the
+        plan-mode generator stack would.  A suspending body yields where
         it stands.
         """
         steps = plan.steps
         for index, (kind, a, b) in enumerate(steps):
+            at = (plan, plan_name, index, frames)
             if kind == K_CONST or kind == K_SITE:
-                # One store either way; a shared body's constant is the
-                # launch site's.
-                key = self.bind("k", a)
+                # The binding is the local; a shared body's constant is
+                # the launch site's.  Whether an index constant is an
+                # ``int`` is the site's to say: checked when the function
+                # is instantiated, not here.
                 recipe = None
                 if kind == K_SITE:
                     def recipe(site, _s=b):
                         return site.consts[_s]
                 val = self.site("v", b if kind == K_CONST else None, recipe)
-                self.line(indent, f"env[{key}] = {val}")
-                # The binding is the local.  Whether an index constant
-                # is an ``int`` is the site's to say: checked when the
-                # function is instantiated, not here.
                 self.define(a, _is_int_type(a), val)
+                self.line(indent, self.store(a, val))
                 if _is_int_type(a):
                     self.int_constants.append(val)
             elif kind == K_DYN and type(b) is tuple and b:
@@ -862,22 +994,23 @@ class _Emitter:
                 elif tag == "cmp":
                     self.emit_cmp(indent, b)
                 elif tag == "read":
-                    self.emit_read(indent, b, a, index, plan_name, wrap)
+                    self.emit_read(indent, b, a, at)
                 elif tag == "write":
-                    self.emit_write(indent, b, a, index, plan_name, wrap)
+                    self.emit_write(indent, b, a, at)
                 elif tag == "extern":
                     self.emit_extern(indent, b)
                 else:  # unknown metadata: conservative closure call
-                    self._emit_step(indent, a, index, plan_name, wrap)
+                    self._emit_step(indent, a, at)
             elif kind == K_DYN and b == "int":
                 # Certified by the compiler to return a plain int: no
                 # type dispatch, no suspension path.
+                self.closure_reads(at)
                 s = self.bind("s", a)
                 self.line(indent, f"_r = {s}(ex, env)")
                 self.line(indent, "if _r:")
                 self.line(indent + 1, "ex.pending += _r")
             elif kind == K_DYN:
-                self._emit_step(indent, a, index, plan_name, wrap)
+                self._emit_step(indent, a, at)
             elif kind == K_FLUSH_CALL:
                 s = self.bind("s", a)
                 if self.suspending:
@@ -885,11 +1018,14 @@ class _Emitter:
                 else:
                     tail = self.bind("t", steps[index:])
                     self.line(indent, "if ex.pending:")
-                    self.line(
-                        indent + 1, wrap(f"{plan_name}.run(ex, env, {tail})")
+                    self.handback(
+                        indent + 1, at, index,
+                        f"{plan_name}.run(ex, env, {tail})",
                     )
+                self.closure_reads(at)
                 self.line(indent, f"{s}(ex, env)")
             elif kind == K_GEN:
+                self.closure_reads(at)
                 self.flush(indent)
                 self.line(indent, f"yield from {self.bind('s', a)}(ex, env)")
             elif kind == K_RET:
@@ -899,39 +1035,45 @@ class _Emitter:
                 rs = self.bind("rs", b)
                 values = ", ".join(self._resolved(v, rs) for v in a)
                 self.line(
-                    indent, f"{'' if depth else 'return '}[{values}]"
+                    indent, f"{'' if frames else 'return '}[{values}]"
                 )
             elif (
                 kind == K_CTRL and type(b) is tuple and b and b[0] == "if"
             ):
-                self.emit_if(indent, b, index, plan_name, wrap, depth)
+                self.emit_if(indent, b, at)
             elif kind == K_CTRL and self.suspending and b and b[0] == "for":
-                self._emit_for(indent, b, depth)
+                self._emit_for(indent, b, at)
             else:
                 # A K_CTRL the body has no expansion for: its step
                 # closure — ``affine.parallel``, and the loop an inline
                 # body meets in a flattened branch.
+                self.closure_reads(at)
                 s = self.bind("s", a)
                 self.line(indent, f"_r = {s}(ex, env)")
                 self.line(indent, "if _r is not None:")
-                self.suspend(indent + 1, wrap, plan_name, index, False)
+                self.suspend(indent + 1, at, False)
 
-    def _emit_for(self, indent, meta, depth):
+    def _emit_for(self, indent, meta, at):
         """An ``affine.for`` of a suspending body: a native loop — plan
         mode pays a generator frame here on every execution."""
         _, body_plan, induction, loop_range = meta
+        plan, plan_name, index, frames = at
         # ``range`` yields ints: the induction variable is typed.
         var = self.define(induction, True)
         self.line(indent, f"for {var} in {self.bind('r', loop_range)}:")
-        self.line(indent + 1, f"env[{self.bind('k', induction)}] = {var}")
-        if self.flattens(body_plan, depth):
+        mark = len(self.lines)
+        self.line(indent + 1, self.store(induction, var))
+        if self.flattens(body_plan):
             self.emit_plan(
-                body_plan, self.plan(body_plan), indent + 1, None, depth + 1
+                body_plan, self.plan(body_plan), indent + 1,
+                (*frames, (plan, plan_name, index)),
             )
         else:  # a plan the emitter cannot express: entered as a plan
             self.line(indent + 1, f"_r = {self.entry(body_plan)}(ex, env)")
             self.line(indent + 1, "if _r is not None:")
             self.line(indent + 2, "yield from _r")
+        if self.empty_since(mark):
+            self.line(indent + 1, "pass")
 
     def prologue(self):
         """The lines before the body: load what it is entered with, check
@@ -983,15 +1125,15 @@ def _emit(plan: BlockPlan, suspending: bool):
         emitter.recipes["_plan"] = lambda site, _i=plan.index: site.plans[_i]
     emitter.bindings["_Future"] = Future
     if suspending:
-        emitter.emit_plan(plan, "_plan", 1, None, 0)
-        if not emitter.lines:
+        emitter.emit_plan(plan, "_plan", 1, ())
+        if emitter.empty_since(0):
             emitter.line(1, "pass")
     else:
         emitter.bindings["_resume"] = _resume
-        emitter.emit_plan(plan, "_plan", 1, lambda gen: f"return {gen}", 0)
+        emitter.emit_plan(plan, "_plan", 1, ())
         emitter.line(1, "return None")
 
-    lines = emitter.prologue() + emitter.lines
+    lines = emitter.prologue() + emitter.text()
     source = "def _plan_body(ex, env, {params}):\n{body}\n".format(
         params=", ".join(emitter.bindings), body="\n".join(lines)
     )

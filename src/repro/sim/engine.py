@@ -60,8 +60,10 @@ from __future__ import annotations
 
 import enum
 import functools
+import itertools
 import time as _time
 from dataclasses import dataclass, field
+from types import CodeType, FunctionType
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
 import numpy as np
@@ -248,99 +250,146 @@ class SimulationResult:
 
 
 class LaunchSite:
-    """What is known of one ``equeue.launch`` op before it runs: the SSA
-    values of its dependency, target and captures, its label and
-    results — and, from its first issue on, the block arguments the
-    captures bind to and the :class:`~repro.sim.plan.BodySite` the body
-    runs for (``PlanCache.bind_site``: the representative's arguments
-    when the body shares a shape).
+    """What is known of one ``equeue.launch`` op before it runs, as the
+    site's :attr:`issue` function: the SSA values of its dependency,
+    target and captures, its label and results are the function's
+    default arguments — and, from its first issue on, the block
+    arguments the captures bind to and the
+    :class:`~repro.sim.plan.BodySite` the body runs for
+    (``PlanCache.bind_site``: the representative's arguments when the
+    body shares a shape).
 
-    :meth:`issue` is THE definition of issuing a launch: the interpreter
+    :attr:`issue` is THE definition of issuing a launch: the interpreter
     calls it through its per-op memo, a compiled plan has it as the
-    step itself.  One slotted record per op and no closure: a cached
-    program keeps one of these per launch site for good.
+    step itself, a generated body calls it directly.  Its code is made
+    once per capture count, process-wide (:func:`_issue_code`): the
+    captures are read into locals and the body env is one dict display.
+    Binding swaps the function's defaults in place, so whoever holds it
+    from before the first issue calls the bound function.
     """
 
-    __slots__ = (
-        "dep", "target", "block", "label", "done", "values", "captures",
-        "futures", "site",
-    )
+    __slots__ = ("op", "issue")
 
     def __init__(self, op: Operation):
-        self.dep = op.operand(0)
-        self.target = op.operand(1)
-        self.block = op.regions[0].entry_block
-        self.label = op.get_attr("label", "launch")
-        self.done = op.results[0]
-        self.values = op.results[1:]
-        #: Block argument -> the captured SSA value bound to it.
-        self.captures: Optional[Dict[Value, Value]] = None
-        self.futures = ()
-        self.site = None
-
-    def bind(self, plans: Optional["PlanCache"]) -> Dict[Value, Value]:
-        arguments, self.site = (
-            plans.bind_site(self.block)
-            if plans is not None
-            else (self.block.arguments, None)
+        self.op = op
+        block = op.regions[0].entry_block
+        count = min(len(op.operands) - 2, len(block.arguments))
+        self.issue = FunctionType(
+            _issue_code(count), globals(), "issue",
+            self._defaults(self, _UNBOUND, (), block.arguments),
         )
-        operands = self.done.owner.operand_values[2:]
-        self.captures = captures = dict(zip(arguments, operands))
+
+    def _defaults(self, owner, site, futures, arguments) -> tuple:
+        op = self.op
+        results = op.results
+        pairs = zip(op.operand_values[2:], arguments)
+        return (
+            owner, site, op.operand(0), op.operand(1),
+            op.regions[0].entry_block, op.get_attr("label", "launch"),
+            results[0], results[1:], futures,
+            *itertools.chain.from_iterable(pairs),
+        )
+
+    def bind(self, plans: Optional["PlanCache"]) -> Callable:
+        """Bind :attr:`issue` to the arguments and site ``plans`` gives
+        the body (the interpreter: none, and the body's own); returns
+        it."""
+        block = self.op.regions[0].entry_block
+        arguments, site = (
+            plans.bind_site(block)
+            if plans is not None
+            else (block.arguments, None)
+        )
         # Only a launch's value results are ever bound to a Future
         # (below, the sole constructor), so which captures can hold one
         # is known from the op alone; the dispatcher resolves exactly
         # those block arguments before the body starts.
-        self.futures = tuple(
+        futures = tuple(
             argument
-            for argument, ssa in captures.items()
+            for argument, ssa in zip(arguments, self.op.operand_values[2:])
             if type(ssa) is OpResult
             and ssa.index
             and ssa.owner.name == "equeue.launch"
         )
-        return captures
+        issue = self.issue
+        issue.__defaults__ = self._defaults(None, site, futures, arguments)
+        return issue
 
-    def issue(self, ex: "_Dispatcher", env: Dict[Value, object]) -> None:
-        engine = ex.engine
-        captures = self.captures
-        if captures is None:
-            captures = self.bind(engine._plans)
-        # The two lookups resolve() makes, without the calls, when the
-        # value is what it nearly always is; anything else — a launch
-        # result, an unbound value — is resolve()'s to sort out.
-        dep = env.get(self.dep)
-        if type(dep) is not SimEvent:
-            dep = engine._resolve(env, self.dep)
-        target = env.get(self.target)
-        if not isinstance(target, ProcessorModel):
-            target = engine._resolve(env, self.target)
-            if not isinstance(target, ProcessorModel):
-                raise EngineError("launch target is not a processor")
-        # The body gets an env of its own (a fresh dict per launch, for
-        # isolation) with the captured values bound straight into it.
-        site = self.site
-        body_env = {} if site is None else {_SITE: site}
-        for argument, ssa in captures.items():
-            try:
-                value = env[ssa]
-            except KeyError:
-                value = None
-            if value is None:
-                value = engine.env.get(ssa)
-                if value is None:
-                    raise EngineError(f"unbound captured value {ssa!r}")
-            body_env[argument] = value
-        sim = engine.sim
-        done = SimEvent(sim, "launch.done")
-        target.enqueue(
-            EventEntry(
-                "launch", dep, done, (self.block, body_env, self.futures),
-                self.label,
-            )
-        )
-        env[self.done] = done
-        if self.values:
-            for index, result in enumerate(self.values):
-                env[result] = Future(done, index)
+
+#: What a site's :attr:`LaunchSite.issue` holds for its body site until
+#: its first issue binds it.
+_UNBOUND = object()
+
+#: Capture count -> the code object of an issue function, compiled once
+#: per count process-wide (as ``codegen._SHAPES`` shares bodies).
+_ISSUE_CODES: Dict[int, CodeType] = {}
+
+
+def _issue_code(count: int) -> CodeType:
+    """The issue function of a launch with ``count`` captures: the
+    dependency and target looked up as they nearly always are, and
+    resolved otherwise; the captures read into locals — one missing or
+    ``None`` sends them all through :func:`_capture`; the entry
+    enqueued with the body env built in one dict display."""
+    code = _ISSUE_CODES.get(count)
+    if code is not None:
+        return code
+    values = [f"_v{i}" for i in range(count)]
+    lines = [
+        "def issue(ex, env, _ls, _site, _dep, _target, _block, _label, "
+        "_done, _values, _futures"
+        + "".join(f", _c{i}, _a{i}" for i in range(count)) + "):",
+        "    if _site is _UNBOUND:",
+        "        return _ls.bind(ex.engine._plans)(ex, env)",
+        "    dep = env.get(_dep)",
+        "    if type(dep) is not SimEvent:",
+        "        dep = Engine._resolve(env, _dep)",
+        "    target = env.get(_target)",
+        "    if not isinstance(target, ProcessorModel):",
+        "        target = Engine._resolve(env, _target)",
+        "        if not isinstance(target, ProcessorModel):",
+        "            raise EngineError('launch target is not a processor')",
+    ]
+    if count:
+        lines += [
+            "    try:",
+            *(f"        _v{i} = env[_c{i}]" for i in range(count)),
+            f"        if {' is None or '.join(values)} is None:",
+            "            raise KeyError",
+            "    except KeyError:",
+            *(f"        _v{i} = _capture(ex, env, _c{i})" for i in range(count)),
+        ]
+    body_env = ", ".join(
+        ["_SITE: _site", *(f"_a{i}: _v{i}" for i in range(count))]
+    )
+    lines += [
+        "    done = SimEvent(ex.sim, 'launch.done')",
+        "    target.enqueue(EventEntry(",
+        f"        'launch', dep, done, (_block, {{{body_env}}}, _futures),",
+        "        _label,",
+        "    ))",
+        "    env[_done] = done",
+        "    if _values:",
+        "        for index, result in enumerate(_values):",
+        "            env[result] = Future(done, index)",
+    ]
+    source = "\n".join(lines) + "\n"
+    module = compile(source, f"<launch-issue-{count}>", "exec")
+    code = _ISSUE_CODES[count] = next(
+        c for c in module.co_consts if isinstance(c, CodeType)
+    )
+    return code
+
+
+def _capture(ex, env, ssa):
+    """A captured value an issue did not find bound in ``env`` (or
+    found ``None``): the engine's env has top-level values."""
+    value = env.get(ssa)
+    if value is None:
+        value = ex.engine.env.get(ssa)
+        if value is None:
+            raise EngineError(f"unbound captured value {ssa!r}")
+    return value
 
 
 class _Dispatcher(Process):
@@ -1319,8 +1368,6 @@ class Engine:
         ranges = op.ranges
 
         def gen():
-            import itertools
-
             spaces = [range(lb, ub, st) for lb, ub, st in ranges]
             for point in itertools.product(*spaces):
                 for arg, coordinate in zip(args, point):
@@ -1583,7 +1630,8 @@ def simulate(
 # engine <-> plan import each other; see the note at the bottom of plan.py.
 from .plan import _EMPTY as _NO_RETURNS  # noqa: E402
 from .plan import (  # noqa: E402
-    _SITE,
+    # ``_SITE`` is named by the issue functions' generated source.
+    _SITE,  # noqa: F401
     PLAN_COUNTERS,
     PLAN_REASONS,
     PlanCache,

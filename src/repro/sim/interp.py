@@ -42,21 +42,41 @@ def _wrap_int(op_name):
     return apply
 
 
+def _int_arrays(a, b, what):
+    """Array operands of ``divsi``/``remsi``, a zero divisor rejected
+    as it is for scalars."""
+    a, b = np.asarray(a), np.asarray(b)
+    if not (b != 0).all():
+        raise InterpError(f"{what} by zero")
+    return a, b
+
+
 def _divsi(a, b):
+    """C-style truncating division, in integers only (a float quotient
+    is inexact past 2**53)."""
     if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
-        # C-style truncating division, elementwise.
-        return np.trunc(np.asarray(a) / np.asarray(b)).astype(np.asarray(a).dtype)
-    if b == 0:
+        a, b = _int_arrays(a, b, "division")
+        # Floor division rounds toward -inf: an inexact quotient of
+        # operands of opposite signs is one below the truncated one.
+        quotient = a // b
+        quotient += ((a < 0) != (b < 0)) & (np.fmod(a, b) != 0)
+        return quotient.astype(a.dtype)
+    a, b = int(a), int(b)
+    if not b:
         raise InterpError("division by zero")
-    return int(a / b) if (a < 0) != (b < 0) and a % b != 0 else a // b
+    return a // b if (a < 0) == (b < 0) else -(-a // b)
 
 
 def _remsi(a, b):
+    """The remainder of :func:`_divsi`: the dividend's sign, smaller
+    than the divisor."""
     if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
-        return np.fmod(np.asarray(a), np.asarray(b))
-    if b == 0:
+        return np.fmod(*_int_arrays(a, b, "remainder"))
+    a, b = int(a), int(b)
+    if not b:
         raise InterpError("remainder by zero")
-    return a - _divsi(a, b) * b
+    remainder = abs(a) % abs(b)
+    return remainder if a >= 0 else -remainder
 
 
 _CMP: Dict[str, Callable] = {

@@ -1399,7 +1399,7 @@ def _c_write(cache, engine, op):
 
 @_compiles("equeue.launch")
 def _c_launch(cache, engine, op):
-    # The step is the launch site's own issue method: nothing between
+    # The step is the launch site's own issue function: nothing between
     # the plan (or the generated body) and THE definition of a launch.
     return (K_FLUSH_CALL, LaunchSite(op).issue, None)
 

@@ -1,8 +1,10 @@
 """Tests for the operation-function library and the functional interpreter."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.sim import interp, oplib
@@ -141,6 +143,54 @@ def test_divsi_remsi_invariant(a, b):
     remainder = interp.evaluate_arith("arith.remsi", [a, b], {})
     assert quotient * b + remainder == a
     assert abs(remainder) < abs(b)
+
+
+#: Operands up to 2**63: an int64 lane each (the one quotient int64 cannot
+#: hold, -2**63 / -1, left out).
+_INT64 = st.integers(-(2**63) + 1, 2**63 - 1)
+_DIVISOR = _INT64.filter(lambda v: v != 0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_INT64, _DIVISOR)
+@example(-(2**60 + 1), 3)
+@example(2**62 + 1, -3)
+def test_divsi_remsi_are_exact_truncation(a, b):
+    """Integer-only: a float quotient is off past 2**53 (``divsi(-(2**60
+    + 1), 3)`` came back 21 too high, its remainder larger than 3)."""
+    quotient = int(Fraction(a, b))
+    assert interp.evaluate_arith("arith.divsi", [a, b], {}) == quotient
+    assert interp.evaluate_arith("arith.remsi", [a, b], {}) == a - quotient * b
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_INT64, _DIVISOR), min_size=1, max_size=8))
+def test_array_divsi_remsi_are_exact_truncation(pairs):
+    a = np.array([x for x, _ in pairs], np.int64)
+    b = np.array([y for _, y in pairs], np.int64)
+    quotients = [int(Fraction(x, y)) for x, y in pairs]
+    divided = interp.evaluate_arith("arith.divsi", [a, b], {})
+    remainders = interp.evaluate_arith("arith.remsi", [a, b], {})
+    assert divided.dtype == remainders.dtype == np.int64
+    assert divided.tolist() == quotients
+    assert remainders.tolist() == [
+        x - q * y for (x, y), q in zip(pairs, quotients)
+    ]
+
+
+@pytest.mark.parametrize("name", ["arith.divsi", "arith.remsi"])
+@pytest.mark.parametrize(
+    "operands",
+    [
+        (7, 0),
+        (np.array([4, 5], np.int64), np.array([1, 0], np.int64)),
+        (np.array([4, 5], np.int32), 0),
+        (9, np.array([3, 0], np.int64)),
+    ],
+)
+def test_a_zero_divisor_is_an_error_for_scalars_and_arrays(name, operands):
+    with pytest.raises(interp.InterpError, match="by zero"):
+        interp.evaluate_arith(name, list(operands), {})
 
 
 @settings(max_examples=40, deadline=None)

@@ -278,11 +278,11 @@ def test_a_nest_is_native_loops_at_every_depth(tier_up_at, force_kind):
         r"(.*\n)*?\1        for _n\d+ in _r\d+:\n",
         text,
     )
-    # A read that waits, in the handler's order, in two lines' booking.
+    # A read that waits, in the handler's order, in two lines' booking
+    # (its value a local alone: nothing reads env for it).
     assert re.search(
         r"if _co > 0:\n"
-        r" +(_x\d+) = _x\d+\.array\.item\(_n\d+, _n\d+, _n\d+\)\n"
-        r" +env\[_k\d+\] = \1\n"
+        r" +_x\d+ = _x\d+\.array\.item\(_n\d+, _n\d+, _n\d+\)\n"
         r" +_m\.bytes_read \+= _x\d+\.element_bits >> 3\n"
         r" +_m\.reads \+= 1\n"
         r" +if ex\.pending:\n +_p = ex\.pending\n +ex\.pending = 0\n"

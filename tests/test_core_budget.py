@@ -1,7 +1,7 @@
 """Line budgets for the engine core and the service lifecycle: ratchets,
 not style rules.
 
-ROADMAP item 2 wants the op semantics stated once and the three files
+ROADMAP item 3 wants the op semantics stated once and the three files
 that state them today — ``sim/engine.py``, ``sim/plan.py``,
 ``sim/codegen.py`` — down by a third.  This pins the sum of their *code*
 lines (a line holding at least one token that is not a comment, a
@@ -20,7 +20,13 @@ stamped launch body binds to its class representative's shape (a
 lockstep walk beside the representative in place of a key walk, the
 site's shape on ``BodySite``, the stamp relation on the cache —
 ``plan.py`` +22); 2 776 once a queued entry stopped stamping the issue,
-ready and end times nothing read (``engine.py`` −3).
+ready and end times nothing read (``engine.py`` −3); 2 886 once a launch
+site issues through code made for it and a generated body writes env
+only for a reader (``engine.py`` +28: the issue function's generator
+and its slow capture path in place of the capture loop; ``codegen.py``
++82: what a replay reads, the spill before it and the env writes that
+wait for the body's readers, in place of the write-through and the
+flattening depth).
 
 ROADMAP item 4 wants the service core an explicit state machine over
 one log; :data:`LIFECYCLE` pins its files the same way.  Readings: 1 507
@@ -44,7 +50,7 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 CORE = ("sim/engine.py", "sim/plan.py", "sim/codegen.py")
-BUDGET = 2776
+BUDGET = 2886
 #: The job lifecycle and the append-only log under the WAL and the sweep
 #: journal.
 LIFECYCLE = (
