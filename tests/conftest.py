@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+from contextlib import ExitStack
+
 import numpy as np
 import pytest
 
 import repro.dialects  # noqa: F401  (register all dialects)
+
+# The differential harness asserts; its failures read like a test's.
+pytest.register_assert_rewrite("tests.differential")
 
 
 def conv2d_reference(ifmap: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -23,46 +28,6 @@ def conv2d_reference(ifmap: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return out
 
 
-def observables(engine, result):
-    """Everything a finished run lets a test see of the *simulated*
-    machine — what every execution mode and scheduler must agree on."""
-    summary = result.summary
-    return {
-        "cycles": result.cycles,
-        "truncated": result.truncated,
-        "events": summary.scheduler_events,
-        "tiers": (
-            summary.microtask_events,
-            summary.wheel_events,
-            summary.heap_events,
-        ),
-        "launches": summary.launches_executed,
-        "buffers": {
-            name: buffer.array.tolist()
-            for name, buffer in sorted(result.buffers.items())
-        },
-        "processors": [
-            (p.name, p.busy_cycles, p.executed_events)
-            for p in engine.processors
-        ],
-        "memories": [
-            (
-                m.name, m.bytes_read, m.bytes_written, m.reads, m.writes,
-                m.queue.total_busy_cycles if m.queue is not None else None,
-            )
-            for m in engine.memories
-        ],
-        "connections": [
-            (
-                c.name, c.bytes_read, c.bytes_written, c.transfers,
-                c.read_queue.total_busy_cycles,
-                c.write_queue.total_busy_cycles,
-            )
-            for c in engine.connections
-        ],
-    }
-
-
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
@@ -78,14 +43,12 @@ def module_and_builder():
 
 
 @pytest.fixture
-def tier_up_at(monkeypatch):
+def tier_up_at():
     """``tier_up_at(n)`` sets how many executions a block replays before
     ``mode=codegen`` generates its body — a module constant, not an
     option, so tests that need generated code on a small program (or
-    none on a big one) patch it."""
-    from repro.sim import plan
+    none on a big one) patch it, for the rest of the test."""
+    from tests.differential import tier_up
 
-    def set_threshold(executions: int) -> None:
-        monkeypatch.setattr(plan, "TIER_UP_EXECUTIONS", executions)
-
-    return set_threshold
+    with ExitStack() as patches:
+        yield lambda executions: patches.enter_context(tier_up(executions))

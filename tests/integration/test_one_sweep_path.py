@@ -43,7 +43,7 @@ from repro.sim.batch import (
     process_compile_cache,
 )
 from repro.sim.journal import load_journal
-from tests.service.test_chaos import HOST_FIELDS
+from tests.differential import HOST_FIELDS
 
 SEED = 5
 

@@ -17,6 +17,7 @@ from repro.ir import parse_module, print_op, verify
 from repro.scenarios import get_scenario, scenario_names
 from repro.sim import simulate
 from tests.conftest import conv2d_reference
+from tests.differential import observables
 
 
 class TestSystolicRoundtrip:
@@ -88,14 +89,6 @@ def _scenario_points():
         yield pytest.param(scenario, scenario.grid_points()[-1], id=f"{name}-grid")
 
 
-def _observed(result):
-    return (
-        result.cycles,
-        result.summary.scheduler_events,
-        {name: buffer.array.tolist() for name, buffer in result.buffers.items()},
-    )
-
-
 class TestFrontEndDifferential:
     """The text front end is invisible: a module that went through
     print -> parse prints the same and simulates the same."""
@@ -110,7 +103,7 @@ class TestFrontEndDifferential:
         inputs = scenario.make_inputs(cfg, 0)
         built = simulate(scenario.build(cfg), inputs=inputs)
         through_text = simulate(parsed, inputs=inputs)
-        assert _observed(through_text) == _observed(built)
+        assert observables(None, through_text) == observables(None, built)
         scenario.check(cfg, through_text, 0)
 
     @pytest.mark.parametrize("path", PROGRAMS, ids=lambda path: path.name)
@@ -125,6 +118,6 @@ class TestFrontEndDifferential:
         parsed = parse_module(text)
         verify(parsed)
         assert print_op(parsed) == code
-        assert _observed(simulate(parse_module(code))) == _observed(
-            simulate(parsed)
+        assert observables(None, simulate(parse_module(code))) == observables(
+            None, simulate(parsed)
         )

@@ -230,13 +230,13 @@ class TestEngineGoldenKeys:
         the reason spelled as a metric-name suffix.  (``await`` and
         returned values are no cause: FIR declines nothing.)"""
         from repro.scenarios import simulate_scenario
-        from tests.sim.test_suspending_bodies import (
+        from tests.differential import (
             ExtendedEngine,
-            _extension_op_program,
+            extension_op_program,
         )
 
         assert simulate_scenario("fir")[0].summary.codegen_fallbacks == 0
-        module, inputs = _extension_op_program()
+        module, inputs = extension_op_program()
         before = obs_metrics.get_registry().snapshot()
         obs_metrics.enable_metrics()
         try:

@@ -1,13 +1,12 @@
-"""Differential tests: every registered scenario is bit-identical across
-the wheel/heap schedulers AND all three execution modes (the reference
-interpreter, block-plan replay, and per-plan source codegen).
+"""Scenario sweeps are deterministic, and what double buffering buys.
 
-The registry makes this a closed-world property: the suite sweeps the
-*registry*, so a newly added workload is automatically held to the same
-standard — cycles, scheduler-event counts, launches, final buffer
-contents, per-memory and per-connection traffic all equal across the
-six (scheduler x execution-mode) combinations, with the reference
-scheduler/interpreter pair as ground truth.
+Every registered scenario is a corpus program of ``tests/differential.py``
+(its default and the last point of its grid), so the per-PR backend
+matrix (``tests/sim/test_backend_matrix.py``) sweeps the *registry*: a
+newly added workload is held to the same standard with no test to
+write.  Here: sweeps in parallel and through the program cache equal
+serial and cold runs, and the weekly grids none of the per-PR
+programs reach.
 """
 
 from __future__ import annotations
@@ -22,95 +21,11 @@ from repro.scenarios import (
     scenario_names,
     simulate_scenario,
 )
-from repro.sim import Engine, EngineOptions, simulate
-
-BACKENDS = [
-    ("wheel", "plan"),
-    ("wheel", "interpret"),
-    ("wheel", "codegen"),
-    ("heap", "plan"),
-    ("heap", "interpret"),
-    ("heap", "codegen"),
-]
+from repro.sim import simulate
+from tests.differential import REFERENCE, agree, scenario_program
 
 
-def observables(engine: Engine, result):
-    """Everything a backend may not change, as a comparable structure."""
-    return {
-        "cycles": result.cycles,
-        "truncated": result.truncated,
-        "scheduler_events": result.summary.scheduler_events,
-        "launches_executed": result.summary.launches_executed,
-        "buffers": {
-            name: buffer.array.tolist()
-            for name, buffer in result.buffers.items()
-        },
-        "processors": [
-            (p.name, p.busy_cycles, p.executed_events)
-            for p in engine.processors
-        ],
-        "memories": [
-            (m.name, m.bytes_read, m.bytes_written, m.reads, m.writes)
-            for m in engine.memories
-        ],
-        "connections": [
-            (c.name, c.bytes_read, c.bytes_written, c.transfers)
-            for c in engine.connections
-        ],
-    }
-
-
-def run_all_backends(name: str, seed: int = 0, **overrides):
-    """Simulate a scenario config on all six backends; assert equality.
-
-    Returns the reference (wheel + plan) result for further checks.
-    """
-    scenario = get_scenario(name)
-    cfg = scenario.configure(**overrides)
-    reference = None
-    reference_result = None
-    for scheduler, mode in BACKENDS:
-        module = scenario.build(cfg)  # fresh module: engines mutate buffers
-        engine = Engine(
-            module,
-            EngineOptions(scheduler=scheduler, mode=mode),
-            scenario.make_inputs(cfg, seed),
-        )
-        result = engine.run()
-        observed = observables(engine, result)
-        if reference is None:
-            reference, reference_result = observed, result
-        else:
-            assert observed == reference, (
-                f"{name} diverged on scheduler={scheduler} mode={mode}"
-            )
-    # The oracle holds on the cross-checked result.
-    scenario.check(cfg, reference_result, seed)
-    return reference_result
-
-
-class TestNewWorkloadsDifferential:
-    @pytest.mark.parametrize("double_buffer", [True, False])
-    def test_gemm(self, double_buffer):
-        result = run_all_backends(
-            "gemm", seed=5, double_buffer=double_buffer, k=8
-        )
-        # The SRAM tile reads and DRAM staging are short-delay events:
-        # the workload genuinely exercises the calendar wheel.
-        assert result.summary.wheel_events > 0
-        assert result.summary.microtask_events > 0
-
-    @pytest.mark.parametrize("link_bandwidth", [0, 1, 2, 4])
-    def test_mesh(self, link_bandwidth):
-        result = run_all_backends(
-            "mesh", seed=5,
-            rows=3, cols=3, rounds=3, link_bandwidth=link_bandwidth,
-        )
-        if link_bandwidth:
-            # Per-hop transfers are 1-4 cycle delays: the wheel's
-            # short-delay tier, at mesh fan-out.
-            assert result.summary.wheel_events > 0
-
+class TestGemmStructure:
     def test_gemm_double_buffering_hides_latency(self):
         """The point of the structure: ping-pong staging overlaps DRAM
         transfer with compute, strictly beating the single-buffer plan
@@ -132,14 +47,6 @@ class TestNewWorkloadsDifferential:
         np.testing.assert_array_equal(
             double.buffer("c_out"), single.buffer("c_out")
         )
-
-
-class TestRegisteredScenariosDifferential:
-    """Every registry entry, default config, all six backends."""
-
-    @pytest.mark.parametrize("name", sorted(scenario_names()))
-    def test_backends_identical(self, name):
-        run_all_backends(name, seed=2)
 
 
 class TestScenarioSweepDeterminism:
@@ -198,13 +105,16 @@ class TestBigGridSlow:
     """Weekly-CI scale: grids none of the per-PR workloads reach."""
 
     def test_mesh_8x8_differential(self):
-        result = run_all_backends(
-            "mesh", rows=8, cols=8, rounds=6, link_bandwidth=2
+        program = scenario_program(
+            "mesh", seed=0, rows=8, cols=8, rounds=6, link_bandwidth=2
         )
+        result = agree(program.build)[REFERENCE].result
+        program.check(result)
         assert result.summary.launches_executed > 8 * 8 * 6
 
     def test_gemm_long_reduction_differential(self):
-        run_all_backends("gemm", k=64, tile_k=8, m=6, n=6)
+        program = scenario_program("gemm", seed=0, k=64, tile_k=8, m=6, n=6)
+        program.check(agree(program.build)[REFERENCE].result)
 
     def test_full_default_grids_oracle_checked(self):
         """Every point of every scenario's declared sweep grid builds,

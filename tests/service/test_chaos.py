@@ -29,6 +29,7 @@ from repro.service import JobRequest, JobScheduler, ServiceClient, ServiceError
 from repro.service import faults
 from repro.service import scheduler as scheduler_module
 from repro.service.server import make_server
+from tests.differential import HOST_FIELDS
 
 #: The deterministic request mix every plan runs (spec, config, seed) —
 #: fast scenarios only, so a 24-plan campaign stays tier-1 viable.
@@ -53,29 +54,6 @@ DEADLINE_S = 0.2
 SLOW_DELAY_S = 0.35
 
 CHAOS_SEEDS = range(24)
-
-
-#: Summary fields that measure the *host* (wall time, per-process
-#: compile-cache hit/miss split, which blocks had run often enough to
-#: get generated code), not the simulation.  Everything else — cycles,
-#: event counts, memory traffic, the checked model — must match bit
-#: for bit.
-HOST_FIELDS = (
-    "execution_time_s",
-    "plans_compiled",
-    "plan_cache_hits",
-    "plan_shapes",
-    "plans_shared",
-    "plan_share_declined",
-    "blocks_codegenned",
-    "codegen_code_shared",
-    "codegen_tiered_up",
-    "codegen_typed",
-    "codegen_suspending",
-    "codegen_deopts",
-    "codegen_fallbacks",
-    "codegen_fallback_reasons",
-)
 
 
 def canonical(record):

@@ -36,25 +36,7 @@ from repro.service import (
 from repro.service.scheduler import request_store_key
 from repro.service.server import FAULT_PLAN_ENV, make_server
 from repro.service.wal import AdmissionWAL, load_wal
-
-#: Summary fields that measure the *host*, not the simulation (same
-#: list the chaos suite pins): everything else must match bit for bit.
-HOST_FIELDS = (
-    "execution_time_s",
-    "plans_compiled",
-    "plan_cache_hits",
-    "plan_shapes",
-    "plans_shared",
-    "plan_share_declined",
-    "blocks_codegenned",
-    "codegen_code_shared",
-    "codegen_tiered_up",
-    "codegen_typed",
-    "codegen_suspending",
-    "codegen_deopts",
-    "codegen_fallbacks",
-    "codegen_fallback_reasons",
-)
+from tests.differential import HOST_FIELDS
 
 
 def canonical(record):

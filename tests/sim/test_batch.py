@@ -22,7 +22,7 @@ from repro.sim import (
 from repro.sim import plan
 from repro.sim.batch import deterministic_conv_inputs
 from repro.sim.plan import PlanCache
-from tests.service.test_chaos import HOST_FIELDS
+from tests.differential import HOST_FIELDS
 
 
 def _ws_config(**dims_kwargs) -> SystolicConfig:

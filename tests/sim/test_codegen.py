@@ -5,8 +5,9 @@ reference interpreter, block-plan replay, or per-plan Python source
 codegen (:mod:`repro.sim.codegen`).  These tests pin down:
 
 * the one canonical normalization point (:func:`resolve_execution_mode`),
-* bit-identity of all three modes on loop/branch/dynamic-index programs,
-  including a hypothesis property over randomly generated small modules,
+* bit-identity on loop/branch/dynamic-index programs (``agree`` of
+  ``tests/differential.py``), including a hypothesis property over
+  randomly generated small modules,
 * the codegen counters, the ``source_of`` escape hatch, and the plan
   cache's mode keying (plan and codegen artifacts never mix).
 
@@ -37,9 +38,7 @@ from repro.sim import (
     resolve_execution_mode,
     simulate,
 )
-from tests.conftest import observables
-
-MODES = ("interpret", "plan", "codegen")
+from tests.differential import REFERENCE, agree, empty_program
 
 
 @pytest.fixture(autouse=True)
@@ -55,7 +54,7 @@ def _generate_at_first_execution(tier_up_at):
 class TestExecutionMode:
     def test_resolution_matrix(self):
         assert resolve_execution_mode(None) is ExecutionMode.CODEGEN
-        for spelling in MODES:
+        for spelling in ("interpret", "plan", "codegen"):
             assert resolve_execution_mode(spelling) is ExecutionMode(spelling)
             assert (
                 resolve_execution_mode(ExecutionMode(spelling))
@@ -72,7 +71,7 @@ class TestExecutionMode:
 
     def test_options_resolve_to_the_enum(self):
         assert EngineOptions().mode is resolve_execution_mode(None)
-        for spelling in MODES:
+        for spelling in ("interpret", "plan", "codegen"):
             assert EngineOptions(mode=spelling).mode is ExecutionMode(spelling)
         with pytest.raises(ValueError, match="valid modes"):
             EngineOptions(mode="turbo")
@@ -83,34 +82,10 @@ class TestExecutionMode:
 # ---------------------------------------------------------------------------
 
 
-def run_all_modes(build, **option_overrides):
-    """Build + simulate a program once per mode and assert every
-    observable matches.  ``build()`` must return ``(module, inputs)``
-    freshly each call (engines mutate buffer state).  Returns the
-    per-mode results keyed by mode string."""
-    results = {}
-    reference = None
-    for mode in MODES:
-        module, inputs = build()
-        options = EngineOptions(mode=mode, **option_overrides)
-        engine = Engine(module, options, inputs)
-        result = engine.run()
-        assert result.summary.execution_mode == mode
-        seen = observables(engine, result)
-        if reference is None:
-            reference = seen
-        else:
-            assert seen == reference, f"mode {mode!r} diverged"
-        results[mode] = result
-    return results
-
-
 def _branchy_program(n: int = 12):
     """A loop mixing the codegen fast paths: constant-folded arith,
     dynamic-index reads/writes, and an ``scf.if`` clamp."""
-    module = ir.create_module()
-    builder = ir.Builder(ir.InsertionPoint.at_end(module.body))
-    eq = EQueueBuilder(builder)
+    module, eq = empty_program()
     pe = eq.create_proc("MAC", name="pe")
     mem = eq.create_mem("Register", 256, ir.i32, name="mem")
     src = eq.alloc(mem, [n], ir.i32, name="src")
@@ -150,31 +125,9 @@ class TestCodegenDifferential:
         def build():
             return _branchy_program(), {"src": data}
 
-        results = run_all_modes(build)
-        codegen = results["codegen"]
-        assert codegen.summary.blocks_codegenned > 0
+        result = agree(build)[REFERENCE].result
         expected = np.minimum(data * 3, 20)
-        np.testing.assert_array_equal(codegen.buffer("dst"), expected)
-
-    def test_systolic(self, rng):
-        from repro.dialects.linalg import ConvDims
-        from repro.generators.systolic import (
-            SystolicConfig,
-            build_systolic_program,
-        )
-
-        dims = ConvDims(n=1, c=2, h=6, w=6, fh=2, fw=2)
-        ifmap = rng.integers(-3, 4, (2, 6, 6)).astype(np.int32)
-        weights = rng.integers(-3, 4, (1, 2, 2, 2)).astype(np.int32)
-
-        def build():
-            program = build_systolic_program(
-                SystolicConfig("WS", 3, 3, dims)
-            )
-            return program.module, program.prepare_inputs(ifmap, weights)
-
-        results = run_all_modes(build)
-        assert results["codegen"].summary.blocks_codegenned > 0
+        np.testing.assert_array_equal(result.buffer("dst"), expected)
 
     def test_fir_counts_fallbacks(self, rng):
         from repro.generators.fir import FIRConfig, build_fir_program
@@ -187,21 +140,12 @@ class TestCodegenDifferential:
             program = build_fir_program(cfg)
             return program.module, program.prepare_inputs(samples, coeffs)
 
-        results = run_all_modes(build)
-        summary = results["codegen"].summary
+        summary = agree(build)["codegen@0/wheel"].summary
         # Every body of the FIR cascade awaits, returns values or holds
         # a loop: codegen takes them all, as generators, and declines
         # nothing.
         assert summary.blocks_codegenned == summary.codegen_suspending > 0
         assert summary.codegen_fallbacks == 0
-
-    def test_heap_scheduler(self, rng):
-        data = rng.integers(-40, 40, 12).astype(np.int32)
-
-        def build():
-            return _branchy_program(), {"src": data}
-
-        run_all_modes(build, scheduler="heap")
 
     def test_detailed_trace_matches(self, rng):
         """Detailed tracing disables the arith/extern metadata fast
@@ -209,7 +153,7 @@ class TestCodegenDifferential:
         emit the interpreter's exact records."""
         data = rng.integers(-40, 40, 12).astype(np.int32)
         records = []
-        for mode in MODES:
+        for mode in ("interpret", "plan", "codegen"):
             options = EngineOptions(trace=True, detailed_trace=True, mode=mode)
             result = Engine(
                 _branchy_program(), options, {"src": data}
@@ -330,9 +274,7 @@ _OPS = ("addi", "subi", "muli", "maxsi", "minsi", "xori", "andi", "ori")
 def _random_program(n, consts, ops, threshold):
     """A random straight-line arith chain inside a loop, with a
     conditional clamp — every codegen fast path in one small module."""
-    module = ir.create_module()
-    builder = ir.Builder(ir.InsertionPoint.at_end(module.body))
-    eq = EQueueBuilder(builder)
+    module, eq = empty_program()
     pe = eq.create_proc("MAC", name="pe")
     mem = eq.create_mem("Register", 256, ir.i32, name="mem")
     src = eq.alloc(mem, [n], ir.i32, name="src")
@@ -387,4 +329,4 @@ class TestCodegenProperty:
         def build():
             return _random_program(n, consts, ops, threshold), {"src": data}
 
-        run_all_modes(build)
+        agree(build, ("plan/wheel", "codegen@0/wheel"))

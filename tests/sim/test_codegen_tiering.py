@@ -5,10 +5,10 @@ been entered ``plan.TIER_UP_EXECUTIONS`` times, then generates its body —
 from an already compiled code object when some block of the same shape
 got there first.  These tests hold:
 
-* every registered scenario, plus two programs whose bodies suspend
-  (a contended read; a flush with pending cycles), bit-identical across
-  ``interpret``, ``plan`` and codegen with the tier-up at the first
-  execution, in the middle of the run, and never — on both schedulers;
+* that the two programs of ``tests/differential.py`` whose hot bodies
+  suspend (a contended read; a flush with pending cycles) do suspend in
+  generated code — ``tests/sim/test_backend_matrix.py`` holds them, and
+  every registered scenario, bit-identical at every tier-up;
 * exact counts: how many ``compile()`` calls a cold run makes, that a
   block below the threshold makes none, that executions are counted
   across simulations sharing a :class:`PlanCache`;
@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import gc
 import inspect
-import sys
 
 import numpy as np
 import pytest
@@ -29,111 +28,8 @@ from repro.dialects import affine, arith
 from repro.dialects.equeue import EQueueBuilder
 from repro.dialects.linalg import ConvDims
 from repro.generators.systolic import SystolicConfig, build_systolic_program
-from repro.scenarios import get_scenario, scenario_names
-from repro.sim import Engine, EngineOptions, PlanCache, codegen, plan, simulate
-from tests.conftest import observables
-
-#: Tier-up thresholds: generated at the first execution, swapped in
-#: mid-run, never reached.
-TIERS = {"codegen@0": 0, "codegen@2": 2, "codegen@never": sys.maxsize}
-VARIANTS = ("interpret", "plan", *TIERS)
-
-
-# ---------------------------------------------------------------------------
-# Programs whose hot body suspends
-# ---------------------------------------------------------------------------
-
-
-def _two_pe_program(loop_body, n=8):
-    """Two PEs each running ``loop_body`` ``n`` times over one shared
-    SRAM source buffer and their own register destination."""
-    module = ir.create_module()
-    builder = ir.Builder(ir.InsertionPoint.at_end(module.body))
-    eq = EQueueBuilder(builder)
-    sram = eq.create_mem("SRAM", 256, ir.i32, name="sram")
-    regs = eq.create_mem("Register", 256, ir.i32, name="regs")
-    src = eq.alloc(sram, [n], ir.i32, name="src")
-    start = eq.control_start()
-    done = []
-    for k in range(2):
-        pe = eq.create_proc("MAC", name=f"pe{k}")
-        dst = eq.alloc(regs, [n], ir.i32, name=f"dst{k}")
-
-        def body(b, src_a, dst_a):
-            affine.for_loop(
-                b, 0, n, body=lambda b2, i: loop_body(b2, i, src_a, dst_a)
-            )
-
-        done.append(
-            eq.launch(start, pe, args=[src, dst], body=body, label=f"pe{k}")[0]
-        )
-    eq.await_(eq.control_and(done))
-    ir.verify(module)
-    return module
-
-
-def _contended_read(b, i, src, dst):
-    # Both PEs read the one-ported SRAM in the same cycles: the read
-    # takes the general handler and suspends on the memory's queue.
-    eq = EQueueBuilder(b)
-    x = eq.read_element(src, [i])
-    eq.write_element(arith.muli(b, x, x), dst, [i])
-
-
-def _pending_flush(b, i, src, dst):
-    # The addi leaves a pending cycle, so the control_start that
-    # follows must flush — a suspension in the middle of the body.
-    eq = EQueueBuilder(b)
-    x = eq.read_element(dst, [i])
-    eq.write_element(arith.addi(b, x, x), dst, [i])
-    eq.control_start()
-    y = eq.read_element(src, [i])
-    eq.write_element(arith.addi(b, y, x), dst, [i])
-
-
-SUSPENDING = {
-    "contended-read": _contended_read,
-    "pending-flush": _pending_flush,
-}
-
-
-def _builder(program):
-    """``build() -> (module, inputs)`` for a scenario or a suspending
-    program."""
-    if program in SUSPENDING:
-        data = np.arange(1, 9, dtype=np.int32)
-        return lambda: (_two_pe_program(SUSPENDING[program]), {"src": data})
-    scenario = get_scenario(program)
-    cfg = scenario.configure()
-    return lambda: (scenario.build(cfg), scenario.make_inputs(cfg, 5))
-
-
-@pytest.mark.parametrize("scheduler", ["wheel", "heap"])
-@pytest.mark.parametrize("program", [*scenario_names(), *SUSPENDING])
-def test_every_tier_is_bit_identical(program, scheduler, tier_up_at):
-    build = _builder(program)
-    reference = None
-    for variant in VARIANTS:
-        if variant in TIERS:
-            tier_up_at(TIERS[variant])
-        module, inputs = build()
-        options = EngineOptions(
-            mode=variant.split("@")[0], scheduler=scheduler
-        )
-        engine = Engine(module, options, inputs)
-        result = engine.run()
-        seen = observables(engine, result)
-        if reference is None:
-            reference = seen
-        assert seen == reference, f"{variant} diverged from interpret"
-        generated = result.summary.blocks_codegenned
-        if variant == "codegen@0":
-            assert generated > 0
-            assert result.summary.codegen_tiered_up == 0
-        elif variant == "codegen@2":
-            assert result.summary.codegen_tiered_up == generated
-        else:
-            assert generated == 0
+from repro.sim import EngineOptions, PlanCache, codegen, plan, simulate
+from tests.differential import SUSPENDING, empty_program
 
 
 def test_suspending_bodies_do_suspend_in_generated_code(
@@ -165,8 +61,8 @@ def test_suspending_bodies_do_suspend_in_generated_code(
 
     compile_body = codegen.compile_block_body
     monkeypatch.setattr(codegen, "compile_block_body", tallying)
-    for program in SUSPENDING:
-        module, inputs = _builder(program)()
+    for build in SUSPENDING.values():
+        module, inputs = build()
         before = len(waits)
         result = simulate(module, inputs=inputs)
         assert result.summary.codegen_suspending >= 2  # one per PE body
@@ -244,9 +140,7 @@ def test_cold_ws_4x4_compiles_at_most_25_bodies(compile_calls):
 
 def _counted_loop(n):
     """One launch whose loop body runs ``n`` times."""
-    module = ir.create_module()
-    builder = ir.Builder(ir.InsertionPoint.at_end(module.body))
-    eq = EQueueBuilder(builder)
+    module, eq = empty_program()
     pe = eq.create_proc("MAC", name="pe")
     regs = eq.create_mem("Register", 256, ir.i32, name="regs")
     buf = eq.alloc(regs, [n], ir.i32, name="buf")

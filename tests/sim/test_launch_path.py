@@ -38,15 +38,20 @@ from repro.sim import (
     Engine,
     EngineError,
     EngineOptions,
-    PlanCache,
     codegen,
     engine,
 )
 from repro.sim.oplib import OpFunction, register_op_function
-from tests.conftest import observables
-from tests.sim.test_dispatch import _program, _returns_captured
+from tests.differential import (
+    REFERENCE,
+    agree,
+    empty_program,
+    returns_captured,
+    run,
+)
 
-SCHEDULERS = ("wheel", "heap")
+#: Generated from the first execution, on both schedulers.
+FIRST = ("codegen@0/wheel", "codegen@0/heap")
 
 #: Launches of each program below: enough that each path is taken.
 SITES = 6
@@ -54,40 +59,15 @@ SITES = 6
 register_op_function(OpFunction("none_of", 0, lambda x: (None,)), replace=True)
 
 
-def _run(build, mode, scheduler="wheel", cache=None, **options):
-    module, inputs = build()
-    eng = Engine(
-        module, EngineOptions(mode=mode, scheduler=scheduler, **options),
-        inputs, plan_cache=cache,
-    )
-    result = eng.run()
-    return observables(eng, result), result
-
-
-def _agree(build, **options):
-    """Generated code leaves the interpreter's observables on both
-    schedulers; returns the plans of the last generated run."""
-    for scheduler in SCHEDULERS:
-        reference, _ = _run(build, "interpret", scheduler, **options)
-        cache = PlanCache()
-        seen, _ = _run(build, "codegen", scheduler, cache, **options)
-        assert seen == reference, f"codegen diverged on {scheduler}"
-    return [plan for _, plan in cache.plans.values()]
-
-
-def _goes_wrong(build):
-    """With a fence patched away, generated code raises or diverges."""
-    reference, _ = _run(build, "interpret")
-    try:
-        seen, _ = _run(build, "codegen")
-    except EngineError:
-        return True
-    return seen != reference
+def _plans(runs):
+    """The plans of the last run of ``agree``."""
+    *_, done = runs.values()
+    return [plan for _, plan in done.engine._plans.plans.values()]
 
 
 def _bodies(plans):
     """The generated launch bodies among ``plans``, one per text, as
-    ``(function, text)``."""
+    ``(text, function)``."""
     return list({
         codegen.source_of(plan.compiled): plan.compiled
         for plan in plans
@@ -100,7 +80,7 @@ def _bodies(plans):
 def _sites(body, *buffers):
     """``SITES`` launches of ``body`` on one processor, capturing the
     index ``k`` and ``buffers``; returns the builder's module."""
-    module, eq = _program()
+    module, eq = empty_program()
     regs = eq.create_mem("Register", 256, ir.i32, name="regs")
     sram = eq.create_mem("SRAM", 64, ir.i32, name="sram")
     made = [
@@ -145,9 +125,8 @@ def _waits_between():
     }
 
 
-def test_values_read_after_a_wait_are_spilled_before_the_replay(tier_up_at):
-    tier_up_at(0)
-    (text, body), = _bodies(_agree(_waits_between))
+def test_values_read_after_a_wait_are_spilled_before_the_replay():
+    (text, body), = _bodies(_plans(agree(_waits_between, FIRST)))
     assert not inspect.isgeneratorfunction(body)
     # The index and the datum reach env only on the way to the replay.
     spills = [
@@ -162,10 +141,10 @@ def test_values_read_after_a_wait_are_spilled_before_the_replay(tier_up_at):
     assert not re.search(r"\n    env\[", text)
 
 
-def test_the_spill_is_what_holds(tier_up_at, monkeypatch):
-    tier_up_at(0)
+def test_the_spill_is_what_holds(monkeypatch):
     monkeypatch.setattr(codegen._Emitter, "spill", lambda *args: None)
-    assert _goes_wrong(_waits_between)
+    with pytest.raises((AssertionError, EngineError)):
+        agree(_waits_between, FIRST)
 
 
 def _closure_reads():
@@ -192,7 +171,7 @@ def _closure_reads():
 
         eq.launch(eq.control_start(), helper, args=[after, out], body=inner)
 
-    module, eq = _program()
+    module, eq = empty_program()
     regs = eq.create_mem("Register", 256, ir.i32, name="regs")
     out = eq.alloc(regs, [SITES + 1, 2], ir.i32, name="out")
     pe = eq.create_proc("MAC", name="pe")
@@ -209,9 +188,8 @@ def _closure_reads():
     return module, {}
 
 
-def test_a_value_a_closure_reads_is_written_where_defined(tier_up_at):
-    tier_up_at(0)
-    texts = [text for text, _ in _bodies(_agree(_closure_reads))]
+def test_a_value_a_closure_reads_is_written_where_defined():
+    texts = [text for text, _ in _bodies(_plans(agree(_closure_reads, FIRST)))]
     outer = max(texts, key=len)
     # Where they are defined, ``after`` (the select and the launch read
     # it) and ``odd`` (the select) are written to env, and nothing else
@@ -222,10 +200,10 @@ def test_a_value_a_closure_reads_is_written_where_defined(tier_up_at):
     assert len(re.findall(r"\n    env\[", outer)) == 2
 
 
-def test_the_store_for_a_closure_is_what_holds(tier_up_at, monkeypatch):
-    tier_up_at(0)
+def test_the_store_for_a_closure_is_what_holds(monkeypatch):
     monkeypatch.setattr(codegen._Emitter, "closure_reads", lambda *args: None)
-    assert _goes_wrong(_closure_reads)
+    with pytest.raises((AssertionError, EngineError)):
+        agree(_closure_reads, FIRST)
 
 
 def _nested_plan_reads():
@@ -252,19 +230,18 @@ def _nested_plan_reads():
     return module, {}
 
 
-def test_a_value_a_nested_plan_reads_is_written_where_defined(tier_up_at):
-    tier_up_at(0)
-    (text, body), = _bodies(_agree(_nested_plan_reads))
+def test_a_value_a_nested_plan_reads_is_written_where_defined():
+    (text, body), = _bodies(_plans(agree(_nested_plan_reads, FIRST)))
     assert not inspect.isgeneratorfunction(body)
     assert re.search(r"_r = _e\d+\(ex, env\)", text)
 
 
-def test_the_store_for_a_nested_plan_is_what_holds(tier_up_at, monkeypatch):
-    tier_up_at(0)
+def test_the_store_for_a_nested_plan_is_what_holds(monkeypatch):
     monkeypatch.setattr(
         codegen._Emitter, "block_reads", lambda self, block: set()
     )
-    assert _goes_wrong(_nested_plan_reads)
+    with pytest.raises((AssertionError, EngineError)):
+        agree(_nested_plan_reads, FIRST)
 
 
 DEPTH = 5
@@ -302,9 +279,8 @@ def _deep_nest():
     return module, {"out": np.arange(2, DEPTH + 4, dtype=np.int32)[:, None]}
 
 
-def test_a_deep_if_nest_is_flattened_and_bit_identical(tier_up_at):
-    tier_up_at(0)
-    plans = _agree(_deep_nest)
+def test_a_deep_if_nest_is_flattened_and_bit_identical():
+    plans = _plans(agree(_deep_nest, FIRST))
     (text, body), = _bodies(plans)
     assert not inspect.isgeneratorfunction(body)
     # Every level in the one body: no branch entered as a plan, none
@@ -319,7 +295,7 @@ def test_a_deep_if_nest_is_flattened_and_bit_identical(tier_up_at):
 
 
 def _top_level_value():
-    module, eq = _program()
+    module, eq = empty_program()
     regs = eq.create_mem("Register", 16, ir.i32, name="regs")
     out = eq.alloc(regs, [4], ir.i32, name="out")
     pe = eq.create_proc("MAC", name="pe")
@@ -338,21 +314,19 @@ def _top_level_value():
     return module, {}
 
 
-def _value_of_unread(mode):
-    _, result = _run(_top_level_value, mode)
+def _value_of_unread(backend):
+    result = run(_top_level_value, backend).result
     return result.value_of(_top_level_value.unread)
 
 
-def test_the_top_level_block_writes_every_local_through(tier_up_at):
-    tier_up_at(0)
-    _agree(_top_level_value)
-    assert _value_of_unread("codegen") == _value_of_unread("interpret") == 16
+def test_the_top_level_block_writes_every_local_through():
+    agree(_top_level_value, FIRST)
+    assert _value_of_unread(FIRST[0]) == _value_of_unread(REFERENCE) == 16
 
 
-def test_writing_the_top_level_through_is_what_holds(tier_up_at, monkeypatch):
-    tier_up_at(0)
+def test_writing_the_top_level_through_is_what_holds(monkeypatch):
     monkeypatch.setattr(codegen, "_writes_through", lambda root: False)
-    assert _value_of_unread("codegen") is None
+    assert _value_of_unread(FIRST[0]) is None
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +337,7 @@ def test_writing_the_top_level_through_is_what_holds(tier_up_at, monkeypatch):
 def _captures(counts=(0, 1, 7)):
     """One launch per count in ``counts``, capturing that many values:
     the buffer, then indices, each of which the body writes at."""
-    module, eq = _program()
+    module, eq = empty_program()
     regs = eq.create_mem("Register", 64, ir.i32, name="regs")
     out = eq.alloc(regs, [len(counts), max(counts)], ir.i32, name="out")
     pe = eq.create_proc("MAC", name="pe")
@@ -390,21 +364,19 @@ def _captures(counts=(0, 1, 7)):
 
 
 @pytest.mark.parametrize("tier", [0, 64])
-def test_zero_one_and_many_captures(tier, tier_up_at):
-    tier_up_at(tier)
-    _agree(_captures)
+def test_zero_one_and_many_captures(tier):
+    agree(_captures, (f"codegen@{tier}/wheel", f"codegen@{tier}/heap"))
 
 
-def test_a_captured_launch_result_takes_the_future_path(tier_up_at):
-    tier_up_at(0)
-    _agree(_returns_captured)
+def test_a_captured_launch_result_takes_the_future_path():
+    agree(returns_captured, FIRST)
 
 
 def _reaches_the_top():
     """A nested launch captures a top-level value its enclosing body was
     not given (the verifier refuses that; the engine finds it in its own
     env)."""
-    module, eq = _program()
+    module, eq = empty_program()
     regs = eq.create_mem("Register", 16, ir.i32, name="regs")
     out = eq.alloc(regs, [4], ir.i32, name="out")
     pe = eq.create_proc("MAC", name="pe")
@@ -428,15 +400,13 @@ def _reaches_the_top():
     return module, {}
 
 
-def test_a_capture_found_only_in_the_engine_env(tier_up_at):
-    tier_up_at(0)
-    _agree(_reaches_the_top, verify_module=False)
-    _, result = _run(_reaches_the_top, "codegen", verify_module=False)
-    assert result.buffer("out").tolist() == [0, 0, 0, 8]
+def test_a_capture_found_only_in_the_engine_env():
+    runs = agree(_reaches_the_top, FIRST, verify_module=False)
+    assert runs[FIRST[0]].result.buffer("out").tolist() == [0, 0, 0, 8]
 
 
 def _bound_to_none():
-    module, eq = _program()
+    module, eq = empty_program()
     pe = eq.create_proc("MAC", name="pe")
     seed = arith.constant(eq.b, 1, ir.index)
     nothing, = eq.op("none_of", [seed], [ir.index])
@@ -447,11 +417,10 @@ def _bound_to_none():
     return module, {}
 
 
-@pytest.mark.parametrize("mode", ["interpret", "plan", "codegen"])
-def test_a_capture_bound_to_none_is_unbound(mode, tier_up_at):
-    tier_up_at(0)
+@pytest.mark.parametrize("backend", [REFERENCE, "plan/wheel", FIRST[0]])
+def test_a_capture_bound_to_none_is_unbound(backend):
     with pytest.raises(EngineError) as raised:
-        _run(_bound_to_none, mode)
+        run(_bound_to_none, backend)
     assert str(raised.value) == (
         f"unbound captured value {_bound_to_none.value!r}"
     )
@@ -460,14 +429,14 @@ def test_a_capture_bound_to_none_is_unbound(mode, tier_up_at):
 @pytest.mark.parametrize("mode", ["interpret", "plan", "codegen"])
 def test_the_two_errors_keep_their_text(mode, tier_up_at):
     tier_up_at(0)
-    module, eq = _program()
+    module, eq = empty_program()
     memory = eq.create_mem("Register", 4, ir.i32)
     eq.launch(eq.control_start(), memory, body=lambda b: None)
     with pytest.raises(EngineError) as raised:
         Engine(module, EngineOptions(mode=mode, verify_module=False)).run()
     assert str(raised.value) == "launch target is not a processor"
 
-    module, eq = _program()
+    module, eq = empty_program()
     pe = eq.create_proc("MAC", name="pe")
     late = arith.constant(eq.b, 1, ir.index)
     eq.launch(eq.control_start(), pe, args=[late], body=lambda b, n: None)
@@ -491,8 +460,8 @@ def test_one_compile_per_capture_count(monkeypatch):
 
     monkeypatch.setattr(engine, "_ISSUE_CODES", {})
     monkeypatch.setattr(engine, "compile", counting, raising=False)
-    _run(_captures, "codegen")
-    _run(lambda: _captures((7, 1, 1, 0, 7)), "interpret")
+    run(_captures, FIRST[0])
+    run(lambda: _captures((7, 1, 1, 0, 7)), REFERENCE)
     assert len(compiled) == len(set(compiled)) == 3
     sites = [
         engine.LaunchSite(op)

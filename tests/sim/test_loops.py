@@ -10,15 +10,17 @@ one — and no plain-function body with a loop in it: an inline body that
 meets a loop in a flattened branch calls the loop's step.  These tests
 hold:
 
-* **the two forms** — over every grid point of every registered scenario
-  (``pipeline``'s grid is the four stages of the lowering ladder), with
-  the tier-up at the first execution and at the real threshold; and the
-  loop an inline body meets in a branch;
+* **the two forms** — over every program of the differential corpus on
+  every codegen backend (``assert_one_form_of_loop`` in the backend
+  matrix: every registered scenario at its default and the last point
+  of its grid, ``pipeline``'s four stages of the lowering ladder, and
+  the hand-written programs, at tier-up 0, 2 and 64 on both
+  schedulers); and the loop an inline body meets in a branch;
 * **the knob is gone** — from ``EngineOptions`` and from what a service
   request may name;
 * **constants below a loop are a launch site's own** — bodies that
-  differ in one share a shape, and agree with the interpreter in every
-  tier on both schedulers.
+  differ in one share a shape, and agree with the interpreter on every
+  backend.
 """
 
 from __future__ import annotations
@@ -41,12 +43,16 @@ from repro.sim import (
     plan,
     simulate,
 )
-from tests.conftest import observables
-from tests.sim.test_plan_shapes import _array_program, _run
-
-#: A flattened ``affine.for``, as emitted: typed induction variable over
-#: a bound ``range``.
-NATIVE_LOOP = re.compile(r"^ +for _n\d+ in _r\d+:$", re.MULTILINE)
+from tests.differential import (
+    CORPUS,
+    NATIVE_LOOP,
+    REFERENCE,
+    agree,
+    array_program,
+    assert_one_form_of_loop,
+    observables,
+    run,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -54,34 +60,24 @@ NATIVE_LOOP = re.compile(r"^ +for _n\d+ in _r\d+:$", re.MULTILINE)
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("threshold", [0, plan.TIER_UP_EXECUTIONS])
-@pytest.mark.parametrize("name", scenario_names())
-def test_a_generated_loop_is_a_native_for_of_a_generator(
-    name, threshold, tier_up_at
-):
-    tier_up_at(threshold)
-    scenario = get_scenario(name)
-    loops = 0
-    for cfg in scenario.grid_points():
-        cache = PlanCache()
-        simulate(
-            scenario.build(cfg),
-            inputs=scenario.make_inputs(cfg, 5),
-            plan_cache=cache,
-        )
-        for _, block_plan in cache.plans.values():
-            body = block_plan.compiled
-            if body is None:
-                continue
-            text = codegen.source_of(body)
-            if any(map(plan._is_for, block_plan.steps)):
-                loops += 1
-                assert inspect.isgeneratorfunction(body)
-                assert NATIVE_LOOP.search(text)
-            if not inspect.isgeneratorfunction(body):
-                assert not NATIVE_LOOP.search(text)
-    if threshold == 0 and name != "gemm":  # (whose bodies hold no loop)
-        assert loops > 0
+def test_the_matrix_meets_generated_loops():
+    """The backend matrix holds every generated body of every corpus
+    program, on every codegen backend, to the one generated form of a
+    loop (``assert_one_form_of_loop``): every registered scenario but
+    ``gemm`` (whose bodies hold none) has corpus programs with loops to
+    hold."""
+    looping = set()
+    for name, program in CORPUS.items():
+        scenario = name.partition(":")[0]
+        if scenario in scenario_names():
+            done = run(program.build, "codegen@0/wheel")
+            assert_one_form_of_loop(done)
+            if any(
+                p.compiled is not None and any(map(plan._is_for, p.steps))
+                for _, p in done.engine._plans.plans.values()
+            ):
+                looping.add(scenario)
+    assert looping == set(scenario_names()) - {"gemm"}
 
 
 def test_replayed_a_loop_is_one_generator_step():
@@ -129,9 +125,9 @@ def test_an_inline_body_calls_the_step_of_a_loop_in_a_flattened_branch(
     tier_up_at(0)
 
     def build():
-        return _array_program(_loop_in_a_branch, 2)
+        return array_program(_loop_in_a_branch, 2)
 
-    reference, _ = _run(build, "interpret")
+    reference = run(build, REFERENCE).seen
     module, inputs = build()
     cache = PlanCache()
     engine = Engine(module, inputs=inputs, plan_cache=cache)
@@ -185,21 +181,20 @@ def _in_loop_constant(b, k, src, out):
 
 
 def _in_loop_constants():
-    return _array_program(_in_loop_constant, 3, src="Register")
+    return array_program(_in_loop_constant, 3, src="Register")
 
 
-@pytest.mark.parametrize("scheduler", ["wheel", "heap"])
-def test_a_constant_below_a_loop_is_the_sites_own(scheduler, tier_up_at):
-    reference, _ = _run(_in_loop_constants, "interpret", scheduler=scheduler)
-    assert reference["buffers"]["out"][2] == [x + 4 for x in range(1, 9)]
-    seen, summary = _run(_in_loop_constants, "plan", scheduler=scheduler)
-    assert seen == reference, "plan diverged from interpret"
-    assert (summary.plan_shapes, summary.plans_shared) == (1, 2)
-    for threshold in (0, 2, plan.TIER_UP_EXECUTIONS):
-        tier_up_at(threshold)
-        seen, summary = _run(
-            _in_loop_constants, "codegen", scheduler=scheduler
-        )
-        assert seen == reference, f"codegen@{threshold} diverged"
-        assert (summary.plan_shapes, summary.plans_shared) == (1, 2)
-        assert (summary.blocks_codegenned > 0) == (threshold < 8)
+def test_a_constant_below_a_loop_is_the_sites_own():
+    runs = agree(_in_loop_constants)
+    assert runs[REFERENCE].seen["buffers"]["out"][2] == [
+        x + 4 for x in range(1, 9)
+    ]
+    for backend, done in runs.items():
+        if backend.startswith(("plan", "codegen")):
+            summary = done.summary
+            assert (summary.plan_shapes, summary.plans_shared) == (1, 2)
+            # 24 entries of the loop body's shape: generated from the
+            # first and from the third, never at the real threshold.
+            assert (summary.blocks_codegenned > 0) == (
+                backend.startswith(("codegen@0/", "codegen@2/"))
+            )

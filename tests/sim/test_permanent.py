@@ -30,6 +30,7 @@ from repro.sim.batch import (
     result_record,
     structural_signature,
 )
+from tests.differential import observables
 
 
 def _freeze_parks_objects() -> bool:
@@ -81,22 +82,12 @@ def sweep_style_points():
     return list(spec.points())
 
 
-def observables(result):
-    report = result.summary.memory_named("ofmap_mem")
-    return (
-        result.cycles,
-        result.summary.scheduler_events,
-        report.bytes_written,
-        report.avg_write_bandwidth,
-        {name: buf.array.tolist() for name, buf in result.buffers.items()},
-    )
-
-
 class TestHandOffIsInvisible:
     def test_frozen_cache_equals_cold_build_for_two_seeds(self):
         """Seed 0 fills and parks every structure; seed 1 runs on the
         parked entries.  Both must match a cold build-and-simulate in
-        cycles, scheduler events, ofmap traffic and every named buffer."""
+        cycles, scheduler events, memory traffic and every named
+        buffer."""
         cache = CompileCache()
         points = sweep_style_points()
         for seed in (0, 1):
@@ -110,7 +101,9 @@ class TestHandOffIsInvisible:
                     program.module,
                     inputs=program.prepare_inputs(ifmap, weights),
                 )
-                assert observables(warm) == observables(cold), (cfg, seed)
+                assert observables(None, warm) == observables(
+                    None, cold
+                ), (cfg, seed)
         structures = len({structural_signature(cfg) for cfg in points})
         assert 1 < structures < len(points)  # seed 0 re-hits parked entries too
         assert cache.stats.programs_built == structures

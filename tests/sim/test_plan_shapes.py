@@ -7,9 +7,9 @@ own constant vector.  These tests hold:
 
 * **bit-identity** — every registered scenario, the two programs whose
   hot bodies suspend, and a program whose sites differ in every kind of
-  constant, on both schedulers: ``interpret`` (which walks every site's
-  own ops — the oracle) == ``plan`` == codegen with the tier-up at the
-  first execution, mid-run and never;
+  constant (``every-constant``) are corpus programs of
+  ``tests/differential.py``: ``interpret`` (which walks every site's own
+  ops — the oracle) == every other backend, over shared plans;
 * **the fences** — what must never be shared is not, each with a program
   that goes wrong when its fence is taken away (the ``*_is_what_holds``
   tests take it away and watch the differential fail);
@@ -31,7 +31,6 @@ from repro.dialects import affine, arith, memref, scf
 from repro.dialects.equeue import EQueueBuilder
 from repro.dialects.linalg import ConvDims
 from repro.generators.systolic import SystolicConfig, build_systolic_program
-from repro.scenarios import scenario_names
 from repro.sim import (
     Engine,
     EngineOptions,
@@ -40,100 +39,17 @@ from repro.sim import (
     plan,
     simulate,
 )
-from tests.conftest import observables
-from tests.sim.test_codegen_tiering import (
+from tests.differential import (
+    BACKENDS,
+    CORPUS,
     SUSPENDING,
-    TIERS,
-    VARIANTS,
-    _builder as _tiering_builder,
+    agree,
+    array_program,
+    empty_program,
+    every_kind_of_constant,
+    observables,
+    run,
 )
-
-
-# ---------------------------------------------------------------------------
-# Programs
-# ---------------------------------------------------------------------------
-
-
-def _array_program(site_body, sites, shape=(8,), label="pe{}", src="SRAM"):
-    """``sites`` PEs, each launched once with ``site_body(b, k, *args)``
-    over one shared input ``src`` (in a one-ported SRAM unless told
-    otherwise) and one register file ``out``."""
-    module = ir.create_module()
-    builder = ir.Builder(ir.InsertionPoint.at_end(module.body))
-    eq = EQueueBuilder(builder)
-    sram = eq.create_mem(src, 256, ir.i32, name="sram")
-    regs = eq.create_mem("Register", 256, ir.i32, name="regs")
-    src = eq.alloc(sram, list(shape), ir.i32, name="src")
-    out = eq.alloc(regs, [sites, *shape], ir.i32, name="out")
-    start = eq.control_start()
-    done = []
-    for k in range(sites):
-        pe = eq.create_proc("MAC", name=f"pe{k}")
-        done.append(
-            eq.launch(
-                start, pe, args=[src, out],
-                body=lambda b, s, o, _k=k: site_body(b, _k, s, o),
-                label=label.format(k),
-            )[0]
-        )
-    eq.await_(eq.control_and(done))
-    ir.verify(module)
-    data = np.arange(1, int(np.prod(shape)) + 1, dtype=np.int32)
-    return module, {"src": data.reshape(shape)}
-
-
-def _every_kind_of_constant(b, k, src, out):
-    """A body whose sites differ in a folded index (``row``), a data
-    constant read after a suspension (``bias``), a branch condition
-    (``k % 2``) and a constant inside a branch — and agree in a constant
-    inside the loop and in the loop bounds, which stay in the key."""
-    eq = EQueueBuilder(b)
-    row = arith.constant(b, k, ir.index)
-    bias = arith.constant(b, 10 * (k + 1), ir.i32)
-    parity = arith.constant(b, k % 2, ir.index)
-    zero = arith.constant(b, 0, ir.index)
-
-    def step(b2, i):
-        eq2 = EQueueBuilder(b2)
-        one = arith.constant(b2, 1, ir.i32)
-        x = eq2.read_element(src, [i])  # contended: suspends
-        y = arith.addi(b2, arith.addi(b2, x, bias), one)
-        eq2.write_element(y, out, [row, i])
-
-    affine.for_loop(b, 0, 8, body=step)
-
-    def odd(b1):
-        scale = arith.constant(b1, k + 2, ir.i32)
-        eq1 = EQueueBuilder(b1)
-        first = eq1.read_element(out, [row, zero])
-        eq1.write_element(arith.muli(b1, first, scale), out, [row, zero])
-
-    scf.if_op(b, arith.cmpi(b, "ne", parity, zero), odd)
-
-
-def _builder(program):
-    """``build() -> (module, inputs)``: the tiering suite's programs and
-    ``every-constant``."""
-    if program == "every-constant":
-        return lambda: _array_program(_every_kind_of_constant, 4)
-    return _tiering_builder(program)
-
-
-def _run(build, mode="plan", **overrides):
-    module, inputs = build()
-    engine = Engine(module, EngineOptions(mode=mode, **overrides), inputs)
-    result = engine.run()
-    return observables(engine, result), result.summary
-
-
-def _agree(build, modes=("plan", "codegen"), **overrides):
-    """Every mode's observables equal the interpreter's; returns the
-    last summary."""
-    reference, _ = _run(build, "interpret", **overrides)
-    for mode in modes:
-        seen, summary = _run(build, mode, **overrides)
-        assert seen == reference, f"{mode} diverged from interpret"
-    return summary
 
 
 # ---------------------------------------------------------------------------
@@ -141,41 +57,21 @@ def _agree(build, modes=("plan", "codegen"), **overrides):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("scheduler", ["wheel", "heap"])
 @pytest.mark.parametrize(
-    "program", [*scenario_names(), *SUSPENDING, "every-constant"]
+    "program", [*SUSPENDING, "every-constant", "systolic:default"]
 )
-def test_shared_plans_are_bit_identical_in_every_tier(
-    program, scheduler, tier_up_at
-):
-    build = _builder(program)
-    reference = None
-    shared = 0
-    for variant in VARIANTS:
-        if variant in TIERS:
-            tier_up_at(TIERS[variant])
-        seen, summary = _run(
-            build, variant.split("@")[0], scheduler=scheduler
-        )
-        if reference is None:
-            reference = seen
-            assert summary.plan_shapes == summary.plans_shared == 0
-            continue
-        assert seen == reference, f"{variant} diverged from interpret"
-        shared = summary.plans_shared
-        if variant == "codegen@0":
-            assert summary.blocks_codegenned > 0
-        elif variant == "codegen@never":
-            assert summary.blocks_codegenned == 0
-    if program in (*SUSPENDING, "every-constant", "systolic"):
-        assert shared > 0  # the comparison above was of shared plans
+def test_the_matrix_compares_shared_plans(program):
+    """``tests/sim/test_backend_matrix.py`` holds these bit-identical in
+    every tier: the plans it compares are shared ones."""
+    summary = run(CORPUS[program].build, "codegen@0/wheel").summary
+    assert summary.plans_shared > 0
 
 
 def test_a_site_is_what_differs_between_same_shape_bodies(tier_up_at):
     """The four sites of ``every-constant``: one shape, four constant
     vectors, and — once hot — four functions of one code object."""
     tier_up_at(0)
-    module, inputs = _array_program(_every_kind_of_constant, 4)
+    module, inputs = array_program(every_kind_of_constant, 4)
     cache = PlanCache()
     summary = simulate(module, inputs=inputs, plan_cache=cache).summary
     assert (summary.plan_shapes, summary.plans_shared) == (1, 3)
@@ -257,7 +153,7 @@ def test_one_emit_per_shape_one_function_per_site(tier_up_at, monkeypatch):
         return emit(shape_or_plan, suspending)
 
     monkeypatch.setattr(codegen, "_emit", counting)
-    module, inputs = _array_program(_every_kind_of_constant, 4)
+    module, inputs = array_program(every_kind_of_constant, 4)
     cache = PlanCache()
     summary = simulate(module, inputs=inputs, plan_cache=cache).summary
     shape, = cache.shapes.values()
@@ -280,7 +176,7 @@ def test_the_threshold_counts_the_shape_not_the_site(tier_up_at):
     """Four sites, one execution each: no site alone passes a threshold
     of two, the shape does at its third execution."""
     tier_up_at(2)
-    module, inputs = _array_program(_every_kind_of_constant, 4)
+    module, inputs = array_program(every_kind_of_constant, 4)
     cache = PlanCache()
     summary = simulate(module, inputs=inputs, plan_cache=cache).summary
     shape, = cache.shapes.values()
@@ -309,10 +205,11 @@ def _scratch_buffer(b, k, src, out):
 
 
 def test_identity_bearing_ops_are_never_shared():
-    summary = _agree(lambda: _array_program(_scratch_buffer, 2))
+    runs = agree(lambda: array_program(_scratch_buffer, 2))
+    summary = runs["plan/wheel"].summary
     assert summary.plan_shapes == summary.plans_shared == 0
     assert summary.plan_share_declined == {"identity:memref.alloc": 2}
-    module, inputs = _array_program(_scratch_buffer, 2)
+    module, inputs = array_program(_scratch_buffer, 2)
     buffers = simulate(module, inputs=inputs).buffers
     assert buffers["scratch0"].array.tolist() == [7]
     assert buffers["scratch1"].array.tolist() == [14]
@@ -323,7 +220,7 @@ def test_the_identity_fence_is_what_holds(monkeypatch):
     monkeypatch.setattr(
         plan, "_SHAREABLE", plan._SHAREABLE | {"memref.alloc"}
     )
-    module, inputs = _array_program(_scratch_buffer, 2)
+    module, inputs = array_program(_scratch_buffer, 2)
     result = simulate(module, inputs=inputs)
     assert result.summary.plans_shared == 1
     assert "scratch1" not in result.buffers  # two sites, one buffer
@@ -350,16 +247,15 @@ def _loop_bound(b, k, src, out):
 
 
 def test_loop_bounds_are_attributes_and_attributes_are_in_the_key():
-    summary = _agree(lambda: _array_program(_loop_bound, 3))
+    runs = agree(lambda: array_program(_loop_bound, 3))
+    summary = runs["plan/wheel"].summary
     assert (summary.plan_shapes, summary.plans_shared) == (3, 0)
 
 
 def _nested_program():
     """Three outer bodies, identical up to the constants of the launch
     nested in each."""
-    module = ir.create_module()
-    builder = ir.Builder(ir.InsertionPoint.at_end(module.body))
-    eq = EQueueBuilder(builder)
+    module, eq = empty_program()
     sram = eq.create_mem("SRAM", 64, ir.i32, name="sram")
     regs = eq.create_mem("Register", 64, ir.i32, name="regs")
     src = eq.alloc(sram, [4], ir.i32, name="src")
@@ -401,7 +297,7 @@ def _nested_program():
 
 
 def test_abstraction_stops_at_a_nested_launch_body():
-    summary = _agree(_nested_program)
+    summary = agree(_nested_program)["plan/wheel"].summary
     # The nested bodies are three sites of one shape; their constants
     # make three shapes of the outer bodies.
     assert (summary.plan_shapes, summary.plans_shared) == (4, 2)
@@ -415,7 +311,7 @@ def test_the_nested_launch_fence_is_what_holds(monkeypatch):
         plan, "_ABSTRACTS_INTO", plan._ABSTRACTS_INTO | {"equeue.launch"}
     )
     with pytest.raises(AssertionError, match="diverged"):
-        _agree(_nested_program)
+        agree(_nested_program)
 
 
 def test_types_are_in_the_key_and_a_memref_is_its_rank_and_element():
@@ -472,18 +368,18 @@ def test_programs_that_differ_in_buffer_dimensions_share_their_shapes(
 
     def programs():
         return [
-            _array_program(_copy_some, 3, shape=(8,)),
-            _array_program(_copy_some, 3, shape=(12,)),
+            array_program(_copy_some, 3, shape=(8,)),
+            array_program(_copy_some, 3, shape=(12,)),
         ]
 
-    def run(module, inputs, cache):
+    def through(module, inputs, cache):
         engine = Engine(module, EngineOptions(), inputs, plan_cache=cache)
         result = engine.run()
         return observables(engine, result), result.summary
 
-    apart = [run(*program, PlanCache()) for program in programs()]
+    apart = [through(*program, PlanCache()) for program in programs()]
     shared = PlanCache()
-    together = [run(*program, shared) for program in programs()]
+    together = [through(*program, shared) for program in programs()]
     assert [seen for seen, _ in together] == [seen for seen, _ in apart]
     assert apart[0][0] != apart[1][0]  # the programs do differ
     own, bound = (summary for _, summary in together)
@@ -507,9 +403,7 @@ def _scalar_into(b, k, buffer):
 def _one_index_program():
     """Two PEs, one body — ``buffer[0] = 7`` — over a vector and over a
     matrix, where one index names a row of four."""
-    module = ir.create_module()
-    builder = ir.Builder(ir.InsertionPoint.at_end(module.body))
-    eq = EQueueBuilder(builder)
+    module, eq = empty_program()
     regs = eq.create_mem("Register", 64, ir.i32, name="regs")
     buffers = [
         eq.alloc(regs, [4], ir.i32, name="vector"),
@@ -530,7 +424,8 @@ def _one_index_program():
 def test_a_buffer_of_another_rank_is_another_shape():
     """The vector's write is one element, compiled as one
     (``_scalar_access``); the matrix's is a row, the general handler's."""
-    summary = _agree(_one_index_program, verify_module=False)
+    runs = agree(_one_index_program, verify_module=False)
+    summary = runs["plan/wheel"].summary
     assert (summary.plan_shapes, summary.plans_shared) == (2, 0)
     module, inputs = _one_index_program()
     result = simulate(module, EngineOptions(verify_module=False), inputs=inputs)
@@ -547,7 +442,7 @@ def test_the_rank_in_the_key_is_what_holds(monkeypatch):
         ),
     )
     with pytest.raises(AssertionError, match="diverged"):
-        _agree(_one_index_program, verify_module=False)
+        agree(_one_index_program, verify_module=False)
     module, inputs = _one_index_program()
     result = simulate(module, EngineOptions(verify_module=False), inputs=inputs)
     assert result.summary.plans_shared == 1
@@ -589,15 +484,10 @@ def _out_of_range(b, k, src, out):
     eq.write_element(eq.read_element(src, [where], posted=True), out, [row, zero])
 
 
-@pytest.mark.parametrize("variant", VARIANTS)
-def test_an_error_names_the_site_it_happened_in(variant, tier_up_at):
-    if variant in TIERS:
-        tier_up_at(TIERS[variant])
-    module, inputs = _array_program(_out_of_range, 3)
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_an_error_names_the_site_it_happened_in(backend):
     with pytest.raises(IndexError, match="index 11 is out of bounds"):
-        simulate(
-            module, EngineOptions(mode=variant.split("@")[0]), inputs=inputs
-        )
+        run(lambda: array_program(_out_of_range, 3), backend)
 
 
 @pytest.mark.parametrize("mode", ["plan", "codegen"])
@@ -605,8 +495,8 @@ def test_detailed_trace_labels_stay_per_site(mode, tier_up_at):
     tier_up_at(0)
 
     def trace(mode):
-        module, inputs = _array_program(
-            _every_kind_of_constant, 4, label="site-{}"
+        module, inputs = array_program(
+            every_kind_of_constant, 4, label="site-{}"
         )
         options = EngineOptions(mode=mode, trace=True, detailed_trace=True)
         result = simulate(module, options, inputs=inputs)
@@ -659,16 +549,13 @@ def _generated(sites):
 
         scf.if_op(b, arith.cmpi(b, "slt", y, limit), small, large)
 
-    return lambda: _array_program(body, len(sites))
+    return lambda: array_program(body, len(sites))
 
 
 @settings(max_examples=25, deadline=None)
 @given(sites=st.lists(SITE, min_size=2, max_size=4))
 def test_perturbed_constants_shared_equals_interpreted(sites):
-    saved = plan.TIER_UP_EXECUTIONS
-    plan.TIER_UP_EXECUTIONS = 1  # replay once, then the generated body
-    try:
-        summary = _agree(_generated(sites))
-    finally:
-        plan.TIER_UP_EXECUTIONS = saved
+    # Replayed once, then the generated body.
+    runs = agree(_generated(sites), backends=("plan/wheel", "codegen@1/wheel"))
+    summary = runs["codegen@1/wheel"].summary
     assert (summary.plan_shapes, summary.plans_shared) == (1, len(sites) - 1)

@@ -36,7 +36,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import ir
-from repro.dialects import affine, arith, scf
+from repro.dialects import affine, arith
 from repro.dialects.equeue import EQueueBuilder
 from repro.ir.attributes import IntegerAttr
 from repro.ir.values import BlockArgument, OpResult
@@ -52,98 +52,20 @@ from repro.sim import (
     simulate,
 )
 from repro.sim.components import ProcessorModel
-from repro.sim.oplib import OpFunction, register_op_function
-from tests.conftest import observables
-from tests.sim.test_dispatch import _returns_captured
-from tests.sim.test_plan_shapes import (
-    _agree as _modes_agree,
-    _array_program,
-    _every_kind_of_constant,
-    _run,
+from tests.differential import (
+    REFERENCE,
+    agree,
+    array_program,
+    captured_index_program,
+    empty_program,
+    every_kind_of_constant,
+    observables,
+    returns_captured,
+    run,
 )
 
-# ``index`` values of every runtime type a body can be entered with.
-for _name, _cast in (
-    ("as_int", int), ("as_bool", bool), ("as_int64", np.int64),
-):
-    register_op_function(
-        OpFunction(_name, 0, lambda x, _cast=_cast: (_cast(x),)), replace=True
-    )
-
-
-# ---------------------------------------------------------------------------
-# Programs
-# ---------------------------------------------------------------------------
-
-
-def _site_body(b, k, where, src, out, bias=7, limit=3, scale=2):
-    """One shape for every ``k``: the captured index ``where`` is
-    arithmetic operand, read coordinate, branch input and — bare — write
-    coordinate, so a ``bool`` or ``numpy.int64`` taken for an ``int``
-    shows in ``out``."""
-    eq = EQueueBuilder(b)
-    row = arith.constant(b, k, ir.index)
-    one = arith.constant(b, 1, ir.index)
-    col = arith.addi(b, where, one)
-    x = eq.read_element(src, [col])
-    y = arith.addi(b, x, arith.constant(b, bias, ir.i32))
-
-    def low(b1):
-        z = arith.muli(b1, y, arith.constant(b1, scale, ir.i32))
-        EQueueBuilder(b1).write_element(z, out, [row, where, col])
-
-    def high(b1):
-        EQueueBuilder(b1).write_element(y, out, [row, where, col])
-
-    scf.if_op(b, arith.cmpi(b, "slt", y, arith.constant(b, limit, ir.i32)),
-              low, high)
-
-
-def _captured_index_program(sites):
-    """``sites``: one ``(kind, value, constants)`` per PE.  Each PE runs
-    the same-shape body once, capturing an ``index`` of the given
-    runtime kind — ``int``, ``bool``, ``int64`` through a casting op,
-    ``future`` as the result of an earlier launch."""
-    module = ir.create_module()
-    eq = EQueueBuilder(ir.Builder(ir.InsertionPoint.at_end(module.body)))
-    sram = eq.create_mem("SRAM", 64, ir.i32, name="sram")
-    regs = eq.create_mem("Register", 256, ir.i32, name="regs")
-    src = eq.alloc(sram, [4], ir.i32, name="src")
-    out = eq.alloc(regs, [len(sites), 2, 4], ir.i32, name="out")
-    feeder = eq.create_proc("MAC", name="feeder")
-    start = eq.control_start()
-    done = []
-    for k, (kind, value, constants) in enumerate(sites):
-        pe = eq.create_proc("MAC", name=f"pe{k}")
-        dep = start
-        if kind == "future":
-            dep, where = eq.launch(
-                start, feeder,
-                body=lambda b, _v=value: [arith.constant(b, _v, ir.index)],
-            )
-        else:
-            plain = arith.constant(eq.b, value, ir.index)
-            where, = eq.op(f"as_{kind}", [plain], [ir.index])
-        done.append(
-            eq.launch(
-                dep, pe, args=[where, src, out],
-                body=lambda b, w, s, o, _k=k, _c=constants: _site_body(
-                    b, _k, w, s, o, **_c
-                ),
-                label=f"site{k}",
-            )[0]
-        )
-    eq.await_(eq.control_and(done))
-    ir.verify(module)
-    return module, {"src": np.array([5, -9, 2, 11], np.int32)}
-
-
-def _agree(build, **overrides):
-    """Typed generated code (tier-up at the first execution, by the
-    caller) leaves the interpreter's observables; returns its summary."""
-    summary = _modes_agree(build, modes=("codegen",), **overrides)
-    assert summary.blocks_codegenned > 0
-    return summary
+#: Generated from the first execution.
+FIRST = "codegen@0/wheel"
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +85,7 @@ def _sources(module, inputs):
 
 def test_index_arithmetic_is_plain_expressions(tier_up_at):
     tier_up_at(0)
-    module, inputs = _captured_index_program([("int", 1, {})] * 2)
+    module, inputs = captured_index_program([("int", 1, {})] * 2)
     text = "\n".join(_sources(module, inputs))
     # What the body is entered with: loaded once, then checked — the
     # captured index exactly, the buffers for Futures — before anything.
@@ -185,9 +107,10 @@ def test_index_arithmetic_is_plain_expressions(tier_up_at):
 
 def test_typed_bodies_are_counted_and_reported(tier_up_at):
     tier_up_at(0)
-    summary = _agree(
-        lambda: _captured_index_program([("int", 0, {}), ("int", 1, {})])
-    )
+    summary = agree(
+        lambda: captured_index_program([("int", 0, {}), ("int", 1, {})]),
+        (FIRST,),
+    )[FIRST].summary
     assert summary.codegen_typed == summary.blocks_codegenned
     assert summary.codegen_deopts == {}
     assert (
@@ -216,9 +139,10 @@ def test_a_deopted_entry_is_bit_identical_to_the_interpreter(
 ):
     tier_up_at(0)
     sites = [("int", 1, {}), (kind, 1, {"bias": -20}), (kind, 0, {})]
-    summary = _agree(
-        lambda: _captured_index_program(sites), scheduler=scheduler
-    )
+    backend = f"codegen@0/{scheduler}"
+    summary = agree(
+        lambda: captured_index_program(sites), (backend,)
+    )[backend].summary
     # The launch body and, replaying, the branch it enters: twice each.
     assert summary.codegen_deopts == ({reason: 4} if reason else {})
     assert summary.codegen_typed == summary.blocks_codegenned
@@ -233,8 +157,7 @@ def test_an_unresolved_future_where_a_buffer_is_expected(tier_up_at):
     tier_up_at(1)
 
     def build():
-        module = ir.create_module()
-        eq = EQueueBuilder(ir.Builder(ir.InsertionPoint.at_end(module.body)))
+        module, eq = empty_program()
         regs = eq.create_mem("Register", 64, ir.f32, name="regs")
         out = eq.alloc(regs, [4], ir.f32, name="out")
         kernel = eq.create_proc("ARMr5", name="kernel")
@@ -261,7 +184,7 @@ def test_an_unresolved_future_where_a_buffer_is_expected(tier_up_at):
         ir.verify(module)
         return module, {"out": np.arange(4, dtype=np.float32)}
 
-    summary = _agree(build)
+    summary = agree(build, ("codegen@1/wheel",))["codegen@1/wheel"].summary
     assert summary.codegen_deopts == {"value:Future": 3}
     module, inputs = build()
     result = simulate(module, inputs=inputs)
@@ -275,7 +198,7 @@ def test_deopts_are_exported_under_their_reason(tier_up_at):
     before = obs_metrics.get_registry().snapshot()
     obs_metrics.enable_metrics()
     try:
-        module, inputs = _captured_index_program([("int64", 1, {})] * 2)
+        module, inputs = captured_index_program([("int64", 1, {})] * 2)
         summary = simulate(module, inputs=inputs).summary
     finally:
         obs_metrics.disable_metrics()
@@ -295,14 +218,14 @@ def test_deopts_are_exported_under_their_reason(tier_up_at):
 
 
 def _exact_int_program():
-    return _captured_index_program(
+    return captured_index_program(
         [("int", 1, {}), ("bool", 1, {}), ("bool", 0, {"bias": -20})]
     )
 
 
 def test_a_bool_is_not_an_int(tier_up_at):
     tier_up_at(0)
-    summary = _agree(_exact_int_program)
+    summary = agree(_exact_int_program, (FIRST,))[FIRST].summary
     assert summary.codegen_deopts == {"int:bool": 4}
 
 
@@ -312,7 +235,7 @@ def test_the_exact_type_check_is_what_holds(tier_up_at, monkeypatch):
     tier_up_at(0)
     monkeypatch.setattr(codegen, "_INT_CHECK", "not isinstance({0}, int)")
     with pytest.raises((AssertionError, TypeError, IndexError)):
-        _agree(_exact_int_program)
+        agree(_exact_int_program, (FIRST,))
 
 
 def _stale_in_tree_value(b, k, src, out):
@@ -330,12 +253,12 @@ def _stale_in_tree_value(b, k, src, out):
 
 
 def _stale():
-    return _array_program(_stale_in_tree_value, 2, src="Register")
+    return array_program(_stale_in_tree_value, 2, src="Register")
 
 
 def test_in_tree_values_are_read_where_they_are_used(tier_up_at):
     tier_up_at(0)
-    summary = _agree(_stale)
+    summary = agree(_stale, (FIRST,))[FIRST].summary
     assert summary.codegen_deopts == {}
     module, inputs = _stale()
     text = "\n".join(_sources(module, inputs))
@@ -348,7 +271,7 @@ def test_the_in_tree_fence_is_what_holds(tier_up_at, monkeypatch):
     tier_up_at(0)
     monkeypatch.setattr(codegen, "_in_tree", lambda value, root: False)
     with pytest.raises(AssertionError, match="diverged"):
-        _agree(_stale)
+        agree(_stale, (FIRST,))
 
 
 def _odd_constant(b, k, src, out):
@@ -368,14 +291,14 @@ def _odd_constant(b, k, src, out):
 
 
 def _odd():
-    return _array_program(_odd_constant, 3, src="Register")
+    return array_program(_odd_constant, 3, src="Register")
 
 
 def test_a_shared_bodys_constants_are_typed_per_site(tier_up_at):
     tier_up_at(0)
     module, inputs = _odd()
     cache = PlanCache()
-    reference, _ = _run(_odd, "interpret")
+    reference = run(_odd, REFERENCE).seen
     engine = Engine(module, inputs=inputs, plan_cache=cache)
     result = engine.run()
     assert observables(engine, result) == reference
@@ -396,11 +319,11 @@ def test_the_site_guard_is_what_holds(tier_up_at, monkeypatch):
     tier_up_at(0)
     monkeypatch.setattr(codegen, "_site_guard", lambda *args: None)
     with pytest.raises((AssertionError, TypeError, IndexError)):
-        _agree(_odd)
+        agree(_odd, (FIRST,))
 
 
 def _traced(mode):
-    module, inputs = _array_program(_every_kind_of_constant, 4)
+    module, inputs = array_program(every_kind_of_constant, 4)
     options = EngineOptions(mode=mode, trace=True, detailed_trace=True)
     result = simulate(module, options, inputs=inputs)
     return sorted(
@@ -447,12 +370,9 @@ SITE = st.tuples(
 @settings(max_examples=30, deadline=None)
 @given(sites=st.lists(SITE, min_size=2, max_size=4))
 def test_perturbed_runtime_types_typed_equals_interpreted(sites):
-    saved = plan.TIER_UP_EXECUTIONS
-    plan.TIER_UP_EXECUTIONS = 0
-    try:
-        summary = _agree(lambda: _captured_index_program(sites))
-    finally:
-        plan.TIER_UP_EXECUTIONS = saved
+    summary = agree(
+        lambda: captured_index_program(sites), (FIRST,)
+    )[FIRST].summary
     assert summary.plans_shared >= len(sites) - 1
     odd = sum(kind in ("bool", "int64") for kind, _, _ in sites)
     assert sum(summary.codegen_deopts.values()) == 2 * odd
@@ -519,7 +439,7 @@ def test_a_future_is_only_bound_under_a_launch_value_result(name, mode):
 @pytest.mark.parametrize("mode", ["interpret", "plan", "codegen"])
 def test_captured_launch_results_are_resolved_at_dispatch(mode):
     # Not vacuous: this program does bind futures — two, at top level.
-    assert _futures_only_where_expected(_returns_captured, mode) == 2
+    assert _futures_only_where_expected(returns_captured, mode) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -530,8 +450,7 @@ def test_captured_launch_results_are_resolved_at_dispatch(mode):
 @pytest.mark.parametrize("mode", ["interpret", "plan", "codegen"])
 def test_launch_target_must_be_a_processor(mode, tier_up_at):
     tier_up_at(0)
-    module = ir.create_module()
-    eq = EQueueBuilder(ir.Builder(ir.InsertionPoint.at_end(module.body)))
+    module, eq = empty_program()
     memory = eq.create_mem("Register", 4, ir.i32)
     eq.launch(eq.control_start(), memory, body=lambda b: None)
     with pytest.raises(EngineError, match="launch target is not a processor"):
@@ -541,8 +460,7 @@ def test_launch_target_must_be_a_processor(mode, tier_up_at):
 @pytest.mark.parametrize("mode", ["interpret", "plan", "codegen"])
 def test_an_unbound_capture_is_an_error(mode, tier_up_at):
     tier_up_at(0)
-    module = ir.create_module()
-    eq = EQueueBuilder(ir.Builder(ir.InsertionPoint.at_end(module.body)))
+    module, eq = empty_program()
     pe = eq.create_proc("MAC")
     other = eq.create_proc("MAC")
     start = eq.control_start()

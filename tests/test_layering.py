@@ -5,6 +5,10 @@ everything that *uses* it; ``analysis`` and ``scenarios`` sit below the
 service; ``obs`` imports no other layer at all.  Lazy imports inside
 functions count too — an upward import hidden in a function body is
 still a cycle waiting for a caller.
+
+The test suite has one differential harness (``tests/differential.py``):
+no other module states a backend matrix or an ``observables``, and no
+test module imports another.
 """
 
 from __future__ import annotations
@@ -71,3 +75,76 @@ def test_code_version_lives_below_the_sweep_layers(monkeypatch):
     digest = code_version()
     monkeypatch.setenv("EQUEUE_CODE_VERSION", "bumped")
     assert code_version() != digest
+
+
+# ---------------------------------------------------------------------------
+# The test suite: one differential harness
+# ---------------------------------------------------------------------------
+
+TESTS = Path(__file__).resolve().parent
+HARNESS = TESTS / "differential.py"
+
+#: Names of a backend matrix: stated once, in the harness.
+MATRIX_NAMES = {"MODES", "SCHEDULERS", "TIERS", "VARIANTS", "BACKENDS"}
+
+
+@pytest.fixture(scope="module")
+def suite():
+    """Every module of the test suite, as ``(path, its AST nodes)``."""
+    return [
+        (path, list(ast.walk(ast.parse(path.read_text(encoding="utf-8")))))
+        for path in sorted(TESTS.rglob("*.py"))
+    ]
+
+
+def _matrix_or_observables(nodes):
+    for node in nodes:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if node.name == "observables":
+                yield node.lineno, "defines observables"
+            continue
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+            targets = [node.target]
+        else:
+            continue
+        for target in targets:
+            for name in ast.walk(target):
+                if isinstance(name, ast.Name) and name.id in MATRIX_NAMES:
+                    yield node.lineno, f"assigns {name.id}"
+
+
+def _test_modules_imported(nodes):
+    for node in nodes:
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules = [node.module or ""] + [
+                f"{node.module}.{alias.name}" for alias in node.names
+            ]
+        else:
+            continue
+        for module in modules:
+            if module.split(".")[-1].startswith("test_"):
+                yield node.lineno, f"imports {module}"
+
+
+def test_only_the_harness_states_a_backend_matrix_or_observables(suite):
+    violations = [
+        f"{path.relative_to(TESTS.parent)}:{line}: {what}"
+        for path, nodes in suite
+        if path != HARNESS
+        for line, what in _matrix_or_observables(nodes)
+    ]
+    assert not violations, "\n".join(violations)
+
+
+def test_no_test_module_imports_another(suite):
+    violations = [
+        f"{path.relative_to(TESTS.parent)}:{line}: {what}"
+        for path, nodes in suite
+        if path.name.startswith("test_")
+        for line, what in _test_modules_imported(nodes)
+    ]
+    assert not violations, "\n".join(violations)
