@@ -1,9 +1,10 @@
-"""Shared helpers for the figure-reproduction benchmarks.
+"""Shared helpers for the engine, ablation, scenario and service benches.
 
-Every bench prints the series/rows corresponding to one paper figure or
-table and also writes them to ``benchmarks/out/`` so the data survives
-pytest's output capture.  Set ``EQUEUE_FULL_SWEEP=1`` to run the paper's
-full problem sizes (slower).
+Every bench prints its rows and also writes them to ``benchmarks/out/``
+so the data survives pytest's output capture.  Set
+``EQUEUE_FULL_SWEEP=1`` to run ``bench_engine_speed.py`` at the paper's
+32x32 size (slower).  The paper's figures are not benches: they are the
+exact table of ``tests/integration/test_paper_figures.py``.
 """
 
 from __future__ import annotations
@@ -20,20 +21,9 @@ OUT_DIR = Path(__file__).parent / "out"
 
 FULL_SWEEP = bool(int(os.environ.get("EQUEUE_FULL_SWEEP", "0")))
 
-# Worker processes for DES sweeps: EQUEUE_SWEEP_JOBS overrides; the
-# default uses up to 4 of the usable CPUs (1 CPU = serial, no pool).
-def _sweep_jobs() -> int:
-    from repro.sim.batch import default_jobs
-
-    override = int(os.environ.get("EQUEUE_SWEEP_JOBS", "0"))
-    return override or min(4, default_jobs())
-
-
-SWEEP_JOBS = _sweep_jobs()
-
 
 def emit(name: str, lines) -> None:
-    """Print a figure's data and persist it under benchmarks/out/."""
+    """Print a bench's rows and persist them under benchmarks/out/."""
     OUT_DIR.mkdir(exist_ok=True)
     text = "\n".join(lines)
     print(f"\n=== {name} ===")

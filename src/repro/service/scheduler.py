@@ -1350,8 +1350,8 @@ class JobScheduler:
         """
         payloads = [job.request.payload(job.request_id) for job in batch]
         self._watch(batch)
+        runner = SweepRunner(jobs=self.jobs, key=_payload_signature)
         try:
-            runner = SweepRunner(jobs=self.jobs, key=_payload_signature)
             return runner.map(evaluate_request, payloads)
         except (KeyboardInterrupt, SystemExit):
             raise
@@ -1366,6 +1366,8 @@ class JobScheduler:
                 batch[middle:]
             )
         finally:
+            with self._lock:
+                self.resilience.merge(runner.resilience)
             self._unwatch(batch)
 
     def _run_sweep_job(self, job: SweepJob) -> Dict:

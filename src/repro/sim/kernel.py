@@ -56,8 +56,9 @@ Determinism: within one timestamp the heap executes callbacks in schedule
 ``T`` are appended in schedule order while ``now < T``; zero-delay
 callbacks scheduled *at* ``T`` append behind them on the very deque being
 drained; and heap overflow entries for ``T`` predate every bucket entry.
-The differential suite (``tests/sim/test_scheduler_differential.py``)
-proves both schedulers produce bit-identical simulations.
+The differential harness (``tests/differential.py``, run over its whole
+corpus by ``tests/sim/test_backend_matrix.py``) proves both schedulers
+produce bit-identical simulations.
 """
 
 from __future__ import annotations

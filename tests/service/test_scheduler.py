@@ -8,6 +8,7 @@ from __future__ import annotations
 import hashlib
 import json
 import threading
+import time
 from dataclasses import asdict
 
 import pytest
@@ -507,6 +508,81 @@ class TestRobustness:
             assert scheduler.worker_health()["worker_alive"]
         finally:
             scheduler.stop(timeout=10)
+
+    def test_batch_pool_recovery_reaches_stats(self, tmp_path):
+        """A pool worker killed under a batch is rebuilt around, and the
+        rebuild is counted on ``/stats`` like a sweep's."""
+        from repro.service import faults
+
+        plan = faults.FaultPlan(
+            [faults.Fault("batch.chunk", "kill")],
+            state_dir=str(tmp_path / "tickets"),
+        )
+        scheduler = JobScheduler(store=ResultStore(tmp_path / "store"), jobs=2)
+        with faults.injected(plan):
+            jobs = [
+                scheduler.submit(JobRequest.make("gemm", seed=seed))
+                for seed in range(2)
+            ]
+            scheduler.run_pending()
+        assert [job.state for job in jobs] == ["done", "done"]
+        assert scheduler.stats_dict()["resilience"]["pool_rebuilds"] >= 1
+
+    def test_wedged_worker_is_replaced(self, tmp_path, monkeypatch):
+        """A worker still stuck ``STUCK_GRACE_S`` past a deadline is
+        written off: the next job runs on a fresh thread, and the old
+        thread's late record settles nothing (first writer wins)."""
+        from repro.service import faults
+
+        monkeypatch.setattr(scheduler_module, "WATCHDOG_POLL_S", 0.02)
+        monkeypatch.setattr(scheduler_module, "STUCK_GRACE_S", 0.1)
+        plan = faults.FaultPlan(
+            [faults.Fault("job.evaluate", "slow", delay_s=1.0)]
+        )
+        scheduler = JobScheduler(store=ResultStore(tmp_path), deadline_s=0.15)
+        ran_on = {}
+        run_batch = scheduler._run_batch
+
+        def recording(batch):
+            for job in batch:
+                ran_on[job.id] = threading.get_ident()
+            return run_batch(batch)
+
+        scheduler._run_batch = recording
+
+        def wait_until(predicate):
+            deadline = time.monotonic() + 10
+            while not predicate() and time.monotonic() < deadline:
+                time.sleep(0.01)
+
+        scheduler.start()
+        wedged = scheduler._worker
+        try:
+            with faults.injected(plan):
+                slow = scheduler.submit(JobRequest.make("fir"))
+                assert slow.wait(timeout=10)
+                wait_until(lambda: scheduler.stats.worker_restarts)
+            assert slow.state == "error"
+            assert "deadline exceeded" in slow.error
+            health = scheduler.worker_health()
+            assert health["worker_restarts"] == 1
+            assert "wedged" in health["last_error"]
+            assert health["worker_alive"]
+            after = scheduler.submit(JobRequest.make("fir", seed=1))
+            assert after.wait(timeout=30)
+            assert after.result()["cycles"] > 0
+            assert ran_on[slow.id] == wedged.ident
+            assert ran_on[after.id] != wedged.ident
+            # The old thread wakes, spills its record and settles nothing.
+            wait_until(lambda: scheduler.store.get(slow.key) is not None)
+            assert scheduler.store.get(slow.key)["cycles"] > 0
+            assert slow.state == "error" and "deadline exceeded" in slow.error
+            assert scheduler.stats.deadline_failures == 1
+            assert scheduler.stats.simulated == 1
+        finally:
+            scheduler.stop(timeout=10)
+        wedged.join(timeout=10)
+        assert not wedged.is_alive()
 
     def test_per_job_deadline_overrides_default(self, tmp_path):
         scheduler = JobScheduler(store=ResultStore(tmp_path), deadline_s=0.2)

@@ -39,7 +39,10 @@ verified read (``scheduler.py`` +40: a request resolves once per
 spelling, a hit is a job made settled from its line and indexed nowhere,
 a hit id reports the request its record names, and a submit whose read
 missed reads again when a job settled meanwhile — less the hit's by-id
-indexing, its trip through ``_settle`` and ``admit``).
+indexing, its trip through ``_settle`` and ``admit``); 1 463 once a
+batch's pool recovery reaches ``/stats`` (``scheduler.py`` +2: each
+batch runner's resilience counters merge under the lock, as a sweep's
+do).
 """
 
 from __future__ import annotations
@@ -57,7 +60,7 @@ LIFECYCLE = (
     "service/scheduler.py", "service/wal.py", "sim/journal.py",
     "sim/linecodec.py",
 )
-LIFECYCLE_BUDGET = 1461
+LIFECYCLE_BUDGET = 1463
 #: How far under the budget the count may sit before the budget has to
 #: follow it down.
 SLACK = 40
