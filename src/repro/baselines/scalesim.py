@@ -16,8 +16,9 @@ analytical timing model:
   per fold (WS/IS) or one tile drain per fold (OS).
 
 Fig. 9's claim — that the general EQueue simulator matches the dedicated
-simulator — is checked by the test-suite and the Fig. 9 bench against the
-discrete-event results of :mod:`repro.generators.systolic`.
+simulator — is checked against the discrete-event results of
+:mod:`repro.generators.systolic` by the figure table of
+``tests/integration/test_paper_figures.py``.
 
 The in-text LOC comparison of §VI-C is recorded in :data:`LOC_COMPARISON`.
 """

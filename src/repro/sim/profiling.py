@@ -134,7 +134,7 @@ class ProfilingSummary:
     #: executed under ("" for records written before modes existed).
     execution_mode: str = ""
 
-    # -- aggregate helpers (used by the Fig. 11 benches) ---------------------
+    # -- aggregate helpers (Fig. 11 of tests/integration/test_paper_figures.py)
 
     def bandwidth_by_memory_kind(self, kind: str, write: bool = False) -> float:
         """Aggregate average bandwidth over all memories of ``kind``."""

@@ -43,6 +43,7 @@ from repro.ir import (
     print_op,
 )
 from repro.ir import attributes as attrs
+from repro.ir.parser import Parser
 from repro.ir import types as ir_types
 from repro.passes import PassManager
 from repro.scenarios import get_scenario, scenario_names
@@ -362,3 +363,19 @@ def test_printer_output_of_the_cold_programs_is_unchanged():
         digest = hashlib.sha256(text.encode()).hexdigest()[:16]
         assert digest == PRINTED_AT_PARENT[op_id], op_id
         assert print_op(parse_module(text)) == text, op_id
+
+
+def test_printer_output_of_the_cold_programs_reads_in_few_tokens():
+    """An op printed on one line scans to about six tokens: its result
+    names, ``=``, its name, then its operand list, attribute dictionary
+    and type signature as one token each (``repro.ir.parser``).  Read
+    once, without the token-by-token second pass a failed parse takes."""
+    tokens = ops = 0
+    for op_id, text in cold_programs():
+        parser = Parser(text)
+        tokens += len(parser.toks) - 1
+        module = parser.parse_module()
+        ops += sum(1 for _ in module.walk())
+        assert print_op(module) == text, op_id
+    assert ops == 3783
+    assert tokens <= 7 * ops

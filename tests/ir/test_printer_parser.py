@@ -1,6 +1,8 @@
 """Printer/parser round-trip tests, including malformed-input diagnostics."""
 
+import gc
 import math
+import weakref
 
 import pytest
 
@@ -8,6 +10,8 @@ from repro import ir
 from repro.dialects import arith
 from repro.dialects.equeue import EQueueBuilder
 from repro.ir import ParseError, parse_module, parse_op, print_op
+from repro.ir import parser as parser_module
+from repro.ir.parser import Parser
 
 
 def roundtrip(module):
@@ -228,6 +232,20 @@ LEXER_EDGE_CASES = [
     ("string-holding-comment-and-punctuation",
      'test.op() {s = "// not a comment {[<"} : () -> ()',
      {"s": "// not a comment {[<"}),
+    # Where a one-line operand list, dictionary or signature ends.
+    ("one-line-region",
+     "test.wrap() ({ test.op() : () -> () }) {a = 1 : i64} : () -> ()",
+     {"a": 1}),
+    ("one-line-region-without-spaces",
+     "test.wrap() ({test.op() {b = 2 : i64} : () -> ()}) : () -> ()", {}),
+    ("comment-in-one-line-dict-holding-its-brace",
+     "test.op() {a = 1 : i64 // b = 2 }\n} : () -> ()", {"a": 1}),
+    ("function-typed-block-arguments",
+     "test.wrap() ({\n^bb0(%f: (i32) -> i32, %g: () -> (i32, i32)):\n"
+     "  test.use(%f) : ((i32) -> i32) -> ()\n}) : () -> ()", {}),
+    ("strings-holding-signature-punctuation",
+     'test.op() {s = "} : () -> (", t = "{a = 1} -> : //"} : () -> ()',
+     {"s": "} : () -> (", "t": "{a = 1} -> : //"}),
 ]
 
 
@@ -241,6 +259,15 @@ class TestLexerEdgeCases:
         assert {key: op.get_attr(key) for key in attrs} == attrs
         text = print_op(op)
         assert print_op(parse_op(text)) == text
+
+    @pytest.mark.parametrize(
+        "source", [pytest.param(case[1], id=case[0]) for case in LEXER_EDGE_CASES]
+    )
+    def test_reads_without_a_second_pass(self, source):
+        """Only a failed parse is read again, token by token."""
+        parser = Parser(source)
+        parser.parse_operation()
+        parser.expect("")
 
     def test_nan_value(self):
         op = parse_op("test.op() {v = nan : f64} : () -> ()")
@@ -359,6 +386,34 @@ DIAGNOSTICS = [
      "line 2:5: expected '(', found ':'", 2, 5),
     ('tab-and-crlf-columns', parse_module, "builtin.module() ({\r\n\ttest.use(%missing) : (i32) -> ()\r\n}) : () -> ()\r\n",
      'line 2:11: use of undefined value %missing', 2, 11),
+    # Errors inside an operand list, attribute dictionary or type signature
+    # printed on one line, each of which the scanner takes as one token;
+    # recorded before it did.
+    ('bad-type-in-signature', parse_module, _module("  %0 = test.p() : () -> i32", "  %1 = test.use(%0) : (i32) -> (i32, foo)"),
+     "line 3:38: expected a type, found 'foo'", 3, 38),
+    ('malformed-type-in-signature', parse_module, _module("  %0 = test.p() : () -> i32", "  %1 = test.use(%0) : (i0) -> i32"),
+     'line 3:24: integer width must be positive, got 0', 3, 24),
+    ('undefined-value-third-operand', parse_module, _module("  %0 = test.p() : () -> i32", "  test.use(%0, %0, %gone) : (i32, i32, i32) -> ()"),
+     'line 3:20: use of undefined value %gone', 3, 20),
+    ('bad-value-in-dict', parse_op, "test.op() {a = 1 : i32, b = foo, c = 2 : i32} : () -> ()",
+     "line 1:29: expected a type, found 'foo'", 1, 29),
+    ('bad-type-in-nested-dict', parse_op, "test.op() {a = {b = 1 : i0}} : () -> ()",
+     'line 1:25: integer width must be positive, got 0', 1, 25),
+    ('lex-error-in-dict-beats-earlier-parse-error', parse_module, _module("  test.use(%nope) : (i32) -> ()", "  test.op() {a = 1 : i32, b = @x} : () -> ()"),
+     "line 3:31: unexpected character '@'", 3, 31),
+    ('function-type-result', parse_op, "%0 = test.p() : () -> (i32) -> i32",
+     "line 1:29: expected 'EOF', found '->'", 1, 29),
+    ('function-type-result-in-module', parse_module, _module("  %0 = test.p() : () -> (i32) -> i32"),
+     "line 2:31: expected 'IDENT', found '->'", 2, 31),
+    # A name is defined once per region, as in MLIR.
+    ('redefinition', parse_module, _module("  %0 = test.p() : () -> i32", "  %0 = test.q() : () -> i32"),
+     'line 3:3: redefinition of SSA value %0', 3, 3),
+    ('redefinition-in-one-result-list', parse_op, "%a, %a = test.p() : () -> (i32, i32)",
+     'line 1:5: redefinition of SSA value %a', 1, 5),
+    ('redefinition-of-block-argument', parse_op, "test.wrap() ({\n^bb0(%a: i32, %a: i32):\n}) : () -> ()",
+     'line 2:15: redefinition of SSA value %a', 2, 15),
+    ('redefinition-of-block-argument-by-result', parse_module, _module("  test.wrap() ({", "  ^bb0(%a: i32):", "    %a = test.p() : () -> i32", "  }) : () -> ()"),
+     'line 4:5: redefinition of SSA value %a', 4, 5),
 ]
 
 
@@ -379,3 +434,76 @@ class TestParseOp:
         op = parse_op('%0 = arith.constant() {value = 5 : i32} : () -> i32')
         assert op.name == "arith.constant"
         assert op.get_attr("value") == 5
+
+    def test_equal_attribute_spellings_get_distinct_dicts(self):
+        module = parse_module(_module(
+            "  %0 = arith.constant() {value = 5 : i32} : () -> i32",
+            "  %1 = arith.constant() {value = 5 : i32} : () -> i32",
+        ))
+        first, second = module.body.ops
+        assert first.attributes == second.attributes
+        assert first.attributes is not second.attributes
+        # ``_stamp`` in the systolic generator rewrites a copy's value.
+        first.set_attr("value", 7)
+        assert (first.get_attr("value"), second.get_attr("value")) == (7, 5)
+
+    def test_block_argument_may_shadow_an_outer_name(self):
+        module = parse_module(_module(
+            "  %a = test.p() : () -> i32",
+            "  test.wrap() ({",
+            "  ^bb0(%a: f32):",
+            "    test.use(%a) : (f32) -> ()",
+            "  }) : () -> ()",
+            "  test.use(%a) : (i32) -> ()",
+        ))
+        outer, wrap, use = module.body.ops
+        inner_use = wrap.body.ops[0]
+        assert inner_use.operand(0) is wrap.body.arguments[0]
+        assert use.operand(0) is outer.result()
+
+
+class TestSpellingsLiveOnePass:
+    SOURCE = _module(
+        "  %0 = test.p() {k = 1 : i64} : () -> i32",
+        "  %1 = test.q(%0) {k = 1 : i64} : (i32) -> i32",
+        "  %2 = test.q(%1) {k = 2 : i64} : (i32) -> i32",
+    )
+
+    def test_each_spelling_is_read_once_per_parse(self, monkeypatch):
+        reads = []
+        for rule in ("parse_attr_dict", "parse_functional_type"):
+            read = getattr(Parser, rule)
+
+            def counting(parser, read=read, rule=rule):
+                reads.append(rule)
+                return read(parser)
+
+            monkeypatch.setattr(Parser, rule, counting)
+        expected = sorted(["parse_attr_dict"] * 2 + ["parse_functional_type"] * 3)
+        parse_module(self.SOURCE)
+        # Two dictionary spellings for three ops; three signature spellings
+        # (the module's own included) for four.
+        assert sorted(reads) == expected
+        parse_module(self.SOURCE)  # nothing carried over
+        assert sorted(reads) == sorted(expected * 2)
+
+    def test_no_parser_state_outlives_a_parse(self, monkeypatch):
+        module_state = {
+            name: len(value) for name, value in vars(parser_module).items()
+            if isinstance(value, (dict, list, set))
+        }
+        parsers = []
+        init = Parser.__init__
+
+        def tracked(parser, *args):
+            parsers.append(weakref.ref(parser))
+            init(parser, *args)
+
+        monkeypatch.setattr(Parser, "__init__", tracked)
+        parse_module(self.SOURCE)
+        gc.collect()
+        assert len(parsers) == 1 and parsers[0]() is None
+        assert module_state == {
+            name: len(value) for name, value in vars(parser_module).items()
+            if isinstance(value, (dict, list, set))
+        }
