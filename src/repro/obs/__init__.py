@@ -1,8 +1,8 @@
 """Unified telemetry plane: metrics, host spans, structured logs.
 
 Three stdlib-only pillars, each independently switchable and free when
-off (the ``FAULT_HOOK`` discipline — one module-global ``None`` check on
-the hot path):
+off (the ``repro.faults.HOOK`` discipline — one module-global ``None``
+check on the hot path):
 
 * :mod:`repro.obs.metrics` — a process-wide registry of counters,
   gauges, and log-scale histograms, plus *collectors* that absorb the

@@ -5,7 +5,7 @@ Design constraints, in order:
 1. **Free when off.**  The hot path writes through the module global
    ``METRICS``; when telemetry is disabled it is ``None`` and the cost
    of an instrumented site is a single attribute load and ``is None``
-   test — the same discipline as ``repro.sim.batch.FAULT_HOOK``.
+   test — the same discipline as ``repro.faults.HOOK``.
 2. **Absorb, don't duplicate.**  The codebase already keeps counter
    structs everywhere (``StoreStats``, ``SchedulerStats``, ``WALStats``,
    the plan-cache tuple).  Those stay authoritative; the registry reads
@@ -399,7 +399,7 @@ def parse_metrics(text: str) -> Dict[str, float]:
 
 
 # ---------------------------------------------------------------------------
-# Process-global switch (FAULT_HOOK discipline)
+# Process-global switch (repro.faults.HOOK discipline)
 # ---------------------------------------------------------------------------
 
 #: ``None`` when metrics are disabled.  Hot sites write

@@ -30,7 +30,6 @@ end.  See ``docs/serving.md``.
 """
 
 from .client import ServiceClient, ServiceError
-from .faults import Fault, FaultPlan, injected
 from .fsck import FsckReport, fsck_state_dir
 from .scheduler import (
     DrainingError,
@@ -54,8 +53,6 @@ from .wal import AdmissionWAL, WALError, load_wal
 __all__ = [
     "AdmissionWAL",
     "DrainingError",
-    "Fault",
-    "FaultPlan",
     "FsckReport",
     "Job",
     "JobRequest",
@@ -71,7 +68,6 @@ __all__ = [
     "WALError",
     "code_version",
     "fsck_state_dir",
-    "injected",
     "inputs_digest",
     "load_wal",
     "request_key",

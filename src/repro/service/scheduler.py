@@ -44,6 +44,7 @@ from dataclasses import asdict, dataclass, field, fields
 from itertools import islice
 from typing import Dict, List, Mapping, Optional, Tuple, Union
 
+from .. import faults
 from ..obs import logs as obs_logs
 from ..obs import metrics as obs_metrics
 from ..obs.spans import span as _span
@@ -54,7 +55,6 @@ from ..scenarios.sweep import grid_record, scenario_grid, simulate_scenario
 from ..sim.batch import ResilienceStats, SweepRunner, result_record, subsample
 from ..sim.engine import EngineOptions, resolve_execution_mode
 from ..sim.linecodec import record_line
-from . import faults
 from .store import ResultStore, code_version, inputs_digest, request_key
 from .wal import AdmissionWAL, WALError
 
@@ -438,7 +438,7 @@ def evaluate_request(payload: Tuple) -> Dict:
     obs_logs.set_request_id(rest[0] if rest else None)
     try:
         # The chaos plane's per-job seam: an injected engine error fails
-        # this job alone (caught below); an InjectedCrash is a
+        # this job alone (caught below); an injected crash is a
         # BaseException and takes out the whole batch, the way a real
         # worker crash would — which is what the scheduler's bisection
         # path exists to contain.

@@ -64,7 +64,6 @@ from ..obs import logs as obs_logs
 from ..obs import metrics as obs_metrics
 from ..obs.spans import span as obs_span
 from ..scenarios import all_scenarios
-from . import faults
 from .fsck import STORE_NAME, WAL_NAME, run_fsck
 from .scheduler import (
     DrainingError,
@@ -80,13 +79,6 @@ from .wal import AdmissionWAL, WALError
 
 _log = obs_logs.get_logger("service.server")
 _access_log = obs_logs.get_logger("service.access")
-
-#: Environment variable naming a JSON fault-plan file to install before
-#: serving — how the recovery chaos tests arm ``server.crash`` kills in
-#: a *subprocess* server (and how a killed, supervised server re-arms
-#: the same plan after restart; cross-process ticket budgets in the
-#: plan's ``state_dir`` keep ``count=1`` true across those restarts).
-FAULT_PLAN_ENV = "EQUEUE_FAULT_PLAN"
 
 #: Ceiling on a single long-poll, so an absurd ``wait`` cannot pin a
 #: handler thread for hours.
@@ -962,7 +954,6 @@ def main(argv=None) -> int:
             min_uptime_s=args.min_uptime,
         ).run()
 
-    _install_fault_plan_from_env()
     server = make_server(
         host=args.host,
         port=args.port,
@@ -1045,19 +1036,6 @@ def _child_argv(args) -> list:
     if args.log_level != "info":
         argv += ["--log-level", args.log_level]
     return argv
-
-
-def _install_fault_plan_from_env() -> None:
-    """Arm the chaos plane when ``EQUEUE_FAULT_PLAN`` names a plan file
-    (how subprocess servers — including supervised restarts — get their
-    seeded kill/fault schedules installed)."""
-    plan_path = os.environ.get(FAULT_PLAN_ENV)
-    if not plan_path:
-        return
-    with open(plan_path, "r", encoding="utf-8") as handle:
-        plan = faults.FaultPlan.from_dict(json.load(handle))
-    faults.install(plan)
-    _log.info("server.fault_plan_armed", plan=plan.name, faults=len(plan.faults))
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -53,9 +53,9 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Dict, Iterator, List, Mapping, Optional, Set, Tuple, Union
 
+from .. import faults
 from ..codeversion import code_version  # noqa: F401  (re-exported)
 from ..sim.linecodec import record_line
-from . import faults
 
 _KEY_PATTERN = re.compile(r"^[0-9a-f]{64}$")
 

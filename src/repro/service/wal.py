@@ -50,8 +50,8 @@ from pathlib import Path
 from threading import Lock
 from typing import Dict, Mapping, Optional
 
+from .. import faults
 from ..sim.linecodec import LineLog
-from . import faults
 
 #: The WAL format identifier (bump on incompatible change).
 WAL_KIND = "admission-wal/v1"

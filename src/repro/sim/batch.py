@@ -72,6 +72,7 @@ from typing import (
 
 import numpy as np
 
+from .. import faults
 from . import permanent
 from .engine import EngineOptions, ExecutionMode, SimulationResult, simulate
 from .journal import SweepJournal, journal_header
@@ -115,7 +116,7 @@ class SweepInterrupted(RuntimeError):
 
 
 class ChunkDeadlineError(RuntimeError):
-    """A single item exceeded the chunk deadline on every attempt.
+    """A single item was implicated in two chunk-deadline kills.
 
     The terminal verdict of the deadline escalation: the wedged chunk
     was killed, retried in a fresh pool, bisected down to one item, and
@@ -196,14 +197,6 @@ class _PoolUnavailable(Exception):
     """This environment cannot create a worker pool (serial fallback)."""
 
 
-#: Fault-injection seam for :meth:`SweepRunner.map` (the batch-dispatch
-#: boundary).  ``None`` in production; :mod:`repro.service.faults` sets
-#: it to its ``fire`` hook when a fault plan is installed — an
-#: indirection rather than an import because the service package imports
-#: this module.  Called as ``FAULT_HOOK("batch.map", context=...)``.
-FAULT_HOOK = None
-
-
 def default_jobs() -> int:
     """Usable CPU count (affinity-aware); the natural ``jobs`` choice."""
     try:
@@ -218,18 +211,12 @@ def _mp_context():
     ``fork`` (where available) starts workers in milliseconds; ``spawn``
     is the portable fallback.  Workers are written spawn-safe either way
     — module-level functions, picklable payloads, import path propagated
-    via ``PYTHONPATH`` — and ``EQUEUE_MP_CONTEXT`` forces a method.
+    via ``PYTHONPATH``.
     """
     import multiprocessing
 
-    method = os.environ.get("EQUEUE_MP_CONTEXT")
-    if not method:
-        method = (
-            "fork"
-            if "fork" in multiprocessing.get_all_start_methods()
-            else "spawn"
-        )
-    return multiprocessing.get_context(method)
+    fork = "fork" in multiprocessing.get_all_start_methods()
+    return multiprocessing.get_context("fork" if fork else "spawn")
 
 
 def _export_import_path() -> None:
@@ -263,22 +250,22 @@ def _run_chunk(
     Fires the two *in-worker* fault sites: ``batch.chunk`` once per
     dispatched chunk and ``batch.worker`` once per item, each with a
     context naming the chunk's original item indices (``item=N:...``) so
-    seeded chaos plans can kill or stall one specific point.  Forked
-    workers inherit the parent's installed plan; the hooks cost one
-    ``None`` check when no plan is armed.
+    chaos plans can kill or stall one specific point.  Forked workers
+    inherit the parent's hook; with none set, the contexts are never
+    built and each site costs one ``None`` check.
     """
-    if FAULT_HOOK is not None and indices:
-        FAULT_HOOK(
+    if faults.HOOK is not None and indices:
+        faults.fire(
             "batch.chunk",
             context=f"chunk={indices[0]}..{indices[-1]},n={len(items)}",
         )
     results: List[R] = []
     for position, item in enumerate(items):
-        if FAULT_HOOK is not None and indices:
+        if faults.HOOK is not None and indices:
             context = f"item={indices[position]}:"
             if describe is not None:
                 context += describe(item)
-            FAULT_HOOK("batch.worker", context=context)
+            faults.fire("batch.worker", context=context)
         results.append(worker(item))
     return results
 
@@ -414,8 +401,7 @@ class SweepRunner:
         are delivered, then :class:`SweepInterrupted` is raised.
         """
         items = list(items)
-        if FAULT_HOOK is not None:
-            FAULT_HOOK("batch.map", context=f"items={len(items)}")
+        faults.fire("batch.map", context=f"items={len(items)}")
         self.fell_back = False
         self.resilience = ResilienceStats()
         if self.jobs <= 1 or len(items) <= 1:
@@ -727,7 +713,9 @@ class SweepRunner:
         worker-only fault hooks) it either succeeds or raises exactly
         what ``jobs=1`` would.  A singleton implicated in a deadline
         kill is never run in the parent — that could wedge the whole
-        sweep — and fails cleanly instead.
+        sweep: it gets one more attempt in the pool (its other strike
+        may be another chunk's crash, which fails every chunk in
+        flight), and a second deadline kill fails it cleanly.
         """
         pending: List[_ChunkState] = []
         for state in failed:
@@ -750,11 +738,15 @@ class SweepRunner:
                     )
                 continue
             index = state.indices[0]
-            if state.timeouts:
+            if state.timeouts > 1:
                 raise ChunkDeadlineError(
                     f"item {index} exceeded the chunk deadline "
-                    f"({self.chunk_deadline_s:.3g}s) on every attempt"
+                    f"({self.chunk_deadline_s:.3g}s) twice"
                 )
+            if state.timeouts:
+                self.resilience.chunks_retried += 1
+                pending.append(state)
+                continue
             self.resilience.poison_isolated += 1
             value = worker(items[index])
             results[index] = value

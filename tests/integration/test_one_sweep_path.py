@@ -28,13 +28,7 @@ from repro.scenarios.sweep import (
     run_scenario_sweep,
     scenario_point_export_record,
 )
-from repro.service import (
-    FaultPlan,
-    JobScheduler,
-    ResultStore,
-    SweepRequest,
-    injected,
-)
+from repro.service import JobScheduler, ResultStore, SweepRequest
 from repro.sim import simulate
 from repro.sim.batch import (
     ResilienceStats,
@@ -44,6 +38,7 @@ from repro.sim.batch import (
 )
 from repro.sim.journal import load_journal
 from tests.differential import HOST_FIELDS
+from tests.faults import FaultPlan, injected
 
 SEED = 5
 

@@ -10,13 +10,17 @@ uninterrupted ``jobs=1`` reference:
   is in the journal, and the resumed merge is bit-identical (held for
   every checkpoint kind at once by
   ``tests/integration/test_one_sweep_path.py``);
-* seeded chaos plans (worker kills, chunk stalls, poisoned points fired
+* drawn chaos plans (worker kills, chunk stalls, poisoned points fired
   *inside* pool workers) never change results, only cost recovery work.
 """
 
 from __future__ import annotations
 
+import tempfile
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import repro.scenarios.sweep as sweep_module
 from repro.scenarios import scenario_grid
@@ -24,9 +28,10 @@ from repro.scenarios.sweep import (
     run_scenario_sweep,
     scenario_point_export_record,
 )
-from repro.service.faults import FaultPlan, injected
 from repro.sim.batch import ResilienceStats
 from repro.sim.journal import JournalError, load_journal
+from tests.faults import SWEEP_KINDS, Fault, FaultPlan, injected, sweep_plans
+from tests.faults import derandomized
 
 
 def _canonical(points):
@@ -95,36 +100,47 @@ class TestJournalResume:
         assert stats.points_resumed == 2
 
 
-CHAOS_SEEDS = range(6)
+POINTS = scenario_grid("gemm").count()
+
+
+def _check_sweep_plan(plan, grid, reference):
+    with tempfile.TemporaryDirectory() as state:
+        plan.state_dir = state  # fresh tickets for every drawn plan
+        with injected(plan):
+            points = run_scenario_sweep(
+                grid, jobs=2, chunk_deadline_s=1.0  # below every stall's delay
+            )
+    assert _canonical(points) == reference, plan.to_json()
 
 
 class TestSweepChaos:
-    @pytest.mark.parametrize("seed", CHAOS_SEEDS)
-    def test_seeded_plan_is_bit_identical(
-        self, grid, reference, tmp_path, seed
+    @pytest.mark.parametrize("kind", SWEEP_KINDS)
+    @derandomized(2)  # x 3 kinds = 6 plans
+    @given(data=st.data())
+    def test_drawn_plan_is_bit_identical(self, grid, reference, kind, data):
+        _check_sweep_plan(data.draw(sweep_plans(POINTS, first=kind)), grid, reference)
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("kind", SWEEP_KINDS)
+    @derandomized(10)  # x 3 kinds = 30 plans
+    @given(data=st.data())
+    def test_drawn_plan_is_bit_identical_deeply(
+        self, grid, reference, kind, data
     ):
-        plan = FaultPlan.generate_sweep(
-            seed, points=len(reference), state_dir=str(tmp_path),
-            slow_delay_s=2.0,
-        )
-        stats = ResilienceStats()
-        with injected(plan):
-            points = run_scenario_sweep(
-                grid,
-                jobs=2,
-                runner_stats=stats,
-                chunk_deadline_s=1.0,  # below every stall's delay
-            )
-        assert _canonical(points) == reference, f"chaos seed {seed}"
+        _check_sweep_plan(data.draw(sweep_plans(POINTS, first=kind)), grid, reference)
 
     def test_chaos_with_journal_checkpoints_survive(
         self, grid, reference, tmp_path
     ):
         journal = tmp_path / "sweep.journal"
-        plan = FaultPlan.generate_sweep(
-            11, points=len(reference), state_dir=str(tmp_path / "faults"),
+        # Two chunk stalls, each killed at the chunk deadline.
+        plan = FaultPlan(
+            [
+                Fault("batch.chunk", "slow", after=2, delay_s=2.0),
+                Fault("batch.chunk", "slow", after=1, delay_s=2.0),
+            ],
+            state_dir=str(tmp_path / "faults"),
         )
-        (tmp_path / "faults").mkdir()
         with injected(plan):
             points = run_scenario_sweep(
                 grid, jobs=2, journal=journal, chunk_deadline_s=1.0

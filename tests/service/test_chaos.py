@@ -1,4 +1,4 @@
-"""The chaos campaign: seeded fault plans against a live service.
+"""The chaos campaign: drawn fault plans against a live service.
 
 The service's robustness contract is **never wrong, only unavailable**:
 under injected engine crashes, store corruption, I/O errors, stalls, and
@@ -7,29 +7,35 @@ fault-free cold reference, every error must be a clean JSON message (no
 tracebacks over the wire), and the server must be alive — and still
 correct — after every plan.
 
-Each plan is generated from a seed (``FaultPlan.generate``), so the
-whole campaign replays exactly; a failing seed's plan (and its fired
-log) is dumped to ``$EQUEUE_CHAOS_DIR`` for CI to upload.
+Each plan is drawn by ``tests.faults.chaos_plans`` with derandomized
+hypothesis settings, so the whole campaign replays exactly; each (site,
+action) pair leads the plans of its own property.  A failing plan
+shrinks to its minimal fault set; hypothesis replays that one last, so
+the plan (and its fired log) left in ``$EQUEUE_CHAOS_DIR`` for CI to
+upload is the shrunk one.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import tempfile
 import threading
 from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.export import record_line
 from repro.scenarios import scenario_grid
 from repro.scenarios.sweep import run_scenario_sweep
 from repro.service import JobRequest, JobScheduler, ServiceClient, ServiceError
-from repro.service import faults
 from repro.service import scheduler as scheduler_module
 from repro.service.server import make_server
 from tests.differential import HOST_FIELDS
+from tests.faults import CHAOS_PAIRS, FaultPlan, chaos_plans, derandomized, injected
 
 #: The deterministic request mix every plan runs (spec, config, seed) —
 #: fast scenarios only, so a 24-plan campaign stays tier-1 viable.
@@ -53,8 +59,6 @@ POISON_CONTEXTS = sorted(
 DEADLINE_S = 0.2
 SLOW_DELAY_S = 0.35
 
-CHAOS_SEEDS = range(24)
-
 
 def canonical(record):
     """The bit-comparison form of a record: its canonical JSON line with
@@ -72,7 +76,6 @@ def references():
     """Fault-free reference records, canonical-JSON keyed by request —
     computed once through a clean scheduler and anchored against the
     ``run_scenario_sweep(jobs=1)`` cold path."""
-    faults.clear()
     scheduler = JobScheduler(store=None)
     jobs = {}
     for spec, config, seed in REQUESTS:
@@ -94,10 +97,12 @@ def references():
     return lines
 
 
-@pytest.fixture(autouse=True)
-def fast_watchdog(monkeypatch):
+@pytest.fixture(autouse=True, scope="module")
+def fast_watchdog():
     """A deadline failure lands within 20 ms of its budget."""
-    monkeypatch.setattr(scheduler_module, "WATCHDOG_POLL_S", 0.02)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(scheduler_module, "WATCHDOG_POLL_S", 0.02)
+        yield
 
 
 @contextmanager
@@ -147,18 +152,31 @@ def _assert_clean(message):
     assert "Traceback" not in message, f"traceback over the wire: {message}"
 
 
-@pytest.mark.parametrize("seed", CHAOS_SEEDS)
-def test_seeded_fault_plan_never_wrong_only_unavailable(
-    seed, tmp_path, references
+@pytest.mark.parametrize("pair", CHAOS_PAIRS, ids="-".join)
+@derandomized(2)  # x 12 pairs = 24 plans
+@given(data=st.data())
+def test_drawn_fault_plan_never_wrong_only_unavailable(pair, data, references):
+    _check_plan(data.draw(_plans_led_by(pair)), references)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("pair", CHAOS_PAIRS, ids="-".join)
+@derandomized(9)  # x 12 pairs = 108 plans
+@given(data=st.data())
+def test_drawn_fault_plan_never_wrong_only_unavailable_deeply(
+    pair, data, references
 ):
-    plan = faults.FaultPlan.generate(
-        seed,
-        faults=3,
-        slow_delay_s=SLOW_DELAY_S,
-        poison_contexts=POISON_CONTEXTS,
-    )
+    _check_plan(data.draw(_plans_led_by(pair)), references)
+
+
+def _plans_led_by(pair):
+    return chaos_plans(POISON_CONTEXTS, slow_delay_s=SLOW_DELAY_S, first=pair)
+
+
+def _check_plan(plan, references):
     try:
-        _run_plan(plan, tmp_path, references)
+        with tempfile.TemporaryDirectory() as tmp:
+            _run_plan(plan, Path(tmp), references)
     except BaseException as error:
         _dump_failing_plan(plan, error)
         raise
@@ -167,7 +185,7 @@ def test_seeded_fault_plan_never_wrong_only_unavailable(
 def _run_plan(plan, tmp_path, references):
     completed = 0
     with chaos_server(tmp_path) as (client, server):
-        with faults.injected(plan):
+        with injected(plan):
             # Two passes over the mix: the second pass rides coalescing
             # and warm store reads straight through the injected faults.
             for attempt in range(2):
@@ -205,7 +223,6 @@ def _run_plan(plan, tmp_path, references):
 def test_overload_degrades_to_clean_429_503_only(tmp_path, references):
     """A hammered, tightly-bounded server: every response is either a
     correct completion or a clean 429/503 — nothing else, nothing wrong."""
-    faults.clear()
     server = make_server(
         host="127.0.0.1",
         port=0,
@@ -251,14 +268,20 @@ def test_overload_degrades_to_clean_429_503_only(tmp_path, references):
         thread.join(timeout=30)
 
 
-def test_failing_plan_dump_round_trips(tmp_path, monkeypatch):
+@settings(max_examples=10, deadline=None)
+@given(plan=chaos_plans(POISON_CONTEXTS))
+def test_failing_plan_dump_round_trips(plan):
     """The CI artifact is a replayable plan: dump, reload, same plan."""
-    monkeypatch.setenv("EQUEUE_CHAOS_DIR", str(tmp_path / "artifacts"))
-    plan = faults.FaultPlan.generate(5, poison_contexts=POISON_CONTEXTS)
-    plan.fire("store.get", context="k" * 64, payload="text")
-    _dump_failing_plan(plan, AssertionError("wrong response"))
-    [artifact] = (tmp_path / "artifacts").glob("*.json")
-    payload = json.loads(artifact.read_text(encoding="utf-8"))
+    try:
+        plan.fire("store.get", context="k" * 64, payload="text")
+    except OSError:
+        pass  # a drawn store.get io-error: fired and logged all the same
+    with tempfile.TemporaryDirectory() as tmp:
+        with pytest.MonkeyPatch.context() as env:
+            env.setenv("EQUEUE_CHAOS_DIR", tmp)
+            _dump_failing_plan(plan, AssertionError("wrong response"))
+        [artifact] = Path(tmp).glob("*.json")
+        payload = json.loads(artifact.read_text(encoding="utf-8"))
     assert payload["failure"] == "wrong response"
-    reloaded = faults.FaultPlan.from_dict(payload)
-    assert reloaded.to_dict() == plan.to_dict()
+    assert payload["fired"] == [list(entry) for entry in plan.fired]
+    assert FaultPlan.from_dict(payload).to_dict() == plan.to_dict()

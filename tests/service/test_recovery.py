@@ -20,23 +20,22 @@ from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
 
 from repro.analysis.export import record_line
 from repro.service import (
-    Fault,
-    FaultPlan,
     JobRequest,
     JobScheduler,
     ResultStore,
     ServiceClient,
     ServiceError,
     Supervisor,
-    injected,
 )
 from repro.service.scheduler import request_store_key
-from repro.service.server import FAULT_PLAN_ENV, make_server
+from repro.service.server import make_server
 from repro.service.wal import AdmissionWAL, load_wal
 from tests.differential import HOST_FIELDS
+from tests.faults import Fault, FaultPlan, chaos_plans, injected
 
 
 def canonical(record):
@@ -140,6 +139,25 @@ class TestInProcessRecovery:
         terminal = load_wal(state / "admission.wal").terminal
         assert terminal["job-000001"]["status"] == "done"
 
+    def test_lost_terminal_record_replays_as_a_store_hit(self, tmp_path):
+        state = tmp_path / "state"
+        first = self._stack(state)
+        first.recover()
+        plan = FaultPlan([Fault("wal.append", "io-error", match="terminal")])
+        with injected(plan):
+            job = first.submit(JobRequest.make("fir"))
+            first.run_pending()
+        assert job.done and job.error is None
+        assert first.stats.wal_append_failures == 1
+        # The WAL holds the admission alone; the record is in the store.
+        second = self._stack(state)
+        summary = second.recover()
+        assert summary["store_hits"] == 1 and summary["requeued"] == 0
+        replay = second.job(job.id)
+        assert replay.done and replay.source == "store"
+        assert replay.record == job.record
+        assert second.stats.simulated == 0  # zero engine work
+
     def test_unvalidatable_request_fails_cleanly(self, tmp_path):
         state = tmp_path / "state"
         state.mkdir()
@@ -206,16 +224,21 @@ class TestDurableServiceHTTP:
             assert client.stats()["simulated"] == 0
 
 
-def _spawn_server(args, env_extra=None):
-    """A real ``equeue-serve`` subprocess; returns (proc, base_url,
-    lines) with ``lines`` growing in the background."""
+def _spawn_server(args, plan_path=None):
+    """A real ``equeue-serve`` subprocess — started through the fault
+    plane's launcher when ``plan_path`` names a plan to install; returns
+    (proc, base_url, lines) with ``lines`` growing in the background."""
     env = dict(os.environ)
-    src = str(Path(__file__).resolve().parents[2] / "src")
-    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    if env_extra:
-        env.update(env_extra)
+    root = Path(__file__).resolve().parents[2]
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root / "src"), str(root), env.get("PYTHONPATH", "")]
+    )
+    if plan_path is None:
+        command = ["-m", "repro.service.server", *args]
+    else:
+        command = ["-m", "tests.faults", str(plan_path), "--", *args]
     proc = subprocess.Popen(
-        [sys.executable, "-m", "repro.service.server", *args],
+        [sys.executable, *command],
         stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT,
         text=True,
@@ -336,7 +359,7 @@ class TestKillNineRecovery:
         plan_path.write_text(plan.to_json(), encoding="utf-8")
         proc, url, _ = _spawn_server(
             ["--port", "0", "--state-dir", str(state)],
-            env_extra={FAULT_PLAN_ENV: str(plan_path)},
+            plan_path=plan_path,
         )
         try:
             client = ServiceClient(url, timeout=120.0)
@@ -433,26 +456,12 @@ class TestSupervisorPolicy:
         assert supervisor.run() == 0
 
 
-class TestGenerateCrashPlans:
-    def test_seeded_plans_target_the_crash_seams(self, tmp_path):
-        plan = FaultPlan.generate_crash(3, state_dir=str(tmp_path), kills=2)
-        assert len(plan.faults) == 2
-        for fault in plan.faults:
-            assert fault.site == "server.crash" and fault.action == "kill"
-            assert fault.match in ("admit:", "finish:", "sweep-point:")
-            assert fault.count == 1
-        assert plan.state_dir == str(tmp_path)
-        again = FaultPlan.generate_crash(3, state_dir=str(tmp_path), kills=2)
-        assert [f.to_dict() for f in again.faults] == [
-            f.to_dict() for f in plan.faults
-        ]
-
-    def test_generic_chaos_draw_never_kills_the_whole_server(self):
-        # server.crash is the recovery plane's site; the in-process
-        # chaos plans must never draw it (it would SIGKILL the tests).
-        for seed in range(64):
-            plan = FaultPlan.generate(seed, faults=8)
-            assert all(f.site != "server.crash" for f in plan.faults)
+@settings(max_examples=64, deadline=None)
+@given(plan=chaos_plans(poison_contexts=["gemm:seed=0"], faults=8))
+def test_generic_chaos_draw_never_kills_the_whole_server(plan):
+    # server.crash is the kill-9 tests' site; the in-process chaos
+    # plans must never draw it (it would SIGKILL the tests).
+    assert all(f.site != "server.crash" for f in plan.faults)
 
 
 class TestSupervisedServer:

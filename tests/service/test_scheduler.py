@@ -25,6 +25,7 @@ from repro.scenarios.sweep import run_scenario_sweep
 from repro.service import JobRequest, JobScheduler, ResultStore
 from repro.service.scheduler import RequestError, SweepRequest
 from repro.sim import ExecutionMode, resolve_execution_mode
+from tests import faults
 
 
 class TestJobRequest:
@@ -447,8 +448,6 @@ class TestRobustness:
     hardened tier, driven by the deterministic fault plane."""
 
     def test_poisoned_batch_bisects_to_the_culprit(self, tmp_path):
-        from repro.service import faults
-
         plan = faults.FaultPlan(
             [faults.Fault("job.evaluate", "poison", match="seed=2", count=-1)]
         )
@@ -471,8 +470,6 @@ class TestRobustness:
         assert scheduler.store.get(jobs[2].key) is None
 
     def test_transient_pool_error_still_completes_every_job(self, tmp_path):
-        from repro.service import faults
-
         plan = faults.FaultPlan([faults.Fault("batch.map", "pool-error")])
         scheduler = JobScheduler(store=ResultStore(tmp_path))
         with faults.injected(plan):
@@ -486,8 +483,6 @@ class TestRobustness:
         assert sum(job.state == "done" for job in jobs) >= 2
 
     def test_deadline_fails_job_not_worker(self, tmp_path, monkeypatch):
-        from repro.service import faults
-
         monkeypatch.setattr(scheduler_module, "WATCHDOG_POLL_S", 0.02)
         plan = faults.FaultPlan(
             [faults.Fault("job.evaluate", "slow", delay_s=0.6)]
@@ -512,8 +507,6 @@ class TestRobustness:
     def test_batch_pool_recovery_reaches_stats(self, tmp_path):
         """A pool worker killed under a batch is rebuilt around, and the
         rebuild is counted on ``/stats`` like a sweep's."""
-        from repro.service import faults
-
         plan = faults.FaultPlan(
             [faults.Fault("batch.chunk", "kill")],
             state_dir=str(tmp_path / "tickets"),
@@ -532,8 +525,6 @@ class TestRobustness:
         """A worker still stuck ``STUCK_GRACE_S`` past a deadline is
         written off: the next job runs on a fresh thread, and the old
         thread's late record settles nothing (first writer wins)."""
-        from repro.service import faults
-
         monkeypatch.setattr(scheduler_module, "WATCHDOG_POLL_S", 0.02)
         monkeypatch.setattr(scheduler_module, "STUCK_GRACE_S", 0.1)
         plan = faults.FaultPlan(
@@ -624,8 +615,6 @@ class TestRobustness:
         assert hit.done and hit.source == "store"
 
     def test_worker_death_restarts_in_place_and_surfaces(self, tmp_path):
-        from repro.service import faults
-
         plan = faults.FaultPlan([faults.Fault("scheduler.worker", "die")])
         scheduler = JobScheduler(store=ResultStore(tmp_path))
         scheduler.start()

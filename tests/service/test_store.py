@@ -10,12 +10,14 @@ import os
 
 import pytest
 
+import repro.faults
 from repro.service.store import (
     ResultStore,
     code_version,
     inputs_digest,
     request_key,
 )
+from tests import faults
 
 
 def key_of(text: str) -> str:
@@ -179,20 +181,17 @@ class TestIntegrity:
         assert store.stats.quarantined == store.stats.misses == len(payloads)
 
     def test_read_hands_out_the_verified_line(self, tmp_path, monkeypatch):
-        from repro.service import faults
-
         store = ResultStore(tmp_path)
         key = key_of("k1")
         record = {"b": [1.5, "é"], "a": {"z": None}}
         store.put(key, record)
         seen = []
-        real_fire = faults.fire
 
-        def fire(site, context=None, payload=None):
+        def hook(site, context, payload):
             seen.append((site, context, payload))
-            return real_fire(site, context=context, payload=payload)
+            return payload
 
-        monkeypatch.setattr(faults, "fire", fire)
+        monkeypatch.setattr(repro.faults, "HOOK", hook)
         line = store.read(key)
         blob = store._blob_path(key).read_bytes()
         assert json.loads(line) == record == store.get(key)
@@ -201,8 +200,6 @@ class TestIntegrity:
         assert seen[0] == ("store.get", key, blob.decode("utf-8"))
 
     def test_injected_read_error_is_a_miss(self, tmp_path):
-        from repro.service import faults
-
         store = ResultStore(tmp_path)
         key = key_of("k1")
         store.put(key, {"v": 1})
@@ -213,8 +210,6 @@ class TestIntegrity:
         assert store.get(key) == {"v": 1}  # blob itself is intact
 
     def test_injected_corruption_is_caught_by_digest(self, tmp_path):
-        from repro.service import faults
-
         store = ResultStore(tmp_path)
         key = key_of("k1")
         store.put(key, {"v": 1})
@@ -331,8 +326,6 @@ class TestTmpSweep:
         assert reborn.put(key, {"v": 1}) is True
 
     def test_injected_put_fault_leaves_store_readable(self, tmp_path):
-        from repro.service import faults
-
         store = ResultStore(tmp_path)
         k1, k2 = key_of("k1"), key_of("k2")
         store.put(k1, {"v": 1})

@@ -14,9 +14,10 @@ from repro.service import (
     SweepJob,
     SweepRequest,
 )
-from repro.service.faults import FaultPlan, injected
 from repro.service.scheduler import RequestError, request_store_key
 from repro.service.server import make_server
+from tests.differential import HOST_FIELDS
+from tests.faults import Fault, FaultPlan, injected
 
 
 @pytest.fixture
@@ -125,6 +126,27 @@ class TestSchedulerSweeps:
         assert scheduler.stats.sweep_points_resumed == 11
         # Only the failed point simulated on the resume pass.
         assert scheduler.stats.sweep_points_simulated == 12
+
+    def test_a_lost_checkpoint_costs_only_its_store_entry(self, scheduler):
+        request = SweepRequest.make("gemm", sample=4)
+        lost = request_store_key(request.point_requests()[1])
+        plan = FaultPlan([Fault("store.put", "io-error", match=lost)])
+        with injected(plan):
+            job = scheduler.submit(request)
+            scheduler.run_pending()
+        assert scheduler.stats.store_put_failures == 1
+        assert scheduler.store.get(lost) is None
+        clean = JobScheduler(store=None, jobs=1)
+        reference = clean.submit(request)
+        clean.run_pending()
+
+        def measured(record):
+            for point in record["points"]:
+                for field in HOST_FIELDS:
+                    point["summary"].pop(field, None)
+            return record
+
+        assert measured(job.result()) == measured(reference.result())
 
     def test_stats_carry_resilience_counters(self, scheduler):
         scheduler.submit(SweepRequest.make("gemm", sample=2))

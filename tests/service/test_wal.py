@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.service import Fault, FaultPlan, JobScheduler, injected
+from repro.service import JobScheduler
 from repro.service import wal as wal_module
 from repro.service.wal import (
     WAL_KIND,
@@ -23,6 +23,7 @@ from repro.service.wal import (
     load_wal,
 )
 from repro.sim.linecodec import encode_line, parse_line, scan_lines
+from tests.faults import Fault, FaultPlan, injected
 
 
 def folded_hit(job_id: str, key: str, request: dict, request_id=None) -> dict:

@@ -470,6 +470,14 @@ class TestSweepRunner:
         items = list(range(17))
         assert runner.map(_double, items) == [2 * i for i in items]
 
+    def test_the_start_method_follows_the_platform(self, monkeypatch):
+        # No variable picks it: an unknown method name once raised out
+        # of every pooled map.
+        monkeypatch.setenv("EQUEUE_MP_CONTEXT", "bogus")
+        runner = SweepRunner(jobs=2)
+        assert runner.map(abs, [-1, -2, -3, -4]) == [1, 2, 3, 4]
+        assert not runner.fell_back
+
     def test_unpicklable_worker_falls_back_to_serial(self):
         runner = SweepRunner(jobs=2)
         assert runner.map(lambda x: x + 1, [1, 2, 3]) == [2, 3, 4]

@@ -48,6 +48,11 @@ def _evaluate(payload):  # module-level: picklable for pool workers
         os.kill(os.getpid(), signal.SIGKILL)
     if action == "stall-once" and _claim(token):
         time.sleep(20)
+    if action == "kill-then-stall":
+        if _claim(token + ".kill"):
+            os.kill(os.getpid(), signal.SIGKILL)
+        if _claim(token + ".stall"):
+            time.sleep(20)
     if action == "stall-always":
         time.sleep(20)
     if action == "slow":
@@ -153,6 +158,16 @@ class TestChunkDeadline:
         assert time.monotonic() - started < 15.0  # never waited the 20s out
         assert runner.resilience.deadline_timeouts >= 1
         assert runner.resilience.pool_rebuilds >= 1
+
+    def test_one_stall_after_a_crash_is_retried(self, tmp_path):
+        # A singleton with a crash strike and one deadline kill gets one
+        # more attempt in the pool: the crash may have been another
+        # chunk's, and the stall a transient one.
+        items = _items(4, [(1, "kill-then-stall", str(tmp_path / "x"))])
+        runner = SweepRunner(jobs=2, chunk_size=1, chunk_deadline_s=1.0)
+        assert runner.map(_evaluate, items) == [i * 3 for i in range(4)]
+        assert runner.resilience.deadline_timeouts >= 1
+        assert not runner.fell_back
 
     def test_wedged_singleton_fails_cleanly(self):
         items = _items(6, [(2, "stall-always", "")])

@@ -2,9 +2,10 @@
 
 The engine tier (``ir``, ``dialects``, ``passes``, ``sim``) sits below
 everything that *uses* it; ``analysis`` and ``scenarios`` sit below the
-service; ``obs`` imports no other layer at all.  Lazy imports inside
-functions count too — an upward import hidden in a function body is
-still a cycle waiting for a caller.
+service; ``obs`` imports no other layer at all, and the fault hook
+(``repro/faults.py``) nothing from ``repro``.  No source imports the
+test suite.  Lazy imports inside functions count too — an upward import
+hidden in a function body is still a cycle waiting for a caller.
 
 The test suite has one differential harness (``tests/differential.py``):
 no other module states a backend matrix or an ``observables``, and no
@@ -59,6 +60,27 @@ def test_layer_imports_nothing_above_it(layer):
         for path in files
         for line, module in imported_modules(path)
         if (module + ".").startswith(forbidden)
+    ]
+    assert not violations, "\n".join(violations)
+
+
+def test_the_fault_hook_imports_nothing_from_repro():
+    """Every layer calls ``repro.faults.fire``, so it sits under all."""
+    path = PACKAGE / "faults.py"
+    assert not [
+        module
+        for _, module in imported_modules(path)
+        if (module + ".").startswith("repro.")
+    ]
+
+
+def test_no_source_imports_the_test_suite():
+    """The fault plane (``tests/faults.py``) stays out of the product."""
+    violations = [
+        f"{path.relative_to(PACKAGE.parent)}:{line}: imports {module}"
+        for path in sorted(PACKAGE.rglob("*.py"))
+        for line, module in imported_modules(path)
+        if (module + ".").startswith("tests.")
     ]
     assert not violations, "\n".join(violations)
 
