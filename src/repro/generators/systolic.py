@@ -534,14 +534,15 @@ def _stamp(stamps: List[tuple]) -> Dict[Block, Block]:
     relation: Dict[Block, Block] = {}
     for block, (ops, first, placed), vals, r, c in stamps:
         value_map = dict(zip(first.arguments, vals))
-        terminator = block.ops.pop()
+        terminator = block.terminator
+        block.remove(terminator)
         for op in ops:
             block.append(op.clone(value_map))
-        block.ops.append(terminator)
+        block.append(terminator)
         position = _position(r, c)
         for constant, which in placed:
-            value_map[constant].owner.attributes["value"] = integer_attr(
-                position[which], index
+            value_map[constant].owner.set_attr(
+                "value", integer_attr(position[which], index)
             )
         relation[block] = first
     return relation

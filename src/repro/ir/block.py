@@ -6,7 +6,7 @@ from typing import TYPE_CHECKING, Iterator, List, Optional, Sequence
 
 from .diagnostics import IRError
 from .types import Type
-from .values import BlockArgument
+from .values import BlockArgument, mutated
 
 if TYPE_CHECKING:  # pragma: no cover
     from .operation import Operation
@@ -38,6 +38,7 @@ class Block:
         arg = BlockArgument(type, self, len(self.arguments))
         arg.name_hint = name_hint
         self.arguments.append(arg)
+        mutated()
         return arg
 
     def erase_argument(self, index: int) -> None:
@@ -47,17 +48,20 @@ class Block:
         del self.arguments[index]
         for i, remaining in enumerate(self.arguments):
             remaining.index = i
+        mutated()
 
     # -- op list management -------------------------------------------------
 
     def append(self, op: "Operation") -> "Operation":
         op.parent = self
         self.ops.append(op)
+        mutated()
         return op
 
     def insert(self, index: int, op: "Operation") -> "Operation":
         op.parent = self
         self.ops.insert(index, op)
+        mutated()
         return op
 
     def insert_before(self, anchor: "Operation", op: "Operation") -> "Operation":
@@ -69,6 +73,7 @@ class Block:
     def remove(self, op: "Operation") -> None:
         self.ops.remove(op)
         op.parent = None
+        mutated()
 
     def index_of(self, op: "Operation") -> int:
         for i, candidate in enumerate(self.ops):

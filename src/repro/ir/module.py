@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from typing import Optional
+
 from .block import Block
 from .operation import Operation, OpTrait, register_op
 from .region import Region
@@ -16,6 +18,11 @@ class ModuleOp(Operation):
 
     op_name = "builtin.module"
     traits = frozenset({OpTrait.ISOLATED_FROM_ABOVE, OpTrait.SINGLE_BLOCK})
+    #: The number of the latest IR mutation
+    #: (:data:`repro.ir.values.mutations`) as read before the walk of the
+    #: last :func:`repro.ir.verifier.verify` this module passed; ``None``
+    #: until one has.
+    verified_at: Optional[int] = None
 
     @staticmethod
     def build() -> "ModuleOp":

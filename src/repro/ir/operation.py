@@ -16,7 +16,7 @@ from .attributes import Attribute, attr_from_python, attr_to_python
 from .diagnostics import IRError, VerificationError
 from .region import Region
 from .types import Type
-from .values import OpOperand, OpResult, Value
+from .values import OpOperand, OpResult, Value, mutated
 
 
 class OpTrait:
@@ -189,6 +189,7 @@ class Operation:
             self.operands = [operand]
         for i, existing in enumerate(self.operands):
             existing.index = i
+        mutated()
 
     def append_operand(self, value: Value) -> None:
         self.insert_operand(len(self.operands), value)
@@ -198,6 +199,7 @@ class Operation:
         del self.operands[index]
         for i, existing in enumerate(self.operands):
             existing.index = i
+        mutated()
 
     def result(self, index: int = 0) -> OpResult:
         return self.results[index]
@@ -213,6 +215,7 @@ class Operation:
 
     def set_attr(self, name: str, value) -> None:
         self.attributes[name] = attr_from_python(value)
+        mutated()
 
     def has_attr(self, name: str) -> bool:
         return name in self.attributes
@@ -260,7 +263,7 @@ class Operation:
         -> block, nested op -> block): what is left is a tree that
         reference counting frees the moment the caller lets go.  Nothing
         cyclic is left for the collector — or for ``gc.freeze()`` to
-        park as garbage (:mod:`repro.sim.permanent` freezes a program
+        park as garbage (:mod:`repro.permanent` freezes a program
         right after its build, lowering passes included).
         """
         for operand in self.operands:
@@ -277,6 +280,7 @@ class Operation:
                 for op in block.ops:
                     op.parent = None
                     op.drop_all_references()
+        mutated()
 
     def detach(self) -> "Operation":
         """Remove from the parent block without dropping references."""

@@ -36,6 +36,12 @@ names the offending token itself, not the one-line part holding it, and
 re-scans the source to locate it.  Well-formed input never pays for a
 diagnostic; a lexical error anywhere still beats an earlier parse error.
 
+A parse is construction: everything it allocates is still alive when it
+returns, so an automatic collection during it would only re-walk the
+module being built.  :func:`parse_module` and :func:`parse_op` therefore
+run with collection held off (:func:`repro.permanent.paused`), and leave
+the collector as they found it on every way out.
+
 ``parse_module(print_op(m))`` reconstructs an isomorphic module; the
 round-trip property is enforced by the test suite (including a
 hypothesis-driven random-program test).
@@ -47,6 +53,7 @@ import re
 from itertools import islice
 from typing import Callable, Dict, List, Optional, Tuple
 
+from .. import permanent
 from .attributes import (
     UNIT,
     ArrayAttr,
@@ -488,11 +495,12 @@ class _TokenByToken(Parser):
 
 
 def _parse(source: str, rule: Callable[[Parser], Operation]) -> Operation:
-    try:
-        return rule(Parser(source))
-    except ParseError:
-        pass
-    return rule(_TokenByToken(source))
+    with permanent.paused():
+        try:
+            return rule(Parser(source))
+        except ParseError:
+            pass
+        return rule(_TokenByToken(source))
 
 
 def parse_module(source: str) -> ModuleOp:

@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Dict, List, Optional
 
 from .block import Block
-from .values import BlockArgument
+from .values import BlockArgument, mutated
 
 if TYPE_CHECKING:  # pragma: no cover
     from .operation import Operation
@@ -36,16 +36,19 @@ class Region:
     def append(self, block: "Block") -> "Block":
         block.parent = self
         self.blocks.append(block)
+        mutated()
         return block
 
     def insert(self, index: int, block: "Block") -> "Block":
         block.parent = self
         self.blocks.insert(index, block)
+        mutated()
         return block
 
     def remove(self, block: "Block") -> None:
         self.blocks.remove(block)
         block.parent = None
+        mutated()
 
     def clone(self, value_map: Optional[Dict["Value", "Value"]] = None) -> "Region":
         """Deep-copy all blocks, remapping block arguments and results

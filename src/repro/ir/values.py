@@ -9,6 +9,7 @@ O(uses) operation.
 
 from __future__ import annotations
 
+from itertools import count
 from typing import TYPE_CHECKING, List, Optional, Sequence
 
 from .types import Type
@@ -16,6 +17,29 @@ from .types import Type
 if TYPE_CHECKING:  # pragma: no cover
     from .block import Block
     from .operation import Operation
+
+
+#: The number of the latest IR mutation made in this process (0 before
+#: the first).  Every mutation API — block and region edits,
+#: block-argument and operand edits, ``set_attr``, ``erase`` — calls
+#: :func:`mutated` once its change is made, on any module.
+#: :func:`repro.ir.verifier.verify` stamps a module with the number it
+#: read before its walk, so a stamp that still equals it means nothing
+#: has changed since the module verified.
+mutations = 0
+_numbers = count(1)
+
+
+def mutated() -> None:
+    """Number one IR mutation and publish its number (see
+    :data:`mutations`).
+
+    Threads need no lock: ``next`` on the counter is atomic and the
+    publication one assignment.  Each number is published once, so once
+    any mutation has published after a stamp was read, :data:`mutations`
+    never equals that stamp again."""
+    global mutations
+    mutations = next(_numbers)
 
 
 class Value:
@@ -116,6 +140,7 @@ class OpOperand:
         self.value.remove_use(self)
         self.value = new_value
         new_value.add_use(self)
+        mutated()
 
     def drop(self) -> None:
         """Detach this operand from its value's use list."""

@@ -11,14 +11,22 @@ Checks, in order:
   dispatches a launch body to another processor.
 * Trait checks — terminators are last, single-block regions have one block.
 * Per-op checks — each registered op's ``verify_op``.
+
+A module that passes is stamped with the number of the process's latest
+IR mutation (:data:`repro.ir.values.mutations`) as read before the walk,
+so a mutation made during the walk leaves the stamp stale.
+:func:`verified` tells whether a module is unchanged since: the engine
+verifies only a module that is not.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Set
 
+from . import values
 from .block import Block
 from .diagnostics import VerificationError
+from .module import ModuleOp
 from .operation import Operation, OpTrait
 from .values import BlockArgument, OpResult, Value
 
@@ -28,7 +36,16 @@ def verify(op: Operation) -> None:
 
     Raises :class:`VerificationError` on the first problem found.
     """
+    stamp = values.mutations
     _verify_op_tree(op, set())
+    if isinstance(op, ModuleOp):
+        op.verified_at = stamp
+
+
+def verified(module: ModuleOp) -> bool:
+    """Whether ``module`` passed :func:`verify` and no IR anywhere in
+    the process has been mutated since."""
+    return module.verified_at == values.mutations
 
 
 def _verify_op_tree(op: Operation, visible: Set[Value]) -> None:
@@ -101,7 +118,7 @@ def verify_value_integrity(op: Operation) -> None:
                         )
 
 
-__all__ = ["verify", "verify_value_integrity", "VerificationError"]
+__all__ = ["verified", "verify", "verify_value_integrity", "VerificationError"]
 
 # Re-exported for convenience in tests.
 _ = (Block, BlockArgument, OpResult)

@@ -454,7 +454,7 @@ def gc_stats() -> Dict:
     ``/stats``; flattened it is the ``gc.*`` metric family).
 
     ``frozen_objects`` is the size of the permanent generation, where
-    :mod:`repro.sim.permanent` parks cached programs.
+    :mod:`repro.permanent` parks cached programs.
     """
     return {
         "collections": {

@@ -12,7 +12,8 @@ never visits.
 That call is process-wide, which is why the three places that need it —
 :class:`repro.sim.batch.CompileCache`, the scenario program cache and
 the pre-fork freeze of :class:`repro.sim.batch.SweepRunner` — share
-this module:
+this module.  It imports nothing from ``repro``, so the bottom layer
+uses it too: the IR parser builds every module inside :func:`paused`.
 
 * :func:`defer` / :func:`settle` split the hand-off in two.  When a
   program's first simulation returns, its caller still holds the
@@ -31,7 +32,9 @@ this module:
 * :func:`paused` holds collection off over the program's first
   simulation the same way: what that run leaves behind is the next
   hand-off's to walk, once, instead of the automatic collector's many
-  times.
+  times.  A parse is construction too (:func:`repro.ir.parser.parse_module`):
+  everything it allocates is still alive when it returns, so a
+  collection during it would only re-walk the module being built.
 * :func:`release` thaws the heap when a cache drops parked programs (IR
   is cyclic: while frozen, dropped modules are never reclaimed).  It
   thaws everything, including programs another cache still holds; they
@@ -84,19 +87,26 @@ _pauses = 0
 _was_enabled = False
 
 
-@contextmanager
-def paused():
+class paused:
     """Hold automatic collection off; whatever way the block is left,
-    the collector is as it was found once the last window closes."""
-    global _pauses, _was_enabled
-    with _pause_lock:
-        if not _pauses:
-            _was_enabled = gc.isenabled()
-            gc.disable()
-        _pauses += 1
-    try:
-        yield
-    finally:
+    the collector is as it was found once the last window closes.
+
+    A class, not a generator: leaving the block allocates nothing once
+    collection is back on, so the collection a window deferred fires in
+    the caller's code after it, never inside the window's own exit."""
+
+    __slots__ = ()
+
+    def __enter__(self) -> None:
+        global _pauses, _was_enabled
+        with _pause_lock:
+            if not _pauses:
+                _was_enabled = gc.isenabled()
+                gc.disable()
+            _pauses += 1
+
+    def __exit__(self, kind, value, traceback) -> None:
+        global _pauses
         with _pause_lock:
             _pauses -= 1
             if not _pauses and _was_enabled:

@@ -72,8 +72,7 @@ from typing import (
 
 import numpy as np
 
-from .. import faults
-from . import permanent
+from .. import faults, permanent
 from .engine import EngineOptions, ExecutionMode, SimulationResult, simulate
 from .journal import SweepJournal, journal_header
 from .plan import PlanCache
@@ -862,7 +861,7 @@ class CachedProgram:
     plan_cache: PlanCache
     lock: threading.Lock = field(default_factory=threading.Lock)
     #: Something of this program is in the permanent generation or owed
-    #: to it (:mod:`repro.sim.permanent`): the IR from the moment
+    #: to it (:mod:`repro.permanent`): the IR from the moment
     #: :meth:`CompileCache.lookup` built it, the plans once ``warmed``.
     parked: bool = False
     #: Set once the first simulation has compiled the plans.  They — and

@@ -75,7 +75,7 @@ from ..ir.module import ModuleOp
 from ..ir.operation import Operation
 from ..ir.types import IndexType, MemRefType, TensorType
 from ..ir.values import OpResult, Value
-from ..ir.verifier import verify
+from ..ir.verifier import verified, verify
 from . import interp, oplib
 from .components import (
     Buffer,
@@ -171,9 +171,11 @@ class EngineOptions:
     fill_cycles_per_element: int = 1
     #: Stop the simulation after this many cycles (0 = unlimited).
     max_cycles: int = 0
-    #: Verify the module before executing it.  Disable only for modules
-    #: already verified (e.g. programs served from the cross-simulation
-    #: compile cache, which verify once at build time).
+    #: Verify the module before executing it, unless it is unchanged
+    #: since it last verified (:func:`repro.ir.verifier.verified`).
+    #: ``False`` trusts the module as handed over (e.g. programs served
+    #: from the cross-simulation compile cache, which verify once at
+    #: build time).
     verify_module: bool = True
     #: Execution path: ``interpret`` | ``plan`` | ``codegen`` (an
     #: :class:`ExecutionMode` or its string spelling; ``None`` means the
@@ -634,7 +636,7 @@ class Engine:
         if self._plans is not None:
             self._plans.attach(self)
             self._plan_base = self._plans.counters()
-        if self.options.verify_module:
+        if self.options.verify_module and not verified(self.module):
             with _span("engine.verify"):
                 verify(self.module)
         with _span("engine.elaborate"):

@@ -186,8 +186,6 @@ def _simulate_payload(payload: Tuple) -> Tuple[str, str, Optional[str]]:
             strict_capacity=strict_capacity,
             mode=mode,
             scheduler=scheduler,
-            # Verified above; only a pipeline can have changed it since.
-            verify_module=bool(pipeline),
         )
         inputs = None
         if inputs_path:

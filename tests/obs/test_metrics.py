@@ -327,7 +327,7 @@ class TestCollectorAsALayer:
     def test_frozen_gauge_follows_the_permanent_generation(self):
         import gc
 
-        from repro.sim import permanent
+        from repro import permanent
 
         registry = obs_metrics.enable_metrics()
         try:

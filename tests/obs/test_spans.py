@@ -139,10 +139,13 @@ class TestHostTraceCLI:
             for event in events
             if event["pid"] == HOST_PID and event["ph"] == "X"
         }
-        # The pipeline stages the tentpole promises are all present.
-        assert {"scenario.build", "engine.verify", "engine.des_run"} <= (
+        # The pipeline stages are all present.  The scenario build
+        # verified the module and nothing changed it since, so the engine
+        # does not walk it again.
+        assert {"scenario.build", "engine.elaborate", "engine.des_run"} <= (
             host_names
         )
+        assert "engine.verify" not in host_names
 
     def test_host_trace_rejected_for_sweeps(self, tmp_path, capsys):
         with pytest.raises(SystemExit):

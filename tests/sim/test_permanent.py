@@ -1,5 +1,5 @@
 """The permanent-generation hand-off of cached programs
-(:mod:`repro.sim.permanent`): invisible in every result, never keeps
+(:mod:`repro.permanent`): invisible in every result, never keeps
 garbage, gives everything back on ``clear()``, and shares the freeze
 with the sweep pool instead of fighting over it."""
 
@@ -11,6 +11,7 @@ import weakref
 import numpy as np
 import pytest
 
+from repro import permanent
 from repro.analysis import SweepSpec, run_sweep
 from repro.analysis.dse import clear_sweep_caches
 from repro.generators.systolic import SystolicProgram, build_systolic_program
@@ -21,7 +22,6 @@ from repro.sim import (
     CompileCache,
     EngineOptions,
     PlanCache,
-    permanent,
     simulate,
 )
 from repro.sim.batch import (

@@ -3,7 +3,8 @@
 The engine tier (``ir``, ``dialects``, ``passes``, ``sim``) sits below
 everything that *uses* it; ``analysis`` and ``scenarios`` sit below the
 service; ``obs`` imports no other layer at all, and the fault hook
-(``repro/faults.py``) nothing from ``repro``.  No source imports the
+(``repro/faults.py``) and the collector's owner (``repro/permanent.py``)
+nothing from ``repro``.  No source imports the
 test suite.  Lazy imports inside functions count too — an upward import
 hidden in a function body is still a cycle waiting for a caller.
 
@@ -67,6 +68,17 @@ def test_layer_imports_nothing_above_it(layer):
 def test_the_fault_hook_imports_nothing_from_repro():
     """Every layer calls ``repro.faults.fire``, so it sits under all."""
     path = PACKAGE / "faults.py"
+    assert not [
+        module
+        for _, module in imported_modules(path)
+        if (module + ".").startswith("repro.")
+    ]
+
+
+def test_the_collector_owner_imports_nothing_from_repro():
+    """The IR parser holds collection off with ``repro.permanent.paused``,
+    so it sits under all."""
+    path = PACKAGE / "permanent.py"
     assert not [
         module
         for _, module in imported_modules(path)

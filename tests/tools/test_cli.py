@@ -7,6 +7,7 @@ import pytest
 from repro import ir
 from repro.dialects import linalg, memref
 from repro.dialects.equeue import EQueueBuilder
+from repro.passes import PassManager
 from repro.sim import resolve_execution_mode
 from repro.tools import equeue_opt, equeue_sim
 
@@ -158,10 +159,13 @@ class TestEqueueSim:
         return names.count("sim.verify"), names.count("engine.verify")
 
     def test_unmodified_module_verifies_once(
-        self, program_file, conv_file, tmp_path, capsys
+        self, program_file, conv_file, tmp_path, capsys, monkeypatch
     ):
-        """Without --pipeline the engine skips its verify (the CLI just
-        did it); after a pipeline the engine re-verifies the result."""
+        """The engine verifies only a module changed since it last
+        verified.  The CLI verifies what it parsed, and the pass manager
+        verifies after every pass, so the engine walks neither; a
+        pipeline run without ``verify_each`` leaves its result stale, and
+        the engine verifies that one."""
         assert self._verify_spans([str(program_file)], tmp_path) == (1, 0)
         lowered = [
             str(conv_file),
@@ -169,6 +173,13 @@ class TestEqueueSim:
             "convert-linalg-to-affine-loops,equeue-read-write,"
             "allocate-buffer{memory=sram},launch{proc=kernel}",
         ]
+        assert self._verify_spans(lowered, tmp_path) == (1, 0)
+        parse = PassManager.parse
+        monkeypatch.setattr(
+            PassManager,
+            "parse",
+            staticmethod(lambda text: parse(text, verify_each=False)),
+        )
         assert self._verify_spans(lowered, tmp_path) == (1, 1)
 
     def test_error_path(self, tmp_path, capsys):
