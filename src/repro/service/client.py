@@ -376,22 +376,9 @@ class ServiceClient:
     ) -> Dict:
         """Submit a request; returns the job dict (record included once
         done — immediately for store hits, or within ``wait`` seconds)."""
-        payload: Dict = {"scenario": scenario, "seed": seed, "check": check}
-        if config:
-            payload["config"] = config
-        if options:
-            payload["options"] = options
-        if wait is not None:
-            payload["wait"] = wait
-        if deadline is not None:
-            payload["deadline"] = deadline
-        response = self._call(
-            "POST",
-            "/jobs",
-            payload,
-            timeout=self.timeout + (wait or 0.0),
+        return self._post(
+            "/jobs", scenario, config, seed, options, check, wait, deadline
         )
-        return response["job"]
 
     def submit_sweep(
         self,
@@ -411,6 +398,16 @@ class ServiceClient:
         server-side, so resubmitting an interrupted sweep resumes
         instead of recomputing.
         """
+        return self._post(
+            "/sweeps", scenario, config, seed, options, check, wait, deadline,
+            sample=sample,
+        )
+
+    def _post(
+        self, path: str, scenario: str, config, seed, options, check, wait,
+        deadline, sample: Optional[int] = None,
+    ) -> Dict:
+        """The one request body both submits send; the job dict back."""
         payload: Dict = {"scenario": scenario, "seed": seed, "check": check}
         if config:
             payload["config"] = config
@@ -423,10 +420,7 @@ class ServiceClient:
         if deadline is not None:
             payload["deadline"] = deadline
         response = self._call(
-            "POST",
-            "/sweeps",
-            payload,
-            timeout=self.timeout + (wait or 0.0),
+            "POST", path, payload, timeout=self.timeout + (wait or 0.0)
         )
         return response["job"]
 
@@ -441,19 +435,10 @@ class ServiceClient:
         wait: float = 60.0,
     ) -> Dict:
         """Submit a sweep and wait for its aggregate record."""
-        job = self.submit_sweep(
+        return self._ended(self.submit_sweep(
             scenario, config=config, seed=seed, sample=sample,
             options=options, check=check, wait=wait,
-        )
-        if job["state"] == "error":
-            raise ServiceError(job["error"] or "sweep failed")
-        if job["state"] != "done":
-            job = self.job(job["id"], wait=wait)
-        if job["state"] == "error":
-            raise ServiceError(job["error"] or "sweep failed")
-        if job["state"] != "done":
-            raise ServiceError(f"job {job['id']} timed out ({job['state']})")
-        return job
+        ), wait)
 
     def job(self, job_id: str, wait: Optional[float] = None) -> Dict:
         path = f"/jobs/{job_id}"
@@ -502,13 +487,15 @@ class ServiceClient:
         Returns the completed job dict (``job["record"]`` is the result
         record, ``job["source"]`` says whether the engine ran).
         """
-        job = self.submit(
+        return self._ended(self.submit(
             scenario, config=config, seed=seed, options=options,
             check=check, wait=wait,
-        )
-        if job["state"] == "error":
-            raise ServiceError(job["error"] or "job failed")
-        if job["state"] != "done":
+        ), wait)
+
+    def _ended(self, job: Dict, wait: float) -> Dict:
+        """A submitted job once done, waiting up to ``wait`` more for
+        it; raises when it failed or is still running."""
+        if job["state"] not in ("done", "error"):
             job = self.job(job["id"], wait=wait)
         if job["state"] == "error":
             raise ServiceError(job["error"] or "job failed")

@@ -37,6 +37,7 @@ and serves the HTTP front end from a background worker thread
 from __future__ import annotations
 
 import json
+import operator
 import threading
 import time
 import traceback
@@ -176,7 +177,10 @@ class JobRequest:
         ``scenario`` is a registry name or a ``name:key=val,...`` spec
         (the CLI syntax); ``config`` merges on top of the spec's
         overrides.  Unknown scenarios, config keys, and option names
-        raise :class:`RequestError`.
+        raise :class:`RequestError`, as do a ``seed`` that is not a
+        non-negative integer (``operator.index``: a bool, float or
+        string is refused, a NumPy integer taken) and a ``check`` that
+        is not a bool.
 
         A spelling resolves once per process (:data:`_RESOLVED`): the
         same arguments, each value with its type, give the request they
@@ -195,6 +199,16 @@ class JobRequest:
         except (TypeError, ValueError):
             spelling = None  # not a mapping, or unhashable: not kept
         try:
+            # A bool is an int to operator.index; a seed is not a bool.
+            if isinstance(seed, bool) or operator.index(seed) < 0:
+                raise TypeError
+        except TypeError:
+            raise RequestError(
+                f"seed must be a non-negative integer, got {seed!r}"
+            ) from None
+        if not isinstance(check, bool):
+            raise RequestError(f"check must be a boolean, got {check!r}")
+        try:
             scenario_obj, cfg = parse_scenario_spec(scenario)
             resolved = _field_dict(cfg)
             # An override that spells out the value already there (same
@@ -211,26 +225,24 @@ class JobRequest:
                 resolved = _field_dict(cfg)
         except ScenarioError as error:
             raise RequestError(str(error)) from None
-        # Scenario configs never type-check overrides themselves, so a
-        # JSON list/object would otherwise flow through to an unhashable
-        # (and unsimulatable) request.
-        for field_name, value in resolved.items():
-            if not isinstance(value, (bool, int, float, str)):
-                raise RequestError(
-                    f"config field {field_name!r} must be a scalar, "
-                    f"got {type(value).__name__}"
-                )
-        for name, value in (options or {}).items():
+        for name in options or {}:
             if name not in _ALLOWED_OPTIONS:
                 raise RequestError(
                     f"unknown engine option {name!r}; valid options: "
                     + ", ".join(_ALLOWED_OPTIONS)
                 )
-            if not isinstance(value, (bool, int, float, str)):
-                raise RequestError(
-                    f"engine option {name!r} must be a scalar, "
-                    f"got {type(value).__name__}"
-                )
+        # Scenario configs never type-check overrides themselves, so a
+        # JSON list/object would otherwise flow through to an unhashable
+        # (and unsimulatable) request.
+        for kind, mapping in (
+            ("config field", resolved), ("engine option", options or {})
+        ):
+            for name, value in mapping.items():
+                if not isinstance(value, (bool, int, float, str)):
+                    raise RequestError(
+                        f"{kind} {name!r} must be a scalar, "
+                        f"got {type(value).__name__}"
+                    )
         canonical = _canonical_options(options)
         try:
             EngineOptions(**canonical)
@@ -239,9 +251,9 @@ class JobRequest:
         request = cls(
             scenario=scenario_obj.name,
             config=_freeze(resolved),
-            seed=int(seed),
+            seed=operator.index(seed),
             options=_freeze(canonical),
-            check=bool(check),
+            check=check,
         )
         if spelling is not None:  # only a resolution that succeeded
             if len(_RESOLVED) >= _MEMO_CAP:
@@ -393,6 +405,26 @@ class SweepRequest:
         }
 
 
+def request_from_body(
+    body: Mapping, sweep: bool = False
+) -> Union[JobRequest, SweepRequest]:
+    """The request a JSON body names — a ``POST /jobs`` or ``/sweeps``
+    body, or an admitted request replayed from the WAL (in the body's
+    shape: its ``config`` key)."""
+    spec = body.get("scenario")
+    if not spec or not isinstance(spec, str):
+        raise RequestError('missing "scenario" (a name or name:key=val spec)')
+    common = {
+        "config": body.get("config"),
+        "seed": body.get("seed", 0),
+        "options": body.get("options"),
+        "check": body.get("check", True),
+    }
+    if sweep:
+        return SweepRequest.make(spec, sample=body.get("sample"), **common)
+    return JobRequest.make(spec, **common)
+
+
 #: Entries each per-process memo below holds before it is cleared
 #: wholesale (requests are tiny; the cap is generous).
 _MEMO_CAP = 4096
@@ -431,17 +463,17 @@ def evaluate_request(payload: Tuple) -> Dict:
     the request id survives the pickle hop into pool workers, where it
     re-binds the log contextvar so fault firings and engine logs inside
     the worker still carry it).  Simulation rides the per-process
-    scenario program cache; failures come back as ``{"error": ...}``
-    records so one bad job cannot take down its batch.
+    scenario program cache.  Every failure but an interrupt comes back
+    as an ``{"error": ...}`` record — a crash as ``"job crashed: ..."``
+    — so one bad job fails alone and nothing else re-runs.
     """
     name, config, seed, options, check, *rest = payload
     obs_logs.set_request_id(rest[0] if rest else None)
     try:
-        # The chaos plane's per-job seam: an injected engine error fails
-        # this job alone (caught below); an injected crash is a
-        # BaseException and takes out the whole batch, the way a real
-        # worker crash would — which is what the scheduler's bisection
-        # path exists to contain.
+        # The chaos plane's per-job seam.  Whatever escapes the job — an
+        # injected engine error, or an injected crash (a BaseException,
+        # the stand-in for a segfault) — fails this job alone, here: its
+        # batch-mates are not re-run to find it.
         faults.fire("job.evaluate", context=f"{name}:seed={seed}")
         scenario = get_scenario(name)
         cfg = scenario.configure(**dict(config))
@@ -452,8 +484,12 @@ def evaluate_request(payload: Tuple) -> Dict:
             scenario, cfg, seed=seed, options=engine_options, check=check
         )
         record = result_record(result, checked)
+    except (KeyboardInterrupt, SystemExit):
+        raise
     except Exception as error:  # noqa: BLE001 - job boundary
         return {"error": f"{type(error).__name__}: {error}"}
+    except BaseException as error:  # noqa: BLE001 - job boundary
+        return {"error": f"job crashed: {type(error).__name__}: {error}"}
     record["scenario"] = name
     record["config"] = dict(config)
     record["seed"] = seed
@@ -471,6 +507,25 @@ def _payload_signature(payload: Tuple) -> Tuple:
 def _payload_context(payload: Tuple) -> str:
     """Fault-hook context for one batch payload (``batch.worker``)."""
     return f"{payload[0]}:seed={payload[2]}"
+
+
+def _sweep_record(request: SweepRequest, records: List[Dict]) -> Dict:
+    """A finished sweep's aggregate record — or its error when a point
+    failed: a transient failure must not become a persistent record, so
+    the aggregate is NOT stored, only the good points were."""
+    errors = [
+        record["error"] for record in records if record.get("error") is not None
+    ]
+    if errors:
+        return {
+            "error": f"sweep failed: {len(errors)}/{len(records)} points "
+            f"failed (first: {errors[0]}); completed points are "
+            "checkpointed — resubmit to resume"
+        }
+    return {
+        "kind": SWEEP_KIND, "scenario": request.scenario,
+        "points_total": len(records), "points_failed": 0, "points": records,
+    }
 
 
 class _RecoveredRequest:
@@ -668,21 +723,13 @@ class SweepJob(Job):
 
     __slots__ = ("points_total", "points_done", "points_resumed")
 
-    def __init__(
-        self,
-        job_id: str,
-        key: str,
-        request: "SweepRequest",
-        deadline_s: Optional[float] = None,
-        request_id: Optional[str] = None,
-        outcome: Union[Dict, bytes, str, None] = None,
-    ):
+    def __init__(self, *args, **kwargs):  # Job's
         # Before the job's own fields: a sweep made settled counts its
         # points as it takes its outcome.
         self.points_total: Optional[int] = None
         self.points_done = 0
         self.points_resumed = 0
-        super().__init__(job_id, key, request, deadline_s, request_id, outcome)
+        super().__init__(*args, **kwargs)
 
     def progress(self) -> Dict:
         return {
@@ -724,10 +771,6 @@ class SchedulerStats:
     jobs_pruned: int = 0
     #: Jobs failed by the watchdog for exceeding their deadline.
     deadline_failures: int = 0
-    #: Batch splits performed to isolate a crashing job.
-    bisections: int = 0
-    #: Jobs isolated by bisection as the batch's poison.
-    poison_isolated: int = 0
     #: Worker-loop iterations that died and were restarted in place,
     #: plus wedged worker threads replaced by the watchdog.
     worker_restarts: int = 0
@@ -803,13 +846,10 @@ def _flatten_stats(payload: Mapping) -> Dict[str, float]:
                 out[f"{prefix}.{key}"] = float(value)
 
     for key, value in payload.items():
-        root = _METRIC_SECTIONS.get(key)
         if isinstance(value, Mapping):
-            emit(root if root is not None else f"scheduler.{key}", value)
-        elif isinstance(value, bool):
-            out[f"scheduler.{key}"] = 1.0 if value else 0.0
-        elif isinstance(value, (int, float)):
-            out[f"scheduler.{key}"] = float(value)
+            emit(_METRIC_SECTIONS.get(key, f"scheduler.{key}"), value)
+        else:
+            emit("scheduler", {key: value})
     return out
 
 
@@ -1217,56 +1257,34 @@ class JobScheduler:
         """Rebuild one WAL-admitted job (original id and request id)
         and route it."""
         data = dict(entry.get("request") or {})
-        request_id = entry.get("request_id")
+        sweep = bool(entry.get("sweep") or data.get("sweep"))
+        failure = None
         try:
-            if entry.get("sweep") or data.get("sweep"):
-                request = SweepRequest.make(
-                    data["scenario"],
-                    config=data.get("base"),
-                    seed=data.get("seed", 0),
-                    sample=data.get("sample"),
-                    options=data.get("options"),
-                    check=data.get("check", True),
-                )
-            else:
-                request = JobRequest.make(
-                    data["scenario"],
-                    config=data.get("config"),
-                    seed=data.get("seed", 0),
-                    options=data.get("options"),
-                    check=data.get("check", True),
-                )
+            # A sweep's request dict names its config ``base``.
+            request = request_from_body(
+                {**data, "config": data.get("base")} if sweep else data, sweep
+            )
             key = request_store_key(request)
         except (RequestError, KeyError, TypeError) as error:
             # The admitted request no longer validates against this code
             # (scenario removed, option renamed).  Fail it cleanly — an
             # id the client holds must resolve to *something*.
-            job = Job(
-                job_id,
-                entry.get("key") or "",
-                _RecoveredRequest(data),
-                request_id=request_id,
-            )
-            with self._lock:
-                self._jobs[job_id] = job
-            self._settle(
-                job,
-                f"recovery failed: {type(error).__name__}: {error}",
-                None,
-                "recovered_failed",
-            )
-            summary["failed"] += 1
-            return
-        job_cls = SweepJob if isinstance(request, SweepRequest) else Job
-        job = job_cls(
+            failure = f"recovery failed: {type(error).__name__}: {error}"
+            request, key = _RecoveredRequest(data), entry.get("key") or ""
+            sweep = False
+        job = (SweepJob if sweep else Job)(
             job_id,
             key,
             request,
             deadline_s=entry.get("deadline_s"),
-            request_id=request_id,
+            request_id=entry.get("request_id"),
         )
         with self._lock:
             self._jobs[job_id] = job
+        if failure is not None:
+            self._settle(job, failure, None, "recovered_failed")
+            summary["failed"] += 1
+            return
         stored = self.store.get(key) if self.store is not None else None
         if stored is not None:
             self._settle(job, stored, "store", "recovered_store_hits")
@@ -1289,15 +1307,17 @@ class JobScheduler:
         """Drain the queue on this thread; returns jobs completed.
 
         Queued jobs are grouped into batches of *compatible* work — same
-        engine-options digest — and each batch runs through a
-        :class:`SweepRunner` in signature-affine order, so structurally
-        identical jobs compile once per process.  Fresh records spill to
-        the store before their waiters wake.
+        engine-options digest — which run first, then each sweep (so a
+        sweep point a batch just stored is a resumed hit).  Every batch
+        and every sweep is one :meth:`_run`, in signature-affine order
+        over the per-process program cache, so structurally identical
+        jobs compile once per process.  Fresh records spill to the
+        store before their waiters wake.
 
         No drained job can be left in limbo: whatever happens inside the
-        batches — a crash bisection, an exception escaping the batch
-        machinery, a watchdog intervention — every job drained here is
-        completed or failed by the time this returns.
+        runs — an exception escaping the run boundary, a watchdog
+        intervention — every job drained here is completed or failed by
+        the time this returns.
         """
         ident = threading.get_ident()
         with self._lock:
@@ -1307,24 +1327,14 @@ class JobScheduler:
                 job.state = "running"
                 job.started_at = started
             self._drains[ident] = drained
-        completed = 0
-        sweeps = [job for job in drained if isinstance(job, SweepJob)]
-        singles = [job for job in drained if not isinstance(job, SweepJob)]
         try:
-            for batch in self._batches(singles):
-                self.stats.batches += 1
-                records = self._run_batch(batch)
-                for job, record in zip(batch, records):
-                    self._finish(job, record)
-                    completed += 1
-            for job in sweeps:
-                self._finish(job, self._run_sweep_job(job))
-                completed += 1
+            for run in self._runs(drained):
+                self._run(run)
         finally:
             with self._lock:
                 self._drains.pop(ident, None)
             # Belt and braces: anything still pending (an exception
-            # escaped past the batch boundary) fails cleanly instead of
+            # escaped past the run boundary) fails cleanly instead of
             # wedging its waiters forever.
             for job in drained:
                 if not job.done:
@@ -1332,152 +1342,112 @@ class JobScheduler:
                         job,
                         {"error": "scheduler failure: job abandoned mid-drain"},
                     )
-        return completed
+        return len(drained)
 
-    def _run_batch(self, batch: List[Job]) -> List[Dict]:
-        """Execute one compatible batch; always returns a full record
-        list (bisecting around crashes rather than failing wholesale).
+    def _run(self, jobs: List[Job]) -> None:
+        """Run a batch of single jobs, or one sweep job, to its end:
+        :func:`evaluate_request` mapped over points by the one resumable
+        driver, :meth:`SweepRunner.resume_map`.
 
-        A job-level *exception* is already contained by
-        :func:`evaluate_request` (the job fails alone).  What reaches
-        this boundary is a batch-level failure: a crash
-        (``BaseException``) from a poisoned job, or pool machinery
-        dying.  Rather than failing every batch-mate with it, the batch
-        bisects — halves re-run until the poison is isolated in a
-        singleton, which fails alone while everything else completes.
-        Re-running a half is safe by construction: simulation is
-        deterministic and results are content-addressed.
+        A batch's points are its jobs: nothing is checkpointed, and each
+        job spills and settles as its record lands.  A sweep's points
+        are its grid, checkpointed in the store: each completed point
+        spills under its own content-addressed key at once, so whatever
+        interrupts the sweep — a deadline, a service restart — finished
+        points survive and a resubmitted sweep resumes from them; the
+        aggregate settles at the end.
+
+        Each failure has one owner.  A crash inside a job is that job's
+        error record (:func:`evaluate_request`), and nothing re-runs; a
+        dead pool worker is the runner's to survive.  What still escapes
+        the runner is this boundary's: it fails every job of the run
+        that has not ended.
         """
-        payloads = [job.request.payload(job.request_id) for job in batch]
-        self._watch(batch)
-        runner = SweepRunner(jobs=self.jobs, key=_payload_signature)
-        try:
-            return runner.map(evaluate_request, payloads)
-        except (KeyboardInterrupt, SystemExit):
-            raise
-        except BaseException as error:  # noqa: BLE001 - batch boundary
-            message = f"{type(error).__name__}: {error}"
-            if len(batch) == 1:
-                self.stats.poison_isolated += 1
-                return [{"error": f"job crashed: {message}"}]
-            self.stats.bisections += 1
-            middle = len(batch) // 2
-            return self._run_batch(batch[:middle]) + self._run_batch(
-                batch[middle:]
-            )
-        finally:
-            with self._lock:
-                self.resilience.merge(runner.resilience)
-            self._unwatch(batch)
-
-    def _run_sweep_job(self, job: SweepJob) -> Dict:
-        """Execute one sweep job; always returns a record (possibly an
-        ``{"error": ...}`` one) — never raises past this boundary.
-
-        Every completed point spills to the store *immediately* under
-        its own content-addressed key, so whatever interrupts the sweep
-        — a crash the pool could not absorb, a deadline, a service
-        restart — finished points survive as checkpoints, and a
-        resubmitted sweep resumes from them instead of recomputing.
-        """
-        self._watch([job])
-        try:
-            return self._execute_sweep(job)
-        except (KeyboardInterrupt, SystemExit):
-            raise
-        except BaseException as error:  # noqa: BLE001 - sweep boundary
-            return {
-                "error": f"sweep crashed: {type(error).__name__}: {error}; "
-                "completed points are checkpointed — resubmit to resume"
-            }
-        finally:
-            self._unwatch([job])
-
-    def _execute_sweep(self, job: SweepJob) -> Dict:
-        """The one resumable driver (:meth:`SweepRunner.resume_map`)
-        with the result store as its checkpoint."""
-        request: SweepRequest = job.request
-        point_requests = request.point_requests()
-        keys = [request_store_key(point) for point in point_requests]
-        total = len(point_requests)
-        completed: Dict[int, Dict] = {}
-        if self.store is not None:
-            for index, key in enumerate(keys):
-                stored = self.store.get(key)
-                if stored is not None:
-                    completed[index] = stored
-        with self._lock:
-            job.points_total = total
-            job.points_done = job.points_resumed = len(completed)
-            self.stats.sweep_points_resumed += len(completed)
-
-        def checkpoint(index: int, record: Dict) -> None:
-            # The crash plane's mid-sweep seam: a kill between points
-            # loses only this delivery — checkpointed points make the
-            # recovered sweep's replay resume, not restart.
-            faults.fire(
-                "server.crash", context=f"sweep-point:{job.id}:{index}"
-            )
-            failed = record.get("error") is not None
-            # Spill (the store writes the canonical line) *before*
-            # advancing progress, so every point a poller sees counted
-            # is already durable.
-            if not failed and self.store is not None:
-                try:
-                    self.store.put(keys[index], record)
-                except OSError:
-                    with self._lock:
-                        self.stats.store_put_failures += 1
-            with self._lock:
-                job.points_done += 1
-                if failed:
-                    self.stats.sweep_point_failures += 1
-                else:
-                    self.stats.sweep_points_simulated += 1
-
+        sweep = jobs[0] if isinstance(jobs[0], SweepJob) else None
+        self._watch(jobs)
         recovery = ResilienceStats()
         try:
+            completed: Dict[int, Dict] = {}
+            if sweep is None:
+                payloads = [job.request.payload(job.request_id) for job in jobs]
+
+                def on_result(index: int, record: Dict) -> None:
+                    self._finish(jobs[index], record)
+
+            else:
+                points = sweep.request.point_requests()
+                payloads = [point.payload(sweep.request_id) for point in points]
+                keys = [request_store_key(point) for point in points]
+                for index, key in enumerate(keys):
+                    stored = None if self.store is None else self.store.get(key)
+                    if stored is not None:
+                        completed[index] = stored
+                with self._lock:
+                    sweep.points_total = len(points)
+                    sweep.points_done = sweep.points_resumed = len(completed)
+                    self.stats.sweep_points_resumed += len(completed)
+
+                def on_result(index: int, record: Dict) -> None:
+                    # The crash plane's mid-sweep seam: a kill between
+                    # points loses only this delivery — checkpointed
+                    # points make the recovered sweep's replay resume,
+                    # not restart.
+                    faults.fire(
+                        "server.crash", context=f"sweep-point:{sweep.id}:{index}"
+                    )
+                    failed = record.get("error") is not None
+                    # Spill (the store writes the canonical line) *before*
+                    # advancing progress, so every point a poller sees
+                    # counted is already durable.
+                    if not failed and self.store is not None:
+                        try:
+                            self.store.put(keys[index], record)
+                        except OSError:
+                            with self._lock:
+                                self.stats.store_put_failures += 1
+                    with self._lock:
+                        sweep.points_done += 1
+                        if failed:
+                            self.stats.sweep_point_failures += 1
+                        else:
+                            self.stats.sweep_points_simulated += 1
+
             records = SweepRunner(
-                jobs=self.jobs,
-                key=_payload_signature,
-                describe=_payload_context,
+                jobs=self.jobs, key=_payload_signature, describe=_payload_context
             ).resume_map(
-                evaluate_request,
-                [point.payload(job.request_id) for point in point_requests],
-                completed,
-                on_result=checkpoint,
-                stats=recovery,
+                evaluate_request, payloads, completed, on_result, stats=recovery
             )
+            if sweep is not None:
+                self._finish(sweep, _sweep_record(sweep.request, records))
+        except (KeyboardInterrupt, SystemExit):
+            raise
+        except BaseException as error:  # noqa: BLE001 - the run boundary
+            message = f"{type(error).__name__}: {error}"
+            message = f"job crashed: {message}" if sweep is None else (
+                f"sweep crashed: {message}; completed points are "
+                "checkpointed — resubmit to resume"
+            )
+            for job in jobs:
+                if not job.done:
+                    self._finish(job, {"error": message})
         finally:
             with self._lock:
                 self.resilience.merge(recovery)
-        errors = [
-            record["error"]
-            for record in records
-            if record.get("error") is not None
-        ]
-        if errors:
-            # A transient failure must not become a persistent record:
-            # the aggregate is NOT stored, only the good points were.
-            return {
-                "error": f"sweep failed: {len(errors)}/{total} points failed "
-                f"(first: {errors[0]}); completed points are checkpointed — "
-                "resubmit to resume"
-            }
-        return {
-            "kind": SWEEP_KIND,
-            "scenario": request.scenario,
-            "points_total": total,
-            "points_failed": 0,
-            "points": records,
-        }
+            self._unwatch(jobs)
 
-    def _batches(self, jobs: List[Job]) -> List[List[Job]]:
-        """Group compatible jobs (same engine options) into batches."""
+    def _runs(self, jobs: List[Job]) -> List[List[Job]]:
+        """A drain's runs, in order: the single jobs as batches of
+        compatible work (same engine options; counted in ``batches``),
+        then each sweep alone."""
         groups: Dict[Tuple, List[Job]] = {}
+        sweeps = []
         for job in jobs:
-            groups.setdefault(job.request.options, []).append(job)
-        return list(groups.values())
+            if isinstance(job, SweepJob):
+                sweeps.append([job])
+            else:
+                groups.setdefault(job.request.options, []).append(job)
+        self.stats.batches += len(groups)
+        return [*groups.values(), *sweeps]
 
     def _finish(self, job: Job, record: Dict) -> None:
         # The crash plane's finish seam: a kill here leaves the job
@@ -1583,21 +1553,24 @@ class JobScheduler:
             worker = self._worker
             if worker is None or worker.ident != wedged_ident:
                 return  # already replaced (or stopped)
-            abandoned = self._drains.get(wedged_ident, [])
             self._worker = None
-            self.stats.worker_restarts += 1
-            self.last_error = (
-                "worker thread wedged past deadline grace; replaced"
-            )
-            self.last_error_at = time.time()
-        for job in abandoned:
-            self._settle(
-                job,
-                "worker thread wedged mid-drain; job abandoned",
-                None,
-                "errors",
-            )
+        self._abandon(
+            wedged_ident,
+            "worker thread wedged past deadline grace; replaced",
+            "worker thread wedged mid-drain; job abandoned",
+        )
         self.start()
+
+    def _abandon(self, ident: int, why: str, error: str) -> None:
+        """Write off a worker thread: count the restart, record ``why``,
+        and fail every job of its drain with ``error`` — the thread's
+        eventual completions are no-ops."""
+        with self._lock:
+            abandoned = self._drains.get(ident, [])
+            self.stats.worker_restarts += 1
+            self.last_error, self.last_error_at = why, time.time()
+        for job in abandoned:
+            self._settle(job, error, None, "errors")
 
     def _watchdog_loop(self) -> None:
         while True:
@@ -1659,15 +1632,11 @@ class JobScheduler:
         if worker is not None:
             worker.join(timeout)
             if worker.is_alive():
-                with self._lock:
-                    abandoned = self._drains.get(worker.ident or -1, [])
-                    self.stats.worker_restarts += 1
-                    self.last_error = "worker still running at stop(); abandoned"
-                    self.last_error_at = time.time()
-                for job in abandoned:
-                    self._settle(
-                        job, "scheduler stopped; job abandoned", None, "errors"
-                    )
+                self._abandon(
+                    worker.ident or -1,
+                    "worker still running at stop(); abandoned",
+                    "scheduler stopped; job abandoned",
+                )
         with self._lock:
             self._worker = None
         if watchdog is not None:

@@ -67,11 +67,10 @@ from ..scenarios import all_scenarios
 from .fsck import STORE_NAME, WAL_NAME, run_fsck
 from .scheduler import (
     DrainingError,
-    JobRequest,
     JobScheduler,
     QueueFullError,
     RequestError,
-    SweepRequest,
+    request_from_body,
 )
 from .store import ResultStore
 from .supervise import RESTARTS_ENV, Supervisor
@@ -508,27 +507,8 @@ class ServiceHandler(BaseHTTPRequestHandler):
                 )
                 return
         body = self._read_json()
-        spec = body.get("scenario")
-        if not spec or not isinstance(spec, str):
-            raise ValueError('missing "scenario" (a name or name:key=val spec)')
         try:
-            if sweep:
-                request = SweepRequest.make(
-                    scenario=spec,
-                    config=body.get("config"),
-                    seed=body.get("seed", 0),
-                    sample=body.get("sample"),
-                    options=body.get("options"),
-                    check=body.get("check", True),
-                )
-            else:
-                request = JobRequest.make(
-                    scenario=spec,
-                    config=body.get("config"),
-                    seed=body.get("seed", 0),
-                    options=body.get("options"),
-                    check=body.get("check", True),
-                )
+            request = request_from_body(body, sweep)
         except RequestError as error:
             raise ValueError(str(error)) from None
         # Validate wait/deadline before submitting: a 400 must not leave

@@ -183,9 +183,6 @@ class _ChunkState:
     timeouts: int = 0
     suspect_timeout: bool = False
 
-#: What pickling an unpicklable object actually raises.
-_UNPICKLABLE = (pickle.PicklingError, AttributeError, TypeError)
-
 #: Failures creating the pool itself (no fork/sem support in sandboxes).
 #: Caught only around executor construction — an OSError raised by the
 #: *worker function* must not be mistaken for a missing pool.
@@ -284,8 +281,11 @@ class SweepRunner:
     :meth:`map` is the whole API: apply a picklable module-level callable
     to every item and return the results in item order.  Exceptions
     raised by the *worker function itself* propagate unchanged in both
-    modes; failures of the pool machinery are survived in place:
+    modes; failures of the runner's machinery are survived in place:
 
+    * A failure before any item runs — the ``batch.map`` seam, the
+      ``key`` function, a worker or items that cannot be pickled — runs
+      every item in the serial loop instead.
     * A dead worker (``BrokenProcessPool``) keeps every already-resolved
       chunk, rebuilds the pool, and re-dispatches only the missing
       chunks — bounded by a rebuild budget, past which the *missing*
@@ -312,7 +312,6 @@ class SweepRunner:
         chunk_size: Optional[int] = None,
         key: Optional[Callable[[T], object]] = None,
         chunk_deadline_s: Optional[float] = None,
-        max_pool_rebuilds: Optional[int] = None,
         describe: Optional[Callable[[T], str]] = None,
     ):
         self.jobs = default_jobs() if jobs is None or jobs <= 0 else int(jobs)
@@ -322,9 +321,6 @@ class SweepRunner:
         #: = no deadline).  Size it for the *round*, not one item: with
         #: default chunking a round holds every chunk.
         self.chunk_deadline_s = chunk_deadline_s
-        #: Pool rebuilds allowed before giving up on pooling (``None`` =
-        #: enough for a bisection chain down to a singleton, plus slack).
-        self.max_pool_rebuilds = max_pool_rebuilds
         #: Optional picklable ``item -> str`` used to annotate the
         #: ``batch.worker`` fault-hook context (diagnostics only).
         self.describe = describe
@@ -400,26 +396,31 @@ class SweepRunner:
         are delivered, then :class:`SweepInterrupted` is raised.
         """
         items = list(items)
-        faults.fire("batch.map", context=f"items={len(items)}")
         self.fell_back = False
         self.resilience = ResilienceStats()
-        if self.jobs <= 1 or len(items) <= 1:
-            return self._map_serial(worker, items, on_result, cancel)
-        # Probe picklability up front: a lambda worker or items holding
-        # locks/handles can never reach a pool, so go serial without one
-        # — and real TypeErrors raised *by* the worker then propagate
-        # instead of being mistaken for pool failures.
+        serial = self.jobs <= 1 or len(items) <= 1
         try:
-            pickle.dumps(worker)
-            pickle.dumps(items)
-        except _UNPICKLABLE:
-            self._fall_back("unpicklable work")
+            # The runner's own machinery, before any item runs: the
+            # seam, the item keys, and the probe for work that can never
+            # reach a pool (a lambda worker, items holding locks or
+            # handles).  A failure here leaves nothing to recover, so the
+            # serial loop runs every item — where an error raised *by*
+            # the worker propagates, never mistaken for a pool failure.
+            faults.fire("batch.map", context=f"items={len(items)}")
+            if not serial:
+                chunks = self._chunks(*self._order(items))
+                pickle.dumps(worker)
+                pickle.dumps(items)
+        except Exception as error:  # noqa: BLE001 - machinery boundary
+            self._fall_back(f"{type(error).__name__}: {error}")
+            serial = True
+        if serial:
             return self._map_serial(worker, items, on_result, cancel)
         results: List = [_PENDING] * len(items)
         try:
             with permanent.frozen_for_fork():
                 return self._map_pooled(
-                    worker, items, results, on_result, cancel
+                    worker, items, chunks, results, on_result, cancel
                 )
         except _PoolUnavailable as error:
             self._fall_back(str(error) or "pool unavailable")
@@ -522,8 +523,6 @@ class SweepRunner:
             raise _PoolUnavailable(str(error)) from error
 
     def _rebuild_budget(self, count: int) -> int:
-        if self.max_pool_rebuilds is not None:
-            return max(0, int(self.max_pool_rebuilds))
         # Enough for a bisection chain down to a singleton (one intact
         # retry plus one split per level) with slack for transient
         # crashes elsewhere in the sweep.
@@ -533,11 +532,11 @@ class SweepRunner:
         self,
         worker: Callable[[T], R],
         items: Sequence[T],
+        chunks: List[List[int]],
         results: List,
         on_result: Optional[Callable[[int, R], None]],
         cancel,
     ) -> List[R]:
-        chunks = self._chunks(*self._order(items))
         # Children must find repro via PYTHONPATH; restore the parent's
         # environment afterwards so the mutation cannot leak into later
         # unrelated subprocesses.

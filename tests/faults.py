@@ -52,10 +52,11 @@ class InjectedCrash(BaseException):
     """An injected *non-recoverable* crash (the Python-level stand-in
     for a segfaulting worker).
 
-    Deliberately a :class:`BaseException`: it sails through the per-job
-    ``except Exception`` boundary the way a real crash takes out the
-    whole batch, which is what forces the scheduler's poisoned-batch
-    bisection to isolate the job that carries it.
+    Deliberately a :class:`BaseException`: it sails through every
+    ``except Exception`` on its way out, the way a real crash would, and
+    proves that ``evaluate_request`` catches it where it happens — the
+    job that carries it fails alone as ``job crashed: ...``, and no
+    batch-mate runs twice to find it.
     """
 
 
@@ -69,9 +70,9 @@ SITES: Dict[str, Tuple[str, ...]] = {
     "store.get": ("io-error", "corrupt"),
     #: ``ResultStore.put`` — raise before the blob publishes.
     "store.put": ("io-error",),
-    #: ``evaluate_request`` — engine exception (job fails alone), poison
-    #: crash (kills the whole batch until bisection isolates it), or a
-    #: stall (exercises the deadline watchdog).
+    #: ``evaluate_request`` — engine exception or poison crash (either
+    #: way the job fails alone), or a stall (exercises the deadline
+    #: watchdog).
     "job.evaluate": ("engine-error", "poison", "slow"),
     #: ``SweepRunner.map`` — transient batch-machinery failure.
     "batch.map": ("pool-error",),
@@ -82,7 +83,7 @@ SITES: Dict[str, Tuple[str, ...]] = {
     "batch.chunk": ("kill", "slow"),
     #: Per item, inside a pool worker (context ``item=N:...``): ``kill``
     #: makes that one item a poisoned point — every worker that touches
-    #: it dies — until bisection corners it in the parent.
+    #: it dies — until the runner corners it and runs it in the parent.
     "batch.worker": ("kill",),
     #: The scheduler's background worker loop — kill one iteration.
     "scheduler.worker": ("die",),
@@ -104,7 +105,7 @@ class Fault:
     ``after`` arms the fault only from the Nth traversal of its site
     (0 = immediately); ``count`` is its firing budget (-1 = unlimited —
     the right choice for ``match``-targeted poison faults, which must
-    keep crashing their job through every bisection re-run).  ``match``
+    keep crashing their job however often it runs).  ``match``
     restricts firing to traversals whose context contains it (and then
     ``after`` counts matching traversals).  ``delay_s`` is the stall
     length for ``slow``.
@@ -339,8 +340,8 @@ def chaos_plans(
     """Plans of 1..``faults`` faults for an in-process server.
 
     Each fault is one of :data:`CHAOS_PAIRS`, armed after 0–2 traversals
-    with a budget of 1–2.  ``poison`` must name its victim (or bisection
-    could never attribute the crash), so it is drawn only against
+    with a budget of 1–2.  ``poison`` must name its victim (an unmatched
+    unlimited crash would fail every job), so it is drawn only against
     ``poison_contexts``, with an unlimited budget.  ``slow`` stalls
     ``slow_delay_s``: chaos runs set the deadline *below* it, so every
     stall is a deadline failure, not a slow pass.  ``first`` pins the

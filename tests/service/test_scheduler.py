@@ -11,6 +11,7 @@ import threading
 import time
 from dataclasses import asdict
 
+import numpy as np
 import pytest
 
 import repro.service.scheduler as scheduler_module
@@ -67,6 +68,22 @@ class TestJobRequest:
             JobRequest.make("fir", config={"taps": [1, 2]})
         with pytest.raises(RequestError, match="must be a scalar"):
             JobRequest.make("fir", options={"max_cycles": [100]})
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("seed", 1.5), ("seed", True), ("seed", "7"), ("seed", -1),
+         ("seed", None), ("check", "false"), ("check", None), ("check", 1)],
+    )
+    def test_bad_seed_or_check_rejected(self, field, value):
+        """Neither is coerced: ``1.5`` and ``True`` are not seed 1, and
+        ``"false"`` is not ``True``."""
+        with pytest.raises(RequestError, match=f"{field} must be"):
+            JobRequest.make("fir", **{field: value})
+
+    def test_numpy_integer_seed_is_the_int_seed(self):
+        request = JobRequest.make("fir", seed=np.int64(3))
+        assert request == JobRequest.make("fir", seed=3)
+        assert type(request.seed) is int
 
     def test_code_version_is_part_of_the_key(self, monkeypatch):
         before = JobRequest.make("fir").key()
@@ -444,10 +461,22 @@ class TestScheduling:
 
 
 class TestRobustness:
-    """Deadlines, bisection, admission control, worker survival — the
-    hardened tier, driven by the deterministic fault plane."""
+    """Deadlines, crash containment, admission control, worker survival
+    — the hardened tier, driven by the deterministic fault plane."""
 
-    def test_poisoned_batch_bisects_to_the_culprit(self, tmp_path):
+    def test_poisoned_batch_fails_the_culprit_alone(
+        self, tmp_path, monkeypatch
+    ):
+        """A crash is caught in the job that raised it: the culprit
+        fails, and nothing — it or its batch-mates — runs twice."""
+        evaluated = []
+        evaluate = scheduler_module.evaluate_request
+
+        def counting(payload):
+            evaluated.append(payload[2])
+            return evaluate(payload)
+
+        monkeypatch.setattr(scheduler_module, "evaluate_request", counting)
         plan = faults.FaultPlan(
             [faults.Fault("job.evaluate", "poison", match="seed=2", count=-1)]
         )
@@ -460,14 +489,40 @@ class TestRobustness:
             scheduler.run_pending()
         assert [job.state for job in jobs] == ["done", "done", "error", "done"]
         assert "crashed" in jobs[2].error
-        assert scheduler.stats.poison_isolated == 1
-        assert scheduler.stats.bisections >= 1
+        assert sorted(evaluated) == [0, 1, 2, 3]
         # Batch-mates completed with real records, spilled to the store.
         for job in (jobs[0], jobs[1], jobs[3]):
             assert job.result()["cycles"] > 0
             assert scheduler.store.get(job.key) == job.record
         # The poisoned key claims nothing: a healthy retry simulates it.
         assert scheduler.store.get(jobs[2].key) is None
+
+    def test_item_that_kills_pool_workers_completes_in_the_parent(
+        self, tmp_path
+    ):
+        """A job that kills every pool worker it touches is the pool's
+        to survive: the runner corners it and runs it in the parent,
+        where it completes like any other.  A worker's death fails every
+        chunk in flight with it, so a batch-mate may be cornered beside
+        the culprit: at least one item is."""
+        plan = faults.FaultPlan(
+            [faults.Fault("batch.worker", "kill", match="gemm:seed=1",
+                          count=-1)]
+        )
+        scheduler = JobScheduler(store=ResultStore(tmp_path), jobs=2)
+        with faults.injected(plan):
+            jobs = [
+                scheduler.submit(JobRequest.make("gemm", seed=seed))
+                for seed in range(4)
+            ]
+            scheduler.run_pending()
+        assert [job.state for job in jobs] == ["done"] * 4
+        resilience = scheduler.stats_dict()["resilience"]
+        assert resilience["poison_isolated"] >= 1
+        assert scheduler.stats.errors == 0
+        assert scheduler.stats.simulated == 4
+        for job in jobs:
+            assert scheduler.store.get(job.key) == job.record
 
     def test_transient_pool_error_still_completes_every_job(self, tmp_path):
         plan = faults.FaultPlan([faults.Fault("batch.map", "pool-error")])
@@ -478,9 +533,10 @@ class TestRobustness:
                 for seed in range(3)
             ]
             scheduler.run_pending()
-        # One transient machinery failure: bisection re-runs contain it.
-        assert all(job.done for job in jobs)
-        assert sum(job.state == "done" for job in jobs) >= 2
+        # The runner's machinery failed before any item ran: it runs
+        # every item serially instead.
+        assert [job.state for job in jobs] == ["done"] * 3
+        assert scheduler.stats_dict()["resilience"]["serial_fallbacks"] == 1
 
     def test_deadline_fails_job_not_worker(self, tmp_path, monkeypatch):
         monkeypatch.setattr(scheduler_module, "WATCHDOG_POLL_S", 0.02)
@@ -532,14 +588,14 @@ class TestRobustness:
         )
         scheduler = JobScheduler(store=ResultStore(tmp_path), deadline_s=0.15)
         ran_on = {}
-        run_batch = scheduler._run_batch
+        run = scheduler._run
 
-        def recording(batch):
-            for job in batch:
+        def recording(jobs):
+            for job in jobs:
                 ran_on[job.id] = threading.get_ident()
-            return run_batch(batch)
+            return run(jobs)
 
-        scheduler._run_batch = recording
+        scheduler._run = recording
 
         def wait_until(predicate):
             deadline = time.monotonic() + 10

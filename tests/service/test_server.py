@@ -107,6 +107,19 @@ class TestAPI:
             client.submit("fir", config={"taps": [1, 2]})
         assert info.value.status == 400
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("seed", 1.5), ("seed", True), ("seed", "7"), ("seed", -1),
+         ("check", "false"), ("check", None)],
+    )
+    def test_bad_seed_or_check_is_400(self, service, field, value):
+        client, server = service
+        # Raw wire payload: the JSON body as a client could send it.
+        with pytest.raises(ServiceError, match=f"{field} must be") as info:
+            client._call("POST", "/jobs", {"scenario": "fir", field: value})
+        assert info.value.status == 400
+        assert server.scheduler.stats.submitted == 0
+
     def test_oversized_body_rejected(self, service):
         client, _ = service
         with pytest.raises(ServiceError, match="too large") as info:

@@ -130,17 +130,33 @@ class TestCrashRecovery:
         with pytest.raises(ValueError, match="bad item 2"):
             runner.map(_evaluate, items)
 
-    def test_rebuild_budget_falls_back_serial(self, tmp_path):
+    def test_rebuild_budget_falls_back_serial(self, tmp_path, monkeypatch):
         # Budget 0: the first crash exhausts it.  The fallback must keep
         # whatever the pool resolved and recompute only the missing
         # items — and still produce the bit-identical result.
+        monkeypatch.setattr(SweepRunner, "_rebuild_budget", lambda *_: 0)
         items = _items(16, [(1, "kill-once", str(tmp_path / "kill"))])
-        runner = SweepRunner(jobs=2, chunk_size=4, max_pool_rebuilds=0)
+        runner = SweepRunner(jobs=2, chunk_size=4)
         assert runner.map(_evaluate, items) == EXPECTED
         assert runner.fell_back
         assert runner.resilience.serial_fallbacks == 1
         assert "budget" in runner.resilience.fallback_reason
         assert runner.resilience.items_recovered_serial >= 1
+
+    def test_failing_key_falls_back_serial(self):
+        """The runner's own machinery failing before any item runs — here
+        the ``key`` that orders the items — runs them all serially."""
+
+        def key(item):
+            raise ValueError(f"no key for {item}")
+
+        runner = SweepRunner(jobs=2, chunk_size=4, key=key)
+        assert runner.map(_evaluate, _items(16)) == (
+            SweepRunner(jobs=1).map(_evaluate, _items(16))
+        )
+        assert runner.fell_back
+        assert runner.resilience.serial_fallbacks == 1
+        assert "no key" in runner.resilience.fallback_reason
 
     def test_clean_run_reports_nothing(self):
         runner = SweepRunner(jobs=2, chunk_size=4)

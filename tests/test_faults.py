@@ -138,7 +138,9 @@ class TestFiring:
         assert second.fire("store.get", payload=text) == mutated
 
     def test_crash_is_base_exception_fault_is_exception(self):
-        """The whole bisection design hangs on this distinction."""
+        """A crash is not an ``Exception``: it passes every ordinary
+        ``except Exception``, so the one job boundary that contains it
+        (``evaluate_request``) has to catch ``BaseException``."""
         assert issubclass(InjectedCrash, BaseException)
         assert not issubclass(InjectedCrash, Exception)
         assert issubclass(InjectedFault, Exception)
