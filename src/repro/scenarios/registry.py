@@ -21,7 +21,7 @@ breadth a first-class artifact: every workload is a registered
 * a default **sweep grid** of config axes for design-space exploration.
 
 Everything that enumerates workloads — ``equeue-sim --list-scenarios``,
-the sweep runner, ``bench_scenarios.py``, the differential test suites —
+the sweep runner, the layered benchmark, the differential test suites —
 iterates this registry instead of hard-coding generator imports, so
 adding a workload is one module plus one :func:`register_scenario` call.
 """

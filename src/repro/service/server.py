@@ -756,8 +756,8 @@ def make_server(
     """
     # The service is the telemetry plane's natural home: arm the
     # process registry so engine-side counters record.  Per-run cost is
-    # one coarse aggregation per simulation (the ``obs_overhead``
-    # benchmark row gates it at ≤2%).
+    # one coarse aggregation per simulation (the ``telemetry`` row of
+    # tests/test_call_budget.py pins its calls).
     obs_metrics.enable_metrics()
     wal = None
     if state_dir:

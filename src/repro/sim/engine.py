@@ -1556,10 +1556,10 @@ class Engine:
     def _record_metrics(self, summary: ProfilingSummary) -> None:
         """Fold one finished run into the process metrics registry.
 
-        Aggregated once per run — never per simulated event — so the
-        enabled-metrics overhead on the events/s benchmark stays in the
-        noise (the ``obs_overhead`` row in BENCH_engine_speed.json
-        gates this at ≤2%).  A single ``is None`` test when disabled.
+        Aggregated once per run — never per simulated event — so
+        metrics add a fixed handful of ``obs`` calls to a run of any
+        length (the ``telemetry`` row of ``tests/test_call_budget.py``
+        pins them).  A single ``is None`` test when disabled.
         """
         registry = _obs_metrics.METRICS
         if registry is None:
