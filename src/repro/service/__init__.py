@@ -4,7 +4,7 @@ and the ``equeue-serve`` front end.
 The ROADMAP's north star is a system that serves heavy simulation
 traffic; the speedup lever that actually exists in that regime (and the
 only one on a single-CPU host) is *never paying for the same simulation
-twice*.  This package stacks three layers over the simulation stack to
+twice*.  This package stacks four layers over the simulation stack to
 get there:
 
 * :mod:`repro.service.store` — a persistent, **content-addressed result
@@ -12,6 +12,9 @@ get there:
   signature, inputs digest, engine-options digest, code version), written
   as atomic single-record JSONL blobs, and safe to share between
   processes.
+* :mod:`repro.service.request` — the **request model**: a scenario
+  spec resolved into a frozen :class:`JobRequest` / :class:`SweepRequest`,
+  its store key, and the worker that simulates one into its record.
 * :mod:`repro.service.scheduler` — an in-process **job scheduler** that
   coalesces identical in-flight requests (N waiters, one simulation),
   batches compatible queued jobs through the
@@ -31,14 +34,13 @@ end.  See ``docs/serving.md``.
 
 from .client import ServiceClient, ServiceError
 from .fsck import FsckReport, fsck_state_dir
+from .request import JobRequest, SweepRequest
 from .scheduler import (
     DrainingError,
     Job,
-    JobRequest,
     JobScheduler,
     QueueFullError,
     SweepJob,
-    SweepRequest,
 )
 from .store import (
     ResultStore,

@@ -5,43 +5,37 @@ scheduler guarantees the service's core invariant — **identical
 requests never pay for simulation twice** — via three mechanisms, in
 lookup order:
 
-1. **Store hits.**  A submitted request whose key is already in the
+1. **Request coalescing.**  A request whose key matches a queued or
+   running job joins that job: N callers wait on one simulation, and
+   each sees the same completed record.
+2. **Store hits.**  A request whose key is in the
    :class:`~repro.service.store.ResultStore` is answered by a settled
-   view of the stored line: nothing is queued, no engine work happens,
-   nothing is written and nothing is indexed — the hit's id
-   (``hit-<key>``) names its record.
-2. **Request coalescing.**  A request whose key matches a queued or
-   running job joins that job instead of creating a new one — N callers
-   wait on one simulation, and each sees the same completed record.
-3. **Batched execution.**  Queued jobs are drained in batches: grouped
-   by engine-options digest (only compatible jobs share a batch),
-   ordered signature-affinely, and run through
-   :class:`~repro.sim.batch.SweepRunner` over the process's one
-   program cache, the one every sweep path uses
-   (:func:`~repro.scenarios.sweep.simulate_scenario`), so structurally
-   identical jobs in one batch compile once.  Every fresh record is
-   spilled to the store before waiters wake.
+   view of the stored line: nothing is queued, run, written or indexed
+   — the hit's id (``hit-<key>``) names its record.
+3. **Batched execution.**  Queued jobs drain in batches of compatible
+   work (same engine options), ordered signature-affinely and run
+   through :class:`~repro.sim.batch.SweepRunner` over the process's one
+   program cache, so structurally identical jobs compile once.  Every
+   fresh record is spilled to the store before waiters wake.
 
 Records are normalized through their canonical JSON line before a job
 completes, so a response is bit-identical whether it was simulated just
-now, coalesced onto another caller's job, or read back from the store
-warm — one of the service's determinism guarantees, and the one the
-warm==cold tests pin.
+now, coalesced, or read back from the store warm.  What a job asks for
+is the request model, :mod:`repro.service.request`.
 
-The scheduler is synchronous-friendly (:meth:`JobScheduler.run_pending`
-drains the queue on the calling thread — deterministic, used by tests)
-and serves the HTTP front end from a background worker thread
-(:meth:`~JobScheduler.start` / :meth:`~JobScheduler.stop`).
+:meth:`JobScheduler.run_pending` drains the queue on the calling thread
+(deterministic, used by tests); :meth:`~JobScheduler.start` and
+:meth:`~JobScheduler.stop` run a background worker thread for the HTTP
+front end.
 """
 
 from __future__ import annotations
 
 import json
-import operator
 import threading
 import time
 import traceback
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from itertools import islice
 from typing import Dict, List, Mapping, Optional, Tuple, Union
 
@@ -49,15 +43,17 @@ from .. import faults
 from ..obs import logs as obs_logs
 from ..obs import metrics as obs_metrics
 from ..obs.spans import span as _span
-from ..scenarios import (
-    ScenarioError, get_scenario, parse_scenario_spec, scenario_cache_stats,
-)
-from ..scenarios.sweep import grid_record, scenario_grid, simulate_scenario
-from ..sim.batch import ResilienceStats, SweepRunner, result_record, subsample
-from ..sim.engine import EngineOptions, resolve_execution_mode
+from ..scenarios import scenario_cache_stats
+from ..sim.batch import ResilienceStats, SweepRunner
+from ..sim.engine import resolve_execution_mode
 from ..sim.linecodec import record_line
-from .store import ResultStore, code_version, inputs_digest, request_key
-from .wal import AdmissionWAL, WALError
+from .request import (
+    SWEEP_KIND, JobRequest, RequestError, SweepRequest, _payload_context,
+    _payload_signature, _RecoveredRequest, _stored_request, _sweep_record,
+    evaluate_request, request_from_body, request_store_key,
+)
+from .store import ResultStore, code_version
+from .wal import AdmissionWAL, WALError, WALRecovery
 
 _log = obs_logs.get_logger("service.scheduler")
 
@@ -66,15 +62,11 @@ _log = obs_logs.get_logger("service.scheduler")
 #: long).
 MAX_JOBS = 10_000
 
-#: What a store hit's id is: this prefix and the hit's store key.  The
-#: id names its record, so a hit enters no index: its id resolves
-#: through the store, in process and after any restart, exactly while
-#: the record is stored.  Jobs that simulate get counter ids
-#: (``job-000123``) held by the WAL.
+#: A store hit's id is this prefix and its store key: the id names its
+#: record, so a hit enters no index and resolves through the store
+#: exactly while the record is stored.  Jobs that simulate get counter
+#: ids (``job-000123``) held by the WAL.
 HIT_PREFIX = "hit-"
-
-#: A sweep's identity and its stored aggregate's ``kind``.
-SWEEP_KIND = "scenario-sweep/v1"
 
 #: Seconds between two watchdog passes.
 WATCHDOG_POLL_S = 0.05
@@ -82,23 +74,6 @@ WATCHDOG_POLL_S = 0.05
 #: Seconds a worker thread may stay wedged past an expired deadline
 #: before the watchdog writes it off and starts a replacement.
 STUCK_GRACE_S = 30.0
-
-#: Engine-options fields a request may override.  Trace recording is
-#: excluded (traces are not part of the stored record), and
-#: ``verify_module`` is the service's own concern (programs verify once
-#: at build time in the program cache).
-_ALLOWED_OPTIONS = (
-    "scheduler",
-    "mode",
-    "max_cycles",
-    "strict_capacity",
-    "linalg_mac_cycles",
-    "fill_cycles_per_element",
-)
-
-
-class RequestError(ValueError):
-    """A malformed request (unknown scenario/option, bad value)."""
 
 
 class QueueFullError(RuntimeError):
@@ -109,474 +84,22 @@ class DrainingError(RuntimeError):
     """The scheduler is draining for shutdown; no new work (HTTP 503)."""
 
 
-def _freeze(mapping: Optional[Mapping]) -> Tuple[Tuple[str, object], ...]:
-    return tuple(sorted((mapping or {}).items()))
-
-
-def _spelled(mapping: Optional[Mapping]) -> Tuple:
-    """A mapping as part of a memo key: its items sorted, each value with
-    its type and ``repr``, so ``True``, ``1`` and ``1.0`` (and ``0.0``
-    and ``-0.0``) are different spellings."""
-    items = sorted(dict(mapping or {}).items())
-    return tuple((name, type(value), repr(value)) for name, value in items)
-
-
-def _field_dict(cfg) -> Dict[str, object]:
-    """A scenario config's fields as a flat dict.  ``dataclasses.asdict``
-    deep-copies every value; request configs are scalars (``make``
-    rejects anything else), so there is nothing to copy."""
-    return {f.name: getattr(cfg, f.name) for f in fields(cfg)}
-
-
-def _canonical_options(options: Optional[Mapping]) -> Dict:
-    """Normalize execution-mode spellings to one canonical form.
-
-    ``mode`` is recorded only when it differs from the default,
-    ``resolve_execution_mode(None)`` — so ``{}`` and a request spelling
-    the default out freeze to the same request and therefore the same
-    store key, while requests for two different modes can never share
-    one.
-    """
-    mapping = dict(options or {})
-    try:
-        mode = resolve_execution_mode(mapping.pop("mode", None))
-    except ValueError as error:
-        raise RequestError(str(error)) from None
-    if mode is not resolve_execution_mode(None):
-        mapping["mode"] = mode.value
-    return mapping
-
-
-@dataclass(frozen=True)
-class JobRequest:
-    """One fully resolved, hashable simulation request.
-
-    ``config`` holds *every* config field of the resolved scenario
-    config (not just the caller's overrides), so two spellings of the
-    same configuration — explicit defaults vs. omitted ones — resolve to
-    the same request and therefore the same key.
-    """
-
-    scenario: str
-    config: Tuple[Tuple[str, object], ...]
-    seed: int = 0
-    options: Tuple[Tuple[str, object], ...] = ()
-    check: bool = True
-
-    @classmethod
-    def make(
-        cls,
-        scenario: str,
-        config: Optional[Mapping] = None,
-        seed: int = 0,
-        options: Optional[Mapping] = None,
-        check: bool = True,
-    ) -> "JobRequest":
-        """Resolve a scenario spec into a request.
-
-        ``scenario`` is a registry name or a ``name:key=val,...`` spec
-        (the CLI syntax); ``config`` merges on top of the spec's
-        overrides.  Unknown scenarios, config keys, and option names
-        raise :class:`RequestError`, as do a ``seed`` that is not a
-        non-negative integer (``operator.index``: a bool, float or
-        string is refused, a NumPy integer taken) and a ``check`` that
-        is not a bool.
-
-        A spelling resolves once per process (:data:`_RESOLVED`): the
-        same arguments, each value with its type, give the request they
-        gave before — while the scenario they named is still the one
-        registered under its name.
-        """
-        spelling = None
-        try:
-            spelling = (scenario, type(seed), seed, type(check), check,
-                        _spelled(config), _spelled(options))
-            scenario_obj, request = _RESOLVED[spelling]
-            if get_scenario(scenario_obj.name) is scenario_obj:
-                return request
-        except (KeyError, ScenarioError):
-            pass  # a new spelling, or its scenario left the registry
-        except (TypeError, ValueError):
-            spelling = None  # not a mapping, or unhashable: not kept
-        try:
-            # A bool is an int to operator.index; a seed is not a bool.
-            if isinstance(seed, bool) or operator.index(seed) < 0:
-                raise TypeError
-        except TypeError:
-            raise RequestError(
-                f"seed must be a non-negative integer, got {seed!r}"
-            ) from None
-        if not isinstance(check, bool):
-            raise RequestError(f"check must be a boolean, got {check!r}")
-        try:
-            scenario_obj, cfg = parse_scenario_spec(scenario)
-            resolved = _field_dict(cfg)
-            # An override that spells out the value already there (same
-            # type: True is not 1 on the wire) changes nothing; only a
-            # real one pays for a second config construction.
-            overrides = dict(config or {})
-            if any(
-                key not in resolved
-                or type(value) is not type(resolved[key])
-                or value != resolved[key]
-                for key, value in overrides.items()
-            ):
-                cfg = scenario_obj.configure(**{**resolved, **overrides})
-                resolved = _field_dict(cfg)
-        except ScenarioError as error:
-            raise RequestError(str(error)) from None
-        for name in options or {}:
-            if name not in _ALLOWED_OPTIONS:
-                raise RequestError(
-                    f"unknown engine option {name!r}; valid options: "
-                    + ", ".join(_ALLOWED_OPTIONS)
-                )
-        # Scenario configs never type-check overrides themselves, so a
-        # JSON list/object would otherwise flow through to an unhashable
-        # (and unsimulatable) request.
-        for kind, mapping in (
-            ("config field", resolved), ("engine option", options or {})
-        ):
-            for name, value in mapping.items():
-                if not isinstance(value, (bool, int, float, str)):
-                    raise RequestError(
-                        f"{kind} {name!r} must be a scalar, "
-                        f"got {type(value).__name__}"
-                    )
-        canonical = _canonical_options(options)
-        try:
-            EngineOptions(**canonical)
-        except (TypeError, ValueError) as error:
-            raise RequestError(f"invalid engine options: {error}") from None
-        request = cls(
-            scenario=scenario_obj.name,
-            config=_freeze(resolved),
-            seed=operator.index(seed),
-            options=_freeze(canonical),
-            check=check,
-        )
-        if spelling is not None:  # only a resolution that succeeded
-            if len(_RESOLVED) >= _MEMO_CAP:
-                _RESOLVED.clear()
-            _RESOLVED[spelling] = (scenario_obj, request)
-        return request
-
-    # -- derived views -------------------------------------------------
-
-    def config_instance(self):
-        return get_scenario(self.scenario).configure(**dict(self.config))
-
-    def key_parts(self) -> Dict:
-        """The identity parts the store key digests (JSON-ready)."""
-        scenario = get_scenario(self.scenario)
-        cfg = self.config_instance()
-        return {
-            "kind": "scenario-result/v1",
-            "scenario": self.scenario,
-            "structure": repr(scenario.signature(cfg)),
-            "inputs": inputs_digest(scenario.make_inputs(cfg, self.seed)),
-            "config": dict(self.config),
-            "seed": self.seed,
-            "options": dict(self.options),
-            "check": self.check,
-            "code": code_version(),
-        }
-
-    def key(self) -> str:
-        return request_key(self.key_parts())
-
-    def to_dict(self) -> Dict:
-        return {
-            "scenario": self.scenario,
-            "config": dict(self.config),
-            "seed": self.seed,
-            "options": dict(self.options),
-            "check": self.check,
-        }
-
-    def payload(self, request_id: Optional[str]) -> Tuple:
-        """The picklable :func:`evaluate_request` form of this request."""
-        return (
-            self.scenario, self.config, self.seed, self.options,
-            self.check, request_id,
-        )
-
-
-@dataclass(frozen=True)
-class SweepRequest:
-    """One fully resolved sweep request: a scenario's default grid over
-    a pinned base config.
-
-    The request's identity is the whole sweep — grid, base, seed,
-    sample, options, check — so identical sweeps coalesce and an
-    already-persisted sweep answers from the store.  Each grid point is
-    additionally a first-class :class:`JobRequest` with its own
-    content-addressed key: completed points checkpoint into the store
-    individually, which is what makes an interrupted sweep resumable
-    (resubmit it — finished points are store hits, only the rest
-    simulate) and lets single-point ``POST /jobs`` traffic share work
-    with sweeps bidirectionally.
-    """
-
-    scenario: str
-    base: Tuple[Tuple[str, object], ...]
-    seed: int = 0
-    sample: Optional[int] = None
-    options: Tuple[Tuple[str, object], ...] = ()
-    check: bool = True
-
-    @classmethod
-    def make(
-        cls,
-        scenario: str,
-        config: Optional[Mapping] = None,
-        seed: int = 0,
-        sample: Optional[int] = None,
-        options: Optional[Mapping] = None,
-        check: bool = True,
-    ) -> "SweepRequest":
-        """Resolve a scenario spec into a sweep request.
-
-        Validation rides :meth:`JobRequest.make` (same spec syntax,
-        same scalar/option checks); the resolved full config becomes
-        the grid base, with axis fields overridden per point.
-        """
-        resolved = JobRequest.make(
-            scenario, config=config, seed=seed, options=options, check=check
-        )
-        if sample is not None:
-            if not isinstance(sample, int) or isinstance(sample, bool):
-                raise RequestError(
-                    f"sample must be an integer, got {type(sample).__name__}"
-                )
-            if sample < 1:
-                raise RequestError(f"sample must be >= 1, got {sample}")
-        return cls(
-            scenario=resolved.scenario,
-            base=resolved.config,
-            seed=resolved.seed,
-            sample=sample,
-            options=resolved.options,
-            check=resolved.check,
-        )
-
-    # -- derived views -------------------------------------------------
-
-    def grid(self):
-        return scenario_grid(self.scenario, **dict(self.base))
-
-    def point_requests(self) -> List[JobRequest]:
-        """One :class:`JobRequest` per sampled grid point, in grid order
-        (the library sweeps' :func:`~repro.sim.batch.subsample` rule)."""
-        return [
-            JobRequest(
-                scenario=self.scenario,
-                config=_freeze(_field_dict(cfg)),
-                seed=self.seed,
-                options=self.options,
-                check=self.check,
-            )
-            for cfg in subsample(self.grid().points(), self.sample, self.seed)
-        ]
-
-    def key_parts(self) -> Dict:
-        return {
-            "kind": SWEEP_KIND,
-            "grid": grid_record(self.grid()),
-            "seed": self.seed,
-            "sample": self.sample,
-            "options": dict(self.options),
-            "check": self.check,
-            "code": code_version(),
-        }
-
-    def key(self) -> str:
-        return request_key(self.key_parts())
-
-    def to_dict(self) -> Dict:
-        return {
-            "scenario": self.scenario,
-            "base": dict(self.base),
-            "seed": self.seed,
-            "sample": self.sample,
-            "options": dict(self.options),
-            "check": self.check,
-            "sweep": True,
-        }
-
-
-def request_from_body(
-    body: Mapping, sweep: bool = False
-) -> Union[JobRequest, SweepRequest]:
-    """The request a JSON body names — a ``POST /jobs`` or ``/sweeps``
-    body, or an admitted request replayed from the WAL (in the body's
-    shape: its ``config`` key)."""
-    spec = body.get("scenario")
-    if not spec or not isinstance(spec, str):
-        raise RequestError('missing "scenario" (a name or name:key=val spec)')
-    common = {
-        "config": body.get("config"),
-        "seed": body.get("seed", 0),
-        "options": body.get("options"),
-        "check": body.get("check", True),
-    }
-    if sweep:
-        return SweepRequest.make(spec, sample=body.get("sample"), **common)
-    return JobRequest.make(spec, **common)
-
-
-#: Entries each per-process memo below holds before it is cleared
-#: wholesale (requests are tiny; the cap is generous).
-_MEMO_CAP = 4096
-
-#: Spelling -> (scenario object, request) memo of :meth:`JobRequest.make`.
-#: Resolving parses the spec and builds and validates a config and the
-#: engine options — on the warm path, as much as the store read.  Only
-#: resolutions that succeeded are kept.
-_RESOLVED: Dict[Tuple, Tuple[object, JobRequest]] = {}
-
-#: Request -> store-key memo.  A key is a pure function of the (frozen,
-#: hashable) request and the code version, but computing one regenerates
-#: and digests the scenario's input arrays — noticeable on the warm path,
-#: where it would dominate the store read.
-_KEY_CACHE: Dict[Tuple[JobRequest, str], str] = {}
-
-
-def request_store_key(request: JobRequest) -> str:
-    """The store key for a request, memoized per process."""
-    memo_key = (request, code_version())
-    key = _KEY_CACHE.get(memo_key)
-    if key is None:
-        if len(_KEY_CACHE) >= _MEMO_CAP:
-            _KEY_CACHE.clear()
-        key = request.key()
-        _KEY_CACHE[memo_key] = key
-    return key
-
-
-def evaluate_request(payload: Tuple) -> Dict:
-    """Spawn-safe batch worker: simulate one request, return its record.
-
-    ``payload`` is ``(scenario, config_items, seed, option_items,
-    check)`` with an optional trailing ``request_id`` — plain picklable
-    data, so batches can shard across a :class:`SweepRunner` pool (and
-    the request id survives the pickle hop into pool workers, where it
-    re-binds the log contextvar so fault firings and engine logs inside
-    the worker still carry it).  Simulation rides the per-process
-    scenario program cache.  Every failure but an interrupt comes back
-    as an ``{"error": ...}`` record — a crash as ``"job crashed: ..."``
-    — so one bad job fails alone and nothing else re-runs.
-    """
-    name, config, seed, options, check, *rest = payload
-    obs_logs.set_request_id(rest[0] if rest else None)
-    try:
-        # The chaos plane's per-job seam.  Whatever escapes the job — an
-        # injected engine error, or an injected crash (a BaseException,
-        # the stand-in for a segfault) — fails this job alone, here: its
-        # batch-mates are not re-run to find it.
-        faults.fire("job.evaluate", context=f"{name}:seed={seed}")
-        scenario = get_scenario(name)
-        cfg = scenario.configure(**dict(config))
-        engine_options = EngineOptions(
-            **{"verify_module": False, **dict(options)}
-        )
-        result, checked = simulate_scenario(
-            scenario, cfg, seed=seed, options=engine_options, check=check
-        )
-        record = result_record(result, checked)
-    except (KeyboardInterrupt, SystemExit):
-        raise
-    except Exception as error:  # noqa: BLE001 - job boundary
-        return {"error": f"{type(error).__name__}: {error}"}
-    except BaseException as error:  # noqa: BLE001 - job boundary
-        return {"error": f"job crashed: {type(error).__name__}: {error}"}
-    record["scenario"] = name
-    record["config"] = dict(config)
-    record["seed"] = seed
-    record["options"] = dict(options)
-    return record
-
-
-def _payload_signature(payload: Tuple) -> Tuple:
-    """Signature-affine batch ordering (same rule as the sweep runner)."""
-    name, config = payload[0], payload[1]
-    scenario = get_scenario(name)
-    return scenario.signature(scenario.configure(**dict(config)))
-
-
-def _payload_context(payload: Tuple) -> str:
-    """Fault-hook context for one batch payload (``batch.worker``)."""
-    return f"{payload[0]}:seed={payload[2]}"
-
-
-def _sweep_record(request: SweepRequest, records: List[Dict]) -> Dict:
-    """A finished sweep's aggregate record — or its error when a point
-    failed: a transient failure must not become a persistent record, so
-    the aggregate is NOT stored, only the good points were."""
-    errors = [
-        record["error"] for record in records if record.get("error") is not None
-    ]
-    if errors:
-        return {
-            "error": f"sweep failed: {len(errors)}/{len(records)} points "
-            f"failed (first: {errors[0]}); completed points are "
-            "checkpointed — resubmit to resume"
-        }
-    return {
-        "kind": SWEEP_KIND, "scenario": request.scenario,
-        "points_total": len(records), "points_failed": 0, "points": records,
-    }
-
-
-class _RecoveredRequest:
-    """The request shim behind a resolved id: a terminal WAL record
-    carries at most the admitted request *dict*, and a stored record
-    names its own (:func:`_stored_request`) — enough to report what the
-    job was, not enough (nor needed) to simulate it again."""
-
-    __slots__ = ("_data",)
-
-    def __init__(self, data: Optional[Mapping]):
-        self._data = dict(data or {})
-
-    def to_dict(self) -> Dict:
-        return dict(self._data)
-
-
-def _stored_request(record: Mapping) -> Dict:
-    """The request dict a stored single-request record answers, read off
-    the record: :func:`evaluate_request` writes four of its fields, and
-    the oracle's ``checked`` stats are ``None`` exactly when ``check``
-    was off.  Any other record (a sweep aggregate) names none: ``{}``."""
-    if "config" not in record:
-        return {}
-    names = ("scenario", "config", "seed", "options")
-    return {name: record.get(name) for name in names} | {
-        "check": record.get("checked") is not None
-    }
-
-
 class Job:
     """One scheduled request: state, waiters, and the eventual record.
 
-    Completion is **first-writer-wins**: the watchdog can fail a job on
-    deadline while the engine is still grinding on it, and whichever of
-    the two outcomes lands first is the job's outcome forever — the
-    loser's :meth:`_settle` is a no-op, so a late record can never
-    overwrite a deadline failure (or vice versa).
-
+    Completion is **first-writer-wins** (:meth:`JobScheduler._settle`):
+    a late record never overwrites a deadline failure, or vice versa.
     Made with an ``outcome``, a job is a settled view of it, held by
-    nothing: a store hit, or an id resolved from its terminal entry or
-    the store.  It has no event and no lock.  A hit's outcome is the
-    verified line it read: its ``record`` is parsed only when asked
-    for, and :meth:`to_json` splices the line in.
+    nothing and with no event: a store hit, or an id resolved from its
+    terminal entry or the store.  A hit's outcome is the verified line
+    it read, parsed only when asked for; :meth:`to_json` splices it in.
     """
 
     __slots__ = (
         "id", "key", "request", "state", "error", "source",
         "waiters", "submitted_at", "started_at", "finished_at",
-        "deadline_s", "request_id", "store_put_s", "timings",
-        "_record", "_line", "_done", "_outcome_lock",
+        "deadline_s", "deadline_at", "request_id", "store_put_s",
+        "timings", "_record", "_line", "_done",
     )
 
     def __init__(
@@ -605,10 +128,12 @@ class Job:
         self.finished_at: Optional[float] = None
         #: Wall-clock execution budget (None = unbounded).
         self.deadline_s = deadline_s
-        #: The structured-log correlation id issued at admission; lives
-        #: in the WAL record, every log line touching this job, and the
-        #: wire dict.  Request-scoped, so deliberately NOT part of the
-        #: stored record (which is shared across coalesced/warm callers).
+        #: The ``time.monotonic()`` the budget ends at while the job's
+        #: run executes (else None): what the watchdog reads.
+        self.deadline_at: Optional[float] = None
+        #: The structured-log correlation id issued at admission (WAL
+        #: record, log lines, wire dict) — request-scoped, so NOT part of
+        #: the stored record shared across coalesced and warm callers.
         self.request_id = request_id
         #: Seconds spent spilling the fresh record to the store.
         self.store_put_s: Optional[float] = None
@@ -616,9 +141,8 @@ class Job:
         self.timings: Dict[str, float] = {}
         if outcome is None:
             self._done = threading.Event()
-            self._outcome_lock = threading.Lock()
         else:
-            self._done = self._outcome_lock = None
+            self._done = None
             self.finished_at = self.submitted_at
             self._end(outcome, "store")
 
@@ -651,21 +175,19 @@ class Job:
     ) -> bool:
         """End the job with a record (from ``source``) or an error
         message, and wake its waiters; False when another outcome landed
-        first."""
-        with self._outcome_lock:
-            if self._done.is_set():
-                return False
-            self.finished_at = time.time()
-            self._end(outcome, source)
-            self._done.set()
+        first.  Called under the scheduler's lock, which is what makes
+        the first writer win."""
+        if self._done.is_set():
+            return False
+        self.finished_at = time.time()
+        self._end(outcome, source)
+        self._done.set()
         return True
 
     def _end(self, outcome: Union[Dict, bytes, str], source) -> None:
         """Take the outcome — an error message, a record, or the
-        verified line it parses from — and stamp the per-request
-        wall-clock breakdown from ``finished_at``.  A job answered from
-        the store shows ``execute_s == 0``: the whole point of the warm
-        path."""
+        verified line it parses from — and stamp the wall-clock
+        breakdown (a store answer's ``execute_s`` is 0)."""
         if isinstance(outcome, str):
             self.error = outcome
             self.state = "error"
@@ -714,11 +236,9 @@ class Job:
 class SweepJob(Job):
     """A scheduled sweep: one job whose record aggregates many points.
 
-    Progress is observable while it runs — ``points_total`` is fixed
-    when execution starts, ``points_done`` advances as each point
-    completes (resumed-from-store points count immediately) — so a
-    poller watching ``GET /jobs/<id>`` sees a moving fraction instead
-    of an opaque ``running``.
+    ``points_total`` is fixed when execution starts and ``points_done``
+    advances as each point completes (resumed points at once), so a
+    poller of ``GET /jobs/<id>`` sees a moving fraction.
     """
 
     __slots__ = ("points_total", "points_done", "points_resumed")
@@ -793,9 +313,8 @@ class SchedulerStats:
     wal_append_failures: int = 0
     #: WAL-replayed jobs re-enqueued with their original ids.
     recovered_requeued: int = 0
-    #: WAL-replayed jobs completed instantly from the store (the job
-    #: finished before the crash and its record survived) — zero engine
-    #: work on replay.
+    #: WAL-replayed jobs completed from the store (the job finished
+    #: before the crash): zero engine work on replay.
     recovered_store_hits: int = 0
     #: WAL-replayed jobs whose request no longer validates (scenario
     #: removed, option renamed) — failed cleanly, never dropped.
@@ -826,14 +345,10 @@ _METRIC_SECTIONS = {
 
 
 def _flatten_stats(payload: Mapping) -> Dict[str, float]:
-    """Flatten the ``/stats`` payload into ``{dotted_name: value}``.
-
-    One function feeds the ``metrics`` block of ``/stats``, the
-    scheduler's registry collector, and (through it) ``GET /metrics`` —
-    a single source of truth for the documented metric names.
-    Non-numeric leaves (code_version, last_error) are dropped; booleans
-    export as 0/1 gauges.
-    """
+    """Flatten the ``/stats`` payload into ``{dotted_name: value}``: the
+    one source of the ``metrics`` block of ``/stats`` and of
+    ``GET /metrics``.  Non-numeric leaves are dropped; booleans export
+    as 0/1 gauges."""
     out: Dict[str, float] = {}
 
     def emit(prefix: str, mapping: Mapping) -> None:
@@ -857,30 +372,20 @@ class JobScheduler:
     """Coalescing, batching scheduler over an optional result store.
 
     ``store=None`` runs a pure in-memory service (coalescing still
-    applies; nothing persists).  ``jobs`` is the
-    :class:`SweepRunner` worker count for each drained batch (``1`` —
-    the default, and the right choice on single-CPU hosts — executes
-    batches on the draining thread over the per-process program cache).
-    The by-id job index holds :data:`MAX_JOBS`: beyond it, the oldest
-    *completed* jobs are dropped, and their ids resolve through the
-    terminal index.  A store hit is settled when made and enters no
-    index: its id resolves through the store it names.
+    applies; nothing persists).  ``jobs`` is the :class:`SweepRunner`
+    worker count for each drained batch (``1``, the default and the
+    right choice on single-CPU hosts, runs on the draining thread).
 
     Robustness knobs (all optional):
 
     * ``max_queue`` bounds admission — a submit that would queue beyond
-      it raises :class:`QueueFullError` (coalesces and store hits are
-      always admitted; they cost nothing).
-    * ``deadline_s`` is the default per-job wall-clock budget.  A
-      watchdog thread (started with the worker) fails any running job
-      past its deadline — waiters wake with a clean error while the
-      engine finishes into a discarded record — and, if the worker
-      thread itself stays wedged :data:`STUCK_GRACE_S` beyond the
-      deadline, replaces the worker so the queue keeps draining: the
-      job fails, the service survives.
+      it raises :class:`QueueFullError` (coalesces and store hits cost
+      nothing, and are always admitted).
+    * ``deadline_s`` is the default per-job wall-clock budget, which the
+      watchdog enforces (:meth:`_watchdog_tick`): the job fails, the
+      service survives.
     * :meth:`drain` refuses new queue admissions
-      (:class:`DrainingError`) while already-admitted work completes —
-      the graceful-shutdown half of admission control.
+      (:class:`DrainingError`) while already-admitted work completes.
 
     Every way a queued job ends — simulated, failed, the watchdog,
     recovery — goes through :meth:`_settle`.
@@ -896,10 +401,8 @@ class JobScheduler:
     ):
         self.store = store
         #: The write-ahead admission log (optional).  With one attached,
-        #: :meth:`recover` MUST run before traffic: it opens the log,
-        #: replays outstanding admissions, and arms appends — a submit
-        #: against an unopened WAL raises loudly rather than admitting
-        #: a job whose durability was promised but not delivered.
+        #: :meth:`recover` MUST run before traffic (it opens the log): a
+        #: submit against an unopened WAL raises loudly.
         self.wal = wal
         self.jobs = max(1, int(jobs))
         self.max_queue = None if max_queue is None else max(1, int(max_queue))
@@ -916,20 +419,16 @@ class JobScheduler:
         self._queue: List[Job] = []
         #: Coalescing index: key -> not-yet-finished job.
         self._inflight: Dict[str, Job] = {}
-        #: Every job ever created, by id (the server's lookup table);
-        #: never a store hit.
+        #: Every job created, by id (the server's lookup table; never a
+        #: store hit), up to :data:`MAX_JOBS`.
         self._jobs: Dict[str, Job] = {}
         #: Terminal outcomes by id, kept after the job itself is pruned
-        #: (or lost to a restart): ``job()`` resolves these from the
-        #: store instead of 404ing an id the client was given.  Bounded
-        #: FIFO; entries beyond the cap age out oldest-first.
+        #: or lost to a restart, so ``job()`` resolves the id from the
+        #: store rather than 404ing it.  Bounded FIFO.
         self._terminal: Dict[str, Dict] = {}
-        #: Watchdog view of executing work: job id -> (job, deadline
-        #: timestamp or None, executing thread ident).
-        self._active: Dict[str, Tuple[Job, Optional[float], int]] = {}
-        #: Jobs drained by an in-progress run_pending, per thread ident —
-        #: what the watchdog fails wholesale when it abandons a wedged
-        #: worker (later batches of that drain would otherwise hang).
+        #: Jobs drained by an in-progress run_pending, per thread ident:
+        #: what the watchdog polices, and fails wholesale when it
+        #: abandons a wedged worker.
         self._drains: Dict[int, List[Job]] = {}
         self._counter = 0
         #: Jobs settled so far: a submit whose store read missed sees it
@@ -938,14 +437,15 @@ class JobScheduler:
         self._worker: Optional[threading.Thread] = None
         self._watchdog: Optional[threading.Thread] = None
         self._stopping = False
-        # Join the process metrics registry as a scrape-time collector:
-        # every counter this scheduler (and its store/WAL) already keeps
-        # becomes a dotted metric with zero hot-path writes.  Named
-        # registration replaces any previous scheduler's collector, so
-        # test suites that build many schedulers never double-count.
+        # A scrape-time collector: every counter becomes a dotted metric
+        # with no hot-path write.  The name replaces any previous
+        # scheduler's collector, so many schedulers never double-count.
         obs_metrics.get_registry().register_collector(
             "scheduler", self.metrics_snapshot
         )
+        # Every store key digests the code version: hash the package's
+        # source here, not inside the first submit.
+        code_version()
 
     # -- submission ----------------------------------------------------
 
@@ -961,29 +461,21 @@ class JobScheduler:
 
         Lookup order: in-flight job with the same key (coalesce) ->
         persistent store (a settled view) -> new queued job.  The store
-        read (disk I/O) happens *outside* the lock; after a miss the
-        in-flight index is re-checked, and the store read again if a job
-        settled meanwhile, so a request that raced a just-finishing twin
-        either coalesces or hits the freshly spilled blob — never
-        simulates twice.  A hit answers even while a twin is in flight:
-        the stored record is the answer the twin gives.
+        is read outside the lock, and only for a key not in flight; the
+        in-flight index is then checked under the lock, and the store
+        read again if a job settled meanwhile, so a request that raced a
+        just-finishing twin coalesces or hits its spilled record — never
+        simulates twice.  A hit answers even while a twin is in flight.
 
-        ``deadline_s`` overrides the scheduler default for this job;
-        ``client`` (the peer address, when the HTTP layer forwards it)
-        is recorded in the admission log.  Queue admission is checked
-        *last*: requests the service can answer for free (coalesce,
-        store hit) are never refused, even when the queue is full or
-        draining.  With a WAL attached, a queued job's ``admitted``
-        record is appended (and fsynced) *before* the job becomes
-        visible — an append failure refuses admission (:class:`WALError`
-        -> 503) rather than issuing an id that would not survive a
-        crash.  A store hit is a job made settled with the verified line
-        it read: no event, no lock, no index entry and no write — its
-        id, ``hit-<key>``, names its record.
-
-        ``request_id`` is the structured-log correlation id — issued
-        here at admission when the caller (a non-HTTP embedder) did not
-        already mint one at the front door.
+        Queue admission is checked *last*: what the service answers for
+        free is never refused.  With a WAL attached, a queued job's
+        ``admitted`` record is appended (and fsynced) *before* the job
+        becomes visible; an append failure refuses admission
+        (:class:`WALError`) rather than issue an id that would not
+        survive a crash.  ``deadline_s`` overrides the default;
+        ``client`` (the peer address) is recorded in the admission log;
+        ``request_id``, the log correlation id, is issued here when the
+        caller did not mint one.
         """
         sweep = isinstance(request, SweepRequest)
         job_cls = SweepJob if sweep else Job
@@ -998,13 +490,11 @@ class JobScheduler:
                 self.stats.submitted_by_mode.get(mode, 0) + 1
             )
             self.stats.sweeps_submitted += int(sweep)
-            inflight = self._inflight.get(key)
-            if inflight is not None:
-                inflight.waiters += 1
-                self.stats.coalesced += 1
-                return inflight
+            queued = key in self._inflight
             settled = self._settled
-        found = self.store.read(key) if self.store is not None else None
+        found = None
+        if not queued and self.store is not None:
+            found = self.store.read(key)
         with self._lock:
             if found is None:
                 inflight = self._inflight.get(key)
@@ -1028,19 +518,16 @@ class JobScheduler:
                     f"job queue full ({len(self._queue)}/{self.max_queue})"
                 )
             else:
+                self._counter += 1
                 job = job_cls(
-                    self._next_id(),
+                    f"job-{self._counter:06d}",
                     key,
                     request,
                     deadline_s=self.deadline_s if deadline_s is None else deadline_s,
                     request_id=request_id,
                 )
                 self._wal_admit(job, client=client)
-                self._jobs[job.id] = job
-                self._prune_jobs()
-                self._inflight[key] = job
-                self._queue.append(job)
-                self._lock.notify_all()
+                self._enqueue(job)
         if found is not None:
             _log.debug(
                 "job.done", job=HIT_PREFIX + key, source="store",
@@ -1059,19 +546,26 @@ class JobScheduler:
         faults.fire("server.crash", context=f"admit:{job.id}")
         return job
 
-    def _prune_jobs(self) -> None:
-        """Drop the oldest *completed* jobs beyond :data:`MAX_JOBS` (called
-        under the lock; dict order is insertion/creation order).
+    def _enqueue(self, job: Job) -> None:
+        """The one way a job joins the queue, from a submit or a WAL
+        replay (under the lock): index it by id, give it its key's
+        coalescing slot, queue it and wake the worker.  Two pending jobs
+        share a key only across a crash window: the first keeps the
+        slot, and the duplicate still runs (redundant, never wrong)."""
+        self._jobs[job.id] = job
+        self._prune_jobs()
+        self._inflight.setdefault(job.key, job)
+        self._queue.append(job)
+        self._lock.notify_all()
 
-        A pruned id is NOT gone: its terminal outcome stays in the
-        terminal index (mirrored in the WAL), so :meth:`job` resolves it
-        from the store instead of handing the client a 404 for an id it
-        was given.
-        """
+    def _prune_jobs(self) -> None:
+        """Drop the oldest *completed* jobs beyond :data:`MAX_JOBS` (under
+        the lock; dict order is creation order); a pruned id still
+        resolves through the terminal index."""
         excess = len(self._jobs) - MAX_JOBS
         if excess <= 0:
             return
-        # Stop at the ``excess``-th done job: listing every done job to
+        # Stop at the excess-th done job: listing every done job to
         # delete one made each admission past the cap O(MAX_JOBS).
         done = (job_id for job_id, job in self._jobs.items() if job.done)
         for job_id in list(islice(done, excess)):
@@ -1081,12 +575,11 @@ class JobScheduler:
     def job(self, job_id: str) -> Optional[Job]:
         """Look a job up by id.
 
-        Ids not in the live index — pruned by the retention cap, issued
-        before a restart, or a hit's — resolve through their terminal
-        record, or a hit id through the key it names: ``done`` outcomes
-        re-read the store by key (a miss means the record was evicted;
-        the client resubmits and gets a store hit or a clean
-        re-simulation), ``error`` outcomes replay the recorded failure.
+        Ids not in the live index — pruned, issued before a restart, or
+        a hit's — resolve through their terminal record, or a hit id
+        through the key it names: ``done`` outcomes re-read the store
+        (a miss means the record was evicted: ``None``), ``error``
+        outcomes replay the recorded failure.
         """
         with self._lock:
             job = self._jobs.get(job_id)
@@ -1095,9 +588,7 @@ class JobScheduler:
             return job
         if entry is None and job_id.startswith(HIT_PREFIX):
             entry = {"status": "done", "key": job_id[len(HIT_PREFIX):]}
-        if entry is None:
-            return None
-        return self._resurrect(job_id, entry)
+        return None if entry is None else self._resurrect(job_id, entry)
 
     def _resurrect(self, job_id: str, entry: Dict) -> Optional[Job]:
         """A settled view of a terminal entry (``None`` when its record
@@ -1126,8 +617,9 @@ class JobScheduler:
         return job_cls(job_id, key, _RecoveredRequest(request), outcome=outcome)
 
     def _note_terminal(self, job: Job) -> None:
-        """Index a finished job's outcome by id (call under the lock):
-        what keeps the id resolvable after the job itself is pruned."""
+        """Index a settled job's outcome by id (under the lock), with
+        the fields of the terminal WAL record :meth:`recover` indexes as
+        read."""
         self._terminal[job.id] = {
             "status": job.state,
             "key": job.key,
@@ -1137,16 +629,11 @@ class JobScheduler:
         while len(self._terminal) > 4 * MAX_JOBS:
             self._terminal.pop(next(iter(self._terminal)))
 
-    def _next_id(self) -> str:
-        self._counter += 1
-        return f"job-{self._counter:06d}"
-
     # -- the write-ahead admission log ---------------------------------
 
     def _wal_admit(self, job: Job, client: Optional[str] = None) -> None:
-        """Log an admission before the job becomes visible (called under
-        the lock; admission-ordering with respect to visibility is the
-        WAL's one correctness requirement).  Failure refuses admission."""
+        """Log an admission before the job becomes visible (under the
+        lock: the WAL's one ordering requirement); failure refuses it."""
         if self.wal is None:
             return
         try:
@@ -1174,18 +661,19 @@ class JobScheduler:
     ) -> bool:
         """THE end of a job: its record (from ``source``) or its error.
 
-        First writer wins (:meth:`Job._settle`); the job leaves the
-        coalescing index either way, in the same lock hold that settles
-        it, so a racing submit either coalesces onto the job before it
-        ends or reads its spilled record after — never joins a job that
-        already answered.  Only the winner is counted under
-        ``counter``, indexed as terminal and then logged to the WAL.  A
-        lost terminal record is never fatal: it only costs a redundant,
-        store-hit, replay after the next crash.
+        The first writer wins, under the lock.  The job leaves the
+        coalescing index in the same lock hold, so a racing submit
+        coalesces onto it before it ends or reads its spilled record
+        after.  Only the winner is counted under ``counter``, indexed as
+        terminal and logged to the WAL; a lost terminal record only
+        costs a redundant, store-hit, replay after the next crash.
         """
         with self._lock:
             won = job._settle(outcome, source)
-            self._deindex(job)
+            # Only if the index still maps the key to *this* job: a
+            # thread finishing late must not deindex a newer one.
+            if self._inflight.get(job.key) is job:
+                del self._inflight[job.key]
             if not won:
                 return False
             setattr(self.stats, counter, getattr(self.stats, counter) + 1)
@@ -1214,46 +702,31 @@ class JobScheduler:
         """Open the WAL and replay outstanding admissions (call once,
         before :meth:`start` and before serving traffic).
 
-        Every admitted-but-not-terminal record is rebuilt into a job
-        with its **original id**: store hits (the job finished and
-        spilled before the crash) complete instantly with zero engine
-        work, requests that no longer validate fail cleanly, and the
-        rest re-enqueue in admission order.  Terminal records populate
-        the terminal index so completed ids keep resolving.  Replay is
-        at-least-once and idempotent: re-running an admitted job is a
-        store hit or a bit-identical re-simulation, never a wrong
-        answer.
+        Terminal records populate the terminal index as read.  Every
+        admitted-but-not-terminal record becomes a job with its
+        **original id**: a store hit completes with zero engine work, a
+        request that no longer validates fails cleanly, and the rest
+        re-enqueue in admission order.  Replay is at-least-once and
+        idempotent.  The summary's counts are the ``recovered_*``
+        counters.
         """
-        summary = {
-            "requeued": 0,
-            "store_hits": 0,
-            "failed": 0,
-            "terminal": 0,
-            "lines_dropped": 0,
-            "code_changed": False,
-        }
-        if self.wal is None:
-            return summary
-        recovery = self.wal.open()
-        summary["lines_dropped"] = recovery.lines_dropped
-        summary["code_changed"] = recovery.code_changed
+        recovery = WALRecovery() if self.wal is None else self.wal.open()
         with self._lock:
             self._counter = max(self._counter, recovery.max_counter)
-            for job_id, entry in recovery.terminal.items():
-                self._terminal[job_id] = {
-                    "status": entry.get("status") or "done",
-                    "key": entry.get("key"),
-                    "error": entry.get("error"),
-                    "request": entry.get("request"),
-                }
-                summary["terminal"] += 1
+            self._terminal.update(recovery.terminal)
         for job_id, entry in recovery.pending.items():
-            self._recover_job(job_id, entry, summary)
-        return summary
+            self._recover_job(job_id, entry)
+        with self._lock:
+            return {
+                "requeued": self.stats.recovered_requeued,
+                "store_hits": self.stats.recovered_store_hits,
+                "failed": self.stats.recovered_failed,
+                "terminal": len(recovery.terminal),
+                "lines_dropped": recovery.lines_dropped,
+                "code_changed": recovery.code_changed,
+            }
 
-    def _recover_job(
-        self, job_id: str, entry: Dict, summary: Dict
-    ) -> None:
+    def _recover_job(self, job_id: str, entry: Dict) -> None:
         """Rebuild one WAL-admitted job (original id and request id)
         and route it."""
         data = dict(entry.get("request") or {})
@@ -1266,9 +739,8 @@ class JobScheduler:
             )
             key = request_store_key(request)
         except (RequestError, KeyError, TypeError) as error:
-            # The admitted request no longer validates against this code
-            # (scenario removed, option renamed).  Fail it cleanly — an
-            # id the client holds must resolve to *something*.
+            # The admitted request no longer validates (scenario removed,
+            # option renamed): fail it, so the id still resolves.
             failure = f"recovery failed: {type(error).__name__}: {error}"
             request, key = _RecoveredRequest(data), entry.get("key") or ""
             sweep = False
@@ -1279,45 +751,26 @@ class JobScheduler:
             deadline_s=entry.get("deadline_s"),
             request_id=entry.get("request_id"),
         )
+        outcome, counter = failure, "recovered_failed"
+        if failure is None and self.store is not None:
+            outcome, counter = self.store.get(key), "recovered_store_hits"
         with self._lock:
+            if outcome is None:
+                self._enqueue(job)
+                self.stats.recovered_requeued += 1
+                return
             self._jobs[job_id] = job
-        if failure is not None:
-            self._settle(job, failure, None, "recovered_failed")
-            summary["failed"] += 1
-            return
-        stored = self.store.get(key) if self.store is not None else None
-        if stored is not None:
-            self._settle(job, stored, "store", "recovered_store_hits")
-            summary["store_hits"] += 1
-            return
-        with self._lock:
-            # Two pending admissions can share a key only across a
-            # crash window; the first keeps the coalescing slot, the
-            # duplicate still runs (deterministic — a redundant but
-            # never wrong replay).
-            self._inflight.setdefault(key, job)
-            self._queue.append(job)
-            self.stats.recovered_requeued += 1
-            self._lock.notify_all()
-        summary["requeued"] += 1
+        self._settle(job, outcome, None if failure else "store", counter)
 
     # -- execution -----------------------------------------------------
 
     def run_pending(self) -> int:
         """Drain the queue on this thread; returns jobs completed.
 
-        Queued jobs are grouped into batches of *compatible* work — same
-        engine-options digest — which run first, then each sweep (so a
-        sweep point a batch just stored is a resumed hit).  Every batch
-        and every sweep is one :meth:`_run`, in signature-affine order
-        over the per-process program cache, so structurally identical
-        jobs compile once per process.  Fresh records spill to the
-        store before their waiters wake.
-
-        No drained job can be left in limbo: whatever happens inside the
-        runs — an exception escaping the run boundary, a watchdog
-        intervention — every job drained here is completed or failed by
-        the time this returns.
+        The drain runs as :meth:`_runs` orders it, each run one
+        :meth:`_run`.  No drained job is left in limbo: whatever happens
+        inside the runs, every job drained here is completed or failed
+        by the time this returns.
         """
         ident = threading.get_ident()
         with self._lock:
@@ -1351,20 +804,22 @@ class JobScheduler:
 
         A batch's points are its jobs: nothing is checkpointed, and each
         job spills and settles as its record lands.  A sweep's points
-        are its grid, checkpointed in the store: each completed point
-        spills under its own content-addressed key at once, so whatever
-        interrupts the sweep — a deadline, a service restart — finished
-        points survive and a resubmitted sweep resumes from them; the
-        aggregate settles at the end.
+        are its grid, each spilled under its own key as it completes, so
+        a resubmitted sweep resumes from them whatever interrupted it;
+        the aggregate settles at the end.
 
-        Each failure has one owner.  A crash inside a job is that job's
-        error record (:func:`evaluate_request`), and nothing re-runs; a
-        dead pool worker is the runner's to survive.  What still escapes
-        the runner is this boundary's: it fails every job of the run
-        that has not ended.
+        Each failure has one owner: a crash inside a job is that job's
+        error record (:func:`evaluate_request`), a dead pool worker the
+        runner's, and what still escapes the runner this boundary's —
+        it fails every job of the run that has not ended.
         """
         sweep = jobs[0] if isinstance(jobs[0], SweepJob) else None
-        self._watch(jobs)
+        with self._lock:
+            # The run's deadlines count from now: queue time is free —
+            # a budget bounds execution, the thing that can run away.
+            started = time.monotonic()
+            for job in jobs:
+                job.deadline_at = started + job.deadline_s if job.deadline_s else None
         recovery = ResilienceStats()
         try:
             completed: Dict[int, Dict] = {}
@@ -1388,17 +843,14 @@ class JobScheduler:
                     self.stats.sweep_points_resumed += len(completed)
 
                 def on_result(index: int, record: Dict) -> None:
-                    # The crash plane's mid-sweep seam: a kill between
-                    # points loses only this delivery — checkpointed
-                    # points make the recovered sweep's replay resume,
-                    # not restart.
+                    # The crash plane's mid-sweep seam: a kill here loses
+                    # this delivery; the replay resumes from checkpoints.
                     faults.fire(
                         "server.crash", context=f"sweep-point:{sweep.id}:{index}"
                     )
                     failed = record.get("error") is not None
-                    # Spill (the store writes the canonical line) *before*
-                    # advancing progress, so every point a poller sees
-                    # counted is already durable.
+                    # Spill before advancing progress: every point a
+                    # poller sees counted is durable.
                     if not failed and self.store is not None:
                         try:
                             self.store.put(keys[index], record)
@@ -1433,12 +885,14 @@ class JobScheduler:
         finally:
             with self._lock:
                 self.resilience.merge(recovery)
-            self._unwatch(jobs)
+                for job in jobs:
+                    job.deadline_at = None
 
     def _runs(self, jobs: List[Job]) -> List[List[Job]]:
         """A drain's runs, in order: the single jobs as batches of
         compatible work (same engine options; counted in ``batches``),
-        then each sweep alone."""
+        then each sweep alone (so a point a batch just stored is a
+        resumed hit)."""
         groups: Dict[Tuple, List[Job]] = {}
         sweeps = []
         for job in jobs:
@@ -1446,28 +900,25 @@ class JobScheduler:
                 sweeps.append([job])
             else:
                 groups.setdefault(job.request.options, []).append(job)
-        self.stats.batches += len(groups)
+        with self._lock:
+            self.stats.batches += len(groups)
         return [*groups.values(), *sweeps]
 
     def _finish(self, job: Job, record: Dict) -> None:
         # The crash plane's finish seam: a kill here leaves the job
-        # admitted-but-not-terminal in the WAL — exactly what recovery
-        # replays (the record, if it reached the store, makes the replay
-        # a zero-work store hit).
+        # admitted-but-not-terminal in the WAL, which recovery replays.
         faults.fire("server.crash", context=f"finish:{job.id}")
         error = record.get("error")
         if error is not None:
             self._settle(job, error, None, "errors")
             return
-        # Normalize through the canonical JSON line so a fresh record is
-        # byte-for-byte the record a warm store hit will serve tomorrow.
+        # Normalize through the canonical JSON line: a fresh record is
+        # byte-for-byte what a warm store hit serves.
         record = json.loads(record_line(record))
-        # Spill before waiters wake — and outside the lock, so a slow
-        # (or over-cap, LRU-scanning) put never stalls submitters.  A
-        # failed spill (disk full, root removed) is counted, not fatal:
-        # the job still completes from its in-memory record.  Spill even
-        # when the job already failed on deadline: the record is good
-        # and content-addressed, so the *next* request is a store hit.
+        # Spill before waiters wake, outside the lock (a slow put never
+        # stalls submitters), and even when the job already failed on
+        # deadline: the record is good, so the next request hits.  A
+        # failed spill is counted, not fatal.
         if self.store is not None:
             put_started = time.perf_counter()
             try:
@@ -1477,60 +928,32 @@ class JobScheduler:
                 with self._lock:
                     self.stats.store_put_failures += 1
             job.store_put_s = time.perf_counter() - put_started
-        # Complete and deindex in one lock hold: a submit racing this
-        # either coalesces onto the still-running job or hits the fresh
-        # blob — in neither case does it queue a duplicate simulation.
-        # A job the watchdog already failed keeps its failure (first
-        # writer wins); this record reached the store and that is all.
         self._settle(job, record, "simulated", "simulated")
-
-    def _deindex(self, job: Job) -> None:
-        """Drop ``job`` from the coalescing index (under the lock) —
-        only if the index still maps its key to *this* job, so a thread
-        finishing late cannot deindex a newer job for the same key."""
-        if self._inflight.get(job.key) is job:
-            del self._inflight[job.key]
 
     # -- the watchdog ---------------------------------------------------
 
-    def _watch(self, batch: List[Job]) -> None:
-        """Register an executing batch with the watchdog: each job gets
-        a deadline timestamp from *now* (queue time is free — the budget
-        bounds execution, which is the thing that can run away)."""
-        now = time.monotonic()
-        ident = threading.get_ident()
-        with self._lock:
-            for job in batch:
-                deadline_ts = (
-                    now + job.deadline_s if job.deadline_s else None
-                )
-                self._active[job.id] = (job, deadline_ts, ident)
+    def _watchdog_tick(self, now: float) -> None:
+        """One watchdog pass at ``now``, a ``time.monotonic()`` reading
+        (it reads no clock and never sleeps).
 
-    def _unwatch(self, batch: List[Job]) -> None:
-        with self._lock:
-            for job in batch:
-                self._active.pop(job.id, None)
-
-    def _watchdog_tick(self) -> None:
-        """One watchdog pass: fail overdue jobs; replace a wedged worker.
-
-        A job past its deadline fails immediately — its waiters wake with
-        a clean error while the engine grinds on into a discarded record.
-        If the *worker thread* is still stuck :data:`STUCK_GRACE_S` past an
-        expired deadline (an injected stall longer than the grace, a
-        pathological simulation), the thread is written off: every job of
-        its drain fails, a fresh worker takes over the queue, and the
-        abandoned thread's eventual completions are no-ops.
+        It polices the jobs of the runs executing in :attr:`_drains`,
+        which carry their run's ``deadline_at``.  A job past it fails
+        at once, while the engine grinds on into a discarded record.
+        If the *worker thread* is still in that run :data:`STUCK_GRACE_S`
+        later, it is written off: every job of its drain fails, and a
+        fresh worker takes over the queue.
         """
-        now = time.monotonic()
         with self._lock:
-            active = list(self._active.values())
-            worker = self._worker
+            running = [
+                (job, job.deadline_at, ident)
+                for ident, drained in self._drains.items()
+                for job in drained
+                if job.deadline_at is not None
+            ]
+            worker_ident = self._worker.ident if self._worker else None
         wedged_ident: Optional[int] = None
-        for job, deadline_ts, ident in active:
-            if deadline_ts is None:
-                continue
-            if not job.done and now >= deadline_ts:
+        for job, deadline_at, ident in running:
+            if not job.done and now >= deadline_at:
                 self._settle(
                     job,
                     f"deadline exceeded: job ran past its "
@@ -1538,11 +961,7 @@ class JobScheduler:
                     None,
                     "deadline_failures",
                 )
-            if (
-                now >= deadline_ts + STUCK_GRACE_S
-                and worker is not None
-                and ident == worker.ident
-            ):
+            if ident == worker_ident and now >= deadline_at + STUCK_GRACE_S:
                 wedged_ident = ident
         if wedged_ident is not None:
             self._replace_worker(wedged_ident)
@@ -1578,7 +997,7 @@ class JobScheduler:
                 if self._stopping:
                     return
             try:
-                self._watchdog_tick()
+                self._watchdog_tick(time.monotonic())
             except Exception:  # noqa: BLE001 - the watchdog must survive
                 _log.error(
                     "scheduler.watchdog_error",
@@ -1590,7 +1009,8 @@ class JobScheduler:
 
     def start(self) -> None:
         """Run a daemon worker that drains the queue as jobs arrive,
-        plus (when any deadline can apply) the watchdog that polices it."""
+        and the watchdog that polices it — always, since any submit can
+        carry a deadline."""
         with self._lock:
             if self._worker is not None:
                 return
@@ -1608,22 +1028,15 @@ class JobScheduler:
                 self._watchdog.start()
 
     def drain(self) -> None:
-        """Refuse new queue admissions; in-flight work keeps completing.
-
-        Store hits and coalesces still answer (they cost nothing), so a
-        draining server degrades to read-only instead of going dark.
-        """
+        """Refuse new queue admissions; in-flight work keeps completing,
+        and store hits and coalesces still answer."""
         with self._lock:
             self.draining = True
 
     def stop(self, timeout: Optional[float] = None) -> None:
-        """Stop the worker after it drains already-queued jobs.
-
-        ``timeout`` bounds the wait for a worker stuck in a pathological
-        simulation: past it, the thread is abandoned (it is a daemon)
-        and its unfinished jobs fail cleanly rather than wedging their
-        waiters across shutdown.
-        """
+        """Stop the worker after it drains already-queued jobs; past
+        ``timeout`` the (daemon) thread is abandoned and its unfinished
+        jobs fail cleanly."""
         with self._lock:
             worker = self._worker
             watchdog = self._watchdog
@@ -1659,12 +1072,9 @@ class JobScheduler:
                 faults.fire("scheduler.worker")
                 self.run_pending()
             except Exception:  # noqa: BLE001 - the worker must survive
-                # Jobs carry their own errors; anything reaching here is
-                # a scheduler bug (or an injected worker death).  Record
-                # it where /stats and /healthz can see it, count the
-                # in-place restart, and keep draining — dying silently
-                # would wedge every future submission behind a dead
-                # queue.
+                # A scheduler bug (or an injected worker death): record
+                # it for /stats and /healthz, count the restart in place,
+                # and keep draining rather than wedge the queue.
                 with self._lock:
                     self.stats.worker_restarts += 1
                     self.last_error = traceback.format_exc()
@@ -1695,11 +1105,9 @@ class JobScheduler:
     def stats_dict(self) -> Dict:
         """Scheduler + store + program-cache counters, JSON-ready.
 
-        The shape is versioned (``schema``) and strictly additive: the
-        historical top-level keys stay where clients found them, and the
-        same numbers re-derive as flat dotted metric names under
-        ``metrics`` — the exact names ``GET /metrics`` exports, so the
-        two surfaces can never drift apart.
+        The shape is versioned (``schema``) and strictly additive, and
+        its numbers re-derive under ``metrics`` as the dotted names
+        ``GET /metrics`` exports.
         """
         payload = self._stats_payload()
         payload["metrics"] = _flatten_stats(payload)

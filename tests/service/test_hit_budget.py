@@ -28,7 +28,7 @@ from collections import Counter
 
 from repro.obs import logs as obs_logs
 from repro.service import JobRequest, ServiceClient
-from repro.service import scheduler as scheduler_module
+from repro.service import request as request_module
 from repro.service.server import make_server
 
 SCENARIO = "gemm:m=4,k=8,n=4,tile_k=4"
@@ -75,7 +75,7 @@ def test_fifty_hits_cost_fifty_of_each(tmp_path, monkeypatch):
             assert cycles == cold.record["cycles"]
             appends_before = appends(client.stats())
             jobs_before = len(server.scheduler._jobs)
-            scheduler_module._RESOLVED.clear()  # the hits resolve it anew
+            request_module._RESOLVED.clear()  # the hits resolve it anew
 
             counting(monkeypatch, counts, os, "fsync", "fsync")
             counting(monkeypatch, counts, json, "dumps", "dumps")

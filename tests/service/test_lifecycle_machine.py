@@ -3,7 +3,8 @@
 Hypothesis drives a :class:`JobScheduler` over a real
 :class:`AdmissionWAL` and :class:`ResultStore` in a temporary directory:
 submits of new, duplicate (in-flight) and already-stored keys, drains,
-watchdog failures, pruning past a small :data:`MAX_JOBS`, evictions of
+watchdog failures (the scheduler's own watchdog pass, at a time the
+test injects), pruning past a small :data:`MAX_JOBS`, evictions of
 stored records, and crashes — the scheduler dropped, with or without
 the terminal records of its last drain, and a new one recovered from
 the same directory.  After every step every id ever issued must
@@ -53,7 +54,12 @@ REQUESTS = [JobRequest.make("fir", seed=seed) for seed in range(3)] + [
 #: and inside what a WAL compaction keeps, so every one stays resolvable.
 ID_LIMIT = 24
 
-DEADLINE_ERROR = "deadline exceeded: failed by the test's watchdog"
+#: The budget a doomed job runs with; no other job has one.
+DEADLINE_S = 60.0
+
+DEADLINE_ERROR = (
+    f"deadline exceeded: job ran past its {DEADLINE_S:g}s wall-clock budget"
+)
 
 
 def fake_record(payload) -> dict:
@@ -114,14 +120,22 @@ class LifecycleMachine(RuleBasedStateMachine):
         key = request_store_key(JobRequest(*payload[:5]))
         assert key not in self.stored, f"{payload} simulated a stored key"
         (job,) = [
-            job for job, _, _ in self.scheduler._active.values()
-            if job.key == key
+            job for drained in self.scheduler._drains.values()
+            for job in drained if job.key == key
         ]
         if job.id in self.doomed:
-            # What the watchdog does to a job past its deadline while
-            # the engine grinds on: it fails, its record is discarded.
-            self.scheduler._settle(job, DEADLINE_ERROR, None, "deadline_failures")
+            # The watchdog's pass once the run is past the job's deadline,
+            # while the engine grinds on: the job fails, and its record
+            # is discarded.
+            self.scheduler._watchdog_tick(job.deadline_at)
         return fake_record(payload)
+
+    def _run_pending(self):
+        """Drain the queue, each doomed job given a deadline: the one a
+        client would have asked for, which the run then stamps."""
+        for job_id in self.doomed.intersection(self.queued.values()):
+            self.scheduler._jobs[job_id].deadline_s = DEADLINE_S
+        self.scheduler.run_pending()
 
     # -- rules -----------------------------------------------------------
 
@@ -160,7 +174,7 @@ class LifecycleMachine(RuleBasedStateMachine):
 
     @rule()
     def run_pending(self):
-        self.scheduler.run_pending()
+        self._run_pending()
         self._drained()
 
     @rule(lose_terminals=st.booleans())
@@ -170,7 +184,7 @@ class LifecycleMachine(RuleBasedStateMachine):
             # before any terminal record reached the WAL: replay finds
             # them admitted, and answers each from the store.
             with mock.patch.object(self.scheduler.wal, "append_terminal"):
-                self.scheduler.run_pending()
+                self._run_pending()
             self._drained(outcome="done")
         self.scheduler.wal.close()
         self.scheduler = self._recovered()

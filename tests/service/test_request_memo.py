@@ -23,8 +23,8 @@ from hypothesis import strategies as st
 from repro.scenarios import get_scenario, register_scenario
 from repro.scenarios.gemm import GemmConfig
 from repro.service import JobRequest
-from repro.service import scheduler as scheduler_module
-from repro.service.scheduler import RequestError, request_store_key
+from repro.service import request as request_module
+from repro.service.request import RequestError, request_store_key
 
 #: Field values, with the spellings ``==`` cannot tell apart among them.
 VALUES = st.one_of(
@@ -75,7 +75,7 @@ def outcome(spelling):
 
 
 def fresh(spelling):
-    with mock.patch.object(scheduler_module, "_RESOLVED", {}):
+    with mock.patch.object(request_module, "_RESOLVED", {}):
         return outcome(spelling)
 
 
@@ -112,11 +112,11 @@ def test_true_one_and_one_point_oh_are_three_spellings():
     ids=str,
 )
 def test_a_refused_spelling_is_refused_every_time(spelling):
-    before = dict(scheduler_module._RESOLVED)
+    before = dict(request_module._RESOLVED)
     for _ in range(3):
         with pytest.raises(RequestError):
             JobRequest.make(**spelling)
-    assert scheduler_module._RESOLVED == before
+    assert request_module._RESOLVED == before
 
 
 @dataclasses.dataclass(frozen=True)
@@ -141,8 +141,8 @@ def test_a_scenario_registered_again_resolves_again():
 
 
 def test_the_memo_stays_within_its_cap(monkeypatch):
-    monkeypatch.setattr(scheduler_module, "_MEMO_CAP", 8)
-    monkeypatch.setattr(scheduler_module, "_RESOLVED", {})
+    monkeypatch.setattr(request_module, "_MEMO_CAP", 8)
+    monkeypatch.setattr(request_module, "_RESOLVED", {})
     for seed in range(50):
         JobRequest.make("fir", seed=seed)
-        assert 1 <= len(scheduler_module._RESOLVED) <= 8
+        assert 1 <= len(request_module._RESOLVED) <= 8

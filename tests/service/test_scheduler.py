@@ -5,15 +5,21 @@ compile work on the warm path."""
 
 from __future__ import annotations
 
+import builtins
 import hashlib
+import io
 import json
+import os
 import threading
 import time
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro.codeversion as codeversion
+import repro.service.request as request_module
 import repro.service.scheduler as scheduler_module
 from repro.scenarios import (
     all_scenarios,
@@ -345,7 +351,7 @@ class TestScheduling:
         again = scheduler.submit(JobRequest.make("fir", seed=7))
         assert hit.id == again.id == "hit-" + cold.key and hit is not again
         assert hit.request_id != again.request_id
-        assert hit._done is None and hit._outcome_lock is None
+        assert hit._done is None
         assert list(scheduler._jobs) == [cold.id]
         assert scheduler.stats_dict()["jobs"] == 1
         assert scheduler.stats.store_hits == 2
@@ -688,14 +694,21 @@ class TestRobustness:
             scheduler.stop(timeout=10)
 
     def test_late_record_cannot_overwrite_deadline_failure(self, tmp_path):
-        """First-writer-wins: the watchdog fails the job, the engine's
-        eventual record must not resurrect it."""
+        """First-writer-wins, under the scheduler's lock: the watchdog
+        fails the job, the engine's eventual record must not resurrect
+        it."""
         scheduler = JobScheduler(store=ResultStore(tmp_path))
         job = scheduler.submit(JobRequest.make("fir"))
-        assert job._settle("deadline exceeded (simulated)") is True
-        assert job._settle({"cycles": 1}, "simulated") is False
+        assert scheduler._settle(
+            job, "deadline exceeded (simulated)", None, "deadline_failures"
+        ) is True
+        assert scheduler._settle(
+            job, {"cycles": 1}, "simulated", "simulated"
+        ) is False
         assert job.state == "error"
         assert job.record is None
+        assert scheduler.stats.deadline_failures == 1
+        assert scheduler.stats.simulated == 0
 
 
 # ---------------------------------------------------------------------------
@@ -760,6 +773,58 @@ def test_code_version_bump_invalidates_store(tmp_path, monkeypatch):
     assert bumped.key != job.key
 
 
+def test_every_stats_write_holds_the_lock(tmp_path):
+    """A counter written outside the scheduler's lock races whatever
+    else writes it — an abandoned worker still draining beside its
+    replacement does.  Every ``SchedulerStats`` write holds the lock:
+    submits, a coalesce, a hit and a drain of two batches."""
+    scheduler = JobScheduler(store=ResultStore(tmp_path))
+    unlocked = []
+
+    class Guarded(scheduler_module.SchedulerStats):
+        def __setattr__(self, name, value):
+            if not scheduler._lock._is_owned():
+                unlocked.append(name)
+            super().__setattr__(name, value)
+
+    guarded = Guarded()
+    unlocked.clear()  # the dataclass's own construction
+    scheduler.stats = guarded
+    cheap = JobRequest.make("fir", options={"max_cycles": 10_000})
+    for request in (JobRequest.make("fir", seed=11), cheap, cheap):
+        scheduler.submit(request)
+    assert scheduler.run_pending() == 2
+    assert scheduler.submit(cheap).source == "store"
+    assert (guarded.batches, guarded.coalesced, guarded.store_hits) == (2, 1, 1)
+    assert unlocked == []
+
+
+def test_the_first_submit_reads_no_source(tmp_path, monkeypatch):
+    """The code version is hashed when the scheduler is built, not
+    inside the first submit: with no WAL to hash it at recovery, a
+    first-seen request's submit still opens no file of the package's
+    source."""
+    monkeypatch.delenv("EQUEUE_CODE_VERSION", raising=False)
+    monkeypatch.setattr(codeversion, "_CODE_VERSION", None)
+    scheduler = JobScheduler(store=ResultStore(tmp_path))
+    root = Path(codeversion.__file__).resolve().parent
+    opened = []
+    real_open = io.open
+
+    def watched_open(file, *args, **kwargs):
+        if isinstance(file, (str, os.PathLike)):
+            path = Path(file).resolve()
+            if path.suffix == ".py" and root in path.parents:
+                opened.append(path)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(io, "open", watched_open)
+    monkeypatch.setattr(builtins, "open", watched_open)
+    job = scheduler.submit(JobRequest.make("fir", seed=4321))
+    assert job.state == "queued"
+    assert opened == []
+
+
 # ---------------------------------------------------------------------------
 # Execution-mode store safety
 # ---------------------------------------------------------------------------
@@ -785,13 +850,14 @@ class TestExecutionModeStoreSafety:
         second time in the service, so changing it cannot leave ``{}``
         and the spelled-out default on two keys."""
         resolve = scheduler_module.resolve_execution_mode
-        monkeypatch.setattr(
-            scheduler_module,
-            "resolve_execution_mode",
-            lambda mode: resolve("plan" if mode is None else mode),
-        )
+        for module in (request_module, scheduler_module):
+            monkeypatch.setattr(
+                module,
+                "resolve_execution_mode",
+                lambda mode: resolve("plan" if mode is None else mode),
+            )
         # Spellings resolved under the real default resolve anew.
-        monkeypatch.setattr(scheduler_module, "_RESOLVED", {})
+        monkeypatch.setattr(request_module, "_RESOLVED", {})
         assert JobRequest.make("fir", options={"mode": "plan"}).options == ()
         codegen = JobRequest.make("fir", options={"mode": "codegen"})
         assert dict(codegen.options) == {"mode": "codegen"}

@@ -46,7 +46,15 @@ do); 1 418 once a crash is caught in the job that raised it
 (``scheduler.py`` −45: the batch's recursive halving and its two
 counters go, and a batch and a sweep run through one method — less the
 seed and check validation and the one request-from-body function it
-gained).
+gained); 1 087 once the lifecycle holds each fact once, in two
+separate numbers.  The move: the request model (295 code lines) left
+``scheduler.py`` for ``service/request.py``, which is not a lifecycle
+file (it holds no job and no lock).  The cuts: ``scheduler.py`` −36 —
+a job's deadline rides on the job, so the watchdog walks the drains and
+``_active``/``_watch``/``_unwatch`` go; a job's outcome has one lock;
+recovery indexes terminal WAL records as read, and its summary reads
+the counters; submit and replay queue through one ``_enqueue``; and a
+submit coalesces in one place.  ``src/`` as a whole −26.
 """
 
 from __future__ import annotations
@@ -64,7 +72,7 @@ LIFECYCLE = (
     "service/scheduler.py", "service/wal.py", "sim/journal.py",
     "sim/linecodec.py",
 )
-LIFECYCLE_BUDGET = 1418
+LIFECYCLE_BUDGET = 1087
 #: How far under the budget the count may sit before the budget has to
 #: follow it down.
 SLACK = 40
