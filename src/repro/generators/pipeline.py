@@ -47,6 +47,14 @@ from .systolic import SystolicConfig, build_systolic_program
 
 STAGES = ("linalg", "affine", "reassign", "systolic")
 
+#: The pass pipelines that lower the conv module to the linalg and the
+#: affine stage.
+PIPELINES = {
+    "linalg": "allocate-buffer{memory=sram},launch{proc=kernel,label=conv}",
+    "affine": "convert-linalg-to-affine-loops,equeue-read-write,"
+    "allocate-buffer{memory=sram},launch{proc=kernel,label=conv}",
+}
+
 
 @dataclass
 class StageResult:
@@ -101,18 +109,9 @@ class LoweringPipeline:
 
     def build_stage(self, stage: str) -> ModuleOp:
         """The module simulated at a given stage."""
-        if stage == "linalg":
+        if stage in PIPELINES:
             module = self._conv_module()
-            PassManager.parse(
-                "allocate-buffer{memory=sram},launch{proc=kernel,label=conv}"
-            ).run(module)
-            return module
-        if stage == "affine":
-            module = self._conv_module()
-            PassManager.parse(
-                "convert-linalg-to-affine-loops,equeue-read-write,"
-                "allocate-buffer{memory=sram},launch{proc=kernel,label=conv}"
-            ).run(module)
+            PassManager.parse(PIPELINES[stage]).run(module)
             return module
         if stage == "reassign":
             module = self._conv_module()

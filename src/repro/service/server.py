@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import signal
 import socket
@@ -561,8 +562,8 @@ class ServiceHandler(BaseHTTPRequestHandler):
             deadline = float(raw)
         except (TypeError, ValueError):
             raise ValueError(f"bad deadline value {raw!r}") from None
-        if deadline <= 0:
-            raise ValueError(f"deadline must be > 0, got {deadline!r}")
+        if not (math.isfinite(deadline) and deadline > 0):
+            raise ValueError(f"deadline must be finite and > 0, got {deadline!r}")
         return min(deadline, MAX_DEADLINE_S)
 
     def _get_job(self, parts, query) -> None:
@@ -799,6 +800,14 @@ def make_server(
     return server
 
 
+def finite(text: str) -> float:
+    """The ``type`` of a float flag: a number of at least 0 and below
+    infinity (NaN is neither)."""
+    if not 0 <= (value := float(text)) < math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text}")
+    return value
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="equeue-serve",
@@ -838,12 +847,12 @@ def main(argv=None) -> int:
         "(crash-loop detection; default 5)",
     )
     parser.add_argument(
-        "--restart-backoff", type=float, default=0.2,
+        "--restart-backoff", type=finite, default=0.2,
         help="initial restart backoff in seconds, doubling per "
         "consecutive fast death (default 0.2)",
     )
     parser.add_argument(
-        "--min-uptime", type=float, default=5.0,
+        "--min-uptime", type=finite, default=5.0,
         help="a child alive at least this long resets the backoff and "
         "the crash-loop counter (default 5)",
     )
@@ -869,12 +878,12 @@ def main(argv=None) -> int:
         "(0 = unbounded)",
     )
     parser.add_argument(
-        "--deadline", type=float, default=0.0,
+        "--deadline", type=finite, default=0.0,
         help="default per-job wall-clock deadline in seconds; overdue "
         "jobs fail cleanly, the worker survives (0 = no deadline)",
     )
     parser.add_argument(
-        "--rate-limit", type=float, default=0.0,
+        "--rate-limit", type=finite, default=0.0,
         help="per-client submissions/second; beyond burst capacity "
         "submissions get 429 + Retry-After (0 = unlimited)",
     )
@@ -908,10 +917,6 @@ def main(argv=None) -> int:
         parser.error(f"--jobs must be >= 1, got {args.jobs}")
     if args.max_queue < 0:
         parser.error(f"--max-queue must be >= 0, got {args.max_queue}")
-    if args.deadline < 0:
-        parser.error(f"--deadline must be >= 0, got {args.deadline}")
-    if args.rate_limit < 0:
-        parser.error(f"--rate-limit must be >= 0, got {args.rate_limit}")
     if args.rate_burst < 1:
         parser.error(f"--rate-burst must be >= 1, got {args.rate_burst}")
     if args.store and args.state_dir:

@@ -208,10 +208,6 @@ class Future:
         self.index = index
 
     @property
-    def resolved(self) -> bool:
-        return self.done.triggered
-
-    @property
     def value(self):
         if not self.done.triggered:
             raise EngineError(

@@ -646,10 +646,6 @@ class ScheduleQueue:
         return start, end
 
     @property
-    def next_free(self) -> int:
-        return min(self._free_at)
-
-    @property
     def last_end(self) -> int:
         """Latest completion time booked so far."""
         return self._last_end

@@ -18,6 +18,10 @@ it only from a commit whose launch path you trust::
 
     PYTHONPATH=src:. python tests/differential.py
 
+Every lowering pass is a checked refinement too: :func:`refine` holds a
+row of :data:`PASS_CONTRACTS` to its base pipeline
+(``tests/passes/test_pass_contracts.py`` runs every row).
+
 Fence tests import :func:`agree` and the shared program builders from
 here; no test module imports another.
 """
@@ -27,19 +31,23 @@ from __future__ import annotations
 import hashlib
 import inspect
 import json
+import operator
 import re
 from contextlib import contextmanager, nullcontext
 from pathlib import Path
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
 from repro import ir
-from repro.dialects import affine, arith, memref, scf
+from repro.dialects import affine, arith, linalg, memref, scf
 from repro.dialects.equeue import EQueueBuilder
+from repro.dialects.equeue import types as eqt
 from repro.dialects.linalg import ConvDims
 from repro.generators.fir import FIRConfig, build_fir_program, fir_reference
+from repro.generators.pipeline import PIPELINES, LoweringPipeline
 from repro.generators.systolic import SystolicConfig, build_systolic_program
+from repro.passes import PassManager, parse_pipeline, registered_passes
 from repro.scenarios import get_scenario, scenario_names
 from repro.sim import Engine, EngineOptions, SimulationResult, codegen, plan
 from repro.sim.oplib import OpFunction, register_op_function
@@ -1175,6 +1183,52 @@ def _truncated_at_40(result):
     assert result.truncated and result.cycles == 40
 
 
+def _rare_ops():
+    """``affine.parallel``, ``control_or`` and ``equeue.dealloc`` in launch
+    bodies: the kernel walks a 4 x 4 ``affine.parallel`` — one point after
+    another, an ``addi`` each — then gates a 1-cycle launch on whichever
+    of a 2-cycle and a 9-cycle launch ends first, and frees ``scratch``."""
+    module, eq = empty_program()
+    regs = eq.create_mem("Register", 64, ir.i32, name="regs")
+    grid = eq.alloc(regs, [4, 4], ir.i32, name="grid")
+    buf = eq.alloc(regs, [1], ir.i32, name="buf")
+    scratch = eq.alloc(regs, [4], ir.i32, name="scratch")
+    kernel = eq.create_proc("ARMr5", name="kernel")
+    pes = [eq.create_proc("MAC", name=n) for n in ("fast", "slow", "gated")]
+
+    def main(b, grid_a, buf_a, scratch_a, fast, slow, gated):
+        eq_b = EQueueBuilder(b)
+
+        def point(b2, i, j):
+            eq2 = EQueueBuilder(b2)
+            x = eq2.read_element(grid_a, [i, j])
+            one = arith.constant(b2, 1, ir.i32)
+            eq2.write_element(arith.addi(b2, x, one), grid_a, [i, j])
+
+        affine.parallel(b, [0, 0], [4, 4], body=point)
+        start = eq_b.control_start()
+        first, = eq_b.launch(start, fast, args=[buf_a], body=_macs(2))
+        second, = eq_b.launch(start, slow, args=[buf_a], body=_macs(9))
+        either = eq_b.control_or([first, second])
+        eq_b.await_(eq_b.launch(either, gated, args=[buf_a], body=_macs(1))[0])
+        eq_b.dealloc(scratch_a)
+
+    done, = eq.launch(
+        eq.control_start(), kernel, args=[grid, buf, scratch, *pes],
+        body=main, label="main",
+    )
+    eq.await_(done)
+    ir.verify(module)
+    return module, None
+
+
+def _rare_ops_check(result):
+    assert result.buffer("grid").tolist() == [[1] * 4] * 4
+    # 16 sequential points; the gated launch runs at 18 and the slow one
+    # ends at 16 + 9.
+    assert result.cycles == 25
+
+
 #: The programs of the table, by name: a run of each on every backend
 #: replays its row.
 RECORDED_PROGRAMS = {
@@ -1223,8 +1277,252 @@ CORPUS = {
     },
     "fir-1-core": _fir(1, None),
     "fir-4-cores": _fir(4, 4),
+    "rare-ops": Program(_rare_ops, check=_rare_ops_check),
 }
 
+
+# ---------------------------------------------------------------------------
+# Pass contracts: every lowering pass as a checked refinement
+# ---------------------------------------------------------------------------
+
+#: How a refined run's cycles may stand to its base run's; a row that
+#: pins both counts gives the ``(base, refined)`` pair instead.
+CYCLE_RELATIONS = {"==": operator.eq, "<=": operator.le, "any": lambda *cycles: True}
+
+
+class Contract(NamedTuple):
+    """A lowering pipeline held to a simpler one.  ``build()`` makes the
+    program twice: ``base`` (enough passes to make it simulable) runs on
+    one copy, ``refined`` on the other, and both are simulated on
+    ``inputs``.  The refined run keeps every buffer of the base run but
+    those of ``changes``, each equal to its oracle of the refined run's
+    buffers, and its cycles stand in ``cycles`` to the base run's (a
+    relation of :data:`CYCLE_RELATIONS`, or the exact pair)."""
+
+    build: Callable
+    base: str
+    refined: str
+    inputs: dict = {}
+    cycles: Union[str, tuple] = "=="
+    changes: dict = {}
+
+
+def refine(contract: Contract):
+    """Hold ``contract``'s refined pipeline to its base.  Each pipeline
+    verifies after every pass; the refined module prints∘parses to
+    itself and differs from the base one (a refinement that changes
+    nothing checks nothing).  Returns the two runs, base first."""
+    texts, runs = [], []
+    for pipeline in (contract.base, contract.refined):
+        module = contract.build()
+        PassManager.parse(pipeline).run(module)
+        inputs = {name: array.copy() for name, array in contract.inputs.items()}
+        texts.append(ir.print_op(module))
+        runs.append(run(lambda: (module, inputs), REFERENCE))
+    base, refined = runs
+    assert texts[1] != texts[0], "the refinement changed nothing"
+    assert ir.print_op(ir.parse_module(texts[1])) == texts[1], "print∘parse"
+    got = refined.seen["buffers"]
+    expected = dict(base.seen["buffers"])
+    for name, oracle in contract.changes.items():
+        expected[name] = np.asarray(oracle(got)).tolist()
+    differs = sorted(
+        name for name in expected.keys() | got.keys()
+        if got.get(name) != expected.get(name)
+    )
+    assert not differs, f"buffers {differs} differ from the base run's or oracle"
+    cycles = base.result.cycles, refined.result.cycles
+    relation = contract.cycles
+    assert (
+        cycles == relation if isinstance(relation, tuple)
+        else CYCLE_RELATIONS[relation](cycles[1], cycles[0])
+    ), f"{cycles[1]} cycles against the base run's {cycles[0]}: not {relation}"
+    return base, refined
+
+
+def uncovered_passes() -> list:
+    """Registered passes that no contract's refined pipeline names."""
+    named = {
+        name
+        for contract in PASS_CONTRACTS.values()
+        for name, _ in parse_pipeline(contract.refined)
+    }
+    return sorted(set(registered_passes()) - named)
+
+
+#: Fig. 11's workloads of the linalg-against-affine bound.
+CONVS = (
+    ConvDims(n=2, c=2, h=5, w=5, fh=2, fw=2),
+    ConvDims(n=4, c=1, h=7, w=7, fh=3, fw=3),
+    ConvDims(n=1, c=3, h=6, w=4, fh=2, fw=2),
+)
+
+#: Fig. 11's linalg and affine stages, on SRAM buffers.
+LINALG, AFFINE = PIPELINES["linalg"], PIPELINES["affine"]
+MEMCPY = "memcpy{src=src,dst=dst,dma=dma}"
+
+
+#: The lowering pipeline's input: structure, ``memref`` buffers and one
+#: ``linalg.conv2d``.
+conv_program = LoweringPipeline(CONVS[0])._conv_module
+
+
+def _conv(dims: ConvDims, base: str, refined: str, cycles="=="):
+    pipeline = LoweringPipeline(dims)
+    inputs = dict(zip(("ifmap", "weight"), pipeline.make_data()))
+    return Contract(pipeline._conv_module, base, refined, inputs, cycles)
+
+
+def _matmul_program():
+    module, eq = empty_program()
+    eq.create_proc("ARMr5", name="kernel")
+    eq.create_mem("SRAM", 8192, ir.i32, name="sram")
+    a, b, c = (memref.alloc(eq.b, d, ir.i32) for d in ([3, 4], [4, 5], [3, 5]))
+    a.name_hint, b.name_hint, c.name_hint = "a", "b", "c"
+    linalg.matmul(eq.b, a, b, c)
+    return module
+
+
+def staged_program(operand="dst"):
+    """A kernel launch ``use`` reads ``operand`` (``dst``, a register
+    file, unless named otherwise), writes its ``mac`` to ``out`` and
+    returns it; ``src`` is an SRAM buffer of ``dst``'s type, for a
+    copy."""
+    module, eq = empty_program()
+    kernel = eq.create_proc("ARMr5", name="kernel")
+    eq.create_dma(name="dma")
+    sram = eq.create_mem("SRAM", 1024, ir.i32, name="sram")
+    regs = eq.create_mem("Register", 1024, ir.i32, name="regfile")
+    src = eq.alloc(sram, [8], ir.i32, name="src")
+    dst, out = (eq.alloc(regs, [8], ir.i32, name=name) for name in ("dst", "out"))
+
+    def body(b, in_a, out_a):
+        inner = EQueueBuilder(b)
+        data = inner.read(in_a)
+        value, = inner.op("mac", [data, data, data], [data.type])
+        inner.write(value, out_a)
+        return [value]
+
+    done, _ = eq.launch(
+        eq.control_start(), kernel, args=[{"src": src, "dst": dst}[operand], out],
+        body=body, label="use",
+    )
+    eq.await_(done)
+    return module
+
+
+def parallel_program():
+    """A top-level ``affine.parallel`` doubling ``buf[0:4]``, and a group
+    ``grid`` of four PEs ``pe_0`` .. ``pe_3`` to unroll it onto."""
+    module, eq = empty_program()
+    pes = [eq.create_proc("MAC", name=f"pe_{i}") for i in range(4)]
+    grid = eq.create_comp(" ".join(f"pe_{i}" for i in range(4)), pes)
+    grid.name_hint = "grid"
+    regs = eq.create_mem("Register", 64, ir.i32, name="regfile")
+    buf = eq.alloc(regs, [8], ir.i32, name="buf")
+
+    def body(b, iv):
+        inner = EQueueBuilder(b)
+        data = inner.read_element(buf, [iv])
+        inner.write_element(arith.addi(b, data, data), buf, [iv])
+
+    affine.parallel(eq.b, [0], [4], body=body)
+    return module
+
+
+def _extraction_program():
+    """Launches on ``pe_{0}`` of ``row`` at index 1 and on ``row.pe_0``
+    through a nested lookup: a wrong fold puts both on one PE, which
+    serialises them."""
+    module, eq = empty_program()
+    row = eq.create_comp("pe_0 pe_1", [eq.create_proc("MAC") for _ in range(2)])
+    cluster = eq.create_comp("row", [row])
+    regs = eq.create_mem("Register", 64, ir.i32, name="regfile")
+    one = arith.constant(eq.b, 1, ir.index)
+    pes = (
+        eq.b.create(
+            "equeue.get_comp", [row, one], [eqt.proc], {"name_template": "pe_{0}"}
+        ).result(),
+        eq.get_comp(eq.get_comp(cluster, "row", eqt.comp), "pe_0", eqt.proc),
+    )
+    start = eq.control_start()
+    done = [
+        eq.launch(
+            start, pe, args=[eq.alloc(regs, [1], ir.i32)], body=_macs(2 + k)
+        )[0]
+        for k, pe in enumerate(pes)
+    ]
+    eq.await_(eq.control_and(done))
+    return module
+
+
+_RNG = np.random.default_rng(12345)
+_DATA = np.arange(1, 9, dtype=np.int32)
+
+#: Every lowering pass as a refinement: its program, the base and the
+#: refined pipeline, the inputs, how the cycles move and which buffers
+#: may change (to what).
+PASS_CONTRACTS = {
+    **{
+        f"linalg-to-affine:n={d.n},c={d.c},h={d.h},w={d.w},fh={d.fh},fw={d.fw}":
+            _conv(d, LINALG, AFFINE, "<=")
+        for d in CONVS
+    },
+    "launch": _conv(CONVS[0], "allocate-buffer{memory=sram}", LINALG),
+    "equeue-read-write": _conv(
+        CONVS[0], "convert-linalg-to-affine-loops," + LINALG, AFFINE
+    ),
+    "flatten": _conv(
+        CONVS[0], AFFINE, AFFINE.replace("loops", "loops{flatten=true}")
+    ),
+    "allocate-buffer{memory=regfile}": _conv(
+        CONVS[0], AFFINE, AFFINE.replace("sram", "regfile"), "<="
+    ),
+    "split-launch{at=1}:conv": _conv(
+        CONVS[0], AFFINE, AFFINE + ",split-launch{launch=conv,at=1}"
+    ),
+    "matmul-to-affine": Contract(
+        _matmul_program, LINALG, AFFINE,
+        {
+            "a": _RNG.integers(-5, 6, (3, 4)).astype(np.int32),
+            "b": _RNG.integers(-5, 6, (4, 5)).astype(np.int32),
+        },
+        "<=",
+    ),
+    # The 8-cycle copy, then the 1-cycle mac.
+    "memcpy": Contract(
+        staged_program, "", MEMCPY, {"src": _DATA}, (1, 9),
+        {
+            "dst": lambda got: got["src"],
+            "out": lambda got: [x * x + x for x in got["src"]],
+        },
+    ),
+    "memcpy{chain=false}": Contract(
+        staged_program, "", MEMCPY.replace("}", ",chain=false}"),
+        {"src": _DATA}, "any", {"dst": lambda got: got["src"]},
+    ),
+    "memcpy-to-launch": Contract(
+        staged_program, MEMCPY, MEMCPY + ",memcpy-to-launch", {"src": _DATA}
+    ),
+    "merge-memcpy-launch": Contract(
+        staged_program, MEMCPY, MEMCPY + ",merge-memcpy-launch{launch=use}",
+        {"src": _DATA},
+    ),
+    "split-launch{at=1}": Contract(
+        staged_program, "", "split-launch{launch=use,at=1}", {"dst": _DATA}
+    ),
+    # An 8-cycle SRAM read becomes a register read.
+    "reassign-buffer": Contract(
+        lambda: staged_program("src"), "", "reassign-buffer{from=src,to=dst}",
+        {"src": _DATA, "dst": _DATA}, (9, 1),
+    ),
+    # Four PEs at once: one cycle, not four.
+    "parallel-to-equeue": Contract(
+        parallel_program, "", "parallel-to-equeue{comp=grid,proc_template=pe_{0}}",
+        {"buf": _DATA}, (4, 1),
+    ),
+    "lower-extraction": Contract(_extraction_program, "", "lower-extraction"),
+}
 
 if __name__ == "__main__":
     table = {

@@ -13,7 +13,7 @@ import pytest
 
 from repro.scenarios import scenario_names
 from repro.service import ServiceClient, ServiceError
-from repro.service.server import make_server
+from repro.service.server import main, make_server
 
 
 @pytest.fixture
@@ -212,11 +212,27 @@ class TestOverload:
                     "POST", "/jobs", {"scenario": "fir", "deadline": "soon"}
                 )
             assert info.value.status == 400
-            with pytest.raises(ServiceError, match="deadline must be"):
-                client._call(
-                    "POST", "/jobs", {"scenario": "fir", "deadline": -1}
-                )
+            # A NaN or infinite budget is one the watchdog never enforces.
+            for bad in (-1, "nan", "inf"):
+                with pytest.raises(ServiceError, match="deadline must be") as info:
+                    client._call(
+                        "POST", "/jobs", {"scenario": "fir", "deadline": bad}
+                    )
+                assert info.value.status == 400
             assert server.scheduler.stats.submitted == before
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    @pytest.mark.parametrize(
+        "flag", ["--deadline", "--rate-limit", "--restart-backoff", "--min-uptime"]
+    )
+    def test_float_flags_refuse_what_is_not_finite_and_at_least_0(
+        self, flag, value, capsys
+    ):
+        # Had the value got through, --fsck without --state-dir would exit.
+        with pytest.raises(SystemExit):
+            main([flag, value, "--fsck"])
+        err = capsys.readouterr().err
+        assert f"argument {flag}: must be finite and >= 0" in err
 
     def test_deadline_accepted_and_attached(self):
         with overload_server() as (client, server):

@@ -147,29 +147,6 @@ class TestEventSemantics:
         # Chained deps: 3 sequential cycles despite 3 processors.
         assert simulate(module).cycles == 3
 
-    def test_control_or_takes_fastest(self):
-        module, _, eq = make_program()
-        mem = eq.create_mem("Register", 32, ir.i32)
-        buf = eq.alloc(mem, [4], ir.i32)
-        fast, slow, waiter = (eq.create_proc("MAC") for _ in range(3))
-        start = eq.control_start()
-
-        def cost(n):
-            def body(b, buf_arg):
-                inner = EQueueBuilder(b)
-                data = inner.read(buf_arg)
-                for _ in range(n):
-                    data = inner.op("mac", [data, data, data], [data.type])[0]
-            return body
-
-        fast_done, = eq.launch(start, fast, args=[buf], body=cost(2))
-        slow_done, = eq.launch(start, slow, args=[buf], body=cost(9))
-        either = eq.control_or([fast_done, slow_done])
-        gated, = eq.launch(either, waiter, args=[buf], body=cost(1))
-        eq.await_(gated)
-        # Waiter starts at 2 (fast), runs 1 cycle; slow still finishes at 9.
-        assert simulate(module).cycles == 9
-
     def test_launch_return_values_via_future(self):
         module, builder, eq = make_program()
         kernel = eq.create_proc("ARMr5")

@@ -1,5 +1,5 @@
 """Additional engine coverage: cache components, DRAM, hierarchy lookup at
-runtime, parallel interpretation, memref ops, fill/matmul handlers, posted
+runtime, memref ops, fill/matmul handlers, posted
 access accounting, window memcpy."""
 
 import numpy as np
@@ -125,31 +125,6 @@ def _mac_once(b, buf_arg):
 
 
 class TestForeignOps:
-    def test_parallel_interpreted_sequentially(self):
-        module, builder, eq = make_program()
-        kernel = eq.create_proc("ARMr5")
-        regs = eq.create_mem("Register", 64, ir.i32)
-        buf = eq.alloc(regs, [4, 4], ir.i32, name="grid_buf")
-        start = eq.control_start()
-
-        def body(b, buf_arg):
-            def point(b2, i, j):
-                inner = EQueueBuilder(b2)
-                value = inner.read_element(buf_arg, [i, j])
-                one = arith.constant(b2, 1, ir.i32)
-                inner.write_element(
-                    arith.addi(b2, value, one), buf_arg, [i, j]
-                )
-
-            affine.parallel(b, [0, 0], [4, 4], body=point)
-
-        done, = eq.launch(start, kernel, args=[buf], body=body)
-        eq.await_(done)
-        result = simulate(module)
-        assert np.array_equal(result.buffer("grid_buf"), np.ones((4, 4)))
-        # Sequential interpretation: 16 addi at 1 cycle each.
-        assert result.cycles == 16
-
     def test_memref_copy_and_fill(self):
         module, builder, eq = make_program()
         kernel = eq.create_proc("ARMr5")

@@ -9,8 +9,8 @@ test suite.  Lazy imports inside functions count too — an upward import
 hidden in a function body is still a cycle waiting for a caller.
 
 The test suite has one differential harness (``tests/differential.py``):
-no other module states a backend matrix or an ``observables``, and no
-test module imports another.
+no other module states a backend matrix, an ``observables`` or the
+pass contracts, and no test module imports another.
 """
 
 from __future__ import annotations
@@ -118,8 +118,11 @@ def test_code_version_lives_below_the_sweep_layers(monkeypatch):
 TESTS = Path(__file__).resolve().parent
 HARNESS = TESTS / "differential.py"
 
-#: Names of a backend matrix: stated once, in the harness.
-MATRIX_NAMES = {"MODES", "SCHEDULERS", "TIERS", "VARIANTS", "BACKENDS"}
+#: Names of a backend matrix or of the pass contracts: stated once, in
+#: the harness.
+MATRIX_NAMES = {
+    "MODES", "SCHEDULERS", "TIERS", "VARIANTS", "BACKENDS", "PASS_CONTRACTS",
+}
 
 
 @pytest.fixture(scope="module")
