@@ -264,10 +264,15 @@ class Operation:
         reference counting frees the moment the caller lets go.  Nothing
         cyclic is left for the collector — or for ``gc.freeze()`` to
         park as garbage (:mod:`repro.permanent` freezes a program
-        right after its build, lowering passes included).
+        right after its build, lowering passes included, and a bounded
+        program cache drops a whole module this way).  One mutation.
         """
+        self._drop_tree()
+        mutated()
+
+    def _drop_tree(self) -> None:
         for operand in self.operands:
-            operand.drop()
+            operand.value.uses.remove(operand)
         self.operands = ()
         for result in self.results:
             result.owner = None
@@ -279,8 +284,7 @@ class Operation:
                     argument.owner = None
                 for op in block.ops:
                     op.parent = None
-                    op.drop_all_references()
-        mutated()
+                    op._drop_tree()
 
     def detach(self) -> "Operation":
         """Remove from the parent block without dropping references."""

@@ -351,8 +351,9 @@ def render_prometheus(registry: MetricsRegistry) -> str:
         lines.append(f"# TYPE {name} {inst.kind}")  # type: ignore[attr-defined]
         if isinstance(inst, Histogram):
             for bound, cumulative in inst.cumulative():
-                le = "+Inf" if math.isinf(bound) else _format_value(bound)
-                lines.append(f'{name}_bucket{{le="{le}"}} {cumulative}')
+                lines.append(
+                    f'{name}_bucket{{le="{_format_value(bound)}"}} {cumulative}'
+                )
             lines.append(f"{name}_sum {_format_value(inst.sum)}")
             lines.append(f"{name}_count {inst.count}")
             seen.add(inst.name + ".count")
@@ -371,6 +372,10 @@ def render_prometheus(registry: MetricsRegistry) -> str:
 
 
 def _format_value(value: float) -> str:
+    if math.isnan(value):
+        return "NaN"
+    if math.isinf(value):
+        return "+Inf" if value > 0 else "-Inf"
     if value == int(value) and abs(value) < 1e15:
         return str(int(value))
     return repr(value)

@@ -35,16 +35,22 @@ uses it too: the IR parser builds every module inside :func:`paused`.
   times.  A parse is construction too (:func:`repro.ir.parser.parse_module`):
   everything it allocates is still alive when it returns, so a
   collection during it would only re-walk the module being built.
-* :func:`release` thaws the heap when a cache drops parked programs (IR
-  is cyclic: while frozen, dropped modules are never reclaimed).  It
-  thaws everything, including programs another cache still holds; they
-  are ordinary old objects until the next hand-off parks them again.
+* :func:`release` thaws the heap when a cache is cleared or dropped
+  (IR is cyclic: while frozen, a dropped module that was not torn down
+  — one a caller still held — is never reclaimed, nor is a result kept
+  across the next cached simulation).  It thaws everything, including
+  programs another cache still holds; they are ordinary old objects
+  until the next hand-off parks them again.  Eviction never thaws: a
+  bounded cache tears the program it drops down into trees — its plans
+  forgotten, its IR's back-references cut — and reference counting
+  frees them where they lie, frozen.
 * :func:`frozen_for_fork` leaves the heap the way it found it, so a
   pooled sweep does not thaw programs a cache had parked.
 
 Frozen objects are still freed by reference counting the moment their
 last reference goes.  Only a *cycle* that was alive at a hand-off and
-died later waits for the next :func:`release`.
+died later waits for the next :func:`release` — which is why an evicted
+program is broken into trees before it is let go.
 """
 
 from __future__ import annotations

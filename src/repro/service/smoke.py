@@ -45,6 +45,7 @@ EXPECTED_SAMPLES = {
     "equeue_engine_runs": 1.0,
     "equeue_store_misses": 1.0,
     "equeue_store_hits": 1.0,
+    "equeue_program_cache_programs_evicted": 0.0,
     "equeue_server_requests": None,
     "equeue_engine_cycles": None,
 }

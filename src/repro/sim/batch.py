@@ -48,6 +48,7 @@ import pickle
 import threading
 import time
 import weakref
+from collections import OrderedDict
 from contextlib import nullcontext
 from concurrent.futures import (
     FIRST_COMPLETED,
@@ -836,14 +837,22 @@ def structural_signature(cfg) -> Tuple:
     )
 
 
+#: How many programs a :class:`CompileCache` keeps.  The 62 structures
+#: of the design-space sweep fit; a server's stream of first-seen
+#: structures evicts the least recently used.
+PROGRAM_CACHE_ENTRIES = 64
+
+
 @dataclass
 class CompileCacheStats:
-    """Build/hit accounting for one :class:`CompileCache`.  The process
-    cache's instance is what ``/stats`` reports as ``program_cache``;
-    tests use it to prove a warm path builds nothing."""
+    """Build/hit/eviction accounting for one :class:`CompileCache`.  The
+    process cache's instance is what ``/stats`` reports as
+    ``program_cache``; tests use it to prove a warm path builds
+    nothing."""
 
     programs_built: int = 0
     program_hits: int = 0
+    programs_evicted: int = 0
 
 
 @dataclass
@@ -863,9 +872,10 @@ class CachedProgram:
     #: to it (:mod:`repro.permanent`): the IR from the moment
     #: :meth:`CompileCache.lookup` built it, the plans once ``warmed``.
     parked: bool = False
-    #: Set once the first simulation has compiled the plans.  They — and
-    #: code a later simulation generates for blocks that got hot — are
-    #: parked by the next cached simulation.
+    #: Set once a simulation has compiled the plans (again, if the
+    #: cache forgot them).  They — and code a later simulation generates
+    #: for blocks that got hot — are parked by the next cached
+    #: simulation.
     warmed: bool = False
     #: What the build knows of its launch bodies: each block that is a
     #: copy of another but for its constants' values -> that other (the
@@ -916,14 +926,38 @@ class CachedProgram:
         return result
 
 
-def drop_programs(entries: Dict[Tuple, CachedProgram]) -> None:
-    """Empty a program cache's table, thawing the heap if any of its
-    programs was parked — IR is cyclic, so a dropped module is only
-    reclaimed once the collector can see it again."""
-    parked = any(entry.parked for entry in entries.values())
+def drop_programs(
+    entries: Dict[Tuple, CachedProgram], evicted: List[Tuple]
+) -> None:
+    """Empty a program cache's tables, thawing the heap if any of its
+    programs was parked — IR is cyclic, so a dropped module that was
+    not torn down is only reclaimed once the collector can see it
+    again."""
+    parked = evicted or any(entry.parked for entry in entries.values())
     entries.clear()
+    evicted.clear()
     if parked:
         permanent.release()
+
+
+def _blocks(op, ids=None) -> set:
+    """The ``id`` of every block nested in ``op``."""
+    ids = set() if ids is None else ids
+    for region in op.regions:
+        for block in region.blocks:
+            ids.add(id(block))
+            for inner in block.ops:
+                if inner.regions:
+                    _blocks(inner, ids)
+    return ids
+
+
+def _module_of(block):
+    """The top-level op ``block`` is nested in."""
+    op = block.parent_op
+    while op.parent is not None:
+        op = op.parent.parent_op
+    return op
 
 
 @dataclass
@@ -943,48 +977,119 @@ class CompileCache:
     the 62 systolic programs of a sweep meet 18 shapes between them
     where each used to compile its own nine — steps, emitted code and
     tier-up count are the family's.  A plan cache serves one engine at
-    a time; ``lock`` makes that so for the cache's simulations.
+    a time; ``lock`` makes that so for the cache's simulations, and for
+    the table of entries.
+
+    The cache holds :data:`PROGRAM_CACHE_ENTRIES` programs, least
+    recently used first out.  An evicted program is torn down — the
+    plan cache forgets its blocks and its IR is broken into trees —
+    so reference counting frees it where it lies, frozen or not; one a
+    caller still holds waits in ``evicted`` until none does.
     """
 
-    entries: Dict[Tuple, CachedProgram] = field(default_factory=dict)
+    entries: "OrderedDict[Tuple, CachedProgram]" = field(
+        default_factory=OrderedDict
+    )
     stats: CompileCacheStats = field(default_factory=CompileCacheStats)
     plans: PlanCache = field(default_factory=PlanCache)
     lock: threading.Lock = field(default_factory=threading.Lock)
+    #: Evicted programs not yet torn down: ``(ref, module, stamps)``.
+    evicted: List[Tuple] = field(default_factory=list)
 
     def __post_init__(self):
         # A cache dropped without clear() must not strand the programs
         # it parked.
-        weakref.finalize(self, drop_programs, self.entries).atexit = False
+        finalizer = weakref.finalize(
+            self, drop_programs, self.entries, self.evicted
+        )
+        finalizer.atexit = False
 
     def lookup(
         self, signature: Tuple, build: Callable[[], object]
     ) -> CachedProgram:
-        """The cached artifacts for ``signature``; a miss calls
-        ``build()`` for the (verified) module — or for a program that
-        holds it as ``module`` and brings its :attr:`CachedProgram.stamps`
-        as ``stamps`` (``SystolicProgram``)."""
-        entry = self.entries.get(signature)
-        if entry is None:
-            # A program under construction is all live: the collector is
-            # held off while it is built and the finished IR goes
-            # straight to the permanent generation.
-            with permanent.under_construction():
-                built = build()
-                entry = self.entries[signature] = CachedProgram(
-                    getattr(built, "module", built), self.plans, self.lock,
-                    parked=True, stamps=getattr(built, "stamps", {}),
-                )
+        """The cached artifacts for ``signature``, now the most recently
+        used.  A miss calls ``build()`` for the (verified) module — or
+        for a program that holds it as ``module`` and brings its
+        :attr:`CachedProgram.stamps` as ``stamps`` (``SystolicProgram``)
+        — and evicts the least recently used past the bound."""
+        with self.lock:
+            entry = self.entries.get(signature)
+            if entry is not None:
+                self.entries.move_to_end(signature)
+                self.stats.program_hits += 1
+                return entry
+        # A program under construction is all live: the collector is
+        # held off while it is built and the finished IR goes straight
+        # to the permanent generation.
+        with permanent.under_construction():
+            built = build()
+            entry = CachedProgram(
+                getattr(built, "module", built), self.plans, self.lock,
+                parked=True, stamps=getattr(built, "stamps", {}),
+            )
+        with self.lock:
             self.stats.programs_built += 1
-        else:
-            self.stats.program_hits += 1
-        return entry
+            kept = self.entries.setdefault(signature, entry)
+            if kept is not entry:  # another thread built it meanwhile
+                self._evict(entry)
+            while len(self.entries) > PROGRAM_CACHE_ENTRIES:
+                self._evict(self.entries.popitem(last=False)[1])
+                self.stats.programs_evicted += 1
+            if self.evicted:
+                self._tear_down()
+        return kept
+
+    def _evict(self, entry: CachedProgram) -> None:
+        self.evicted.append((weakref.ref(entry), entry.module, entry.stamps))
+
+    def _tear_down(self) -> None:
+        """Free every evicted program no caller holds any more (under
+        ``lock``).  The plan cache forgets its blocks; a shape goes with
+        its representative, and with it the plans of every program bound
+        to that shape (they compile again on their next simulation).
+        Then the IR is broken into trees (``drop_all_references``): no
+        cycle is left, so nothing waits for a collection."""
+        held = []
+        for record in self.evicted:
+            if record[0]() is not None:
+                held.append(record)
+                continue
+            _, module, stamps = record
+            if self.plans.stamps is stamps:
+                self.plans.stamps = {}
+            ids = _blocks(module)
+            while ids:
+                bound = self.plans.forget(ids)
+                ids, modules = set(), set()
+                for block in bound:
+                    if id(block) not in ids:
+                        owner = _module_of(block)
+                        modules.add(id(owner))
+                        _blocks(owner, ids)
+                for entry in self.entries.values():
+                    if id(entry.module) in modules:
+                        entry.warmed = False
+            module.drop_all_references()
+        self.evicted[:] = held
 
     def clear(self) -> None:
+        """Drop every program: torn down if no caller holds it, else
+        left to the collector by the one thaw (a result or program kept
+        across the next cached simulation was parked with it)."""
         with self.lock:
+            parked = self.evicted or any(
+                entry.parked for entry in self.entries.values()
+            )
+            while self.entries:
+                self._evict(self.entries.popitem(last=False)[1])
+            self._tear_down()
             self.plans.clear()
-            drop_programs(self.entries)
+            self.evicted.clear()
+        if parked:
+            permanent.release()
         self.stats.programs_built = 0
         self.stats.program_hits = 0
+        self.stats.programs_evicted = 0
 
 
 #: The per-process cache shared by every cached simulation in this

@@ -623,7 +623,8 @@ class PlanCache:
     :mod:`repro.sim.batch`, whose compile cache serves all its programs
     from one of these).  Plans are keyed by block identity and pin their
     block (cached entries keep the IR alive, so a recycled ``id`` can
-    never alias a stale plan).  What is compiled depends on the engine's
+    never alias a stale plan; a program's entries go, with :meth:`forget`,
+    before its IR is let go).  What is compiled depends on the engine's
     plan-relevant configuration (:meth:`_key`), so there is one table of
     plans, shapes and sites per configuration seen and :meth:`attach`
     selects the engine's: runs that alternate between two
@@ -651,6 +652,8 @@ class PlanCache:
         #: ``id(block) -> (block, arguments, site)``; ``_memos``:
         #: last-seen-memory memo cells of compiled access steps, reset on
         #: detach so they cannot pin a completed engine's component tree.
+        #: All three lose a program's blocks when it goes
+        #: (:meth:`forget`).
         self._tables: Dict[tuple, tuple] = {}
         #: While a shape compiles: its record, and the slot of the site
         #: constant vector each abstracted constant's SSA value reads.
@@ -674,11 +677,38 @@ class PlanCache:
         #: Each entry is consumed as its stamp binds (:meth:`_bind_site`).
         self.stamps: Dict[object, object] = {}
 
-    def access_memo(self) -> list:
-        """A ``[last_memory, cost]`` memo cell, registered for detach."""
-        memo = [None, -1]
+    def access_memo(self, op) -> list:
+        """A ``[last_memory, cost, block]`` memo cell for an access step
+        of ``op``, registered for detach; the op's block is what
+        :meth:`forget` drops it by."""
+        memo = [None, -1, op.parent]
         self._memos.append(memo)
         return memo
+
+    def forget(self, blocks) -> List[object]:
+        """Drop what was compiled for ``blocks`` — the ``id``s of every
+        block of one or more programs, all alive — under every
+        configuration, breaking the cycles it held.  A shape goes with
+        its representative, so a body of another program bound to it
+        can no longer run: those bodies are returned, and the caller
+        forgets their programs too."""
+        bound = []
+        for plans, shapes, sites, memos in self._tables.values():
+            for key in blocks:
+                entry = plans.pop(key, None)
+                if entry is not None:
+                    entry[1].compiled = entry[1].site = None
+                sites.pop(key, None)
+            memos[:] = [memo for memo in memos if id(memo[2]) not in blocks]
+            dead = [key for key, shape in shapes.items()
+                    if id(shape.block) in blocks]
+            for key in dead:
+                for plan in shapes.pop(key).plans:
+                    plan.emitted = None
+            if dead:
+                bound += [block for block, _, site in sites.values()
+                          if site and id(site.shape.block) in blocks]
+        return bound
 
     @staticmethod
     def _key(engine):
@@ -1238,7 +1268,7 @@ def _scalar_access(cache, engine, op, leading, memref):
     folded, const_idx = _static_index_tuple(indices_ssa, cache._slots)
     return (
         posted, waits, buffer_ssa, conn_ssa, indices_ssa, folded, const_idx,
-        cache.access_memo(),
+        cache.access_memo(op),
     )
 
 

@@ -147,6 +147,22 @@ class TestPrometheusRendering:
         assert samples["equeue_run_seconds_count"] == 2.0
         assert samples["equeue_run_seconds_sum"] == pytest.approx(5.05)
 
+    def test_non_finite_values_render_and_read_back(self, registry):
+        """A gauge may hold inf or nan; one such sample must not take
+        the whole exposition down."""
+        registry.gauge("queue.high").set(math.inf)
+        registry.gauge("queue.low").set(-math.inf)
+        registry.gauge("queue.ratio").set(math.nan)
+        registry.register_collector("stats", lambda: {"store.ratio": math.nan})
+        body = render_prometheus(registry)
+        assert "equeue_queue_high +Inf" in body.splitlines()
+        assert "equeue_queue_low -Inf" in body.splitlines()
+        samples = parse_metrics(body)
+        assert samples["equeue_queue_high"] == math.inf
+        assert samples["equeue_queue_low"] == -math.inf
+        assert math.isnan(samples["equeue_queue_ratio"])
+        assert math.isnan(samples["equeue_store_ratio"])
+
     def test_instrument_shadows_collector_duplicate(self, registry):
         registry.counter("store.hits").inc(9)
         registry.register_collector("stats", lambda: {"store.hits": 5})

@@ -40,6 +40,7 @@ GOLDEN_FLAT_KEYS = (
     "store.evictions",
     "program_cache.program_hits",
     "program_cache.programs_built",
+    "program_cache.programs_evicted",
     "gc.collections.gen0",
     "gc.collections.gen1",
     "gc.collections.gen2",

@@ -19,7 +19,7 @@ from repro.sim import (
     simulate,
     structural_signature,
 )
-from repro.sim import plan
+from repro.sim import batch, plan
 from repro.sim.batch import deterministic_conv_inputs
 from repro.sim.plan import PlanCache
 from tests.differential import HOST_FIELDS
@@ -284,6 +284,180 @@ class TestOnePlanCachePerCompileCache:
         assert not failures
         for which in (0, 1):
             assert seen[which] == [references[which]] * 4
+        cache.clear()
+
+
+class TestBoundedProgramCache:
+    """A compile cache keeps ``PROGRAM_CACHE_ENTRIES`` programs, least
+    recently used first out; an evicted program's plans are forgotten
+    and its IR broken, so nothing of it can answer for a block that
+    reuses its ``id`` — and a program a caller still holds simulates
+    as before until it lets go."""
+
+    #: Five structures of one family (the WS bodies share shapes; the
+    #: ifmap height sets the stream length) and an OS one.
+    STRUCTURES = tuple(
+        _ws_config(n=2, c=2, h=h, w=4, fh=2, fw=2) for h in (3, 4, 5, 6, 7)
+    ) + (SystolicConfig("OS", 4, 4, ConvDims(n=3, c=2, h=4, w=4, fh=2, fw=2)),)
+
+    @pytest.fixture(autouse=True)
+    def _two_entries(self, monkeypatch):
+        monkeypatch.setattr(batch, "PROGRAM_CACHE_ENTRIES", 2)
+
+    @staticmethod
+    def _run(cache, cfg, seed=0):
+        entry = _lookup(cache, cfg)
+        return _seen(entry.simulate(_inputs(entry, cfg, seed)))
+
+    @staticmethod
+    def _table_keys(cache):
+        """The block ``id``s the plan cache answers for: plans, sites
+        and access memo cells."""
+        keys = set()
+        for plans, _, sites, memos in cache.plans._tables.values():
+            keys.update(plans, sites, (id(memo[2]) for memo in memos))
+        return keys
+
+    def test_filling_past_the_bound_keeps_the_newest(self):
+        cache = CompileCache()
+        for cfg in self.STRUCTURES:
+            assert self._run(cache, cfg) == _cold(cfg)
+        assert list(cache.entries) == [
+            structural_signature(cfg) for cfg in self.STRUCTURES[-2:]
+        ]
+        assert cache.stats.programs_built == len(self.STRUCTURES)
+        assert cache.stats.programs_evicted == len(self.STRUCTURES) - 2
+        assert not cache.evicted  # nobody held one: all torn down
+        live = set().union(
+            *(batch._blocks(entry.module) for entry in cache.entries.values())
+        )
+        assert self._table_keys(cache) <= live
+        cache.clear()
+        assert cache.stats.programs_evicted == 0
+
+    def test_a_hit_refreshes_the_order(self):
+        a, b, c = self.STRUCTURES[:3]
+        cache = CompileCache()
+        for cfg in (a, b, a, c):
+            _lookup(cache, cfg)
+        assert list(cache.entries) == [
+            structural_signature(a), structural_signature(c)
+        ]
+        assert cache.stats.programs_evicted == 1
+        cache.clear()
+
+    def test_a_shape_goes_with_its_representative(self):
+        """The second program binds to the first one's shapes; when the
+        first goes, so do those shapes and the second's plans: the
+        third compiles the shapes anew and the second, on its next
+        simulation, its own blocks again."""
+        first, second, third = self.STRUCTURES[:3]
+        cache = CompileCache()
+        self._run(cache, first)
+        entry = _lookup(cache, second)
+        shared = entry.simulate(_inputs(entry, second)).summary
+        assert (shared.plan_shapes, shared.plans_shared) == (0, 16)
+        rep = _lookup(cache, third)  # evicts the first: the representative
+        assert not entry.warmed and not cache.plans.plans
+        assert rep.simulate(_inputs(rep, third)).summary.plan_shapes == 9
+        again = entry.simulate(_inputs(entry, second))
+        assert again.summary.plans_compiled == shared.plans_compiled
+        assert (again.summary.plan_shapes, again.summary.plans_shared) == (0, 16)
+        assert entry.warmed and _seen(again) == _cold(second)
+        cache.clear()
+
+    def test_a_block_id_of_an_evicted_program_is_reused_cleanly(self):
+        """The memory of a torn-down program is handed to the next
+        build, so its blocks' ``id``s come back on new blocks: none of
+        the plan cache's tables may still answer for one."""
+        cache = CompileCache()
+        self._run(cache, self.STRUCTURES[0])
+        self._run(cache, self.STRUCTURES[1])
+        gone, reused = set(), set()
+        for cfg in self.STRUCTURES[2:]:
+            oldest = batch._blocks(next(iter(cache.entries.values())).module)
+            entry = _lookup(cache, cfg)  # builds, then evicts the oldest
+            gone |= oldest
+            fresh = batch._blocks(entry.module)
+            reused |= gone & fresh
+            gone -= fresh
+            assert not gone & self._table_keys(cache)
+            assert _seen(entry.simulate(_inputs(entry, cfg))) == _cold(cfg)
+        assert reused  # the case this test is for did happen
+        cache.clear()
+
+    def test_a_program_evicted_in_flight_simulates_bit_identically(self):
+        """One thread is handed a program; another thread's miss evicts
+        it before it simulates (a replaced wedged service worker makes
+        two).  It is torn down only once its holder lets go."""
+        import threading
+
+        held, *others = self.STRUCTURES[:4]
+        cache = CompileCache()
+        self._run(cache, held)
+        entry = _lookup(cache, held)
+        ids = batch._blocks(entry.module)
+        miss = threading.Thread(
+            target=lambda: [self._run(cache, cfg) for cfg in others]
+        )
+        miss.start()
+        miss.join(timeout=120)
+        assert structural_signature(held) not in cache.entries
+        assert len(cache.evicted) == 1
+        assert _seen(entry.simulate(_inputs(entry, held, seed=1))) == _cold(
+            held, seed=1
+        )
+        del entry
+        _lookup(cache, self.STRUCTURES[4])  # the next miss tears it down
+        assert not cache.evicted
+        assert not ids & self._table_keys(cache)
+        cache.clear()
+
+    def test_three_threads_evicting_each_other_stay_bit_identical(self):
+        """More threads than cores over more structures than entries,
+        switching often: every result equals a cold run, no lookup goes
+        uncounted, and once all let go one miss leaves nothing evicted
+        behind."""
+        import sys
+        import threading
+
+        structures = self.STRUCTURES[:4]
+        cold = [_cold(cfg, seed=2) for cfg in structures]
+        cache = CompileCache()
+        failures = []
+
+        def worker(offset):
+            try:
+                for step in range(6):
+                    which = (offset + step) % len(structures)
+                    if self._run(cache, structures[which], 2) != cold[which]:
+                        failures.append(structures[which])
+            except Exception as error:  # noqa: BLE001 - reported below
+                failures.append(error)
+
+        threads = [
+            threading.Thread(target=worker, args=(i,)) for i in range(3)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=300)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not failures
+        stats = cache.stats
+        assert stats.programs_built + stats.program_hits == 18
+        assert len(cache.entries) <= 2
+        self._run(cache, self.STRUCTURES[5])
+        assert not cache.evicted
+        live = set().union(
+            *(batch._blocks(entry.module) for entry in cache.entries.values())
+        )
+        assert self._table_keys(cache) <= live
         cache.clear()
 
 

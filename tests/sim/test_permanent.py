@@ -24,6 +24,7 @@ from repro.sim import (
     PlanCache,
     simulate,
 )
+from repro.sim import batch
 from repro.sim.batch import (
     deterministic_conv_inputs,
     process_compile_cache,
@@ -296,6 +297,43 @@ class TestNothingLeaks:
         assert gc.get_freeze_count() == 0
         gc.collect()
         assert module() is None
+
+    def test_eviction_frees_by_refcount_and_strands_nothing(self, monkeypatch):
+        """A bounded cache filled past its bound: each evicted program is
+        torn down where it lies, frozen, so the permanent generation
+        holds what the last ``PROGRAM_CACHE_ENTRIES`` programs hold
+        however many came before, and a thaw finds exactly what it finds
+        after the bound alone — nothing."""
+        monkeypatch.setattr(batch, "PROGRAM_CACHE_ENTRIES", 3)
+        distinct = list(
+            {
+                structural_signature(cfg): cfg for cfg in sweep_style_points()
+            }.values()
+        )
+
+        def fill(count):
+            cache = CompileCache()
+            for cfg in distinct[:count]:
+                _fill(cache, cfg)
+            permanent.settle()
+            frozen = gc.get_freeze_count()
+            stranded = _stranded_after_thaw()
+            assert len(cache.entries) == 3 and not cache.evicted
+            assert cache.stats.programs_evicted == count - 3
+            cache.clear()
+            return frozen, stranded
+
+        fill(3)  # lazy imports and memo tables settle
+        permanent.hand_off()
+        empty = gc.get_freeze_count()
+        gc.unfreeze()
+        bound, stranded = fill(3)
+        per_program = (bound - empty) / 3
+        assert stranded == 0
+        for extra in (6, 12):
+            frozen, stranded = fill(3 + extra)
+            assert stranded == 0
+            assert abs(frozen - bound) < per_program
 
     def test_dropping_a_cache_without_clear_still_thaws(self):
         cache = CompileCache()

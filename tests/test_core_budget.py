@@ -26,7 +26,11 @@ only for a reader (``engine.py`` +28: the issue function's generator
 and its slow capture path in place of the capture loop; ``codegen.py``
 +82: what a replay reads, the spill before it and the env writes that
 wait for the body's readers, in place of the write-through and the
-flattening depth).
+flattening depth); 2 901 once the compile cache holds a bounded number
+of programs (``plan.py`` +18: ``PlanCache.forget``, the step that drops
+what was compiled for an evicted program's blocks, the shapes it
+represented and the cycles its plans held, and names the bodies of other
+programs bound to those shapes).
 
 ROADMAP item 4 wants the service core an explicit state machine over
 one log; :data:`LIFECYCLE` pins its files the same way.  Readings: 1 507
@@ -65,7 +69,7 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 CORE = ("sim/engine.py", "sim/plan.py", "sim/codegen.py")
-BUDGET = 2886
+BUDGET = 2901
 #: The job lifecycle and the append-only log under the WAL and the sweep
 #: journal.
 LIFECYCLE = (
