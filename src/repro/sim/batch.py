@@ -1074,7 +1074,9 @@ class CompileCache:
 
     def clear(self) -> None:
         """Drop every program: torn down if no caller holds it, else
-        left to the collector by the one thaw (a result or program kept
+        left in ``evicted`` — the plans a held program compiles after
+        this go with it at the first teardown once its holder lets go —
+        and to the collector by the one thaw (a result or program kept
         across the next cached simulation was parked with it)."""
         with self.lock:
             parked = self.evicted or any(
@@ -1084,7 +1086,6 @@ class CompileCache:
                 self._evict(self.entries.popitem(last=False)[1])
             self._tear_down()
             self.plans.clear()
-            self.evicted.clear()
         if parked:
             permanent.release()
         self.stats.programs_built = 0

@@ -148,7 +148,7 @@ import numpy as np
 
 from ..ir.types import IndexType, IntegerType
 from ..ir.values import BlockArgument
-from .engine import _STRUCTURE_OPS, Future
+from .engine import Future
 from .plan import (
     _MISSING,
     BlockPlan,
@@ -165,6 +165,7 @@ from .plan import (
     _plain_access_cost,
     _resume,
     _suspends,
+    step_ops,
 )
 
 __all__ = ["compile_block_body", "source_of"]
@@ -310,25 +311,6 @@ def _stepped(step, ex, env):
             pending, ex.pending = ex.pending, 0
             yield pending
         yield from result
-
-
-def _step_ops(block):
-    """The op each step of ``block``'s plan was compiled from, in step
-    order: the plan compiler leaves structure ops out (elaborated, they
-    have nothing to replay) and stops at the terminator, keeping an
-    ``equeue.return_values`` that returns values."""
-    ops = []
-    for op in block.ops:
-        name = op.name
-        if name == "equeue.return_values":
-            if op.operands:
-                ops.append(op)
-            break
-        if name in ("affine.yield", "scf.yield"):
-            break
-        if name not in _STRUCTURE_OPS:
-            ops.append(op)
-    return ops
 
 
 def _writes_through(root) -> bool:
@@ -491,7 +473,9 @@ class _Emitter:
 
     def op_reads(self, op):
         """The values ``op`` reads: its operands and those of every op
-        in its regions."""
+        in its regions (a fork–join step: its ops')."""
+        if type(op) is tuple:
+            return set().union(*map(self.op_reads, op))
         found = self._reads.get(id(op))
         if found is None:
             found = self._reads[id(op)] = {
@@ -505,7 +489,7 @@ class _Emitter:
     def step_ops(self, plan):
         ops = self._ops.get(id(plan))
         if ops is None:
-            ops = self._ops[id(plan)] = _step_ops(plan.block)
+            ops = self._ops[id(plan)] = step_ops(plan.block)
             assert len(ops) == len(plan.steps)
         return ops
 

@@ -153,7 +153,7 @@ class EventEntry:
 
     kind: str                      # "launch" | "memcpy"
     dep: SimEvent
-    done: SimEvent
+    done: SimEvent                 # a fork–join step's: one shared countdown
     payload: object                # engine-specific (op + captured values)
     label: str = ""
     start_time: Optional[int] = None

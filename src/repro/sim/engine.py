@@ -248,132 +248,200 @@ class SimulationResult:
 
 
 class LaunchSite:
-    """What is known of one ``equeue.launch`` op before it runs, as the
-    site's :attr:`issue` function: the SSA values of its dependency,
-    target and captures, its label and results are the function's
-    default arguments — and, from its first issue on, the block
-    arguments the captures bind to and the
-    :class:`~repro.sim.plan.BodySite` the body runs for
+    """What is known of one ``equeue.launch`` op — or of the members of
+    one fork–join step (:func:`~repro.sim.plan.step_ops`) — before it
+    runs, as the site's :attr:`issue` function: the SSA values of the
+    dependencies, targets and captures, each member's label and a lone
+    launch's results are the function's default arguments — and, from
+    its first issue on, the block arguments the captures bind to and
+    the :class:`~repro.sim.plan.BodySite` each body runs for
     (``PlanCache.bind_site``: the representative's arguments when the
     body shares a shape).
 
     :attr:`issue` is THE definition of issuing a launch: the interpreter
     calls it through its per-op memo, a compiled plan has it as the
-    step itself, a generated body calls it directly.  Its code is made
-    once per capture count, process-wide (:func:`_issue_code`): the
-    captures are read into locals and the body env is one dict display.
-    Binding swaps the function's defaults in place, so whoever holds it
-    from before the first issue calls the bound function.
+    step itself, a generated body calls it directly.  A lone launch is
+    the group of one: a plain function that binds its done event (and
+    a ``Future`` per value result).  A fork–join step is a generator
+    function: every member's entry gets one :class:`_Countdown` as its
+    done, and the step yields the one event that fires — no done event
+    per member, no ``control_and`` and no ``await`` wait of its own.
+    Its code is made once per layout, process-wide (:func:`_issue_code`):
+    each distinct dependency, target and capture is read into a local
+    once and each body env is one dict display.  Binding swaps the
+    function's defaults in place, so whoever holds it from before the
+    first issue calls the bound function.
     """
 
-    __slots__ = ("op", "issue")
+    __slots__ = ("ops", "keys", "issue")
 
-    def __init__(self, op: Operation):
-        self.op = op
-        block = op.regions[0].entry_block
-        count = min(len(op.operands) - 2, len(block.arguments))
+    def __init__(self, *ops: Operation):
+        self.ops = ops
+        layout, self.keys = _layout(ops)
+        unbound = [(_UNBOUND, (), op.regions[0].entry_block.arguments) for op in ops]
         self.issue = FunctionType(
-            _issue_code(count), globals(), "issue",
-            self._defaults(self, _UNBOUND, (), block.arguments),
+            _issue_code(layout), globals(), "issue", self._defaults(self, unbound)
         )
 
-    def _defaults(self, owner, site, futures, arguments) -> tuple:
-        op = self.op
-        results = op.results
-        pairs = zip(op.operand_values[2:], arguments)
-        return (
-            owner, site, op.operand(0), op.operand(1),
-            op.regions[0].entry_block, op.get_attr("label", "launch"),
-            results[0], results[1:], futures,
-            *itertools.chain.from_iterable(pairs),
-        )
+    def _defaults(self, owner, members) -> tuple:
+        """``members``: per op, its body site, the block arguments that
+        may hold a ``Future`` and those its captures bind to."""
+        ops = self.ops
+        defaults = [owner, *self.keys]
+        for op, (site, futures, arguments) in zip(ops, members):
+            defaults += (
+                site, op.regions[0].entry_block, op.get_attr("label", "launch"),
+                futures, *arguments[:len(op.operands) - 2],
+            )
+        if len(ops) == 1:  # a lone launch: its done event, its values
+            defaults += (ops[0].results[0], ops[0].results[1:])
+        return tuple(defaults)
 
     def bind(self, plans: Optional["PlanCache"]) -> Callable:
-        """Bind :attr:`issue` to the arguments and site ``plans`` gives
-        the body (the interpreter: none, and the body's own); returns
+        """Bind :attr:`issue` to the arguments and sites ``plans`` gives
+        the bodies (the interpreter: none, and the bodies' own); returns
         it."""
-        block = self.op.regions[0].entry_block
-        arguments, site = (
-            plans.bind_site(block)
-            if plans is not None
-            else (block.arguments, None)
-        )
-        # Only a launch's value results are ever bound to a Future
-        # (below, the sole constructor), so which captures can hold one
-        # is known from the op alone; the dispatcher resolves exactly
-        # those block arguments before the body starts.
-        futures = tuple(
-            argument
-            for argument, ssa in zip(arguments, self.op.operand_values[2:])
-            if type(ssa) is OpResult
-            and ssa.index
-            and ssa.owner.name == "equeue.launch"
-        )
-        issue = self.issue
-        issue.__defaults__ = self._defaults(None, site, futures, arguments)
-        return issue
+        members = []
+        for op in self.ops:
+            block = op.regions[0].entry_block
+            arguments, site = (
+                plans.bind_site(block) if plans else (block.arguments, None)
+            )
+            # Only a launch's value results are ever bound to a Future
+            # (below, the sole constructor), so which captures can hold
+            # one is known from the op alone; the dispatcher resolves
+            # exactly those block arguments before the body starts.
+            futures = tuple(
+                argument
+                for argument, ssa in zip(arguments, op.operand_values[2:])
+                if type(ssa) is OpResult
+                and ssa.index
+                and ssa.owner.name == "equeue.launch"
+            )
+            members.append((site, futures, arguments))
+        self.issue.__defaults__ = self._defaults(None, members)
+        return self.issue
+
+
+class _Countdown:
+    """The ``done`` of every entry of a fork–join step: the dispatcher
+    triggers it as each member finishes, and the last trigger fires
+    :attr:`event`, the one event the step waits on."""
+
+    __slots__ = ("remaining", "event")
+
+    def __init__(self, remaining: int, event: SimEvent):
+        self.remaining = remaining
+        self.event = event
+
+    def trigger(self, _returns) -> None:
+        self.remaining -= 1
+        if not self.remaining:
+            self.event.trigger()
 
 
 #: What a site's :attr:`LaunchSite.issue` holds for its body site until
 #: its first issue binds it.
 _UNBOUND = object()
 
-#: Capture count -> the code object of an issue function, compiled once
-#: per count process-wide (as ``codegen._SHAPES`` shares bodies).
-_ISSUE_CODES: Dict[int, CodeType] = {}
+#: Layout -> the code object of an issue function, compiled once per
+#: layout process-wide (as ``codegen._SHAPES`` shares bodies).
+_ISSUE_CODES: Dict[tuple, CodeType] = {}
 
 
-def _issue_code(count: int) -> CodeType:
-    """The issue function of a launch with ``count`` captures: the
-    dependency and target looked up as they nearly always are, and
+def _layout(ops) -> tuple:
+    """``(layout, keys)`` of launch ops: ``keys`` are their distinct
+    dependencies, targets and captures (the SSA values, first seen
+    first, in that order), and ``layout`` — the key of their issue code
+    — says per op which of each it reads, and how many there are."""
+    deps, targets, captures = {}, {}, {}
+    members = []
+    for op in ops:
+        dep, target, *values = op.operand_values
+        count = len(op.regions[0].entry_block.arguments)
+        members.append((
+            deps.setdefault(dep, len(deps)),
+            targets.setdefault(target, len(targets)),
+            tuple([captures.setdefault(v, len(captures)) for v in values[:count]]),
+        ))
+    layout = (tuple(members), len(deps), len(targets), len(captures))
+    return layout, (*deps, *targets, *captures)
+
+
+def _issue_code(layout: tuple) -> CodeType:
+    """The issue function of launches laid out as ``layout``: each
+    dependency and target looked up as it nearly always is, and
     resolved otherwise; the captures read into locals — one missing or
-    ``None`` sends them all through :func:`_capture`; the entry
-    enqueued with the body env built in one dict display."""
-    code = _ISSUE_CODES.get(count)
+    ``None`` sends them all through :func:`_capture`; each entry
+    enqueued with its body env built in one dict display.  A lone
+    launch binds its done event; a group's entries share a
+    :class:`_Countdown`, and the function yields the event it fires."""
+    code = _ISSUE_CODES.get(layout)
     if code is not None:
         return code
+    members, deps, targets, count = layout
     values = [f"_v{i}" for i in range(count)]
-    lines = [
-        "def issue(ex, env, _ls, _site, _dep, _target, _block, _label, "
-        "_done, _values, _futures"
-        + "".join(f", _c{i}, _a{i}" for i in range(count)) + "):",
-        "    if _site is _UNBOUND:",
-        "        return _ls.bind(ex.engine._plans)(ex, env)",
-        "    dep = env.get(_dep)",
-        "    if type(dep) is not SimEvent:",
-        "        dep = Engine._resolve(env, _dep)",
-        "    target = env.get(_target)",
-        "    if not isinstance(target, ProcessorModel):",
-        "        target = Engine._resolve(env, _target)",
-        "        if not isinstance(target, ProcessorModel):",
-        "            raise EngineError('launch target is not a processor')",
+    group = len(members) > 1
+    params = [
+        "ex", "env", "_ls", *(f"_d{j}" for j in range(deps)),
+        *(f"_t{j}" for j in range(targets)), *(f"_c{i}" for i in range(count)),
     ]
-    if count:
+    for i, (_, _, captures) in enumerate(members):
+        params += (f"_s{i}", f"_b{i}", f"_l{i}", f"_f{i}")
+        params += (f"_a{i}_{k}" for k in range(len(captures)))
+    params += () if group else ("_done", "_values")
+    rebind = "_ls.bind(ex.engine._plans)(ex, env)"
+    lines = [
+        f"def issue({', '.join(params)}):",
+        "    if _s0 is _UNBOUND:",
+        f"        return {f'(yield from {rebind})' if group else rebind}",
+    ]
+    for j in range(deps):
+        lines += [
+            f"    dep{j} = env.get(_d{j})",
+            f"    if type(dep{j}) is not SimEvent:",
+            f"        dep{j} = Engine._resolve(env, _d{j})",
+        ]
+    for j in range(targets):
+        lines += [
+            f"    target{j} = env.get(_t{j})",
+            f"    if not isinstance(target{j}, ProcessorModel):",
+            f"        target{j} = Engine._resolve(env, _t{j})",
+            f"        if not isinstance(target{j}, ProcessorModel):",
+            "            raise EngineError('launch target is not a processor')",
+        ]
+    if values:
         lines += [
             "    try:",
-            *(f"        _v{i} = env[_c{i}]" for i in range(count)),
+            *(f"        {v} = env[_c{i}]" for i, v in enumerate(values)),
             f"        if {' is None or '.join(values)} is None:",
             "            raise KeyError",
             "    except KeyError:",
-            *(f"        _v{i} = _capture(ex, env, _c{i})" for i in range(count)),
+            *(f"        {v} = _capture(ex, env, _c{i})" for i, v in enumerate(values)),
         ]
-    body_env = ", ".join(
-        ["_SITE: _site", *(f"_a{i}: _v{i}" for i in range(count))]
-    )
-    lines += [
-        "    done = SimEvent(ex.sim, 'launch.done')",
-        "    target.enqueue(EventEntry(",
-        f"        'launch', dep, done, (_block, {{{body_env}}}, _futures),",
-        "        _label,",
-        "    ))",
-        "    env[_done] = done",
-        "    if _values:",
-        "        for index, result in enumerate(_values):",
-        "            env[result] = Future(done, index)",
-    ]
+    lines.append("    done = SimEvent(ex.sim, 'launch.done')")
+    if group:
+        lines.append(f"    done, join = _Countdown({len(members)}, done), done")
+    for i, (dep, target, captures) in enumerate(members):
+        body_env = ", ".join(
+            [f"_SITE: _s{i}", *(f"_a{i}_{k}: _v{c}" for k, c in enumerate(captures))]
+        )
+        lines.append(
+            f"    target{target}.enqueue(EventEntry('launch', dep{dep}, done, "
+            f"(_b{i}, {{{body_env}}}, _f{i}), _l{i}))"
+        )
+    if group:
+        lines.append("    yield join")
+    else:
+        lines += [
+            "    env[_done] = done",
+            "    if _values:",
+            "        for index, result in enumerate(_values):",
+            "            env[result] = Future(done, index)",
+        ]
     source = "\n".join(lines) + "\n"
-    module = compile(source, f"<launch-issue-{count}>", "exec")
-    code = _ISSUE_CODES[count] = next(
+    module = compile(source, f"<launch-issue-{len(members)}>", "exec")
+    code = _ISSUE_CODES[layout] = next(
         c for c in module.co_consts if isinstance(c, CodeType)
     )
     return code

@@ -43,7 +43,10 @@ Step kinds
                    booking as a generator (:func:`_blocked_read`)
 ``K_FLUSH_CALL``   flush pending cycles, then a plain call (launch, memcpy,
                    control events — their handlers never suspend)
-``K_GEN``          flush pending cycles, then drive a generator (await)
+``K_GEN``          flush pending cycles, then drive a generator: an await,
+                   or a *fork–join step* — a run of launches, their
+                   ``control_and`` and its ``await`` (:func:`step_ops`),
+                   issued by one function that waits on one countdown
 ``K_CTRL``         structured control flow (scf.if / affine loops); no
                    flush — inner ops flush themselves on demand
 ``K_RET``          flush, resolve the block's return values, stop
@@ -864,32 +867,11 @@ class PlanCache:
     def _compile_block(self, block) -> BlockPlan:
         steps = []
         declined = None
-        engine = self.engine
-        for op in block.ops:
-            name = op.name
-            if name == "equeue.return_values":
-                # An empty return compiles to nothing: there are no values
-                # to resolve, and its flush is indistinguishable from the
-                # caller's own post-plan flush (the engine's launch path
-                # flushes pending cycles immediately after the plan).
-                # Dropping the step keeps value-less launch bodies — the
-                # hot case — inlineable end to end.
-                if op.operands:
-                    steps.append(
-                        (
-                            K_RET,
-                            tuple(o.value for o in op.operands),
-                            engine._resolve,
-                        )
-                    )
-                break
-            if name in ("affine.yield", "scf.yield"):
-                break
-            step = self._compile_op(op)
-            if step is not None:
-                steps.append(step)
-                if declined is None and step[0] == K_ANY:
-                    declined = f"K_ANY:{name}"
+        for item in step_ops(block):
+            step = self._compile_op(item)
+            steps.append(step)
+            if declined is None and step[0] == K_ANY:
+                declined = f"K_ANY:{item.name}"
         # Nothing is generated here: a body is emitted when executions
         # enter this plan often enough (:func:`_cold_run`), so sub-plans
         # that a parent's body flattens never reach ``compile()``.  An
@@ -915,17 +897,14 @@ class PlanCache:
 
     def _compile_op(self, op):
         engine = self.engine
+        if type(op) is tuple:  # a fork–join step: the members issue it
+            return (K_GEN, LaunchSite(*op[:-2]).issue, None)
         name = op.name
+        if name == "equeue.return_values":
+            return (K_RET, tuple(o.value for o in op.operands), engine._resolve)
         compiler = _COMPILERS.get(name)
         if compiler is not None:
             return compiler(self, engine, op)
-        if name in _STRUCTURE_OPS:
-            if id(op) not in engine._elaborated:
-                raise EngineError(
-                    f"{name} must appear at module top level (found inside "
-                    "a launch body)"
-                )
-            return None  # fully handled at elaboration; nothing to replay
         handler = engine._handlers.get(name)
         if handler is None:
             raise EngineError(f"no simulation handler for op {name!r}")
@@ -943,6 +922,68 @@ class PlanCache:
         if name in _NEEDS_FLUSH:
             return (K_DYN, step, None)
         return (K_ANY, _maybe_trace(self, op, step), None)
+
+
+def step_ops(block) -> list:
+    """What each step of ``block``'s plan is compiled from, in step
+    order — THE walk from ops to steps, which the code generator
+    retraces.  Structure ops are left out (elaborated at the top level,
+    they have nothing to replay); the walk stops at the terminator,
+    keeping an ``equeue.return_values`` only if it returns values (an
+    empty one's flush is the caller's own post-plan flush, and leaving
+    it out keeps value-less launch bodies inlineable); and a fork–join
+    step is one item, the tuple of its ops (:func:`_fork_join`)."""
+    items, ops, after = [], block.ops, 0
+    for index, op in enumerate(ops):
+        if index < after:
+            continue  # an op of the fork–join step just taken
+        name = op.name
+        if name == "equeue.return_values":
+            if op.operands:
+                items.append(op)
+            break
+        if name in ("affine.yield", "scf.yield"):
+            break
+        group = _fork_join(ops, index) if name == "equeue.launch" else None
+        if group is not None:
+            items.append(group)
+            after = index + len(group)
+        elif name not in _STRUCTURE_OPS:
+            items.append(op)
+        elif block.parent_op.parent is not None:
+            raise EngineError(
+                f"{name} must appear at module top level (found inside a launch body)"
+            )
+    return items
+
+
+def _fork_join(ops, first) -> Optional[tuple]:
+    """The fork–join step of the run of ``equeue.launch`` ops that
+    starts at ``ops[first]``, or ``None``: two or more launches with no
+    value results, then at once an ``equeue.control_and`` of exactly
+    their done events, in order, then at once an ``equeue.await`` of it
+    — and nothing else reads a done event or the join.  What a
+    systolic step is."""
+    if first and ops[first - 1].name == "equeue.launch":
+        return None  # not where the run starts
+    end = first
+    while end < len(ops) and ops[end].name == "equeue.launch":
+        end += 1
+    members = ops[first:end]
+    if len(members) < 2 or [op.name for op in ops[end:end + 2]] != [
+        "equeue.control_and", "equeue.await",
+    ]:
+        return None
+    join, wait = ops[end:end + 2]
+    dones = [member.results[0] for member in members]
+    if (
+        join.operand_values == dones
+        and wait.operand_values == [join.result()]
+        and all(len(m.results) == 1 for m in members)
+        and all(len(value.uses) == 1 for value in (*dones, join.result()))
+    ):
+        return (*members, join, wait)
+    return None
 
 
 def _detailed(options) -> bool:

@@ -1229,6 +1229,146 @@ def _rare_ops_check(result):
     assert result.cycles == 25
 
 
+# ---------------------------------------------------------------------------
+# Fork–join steps: launches, their control_and and its await as one step
+# ---------------------------------------------------------------------------
+
+
+def _fork_join_edges():
+    """A kernel's hot loop whose every iteration ends in one fork–join
+    step at its edges: ``slow`` is still running ``busy`` (the kernel's
+    pending cycle is flushed before the step, so ``busy`` has started)
+    when its member is queued behind it; two members go to ``pe0``,
+    still running ``produce``; one waits on a ``memcpy`` that has not
+    finished; and the members capture different values in different
+    orders, one of them a ``Future`` — the value ``produce`` returns."""
+    module, eq = empty_program()
+    sram = eq.create_mem("SRAM", 256, ir.i32, name="sram")
+    regs = eq.create_mem("Register", 1024, ir.i32, name="regs")
+    src = eq.alloc(sram, [HOT], ir.i32, name="src")
+    staged = eq.alloc(regs, [HOT], ir.i32, name="staged")
+    out = eq.alloc(regs, [4, HOT], ir.i32, name="out")
+    acc = eq.alloc(regs, [1], ir.i32, name="acc")
+    kernel = eq.create_proc("ARMr5", name="kernel")
+    pes = [eq.create_proc("MAC", name=n) for n in ("pe0", "pe1", "slow")]
+    dma = eq.create_dma(name="dma")
+
+    def produce(b, i, src_a):
+        x = EQueueBuilder(b).read_element(src_a, [i])
+        return [arith.addi(b, x, x)]
+
+    def store(b, k, value, out_a, i):
+        row = arith.constant(b, k, ir.index)
+        EQueueBuilder(b).write_element(value, out_a, [row, i])
+
+    def read(b, buffer, i):
+        return EQueueBuilder(b).read_element(buffer, [i])
+
+    #: Member ``k``'s body, storing at out[k, i]; the last captures in
+    #: another order.
+    bodies = [
+        lambda b, i, v, o: store(b, 0, v, o, i),
+        lambda b, i, s, o: store(b, 1, arith.muli(b, *[read(b, s, i)] * 2), o, i),
+        lambda b, i, s, o: store(b, 2, read(b, s, i), o, i),
+        lambda b, o, i: store(
+            b, 3, b.create("arith.index_cast", [i], [ir.i32]).result(), o, i
+        ),
+    ]
+
+    def main(b, src_a, staged_a, out_a, acc_a, pe0, pe1, slow, dma_a):
+        def step(b1, i):
+            eq1 = EQueueBuilder(b1)
+            start = eq1.control_start()
+            eq1.launch(start, slow, args=[acc_a], body=_macs(4), label="busy")
+            produced, value = eq1.launch(
+                start, pe0, args=[i, src_a], body=produce, label="produce"
+            )
+            copied = eq1.memcpy(
+                start, src_a, staged_a, dma_a, offsets=[i, i], count=1
+            )
+            seven = arith.constant(b1, 7, ir.i32)
+            arith.muli(b1, seven, seven)  # a pending cycle to flush
+            members = [
+                (produced, pe0, [i, value, out_a]),
+                (start, pe0, [i, src_a, out_a]),
+                (copied, pe1, [i, staged_a, out_a]),
+                (start, slow, [out_a, i]),
+            ]
+            done = [
+                eq1.launch(dep, target, args=args, body=bodies[k],
+                           label=f"member{k}")[0]
+                for k, (dep, target, args) in enumerate(members)
+            ]
+            eq1.await_(eq1.control_and(done))
+
+        affine.for_loop(b, 0, HOT, body=step)
+
+    finished, = eq.launch(
+        eq.control_start(), kernel,
+        args=[src, staged, out, acc, *pes, dma], body=main, label="main",
+    )
+    eq.await_(finished)
+    ir.verify(module)
+    return module, {"src": np.arange(3, HOT + 3, dtype=np.int32)}
+
+
+def _fork_join_check(result):
+    src = np.arange(3, HOT + 3)
+    index = np.arange(HOT)
+    np.testing.assert_array_equal(
+        result.buffer("out"), [2 * src, src * src, src, index]
+    )
+
+
+def _fork_join_near_miss(kind):
+    """A fork–join step in a hot loop but for one thing, which keeps it
+    a launch step each and its join and await steps: ``awaited-twice``
+    (the first member's done is awaited again after the join),
+    ``late-await`` (an op between the join and its await) or
+    ``returns`` (the first member returns a value)."""
+
+    def step(b, i, pe, dma, src, out):
+        eq = EQueueBuilder(b)
+        start = eq.control_start()
+
+        def copy(b1, i1, src1, out1):
+            eq1 = EQueueBuilder(b1)
+            x = eq1.read_element(src1, [i1])
+            eq1.write_element(x, out1, [i1])
+            return [x] if kind == "returns" else None
+
+        def idle(b1, i1):
+            arith.addi(b1, i1, i1)
+
+        first = eq.launch(start, pe, args=[i, src, out], body=copy)[0]
+        second, = eq.launch(start, dma, args=[i], body=idle)
+        join = eq.control_and([first, second])
+        if kind == "late-await":
+            arith.constant(b, 0, ir.index)
+        eq.await_(join)
+        if kind == "awaited-twice":
+            eq.await_(first)
+
+    return _hot_kernel(step)
+
+
+#: Programs with a fork–join step in a hot loop, and their near misses:
+#: :func:`repro.sim.plan.step_ops` makes one item of the first's step
+#: and of none of the others'.
+FORK_JOIN = {
+    "fork-join-edges": Program(_fork_join_edges, check=_fork_join_check),
+    **{
+        f"fork-join-miss:{kind}": Program(
+            lambda kind=kind: _fork_join_near_miss(kind),
+            check=lambda result: np.testing.assert_array_equal(
+                result.buffer("out"), np.arange(2, HOT + 2)
+            ),
+        )
+        for kind in ("awaited-twice", "late-await", "returns")
+    },
+}
+
+
 #: The programs of the table, by name: a run of each on every backend
 #: replays its row.
 RECORDED_PROGRAMS = {
@@ -1278,6 +1418,7 @@ CORPUS = {
     "fir-1-core": _fir(1, None),
     "fir-4-cores": _fir(4, 4),
     "rare-ops": Program(_rare_ops, check=_rare_ops_check),
+    **FORK_JOIN,
 }
 
 

@@ -413,6 +413,25 @@ class TestBoundedProgramCache:
         assert not ids & self._table_keys(cache)
         cache.clear()
 
+    def test_a_program_held_across_clear_is_torn_down_once_let_go(self):
+        """``clear()`` keeps a held program among the evicted: the plans
+        it compiles when simulated afterwards are forgotten at the first
+        teardown after its holder lets go, not pinned until the next
+        ``clear()``."""
+        held, other = self.STRUCTURES[:2]
+        cache = CompileCache()
+        entry = _lookup(cache, held)
+        cache.clear()
+        assert len(cache.evicted) == 1
+        assert _seen(entry.simulate(_inputs(entry, held))) == _cold(held)
+        ids = batch._blocks(entry.module)
+        assert ids & self._table_keys(cache)
+        del entry
+        self._run(cache, other)  # a miss: the teardown
+        assert not cache.evicted
+        assert not ids & self._table_keys(cache)
+        cache.clear()
+
     def test_three_threads_evicting_each_other_stay_bit_identical(self):
         """More threads than cores over more structures than entries,
         switching often: every result equals a cold run, no lookup goes

@@ -1,9 +1,10 @@
 """The launch path as generated code: a launch site's own issue function,
 and bodies that write ``env`` only for a reader.
 
-Issuing a launch is one function per site (``engine.LaunchSite.issue``),
-made from a code object compiled once per capture count: the captures
-are read into locals and the body env is one dict display.  A generated
+Issuing a launch is one function per site (``engine.LaunchSite.issue``;
+a fork–join step's members share one), made from a code object compiled
+once per layout of captures: the captures are read into locals and the
+body env is one dict display.  A generated
 body keeps the values it defines in locals and writes one to ``env``
 only where something reads it there — a step closure, a nested plan
 entered as a plan — or, before a slow path that goes on by replay, the
@@ -20,7 +21,12 @@ with tier-up at the first execution:
 * **the generated issue's fences**: 0, 1 and many captures, a captured
   launch result (the ``Future`` path), a capture found only in the
   engine's env, a capture bound to ``None``, the two errors with their
-  text unchanged, and one ``compile()`` per capture count.
+  text unchanged, and one ``compile()`` per layout of captures;
+* **which launches issue as one fork–join step** (``plan.step_ops``):
+  the systolic step and the corpus's ``fork-join-edges`` step do;
+  ``late-dep`` (the run's first launch is not joined) and the
+  ``fork-join-miss:*`` near misses do not (the backend matrix holds
+  each to the interpreter).
 """
 
 from __future__ import annotations
@@ -40,9 +46,12 @@ from repro.sim import (
     EngineOptions,
     codegen,
     engine,
+    plan,
 )
 from repro.sim.oplib import OpFunction, register_op_function
 from tests.differential import (
+    CORPUS,
+    FORK_JOIN,
     REFERENCE,
     agree,
     empty_program,
@@ -471,3 +480,32 @@ def test_one_compile_per_capture_count(monkeypatch):
     assert len(compiled) == 3
     assert sites[0].issue.__code__ is sites[1].issue.__code__
     assert sites[0].issue.__code__ is not sites[2].issue.__code__
+
+
+def _fork_joins(name):
+    """The fork–join steps of corpus program ``name``, as the labels of
+    their members."""
+    module, _ = CORPUS[name].build()
+    return [
+        [op.get_attr("label") for op in item[:-2]]
+        for op in module.walk()
+        for region in op.regions
+        for block in region.blocks
+        for item in plan.step_ops(block)
+        if type(item) is tuple
+    ]
+
+
+def test_exactly_the_fork_join_steps_fuse():
+    assert _fork_joins("systolic-WS-3x3") == [
+        [f"pe_{r}_{c}" for r in range(3) for c in range(3)]
+    ]
+    assert _fork_joins("fork-join-edges") == [
+        [f"member{k}" for k in range(4)]
+    ]
+    # A run of launches of which only the tail is joined is no step.
+    assert _fork_joins("late-dep") == []
+    misses = [name for name in FORK_JOIN if name.startswith("fork-join-miss:")]
+    assert len(misses) == 3
+    for name in misses:
+        assert _fork_joins(name) == [], name
