@@ -436,7 +436,9 @@ class JobScheduler:
         self._settled = 0
         self._worker: Optional[threading.Thread] = None
         self._watchdog: Optional[threading.Thread] = None
-        self._stopping = False
+        #: Set by stop(): the worker reads it under the lock, and the
+        #: watchdog sleeps on it, so a stop wakes it at once.
+        self._stopping = threading.Event()
         # A scrape-time collector: every counter becomes a dotted metric
         # with no hot-path write.  The name replaces any previous
         # scheduler's collector, so many schedulers never double-count.
@@ -992,10 +994,9 @@ class JobScheduler:
             self._settle(job, error, None, "errors")
 
     def _watchdog_loop(self) -> None:
-        while True:
-            with self._lock:
-                if self._stopping:
-                    return
+        # Not on the lock's condition: every submit and settle notifies
+        # that, and each wake would be one more tick.
+        while not self._stopping.is_set():
             try:
                 self._watchdog_tick(time.monotonic())
             except Exception:  # noqa: BLE001 - the watchdog must survive
@@ -1003,7 +1004,7 @@ class JobScheduler:
                     "scheduler.watchdog_error",
                     traceback=traceback.format_exc(),
                 )
-            time.sleep(WATCHDOG_POLL_S)
+            self._stopping.wait(WATCHDOG_POLL_S)
 
     # -- the background worker -----------------------------------------
 
@@ -1014,7 +1015,7 @@ class JobScheduler:
         with self._lock:
             if self._worker is not None:
                 return
-            self._stopping = False
+            self._stopping.clear()
             self._worker = threading.Thread(
                 target=self._worker_loop, name="equeue-scheduler", daemon=True
             )
@@ -1040,7 +1041,7 @@ class JobScheduler:
         with self._lock:
             worker = self._worker
             watchdog = self._watchdog
-            self._stopping = True
+            self._stopping.set()
             self._lock.notify_all()
         if worker is not None:
             worker.join(timeout)
@@ -1060,9 +1061,9 @@ class JobScheduler:
     def _worker_loop(self) -> None:
         while True:
             with self._lock:
-                while not self._queue and not self._stopping:
+                while not self._queue and not self._stopping.is_set():
                     self._lock.wait()
-                if self._stopping and not self._queue:
+                if self._stopping.is_set() and not self._queue:
                     return
                 if self._worker is not None and (
                     self._worker.ident != threading.get_ident()

@@ -13,6 +13,12 @@ import repro.dialects  # noqa: F401  (register all dialects)
 pytest.register_assert_rewrite("tests.differential")
 
 
+def pytest_configure(config):
+    from tests.idle import IdleClock
+
+    config.pluginmanager.register(IdleClock(), "idle-clock")
+
+
 def conv2d_reference(ifmap: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Direct convolution: the functional ground truth."""
     n, c, fh, fw = weights.shape

@@ -40,6 +40,7 @@ from typing import Callable, NamedTuple, Optional, Union
 import numpy as np
 
 from repro import ir
+from repro.analysis.export import record_line
 from repro.dialects import affine, arith, linalg, memref, scf
 from repro.dialects.equeue import EQueueBuilder
 from repro.dialects.equeue import types as eqt
@@ -93,6 +94,18 @@ HOST_FIELDS = (
     "codegen_fallbacks",
     "codegen_fallback_reasons",
 )
+
+
+def canonical(record) -> str:
+    """A service record's bit-comparison form: its canonical JSON line
+    with the host fields zeroed, at the top and in each sweep point."""
+    record = json.loads(record_line(record))
+    for rec in [record, *(record.get("points") or [])]:
+        summary = rec.get("summary") or {}
+        for field in HOST_FIELDS:
+            if field in summary:
+                summary[field] = 0
+    return record_line(record)
 
 
 # ---------------------------------------------------------------------------

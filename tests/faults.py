@@ -19,7 +19,8 @@ pointed at the serving stack).  The product keeps one hook,
   minimal fault set, and that is the plan the chaos suite dumps.
 * **A launcher.**  ``python -m tests.faults PLAN.json -- <equeue-serve
   args>`` installs a plan and runs the server's ``main`` — how a kill-9
-  test arms ``server.crash`` in a subprocess server.
+  test arms ``server.crash`` in a subprocess server.  SIGUSR1 releases
+  the plan's stalls there.
 """
 
 from __future__ import annotations
@@ -33,7 +34,8 @@ import threading
 import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from types import SimpleNamespace
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
@@ -107,8 +109,8 @@ class Fault:
     the right choice for ``match``-targeted poison faults, which must
     keep crashing their job however often it runs).  ``match``
     restricts firing to traversals whose context contains it (and then
-    ``after`` counts matching traversals).  ``delay_s`` is the stall
-    length for ``slow``.
+    ``after`` counts matching traversals).  ``delay_s`` is the longest
+    a ``slow`` fault stalls: its plan's release ends the stall sooner.
     """
 
     site: str
@@ -160,6 +162,11 @@ class FaultPlan:
         #: firing order, so a post-mortem can join fired faults against
         #: service logs and WAL records.
         self.fired: List[Tuple[str, str, Optional[str], Optional[str]]] = []
+        #: Set at uninstall: a stall still running then ends.
+        self.released = threading.Event()
+        #: A ``slow`` fault's stall, given its ``delay_s``; a test may
+        #: put it on its own clock.
+        self.stall = self.released.wait
 
     @classmethod
     def from_dict(cls, payload: Dict) -> "FaultPlan":
@@ -180,6 +187,16 @@ class FaultPlan:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
+
+    def stalled_s(self) -> float:
+        """The delay of every stall begun so far, in any process: each
+        claimed a budget ticket in ``state_dir``."""
+        tickets = os.listdir(self.state_dir) if os.path.isdir(self.state_dir) else []
+        return sum(
+            fault.delay_s * sum(t.startswith(f"{self.name}-fault{i}-") for t in tickets)
+            for i, fault in enumerate(self.faults)
+            if fault.action == "slow"
+        )
 
     def _consume_budget(self, index: int, fault: Fault) -> bool:
         """Spend one firing of ``fault`` (under the plan lock)."""
@@ -206,7 +223,7 @@ class FaultPlan:
         """Traverse ``site``: act on the first armed matching fault.
 
         Returns ``payload`` (bit-flipped by ``corrupt``); raises, stalls
-        or kills for the other actions.  Sleeping happens outside the
+        or kills for the other actions.  A stall happens outside the
         plan lock so a stalled job never blocks other hooks.
         """
         action = None
@@ -237,7 +254,7 @@ class FaultPlan:
         if action in (None, "corrupt"):
             return payload
         if action == "slow":
-            time.sleep(fault.delay_s)
+            self.stall(fault.delay_s)
             return payload
         if action == "io-error":
             raise InjectedIOError(f"injected I/O fault at {site}")
@@ -285,12 +302,28 @@ def clear() -> None:
 @contextmanager
 def injected(plan: FaultPlan):
     """``with injected(plan): ...`` — armed for the block, always
-    disarmed on exit."""
+    disarmed and released on exit."""
     install(plan)
     try:
         yield plan
     finally:
         clear()
+        plan.released.set()
+
+
+@contextmanager
+def stall_clock(stalled_s: Callable[[], float]):
+    """The sweep runner's chunk deadlines read ``time.monotonic()`` plus
+    ``stalled_s()`` for the block: a stall overruns its round's deadline
+    when the next chunk lands, not a deadline later."""
+    from repro.sim import batch
+
+    real = batch.time
+    batch.time = SimpleNamespace(monotonic=lambda: time.monotonic() + stalled_s())
+    try:
+        yield
+    finally:
+        batch.time = real
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +438,9 @@ if __name__ == "__main__":
     if separator != "--":
         raise SystemExit(__doc__)
     with open(plan_path, encoding="utf-8") as handle:
-        install(FaultPlan.from_dict(json.load(handle)))
+        plan = FaultPlan.from_dict(json.load(handle))
+    install(plan)
+    signal.signal(signal.SIGUSR1, lambda signum, frame: plan.released.set())
     from repro.service import server
 
     raise SystemExit(server.main(server_args))

@@ -31,7 +31,7 @@ from repro.scenarios.sweep import (
 from repro.sim.batch import ResilienceStats
 from repro.sim.journal import JournalError, load_journal
 from tests.faults import SWEEP_KINDS, Fault, FaultPlan, injected, sweep_plans
-from tests.faults import derandomized
+from tests.faults import derandomized, stall_clock
 
 
 def _canonical(points):
@@ -106,7 +106,7 @@ POINTS = scenario_grid("gemm").count()
 def _check_sweep_plan(plan, grid, reference):
     with tempfile.TemporaryDirectory() as state:
         plan.state_dir = state  # fresh tickets for every drawn plan
-        with injected(plan):
+        with injected(plan), stall_clock(plan.stalled_s):
             points = run_scenario_sweep(
                 grid, jobs=2, chunk_deadline_s=1.0  # below every stall's delay
             )
@@ -141,7 +141,7 @@ class TestSweepChaos:
             ],
             state_dir=str(tmp_path / "faults"),
         )
-        with injected(plan):
+        with injected(plan), stall_clock(plan.stalled_s):
             points = run_scenario_sweep(
                 grid, jobs=2, journal=journal, chunk_deadline_s=1.0
             )

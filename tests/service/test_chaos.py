@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-import threading
+import time
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -28,14 +28,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.export import record_line
 from repro.scenarios import scenario_grid
 from repro.scenarios.sweep import run_scenario_sweep
 from repro.service import JobRequest, JobScheduler, ServiceClient, ServiceError
-from repro.service import scheduler as scheduler_module
-from repro.service.server import make_server
-from tests.differential import HOST_FIELDS
+from tests.differential import canonical
 from tests.faults import CHAOS_PAIRS, FaultPlan, chaos_plans, derandomized, injected
+from tests.serving import live_server, url_of
 
 #: The deterministic request mix every plan runs (spec, config, seed) —
 #: fast scenarios only, so a 24-plan campaign stays tier-1 viable.
@@ -58,17 +56,6 @@ POISON_CONTEXTS = sorted(
 #: clean deadline failure instead of a slow pass.
 DEADLINE_S = 0.2
 SLOW_DELAY_S = 0.35
-
-
-def canonical(record):
-    """The bit-comparison form of a record: its canonical JSON line with
-    the host-measurement fields zeroed."""
-    record = json.loads(record_line(record))
-    summary = record.get("summary", {})
-    for field in HOST_FIELDS:
-        if field in summary:
-            summary[field] = 0
-    return record_line(record)
 
 
 @pytest.fixture(scope="module")
@@ -97,37 +84,13 @@ def references():
     return lines
 
 
-@pytest.fixture(autouse=True, scope="module")
-def fast_watchdog():
-    """A deadline failure lands within 20 ms of its budget."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(scheduler_module, "WATCHDOG_POLL_S", 0.02)
-        yield
-
-
 @contextmanager
 def chaos_server(tmp_path):
-    server = make_server(
-        host="127.0.0.1",
-        port=0,
-        store_path=str(tmp_path / "store"),
-        max_queue=64,
-        deadline_s=DEADLINE_S,
-    )
-    server.scheduler.start()
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    host, port = server.server_address[:2]
-    client = ServiceClient(
-        f"http://{host}:{port}", timeout=30.0, retries=3, backoff_s=0.05
-    )
-    try:
+    with live_server(
+        store_path=str(tmp_path / "store"), max_queue=64, deadline_s=DEADLINE_S
+    ) as server:
+        client = ServiceClient(url_of(server), timeout=30.0, retries=3, backoff_s=0.05)
         yield client, server
-    finally:
-        server.shutdown()
-        server.scheduler.stop(timeout=10)
-        server.server_close()
-        thread.join(timeout=30)
 
 
 def _dump_failing_plan(plan, error):
@@ -185,6 +148,11 @@ def _check_plan(plan, references):
 def _run_plan(plan, tmp_path, references):
     completed = 0
     with chaos_server(tmp_path) as (client, server):
+        # A stall is the watchdog pass at the moment it would end: the
+        # deadline failure it causes, without waiting out its delay.
+        plan.stall = lambda delay_s: server.scheduler._watchdog_tick(
+            time.monotonic() + delay_s
+        )
         with injected(plan):
             # Two passes over the mix: the second pass rides coalescing
             # and warm store reads straight through the injected faults.
@@ -223,21 +191,11 @@ def _run_plan(plan, tmp_path, references):
 def test_overload_degrades_to_clean_429_503_only(tmp_path, references):
     """A hammered, tightly-bounded server: every response is either a
     correct completion or a clean 429/503 — nothing else, nothing wrong."""
-    server = make_server(
-        host="127.0.0.1",
-        port=0,
-        store_path=str(tmp_path / "store"),
-        max_queue=2,
-        rate_limit=50.0,
-        rate_burst=4,
-    )
-    server.scheduler.start()
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    host, port = server.server_address[:2]
-    client = ServiceClient(f"http://{host}:{port}", timeout=30.0, retries=1)
     outcomes = {"done": 0, 429: 0, 503: 0}
-    try:
+    with live_server(
+        store_path=str(tmp_path / "store"), max_queue=2, rate_limit=50.0, rate_burst=4
+    ) as server:
+        client = ServiceClient(url_of(server), timeout=30.0, retries=1)
         for burst in range(8):
             for spec, config, seed in REQUESTS:
                 try:
@@ -261,11 +219,6 @@ def test_overload_degrades_to_clean_429_503_only(tmp_path, references):
             f"8x the mix against queue=2/burst=4 must overload: {outcomes}"
         )
         assert client.healthz()["status"] == "ok"
-    finally:
-        server.shutdown()
-        server.scheduler.stop(timeout=10)
-        server.server_close()
-        thread.join(timeout=30)
 
 
 @settings(max_examples=10, deadline=None)

@@ -23,13 +23,13 @@ import email.parser
 import json
 import os
 import socket
-import threading
 from collections import Counter
 
 from repro.obs import logs as obs_logs
 from repro.service import JobRequest, ServiceClient
 from repro.service import request as request_module
 from repro.service.server import make_server
+from tests.serving import serving, url_of
 
 SCENARIO = "gemm:m=4,k=8,n=4,tile_k=4"
 HITS = 50
@@ -64,13 +64,10 @@ def test_fifty_hits_cost_fifty_of_each(tmp_path, monkeypatch):
     wal_path = server.scheduler.wal.path
     wal_before = wal_path.stat().st_size
     server.scheduler.start()
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    host, port = server.server_address[:2]
     counts: Counter = Counter()
     connections = server.connections.value  # a process-wide counter
     try:
-        with ServiceClient(f"http://{host}:{port}", timeout=60.0) as client:
+        with serving(server), ServiceClient(url_of(server), timeout=60.0) as client:
             cycles = client.run(SCENARIO, wait=120.0)["record"]["cycles"]
             assert cycles == cold.record["cycles"]
             appends_before = appends(client.stats())
@@ -102,10 +99,6 @@ def test_fifty_hits_cost_fifty_of_each(tmp_path, monkeypatch):
             assert wal_path.stat().st_size == wal_before
     finally:
         obs_logs.configure_logging()
-        server.shutdown()
-        server.scheduler.stop()
-        server.server_close()
-        thread.join(timeout=30)
     assert dict(counts) == {
         "blob_open": HITS,
         "sendall": 2 * HITS,  # one per side

@@ -17,7 +17,6 @@ from __future__ import annotations
 import json
 import re
 import socket
-import threading
 import time
 from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -26,6 +25,7 @@ import pytest
 
 from repro.service import ServiceClient, ServiceError
 from repro.service.server import make_server
+from tests.serving import serving, url_of
 
 # -- requests: the real server beside a stdlib reference ------------------------
 
@@ -35,6 +35,7 @@ class ReferenceHandler(BaseHTTPRequestHandler):
     200 to whatever it accepts, the body read by ``Content-Length``."""
 
     protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True  # its body write waits no delayed ACK
 
     def do_GET(self):  # noqa: N802 - stdlib casing
         self.rfile.read(int(self.headers.get("Content-Length") or 0))
@@ -47,27 +48,12 @@ class ReferenceHandler(BaseHTTPRequestHandler):
         pass
 
 
-@contextmanager
-def serving(server):
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    try:
-        yield server
-    finally:
-        server.shutdown()
-        server.server_close()
-        thread.join(timeout=30)
-        assert not thread.is_alive()
-
-
 @pytest.fixture(scope="module")
 def servers():
     real = make_server(host="127.0.0.1", port=0)
     reference = ThreadingHTTPServer(("127.0.0.1", 0), ReferenceHandler)
-    reference.daemon_threads = True
     with serving(real), serving(reference):
         yield real, reference
-    real.scheduler.stop()
 
 
 def read_response(reader):
@@ -259,6 +245,7 @@ class StubHandler(BaseHTTPRequestHandler):
     first.  Requests are parsed by the stdlib and recorded."""
 
     protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True
 
     def do_GET(self):  # noqa: N802 - stdlib casing
         body = self.rfile.read(int(self.headers.get("Content-Length") or 0))
@@ -291,12 +278,10 @@ def ok(body: bytes = b'{"ok": true}', *headers: str) -> bytes:
 @contextmanager
 def stub(*script, **client_kwargs):
     server = ThreadingHTTPServer(("127.0.0.1", 0), StubHandler)
-    server.daemon_threads = True
     server.script, server.seen = script, []
     with serving(server):
-        host, port = server.server_address[:2]
         kwargs = {"timeout": 10.0, "retries": 1, "backoff_s": 0.01, **client_kwargs}
-        with ServiceClient(f"http://{host}:{port}", **kwargs) as client:
+        with ServiceClient(url_of(server), **kwargs) as client:
             yield client, server
 
 

@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import io
 import json
-import threading
 from urllib.request import urlopen
 
 import pytest
@@ -17,7 +16,7 @@ from repro.obs import metrics as obs_metrics
 from repro.obs.metrics import parse_metrics
 from repro.service import ServiceClient
 from repro.service.scheduler import STATS_SCHEMA
-from repro.service.server import make_server
+from tests.serving import live_server, url_of
 
 #: Flattened /stats keys (and, dots-to-underscores, /metrics samples)
 #: that form the stable scrape contract; removing any is a breaking
@@ -56,21 +55,8 @@ GOLDEN_FLAT_KEYS = (
 
 @pytest.fixture
 def service(tmp_path):
-    server = make_server(
-        host="127.0.0.1", port=0, store_path=str(tmp_path / "store")
-    )
-    server.scheduler.start()
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    host, port = server.server_address[:2]
-    client = ServiceClient(f"http://{host}:{port}", timeout=60.0)
-    try:
-        yield client, f"http://{host}:{port}"
-    finally:
-        server.shutdown()
-        server.scheduler.stop()
-        server.server_close()
-        thread.join(timeout=30)
+    with live_server(store_path=str(tmp_path / "store")) as server:
+        yield ServiceClient(url_of(server), timeout=60.0), url_of(server)
 
 
 def scrape(base_url):
@@ -191,15 +177,8 @@ class TestRequestIds:
         assert warm["record"] == cold["record"]
 
     def test_request_id_lands_in_wal(self, tmp_path):
-        server = make_server(
-            host="127.0.0.1", port=0, state_dir=str(tmp_path / "state")
-        )
-        server.scheduler.start()
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        host, port = server.server_address[:2]
-        client = ServiceClient(f"http://{host}:{port}", timeout=60.0)
-        try:
+        with live_server(state_dir=str(tmp_path / "state")) as server:
+            client = ServiceClient(url_of(server), timeout=60.0)
             from repro.sim.linecodec import scan_lines
 
             job = client.run("mesh:rows=2,cols=2", wait=120.0)
@@ -213,11 +192,6 @@ class TestRequestIds:
             ]
             assert admitted, f"no admitted WAL record for {job['id']}"
             assert admitted[0]["request_id"] == job["request_id"]
-        finally:
-            server.shutdown()
-            server.scheduler.stop()
-            server.server_close()
-            thread.join(timeout=30)
 
 
 class TestAccessLog:

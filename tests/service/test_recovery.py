@@ -8,21 +8,18 @@ for anything that reached the store before the crash."""
 
 from __future__ import annotations
 
-import json
 import os
 import signal
 import socket
 import subprocess
 import sys
 import threading
-import time
 from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 
-from repro.analysis.export import record_line
 from repro.service import (
     JobRequest,
     JobScheduler,
@@ -32,47 +29,17 @@ from repro.service import (
     Supervisor,
 )
 from repro.service.scheduler import request_store_key
-from repro.service.server import make_server
 from repro.service.wal import AdmissionWAL, load_wal
-from tests.differential import HOST_FIELDS
+from tests.differential import canonical
 from tests.faults import Fault, FaultPlan, chaos_plans, injected
-
-
-def canonical(record):
-    """A record's bit-comparison form: canonical JSON line with host
-    fields zeroed — top level and inside each sweep point."""
-    record = json.loads(record_line(record))
-
-    def zero(rec):
-        summary = rec.get("summary") or {}
-        for field in HOST_FIELDS:
-            if field in summary:
-                summary[field] = 0
-
-    zero(record)
-    for point in record.get("points") or []:
-        zero(point)
-    return record_line(record)
+from tests.serving import live_server, url_of, wait_until
 
 
 @contextmanager
 def durable_service(state_dir, **kwargs):
     """An in-thread server in durable (``state_dir``) mode."""
-    server = make_server(
-        host="127.0.0.1", port=0, state_dir=str(state_dir), **kwargs
-    )
-    server.scheduler.start()
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    host, port = server.server_address[:2]
-    client = ServiceClient(f"http://{host}:{port}", timeout=60.0)
-    try:
-        yield client, server
-    finally:
-        server.shutdown()
-        server.scheduler.stop()
-        server.server_close()
-        thread.join(timeout=30)
+    with live_server(state_dir=str(state_dir), **kwargs) as server:
+        yield ServiceClient(url_of(server), timeout=60.0), server
 
 
 class TestInProcessRecovery:
@@ -290,14 +257,11 @@ def _submit_workload(client, wait_all: bool):
     sweep = client.submit_sweep("gemm:k=32", sample=SWEEP_SAMPLE)
     # Wait until the sweep is genuinely executing (points_total set),
     # so the singles below are *queued behind it* when the kill lands.
-    deadline = time.monotonic() + 120
-    while True:
+    def executing():
         progress = client.job(sweep["id"]).get("progress") or {}
-        if progress.get("points_total") is not None:
-            break
-        if time.monotonic() > deadline:  # pragma: no cover - hang guard
-            raise AssertionError("sweep never started executing")
-        time.sleep(0.02)
+        return progress.get("points_total") is not None
+
+    assert wait_until(executing, timeout=120), "sweep never started executing"
     queued_a = client.submit("fir", seed=1)
     queued_b = client.submit("fir", seed=2)
     ids = [done["id"], sweep["id"], queued_a["id"], queued_b["id"]]
@@ -334,7 +298,8 @@ class TestKillNineRecovery:
         # kill arms on the Nth matching delivery; until then the slow
         # fault stalls every delivery, holding the crash window open so
         # the singles below are deterministically still queued when the
-        # SIGKILL lands (simulation points run in milliseconds).
+        # SIGKILL lands (simulation points run in milliseconds).  Once
+        # they are, SIGUSR1 releases the stalls.
         plan = FaultPlan(
             [
                 Fault(
@@ -364,6 +329,7 @@ class TestKillNineRecovery:
         try:
             client = ServiceClient(url, timeout=120.0)
             ids = _submit_workload(client, wait_all=False)
+            proc.send_signal(signal.SIGUSR1)
             # The injected kill -9: the server dies mid-sweep with the
             # two singles still queued.
             assert proc.wait(timeout=300) == -signal.SIGKILL

@@ -33,6 +33,7 @@ from repro.service import JobRequest, JobScheduler, ResultStore
 from repro.service.scheduler import RequestError, SweepRequest
 from repro.sim import ExecutionMode, resolve_execution_mode
 from tests import faults
+from tests.serving import wait_until
 
 
 class TestJobRequest:
@@ -373,6 +374,17 @@ class TestScheduling:
         finally:
             scheduler.stop()
 
+    def test_stop_wakes_the_watchdog(self, monkeypatch):
+        monkeypatch.setattr(scheduler_module, "WATCHDOG_POLL_S", 5.0)
+        scheduler = JobScheduler(store=None)
+        ticked = threading.Event()
+        scheduler._watchdog_tick = lambda now: ticked.set()
+        scheduler.start()
+        assert ticked.wait(timeout=10)  # its 5 s wait comes next
+        began = time.perf_counter()
+        scheduler.stop()
+        assert time.perf_counter() - began < 1.0
+
     def test_concurrent_submitters_share_one_record(self, tmp_path):
         scheduler = JobScheduler(store=ResultStore(tmp_path))
         request = JobRequest.make("gemm")
@@ -602,12 +614,6 @@ class TestRobustness:
             return run(jobs)
 
         scheduler._run = recording
-
-        def wait_until(predicate):
-            deadline = time.monotonic() + 10
-            while not predicate() and time.monotonic() < deadline:
-                time.sleep(0.01)
-
         scheduler.start()
         wedged = scheduler._worker
         try:

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import subprocess
 import sys
-import threading
+import time
 from contextlib import contextmanager
 
 import pytest
@@ -14,26 +14,14 @@ import pytest
 from repro.scenarios import scenario_names
 from repro.service import ServiceClient, ServiceError
 from repro.service.server import main, make_server
+from tests.serving import live_server, serving, url_of
 
 
 @pytest.fixture
 def service(tmp_path):
     """A live server on an ephemeral port, with a persistent store."""
-    server = make_server(
-        host="127.0.0.1", port=0, store_path=str(tmp_path / "store")
-    )
-    server.scheduler.start()
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    host, port = server.server_address[:2]
-    client = ServiceClient(f"http://{host}:{port}", timeout=60.0)
-    try:
-        yield client, server
-    finally:
-        server.shutdown()
-        server.scheduler.stop()
-        server.server_close()
-        thread.join(timeout=30)
+    with live_server(store_path=str(tmp_path / "store")) as server:
+        yield ServiceClient(url_of(server), timeout=60.0), server
 
 
 class TestAPI:
@@ -158,18 +146,8 @@ class TestAPI:
 def overload_server(**kwargs):
     """A live server with admission-control knobs and the worker NOT
     started — queued jobs stay queued, so overload is deterministic."""
-    server = make_server(host="127.0.0.1", port=0, **kwargs)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    host, port = server.server_address[:2]
-    client = ServiceClient(f"http://{host}:{port}", timeout=30.0, retries=1)
-    try:
-        yield client, server
-    finally:
-        server.shutdown()
-        server.scheduler.stop()
-        server.server_close()
-        thread.join(timeout=30)
+    with live_server(start_worker=False, **kwargs) as server:
+        yield ServiceClient(url_of(server), timeout=30.0, retries=1), server
 
 
 class TestOverload:
@@ -314,6 +292,23 @@ class TestClientRetry:
         with pytest.raises(ServiceError) as info:
             client.result("job-1")
         assert info.value.status == 504
+
+
+class TestStop:
+    def test_an_idle_loop_spends_no_cpu_and_stops_at_once(self):
+        server = make_server()
+        with serving(server) as thread:
+            with ServiceClient(url_of(server), timeout=10.0) as client:
+                client.healthz()  # the loop is serving
+            clock = time.pthread_getcpuclockid(thread.ident)
+            spent = time.clock_gettime(clock)
+            time.sleep(1.0)
+            spent = time.clock_gettime(clock) - spent
+            began = time.perf_counter()
+            server.shutdown()
+            stopped = time.perf_counter() - began
+        assert spent < 0.001  # a 50 ms poll loop spends about 2 ms a second
+        assert stopped < 0.1  # the stdlib's loop notices at its 0.5 s poll
 
 
 class TestSmoke:

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import threading
-
 import pytest
 
 from repro.service import (
@@ -15,9 +13,9 @@ from repro.service import (
     SweepRequest,
 )
 from repro.service.scheduler import RequestError, request_store_key
-from repro.service.server import make_server
 from tests.differential import HOST_FIELDS
 from tests.faults import Fault, FaultPlan, injected
+from tests.serving import live_server, url_of
 
 
 @pytest.fixture
@@ -159,21 +157,8 @@ class TestSchedulerSweeps:
 
 @pytest.fixture
 def service(tmp_path):
-    server = make_server(
-        host="127.0.0.1", port=0, store_path=str(tmp_path / "store")
-    )
-    server.scheduler.start()
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    host, port = server.server_address[:2]
-    client = ServiceClient(f"http://{host}:{port}", timeout=60.0)
-    try:
-        yield client, server
-    finally:
-        server.shutdown()
-        server.scheduler.stop()
-        server.server_close()
-        thread.join(timeout=30)
+    with live_server(store_path=str(tmp_path / "store")) as server:
+        yield ServiceClient(url_of(server), timeout=60.0), server
 
 
 class TestSweepAPI:

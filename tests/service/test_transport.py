@@ -23,41 +23,9 @@ import pytest
 
 from repro.service import ServiceClient, ServiceError
 from repro.service.server import ServiceHandler, make_server
+from tests.serving import live_server, serving, url_of, wait_until
 
 SCENARIO = "gemm:m=4,k=8,n=4,tile_k=4"
-
-
-@contextmanager
-def live_server(port: int = 0, start_worker: bool = True, **kwargs):
-    server = make_server(host="127.0.0.1", port=port, **kwargs)
-    if start_worker:
-        server.scheduler.start()
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    try:
-        yield server
-    finally:
-        server.shutdown()
-        server.scheduler.stop()
-        server.server_close()
-        thread.join(timeout=30)
-        assert not thread.is_alive()
-
-
-def url_of(server) -> str:
-    host, port = server.server_address[:2]
-    return f"http://{host}:{port}"
-
-
-def wait_until(predicate, timeout: float = 10.0) -> bool:
-    """Bounded poll (server-side bookkeeping trails the client by a
-    thread switch)."""
-    deadline = time.monotonic() + timeout
-    while not predicate():
-        if time.monotonic() >= deadline:
-            return False
-        time.sleep(0.005)
-    return True
 
 
 def open_connections(server) -> int:
@@ -182,13 +150,15 @@ class TestRequestFraming:
                 assert headers["connection"] == "close"
                 assert sock.recv(1) == b""  # server hung up
 
-    def test_shutdown_reads_its_body_and_closes(self):
-        server = make_server(host="127.0.0.1", port=0)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        try:
+    def test_shutdown_reads_its_body_and_closes(self, monkeypatch):
+        server = make_server()
+        started, start = [], threading.Thread.start
+        with serving(server) as thread:
+            monkeypatch.setattr(
+                threading.Thread, "start", lambda t: started.append(t.name) or start(t)
+            )
+            began = time.perf_counter()
             with socket.create_connection(server.server_address[:2], 10) as sock:
-                sock.settimeout(10)
                 status, headers, body = exchange(
                     sock, with_body("POST /shutdown", b"{}")
                 )
@@ -197,9 +167,9 @@ class TestRequestFraming:
                 assert headers["connection"] == "close"
             thread.join(timeout=30)
             assert not thread.is_alive()
-        finally:
-            server.scheduler.stop()
-            server.server_close()
+            assert time.perf_counter() - began < 0.2  # no poll waited out
+        # The connection's handler, and no thread to stop the loop.
+        assert len(started) == 1 and "process_request_thread" in started[0]
 
 
 class TestConnectionLifetime:

@@ -19,8 +19,6 @@ from __future__ import annotations
 import hashlib
 import json
 import socket
-import threading
-from contextlib import contextmanager
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -28,7 +26,7 @@ from hypothesis import strategies as st
 
 from repro.service import JobRequest
 from repro.service.scheduler import request_store_key
-from repro.service.server import make_server
+from tests.serving import live_server
 
 #: The harness's BASE_STRUCTURES (benchmarks/perf/workloads.py), small.
 STRUCTURES = [
@@ -41,23 +39,6 @@ STRUCTURES = [
     ("systolic", {}),
     ("pipeline", {}),
 ]
-
-
-@contextmanager
-def live_server(state_dir, start_worker=True):
-    server = make_server(host="127.0.0.1", port=0, state_dir=str(state_dir))
-    if start_worker:
-        server.scheduler.start()
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    try:
-        yield server
-    finally:
-        server.shutdown()
-        server.scheduler.stop()
-        server.server_close()
-        thread.join(timeout=30)
-        server.scheduler.wal.close()
 
 
 def exchange(server, method: str, path: str, payload=None):
@@ -91,7 +72,7 @@ def blob_line(server, key: str) -> bytes:
 
 @pytest.fixture(scope="module")
 def service(tmp_path_factory):
-    with live_server(tmp_path_factory.mktemp("state")) as server:
+    with live_server(state_dir=tmp_path_factory.mktemp("state")) as server:
         yield server
 
 
@@ -130,7 +111,7 @@ def test_every_way_a_job_reaches_a_client(service, name, config, seed):
 
 def test_a_coalesced_waiter_and_a_resurrected_id(tmp_path):
     submit = {"scenario": "fir", "seed": 21}
-    with live_server(tmp_path, start_worker=False) as first:
+    with live_server(start_worker=False, state_dir=tmp_path) as first:
         status, queued = exchange(first, "POST", "/jobs", submit)
         assert status == 202
         status, raw = exchange(first, "POST", "/jobs", submit)
@@ -142,7 +123,7 @@ def test_a_coalesced_waiter_and_a_resurrected_id(tmp_path):
         status, raw = exchange(first, "GET", f"/jobs/{job.id}")
         assert status == 200 and json.loads(raw) == {"job": job.to_dict()}
         record = job.record
-    with live_server(tmp_path) as second:
+    with live_server(state_dir=tmp_path) as second:
         assert second.scheduler.job(job.id) is not None
         assert job.id not in second.scheduler._jobs  # held by the WAL alone
         status, raw = exchange(second, "GET", f"/jobs/{job.id}")
@@ -175,7 +156,7 @@ def framed(line: str) -> str:
 )
 def test_a_damaged_blob_is_never_spliced(tmp_path, damage):
     submit = {"scenario": "fir", "seed": 34, "wait": 120}
-    with live_server(tmp_path) as server:
+    with live_server(state_dir=tmp_path) as server:
         status, raw = exchange(server, "POST", "/jobs", submit)
         good = json.loads(raw)["job"]
         assert status == 200 and good["source"] == "simulated"

@@ -28,6 +28,7 @@ from repro.sim.batch import (
     SweepInterrupted,
     SweepRunner,
 )
+from tests.faults import stall_clock
 
 
 def _claim(token: str) -> bool:
@@ -167,10 +168,13 @@ class TestCrashRecovery:
 
 class TestChunkDeadline:
     def test_transient_stall_recovers(self, tmp_path):
-        items = _items(8, [(4, "stall-once", str(tmp_path / "stall"))])
+        stall = str(tmp_path / "stall")
+        items = _items(8, [(4, "stall-once", stall)])
         runner = SweepRunner(jobs=2, chunk_size=2, chunk_deadline_s=1.0)
         started = time.monotonic()
-        assert runner.map(_evaluate, items) == [i * 3 for i in range(8)]
+        # The deadline's clock runs the 20 s on once the stall begins.
+        with stall_clock(lambda: 20.0 * os.path.exists(stall)):
+            assert runner.map(_evaluate, items) == [i * 3 for i in range(8)]
         assert time.monotonic() - started < 15.0  # never waited the 20s out
         assert runner.resilience.deadline_timeouts >= 1
         assert runner.resilience.pool_rebuilds >= 1

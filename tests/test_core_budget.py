@@ -64,7 +64,10 @@ a job's deadline rides on the job, so the watchdog walks the drains and
 ``_active``/``_watch``/``_unwatch`` go; a job's outcome has one lock;
 recovery indexes terminal WAL records as read, and its summary reads
 the counters; submit and replay queue through one ``_enqueue``; and a
-submit coalesces in one place.  ``src/`` as a whole −26.
+submit coalesces in one place.  ``src/`` as a whole −26.  1 084 once
+a stop wakes the watchdog (``scheduler.py`` −3: the stop flag is an
+event the worker reads and the watchdog sleeps on, in place of a flag
+checked under the lock and a plain sleep).
 """
 
 from __future__ import annotations
@@ -82,7 +85,7 @@ LIFECYCLE = (
     "service/scheduler.py", "service/wal.py", "sim/journal.py",
     "sim/linecodec.py",
 )
-LIFECYCLE_BUDGET = 1087
+LIFECYCLE_BUDGET = 1084
 #: How far under the budget the count may sit before the budget has to
 #: follow it down.
 SLACK = 40
