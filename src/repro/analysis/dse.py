@@ -12,7 +12,8 @@ Sweeps scale along two axes (see :mod:`repro.sim.batch`): ``jobs=N``
 shards the points across a process pool with deterministic, bit-identical
 merging, and the process's compile cache (on by default for ``jobs != 1``)
 reuses built modules and compiled block plans between structurally
-identical points.  Execution, journaling and resume are
+identical points (with ``reuse_results``, the DES results too, memoized
+on the programs).  Execution, journaling and resume are
 :func:`repro.sim.batch.journaled_sweep`, the driver scenario sweeps use.
 """
 
@@ -32,6 +33,7 @@ from ..generators.systolic import (
 from ..scenarios.sweep import ScenarioGrid, run_scenario_sweep
 from ..sim import simulate
 from ..sim.batch import (
+    CachedProgram,
     ResilienceStats,
     SweepRunner,
     deterministic_conv_inputs,
@@ -139,22 +141,32 @@ def evaluate_point(
             peak_write_bw_x_portion=peak,
             simulated=False,
         )
-    ifmap, weights = deterministic_conv_inputs(cfg.dims, seed)
-    if compile_cache:
-        cached = process_compile_cache().lookup(
-            ("systolic",) + structural_signature(cfg),
-            lambda: build_systolic_program(cfg),
-        )
-        inputs = SystolicProgram(cached.module, cfg).prepare_inputs(
-            ifmap, weights
-        )
-        started = time.perf_counter()
-        result = cached.simulate(inputs)
-    else:
+    return _measure(cfg, seed, _cached_program(cfg) if compile_cache else None)
+
+
+def _cached_program(cfg: SystolicConfig) -> CachedProgram:
+    """This process's cached program for ``cfg``'s structure."""
+    return process_compile_cache().lookup(
+        ("systolic",) + structural_signature(cfg),
+        lambda: build_systolic_program(cfg),
+    )
+
+
+def _measure(
+    cfg: SystolicConfig, seed: int, cached: Optional[CachedProgram]
+) -> DSEPoint:
+    """One DES measurement: on ``cached``'s program, or on a cold build
+    when it is ``None``."""
+    if cached is None:
         program = build_systolic_program(cfg)
-        inputs = program.prepare_inputs(ifmap, weights)
-        started = time.perf_counter()
+    else:
+        program = SystolicProgram(cached.module, cfg)
+    inputs = program.prepare_inputs(*deterministic_conv_inputs(cfg.dims, seed))
+    started = time.perf_counter()
+    if cached is None:
         result = simulate(program.module, inputs=inputs)
+    else:
+        result = cached.simulate(inputs)
     elapsed = time.perf_counter() - started
     ofmap_report = result.summary.memory_named("ofmap_mem")
     peak = ofmap_report.avg_write_bandwidth if ofmap_report else 0.0
@@ -168,19 +180,14 @@ def evaluate_point(
     )
 
 
-#: Process-wide DES measurement memo for structural result reuse, keyed
-#: by (structural signature, seed).  See :func:`_sweep_worker`.
-_DES_RESULT_CACHE: Dict[Tuple, DSEPoint] = {}
-
-
 def clear_sweep_caches() -> None:
-    """Drop this process's DES result memo and its (one) compile cache
-    — scenario programs included.
+    """Return this process to cold: drop its one compile cache — the
+    programs of DSE points, scenario sweeps and service jobs, their
+    plans, and the DES results memoized on them.
 
     Benchmarks use this to measure cold behaviour; note it cannot reach
     caches already inherited by live worker processes.
     """
-    _DES_RESULT_CACHE.clear()
     process_compile_cache().clear()
 
 
@@ -191,9 +198,11 @@ def _sweep_worker(payload: Tuple) -> DSEPoint:
     signature: the generated module — and therefore every timing-visible
     quantity the sweep records (cycles, loop iterations, ofmap traffic,
     bandwidth) — depends only on the signature, while the per-point conv
-    data never influences timing in the systolic model.  The first point
-    of each structure runs the full DES; replicas copy its measurements
-    under their own config.  ``tests/analysis/test_parallel_sweep.py``
+    data never influences timing in the systolic model.  Each point looks
+    its program up once; the first of each structure runs the full DES
+    and keeps it on the program by seed (``CachedProgram.measured``:
+    bounded by the cache, gone with the program), and replicas copy its
+    measurements under their own config.  ``tests/analysis/test_parallel_sweep.py``
     holds replicas bit-identical to individually simulated points.
     """
     cfg, use_des, seed, compile_cache, reuse_results = payload
@@ -201,13 +210,10 @@ def _sweep_worker(payload: Tuple) -> DSEPoint:
         return evaluate_point(
             cfg, use_des=use_des, seed=seed, compile_cache=compile_cache
         )
-    key = (structural_signature(cfg), seed)
-    representative = _DES_RESULT_CACHE.get(key)
+    cached = _cached_program(cfg)
+    representative = cached.measured.get(seed)
     if representative is None:
-        representative = evaluate_point(
-            cfg, use_des=True, seed=seed, compile_cache=compile_cache
-        )
-        _DES_RESULT_CACHE[key] = representative
+        representative = cached.measured[seed] = _measure(cfg, seed, cached)
         return representative
     return DSEPoint(
         config=cfg,
@@ -317,7 +323,9 @@ def run_sweep(
     points (``None`` = on for the batch runner, off for the reference
     loop; see :func:`evaluate_point`).
     ``reuse_results``: memoize whole DES measurements per structural
-    signature (``None`` = same policy; see :func:`_sweep_worker`).
+    signature (``None`` = same policy; see :func:`_sweep_worker`).  The
+    memo lives on the compile cache's programs, so ``reuse_results=True``
+    implies the compile cache whatever ``compile_cache`` says.
     ``journal``/``resume``/``cancel``/``runner_stats``/
     ``chunk_deadline_s`` follow
     :func:`repro.scenarios.run_scenario_sweep`'s resilience semantics:

@@ -32,10 +32,8 @@ from .sweep import (
     ScenarioGrid,
     ScenarioPoint,
     cached_scenario_program,
-    clear_scenario_caches,
     grid_record,
     run_scenario_sweep,
-    scenario_cache_stats,
     scenario_grid,
     scenario_point_export_record,
     scenario_point_from_record,
@@ -49,8 +47,7 @@ __all__ = [
     "Scenario", "ScenarioError", "all_scenarios", "get_scenario",
     "parse_scenario_spec", "register_scenario", "scenario_names",
     "ScenarioGrid", "ScenarioPoint", "cached_scenario_program",
-    "clear_scenario_caches", "grid_record", "run_scenario_sweep",
-    "scenario_cache_stats", "scenario_grid",
+    "grid_record", "run_scenario_sweep", "scenario_grid",
     "scenario_point_export_record", "scenario_point_from_record",
     "scenario_point_record", "simulate_scenario",
 ]

@@ -10,7 +10,8 @@ chunking, deterministic submission-order merging) and the process's one
 program cache keyed on :meth:`~.registry.Scenario.signature` (module
 built and verified once per structure, compiled block plans shared via
 a per-structure :class:`~repro.sim.plan.PlanCache`) — so ``jobs=N``
-results are bit-identical to ``jobs=1``.
+results are bit-identical to ``jobs=1``.  DSE results are memoized on its
+programs; ``repro.analysis.clear_sweep_caches()`` alone empties it.
 
 ``repro.analysis.run_sweep`` accepts a :class:`ScenarioGrid` directly
 and delegates here, which is how registry grids ride the existing sweep
@@ -26,7 +27,6 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 from ..sim import EngineOptions
 from ..sim.batch import (
     CachedProgram,
-    CompileCacheStats,
     ResilienceStats,
     SweepRunner,
     journaled_sweep,
@@ -96,22 +96,11 @@ class ScenarioPoint:
 # ---------------------------------------------------------------------------
 
 
-def scenario_cache_stats() -> CompileCacheStats:
-    """This process's program-cache counters (the service layer reports
-    them through ``equeue-serve``'s stats endpoint)."""
-    return process_compile_cache().stats
-
-
 def cached_scenario_program(scenario: Scenario, cfg) -> CachedProgram:
     """This process's cached program for a config's structure."""
     return process_compile_cache().lookup(
         scenario.signature(cfg), lambda: scenario.build(cfg)
     )
-
-
-def clear_scenario_caches() -> None:
-    """Drop this process's program cache (cold-path benches)."""
-    process_compile_cache().clear()
 
 
 def simulate_scenario(

@@ -43,8 +43,7 @@ from .. import faults
 from ..obs import logs as obs_logs
 from ..obs import metrics as obs_metrics
 from ..obs.spans import span as _span
-from ..scenarios import scenario_cache_stats
-from ..sim.batch import ResilienceStats, SweepRunner
+from ..sim.batch import ResilienceStats, SweepRunner, process_compile_cache
 from ..sim.engine import resolve_execution_mode
 from ..sim.linecodec import record_line
 from .request import (
@@ -1128,7 +1127,7 @@ class JobScheduler:
                 "resilience": self.resilience.to_dict(),
             }
         payload["worker"] = self.worker_health()
-        payload["program_cache"] = asdict(scenario_cache_stats())
+        payload["program_cache"] = asdict(process_compile_cache().stats)
         payload["gc"] = obs_metrics.gc_stats()
         if self.store is not None:
             payload["store"] = self.store.stats_dict()

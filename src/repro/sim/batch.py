@@ -884,6 +884,9 @@ class CachedProgram:
     #: which binds a copy to its original's shape without keying it
     #: and consumes the entry as it does (``PlanCache.stamps``).
     stamps: Dict = field(default_factory=dict)
+    #: Seed -> the DSE point measured on this program
+    #: (:func:`repro.analysis.dse._sweep_worker`), gone with it.
+    measured: Dict = field(default_factory=dict)
 
     def simulate(
         self,

@@ -62,6 +62,7 @@ import enum
 import functools
 import itertools
 import time as _time
+import weakref
 from dataclasses import dataclass, field
 from types import CodeType, FunctionType
 from typing import Callable, Dict, List, Optional, Sequence, Union
@@ -345,8 +346,8 @@ class _Countdown:
 _UNBOUND = object()
 
 #: Layout -> the code object of an issue function, compiled once per
-#: layout process-wide (as ``codegen._SHAPES`` shares bodies).
-_ISSUE_CODES: Dict[tuple, CodeType] = {}
+#: layout process-wide, kept while a site uses it (as ``codegen._SHAPES``).
+_ISSUE_CODES = weakref.WeakValueDictionary()
 
 
 def _layout(ops) -> tuple:

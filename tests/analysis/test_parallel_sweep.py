@@ -4,7 +4,7 @@
 import pytest
 
 from repro.analysis import SweepSpec, run_sweep
-from repro.analysis.dse import _DES_RESULT_CACHE, clear_sweep_caches
+from repro.analysis.dse import clear_sweep_caches
 from repro.sim.batch import process_compile_cache, structural_signature
 
 
@@ -104,16 +104,35 @@ class TestCrossSimulationCaching:
         assert stats.program_hits == spec.count() - len(signatures)
 
     def test_result_memo_replicates_per_signature(self):
+        """One measurement per structure, kept on its cached program;
+        every other point is a compile-cache hit that replicates it."""
         spec = small_des_spec()
         run_sweep(spec, use_des=True, jobs=1, compile_cache=True,
                   reuse_results=True)
         signatures = {structural_signature(cfg) for cfg in spec.points()}
-        assert len(_DES_RESULT_CACHE) == len(signatures)
+        entries = process_compile_cache().entries.values()
+        assert [len(entry.measured) for entry in entries] == [1] * len(signatures)
+        stats = process_compile_cache().stats
+        assert stats.programs_built == len(signatures)
+        assert stats.program_hits == spec.count() - len(signatures)
+
+    def test_result_reuse_implies_the_compile_cache(self):
+        """The memo lives on the cached programs, so reusing results
+        goes through the cache even when the caller turns it off — and
+        stays bit-identical to the cold reference loop."""
+        spec = small_des_spec()
+        reference = run_sweep(spec, use_des=True, jobs=1)
+        assert not process_compile_cache().entries
+        reused = run_sweep(
+            spec, use_des=True, jobs=1, compile_cache=False, reuse_results=True
+        )
+        assert fingerprint(reused) == fingerprint(reference)
+        signatures = {structural_signature(cfg) for cfg in spec.points()}
+        assert len(process_compile_cache().entries) == len(signatures)
 
     def test_reference_loop_stays_cold(self):
         """jobs=1 defaults preserve the pre-batch behaviour exactly: no
-        process-wide caches are touched."""
+        process-wide cache is touched, so no result is memoized."""
         spec = small_des_spec()
         run_sweep(spec, use_des=True, jobs=1)
         assert not process_compile_cache().entries
-        assert not _DES_RESULT_CACHE

@@ -21,17 +21,13 @@ import pytest
 import repro.codeversion as codeversion
 import repro.service.request as request_module
 import repro.service.scheduler as scheduler_module
-from repro.scenarios import (
-    all_scenarios,
-    clear_scenario_caches,
-    scenario_cache_stats,
-    scenario_grid,
-    scenario_names,
-)
+from repro.analysis.dse import clear_sweep_caches
+from repro.scenarios import all_scenarios, scenario_grid, scenario_names
 from repro.scenarios.sweep import run_scenario_sweep
 from repro.service import JobRequest, JobScheduler, ResultStore
 from repro.service.scheduler import RequestError, SweepRequest
 from repro.sim import ExecutionMode, resolve_execution_mode
+from repro.sim.batch import process_compile_cache
 from tests import faults
 from tests.serving import wait_until
 
@@ -727,7 +723,7 @@ def test_warm_store_equals_cold_sweep(name, tmp_path, monkeypatch):
     """For every registered scenario: the warm-store service response is
     bit-identical to the cold ``run_scenario_sweep(jobs=1)`` reference,
     and the warm path provably runs no simulation and builds no program."""
-    clear_scenario_caches()
+    clear_sweep_caches()
     [cold] = run_scenario_sweep(
         scenario_grid(name, axes={}), jobs=1, seed=0, check=True
     )
@@ -756,12 +752,12 @@ def test_warm_store_equals_cold_sweep(name, tmp_path, monkeypatch):
 
     monkeypatch.setattr(scheduler_module, "evaluate_request", boom)
     monkeypatch.setattr("repro.sim.batch.simulate", boom)
-    built_before = scenario_cache_stats().programs_built
+    built_before = process_compile_cache().stats.programs_built
     job = warm.submit(request)
     assert job.done and job.source == "store"
     assert job.record == record  # bit-identical stats
     assert job.record["summary"] == record["summary"]
-    assert scenario_cache_stats().programs_built == built_before
+    assert process_compile_cache().stats.programs_built == built_before
     assert warm.stats.simulated == 0 and warm.stats.store_hits == 1
 
 
@@ -890,7 +886,7 @@ class TestExecutionModeStoreSafety:
         """A record persisted under mode=plan must never answer a
         mode=codegen request (or vice versa); true same-mode hits serve
         with provably zero engine work."""
-        clear_scenario_caches()
+        clear_sweep_caches()
         tier_up_at(0)  # fir is too small to generate code on its own
         plan_request = JobRequest.make("fir", options={"mode": "plan"})
         codegen_request = JobRequest.make("fir")

@@ -31,6 +31,7 @@ with tier-up at the first execution:
 
 from __future__ import annotations
 
+import gc
 import inspect
 import re
 
@@ -480,6 +481,40 @@ def test_one_compile_per_capture_count(monkeypatch):
     assert len(compiled) == 3
     assert sites[0].issue.__code__ is sites[1].issue.__code__
     assert sites[0].issue.__code__ is not sites[2].issue.__code__
+
+
+def test_an_evicted_programs_issue_code_goes_with_it(monkeypatch):
+    """The issue-code table keeps a layout's code while some site uses
+    it: a program whose fork–join step has a layout of its own keeps
+    its code while cached, and leaves none once evicted and torn down."""
+    from repro.sim import CompileCache, batch
+
+    monkeypatch.setattr(batch, "PROGRAM_CACHE_ENTRIES", 1)
+    module, inputs = CORPUS["fork-join-edges"].build()
+    [step] = [
+        item
+        for op in module.walk()
+        for region in op.regions
+        for block in region.blocks
+        for item in plan.step_ops(block)
+        if type(item) is tuple
+    ]
+    layout, _ = engine._layout(step[:-2])
+    del step
+    gc.collect()
+    assert layout not in engine._ISSUE_CODES
+    cache = CompileCache()
+    entry = cache.lookup("fork-join-edges", lambda: module)
+    del module
+    entry.simulate(inputs)
+    gc.collect()
+    assert layout in engine._ISSUE_CODES  # a live site keeps its code
+    del entry
+    cache.lookup("late-dep", lambda: CORPUS["late-dep"].build()[0])  # evicts
+    assert not cache.evicted  # ... and tears down
+    gc.collect()
+    assert layout not in engine._ISSUE_CODES
+    cache.clear()
 
 
 def _fork_joins(name):

@@ -15,7 +15,7 @@ from repro import permanent
 from repro.analysis import SweepSpec, run_sweep
 from repro.analysis.dse import clear_sweep_caches
 from repro.generators.systolic import SystolicProgram, build_systolic_program
-from repro.scenarios import clear_scenario_caches, get_scenario
+from repro.scenarios import get_scenario
 from repro.service import JobRequest, JobScheduler, ResultStore
 from repro.sim import (
     CachedProgram,
@@ -51,11 +51,9 @@ pytestmark = pytest.mark.skipif(
 @pytest.fixture(autouse=True)
 def _thawed_and_cold():
     clear_sweep_caches()
-    clear_scenario_caches()
     gc.unfreeze()
     yield
     clear_sweep_caches()
-    clear_scenario_caches()
     gc.unfreeze()
 
 
@@ -537,5 +535,5 @@ class TestServiceThread:
         for summary in (record["summary"], expected["summary"]):
             del summary["execution_time_s"]  # host wall clock
         assert record["summary"] == expected["summary"]
-        clear_scenario_caches()
+        clear_sweep_caches()
         assert gc.get_freeze_count() == 0

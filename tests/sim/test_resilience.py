@@ -18,11 +18,13 @@ import os
 import signal
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
+from contextlib import contextmanager
 
 import pytest
 
+from repro.sim import batch
 from repro.sim.batch import (
     ChunkDeadlineError,
     SweepInterrupted,
@@ -39,6 +41,17 @@ def _claim(token: str) -> bool:
         return False
 
 
+#: The write end of the pipe a worker announces its stalls on, set by
+#: :func:`stalls_skip_ahead` (a forked pool worker inherits it).
+_STALL_FD = None
+
+
+def _stall():
+    if _STALL_FD is not None:
+        os.write(_STALL_FD, b"s")
+    time.sleep(20)
+
+
 def _evaluate(payload):  # module-level: picklable for pool workers
     value, action, token = payload
     if action == "kill-once" and _claim(token):
@@ -53,9 +66,9 @@ def _evaluate(payload):  # module-level: picklable for pool workers
         if _claim(token + ".kill"):
             os.kill(os.getpid(), signal.SIGKILL)
         if _claim(token + ".stall"):
-            time.sleep(20)
+            _stall()
     if action == "stall-always":
-        time.sleep(20)
+        _stall()
     if action == "slow":
         time.sleep(0.2)
     if action == "raise":
@@ -72,6 +85,55 @@ def _items(count, faults=()):
 
 
 EXPECTED = [i * 3 for i in range(16)]
+
+
+@contextmanager
+def stalls_skip_ahead():
+    """The sweep runner's time on the test's side: its clock reads
+    ``time.monotonic()`` plus the time skipped, and a wait on a round
+    whose every pending chunk has begun a stall skips its timeout and
+    returns at once, so the deadline passes with no real wait; a round
+    with a chunk still working waits in real time.  A worker announces
+    each stall on a pipe, which also ends a wait begun before it."""
+    global _STALL_FD
+    real_wait = batch.wait
+    read, _STALL_FD = os.pipe()
+    lock = threading.Lock()
+    state = {"begun": 0, "base": 0, "round": set(), "skipped": 0.0}
+    woken = [Future()]
+
+    def listen():
+        while os.read(read, 1) == b"s":
+            with lock:
+                state["begun"] += 1
+                woken[0].set_result(None)
+                woken[0] = Future()
+
+    def wait(fs, timeout, return_when):
+        fs = set(fs)
+        with lock:
+            if not fs <= state["round"]:  # a new dispatch round
+                state["round"], state["base"] = fs, state["begun"]
+            if timeout is not None and state["begun"] - state["base"] >= len(fs):
+                state["skipped"] += timeout
+                return set(), fs
+            wake = woken[0]
+        done, not_done = real_wait(fs | {wake}, timeout, return_when)
+        return done - {wake}, not_done - {wake}
+
+    listener = threading.Thread(target=listen, daemon=True)
+    listener.start()
+    batch.wait = wait
+    try:
+        with stall_clock(lambda: state["skipped"]):
+            yield
+    finally:
+        batch.wait = real_wait
+        os.write(_STALL_FD, b"x")
+        listener.join(timeout=10)
+        os.close(_STALL_FD)
+        os.close(read)
+        _STALL_FD = None
 
 
 class TestCrashRecovery:
@@ -185,7 +247,8 @@ class TestChunkDeadline:
         # chunk's, and the stall a transient one.
         items = _items(4, [(1, "kill-then-stall", str(tmp_path / "x"))])
         runner = SweepRunner(jobs=2, chunk_size=1, chunk_deadline_s=1.0)
-        assert runner.map(_evaluate, items) == [i * 3 for i in range(4)]
+        with stalls_skip_ahead():
+            assert runner.map(_evaluate, items) == [i * 3 for i in range(4)]
         assert runner.resilience.deadline_timeouts >= 1
         assert not runner.fell_back
 
@@ -193,7 +256,7 @@ class TestChunkDeadline:
         items = _items(6, [(2, "stall-always", "")])
         runner = SweepRunner(jobs=2, chunk_size=2, chunk_deadline_s=0.5)
         started = time.monotonic()
-        with pytest.raises(ChunkDeadlineError, match="deadline"):
+        with stalls_skip_ahead(), pytest.raises(ChunkDeadlineError, match="deadline"):
             runner.map(_evaluate, items)
         # Escalation (kill, retry, bisect, give up) stays bounded — the
         # sweep never sleeps out a 20s wedge.

@@ -36,7 +36,10 @@ launches, their ``control_and`` and its ``await``) is one plan step
 distinct dependencies, targets and captures as the key of the issue
 code, and the countdown they share; ``plan.py`` +26: ``step_ops``, the
 one walk from ops to steps, with the fork–join match and the structure
-op check; ``codegen.py`` −10: its own copy of that walk gone).
+op check; ``codegen.py`` −10: its own copy of that walk gone); 2 961
+once the table of launch-issue code holds a layout's code only while a
+site uses it (``engine.py`` +1: the ``weakref`` import, as
+``codegen._SHAPES`` already has).
 
 ROADMAP item 4 wants the service core an explicit state machine over
 one log; :data:`LIFECYCLE` pins its files the same way.  Readings: 1 507
@@ -78,7 +81,7 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 CORE = ("sim/engine.py", "sim/plan.py", "sim/codegen.py")
-BUDGET = 2960
+BUDGET = 2961
 #: The job lifecycle and the append-only log under the WAL and the sweep
 #: journal.
 LIFECYCLE = (
