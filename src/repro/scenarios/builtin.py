@@ -78,8 +78,10 @@ class SystolicScenarioConfig:
         )
 
 
-def _systolic_build(cfg: SystolicScenarioConfig) -> ModuleOp:
-    return build_systolic_program(cfg.to_generator_config()).module
+def _systolic_build(cfg: SystolicScenarioConfig) -> SystolicProgram:
+    # The program, not its module: its stamps go with it into the
+    # compile cache (``Scenario.build_program``).
+    return build_systolic_program(cfg.to_generator_config())
 
 
 def _systolic_inputs(cfg: SystolicScenarioConfig, seed: int) -> Dict:

@@ -91,10 +91,10 @@ def _coerce(name: str, field_name: str, default, text: str):
 class Scenario:
     """One registered workload.
 
-    ``builder`` maps a config to an (unverified) :class:`ModuleOp`;
-    :meth:`build` verifies it.  ``inputs`` maps ``(cfg, seed)`` to the
-    engine's named-buffer input dict (or ``None`` for self-contained
-    programs).  ``oracle`` maps ``(cfg, result, seed)`` to a dict of
+    ``builder`` maps a config to an (unverified) :class:`ModuleOp`, or
+    to a program holding one as ``module``; :meth:`build` verifies it.
+    ``inputs`` maps ``(cfg, seed)`` to the engine's named-buffer input
+    dict (or ``None`` for self-contained programs).  ``oracle`` maps ``(cfg, result, seed)`` to a dict of
     reference stats it checked, raising ``AssertionError`` on any
     mismatch.  ``grid`` names the default sweep axes (config field ->
     values).  ``structural_key`` maps a config to the key under which
@@ -106,7 +106,7 @@ class Scenario:
     name: str
     summary: str
     config_cls: type
-    builder: Callable[[object], ModuleOp]
+    builder: Callable[[object], object]
     inputs: Optional[Callable[[object, int], Optional[Dict]]] = None
     oracle: Optional[Callable[[object, object, int], Dict]] = None
     grid: Tuple[Tuple[str, Tuple], ...] = ()
@@ -164,9 +164,17 @@ class Scenario:
 
     def build(self, cfg) -> ModuleOp:
         """Build and verify the scenario's EQueue module."""
-        module = self.builder(cfg)
-        verify(module)
-        return module
+        built = self.build_program(cfg)
+        return getattr(built, "module", built)
+
+    def build_program(self, cfg):
+        """What the builder makes, its module verified: the module, or a
+        program that holds it as ``module`` and brings what its build
+        knows (``SystolicProgram.stamps``) — what the compile cache
+        keeps (``CompileCache.lookup``)."""
+        built = self.builder(cfg)
+        verify(getattr(built, "module", built))
+        return built
 
     def make_inputs(self, cfg, seed: int = 0) -> Optional[Dict]:
         """Deterministic named-buffer inputs for a config and seed."""

@@ -97,9 +97,10 @@ class ScenarioPoint:
 
 
 def cached_scenario_program(scenario: Scenario, cfg) -> CachedProgram:
-    """This process's cached program for a config's structure."""
+    """This process's cached program for a config's structure, with
+    what its build knows (a systolic program's stamps)."""
     return process_compile_cache().lookup(
-        scenario.signature(cfg), lambda: scenario.build(cfg)
+        scenario.signature(cfg), lambda: scenario.build_program(cfg)
     )
 
 

@@ -26,11 +26,13 @@ Python function — one statement group per step, with:
 * ``affine.for`` loops flattened into native ``for`` statements (plan
   mode pays a generator frame per loop execution), with loop bodies
   recursively inlined,
-* everything the body refers to — SSA values, pre-bound callables, and
-  every per-site constant (static indices, fixed cycle counts, folded
-  attribute values) — bound as a default argument (``LOAD_FAST``, no
-  cell or global lookups); guaranteed-int steps skip the suspension
-  type dispatch entirely.
+* everything the body's hot path refers to — SSA values, pre-bound
+  callables, and every per-site constant (static indices, fixed cycle
+  counts, folded attribute values) — bound as a default argument
+  (``LOAD_FAST``, no cell or global lookups; what only its slow paths
+  read sits behind one, ``_cold``, since a call copies every default
+  into the frame); guaranteed-int steps skip the suspension type
+  dispatch entirely.
 
 A compiled simulator only wins if compiling is cheap (CVC) and spent
 where the activity is (GSIM), so three things keep ``compile()`` rare:
@@ -50,11 +52,14 @@ where the activity is (GSIM), so three things keep ``compile()`` rare:
 The two kinds of body
 =====================
 
-A generated function honors the :meth:`~repro.sim.plan.BlockPlan.execute`
-protocol — ``fn(ex, env)`` is ``None`` when the body completed without
-suspending, else a generator the caller drives — in one of two kinds,
-from the one emitter (same step expansions, same typed prologue, same
-deopt tier):
+A generated function is entered with what its block is entered with —
+a launch body, ``fn(ex, *captures)``: the capture values its entry
+carries, in block-argument order, and no env (the dispatcher's call);
+any other block, ``fn(ex, env)``: the env it runs in
+(:meth:`~repro.sim.plan.BlockPlan.execute`) — and is ``None`` when the
+body completed without suspending, else a generator the caller drives,
+in one of two kinds, from the one emitter (same step expansions, same
+typed prologue, same deopt tier):
 
 * an **inline** body is a plain function.  It returns ``None`` (the hot
   case — no generator frame at all), or, the rare time a step waits,
@@ -115,12 +120,15 @@ local and spells its consumers as expressions (``_n5 = _n4 - _v2`` …
   only not to be a ``Future``; anything defined by a step the emitter
   does not follow stays in ``env`` and is read dynamically;
 * a value the body is *entered with* (a block argument, a value of an
-  enclosing block — :func:`_in_tree` draws the line) is loaded and
-  checked, exactly (``type(x) is int``), in a prologue that runs before
-  any side effect; an entry that fails is replayed from its first step
-  by :func:`~repro.sim.plan._inline_run` (:meth:`BlockPlan.run` for a
-  plan with no inline form) — the replay tier is the deopt tier
-  (:func:`_deopt`, counted by reason in ``codegen_deopts``);
+  enclosing block — :func:`_in_tree` draws the line) is a launch body's
+  argument, or loaded from ``env``, and checked, exactly (``type(x) is
+  int``), in a prologue that runs before any side effect; an entry that
+  fails is replayed from its first step by
+  :func:`~repro.sim.plan._inline_run` (:meth:`BlockPlan.run` for a plan
+  with no inline form) — the replay tier is the deopt tier
+  (:func:`_deopt`, counted by reason in ``codegen_deopts``), in the env
+  :func:`~repro.sim.plan.entry_env` builds of a launch body's
+  arguments;
 * whether a shared body's constants are ``int``s is each launch site's
   own matter, settled when its function is instantiated
   (:func:`_site_guard`).
@@ -131,9 +139,12 @@ is not flattened), and, before a slow path that goes on by replay
 (``_resume``, ``BlockPlan.run``, a waiting access's handler), exactly
 the locals that path reads.  So a PE body keeps its values in locals
 alone, and inline bodies flatten ``scf.if`` at every depth, as
-suspending bodies do.  (A block outside every launch body writes every
-local through: its env is the engine's, read after the run and by
-captures.)
+suspending bodies do.  A launch body has an env only where something
+reads one: built from its arguments once, after the prologue, when a
+line outside every slow path does, else by each slow path that reads
+one — a deopt, a handback, a waiting access's handler.  (A block
+outside every launch body writes every local through: its env is the
+engine's, read after the run and by captures.)
 """
 
 from __future__ import annotations
@@ -141,7 +152,8 @@ from __future__ import annotations
 import builtins
 import itertools
 import weakref
-from types import CodeType, FunctionType
+from contextlib import contextmanager
+from types import CodeType, FunctionType, SimpleNamespace
 from typing import Optional
 
 import numpy as np
@@ -149,6 +161,7 @@ import numpy as np
 from ..ir.types import IndexType, IntegerType
 from ..ir.values import BlockArgument
 from .engine import Future
+from .oplib import first_results
 from .plan import (
     _MISSING,
     BlockPlan,
@@ -165,6 +178,7 @@ from .plan import (
     _plain_access_cost,
     _resume,
     _suspends,
+    entry_env,
     step_ops,
 )
 
@@ -345,16 +359,32 @@ class _Emitter:
     nested plans entered as plans read — is known: a write where a value
     is defined stays if the value is in it, a spill before a slow path
     if it is not (the definition wrote it then).
+
+    What a slow path — a deopt, a handback, a waiting access's handler
+    — binds is not a default argument, which every call would copy into
+    the frame: it is bound in :attr:`cold`, the ``_cold`` namespace the
+    slow path reads it from (:meth:`named`; plans are bound where a slow
+    path names them, not where they are flattened).
     """
 
     def __init__(self, root, suspending):
         self.root = root
+        #: A launch body: entered with its captures as its arguments,
+        #: and no env.
+        op = root.parent_op
+        self.launch = op is not None and op.name == "equeue.launch"
         #: The kind of body: a generator function in which a step that
         #: waits yields in place, or a plain function that returns what
         #: is left of the entry as a generator (:meth:`handback`).
         self.suspending = suspending
         self.lines = []
+        #: The default arguments: what the hot path binds.
         self.bindings = {}
+        #: What only slow paths read: the ``_cold`` namespace, bound in
+        #: a slow path and read from it as ``_cold.<name>``.
+        self.cold = {}
+        #: The plan the body is emitted for (bound as ``_plan``).
+        self.root_plan = None
         #: For a :class:`~repro.sim.plan.ShapePlan`: the bindings that
         #: are a launch site's own, as ``name -> f(site)``.
         self.recipes = {}
@@ -371,6 +401,10 @@ class _Emitter:
         #: operands of step closures it calls, and what nested plans it
         #: enters as plans use.
         self.env_reads = set()
+        #: Inside a slow path: its mark (:meth:`slow_path`).
+        self._slow = False
+        #: Does a line outside every slow path read ``env``?
+        self.hot_env = False
         self._serial = 0
         self._names_by_id = {}
         self._ops = {}
@@ -378,10 +412,25 @@ class _Emitter:
 
     def bind(self, prefix, value):
         # One binding per object: shared callables (``engine._resolve``)
-        # and SSA values used twice collapse to a single default argument.
-        name = self._names_by_id.get(id(value))
+        # and SSA values used twice collapse to a single default argument
+        # (to one in ``_cold`` in a slow path).
+        return self.named(self._name(prefix, value), value)
+
+    def _name(self, prefix, value):
+        key = (id(value), not self._slow)
+        name = self._names_by_id.get(key)
         if name is None:
-            name = self._names_by_id[id(value)] = self.site(prefix, value)
+            self._serial += 1
+            name = self._names_by_id[key] = f"_{prefix}{self._serial}"
+        return name
+
+    def named(self, name, value):
+        """``name`` bound to ``value`` — a default argument, or, in a
+        slow path, in ``_cold`` — as the body spells it."""
+        if self._slow:
+            self.cold[name] = value
+            return "_cold." + name
+        self.bindings[name] = value
         return name
 
     def site(self, prefix, value, recipe=None):
@@ -393,29 +442,27 @@ class _Emitter:
         a launch site of a shared body."""
         self._serial += 1
         name = f"_{prefix}{self._serial}"
-        self.bindings[name] = value
         if recipe is not None:
             self.recipes[name] = recipe
-        return name
+        return self.named(name, value)
 
     def plan(self, plan):
-        """``plan`` as a default argument; a shared plan stands for the
-        launch site's view of it."""
-        name = self.bind("p", plan)
+        """``plan`` as a binding (the body's own: ``_plan``); a shared
+        plan stands for the launch site's view of it."""
+        name = "_plan" if plan is self.root_plan else self._name("p", plan)
         if type(plan) is ShapePlan:
             self.recipes[name] = lambda site, _i=plan.index: site.plans[_i]
-        return name
+        return self.named(name, plan)
 
     def entry(self, plan):
         """``plan.execute``, likewise — a nested plan entered as a plan,
         which reads what it uses from ``env``."""
         self.env_reads |= self.block_reads(plan.block)
-        name = self.site("e", plan.execute)
+        recipe = None
         if type(plan) is ShapePlan:
-            self.recipes[name] = (
-                lambda site, _i=plan.index: site.plans[_i].execute
-            )
-        return name
+            def recipe(site, _i=plan.index):
+                return site.plans[_i].execute
+        return self.site("e", plan.execute, recipe)
 
     def _item(self, buf, const_idx):
         """``buf.array.item(i, j)`` with the static coordinates bound."""
@@ -443,6 +490,25 @@ class _Emitter:
             self.lines.append((ssa, "    " * indent, name, spill))
         else:
             self.lines.append("    " * indent + text)
+            if "env" in text:
+                if self._slow:
+                    self._slow[1] = True
+                else:
+                    self.hot_env = True
+
+    @contextmanager
+    def slow_path(self, indent, opens=True):
+        """The lines emitted inside are a slow path (unless not
+        ``opens``, or it is part of one already): ``[indent, reads
+        env]`` and ``None`` mark where it starts and ends."""
+        if not opens or self._slow:
+            yield
+            return
+        self._slow = [indent, False]
+        self.lines.append(self._slow)
+        yield
+        self.lines.append(None)
+        self._slow = False
 
     def block(self, indent, texts):
         for text in texts:
@@ -453,21 +519,63 @@ class _Emitter:
         suite of those may come out empty.)"""
         return all(type(text) is tuple for text in self.lines[mark:])
 
-    def text(self):
-        """The emitted lines, each env write resolved: one where a value
-        is defined stays if something reads ``env`` for it, a spill if
-        nothing did (else the definition wrote it)."""
+    def text(self, prologue):
+        """``(parameters, lines)``: the body's parameters — what it is
+        entered with — and its lines after ``prologue``, each env write
+        resolved: one where a value is defined stays if something reads
+        ``env`` for it, a spill if nothing did (else the definition wrote
+        it).
+
+        A launch body is entered with its captures: the parameters are
+        its block arguments, in order.  It builds the env its slow
+        paths run in from them (:func:`~repro.sim.plan.entry_env`) —
+        once, after the prologue, if a line outside every slow path
+        reads ``env``, else (and in the prologue's) at the start of each
+        slow path that does.  Any other body is entered with the env it
+        runs in."""
         through = _writes_through(self.root)
-        reads = self.env_reads
-        lines = []
-        for text in self.lines:
-            if type(text) is str:
+        lines, slow = [], {}
+        for text in (*prologue, *self.lines):
+            if type(text) is list:  # a slow path starts: [indent, reads env]
+                slow[len(lines)] = self._slow = text
+            elif text is None:  # ... and ends
+                self._slow = False
+            elif type(text) is str:
                 lines.append(text)
-                continue
-            ssa, indent, name, spill = text
-            if not spill if through else (ssa in reads) != spill:
-                lines.append(f"{indent}env[{self.bind('k', ssa)}] = {name}")
-        return lines
+            else:
+                ssa, indent, name, spill = text
+                if not spill if through else (ssa in self.env_reads) != spill:
+                    lines.append(f"{indent}env[{self.bind('k', ssa)}] = {name}")
+                    if self._slow:
+                        self._slow[1] = True
+                    else:
+                        self.hot_env = True
+        if not self.launch:
+            return "ex, env", lines
+        captures = [
+            self.locals.get(argument, (f"_arg{i}",))[0]
+            for i, argument in enumerate(self.root.arguments)
+        ]
+
+        def build(indent):
+            plan = self.plan(self.root_plan)
+            return (
+                f"{'    ' * indent}env = {self.named('_mkenv', entry_env)}("
+                f"{plan}.site, {plan}.block.arguments, "
+                f"({''.join(f'{name}, ' for name in captures)}))"
+            )
+
+        out, body = [], sum(type(text) is str for text in prologue)
+        for at, text in enumerate(lines):
+            if at == body and self.hot_env:  # built once, after the prologue
+                out.append(build(1))
+            mark = slow.get(at)
+            if mark and mark[1] and (not self.hot_env or at < body):
+                self._slow = mark
+                out.append(build(mark[0]))
+                self._slow = False
+            out.append(text)
+        return ", ".join(["ex", *captures]), out
 
     # -- what replay reads -------------------------------------------------
 
@@ -496,7 +604,7 @@ class _Emitter:
     def closure_reads(self, at):
         """The step at ``at`` is its closure, called where the body goes
         on: what its op reads, it reads from ``env``."""
-        plan, _, index, _ = at
+        plan, index, _ = at
         self.env_reads |= self.op_reads(self.step_ops(plan)[index])
 
     def tail_reads(self, plan, first):
@@ -525,18 +633,26 @@ class _Emitter:
         self.block(indent, _FLUSH)
 
     def handback(self, indent, at, first, gen, skip=()):
-        """``return`` from an inline body the generator ``gen`` that
-        finishes the entry by replay: from step ``first`` of the plan
-        being emitted, then after the step of each plan it was
+        """``return`` from an inline body the generator ``gen()`` spells
+        that finishes the entry by replay: from step ``first`` of the
+        plan being emitted, then after the step of each plan it was
         flattened into (``at``: :meth:`emit_plan`'s position).  The
         locals that replay reads are spilled first."""
-        plan, _, _, frames = at
+        plan, _, frames = at
         reads = self.tail_reads(plan, first)
-        for outer, outer_name, index in reversed(frames):
-            reads |= self.tail_reads(outer, index + 1)
-            gen = f"_resume({outer_name}, ex, env, {gen}, {index}, False)"
-        self.spill(indent, reads, skip)
-        self.line(indent, f"return {gen}")
+        with self.slow_path(indent):
+            gen = gen()
+            for outer, index in reversed(frames):
+                reads |= self.tail_reads(outer, index + 1)
+                gen = (
+                    f"{self.resume()}({self.plan(outer)}, ex, env, {gen}, "
+                    f"{index}, False)"
+                )
+            self.spill(indent, reads, skip)
+            self.line(indent, f"return {gen}")
+
+    def resume(self):
+        return self.named("_resume", _resume)
 
     def suspend(self, indent, at, flush, skip=()):
         """A step produced the generator ``_r``: a suspending body
@@ -548,10 +664,12 @@ class _Emitter:
                 self.flush(indent)
             self.line(indent, "yield from _r")
         else:
-            _, plan_name, index, _ = at
+            plan, index, _ = at
             self.handback(
                 indent, at, index + 1,
-                f"_resume({plan_name}, ex, env, _r, {index}, {flush})", skip,
+                lambda: f"{self.resume()}({self.plan(plan)}, ex, env, _r, "
+                f"{index}, {flush})",
+                skip,
             )
 
     def flattens(self, plan):
@@ -572,7 +690,8 @@ class _Emitter:
         if found is None and not _in_tree(ssa, self.root):
             is_int = _is_int_type(ssa)
             name = self.define(ssa, is_int)
-            self.loads.append((name, self.bind("k", ssa), ssa, is_int))
+            key = None if self.launch else self.bind("k", ssa)
+            self.loads.append((name, key, ssa, is_int))
             found = name, is_int
         return found
 
@@ -597,7 +716,7 @@ class _Emitter:
         self.line(indent + 1, f"{scratch} = env[{key}]")
         self.line(indent, "except KeyError:")
         self.line(indent + 1, f"{scratch} = {rs}(env, {key})")
-        self.line(indent, f"if type({scratch}) is _Future:")
+        self.line(indent, f"if type({scratch}) is {self.named('_Future', Future)}:")
         self.line(indent + 1, f"{scratch} = {scratch}.value")
         return scratch, False
 
@@ -682,13 +801,12 @@ class _Emitter:
             self.line(indent + 1, f"{name} = 1")
             self.line(indent, "elif _v is False:")
             self.line(indent + 1, f"{name} = 0")
-            self.line(indent, "elif isinstance(_v, _ndarray):")
-            self.line(indent + 1, f"{name} = _v.astype(_int8)")
+            ndarray = self.named("_ndarray", np.ndarray)
+            self.line(indent, f"elif isinstance(_v, {ndarray}):")
+            self.line(indent + 1, f"{name} = _v.astype({self.named('_int8', np.int8)})")
             self.line(indent, "else:")
             self.line(indent + 1, f"{name} = int(bool(_v))")
             self.line(indent, self.store(result, name))
-            self.bindings.setdefault("_ndarray", np.ndarray)
-            self.bindings.setdefault("_int8", np.int8)
         self._arith_cost(indent, is_free)
 
     def _emit_branch(self, indent, branch_plan, at):
@@ -698,12 +816,9 @@ class _Emitter:
             # Plan mode returns the branch's suspension generator from
             # the K_CTRL step; _resume then finishes this plan after
             # the if.
-            plan, plan_name, index, frames = at
+            plan, index, frames = at
             mark = len(self.lines)
-            self.emit_plan(
-                branch_plan, self.plan(branch_plan), indent,
-                (*frames, (plan, plan_name, index)),
-            )
+            self.emit_plan(branch_plan, indent, (*frames, (plan, index)))
             if self.empty_since(mark):
                 self.line(indent, "pass")
         else:
@@ -720,11 +835,11 @@ class _Emitter:
         else:
             self.line(indent, f"if type({cond}) is int:")
             self.line(indent + 1, f"_t = {cond} != 0")
-            self.line(indent, f"elif isinstance({cond}, _ndarray):")
+            ndarray = self.named("_ndarray", np.ndarray)
+            self.line(indent, f"elif isinstance({cond}, {ndarray}):")
             self.line(indent + 1, f"_t = bool({cond}.any())")
             self.line(indent, "else:")
             self.line(indent + 1, f"_t = bool(int({cond}))")
-            self.bindings.setdefault("_ndarray", np.ndarray)
             taken, not_taken = "if _t:", "if not _t:"
 
         if then_plan is not None and else_plan is not None:
@@ -762,33 +877,34 @@ class _Emitter:
         ``env``; a typed body that goes on picks it up.  What the
         closure reads is in ``env``: written where it was defined, or,
         on a slow path, spilled here."""
-        s = self.bind("s", step)
-        pickup = None
-        if result is not None:
-            name = self.locals[result][0]
-            pickup = f"{name} = env[{self.bind('k', result)}]"
-        spilled = ()
-        if slow:
-            plan, _, index, _ = at
-            spilled = self.op_reads(self.step_ops(plan)[index])
-            self.spill(indent, spilled)
-            spilled = spilled | {result}
-        else:
-            self.closure_reads(at)
-        if self.suspending and slow:
-            self.bindings.setdefault("_stepped", _stepped)
-            self.line(indent, f"yield from _stepped({s}, ex, env)")
+        with self.slow_path(indent, slow):
+            s = self.bind("s", step)
+            pickup = None
+            if result is not None:
+                name = self.locals[result][0]
+                pickup = f"{name} = env[{self.bind('k', result)}]"
+            spilled = ()
+            if slow:
+                plan, index, _ = at
+                spilled = self.op_reads(self.step_ops(plan)[index])
+                self.spill(indent, spilled)
+                spilled = spilled | {result}
+            else:
+                self.closure_reads(at)
+            if self.suspending and slow:
+                stepped = self.named("_stepped", _stepped)
+                self.line(indent, f"yield from {stepped}({s}, ex, env)")
+                if pickup:
+                    self.line(indent, pickup)
+                return
+            self.line(indent, f"_r = {s}(ex, env)")
+            self.line(indent, "if type(_r) is int:")
+            self.line(indent + 1, "if _r:")
+            self.line(indent + 2, "ex.pending += _r")
             if pickup:
-                self.line(indent, pickup)
-            return
-        self.line(indent, f"_r = {s}(ex, env)")
-        self.line(indent, "if type(_r) is int:")
-        self.line(indent + 1, "if _r:")
-        self.line(indent + 2, "ex.pending += _r")
-        if pickup:
-            self.line(indent + 1, pickup)
-        self.line(indent, "else:")
-        self.suspend(indent + 1, at, True, spilled)
+                self.line(indent + 1, pickup)
+            self.line(indent, "else:")
+            self.suspend(indent + 1, at, True, spilled)
 
     def _emit_cost_test(self, indent, posted, order, phases):
         """Open the fast path: the test of the access's cost.  Where a
@@ -885,9 +1001,12 @@ class _Emitter:
         indent += 1
         if stored == "_w":
             val = self.bind("k", value_ssa)
-            self.bindings.setdefault("_MISS", _MISSING)
-            self.line(indent, f"_w = env.get({val}, _MISS)")
-            self.line(indent, "if _w is _MISS or type(_w) is _Future:")
+            miss = self.named("_MISS", _MISSING)
+            self.line(indent, f"_w = env.get({val}, {miss})")
+            self.line(
+                indent,
+                f"if _w is {miss} or type(_w) is {self.named('_Future', Future)}:",
+            )
             slow(indent + 1)
             self.line(indent, "else:")
             indent += 1
@@ -909,12 +1028,10 @@ class _Emitter:
         plain = f"{buf}.array[{target}] = {stored}"
         if not reshape or is_int:
             return (plain,)
-        self.bindings.setdefault("_np", np)
-        self.bindings.setdefault("_ndarray", np.ndarray)
         return (
-            f"if isinstance({stored}, _ndarray):",
-            f"    {buf}.array[{target}] = _np.asarray({stored}).reshape("
-            f"{buf}.array[{target}].shape)",
+            f"if isinstance({stored}, {self.named('_ndarray', np.ndarray)}):",
+            f"    {buf}.array[{target}] = {self.named('_np', np)}.asarray("
+            f"{stored}).reshape({buf}.array[{target}].shape)",
             "else:",
             "    " + plain,
         )
@@ -922,30 +1039,41 @@ class _Emitter:
     def emit_extern(self, indent, meta):
         _, operand_ssa, result_ssa, func, fixed_cycles, resolve = meta
         fu = self.bind("f", func)
-        rs = self.bind("rs", resolve)
-        args = ", ".join(self._resolved(v, rs) for v in operand_ssa)
+        args = ", ".join(self._resolved(v, resolve) for v in operand_ssa)
         self.line(indent, f"_vres = {fu}({args})")
         if result_ssa:
-            rsn = self.bind("y", result_ssa)
-            self.line(indent, "if _vres is None:")
-            self.line(indent + 1, "_vres = ()")
-            self.line(indent, f"for _ssa, _val in zip({rsn}, _vres):")
-            self.line(indent + 1, "env[_ssa] = _val")
+            # The results are locals: one value each, or the error of
+            # an operation function that returned fewer.
+            names = [self.define(ssa) for ssa in result_ssa]
+            self.line(indent, "try:")
+            for at, name in enumerate(names):
+                self.line(indent + 1, f"{name} = _vres[{at}]")
+            self.line(indent, "except (TypeError, IndexError):")
+            with self.slow_path(indent + 1):
+                first = self.bind("fr", first_results)
+                self.line(
+                    indent + 1,
+                    f"{', '.join(names)}, = {first}(_vres, {len(names)})",
+                )
+            for ssa, name in zip(result_ssa, names):
+                self.line(indent, self.store(ssa, name))
         if fixed_cycles:
             self.line(indent, f"ex.pending += {self.site('d', fixed_cycles)}")
 
-    def _resolved(self, ssa, rs):
+    def _resolved(self, ssa, resolve):
         """``resolve(env, ssa)`` as an expression: the local, if any."""
         found = self.local(ssa)
-        return found[0] if found else f"{rs}(env, {self.bind('k', ssa)})"
+        if found:
+            return found[0]
+        return f"{self.bind('rs', resolve)}(env, {self.bind('k', ssa)})"
 
     # -- per-plan emission -------------------------------------------------
 
-    def emit_plan(self, plan, plan_name, indent, frames):
+    def emit_plan(self, plan, indent, frames):
         """Emit the statement sequence for ``plan``'s steps.
 
         ``frames`` are the plans this one was flattened into, outermost
-        first, each with its name and the step that entered this one:
+        first, each with the step that entered this one:
         an inline body hands a suspension anywhere back through
         ``_resume`` chains over all of them (:meth:`handback`), so it
         finishes every plan it was flattened into exactly like the
@@ -954,7 +1082,7 @@ class _Emitter:
         """
         steps = plan.steps
         for index, (kind, a, b) in enumerate(steps):
-            at = (plan, plan_name, index, frames)
+            at = (plan, index, frames)
             if kind == K_CONST or kind == K_SITE:
                 # The binding is the local; a shared body's constant is
                 # the launch site's.  Whether an index constant is an
@@ -1000,11 +1128,11 @@ class _Emitter:
                 if self.suspending:
                     self.flush(indent)
                 else:
-                    tail = self.bind("t", steps[index:])
                     self.line(indent, "if ex.pending:")
                     self.handback(
                         indent + 1, at, index,
-                        f"{plan_name}.run(ex, env, {tail})",
+                        lambda: f"{self.plan(plan)}.run(ex, env, "
+                        f"{self.bind('t', steps[index:])})",
                     )
                 self.closure_reads(at)
                 self.line(indent, f"{s}(ex, env)")
@@ -1016,8 +1144,7 @@ class _Emitter:
                 # The block's last step.  (Only a launch body's values
                 # go anywhere: nested, they are resolved and dropped.)
                 self.flush(indent)
-                rs = self.bind("rs", b)
-                values = ", ".join(self._resolved(v, rs) for v in a)
+                values = ", ".join(self._resolved(v, b) for v in a)
                 self.line(
                     indent, f"{'' if frames else 'return '}[{values}]"
                 )
@@ -1041,17 +1168,14 @@ class _Emitter:
         """An ``affine.for`` of a suspending body: a native loop — plan
         mode pays a generator frame here on every execution."""
         _, body_plan, induction, loop_range = meta
-        plan, plan_name, index, frames = at
+        plan, index, frames = at
         # ``range`` yields ints: the induction variable is typed.
         var = self.define(induction, True)
         self.line(indent, f"for {var} in {self.bind('r', loop_range)}:")
         mark = len(self.lines)
         self.line(indent + 1, self.store(induction, var))
         if self.flattens(body_plan):
-            self.emit_plan(
-                body_plan, self.plan(body_plan), indent + 1,
-                (*frames, (plan, plan_name, index)),
-            )
+            self.emit_plan(body_plan, indent + 1, (*frames, (plan, index)))
         else:  # a plan the emitter cannot express: entered as a plan
             self.line(indent + 1, f"_r = {self.entry(body_plan)}(ex, env)")
             self.line(indent + 1, "if _r is not None:")
@@ -1060,66 +1184,73 @@ class _Emitter:
             self.line(indent + 1, "pass")
 
     def prologue(self):
-        """The lines before the body: load what it is entered with, check
-        it, hand the entry to :func:`_deopt` if it is not what the body
-        was compiled for.  Nothing before or in it has a side effect."""
+        """The lines before the body: check what it is entered with —
+        loaded from ``env`` first, unless it is a launch body's argument
+        — and hand the entry to :func:`_deopt` if it is not what the
+        body was compiled for.  Nothing before or in it has a side
+        effect.  (A launch body's arguments are never a ``Future``: the
+        dispatcher resolves every capture that may be one.)"""
         lines = []
         if self.loads or self.int_constants:
             # ``_guard``: why this *site* can never run the typed body
             # (``None``: it can).
-            self.bindings["_guard"] = None
-            self.bindings["_deopt"] = _deopt
-            self.bindings["_loads"] = tuple(
-                (ssa, is_int) for _, _, ssa, is_int in self.loads
+            guard = self.named("_guard", None)
+            loads = tuple((ssa, is_int) for _, _, ssa, is_int in self.loads)
+            self._slow = mark = [2, True]  # the deopt is a slow path
+            deopt = (
+                f"{self.named('_deopt', _deopt)}({self.plan(self.root_plan)}, "
+                f"ex, env, {self.named('_loads', loads)}, {guard})"
             )
-            deopt = "_deopt(_plan, ex, env, _loads, _guard)"
+            self._slow = False
             if self.suspending:  # (a replay that did not suspend: None)
                 deopt = f"(yield from {deopt} or ())"
-            deopt = "return " + deopt
-            checks = ["_guard"]
-            if self.loads:
+            deopt = [mark, "        return " + deopt, None]
+            checks = [guard]
+            if self.launch:
+                arguments = self.root.arguments
+                for name, _, ssa, is_int in self.loads:
+                    if ssa not in arguments:  # never what it is entered with
+                        checks.append("True")
+                    elif is_int:
+                        checks.append(_INT_CHECK.format(name))
+            elif self.loads:
                 lines.append("    try:")
                 for name, key, _, is_int in self.loads:
                     lines.append(f"        {name} = env[{key}]")
                     checks.append(
                         _INT_CHECK.format(name) if is_int
-                        else f"type({name}) is _Future"
+                        else f"type({name}) is {self.named('_Future', Future)}"
                     )
-                lines.append("    except KeyError:")
-                lines.append("        " + deopt)
-            lines.append(f"    if {' or '.join(checks)}:")
-            lines.append("        " + deopt)
+                lines += ["    except KeyError:", *deopt]
+            lines += [f"    if {' or '.join(checks)}:", *deopt]
         if self.needs_arith_cycles:
             lines.append("    _ac = ex.proc.spec.arith_cycles")
         return lines
 
 
 def _emit(plan: BlockPlan, suspending: bool):
-    """``(code, shared, defaults, recipes, checks)`` for ``plan``: the
-    body's code object, of the kind asked for (``shared``: some block
-    had compiled the same text already), the default arguments binding
-    everything it names, and — for a :class:`~repro.sim.plan.ShapePlan`
-    — which of those are a launch site's own, as ``position ->
-    f(site)``.  ``checks`` is ``None`` for a body without a typed
-    prologue, else where its guard and the constants it consumes as
-    ints sit among the defaults."""
+    """``(code, shared, values, recipes, checks, cold)`` for ``plan``:
+    the body's code object, of the kind asked for (``shared``: some
+    block had compiled the same text already), the values of everything
+    it names — its default arguments, then what its ``_cold`` default
+    holds under the names ``cold`` — and, for a
+    :class:`~repro.sim.plan.ShapePlan`, which of those are a launch
+    site's own, as ``position -> f(site)``.  ``checks`` is ``None`` for
+    a body without a typed prologue, else where its guard and the
+    constants it consumes as ints sit among the values."""
     emitter = _Emitter(plan.block, suspending)
-    emitter.bindings["_plan"] = plan
-    if type(plan) is ShapePlan:
-        emitter.recipes["_plan"] = lambda site, _i=plan.index: site.plans[_i]
-    emitter.bindings["_Future"] = Future
-    if suspending:
-        emitter.emit_plan(plan, "_plan", 1, ())
-        if emitter.empty_since(0):
-            emitter.line(1, "pass")
-    else:
-        emitter.bindings["_resume"] = _resume
-        emitter.emit_plan(plan, "_plan", 1, ())
+    emitter.root_plan = plan
+    emitter.emit_plan(plan, 1, ())
+    if not suspending:
         emitter.line(1, "return None")
+    elif emitter.empty_since(0):
+        emitter.line(1, "pass")
 
-    lines = emitter.prologue() + emitter.text()
-    source = "def _plan_body(ex, env, {params}):\n{body}\n".format(
-        params=", ".join(emitter.bindings), body="\n".join(lines)
+    entered, lines = emitter.text(emitter.prologue())
+    hot, cold = list(emitter.bindings), list(emitter.cold)
+    params = [entered, *hot, *(["_cold"] if cold else [])]
+    source = "def _plan_body({params}):\n{body}\n".format(
+        params=", ".join(params), body="\n".join(lines)
     )
     code = _SHAPES.get(source)
     shared = code is not None
@@ -1128,30 +1259,36 @@ def _emit(plan: BlockPlan, suspending: bool):
         code = _SHAPES[source] = next(
             c for c in module.co_consts if isinstance(c, CodeType)
         )
-    positions = {name: at for at, name in enumerate(emitter.bindings)}
+    # A name may be hot and cold both (``_plan``): one value in each.
+    names = hot + cold
     recipes = [
-        (positions[name], recipe) for name, recipe in emitter.recipes.items()
+        (at, emitter.recipes[name])
+        for at, name in enumerate(names) if name in emitter.recipes
     ]
     checks = None
-    if "_guard" in positions:
+    if "_guard" in emitter.bindings:
         checks = (
-            positions["_guard"],
-            [positions[name] for name in emitter.int_constants],
+            hot.index("_guard"),
+            [hot.index(name) for name in emitter.int_constants],
         )
-    return code, shared, list(emitter.bindings.values()), recipes, checks
+    values = [*emitter.bindings.values(), *emitter.cold.values()]
+    return code, shared, values, recipes, checks, cold
 
 
 def compile_block_body(plan: BlockPlan):
     """Emit and instantiate the specialized body for ``plan``; returns
     ``(fn, shared, typed, suspending)``.
 
-    ``fn`` has the :meth:`~repro.sim.plan.BlockPlan.execute` contract —
-    ``fn(ex, env)`` → ``None`` or a generator — in one of two kinds,
+    ``fn`` is entered with what the block is entered with: a launch
+    body's ``fn(ex, *captures)``, any other block's ``fn(ex, env)`` —
+    :meth:`~repro.sim.plan.BlockPlan.execute`'s contract — and returns
+    ``None`` or a generator, in one of two kinds,
     :func:`~repro.sim.plan._suspends` says which: an *inline* body is a
     plain function that returns ``None`` when nothing suspended, and a
     *suspending* body is a generator function (``suspending``).
     Everything the body references is a default argument (``LOAD_FAST``
-    at execution time, no global or closure lookups), so the emitted
+    at execution time, no global or closure lookups) — what only its
+    slow paths read, behind the one default ``_cold`` — so the emitted
     text names no object and ``compile()`` runs once per *shape*:
     ``shared`` is true when an earlier block — of this program or any
     other in the process — already compiled the same text, and ``fn``
@@ -1174,21 +1311,25 @@ def compile_block_body(plan: BlockPlan):
     shape = plan.shape
     if shape is None:
         suspending = _suspends(plan)
-        code, shared, defaults, _, checks = _emit(plan, suspending)
+        code, shared, values, _, checks, cold = _emit(plan, suspending)
     else:
         shared = shape.emitted is not None
         if not shared:
             suspending = _suspends(plan)
             code, shared, *emitted = _emit(shape, suspending)
             shape.emitted = (code, *emitted, suspending)
-        code, defaults, recipes, checks, suspending = shape.emitted
-        defaults = defaults.copy()
+        code, values, recipes, checks, cold, suspending = shape.emitted
+        values = values.copy()
         site = plan.site
         for position, recipe in recipes:
-            defaults[position] = recipe(site)
+            values[position] = recipe(site)
     if checks is not None:
         guard, constants = checks
-        defaults[guard] = _site_guard(defaults, constants)
+        values[guard] = _site_guard(values, constants)
+    hot = len(values) - len(cold)
+    defaults = values[:hot]
+    if cold:
+        defaults.append(SimpleNamespace(**dict(zip(cold, values[hot:]))))
     fn = FunctionType(code, _GLOBALS, "_plan_body", tuple(defaults))
     return fn, shared, checks is not None, suspending
 

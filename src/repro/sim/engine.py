@@ -254,10 +254,9 @@ class LaunchSite:
     runs, as the site's :attr:`issue` function: the SSA values of the
     dependencies, targets and captures, each member's label and a lone
     launch's results are the function's default arguments — and, from
-    its first issue on, the block arguments the captures bind to and
-    the :class:`~repro.sim.plan.BodySite` each body runs for
-    (``PlanCache.bind_site``: the representative's arguments when the
-    body shares a shape).
+    its first issue on, what each member's body runs as: its plan
+    (``PlanCache.bind_site``: the site's view of its shape's plan when
+    the body shares a shape), or, interpreted, its block.
 
     :attr:`issue` is THE definition of issuing a launch: the interpreter
     calls it through its per-op memo, a compiled plan has it as the
@@ -269,9 +268,11 @@ class LaunchSite:
     per member, no ``control_and`` and no ``await`` wait of its own.
     Its code is made once per layout, process-wide (:func:`_issue_code`):
     each distinct dependency, target and capture is read into a local
-    once and each body env is one dict display.  Binding swaps the
-    function's defaults in place, so whoever holds it from before the
-    first issue calls the bound function.
+    once, and each entry's payload is what its body is entered with —
+    the body, the capture values in block-argument order, and the
+    positions that may hold a launch ``Future`` — with no env built.
+    Binding swaps the function's defaults in place, so whoever holds it
+    from before the first issue calls the bound function.
     """
 
     __slots__ = ("ops", "keys", "issue")
@@ -279,47 +280,43 @@ class LaunchSite:
     def __init__(self, *ops: Operation):
         self.ops = ops
         layout, self.keys = _layout(ops)
-        unbound = [(_UNBOUND, (), op.regions[0].entry_block.arguments) for op in ops]
+        unbound = [(_UNBOUND, ()) for _ in ops]
         self.issue = FunctionType(
             _issue_code(layout), globals(), "issue", self._defaults(self, unbound)
         )
 
     def _defaults(self, owner, members) -> tuple:
-        """``members``: per op, its body site, the block arguments that
-        may hold a ``Future`` and those its captures bind to."""
+        """``members``: per op, what its body runs as and the positions
+        of the captures that may hold a ``Future``."""
         ops = self.ops
         defaults = [owner, *self.keys]
-        for op, (site, futures, arguments) in zip(ops, members):
-            defaults += (
-                site, op.regions[0].entry_block, op.get_attr("label", "launch"),
-                futures, *arguments[:len(op.operands) - 2],
-            )
+        for op, (body, futures) in zip(ops, members):
+            defaults += (body, op.get_attr("label", "launch"), futures)
         if len(ops) == 1:  # a lone launch: its done event, its values
             defaults += (ops[0].results[0], ops[0].results[1:])
         return tuple(defaults)
 
     def bind(self, plans: Optional["PlanCache"]) -> Callable:
-        """Bind :attr:`issue` to the arguments and sites ``plans`` gives
-        the bodies (the interpreter: none, and the bodies' own); returns
-        it."""
+        """Bind :attr:`issue` to what ``plans`` runs the bodies as (the
+        interpreter: none, and the bodies' own blocks); returns it."""
         members = []
         for op in self.ops:
             block = op.regions[0].entry_block
-            arguments, site = (
-                plans.bind_site(block) if plans else (block.arguments, None)
-            )
             # Only a launch's value results are ever bound to a Future
             # (below, the sole constructor), so which captures can hold
             # one is known from the op alone; the dispatcher resolves
-            # exactly those block arguments before the body starts.
+            # exactly those before the body starts.
             futures = tuple(
-                argument
-                for argument, ssa in zip(arguments, op.operand_values[2:])
+                position
+                for position, ssa in enumerate(
+                    op.operand_values[2:2 + len(block.arguments)]
+                )
                 if type(ssa) is OpResult
                 and ssa.index
                 and ssa.owner.name == "equeue.launch"
             )
-            members.append((site, futures, arguments))
+            body = plans.bind_site(block) if plans else block
+            members.append((body, futures))
         self.issue.__defaults__ = self._defaults(None, members)
         return self.issue
 
@@ -374,9 +371,9 @@ def _issue_code(layout: tuple) -> CodeType:
     dependency and target looked up as it nearly always is, and
     resolved otherwise; the captures read into locals — one missing or
     ``None`` sends them all through :func:`_capture`; each entry
-    enqueued with its body env built in one dict display.  A lone
-    launch binds its done event; a group's entries share a
-    :class:`_Countdown`, and the function yields the event it fires."""
+    enqueued with its capture values as one tuple.  A lone launch binds
+    its done event; a group's entries share a :class:`_Countdown`, and
+    the function yields the event it fires."""
     code = _ISSUE_CODES.get(layout)
     if code is not None:
         return code
@@ -387,9 +384,8 @@ def _issue_code(layout: tuple) -> CodeType:
         "ex", "env", "_ls", *(f"_d{j}" for j in range(deps)),
         *(f"_t{j}" for j in range(targets)), *(f"_c{i}" for i in range(count)),
     ]
-    for i, (_, _, captures) in enumerate(members):
-        params += (f"_s{i}", f"_b{i}", f"_l{i}", f"_f{i}")
-        params += (f"_a{i}_{k}" for k in range(len(captures)))
+    for i in range(len(members)):
+        params += (f"_s{i}", f"_l{i}", f"_f{i}")
     params += () if group else ("_done", "_values")
     rebind = "_ls.bind(ex.engine._plans)(ex, env)"
     lines = [
@@ -424,12 +420,10 @@ def _issue_code(layout: tuple) -> CodeType:
     if group:
         lines.append(f"    done, join = _Countdown({len(members)}, done), done")
     for i, (dep, target, captures) in enumerate(members):
-        body_env = ", ".join(
-            [f"_SITE: _s{i}", *(f"_a{i}_{k}: _v{c}" for k, c in enumerate(captures))]
-        )
+        captured = "".join(f"_v{c}, " for c in captures)
         lines.append(
             f"    target{target}.enqueue(EventEntry('launch', dep{dep}, done, "
-            f"(_b{i}, {{{body_env}}}, _f{i}), _l{i}))"
+            f"(_s{i}, ({captured}), _f{i}), _l{i}))"
         )
     if group:
         lines.append("    yield join")
@@ -448,6 +442,16 @@ def _issue_code(layout: tuple) -> CodeType:
     return code
 
 
+def _resolved(values: tuple, futures: tuple) -> tuple:
+    """``values`` with the launch results at ``futures`` resolved (the
+    entry's dependency guarantees each has finished)."""
+    values = list(values)
+    for position in futures:
+        if type(values[position]) is Future:
+            values[position] = values[position].value
+    return tuple(values)
+
+
 def _capture(ex, env, ssa):
     """A captured value an issue did not find bound in ``env`` (or
     found ``None``): the engine's env has top-level values."""
@@ -464,7 +468,12 @@ class _Dispatcher(Process):
     up the entry, check the queue head, schedule, finish — as plain
     scheduler callbacks.
 
-    :meth:`dispatch` is the callback.  It is on the scheduler exactly
+    :meth:`dispatch` is the callback.  A launch entry carries what its
+    body runs as — a plan, or interpreted, its block — and its capture
+    values: a generated body is called with them as its arguments, the
+    plan tier and the interpreter get the env
+    :func:`~repro.sim.plan.entry_env` builds of them.  It is on the
+    scheduler exactly
     when the processor has something to look at: once at start, when an
     entry lands on the idle processor (``ProcessorModel.enqueue`` calls
     :attr:`ProcessorModel.wake`), when the head entry's dependency
@@ -561,28 +570,38 @@ class _Dispatcher(Process):
             # Stage 3: schedule (execute) the operation.  A hot body
             # whose generated code or plan never suspends completes
             # without a generator frame.
-            if entry.kind == "launch":
-                # The body's env was bound when the launch was issued
-                # (the top entry shares the engine env so top-level
-                # bindings persist into the result); only captured
-                # launch results are left to fill in.
-                block, env, futures = entry.payload
-                for argument in futures:
-                    value = env[argument]
-                    if type(value) is Future:
-                        # The dep guarantees resolution.
-                        env[argument] = value.value
+            kind = entry.kind
+            if kind == "launch":
+                # What the body runs as and its capture values were
+                # bound when the launch was issued; only captured launch
+                # results are left to resolve.
+                body, values, futures = entry.payload
+                if futures:
+                    values = _resolved(values, futures)
                 if plans is not None:
-                    plan = plans.plan_for(block)
-                    body = plan.compiled
-                    if body is not None:
-                        suspended = body(self, env)
+                    compiled = body.compiled
+                    if compiled is not None:
+                        suspended = compiled(self, *values)
                     else:
-                        suspended = _cold_run(plan, self, env)
+                        suspended = _cold_run(
+                            body, self,
+                            entry_env(body.site, body.block.arguments, values),
+                            values,
+                        )
                 else:
-                    suspended = self.engine._run_block(self, block, env)
-            elif entry.kind == "memcpy":
+                    suspended = self.engine._run_block(
+                        self, body, entry_env(None, body.arguments, values)
+                    )
+            elif kind == "memcpy":
                 suspended = self.engine._exec_memcpy(entry)
+            elif kind == "top":
+                # The top block runs in the engine env, so top-level
+                # bindings persist into the result.
+                block, env = entry.payload
+                if plans is None:
+                    suspended = self.engine._run_block(self, block, env)
+                else:
+                    suspended = plans.plan_for(block).execute(self, env)
             else:  # pragma: no cover
                 raise EngineError(f"unknown entry kind {entry.kind}")
             returns = _NO_RETURNS
@@ -719,12 +738,12 @@ class Engine:
         top_dep.trigger(None)
         top_done = self.sim.event("top.done")
         entry = EventEntry(
-            kind="launch",
+            kind="top",
             dep=top_dep,
             done=top_done,
             # The top block shares the engine env so top-level results
             # (e.g. awaited launch returns) are observable afterwards.
-            payload=(self.module.body, self.env, ()),
+            payload=(self.module.body, self.env),
             label="top",
         )
         host.enqueue(entry)
@@ -1390,10 +1409,8 @@ class Engine:
         op_function, operand_ssa, result_ssa = cached
         operands = [self._resolve(env, v) for v in operand_ssa]
         results = op_function.func(*operands)
-        if results is None:
-            results = ()
-        for ssa, result in zip(result_ssa, results):
-            env[ssa] = result
+        results = oplib.first_results(results, len(result_ssa))
+        env.update(zip(result_ssa, results))
         return op_function.cycle_count(operands)
 
     # -- loops ------------------------------------------------------------------------------
@@ -1697,10 +1714,9 @@ def simulate(
 # engine <-> plan import each other; see the note at the bottom of plan.py.
 from .plan import _EMPTY as _NO_RETURNS  # noqa: E402
 from .plan import (  # noqa: E402
-    # ``_SITE`` is named by the issue functions' generated source.
-    _SITE,  # noqa: F401
     PLAN_COUNTERS,
     PLAN_REASONS,
     PlanCache,
     _cold_run,
+    entry_env,
 )

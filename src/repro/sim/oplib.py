@@ -72,6 +72,19 @@ def lookup(signature: str) -> OpFunction:
         ) from None
 
 
+def first_results(results, count: int) -> tuple:
+    """What an op with ``count`` results binds of the ``results`` its
+    function returned (``None``: no values): the first ``count`` — one
+    per result, which every tier requires."""
+    results = () if results is None else tuple(results)
+    if len(results) < count:
+        raise OpLibError(
+            f"an operation function returned {len(results)} values for "
+            f"{count} results"
+        )
+    return results[:count]
+
+
 def registered_signatures() -> Tuple[str, ...]:
     return tuple(sorted(_REGISTRY))
 

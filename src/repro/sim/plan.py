@@ -171,11 +171,14 @@ class BlockPlan:
         self.block = block
 
     def execute(self, ex, env):
-        """Run under the inline/suspend protocol: ``None`` when the plan
-        completed without suspending (the hot case — no generator frame
-        was allocated), else a generator the caller must drive to finish
-        the remaining work; it returns what ``equeue.return_values``
-        names, if the block ends in one."""
+        """Run a block entered from the env ``env`` — a nested block, the
+        top-level one — under the inline/suspend protocol: ``None`` when
+        the plan completed without suspending (the hot case — no
+        generator frame was allocated), else a generator the caller must
+        drive to finish the remaining work; it returns what
+        ``equeue.return_values`` names, if the block ends in one.  A
+        launch body is entered with its captures instead
+        (``engine._Dispatcher.dispatch``)."""
         if self.compiled is not None:
             return self.compiled(ex, env)
         return _cold_run(self, ex, env)
@@ -277,12 +280,23 @@ def _inline_run(plan, ex, env):
     return None
 
 
-def _cold_run(plan, ex, env):
+def entry_env(site, arguments, values) -> dict:
+    """THE env of a launch body that runs as a plan, interpreted or
+    replayed after a deopt: the :class:`BodySite` it runs for under
+    ``_SITE`` (``None``: a body of its own), and its block
+    ``arguments`` bound to the capture ``values``, in order."""
+    env = dict(zip(arguments, values))
+    env[_SITE] = site
+    return env
+
+
+def _cold_run(plan, ex, env, values=None):
     """Enter a plan that has no generated body: replay it, or — once
     ``mode=codegen`` has seen it :data:`TIER_UP_EXECUTIONS` times —
-    generate the body and run that from this entry on.  What the
-    replays did is what the body's kind is chosen from: an entry whose
-    replay handed a generator back is counted as suspended."""
+    generate the body and run that from this entry on (a launch body's
+    with its capture ``values``).  What the replays did is what the
+    body's kind is chosen from: an entry whose replay handed a
+    generator back is counted as suspended."""
     cache = plan.tier
     if cache is None:
         if plan.inlineable:
@@ -296,7 +310,8 @@ def _cold_run(plan, ex, env):
     else:
         counted.runs = runs = counted.runs + 1
     if runs > TIER_UP_EXECUTIONS:
-        return cache.tier_up(plan)(ex, env)
+        body = cache.tier_up(plan)
+        return body(ex, env) if values is None else body(ex, *values)
     if not plan.inlineable:
         return plan.run(ex, env)
     suspended = _inline_run(plan, ex, env)
@@ -797,18 +812,17 @@ class PlanCache:
         self.codegen_tiered_up += replays > 0
         return plan.compiled
 
-    def bind_site(self, block):
-        """``(arguments, site)`` for a launch of ``block``: the block
-        arguments its captures bind to, and the :class:`BodySite` its
-        environment carries — the representative's arguments and this
-        body's constants when the body shares a shape, else the body's
-        own arguments and ``None`` (it compiles on first execution, as
-        every block does)."""
+    def bind_site(self, block) -> BlockPlan:
+        """The plan a launch of ``block`` runs: when the body shares a
+        shape, its :class:`BodySite`'s view of the shape's plan (its
+        captures bind to the representative's arguments, and the site
+        carries this body's constants), else the body's own plan."""
         entry = self.sites.get(id(block))
         if entry is None:
             with _span("plan.compile", ops=len(block.ops)):
                 entry = self.sites[id(block)] = self._bind_site(block)
-        return entry[1], entry[2]
+        site = entry[2]
+        return self.plan_for(block) if site is None else site.plans[-1]
 
     def _bind_site(self, block):
         # A stamp whose representative has a shape here has that shape;
@@ -1162,11 +1176,8 @@ def _c_external(cache, engine, op):
 
     def step(ex, env):
         operands = [resolve(env, v) for v in operand_ssa]
-        results = func(*operands)
-        if results is None:
-            results = ()
-        for ssa, value in zip(result_ssa, results):
-            env[ssa] = value
+        results = oplib.first_results(func(*operands), len(result_ssa))
+        env.update(zip(result_ssa, results))
         if fixed_cycles is not None:
             return fixed_cycles
         return int(cycles(operands))

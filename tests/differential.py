@@ -1382,6 +1382,175 @@ FORK_JOIN = {
 }
 
 
+# ---------------------------------------------------------------------------
+# The edges of the launch calling convention
+# ---------------------------------------------------------------------------
+#
+# A launch entry carries its capture values in block-argument order, a
+# generated launch body takes them as its arguments and builds an env
+# only where a slow path needs one.  Each program below is hot (``HOT``
+# launches of one body), so every tier of codegen generates it.
+
+
+def _one_value_twice():
+    """A launch passes the loop index at two argument positions: one
+    value, two block arguments."""
+
+    def step(b, i, pe, dma, src, out):
+        eq = EQueueBuilder(b)
+
+        def body(b1, row, col, src1, out1):
+            eq1 = EQueueBuilder(b1)
+            x = eq1.read_element(src1, [row])
+            eq1.write_element(arith.addi(b1, x, x), out1, [col])
+
+        eq.await_(eq.launch(
+            eq.control_start(), pe, args=[i, i, src, out], body=body
+        )[0])
+
+    return _hot_kernel(step)
+
+
+def _engine_env_capture():
+    """A launch in the kernel's hot loop captures a top-level value the
+    kernel was not given: the issue finds it in the engine's env
+    (``engine._capture``; the verifier refuses this, the engine does
+    not)."""
+    module, eq = empty_program()
+    regs = eq.create_mem("Register", 256, ir.i32, name="regs")
+    out = eq.alloc(regs, [HOT], ir.i32, name="out")
+    kernel = eq.create_proc("ARMr5", name="kernel")
+    pe = eq.create_proc("MAC", name="pe")
+    three = arith.constant(eq.b, 3, ir.i32)
+
+    def main(b, out_a, pe_a):
+        def step(b1, i):
+            def inner(b2, value, where, out2):
+                EQueueBuilder(b2).write_element(value, out2, [where])
+
+            eq1 = EQueueBuilder(b1)
+            eq1.await_(eq1.launch(
+                eq1.control_start(), pe_a, args=[three, i, out_a], body=inner
+            )[0])
+
+        affine.for_loop(b, 0, HOT, body=step)
+
+    eq.await_(eq.launch(
+        eq.control_start(), kernel, args=[out, pe], body=main
+    )[0])
+    return module, {}
+
+
+def _deopt_after_positional():
+    """Every entry of a hot body deopts after its captures arrived as
+    arguments: the index it captures is a ``numpy.int64``, which its
+    typed prologue refuses, so the plan replays the entry in an env
+    built from them."""
+
+    def step(b, i, pe, dma, src, out):
+        eq = EQueueBuilder(b)
+        where, = eq.op("as_int64", [i], [ir.index])
+
+        def body(b1, at, src1, out1):
+            eq1 = EQueueBuilder(b1)
+            x = eq1.read_element(src1, [at])
+            one = arith.constant(b1, 1, ir.i32)
+            eq1.write_element(arith.addi(b1, x, one), out1, [at])
+
+        eq.await_(eq.launch(
+            eq.control_start(), pe, args=[where, src, out], body=body
+        )[0])
+
+    return _hot_kernel(step)
+
+
+def _handback_builds_env():
+    """Two PEs run one shape of body as a fork–join step per iteration;
+    every sixteenth iteration both read the one-ported SRAM in the same
+    cycle — one waits on the other — and the inline body hands the rest
+    of its entry back to replay, which reads the captures the body took
+    as arguments, and a site constant, from the env it builds."""
+    module, eq = empty_program()
+    sram = eq.create_mem("SRAM", 256, ir.i32, name="sram")
+    regs = eq.create_mem("Register", 1024, ir.i32, name="regs")
+    src = eq.alloc(sram, [HOT], ir.i32, name="src")
+    out = eq.alloc(regs, [4, HOT], ir.i32, name="out")
+    kernel = eq.create_proc("ARMr5", name="kernel")
+    pes = [eq.create_proc("MAC", name=f"pe{k}") for k in range(2)]
+
+    def body(b, k, i, src1, out1):
+        eq1 = EQueueBuilder(b)
+        row = arith.constant(b, k, ir.index)
+        after = arith.constant(b, k + 2, ir.index)
+        sixteen = arith.constant(b, 16, ir.index)
+        zero = arith.constant(b, 0, ir.index)
+        waits = arith.cmpi(b, "eq", arith.remsi(b, i, sixteen), zero)
+
+        def read(b1):
+            eq2 = EQueueBuilder(b1)
+            eq2.write_element(eq2.read_element(src1, [i]), out1, [row, i])
+
+        scf.if_op(b, waits, read)
+        eq1.write_element(arith.constant(b, 7, ir.i32), out1, [after, i])
+
+    def main(b, src_a, out_a, *pes_a):
+        def step(b1, i):
+            eq1 = EQueueBuilder(b1)
+            start = eq1.control_start()
+            done = [
+                eq1.launch(
+                    start, pe, args=[i, src_a, out_a],
+                    body=lambda b2, *a, _k=k: body(b2, _k, *a),
+                    label=f"pe{k}",
+                )[0]
+                for k, pe in enumerate(pes_a)
+            ]
+            eq1.await_(eq1.control_and(done))
+
+        affine.for_loop(b, 0, HOT, body=step)
+
+    eq.await_(eq.launch(
+        eq.control_start(), kernel, args=[src, out, *pes], body=main
+    )[0])
+    ir.verify(module)
+    return module, {"src": np.arange(2, HOT + 2, dtype=np.int32)}
+
+
+def _handback_check(result):
+    src = np.arange(2, HOT + 2)
+    read = np.where(np.arange(HOT) % 16 == 0, src, 0)
+    np.testing.assert_array_equal(
+        result.buffer("out"), [read, read, [7] * HOT, [7] * HOT]
+    )
+
+
+#: The launch calling convention's edges: what an entry carries, what a
+#: generated body is entered with and where it builds an env.
+CONVENTION = {
+    "capture:one-value-twice": Program(
+        _one_value_twice,
+        check=lambda result: np.testing.assert_array_equal(
+            result.buffer("out"), 2 * np.arange(2, HOT + 2)
+        ),
+    ),
+    "capture:engine-env-only": Program(
+        _engine_env_capture, {"verify_module": False},
+        check=lambda result: np.testing.assert_array_equal(
+            result.buffer("out"), [3] * HOT
+        ),
+    ),
+    "capture:deopt-after-arguments": Program(
+        _deopt_after_positional,
+        check=lambda result: np.testing.assert_array_equal(
+            result.buffer("out"), np.arange(3, HOT + 3)
+        ),
+    ),
+    "capture:handback-builds-env": Program(
+        _handback_builds_env, check=_handback_check
+    ),
+}
+
+
 #: The programs of the table, by name: a run of each on every backend
 #: replays its row.
 RECORDED_PROGRAMS = {
@@ -1432,6 +1601,7 @@ CORPUS = {
     "fir-4-cores": _fir(4, 4),
     "rare-ops": Program(_rare_ops, check=_rare_ops_check),
     **FORK_JOIN,
+    **CONVENTION,
 }
 
 

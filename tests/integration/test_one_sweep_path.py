@@ -19,6 +19,7 @@ from repro.analysis.dse import clear_sweep_caches, evaluate_point
 from repro.dialects.linalg import ConvDims
 from repro.generators.systolic import build_systolic_program
 from repro.scenarios import (
+    cached_scenario_program,
     get_scenario,
     scenario_grid,
     simulate_scenario,
@@ -93,6 +94,32 @@ def test_scenario_and_dse_point_of_one_structure_build_one_program():
     )
     clear_sweep_caches()
     assert (stats.programs_built, stats.program_hits) == (0, 0)
+
+
+def _observed(result):
+    """What a simulation shows but the host fields."""
+    summary = result.summary.to_dict()
+    for name in HOST_FIELDS:
+        summary.pop(name, None)
+    buffers = {name: b.array.tolist() for name, b in result.buffers.items()}
+    return result.cycles, summary, buffers
+
+
+def test_a_structure_a_scenario_builds_first_keeps_its_stamps():
+    """A systolic program first built by the scenario path (a scenario
+    sweep, a service job) caches what its build knows, as a DSE point's
+    does: the stamps its plan cache binds the copied PE bodies by — and
+    simulates bit-identically to a cold build."""
+    clear_sweep_caches()
+    scenario = get_scenario("systolic")
+    cfg = scenario.configure(n=2, c=4, h=5, w=5, fh=1, fw=1)
+    entry = cached_scenario_program(scenario, cfg)
+    assert entry.stamps  # consumed as the stamps bind, so read before
+    stamped = len(entry.stamps)
+    served, _ = simulate_scenario(scenario, cfg, seed=SEED)
+    assert served.summary.plans_shared >= stamped
+    assert _observed(served) == _observed(_cold(cfg.to_generator_config()))
+    clear_sweep_caches()
 
 
 # ---------------------------------------------------------------------------

@@ -176,16 +176,25 @@ class TestCodegenMechanics:
             _branchy_program(), EngineOptions(mode="codegen"), {"src": data}
         )
         engine.run()
-        bodies = [
-            plan.compiled
+        plans = [
+            plan
             for _, plan in engine._plans.plans.values()
             if plan.compiled is not None
         ]
-        assert bodies
-        for body in bodies:
+        assert plans
+        for plan in plans:
+            # Entered with what the block is entered with: a launch body
+            # with its captures, any other block with its env.
+            body, block = plan.compiled, plan.block
+            code = body.__code__
+            entered = code.co_varnames[:code.co_argcount - len(body.__defaults__)]
             assert codegen.source_of(body).startswith(
-                "def _plan_body(ex, env"
+                f"def _plan_body({', '.join(entered)}"
             )
+            if block.parent_op is not None and block.parent_op.name == "equeue.launch":
+                assert len(entered) == 1 + len(block.arguments)
+            else:
+                assert entered == ("ex", "env")
 
     def test_interpreter_never_codegens(self, rng):
         data = rng.integers(-40, 40, 12).astype(np.int32)

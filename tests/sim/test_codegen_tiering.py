@@ -47,8 +47,8 @@ def test_suspending_bodies_do_suspend_in_generated_code(
             return (fn, *counts)
         assert inspect.isgeneratorfunction(fn)
 
-        def body(ex, env):
-            generated, sent = fn(ex, env), None
+        def body(ex, *entered):  # a PE body: entered with its captures
+            generated, sent = fn(ex, *entered), None
             while True:
                 try:
                     request = generated.send(sent)

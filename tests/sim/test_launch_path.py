@@ -3,14 +3,17 @@ and bodies that write ``env`` only for a reader.
 
 Issuing a launch is one function per site (``engine.LaunchSite.issue``;
 a fork–join step's members share one), made from a code object compiled
-once per layout of captures: the captures are read into locals and the
-body env is one dict display.  A generated
-body keeps the values it defines in locals and writes one to ``env``
-only where something reads it there — a step closure, a nested plan
-entered as a plan — or, before a slow path that goes on by replay, the
-locals that replay reads; so inline bodies flatten ``scf.if`` at every
-depth.  These tests hold, against the interpreter on both schedulers
-with tier-up at the first execution:
+once per layout of captures: the captures are read into locals and each
+entry carries them as one tuple, in block-argument order — no env is
+built.  A generated launch body takes them as its arguments, builds an
+env only where a slow path needs one, and has as default arguments only
+what its hot path reads (what only slow paths read sits behind one
+default, ``_cold``).  It keeps the values it defines in locals and
+writes one to ``env`` only where something reads it there — a step
+closure, a nested plan entered as a plan — or, before a slow path that
+goes on by replay, the locals that replay reads; so inline bodies
+flatten ``scf.if`` at every depth.  These tests hold, against the
+interpreter on both schedulers with tier-up at the first execution:
 
 * **the env-elision fences**, each with a program that goes wrong
   without it — the ``*_is_what_holds`` tests patch the fence away: a
@@ -22,6 +25,11 @@ with tier-up at the first execution:
   launch result (the ``Future`` path), a capture found only in the
   engine's env, a capture bound to ``None``, the two errors with their
   text unchanged, and one ``compile()`` per layout of captures;
+* **the calling convention's fences**: no issue code builds a dict,
+  and a hot PE body's parameters are its captures and what its hot
+  path reads — no step closure, nested plan, replay or deopt entry
+  point, or env key (the corpus's ``capture:*`` programs hold the
+  edges to the interpreter on every backend);
 * **which launches issue as one fork–join step** (``plan.step_ops``):
   the systolic step and the corpus's ``fork-join-edges`` step do;
   ``late-dep`` (the run's first launch is not joined) and the
@@ -31,6 +39,7 @@ with tier-up at the first execution:
 
 from __future__ import annotations
 
+import dis
 import gc
 import inspect
 import re
@@ -139,9 +148,11 @@ def test_values_read_after_a_wait_are_spilled_before_the_replay():
     (text, body), = _bodies(_plans(agree(_waits_between, FIRST)))
     assert not inspect.isgeneratorfunction(body)
     # The index and the datum reach env only on the way to the replay.
+    # (A slow path reads what only slow paths read from ``_cold``.)
     spills = [
         spill.group(0) for spill in re.finditer(
-            r"(\n +env\[_k\d+\] = _\w+)+\n +return _resume\(", text
+            r"(\n +env\[_cold\._k\d+\] = _\w+)+\n +return _cold\._resume\(",
+            text,
         )
     ]
     assert any(
@@ -515,6 +526,62 @@ def test_an_evicted_programs_issue_code_goes_with_it(monkeypatch):
     gc.collect()
     assert layout not in engine._ISSUE_CODES
     cache.clear()
+
+
+# ---------------------------------------------------------------------------
+# The calling convention
+# ---------------------------------------------------------------------------
+
+
+def _first_step(module):
+    """The first fork–join step of ``module``, as its launch ops."""
+    return next(
+        item[:-2]
+        for op in module.walk()
+        for region in op.regions
+        for block in region.blocks
+        for item in plan.step_ops(block)
+        if type(item) is tuple
+    )
+
+
+@pytest.mark.parametrize("shape", ["fork-join", "lone"])
+def test_no_issue_builds_a_dict(shape):
+    """An entry carries its capture values as a tuple: the issue code
+    of a fork–join step and of a lone launch builds no dict display."""
+    if shape == "fork-join":
+        ops = _first_step(CORPUS["systolic-WS-3x3"].build()[0])
+    else:
+        module, _ = returns_captured()
+        ops = [op for op in module.body.ops if op.name == "equeue.launch"][1:]
+    code = engine.LaunchSite(*ops).issue.__code__
+    built = {i.opname for i in dis.get_instructions(code)}
+    assert "BUILD_TUPLE" in built
+    assert not built & {"BUILD_MAP", "BUILD_CONST_KEY_MAP"}
+
+
+#: Bindings only slow paths read: step closures, nested plans, env
+#: keys, the plan itself, the replay and deopt entry points and how to
+#: build an env.
+SLOW_ONLY = re.compile(r"_[spkt]\d+|_plan|_resume|_deopt|_loads|_mkenv|_stepped")
+
+
+def test_a_hot_pe_body_takes_only_what_its_hot_path_reads():
+    runs = agree(CORPUS["systolic-WS-3x3"].build, (FIRST[0],))
+    inline = [
+        body for _, body in _bodies(_plans(runs))
+        if not inspect.isgeneratorfunction(body)
+    ]
+    assert len(inline) >= 3  # the PE bodies' shapes
+    for body in inline:
+        code = body.__code__
+        parameters = code.co_varnames[:code.co_argcount]
+        entered = code.co_argcount - len(body.__defaults__)
+        # Entered with its captures, not an env ...
+        assert "env" not in parameters[:entered]
+        # ... and defaults only its hot path reads, the rest behind one.
+        assert parameters[-1] == "_cold"
+        assert [p for p in parameters if SLOW_ONLY.fullmatch(p)] == []
 
 
 def _fork_joins(name):

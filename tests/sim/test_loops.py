@@ -138,9 +138,10 @@ def test_an_inline_body_calls_the_step_of_a_loop_in_a_flattened_branch(
         assert not inspect.isgeneratorfunction(body)
         text = codegen.source_of(body)
         assert not NATIVE_LOOP.search(text)
+        # (A slow path reads what only slow paths read from ``_cold``.)
         assert re.search(
             r"\n( +)_r = _s\d+\(ex, env\)\n\1if _r is not None:\n"
-            r"\1    return _resume\(",
+            r"\1    return _cold\._resume\(",
             text,
         )
 

@@ -39,7 +39,7 @@ from repro import ir
 from repro.dialects import affine, arith
 from repro.dialects.equeue import EQueueBuilder
 from repro.ir.attributes import IntegerAttr
-from repro.ir.values import BlockArgument, OpResult
+from repro.ir.values import OpResult
 from repro.scenarios import get_scenario, scenario_names
 from repro.sim import (
     Engine,
@@ -51,6 +51,7 @@ from repro.sim import (
     plan,
     simulate,
 )
+from repro.sim import engine as engine_module
 from repro.sim.components import ProcessorModel
 from tests.differential import (
     REFERENCE,
@@ -87,13 +88,22 @@ def test_index_arithmetic_is_plain_expressions(tier_up_at):
     tier_up_at(0)
     module, inputs = captured_index_program([("int", 1, {})] * 2)
     text = "\n".join(_sources(module, inputs))
-    # What the body is entered with: loaded once, then checked — the
-    # captured index exactly, the buffers for Futures — before anything.
+    # What a body is entered with is checked before anything: a launch
+    # body's captures are its arguments — the captured index exactly;
+    # the buffers are no Future, the dispatcher resolved what may be one.
+    assert re.search(
+        r"def _plan_body\(ex, _n\d+, _x\d+, _x\d+, [^\n]*\):\n"
+        r"    if _guard or type\(_n\d+\) is not int:\n",
+        text,
+    )
+    # A block entered from an env loads it once, then checks it — the
+    # index exactly, the buffer for a Future.  (A slow path reads what
+    # only slow paths read from ``_cold``.)
+    deopt = r"return _cold\._deopt\(_cold\._plan, ex, env, _cold\._loads, _guard\)"
     assert re.search(
         r"\):\n    try:\n(        _[nx]\d+ = env\[_k\d+\]\n)+"
-        r"    except KeyError:\n        return _deopt\(_plan, ex, env, "
-        r"_loads, _guard\)\n    if _guard or type\(_n\d+\) is not int or "
-        r"type\(_x\d+\) is _Future",
+        rf"    except KeyError:\n        {deopt}\n    if _guard or "
+        r"type\(_x\d+\) is _Future or type\(_n\d+\) is not int",
         text,
     )
     # addi(where, one) — in a local alone: nothing reads env for it —
@@ -307,7 +317,9 @@ def test_a_shared_bodys_constants_are_typed_per_site(tier_up_at):
     sites = [site for _, _, site in cache.sites.values()]
     bodies = [site.plans[-1].compiled for site in sites]
     assert len({fn.__code__ for fn in bodies}) == 1
-    guard = bodies[0].__code__.co_varnames.index("_guard") - 2
+    code = bodies[0].__code__
+    entered = code.co_argcount - len(bodies[0].__defaults__)
+    guard = code.co_varnames.index("_guard") - entered
     assert [fn.__defaults__[guard] for fn in bodies] == [
         None, None, "int:bool",
     ]
@@ -393,32 +405,41 @@ def _is_launch_value(ssa) -> bool:
 
 
 def _futures_only_where_expected(build, mode):
-    """Run ``build()``; every env a launch body ran in is looked at when
-    the launch is issued and again when the run is over."""
-    issued = []
+    """Run ``build()``; what every launch body is entered with is looked
+    at when the launch is issued and when it is dispatched, and the
+    engine's env when the run is over."""
+    entered = []
     enqueue = ProcessorModel.enqueue
+    env_of = engine_module.entry_env
 
     def watching(self, entry):
         if entry.kind == "launch":
-            block, env, futures = entry.payload
-            for key, value in env.items():
+            body, values, futures = entry.payload
+            for position, value in enumerate(values):
                 if isinstance(value, Future):
-                    # Between issue and dispatch: under a block argument
-                    # the issue step named, capturing a launch result.
-                    assert isinstance(key, BlockArgument) and key in futures
-            issued.append(env)
+                    # Between issue and dispatch: at a position the
+                    # issue step named, capturing a launch result.
+                    assert position in futures
         enqueue(self, entry)
 
+    def building(site, arguments, values):
+        # A body's env: built from the values the dispatcher resolved.
+        env = env_of(site, arguments, values)
+        entered.append(env)
+        return env
+
     ProcessorModel.enqueue = watching
+    engine_module.entry_env = building
     try:
         module, inputs = build()
         engine = Engine(module, EngineOptions(mode=mode), inputs)
         engine.run()
     finally:
         ProcessorModel.enqueue = enqueue
+        engine_module.entry_env = env_of
     found = 0
     # (The top-level entry runs in the engine's own env.)
-    for env in {id(env): env for env in [engine.env, *issued]}.values():
+    for env in {id(env): env for env in [engine.env, *entered]}.values():
         for key, value in env.items():
             if isinstance(value, Future):
                 found += 1

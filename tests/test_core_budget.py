@@ -39,7 +39,19 @@ one walk from ops to steps, with the fork–join match and the structure
 op check; ``codegen.py`` −10: its own copy of that walk gone); 2 961
 once the table of launch-issue code holds a layout's code only while a
 site uses it (``engine.py`` +1: the ``weakref`` import, as
-``codegen._SHAPES`` already has).
+``codegen._SHAPES`` already has); 3 056 once a launch entry carries its
+captures, not a dict (``codegen.py`` +84: a launch body's captures as
+its parameters and its prologue without loads, the slow paths marked
+where they are emitted, what a slow path binds in the one ``_cold``
+namespace rather than as a default argument — plans bound where a slow
+path names them — the env a launch body builds only where a slow path
+or a line outside one reads it, and ``equeue.op`` results as locals;
+``engine.py`` +8: the
+dispatcher calls a generated body with the entry's values and builds
+the plan tier's env of them, and the top block is an entry of its own
+kind; ``plan.py`` +3: ``entry_env``, the one env of a launch body, and
+a tier-up entered with its captures — less the per-entry ``plan_for``,
+the issue's dict display and its per-member block-argument defaults).
 
 ROADMAP item 4 wants the service core an explicit state machine over
 one log; :data:`LIFECYCLE` pins its files the same way.  Readings: 1 507
@@ -81,7 +93,7 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 CORE = ("sim/engine.py", "sim/plan.py", "sim/codegen.py")
-BUDGET = 2961
+BUDGET = 3056
 #: The job lifecycle and the append-only log under the WAL and the sweep
 #: journal.
 LIFECYCLE = (
