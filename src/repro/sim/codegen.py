@@ -74,11 +74,13 @@ typed prologue, same deopt tier):
   Nothing is handed back to plan replay, so its ``affine.for`` nests
   are native loops at *every* depth (text grows with the op count,
   nothing is unrolled), and a scalar ``equeue.read``/``equeue.write``
-  that has to wait is emitted in place, phase by phase in the general
-  handler's order (:data:`_READ_ORDER`, :data:`_WRITE_ORDER`): value
-  and traffic counters, flush, ``queue.book`` at the flushed ``now``,
-  the store, ``yield end - now``.  What every body that holds a loop,
-  awaits or returns values gets.
+  that has to wait takes its value and traffic counters in place,
+  flushes, and drives the one blocked access every tier shares with
+  ``yield from`` (:data:`_READ_ORDER`, :data:`_WRITE_ORDER`): the
+  booking at the flushed ``now`` and a write's store are
+  :func:`~repro.sim.plan._blocked_read`'s and
+  :func:`~repro.sim.plan._blocked_write`'s.  What every body that
+  holds a loop, awaits or returns values gets.
 
 :func:`~repro.sim.plan._suspends` picks the kind when the body is
 generated: from whether the plan has an inline form at all, whether it
@@ -174,6 +176,8 @@ from .plan import (
     K_SITE,
     ShapePlan,
     SiteIndex,
+    _blocked_read,
+    _blocked_write,
     _inline_run,
     _plain_access_cost,
     _resume,
@@ -219,14 +223,16 @@ _CMP_EXPR = {
     "eq": "==", "ne": "!=", "slt": "<", "sle": "<=", "sgt": ">", "sge": ">=",
 }
 
-#: A scalar access that has to wait, phase by phase, in the order
-#: :meth:`Engine._h_read` and :meth:`Engine._h_write` go through them:
-#: the value is read, and the traffic counted, *before* the pending
-#: cycles are flushed (another processor may store over the element
-#: while they elapse); the queue is booked at the flushed ``now``; a
-#: write stores its element once the booking is made.
-_READ_ORDER = ("value", "count", "flush", "book", "wait")
-_WRITE_ORDER = ("count", "flush", "book", "apply", "wait")
+#: A scalar access that has to wait, phase by phase: the value is read,
+#: and the traffic counted, *before* the pending cycles are flushed
+#: (another processor may store over the element while they elapse);
+#: then the wait is THE blocked access of every tier, driven with
+#: ``yield from`` (:func:`~repro.sim.plan._blocked_read`,
+#: :func:`~repro.sim.plan._blocked_write`: the booking at the flushed
+#: ``now``, a write's store once it is booked) — with no connection and
+#: so no bytes to move: a connected access is its step's.
+_READ_ORDER = ("value", "count", "flush", "wait")
+_WRITE_ORDER = ("count", "flush", "wait")
 
 #: Flushing the pending cycles, in a body that may yield.
 _FLUSH = (
@@ -910,12 +916,10 @@ class _Emitter:
         """Open the fast path: the test of the access's cost.  Where a
         suspending body takes an access that has to wait itself, that
         branch comes first — ``phases`` (else ``None``) in ``order``,
-        around the flush and the booking."""
+        around the flush."""
         test = "if"
         if phases is not None:
             phases["flush"] = _FLUSH
-            phases["book"] = ("_q = _m.queue", "_e = _q.book(_co)[1]")
-            phases["wait"] = ("yield _e - _q.sim.now",)
             self.line(indent, "if _co > 0:")
             for phase in order:
                 self.block(indent + 1, phases[phase])
@@ -954,7 +958,10 @@ class _Emitter:
         outer = indent
         waiting = None
         if self.suspending and waits and not raises:
-            waiting = {"value": stores, "count": stats}
+            wait = self.named("_blocked_read", _blocked_read)
+            waiting = {"value": stores, "count": stats, "wait": (
+                f"yield from {wait}(_m.queue, _co, None, 0)",
+            )}
         self._emit_cost_test(indent, posted, _READ_ORDER, waiting)
         indent += 1
         if raises:  # for want of an int: the handler's to sort out
@@ -993,10 +1000,12 @@ class _Emitter:
         stats = self._stats(buf, "bytes_written", "writes")
         waiting = None
         if self.suspending and waits and stored != "_w" and not raises:
-            waiting = {
-                "count": stats,
-                "apply": self._apply(buf, target, stored, reshape, is_int),
-            }
+            wait = self.named("_blocked_write", _blocked_write)
+            shaped = self._shaped(buf, target, stored, reshape, is_int)
+            waiting = {"count": stats, "wait": (
+                f"yield from {wait}(_m.queue, _co, None, 0, "
+                f"{buf}.array, {target}, {shaped})",
+            )}
         self._emit_cost_test(indent, posted, _WRITE_ORDER, waiting)
         indent += 1
         if stored == "_w":
@@ -1018,22 +1027,21 @@ class _Emitter:
             self.line(indent, "else:")
             indent += 1
             target = "_tg"
-        self.block(indent, self._apply(buf, target, stored, reshape, is_int))
+        shaped = self._shaped(buf, target, stored, reshape, is_int)
+        self.line(indent, f"{buf}.array[{target}] = {shaped}")
         self._emit_fast(indent, posted, stats)
         self.line(outer, "else:")
         slow(outer + 1)
 
-    def _apply(self, buf, target, stored, reshape, is_int):
-        """The statements storing one element."""
-        plain = f"{buf}.array[{target}] = {stored}"
+    def _shaped(self, buf, target, stored, reshape, is_int):
+        """The element a write stores: an ndarray value reshaped to its
+        target's, as ``_h_write`` does."""
         if not reshape or is_int:
-            return (plain,)
+            return stored
+        ndarray = self.named("_ndarray", np.ndarray)
         return (
-            f"if isinstance({stored}, {self.named('_ndarray', np.ndarray)}):",
-            f"    {buf}.array[{target}] = {self.named('_np', np)}.asarray("
-            f"{stored}).reshape({buf}.array[{target}].shape)",
-            "else:",
-            "    " + plain,
+            f"{stored}.reshape({buf}.array[{target}].shape) "
+            f"if isinstance({stored}, {ndarray}) else {stored}"
         )
 
     def emit_extern(self, indent, meta):

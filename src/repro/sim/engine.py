@@ -638,6 +638,22 @@ _STRUCTURE_OPS = frozenset(
     }
 )
 
+
+def _unstalled(memory, conn, mem_cycles, nbytes, is_write):
+    """Charge an access that stalls nothing: one that costs no cycles,
+    or a posted (prefetched) one — it charges the resources, so busy time
+    and bandwidth statistics stay honest, without stalling the issuing
+    processor (double-buffered edge registers)."""
+    if mem_cycles and memory.queue is not None:
+        memory.queue.posted_busy_cycles += mem_cycles
+    if conn is not None:
+        transfer = conn.transfer_cycles(nbytes)
+        conn.record(nbytes, transfer, is_write=is_write)
+        queue = conn.write_queue if is_write else conn.read_queue
+        if transfer and queue is not None:
+            queue.posted_busy_cycles += transfer
+
+
 #: Ops whose handlers read or publish global simulation time and therefore
 #: require the locally-accumulated cycles to be flushed first.
 _NEEDS_FLUSH = frozenset(
@@ -1273,47 +1289,15 @@ class Engine:
         buffer.memory.record_read(nbytes)
         address = self._linear_index(buffer, indices)
         mem_cycles = buffer.memory.access_cycles(elements, False, address)
-        if posted:
-            # Posted/prefetched access: charges the resources (so busy-time
-            # and bandwidth statistics stay honest) without stalling the
-            # issuing processor — modeling double-buffered edge registers.
-            if mem_cycles and buffer.memory.queue is not None:
-                buffer.memory.queue.posted_busy_cycles += mem_cycles
-            if conn is not None:
-                transfer = conn.transfer_cycles(nbytes)
-                conn.record(nbytes, transfer, is_write=False)
-                if transfer and conn.read_queue is not None:
-                    conn.read_queue.posted_busy_cycles += transfer
-            env[op.result()] = value
+        env[op.result()] = value
+        if posted or mem_cycles == 0 and (conn is None or conn.bandwidth <= 0):
+            if mem_cycles or conn is not None:  # something to charge
+                _unstalled(buffer.memory, conn, mem_cycles, nbytes, False)
             return 0
-        fast = mem_cycles == 0 and (conn is None or conn.bandwidth <= 0)
-        if fast:
-            if conn is not None:
-                conn.record(nbytes, 0, is_write=False)
-            env[op.result()] = value
-            return 0
-
-        def gen():
-            now = self.sim.now
-            end = now
-            if mem_cycles and buffer.memory.queue is not None:
-                _, end = buffer.memory.queue.book(mem_cycles)
-            if conn is not None:
-                transfer = conn.transfer_cycles(nbytes)
-                conn.record(nbytes, transfer, is_write=False)
-                if transfer and conn.read_queue is not None:
-                    _, end_c = conn.read_queue.book(transfer, at=end)
-                    end = max(end, end_c)
-            env[op.result()] = value
-            wait = end - now
-            if wait:
-                if self.options.trace and self.options.detailed_trace:
-                    self.trace.record(
-                        "read", "operation", "Processor", ex.proc.path, now, wait
-                    )
-                yield wait
-
-        return gen()
+        wait = _blocked_read(buffer.memory.queue, mem_cycles, conn, nbytes)
+        if self.options.trace and self.options.detailed_trace:
+            return self._traced_wait("read", ex, wait)
+        return wait
 
     def _h_write(self, ex, op, env):
         posted, buffer_ssa, conn_ssa, indices_ssa = self._read_write_static(
@@ -1323,70 +1307,44 @@ class Engine:
         buffer = self._resolve(env, buffer_ssa)
         conn = self._resolve(env, conn_ssa) if conn_ssa is not None else None
         indices = [self._resolve(env, v) for v in indices_ssa]
+        array = buffer.array
         if indices:
-            remaining = buffer.array.shape[len(indices):]
+            target = tuple(int(i) for i in indices)
+            remaining = array.shape[len(indices):]
             elements = int(np.prod(remaining)) if remaining else 1
             nbytes = elements * buffer.element_bits // 8
+            if isinstance(value, np.ndarray):
+                value = value.reshape(array[target].shape)
         else:
+            target = Ellipsis
             elements = buffer.num_elements
             nbytes = buffer.nbytes
+            if isinstance(value, np.ndarray):
+                array, target, value = array.ravel(), slice(None), value.ravel()
         buffer.memory.record_write(nbytes)
         address = self._linear_index(buffer, indices)
         mem_cycles = buffer.memory.access_cycles(elements, True, address)
-
-        def apply():
-            if indices:
-                target = tuple(int(i) for i in indices)
-                if isinstance(value, np.ndarray):
-                    buffer.array[target] = np.asarray(value).reshape(
-                        buffer.array[target].shape
-                    )
-                else:
-                    buffer.array[target] = value
-            elif isinstance(value, np.ndarray):
-                buffer.array.ravel()[:] = np.asarray(value).ravel()
-            else:
-                buffer.array[...] = value
-
-        if posted:
-            if mem_cycles and buffer.memory.queue is not None:
-                buffer.memory.queue.posted_busy_cycles += mem_cycles
-            if conn is not None:
-                transfer = conn.transfer_cycles(nbytes)
-                conn.record(nbytes, transfer, is_write=True)
-                if transfer and conn.write_queue is not None:
-                    conn.write_queue.posted_busy_cycles += transfer
-            apply()
+        if posted or mem_cycles == 0 and (conn is None or conn.bandwidth <= 0):
+            if mem_cycles or conn is not None:  # something to charge
+                _unstalled(buffer.memory, conn, mem_cycles, nbytes, True)
+            array[target] = value
             return 0
+        wait = _blocked_write(
+            buffer.memory.queue, mem_cycles, conn, nbytes, array, target, value
+        )
+        if self.options.trace and self.options.detailed_trace:
+            return self._traced_wait("write", ex, wait)
+        return wait
 
-        fast = mem_cycles == 0 and (conn is None or conn.bandwidth <= 0)
-        if fast:
-            if conn is not None:
-                conn.record(nbytes, 0, is_write=True)
-            apply()
-            return 0
-
-        def gen():
-            now = self.sim.now
-            end = now
-            if conn is not None:
-                transfer = conn.transfer_cycles(nbytes)
-                conn.record(nbytes, transfer, is_write=True)
-                if transfer and conn.write_queue is not None:
-                    _, end = conn.write_queue.book(transfer, at=now)
-            if mem_cycles and buffer.memory.queue is not None:
-                _, end_m = buffer.memory.queue.book(mem_cycles, at=end)
-                end = max(end, end_m)
-            apply()
-            wait = end - now
-            if wait:
-                if self.options.trace and self.options.detailed_trace:
-                    self.trace.record(
-                        "write", "operation", "Processor", ex.proc.path, now, wait
-                    )
-                yield wait
-
-        return gen()
+    def _traced_wait(self, name, ex, wait):
+        """A blocked access's ``wait``, leaving the detailed trace's record
+        of it."""
+        now = self.sim.now
+        for cycles in wait:
+            self.trace.record(
+                name, "operation", "Processor", ex.proc.path, now, cycles
+            )
+            yield cycles
 
     def _h_dealloc(self, ex, op, env):
         buffer = self._resolve(env, op.operand(0))
@@ -1481,16 +1439,7 @@ class Engine:
         env[op.result()] = value.item() if hasattr(value, "item") else value
         buffer.memory.record_read(buffer.element_bits // 8)
         cycles = buffer.memory.access_cycles(1, False, self._linear_index(buffer, indices))
-        if cycles == 0:
-            return 0
-
-        def gen():
-            _, end = buffer.memory.queue.book(cycles)
-            wait = end - self.sim.now
-            if wait:
-                yield wait
-
-        return gen()
+        return cycles and _blocked_read(buffer.memory.queue, cycles, None, 0)
 
     def _h_memref_store(self, ex, op, env):
         value = self._resolve(env, op.operand(0))
@@ -1499,16 +1448,9 @@ class Engine:
         buffer.array[indices] = value
         buffer.memory.record_write(buffer.element_bits // 8)
         cycles = buffer.memory.access_cycles(1, True, self._linear_index(buffer, indices))
-        if cycles == 0:
-            return 0
-
-        def gen():
-            _, end = buffer.memory.queue.book(cycles)
-            wait = end - self.sim.now
-            if wait:
-                yield wait
-
-        return gen()
+        # Stored before the flush: what waits is the memory's booking
+        # alone, the same as a load's.
+        return cycles and _blocked_read(buffer.memory.queue, cycles, None, 0)
 
     def _h_memref_copy(self, ex, op, env):
         source = self._resolve(env, op.operand(0))
@@ -1717,6 +1659,8 @@ from .plan import (  # noqa: E402
     PLAN_COUNTERS,
     PLAN_REASONS,
     PlanCache,
+    _blocked_read,
+    _blocked_write,
     _cold_run,
     entry_env,
 )

@@ -39,8 +39,9 @@ Step kinds
                    generator (arith, reads/writes, coarse models) — the
                    hot kind, checked first by both executors.  A scalar
                    read/write that has to wait takes the value and
-                   counts the traffic in the step, and returns only the
-                   booking as a generator (:func:`_blocked_read`)
+                   counts the traffic in the step, and returns the
+                   wait every tier shares (:func:`_blocked_read`,
+                   :func:`_blocked_write`)
 ``K_FLUSH_CALL``   flush pending cycles, then a plain call (launch, memcpy,
                    control events — their handlers never suspend)
 ``K_GEN``          flush pending cycles, then drive a generator: an await,
@@ -1255,11 +1256,13 @@ def _waits_inline(cache) -> bool:
 
 
 def _blocked_read(queue, cost, conn, nbytes):
-    """What is left of a scalar read that has to wait, once its step has
-    taken the value and counted the traffic and the executor has flushed
-    the pending cycles (so ``now`` is the flushed one): book the
-    memory's queue, then the connection's from where the memory is done,
-    as :meth:`Engine._h_read` does, and wait for the later end."""
+    """THE wait of a read — every tier's: the interpreter's handlers
+    return it, plan replay's steps return it and a suspending generated
+    body drives it with ``yield from``.  The caller has taken the value
+    and counted the memory's traffic; the executor has flushed the
+    pending cycles before it first resumes this, so ``now`` is the
+    flushed one.  Book the memory's queue, then the connection's from
+    where the memory is done, and wait for the later end."""
     now = queue.sim.now
     end = queue.book(cost)[1] if cost else now
     if conn is not None:
@@ -1272,10 +1275,10 @@ def _blocked_read(queue, cost, conn, nbytes):
 
 
 def _blocked_write(queue, cost, conn, nbytes, array, target, stored):
-    """The same for a scalar write, in :meth:`Engine._h_write`'s order:
-    the connection first, the memory's queue from where the connection
-    is done — and the element is stored once both are booked, so a read
-    that another processor makes during the flush sees the old one."""
+    """THE wait of a write, the same way: the connection first, the
+    memory's queue from where the connection is done — and
+    ``array[target] = stored`` once both are booked, so a read that
+    another processor makes during the flush sees the old element."""
     now = end = queue.sim.now
     if conn is not None:
         transfer = conn.transfer_cycles(nbytes)
@@ -1448,14 +1451,10 @@ def _c_write(cache, engine, op):
                     target = tuple([int(env[s]) for s in indices_ssa])
                 except (KeyError, TypeError):
                     return general(ex, env)
-            blocked = conn is not None or (cost > 0 and not posted)
             if reshape and isinstance(stored, np.ndarray):
-                if blocked:
-                    return general(ex, env)
-                buffer.array[target] = np.asarray(stored).reshape(
-                    buffer.array[target].shape
-                )
-            elif not blocked:
+                stored = stored.reshape(buffer.array[target].shape)
+            blocked = conn is not None or (cost > 0 and not posted)
+            if not blocked:
                 buffer.array[target] = stored
             nbytes = buffer.element_bits >> 3
             memory.bytes_written += nbytes

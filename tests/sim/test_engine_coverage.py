@@ -1,15 +1,17 @@
 """Additional engine coverage: cache components, DRAM, hierarchy lookup at
 runtime, memref ops, fill/matmul handlers, posted
-access accounting, window memcpy."""
+access accounting, window memcpy, and a launch body that reads a value it
+was never given."""
 
 import numpy as np
 import pytest
 
 from repro import ir
-from repro.dialects import affine, arith, linalg, memref
+from repro.dialects import affine, arith, linalg, memref, scf
 from repro.dialects.equeue import EQueueBuilder
 from repro.dialects.equeue import types as eqt
-from repro.sim import simulate
+from repro.sim import EngineError, simulate
+from tests.differential import BACKENDS, empty_program, run
 
 
 def make_program():
@@ -239,4 +241,54 @@ class TestWindowMemcpy:
         assert simulate(module).cycles == 16
 
 
-pytest  # noqa: B018
+# ---------------------------------------------------------------------------
+# A value a launch body neither captures nor defines
+# ---------------------------------------------------------------------------
+
+ZERO = 0  # the element index every access below uses
+
+#: One body per replayed step that looks a value up in its env and, on a
+#: miss, resolves it for the error: ``use(builder, outer)`` reads one of
+#: ``outer``, the module block's values.
+ESCAPES = {
+    "arith.addi": lambda b, o: arith.addi(b, o["int"], o["int"]),
+    "arith.divsi": lambda b, o: arith.divsi(b, o["int"], o["int"]),
+    "arith.cmpi": lambda b, o: arith.cmpi(b, "eq", o["int"], o["int"]),
+    "scf.if": lambda b, o: scf.if_op(
+        b, o["flag"], lambda b1: arith.constant(b1, 1, ir.i32)
+    ),
+    "equeue.read": lambda b, o: EQueueBuilder(b).read_element(
+        o["buffer"], [arith.constant(b, ZERO, ir.index)]
+    ),
+    "equeue.write": lambda b, o: EQueueBuilder(b).write_element(
+        arith.constant(b, 1, ir.i32), o["buffer"],
+        [arith.constant(b, ZERO, ir.index)],
+    ),
+}
+
+
+def _escaping(use):
+    """A launch body that reads a value of the module's block without
+    capturing it: what only an unverified module can hold."""
+    module, eq = empty_program()
+    sram = eq.create_mem("SRAM", 64, ir.i32, name="sram")
+    outer = {
+        "int": arith.constant(eq.b, 3, ir.index),
+        "buffer": eq.alloc(sram, [4], ir.i32, name="buf"),
+    }
+    outer["flag"] = arith.cmpi(eq.b, "eq", outer["int"], outer["int"])
+    pe = eq.create_proc("MAC", name="pe")
+
+    def body(b):
+        use(b, outer)
+
+    done, = eq.launch(eq.control_start(), pe, body=body)
+    eq.await_(done)
+    return module, None
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("op", ESCAPES)
+def test_an_uncaptured_value_is_unbound_on_every_backend(op, backend):
+    with pytest.raises(EngineError, match="unbound SSA value"):
+        run(lambda: _escaping(ESCAPES[op]), backend, verify_module=False)

@@ -1,19 +1,21 @@
 """Bodies that suspend: the generator kind of generated body, the
-scalar access that waits without the general handler, and the fences
-around both.
+scalar access that waits, and the fences around both.
 
 ``mode=codegen`` gives a hot block one of two kinds of body — an *inline*
 one (a plain function: ``None``, or what is left of the entry as a
 generator) or a *suspending* one (a generator function in which a step
 that waits yields in place) — chosen by ``plan._suspends`` from what the
-block's replays did.  In both kinds and in plan replay, a scalar
-``equeue.read``/``equeue.write`` that has to wait no longer calls
-``Engine._h_read``/``_h_write``; the handlers stay the oracle, through
-``mode="interpret"`` and through ``tests/sim/data/dispatch_recorded.json``
-(the ``BLOCKING`` programs of ``tests/differential.py``, recorded while
-the handlers still did everything; ``tests/sim/test_backend_matrix.py``
-replays them under the real selector at every tier-up).  These tests
-hold:
+block's replays did.  A scalar ``equeue.read``/``equeue.write`` that has
+to wait is one generator in every tier (``plan._blocked_read``,
+``plan._blocked_write``): the interpreter's handlers return it, a
+replayed step returns it, and a suspending body takes the value and
+counts the traffic inline, flushes, and drives it with ``yield from``.
+So the interpreter moves with that generator, and the oracle of the
+wait is the recorded table, not the handlers:
+``tests/sim/data/dispatch_recorded.json`` (the ``BLOCKING`` programs of
+``tests/differential.py``, recorded while each handler still booked on
+its own; ``tests/sim/test_backend_matrix.py`` replays them under the
+real selector at every tier-up).  These tests hold:
 
 * **the kind never changes a result** — every registered scenario and
   the six recorded programs, on both schedulers, with each kind forced
@@ -24,15 +26,18 @@ hold:
 * **the selection rule** — what ``_cold_run`` counts and what
   ``_suspends`` makes of it;
 * **the fences**, each with a ``*_is_what_holds`` test that takes the
-  fence away and watches the differential fail: the order of an access
-  that waits (value and traffic counters before the flush, booking after
-  it, a write's store after the booking), detailed tracing, stateful
+  fence away and watches a run fail: the order of a suspending body's
+  access that waits (value and traffic counters before the flush, the
+  wait after it) against the live interpreter; the wait left to a
+  generator — a mutant of the shared one moves the interpreter too, so
+  it is judged against the recorded rows; detailed tracing, stateful
   memories, the typed prologue of a suspending body.
 """
 
 from __future__ import annotations
 
 import inspect
+import json
 import re
 
 import numpy as np
@@ -51,18 +56,21 @@ from repro.sim import (
     plan,
     simulate,
 )
+from repro.sim import engine as engine_module
 from repro.sim.components import MemorySpec, register_memory_kind
-from repro.sim.kernel import SimulationError
 from tests.differential import (
     BACKENDS,
     BLOCKING,
     CORPUS,
     HOT,
+    RECORDED,
     ExtendedEngine,
     agree,
     captured_index_program,
     empty_program,
     extension_op_program,
+    record,
+    row_key,
     run,
 )
 
@@ -247,8 +255,9 @@ def test_a_nest_is_native_loops_at_every_depth(tier_up_at, force_kind):
         r"(.*\n)*?\1        for _n\d+ in _r\d+:\n",
         text,
     )
-    # A read that waits, in the handler's order, in two lines' booking
-    # (its value a local alone: nothing reads env for it).
+    # A read that waits: its value and counters, the flush, and THE
+    # blocked read every tier drives (its value a local alone: nothing
+    # reads env for it).
     assert re.search(
         r"if _co > 0:\n"
         r" +_x\d+ = _x\d+\.array\.item\(_n\d+, _n\d+, _n\d+\)\n"
@@ -256,8 +265,7 @@ def test_a_nest_is_native_loops_at_every_depth(tier_up_at, force_kind):
         r" +_m\.reads \+= 1\n"
         r" +if ex\.pending:\n +_p = ex\.pending\n +ex\.pending = 0\n"
         r" +yield _p\n"
-        r" +_q = _m\.queue\n +_e = _q\.book\(_co\)\[1\]\n"
-        r" +yield _e - _q\.sim\.now\n",
+        r" +yield from _blocked_read\(_m\.queue, _co, None, 0\)\n",
         text,
     )
     assert "_resume" not in text and "_h_read" not in text
@@ -317,7 +325,7 @@ def test_the_value_read_before_the_flush_is_what_holds(
     suspending_at_first_entry, monkeypatch
 ):
     monkeypatch.setattr(
-        codegen, "_READ_ORDER", ("flush", "value", "count", "book", "wait")
+        codegen, "_READ_ORDER", ("flush", "value", "count", "wait")
     )
     with pytest.raises(AssertionError, match="diverged"):
         agree(BLOCKING["nest-racing"], (FIRST,))
@@ -340,7 +348,7 @@ def test_counting_before_the_flush_is_what_holds(
     suspending_at_first_entry, monkeypatch
 ):
     monkeypatch.setattr(
-        codegen, "_READ_ORDER", ("value", "flush", "count", "book", "wait")
+        codegen, "_READ_ORDER", ("value", "flush", "count", "wait")
     )
     with pytest.raises(AssertionError, match="diverged"):
         agree(BLOCKING["nest-blocking"], (FIRST,), max_cycles=MID_FLUSH)
@@ -349,40 +357,70 @@ def test_counting_before_the_flush_is_what_holds(
 def test_booking_after_the_flush_is_what_holds(
     suspending_at_first_entry, monkeypatch
 ):
-    """Booked at the unflushed ``now``, the access is over before the
-    flush is: a wait of no, or less than no, cycles."""
+    """Driven before the flush, a suspending body's read is booked, and
+    over, a flush early."""
     monkeypatch.setattr(
-        codegen, "_READ_ORDER", ("value", "count", "book", "flush", "wait")
-    )
-    with pytest.raises((AssertionError, SimulationError)):
-        agree(BLOCKING["nest-blocking"], (FIRST,))
-
-
-def test_the_store_after_the_booking_is_what_holds(
-    suspending_at_first_entry, monkeypatch
-):
-    """Stored before the flush, the racer's increments are seen by the
-    nest a flush early."""
-    monkeypatch.setattr(
-        codegen, "_WRITE_ORDER", ("count", "apply", "flush", "book", "wait")
+        codegen, "_READ_ORDER", ("value", "count", "wait", "flush")
     )
     with pytest.raises(AssertionError, match="diverged"):
         agree(BLOCKING["nest-racing"], (FIRST,))
 
 
-def test_replay_leaves_the_booking_to_a_generator(monkeypatch):
-    """Plan replay's half of the same fence: the step takes the value
-    and counts, and *returns* the booking — the executor flushes before
-    it drives it.  Booked in the step, it is booked a flush early."""
-    agree(BLOCKING["nest-racing"], ("plan/wheel",))
-    blocked_read = plan._blocked_read
+def test_the_store_after_the_booking_is_what_holds(
+    suspending_at_first_entry, monkeypatch
+):
+    """Driven before the flush, the racer's write stores its increments
+    a flush early, and the nest sees them."""
+    monkeypatch.setattr(codegen, "_WRITE_ORDER", ("count", "wait", "flush"))
+    with pytest.raises(AssertionError, match="diverged"):
+        agree(BLOCKING["nest-racing"], (FIRST,))
 
-    def eager(queue, cost, conn, nbytes):
-        return iter(list(blocked_read(queue, cost, conn, nbytes)))
 
-    monkeypatch.setattr(plan, "_blocked_read", eager)
-    with pytest.raises((AssertionError, SimulationError)):
-        agree(BLOCKING["nest-racing"], ("plan/wheel",))
+BLOCKED_READ, BLOCKED_WRITE = plan._blocked_read, plan._blocked_write
+
+
+def _booked_at_issue(queue, cost, conn, nbytes):
+    return iter(list(BLOCKED_READ(queue, cost, conn, nbytes)))
+
+
+def _stored_at_issue(queue, cost, conn, nbytes, array, target, stored):
+    array[target] = stored
+    return BLOCKED_WRITE(queue, cost, conn, nbytes, array, target, stored)
+
+
+#: One backend of each mode.
+ONE_A_MODE = ("interpret/wheel", "plan/wheel", FIRST)
+
+
+def _moved(program):
+    """The backends of :data:`ONE_A_MODE` whose run of ``program`` is not its
+    recorded row."""
+    recorded = json.loads(RECORDED.read_text())
+    return [
+        backend
+        for backend in ONE_A_MODE
+        if record(run(BLOCKING[program], backend, trace=True))
+        != recorded[row_key(program, backend)]
+    ]
+
+
+@pytest.mark.parametrize(
+    "name, mutant",
+    [("_blocked_read", _booked_at_issue), ("_blocked_write", _stored_at_issue)],
+)
+def test_leaving_the_wait_to_a_generator_is_what_holds(
+    name, mutant, suspending_at_first_entry, monkeypatch
+):
+    """The interpreter's handler and the replayed step *return* THE
+    blocked access; the executor flushes before it drives it.  A wait
+    that books or stores when it is made does so a flush early — in
+    the interpreter too, so the mutant is judged against the rows
+    recorded before the tiers shared it.  A suspending body makes the
+    wait after its own flush (the two tests above)."""
+    assert _moved("nest-racing") == []
+    for module in (engine_module, plan, codegen):
+        monkeypatch.setattr(module, name, mutant)
+    assert _moved("nest-racing") == ["interpret/wheel", "plan/wheel"]
 
 
 # ---------------------------------------------------------------------------

@@ -51,7 +51,16 @@ dispatcher calls a generated body with the entry's values and builds
 the plan tier's env of them, and the top block is an entry of its own
 kind; ``plan.py`` +3: ``entry_env``, the one env of a launch body, and
 a tier-up entered with its captures — less the per-entry ``plan_for``,
-the issue's dict display and its per-member block-argument defaults).
+the issue's dict display and its per-member block-argument defaults);
+3 001 once a waiting access is stated once (``engine.py`` −54: the
+handlers return ``plan._blocked_read``/``_blocked_write`` in place of
+four booking generators of their own, a write is put as array, target
+and element in place of a per-call store closure, the posted and the
+free branches of both handlers are one ``_unstalled`` charge, and one
+wrapper keeps the detailed trace's record; ``plan.py`` −4: a blocked
+ndarray write reshapes its element instead of taking the handler;
+``codegen.py`` +3: a suspending body's wait is ``yield from`` the same
+generator, in place of its own booking text).
 
 ROADMAP item 4 wants the service core an explicit state machine over
 one log; :data:`LIFECYCLE` pins its files the same way.  Readings: 1 507
@@ -93,7 +102,7 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 CORE = ("sim/engine.py", "sim/plan.py", "sim/codegen.py")
-BUDGET = 3056
+BUDGET = 3001
 #: The job lifecycle and the append-only log under the WAL and the sweep
 #: journal.
 LIFECYCLE = (
