@@ -147,8 +147,11 @@ class ComponentGroup(Component):
 class EventEntry:
     """One queued event on a processor: the paper's operation entry.
 
-    ``start_time`` is the cycle the processor began it: what its busy
-    time and its trace span are measured from.
+    A launch issued onto an idle processor whose dependency has
+    triggered never becomes one: the issue hands it to the processor's
+    dispatcher (:attr:`ProcessorModel.wake`).  A queued entry is a launch
+    that waits — on a busy processor or an untriggered dependency — a
+    memcpy, or the top block.
     """
 
     kind: str                      # "launch" | "memcpy"
@@ -156,7 +159,6 @@ class EventEntry:
     done: SimEvent                 # a fork–join step's: one shared countdown
     payload: object                # engine-specific (op + captured values)
     label: str = ""
-    start_time: Optional[int] = None
 
 
 class ProcessorModel(Component):
@@ -169,10 +171,12 @@ class ProcessorModel(Component):
         #: engine pops the head once per executed entry, and launch-heavy
         #: programs keep hundreds of entries queued per processor.
         self.queue: deque = deque()
-        #: While the processor idles on an empty queue: what schedules
-        #: its dispatcher (a zero-delay callback).  ``None`` while a
-        #: dispatch is scheduled, waiting on the head entry's dependency
-        #: or running an entry — it looks at the queue again by itself.
+        #: While the processor idles on an empty queue: its dispatcher,
+        #: which a call schedules (a zero-delay callback) and to which the
+        #: engine's launch issue hands a launch whose dependency has
+        #: triggered, with no entry.  ``None`` while a dispatch is
+        #: scheduled, waiting on the head entry's dependency or running
+        #: something — it looks at the queue again by itself.
         self.wake: Optional[Callable[[], None]] = None
         self.busy_cycles = 0
         self.executed_events = 0

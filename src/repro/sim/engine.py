@@ -7,7 +7,7 @@ The engine executes a verified EQueue module:
 2. **Simulation** — the top-level block runs as an implicit host process;
    every processor/DMA runs its own event-queue loop (the paper's
    setup-entry / check-queue / schedule / finish stages map onto
-   :meth:`_Dispatcher.dispatch`).
+   :meth:`_Dispatcher.dispatch` and :meth:`_Dispatcher.begin`).
 3. **Reporting** — profiling summary (§IV-B) plus an optional Chrome trace.
 
 Timing and function are separated: op handlers compute real values (NumPy)
@@ -59,7 +59,6 @@ the reference both must match bit-for-bit; see
 from __future__ import annotations
 
 import enum
-import functools
 import itertools
 import time as _time
 import weakref
@@ -268,11 +267,14 @@ class LaunchSite:
     per member, no ``control_and`` and no ``await`` wait of its own.
     Its code is made once per layout, process-wide (:func:`_issue_code`):
     each distinct dependency, target and capture is read into a local
-    once, and each entry's payload is what its body is entered with —
-    the body, the capture values in block-argument order, and the
-    positions that may hold a launch ``Future`` — with no env built.
-    Binding swaps the function's defaults in place, so whoever holds it
-    from before the first issue calls the bound function.
+    once, and each member is what its body is entered with — the body,
+    the capture values in block-argument order, and the positions that
+    may hold a launch ``Future`` — with no env built.  A member whose
+    target idles and whose dependency has triggered is handed to the
+    target's dispatcher (:class:`_Dispatcher`); any other is enqueued
+    as an :class:`EventEntry`.  Binding swaps the function's defaults
+    in place, so whoever holds it from before the first issue calls the
+    bound function.
     """
 
     __slots__ = ("ops", "keys", "issue")
@@ -291,7 +293,7 @@ class LaunchSite:
         ops = self.ops
         defaults = [owner, *self.keys]
         for op, (body, futures) in zip(ops, members):
-            defaults += (body, op.get_attr("label", "launch"), futures)
+            defaults += (body, op.get_attr("label") or "launch", futures)
         if len(ops) == 1:  # a lone launch: its done event, its values
             defaults += (ops[0].results[0], ops[0].results[1:])
         return tuple(defaults)
@@ -322,8 +324,8 @@ class LaunchSite:
 
 
 class _Countdown:
-    """The ``done`` of every entry of a fork–join step: the dispatcher
-    triggers it as each member finishes, and the last trigger fires
+    """The ``done`` of every member of a fork–join step: the dispatcher
+    counts it down as each member finishes, and the last fires
     :attr:`event`, the one event the step waits on."""
 
     __slots__ = ("remaining", "event")
@@ -331,11 +333,6 @@ class _Countdown:
     def __init__(self, remaining: int, event: SimEvent):
         self.remaining = remaining
         self.event = event
-
-    def trigger(self, _returns) -> None:
-        self.remaining -= 1
-        if not self.remaining:
-            self.event.trigger()
 
 
 #: What a site's :attr:`LaunchSite.issue` holds for its body site until
@@ -370,10 +367,12 @@ def _issue_code(layout: tuple) -> CodeType:
     """The issue function of launches laid out as ``layout``: each
     dependency and target looked up as it nearly always is, and
     resolved otherwise; the captures read into locals — one missing or
-    ``None`` sends them all through :func:`_capture`; each entry
-    enqueued with its capture values as one tuple.  A lone launch binds
-    its done event; a group's entries share a :class:`_Countdown`, and
-    the function yields the event it fires."""
+    ``None`` sends them all through :func:`_capture`; each member, with
+    its capture values as one tuple, handed to its target's dispatcher
+    — where an enqueue would wake it — when the target idles and the
+    dependency has triggered, and enqueued otherwise.  A lone launch
+    binds its done event; a group's members share a :class:`_Countdown`,
+    and the function yields the event it fires."""
     code = _ISSUE_CODES.get(layout)
     if code is not None:
         return code
@@ -416,15 +415,21 @@ def _issue_code(layout: tuple) -> CodeType:
             "    except KeyError:",
             *(f"        {v} = _capture(ex, env, _c{i})" for i, v in enumerate(values)),
         ]
-    lines.append("    done = SimEvent(ex.sim, 'launch.done')")
+    lines += ["    done = SimEvent(ex.sim, 'launch.done')", "    soon = ex._soon"]
     if group:
         lines.append(f"    done, join = _Countdown({len(members)}, done), done")
     for i, (dep, target, captures) in enumerate(members):
-        captured = "".join(f"_v{c}, " for c in captures)
-        lines.append(
-            f"    target{target}.enqueue(EventEntry('launch', dep{dep}, done, "
-            f"(_s{i}, ({captured}), _f{i}), _l{i}))"
-        )
+        launch = f"_s{i}, ({''.join(f'_v{c}, ' for c in captures)}), _f{i}"
+        lines += [
+            f"    idle = target{target}.wake",
+            f"    if idle is not None and dep{dep}.triggered:",
+            f"        target{target}.wake = None",
+            f"        idle.launch = ({launch}, done, _l{i})",
+            "        soon(idle._begin)",
+            "    else:",
+            f"        target{target}.enqueue(EventEntry('launch', dep{dep}, "
+            f"done, ({launch}), _l{i}))",
+        ]
     if group:
         lines.append("    yield join")
     else:
@@ -468,38 +473,51 @@ class _Dispatcher(Process):
     up the entry, check the queue head, schedule, finish — as plain
     scheduler callbacks.
 
-    :meth:`dispatch` is the callback.  A launch entry carries what its
+    :meth:`begin` is the one definition of starting what runs on the
+    processor (stage 3) and :meth:`dispatch` of finishing it (stage 4),
+    after which it sets up and checks the queue head (stages 1 and 2)
+    and begins each entry that is ready, for as long as their bodies
+    complete in no time — a loop, so thousands of zero-cycle bodies
+    queued on one processor run iteratively.  A launch carries what its
     body runs as — a plan, or interpreted, its block — and its capture
     values: a generated body is called with them as its arguments, the
     plan tier and the interpreter get the env
-    :func:`~repro.sim.plan.entry_env` builds of them.  It is on the
-    scheduler exactly
-    when the processor has something to look at: once at start, when an
-    entry lands on the idle processor (``ProcessorModel.enqueue`` calls
-    :attr:`ProcessorModel.wake`), when the head entry's dependency
-    triggers, and when the cycles an entry left pending have elapsed.
-    Each time it finishes the entry that was running, if any, and runs
-    queued entries for as long as their dependencies have triggered and
-    their bodies complete in no time.
+    :func:`~repro.sim.plan.entry_env` builds of them.
+
+    A launch issued onto the idle processor (:attr:`ProcessorModel.wake`
+    holds this object) whose dependency has triggered is the queue head
+    the moment it arrives: the issue hands it over as :attr:`launch`,
+    with no :class:`EventEntry`, and puts :meth:`begin` on the microtask
+    ring where an enqueue would have put :meth:`dispatch` — the *begin*
+    callback.  A busy processor, an untriggered dependency, a memcpy and
+    the top block take the queue; what lands on it while a handed launch
+    waits to begin or runs is dispatched when that launch finishes.
+    :meth:`dispatch` is on the scheduler when an entry lands on the idle
+    processor (``ProcessorModel.enqueue`` calls :meth:`__call__`), once
+    at start, when the head entry's dependency triggers, and as the
+    *finish* callback once the cycles a body left pending have elapsed;
+    a body done at once is finished inside :meth:`begin`.  Finishing
+    counts a fork–join step's :class:`_Countdown` down in place.  Each
+    of these is one callback where an enqueued launch had one, at the
+    same point, so event counts and ring order are those of the queue.
 
     A body that really suspends — a suspending generated body, an
     inline one or a plan that hit a contended access, a non-inlineable
     plan, an interpreted block, a memcpy — is a generator, driven by
     the :class:`Process` this object also is: its requests go through
     ``Process._handle`` and its resumes are ``Process._tick``
-    callbacks, one per request as under any process.  When it ends, :meth:`_finished` hands its value back
-    here.  A generator that ends at its first ``send`` never leaves the
-    dispatch loop, so thousands of zero-cycle bodies queued on one
-    processor run iteratively.
+    callbacks, one per request as under any process.  When it ends,
+    :meth:`_finished` hands its value back to :meth:`dispatch`.  A
+    generator that ends at its first ``send`` is done at once.
 
     It is also the execution state bodies run against (``ex`` in the
     handlers, plan steps and generated code): the processor and the
-    pending-cycles accumulator, which every entry leaves at zero.
+    pending-cycles accumulator, which every body leaves at zero.
     """
 
     __slots__ = (
-        "engine", "proc", "pending", "entry", "returns", "plans", "trace",
-        "_dispatch", "_on_dep", "_wake",
+        "engine", "proc", "pending", "plans", "trace", "launch", "done",
+        "label", "start", "returns", "_begin", "_dispatch", "_on_dep",
     )
 
     def __init__(self, engine: "Engine", proc: ProcessorModel):
@@ -507,21 +525,31 @@ class _Dispatcher(Process):
         self.engine = engine
         self.proc = proc
         self.pending = 0
-        #: The entry being executed while a callback that finishes it is
-        #: outstanding, and the values its body returned.
-        self.entry: Optional[EventEntry] = None
-        self.returns: object = _NO_RETURNS
         self.plans = engine._plans
         self.trace = engine.trace if engine.options.trace else None
+        #: What :meth:`begin` begins: a launch's body, capture values,
+        #: ``Future`` positions, done and label (a memcpy or the top
+        #: block: ``None``, its entry, ``None``, done and label).
+        self.launch: Optional[tuple] = None
+        #: While a callback that finishes it is outstanding: the done,
+        #: label and start cycle of what runs, and what its body returned.
+        self.done: Union[SimEvent, _Countdown, None] = None
+        self.label = ""
+        self.start = 0
+        self.returns: object = _NO_RETURNS
+        self._begin = self.begin
         self._dispatch = self.dispatch
         self._on_dep = self._dep_triggered
-        self._wake = functools.partial(self._soon, self._dispatch)
+
+    def __call__(self) -> None:
+        """Wake the idle processor: an entry landed on its queue."""
+        self._soon(self._dispatch)
 
     def _dep_triggered(self, _event: SimEvent) -> None:
         self._soon(self._dispatch)
 
     def _finished(self, returns) -> None:
-        """The suspended body of the running entry ran to its end."""
+        """The suspended body of what runs ran to its end."""
         self.generator = None
         self.returns = _NO_RETURNS if returns is None else returns
         pending = self.pending
@@ -531,34 +559,90 @@ class _Dispatcher(Process):
         else:
             self.dispatch()
 
-    def dispatch(self) -> None:
+    def begin(self, looped: bool = False) -> bool:
+        """Stage 3: begin :attr:`launch` — the begin callback of a launch
+        handed over at issue, and what :meth:`dispatch` calls
+        (``looped``) for a queued entry.  A body that suspends is driven
+        from here on; one that leaves cycles pending is finished by
+        :meth:`dispatch` once they have elapsed; one done at once is
+        finished by the loop that called it, or here.  True when it is
+        done and its caller finishes it."""
+        body, values, futures, self.done, self.label = self.launch
+        self.launch = None
         sim = self.sim
-        proc = self.proc
-        queue = proc.queue
+        self.start = sim.now
         plans = self.plans
-        trace = self.trace
-        entry = self.entry
-        returns = self.returns
-        self.entry = None
+        if body is None:  # a memcpy or the top block: ``values`` is the entry
+            suspended = self._run_entry(values)
+        else:
+            # What the body runs as and its capture values were bound
+            # when the launch was issued; only captured launch results
+            # are left to resolve.
+            if futures:
+                values = _resolved(values, futures)
+            if plans is None:
+                suspended = self.engine._run_block(
+                    self, body, entry_env(None, body.arguments, values)
+                )
+            elif body.compiled is not None:
+                # A hot body whose generated code never suspends
+                # completes without a generator frame.
+                suspended = body.compiled(self, *values)
+            else:
+                suspended = _cold_run(
+                    body, self,
+                    entry_env(body.site, body.block.arguments, values),
+                    values,
+                )
+        self.returns = _NO_RETURNS
+        if suspended is not None:
+            try:
+                request = suspended.send(None)
+            except StopIteration as stop:
+                if stop.value is not None:
+                    self.returns = stop.value
+            else:
+                self.generator = suspended
+                self._handle(request)
+                return False
+        pending = self.pending
+        if pending:
+            # The trailing flush: it ends when the cycles its body
+            # accumulated have elapsed.
+            self.pending = 0
+            sim.schedule_bucket(pending, self._dispatch)
+            return False
+        if looped:
+            return True
+        self.dispatch()
+        return False
+
+    def dispatch(self) -> None:
+        """Stage 4 — finish what ran, if anything — then stages 1 and 2
+        for as long as queued entries are ready and done at once."""
+        proc = self.proc
         while True:
-            if entry is not None:
-                # Stage 4: finish the operation.
-                now = sim.now
-                proc.busy_cycles += now - entry.start_time
+            done = self.done
+            if done is not None:
+                self.done = None
+                now = self.sim.now
+                start = self.start
+                proc.busy_cycles += now - start
                 proc.executed_events += 1
-                if trace is not None:
-                    trace.record(
-                        entry.label or entry.kind,
-                        "operation",
-                        "Processor",
-                        proc.path,
-                        entry.start_time,
-                        now - entry.start_time,
+                if self.trace is not None:
+                    self.trace.record(
+                        self.label, "operation", "Processor", proc.path,
+                        start, now - start,
                     )
-                entry.done.trigger(returns)
-            # Stage 1/2: set up the entry and check the queue head.
+                if type(done) is _Countdown:
+                    done.remaining -= 1
+                    if not done.remaining:
+                        done.event.trigger()
+                else:
+                    done.trigger(self.returns)
+            queue = proc.queue
             if not queue:
-                proc.wake = self._wake
+                proc.wake = self
                 return
             entry = queue[0]
             dep = entry.dep
@@ -566,65 +650,25 @@ class _Dispatcher(Process):
                 dep.on_trigger(self._on_dep)
                 return
             queue.popleft()
-            entry.start_time = now = sim.now
-            # Stage 3: schedule (execute) the operation.  A hot body
-            # whose generated code or plan never suspends completes
-            # without a generator frame.
-            kind = entry.kind
-            if kind == "launch":
-                # What the body runs as and its capture values were
-                # bound when the launch was issued; only captured launch
-                # results are left to resolve.
-                body, values, futures = entry.payload
-                if futures:
-                    values = _resolved(values, futures)
-                if plans is not None:
-                    compiled = body.compiled
-                    if compiled is not None:
-                        suspended = compiled(self, *values)
-                    else:
-                        suspended = _cold_run(
-                            body, self,
-                            entry_env(body.site, body.block.arguments, values),
-                            values,
-                        )
-                else:
-                    suspended = self.engine._run_block(
-                        self, body, entry_env(None, body.arguments, values)
-                    )
-            elif kind == "memcpy":
-                suspended = self.engine._exec_memcpy(entry)
-            elif kind == "top":
-                # The top block runs in the engine env, so top-level
-                # bindings persist into the result.
-                block, env = entry.payload
-                if plans is None:
-                    suspended = self.engine._run_block(self, block, env)
-                else:
-                    suspended = plans.plan_for(block).execute(self, env)
-            else:  # pragma: no cover
-                raise EngineError(f"unknown entry kind {entry.kind}")
-            returns = _NO_RETURNS
-            if suspended is not None:
-                try:
-                    request = suspended.send(None)
-                except StopIteration as stop:
-                    if stop.value is not None:
-                        returns = stop.value
-                else:
-                    self.entry = entry
-                    self.generator = suspended
-                    self._handle(request)
-                    return
-            pending = self.pending
-            if pending:
-                # The trailing flush: the entry ends when the cycles its
-                # body accumulated have elapsed.
-                self.pending = 0
-                self.entry = entry
-                self.returns = returns
-                sim.schedule_bucket(pending, self._dispatch)
+            if entry.kind == "launch":
+                self.launch = (*entry.payload, entry.done, entry.label)
+            else:
+                self.launch = (
+                    None, entry, None, entry.done, entry.label or entry.kind
+                )
+            if not self.begin(True):
                 return
+
+    def _run_entry(self, entry: EventEntry):
+        """Start a queued entry that is not a launch: a memcpy, or the
+        top block — which runs in the engine env, so top-level bindings
+        persist into the result."""
+        if entry.kind == "memcpy":
+            return self.engine._exec_memcpy(entry)
+        block, env = entry.payload
+        if self.plans is None:
+            return self.engine._run_block(self, block, env)
+        return self.plans.plan_for(block).execute(self, env)
 
 
 _STRUCTURE_OPS = frozenset(

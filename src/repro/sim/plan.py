@@ -1278,7 +1278,9 @@ def _blocked_write(queue, cost, conn, nbytes, array, target, stored):
     """THE wait of a write, the same way: the connection first, the
     memory's queue from where the connection is done — and
     ``array[target] = stored`` once both are booked, so a read that
-    another processor makes during the flush sees the old element."""
+    another processor makes during the flush sees the old element, and
+    one made during the wait the new one
+    (``test_a_blocked_write_stores_once_booked``)."""
     now = end = queue.sim.now
     if conn is not None:
         transfer = conn.transfer_cycles(nbytes)

@@ -1383,6 +1383,209 @@ FORK_JOIN = {
 
 
 # ---------------------------------------------------------------------------
+# The handoff: a ready launch onto an idle processor skips its queue
+# ---------------------------------------------------------------------------
+#
+# The issue hands a launch whose dependency has triggered straight to
+# an idle processor's dispatcher, with no queue entry; anything else
+# queues.  Each program below is hot, and each fails under a named
+# mutant of ``engine._issue_code``: *busy handoff* (the handoff leaves
+# the processor's ``wake`` set, so the next ready launch onto it is
+# handed over too, while a launch already waits there) or *early
+# handoff* (the dependency is not checked, so a launch whose dependency
+# has not triggered is begun).
+
+
+def _spans(result, tid):
+    """``(label, start, duration)`` of the launches ``tid`` ran, in order."""
+    return [
+        (r.name, r.start, r.duration)
+        for r in result.trace.records
+        if r.tid == tid and r.category == "operation"
+    ]
+
+
+def _back_to_back(result, tid, first, second):
+    """``tid`` ran ``first`` then ``second`` ``HOT`` times, ``second``
+    beginning as ``first`` ends."""
+    spans = _spans(result, tid)
+    assert [s[0] for s in spans] == [first, second] * HOT, spans[:4]
+    for (_, start, duration), (_, next_start, _) in zip(spans[::2], spans[1::2]):
+        assert next_start == start + duration
+
+
+def _queued_behind():
+    """A fork–join step whose two members go to one idle PE: ``first``
+    (two cycles) is handed over, ``second`` (one cycle, reading what
+    ``first`` wrote) queues behind it.  Busy handoff: ``second`` takes
+    ``first``'s place and ``first`` never runs."""
+
+    def step(b, i, pe, dma, src, out):
+        eq = EQueueBuilder(b)
+
+        def first(b1, i1, out1):
+            v = b1.create("arith.index_cast", [i1], [ir.i32]).result()
+            v, = EQueueBuilder(b1).op("mac", [v, v, v], [v.type])
+            v, = EQueueBuilder(b1).op("mac", [v, v, v], [v.type])
+            EQueueBuilder(b1).write_element(v, out1, [i1])
+
+        def second(b1, i1, out1):
+            eq1 = EQueueBuilder(b1)
+            x = eq1.read_element(out1, [i1])
+            eq1.write_element(
+                arith.addi(b1, x, arith.constant(b1, 1, ir.i32)), out1, [i1]
+            )
+
+        start = eq.control_start()
+        done = [
+            eq.launch(start, pe, args=[i, out], body=body, label=body.__name__)[0]
+            for body in (first, second)
+        ]
+        eq.await_(eq.control_and(done))
+
+    return _hot_kernel(step)
+
+
+def _queued_behind_check(result):
+    once = np.arange(HOT) ** 2 + np.arange(HOT)
+    np.testing.assert_array_equal(result.buffer("out"), once**2 + once + 1)
+    _back_to_back(result, "pe", "first", "second")
+
+
+def _second_issuer():
+    """Two issuers, ``k0`` and ``k1``, each flush two cycles and launch
+    onto ``pe`` in the same cycle: ``k0``'s launch is handed over, and
+    ``k1``'s lands after the handoff and before the handed launch
+    begins, so it queues behind it.  Each body scales ``out[i]`` by ten
+    and adds its issuer's number.  Busy handoff: ``k1``'s launch takes
+    ``k0``'s place, and ``k0`` waits for a launch that never runs."""
+    module, eq = empty_program()
+    regs = eq.create_mem("Register", 256, ir.i32, name="regs")
+    out = eq.alloc(regs, [HOT], ir.i32, name="out")
+    kernel = eq.create_proc("ARMr5", name="kernel")
+    issuers = [eq.create_proc("ARMr5", name=f"k{k}") for k in range(2)]
+    pe = eq.create_proc("MAC", name="pe")
+
+    def scaled(k):
+        def body(b, i, out_a):
+            eq_b = EQueueBuilder(b)
+            x = eq_b.read_element(out_a, [i])
+            x = arith.muli(b, x, arith.constant(b, 10, ir.i32))
+            x = arith.addi(b, x, arith.constant(b, k, ir.i32))
+            eq_b.write_element(x, out_a, [i])
+
+        return body
+
+    def issue(k):
+        def body(b, i, pe_a, out_a):
+            eq_b = EQueueBuilder(b)
+            two = arith.constant(b, 2, ir.i32)
+            arith.muli(b, arith.muli(b, two, two), two)  # two cycles to flush
+            eq_b.await_(eq_b.launch(
+                eq_b.control_start(), pe_a, args=[i, out_a], body=scaled(k),
+                label=f"from{k}",
+            )[0])
+
+        return body
+
+    def main(b, out_a, pe_a, *issuer_a):
+        def step(b1, i):
+            eq1 = EQueueBuilder(b1)
+            start = eq1.control_start()
+            done = [
+                eq1.launch(start, proc, args=[i, pe_a, out_a], body=issue(k))[0]
+                for k, proc in enumerate(issuer_a)
+            ]
+            eq1.await_(eq1.control_and(done))
+
+        affine.for_loop(b, 0, HOT, body=step)
+
+    eq.await_(eq.launch(
+        eq.control_start(), kernel, args=[out, pe, *issuers], body=main
+    )[0])
+    ir.verify(module)
+    return module, {"out": np.ones(HOT, np.int32)}
+
+
+def _second_issuer_check(result):
+    # 1, then 1 * 10 + 0, then 10 * 10 + 1.
+    np.testing.assert_array_equal(result.buffer("out"), np.full(HOT, 101))
+    _back_to_back(result, "pe", "from0", "from1")
+
+
+def _future_members():
+    """``produce`` runs twice on ``pe0`` per iteration, returning twice
+    the source element; the first is awaited.  A fork–join step then
+    captures both results: ``kept`` depends on the first, which has
+    finished — it is handed to the idle ``pe`` with a launch ``Future``
+    to resolve as it begins — and ``late`` on the second, still running
+    — it queues on the idle DMA until that triggers.  Early handoff:
+    ``late`` begins at once and reads its ``Future`` unfinished."""
+    module, eq = empty_program()
+    sram = eq.create_mem("SRAM", 256, ir.i32, name="sram")
+    regs = eq.create_mem("Register", 512, ir.i32, name="regs")
+    src = eq.alloc(sram, [HOT], ir.i32, name="src")
+    kept = eq.alloc(regs, [HOT], ir.i32, name="kept")
+    late = eq.alloc(regs, [HOT], ir.i32, name="late")
+    kernel = eq.create_proc("ARMr5", name="kernel")
+    pe0 = eq.create_proc("MAC", name="pe0")
+    pe = eq.create_proc("MAC", name="pe")
+    dma = eq.create_dma(name="dma")
+
+    def produce(b, i, src_a):
+        x = EQueueBuilder(b).read_element(src_a, [i])
+        return [arith.addi(b, x, x)]
+
+    def store(b, i, value, out_a):
+        EQueueBuilder(b).write_element(value, out_a, [i])
+
+    def main(b, src_a, kept_a, late_a, pe0_a, pe_a, dma_a):
+        def step(b1, i):
+            eq1 = EQueueBuilder(b1)
+            first, value = eq1.launch(
+                eq1.control_start(), pe0_a, args=[i, src_a], body=produce
+            )
+            eq1.await_(first)
+            second, later = eq1.launch(
+                eq1.control_start(), pe0_a, args=[i, src_a], body=produce
+            )
+            done = [
+                eq1.launch(dep, proc, args=[i, v, out], body=store, label=name)[0]
+                for dep, proc, v, out, name in (
+                    (first, pe_a, value, kept_a, "kept"),
+                    (second, dma_a, later, late_a, "late"),
+                )
+            ]
+            eq1.await_(eq1.control_and(done))
+
+        affine.for_loop(b, 0, HOT, body=step)
+
+    eq.await_(eq.launch(
+        eq.control_start(), kernel,
+        args=[src, kept, late, pe0, pe, dma], body=main,
+    )[0])
+    ir.verify(module)
+    return module, {"src": np.arange(3, HOT + 3, dtype=np.int32)}
+
+
+def _future_members_check(result):
+    doubled = 2 * np.arange(3, HOT + 3)
+    np.testing.assert_array_equal(result.buffer("kept"), doubled)
+    np.testing.assert_array_equal(result.buffer("late"), doubled)
+
+
+#: Launches handed over at issue, and the launches that must queue
+#: beside them.
+HANDOFF = {
+    "handoff:queued-behind": Program(_queued_behind, check=_queued_behind_check),
+    "handoff:second-issuer": Program(_second_issuer, check=_second_issuer_check),
+    "handoff:future-members": Program(
+        _future_members, check=_future_members_check
+    ),
+}
+
+
+# ---------------------------------------------------------------------------
 # The edges of the launch calling convention
 # ---------------------------------------------------------------------------
 #
@@ -1601,6 +1804,7 @@ CORPUS = {
     "fir-4-cores": _fir(4, 4),
     "rare-ops": Program(_rare_ops, check=_rare_ops_check),
     **FORK_JOIN,
+    **HANDOFF,
     **CONVENTION,
 }
 

@@ -34,7 +34,10 @@ interpreter on both schedulers with tier-up at the first execution:
   the systolic step and the corpus's ``fork-join-edges`` step do;
   ``late-dep`` (the run's first launch is not joined) and the
   ``fork-join-miss:*`` near misses do not (the backend matrix holds
-  each to the interpreter).
+  each to the interpreter);
+* **the handoff**: a systolic step onto idle PEs makes no ``enqueue``
+  call and builds no ``EventEntry`` (the corpus's ``handoff:*``
+  programs hold what must still queue beside a handed launch).
 """
 
 from __future__ import annotations
@@ -55,6 +58,7 @@ from repro.sim import (
     EngineError,
     EngineOptions,
     codegen,
+    components,
     engine,
     plan,
 )
@@ -67,6 +71,7 @@ from tests.differential import (
     empty_program,
     returns_captured,
     run,
+    scenario_program,
 )
 
 #: Generated from the first execution, on both schedulers.
@@ -611,3 +616,50 @@ def test_exactly_the_fork_join_steps_fuse():
     assert len(misses) == 3
     for name in misses:
         assert _fork_joins(name) == [], name
+
+
+# ---------------------------------------------------------------------------
+# The handoff
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("backend", [REFERENCE, "plan/wheel", *FIRST])
+def test_a_systolic_step_onto_idle_pes_queues_nothing(backend, monkeypatch):
+    """Every step of a 4x4 systolic array launches onto PEs that the
+    previous step's join left idle: the issue hands each launch to its
+    PE's dispatcher, with no ``enqueue`` and no ``EventEntry`` built.
+    What queues is the top block and the DMA's two copies."""
+    enqueued, built = [], []
+    enqueue = components.ProcessorModel.enqueue
+
+    def counted(proc, entry):
+        enqueued.append((proc.name, entry.kind))
+        enqueue(proc, entry)
+
+    class Counted(components.EventEntry):
+        __slots__ = ()
+
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self.kind)
+
+    monkeypatch.setattr(components.ProcessorModel, "enqueue", counted)
+    monkeypatch.setattr(engine, "EventEntry", Counted)
+    program = scenario_program(
+        "systolic", array_height=4, array_width=4, c=2, h=6, w=6
+    )
+    done = run(program.build, backend)
+    assert done.summary.launches_executed == 996
+    assert sorted(built) == ["memcpy", "memcpy", "top"]
+    assert sorted(enqueued) == [("dma", "memcpy")] * 2 + [("host", "top")]
+
+
+def test_a_handed_launch_resolves_its_futures_as_it_begins():
+    """``handoff:future-members``' ``kept`` member is handed over with a
+    launch ``Future`` among its captures: the dispatcher resolves it
+    before the body runs, as for a queued entry, so the typed generated
+    body is never entered with one (which it would deopt on)."""
+    for backend in FIRST:
+        done = run(CORPUS["handoff:future-members"].build, backend)
+        assert done.summary.blocks_codegenned > 0
+        assert done.summary.codegen_deopts == {}, backend

@@ -30,8 +30,11 @@ real selector at every tier-up).  These tests hold:
   access that waits (value and traffic counters before the flush, the
   wait after it) against the live interpreter; the wait left to a
   generator — a mutant of the shared one moves the interpreter too, so
-  it is judged against the recorded rows; detailed tracing, stateful
-  memories, the typed prologue of a suspending body.
+  it is judged against the recorded rows; the instant a blocked write
+  stores (once booked: a reader on another processor sees the old
+  element during the writer's flush and the new one during its wait,
+  derived by hand); detailed tracing, stateful memories, the typed
+  prologue of a suspending body.
 """
 
 from __future__ import annotations
@@ -421,6 +424,95 @@ def test_leaving_the_wait_to_a_generator_is_what_holds(
     for module in (engine_module, plan, codegen):
         monkeypatch.setattr(module, name, mutant)
     assert _moved("nest-racing") == ["interpret/wheel", "plan/wheel"]
+
+
+def _write_sampled_by_readers():
+    """``writer`` flushes three cycles of ``mac`` and writes 7 over the 5
+    in ``slow[0]`` (a DRAM: ten cycles an access).  Two readers on other
+    processors sample that element once a read of a clock memory of
+    their own has moved them on: ``early`` one cycle in (an SRAM),
+    during the writer's flush; ``late`` ten cycles in (a second DRAM),
+    during the write's wait — ``early``'s read holds ``slow`` for
+    cycles 1–11, so the write, made at cycle 3, waits until 21."""
+    module, eq = empty_program()
+    dram = eq.create_mem("DRAM", 64, ir.i32, name="dram")
+    sram = eq.create_mem("SRAM", 64, ir.i32, name="sram")
+    clock_dram = eq.create_mem("DRAM", 64, ir.i32, name="clock_dram")
+    regs = eq.create_mem("Register", 64, ir.i32, name="regs")
+    slow = eq.alloc(dram, [1], ir.i32, name="slow")
+    clocks = [eq.alloc(m, [1], ir.i32, name=n) for m, n in
+              ((sram, "tick"), (clock_dram, "tock"))]
+    seen = eq.alloc(regs, [2], ir.i32, name="seen")
+    writer_pe, *reader_pes = (
+        eq.create_proc("MAC", name=n) for n in ("writer", "early", "late")
+    )
+    start = eq.control_start()
+
+    def writer(b, slow_a):
+        x = arith.constant(b, 1, ir.i32)
+        for _ in range(3):
+            x, = EQueueBuilder(b).op("mac", [x, x, x], [x.type])
+        seven = arith.constant(b, 7, ir.i32)
+        EQueueBuilder(b).write_element(
+            seven, slow_a, [arith.constant(b, 0, ir.index)]
+        )
+
+    def reader(k):
+        def body(b, clock_a, slow_a, seen_a):
+            eq_b = EQueueBuilder(b)
+            zero = arith.constant(b, 0, ir.index)
+            eq_b.read_element(clock_a, [zero])
+            x = eq_b.read_element(slow_a, [zero])
+            eq_b.write_element(x, seen_a, [arith.constant(b, k, ir.index)])
+
+        return body
+
+    done = [eq.launch(start, writer_pe, args=[slow], body=writer)[0]] + [
+        eq.launch(start, pe, args=[clock, slow, seen], body=reader(k))[0]
+        for k, (pe, clock) in enumerate(zip(reader_pes, clocks))
+    ]
+    eq.await_(eq.control_and(done))
+    ir.verify(module)
+    return module, {"slow": np.array([5], np.int32)}
+
+
+def _sampled():
+    """Per backend of :data:`ONE_A_MODE`: the cycles, what the readers
+    saw and the element left."""
+    runs = {b: run(_write_sampled_by_readers, b) for b in ONE_A_MODE}
+    return {
+        backend: (done.result.cycles, done.seen["buffers"]["seen"],
+                  done.seen["buffers"]["slow"])
+        for backend, done in runs.items()
+    }
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_blocked_write_stores_once_booked(kind, tier_up_at, force_kind):
+    """By hand: ``early`` samples at cycle 1, in the writer's flush (0–3),
+    and sees the old 5; ``late`` samples at cycle 10, in the write's
+    wait (3–21), and sees the 7 the write stored when it booked, at 3;
+    ``late``'s read waits behind the write (21–31)."""
+    tier_up_at(0)
+    force_kind(kind)
+    assert _sampled() == {b: (31, [5, 7], [7]) for b in ONE_A_MODE}
+
+
+def _stored_after_the_wait(queue, cost, conn, nbytes, array, target, stored):
+    yield from BLOCKED_WRITE(
+        queue, cost, conn, nbytes, array.copy(), target, stored
+    )
+    array[target] = stored
+
+
+def test_storing_once_booked_is_what_holds(
+    suspending_at_first_entry, monkeypatch
+):
+    """A write that stores once its wait is over leaves ``late`` the old
+    element."""
+    for module in (engine_module, plan, codegen):
+        monkeypatch.setattr(module, "_blocked_write", _stored_after_the_wait)
+    assert _sampled() == {b: (31, [5, 5], [7]) for b in ONE_A_MODE}
 
 
 # ---------------------------------------------------------------------------

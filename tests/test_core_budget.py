@@ -60,7 +60,14 @@ free branches of both handlers are one ``_unstalled`` charge, and one
 wrapper keeps the detailed trace's record; ``plan.py`` −4: a blocked
 ndarray write reshapes its element instead of taking the handler;
 ``codegen.py`` +3: a suspending body's wait is ``yield from`` the same
-generator, in place of its own booking text).
+generator, in place of its own booking text); 3 014 once a ready
+launch onto an idle processor skips its queue (``engine.py`` +13: the
+issue hands a member whose target idles and whose dependency has
+triggered to the target's dispatcher; one ``begin`` starts a handed
+launch or a queued entry alike and one ``dispatch`` finishes either,
+counting a fork–join step's countdown down in place; the dispatcher is
+the ``wake`` it leaves an idle processor — less the countdown's
+``trigger``, the wake partial and the running entry it kept).
 
 ROADMAP item 4 wants the service core an explicit state machine over
 one log; :data:`LIFECYCLE` pins its files the same way.  Readings: 1 507
@@ -102,7 +109,7 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 CORE = ("sim/engine.py", "sim/plan.py", "sim/codegen.py")
-BUDGET = 3001
+BUDGET = 3014
 #: The job lifecycle and the append-only log under the WAL and the sweep
 #: journal.
 LIFECYCLE = (
